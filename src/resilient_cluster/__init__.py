@@ -19,6 +19,7 @@ from .core import (
     ClusteringInvalid,
     EmptyCenters,
     Instance,
+    InternalCheckFailed,
     Objective,
     cost,
     lp_norm,

@@ -1,9 +1,10 @@
 """Command-line surface: solve, certify, and generate over JSON instance files.
 
 Exit codes: 0 optimal/success, 1 I/O or validation error, 2 infeasible or too
-large, 3 certified not-resilient. Setting RESILIENT_CLUSTER_EXACT=1 is the same
-as passing --exact: float literals in input files are parsed as exact rationals
-and numbers are emitted as rational strings.
+large, 3 certified not-resilient, 4 internal consistency check failed (a bug,
+not bad input). Setting RESILIENT_CLUSTER_EXACT=1 is the same as passing
+--exact: float literals in input files are parsed as exact rationals and
+numbers are emitted as rational strings.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .core import (
     OUTLIER,
     Clustering,
     Instance,
+    InternalCheckFailed,
     cost,
     objective_by_name,
     validate_metric,
@@ -34,6 +36,7 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_INFEASIBLE = 2
 EXIT_NOT_RESILIENT = 3
+EXIT_INTERNAL = 4
 
 
 class CliError(Exception):
@@ -342,6 +345,9 @@ def _run_single(func, args) -> int:
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code
+    except InternalCheckFailed as e:
+        print(f"internal error: {e}", file=sys.stderr)
+        return EXIT_INTERNAL
     except (ValueError, AssertionError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ERROR

@@ -34,6 +34,10 @@ class AsymmetricUnsupported(ValueError):
     """The operation is defined for symmetric instances only."""
 
 
+class InternalCheckFailed(RuntimeError):
+    """A solver's own consistency check failed: a bug, not bad input."""
+
+
 def is_exact_number(x) -> bool:
     return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
 
@@ -62,6 +66,8 @@ class Objective:
 
     def term(self, d):
         exp = self.exponent
+        if type(exp) is int:
+            return d**exp
         if isinstance(exp, Fraction) and exp.denominator == 1:
             exp = exp.numerator
         if isinstance(exp, int):

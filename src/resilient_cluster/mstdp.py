@@ -6,21 +6,36 @@ states (node, clusters used, outliers spent, center of the node's cluster).
 On 2-perturbation-resilient outlier instances the optimal clusters are MST
 subtrees, so the DP recovers the exact optimum; on arbitrary input it returns
 the best subtree-structured solution, which may be suboptimal.
+
+Each node's DP table is one numpy array of shape ``[k+1, z+1, n_real+1]``
+(clusters, outliers, center; the last center slot means "the node is an
+outlier"), filled by elementwise operations over the center axis. The table
+dtype is float64 when the objective's terms are floats, or integers whose
+n-fold sum stays below 2**53 (every entry is then an exactly represented
+integer); otherwise an object array of exact Python numbers. No backpointers
+are kept: reconstruction recomputes the argmin along the single root-to-leaf
+path of states it visits.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+
+import numpy as np
 
 from .core import (
     OUTLIER,
     AsymmetricUnsupported,
     Clustering,
     Instance,
+    InternalCheckFailed,
     Objective,
     cost,
 )
+
+INF = math.inf
 
 
 class Infeasible(RuntimeError):
@@ -137,7 +152,8 @@ def binarize(tree, inst: Instance) -> BinaryTree:
     right = [-1] * total
     for u in range(total):
         kids = sorted(children.get(u, []))
-        assert len(kids) <= 2
+        if len(kids) > 2:
+            raise InternalCheckFailed(f"binarized node {u} has {len(kids)} children")
         if kids:
             left[u] = kids[0]
         if len(kids) == 2:
@@ -145,251 +161,221 @@ def binarize(tree, inst: Instance) -> BinaryTree:
         for v in kids:
             parent[v] = u
     is_dummy = tuple(u >= n for u in range(total))
-    assert total - n <= max(0, n - 2)
+    if total - n > max(0, n - 2):
+        raise InternalCheckFailed(f"binarize created {total - n} dummies for {n} points")
     return BinaryTree(root, tuple(parent), tuple(left), tuple(right), is_dummy, n)
+
+
+def _number_type(terms: list, n: int) -> tuple:
+    """(dtype, exact) for DP tables over the objective terms of n points.
+
+    Integer terms with n * max term < 2**53 are exact in float64, floats are
+    float64 as given, and anything else (big ints, Fractions) keeps Python
+    numbers in an object array.
+    """
+    kinds = set(map(type, terms))
+    if kinds == {int}:
+        return (np.float64 if n * max(terms) < 2**53 else object), True
+    if float in kinds:
+        return np.float64, False
+    return object, True
+
+
+def _conv(a, b, shift: int, combine, dtype):
+    """(min, combine) convolution over the (clusters, outliers) axes.
+
+    out[j, t] = min of combine(a[ja, ta], b[jb, tb]) over ja + jb = j + shift
+    and ta + tb = t, elementwise over the trailing center axis (length 1
+    broadcasts).
+    """
+    K, T = a.shape[:2]
+    out = np.full((K, T, max(a.shape[2], b.shape[2])), INF, dtype=dtype)
+    live_a, live_b = (a < INF).any(axis=2), (b < INF).any(axis=2)
+    if live_b.sum() < live_a.sum():  # loop over the operand with fewer cells
+        a, b, live_a = b, a, live_b
+    for ja, ta in zip(*np.nonzero(live_a)):
+        lo, hi = max(0, ja - shift), min(K, K + ja - shift)
+        if lo >= hi:
+            continue
+        jb = lo + shift - ja
+        cell = combine(a[ja, ta], b[jb : jb + hi - lo, : T - ta])
+        np.minimum(out[lo:hi, ta:], cell, out=out[lo:hi, ta:])
+    return out
+
+
+def _two_child_cases(in_l: np.ndarray, in_r: np.ndarray) -> tuple:
+    """The four ways a two-child node's real-center state splits, in order.
+
+    Each is (left joins u's cluster, right joins, shift, centers excluded):
+    both children separate (u's cluster is one more than their sum), right
+    joins, left joins, and both join (u's cluster is counted in both child
+    tables, so the split sums to j + 1). A child that stays separate must not
+    hold u's center in its subtree.
+    """
+    return (
+        (False, False, -1, in_l | in_r),
+        (False, True, 0, in_l),
+        (True, False, 0, in_r),
+        (True, True, 1, None),
+    )
 
 
 def solve_btp(inst: Instance, btree: BinaryTree, obj: Objective) -> Clustering:
     """Fill the partition DP bottom-up and reconstruct the best clustering.
 
-    State value: minimum cost of handling the subtree of a node with j clusters
-    touched, t real outliers, and the node's own cluster centered at c (a real
-    point, possibly outside the subtree) or the node marked outlier. k-center
-    uses max in place of + when combining costs.
+    ``tab[u][j, t, c]`` is the minimum cost of the subtree of ``u`` with j
+    clusters touched and t real outliers, where ``u``'s own cluster is
+    centered at the real point c (possibly outside the subtree) or, in the
+    last slot ``c = n_real``, ``u`` is an outlier. Each node's table is one
+    array of shape ``[k+1, z+1, n_real+1]``; with (j, t) fixed every
+    transition is elementwise over c, and a two-child node combines its
+    children by (min, +) convolutions over (j, t) -- (min, max) for k-center.
+
+    The table dtype is chosen once from the objective's terms
+    (:func:`_number_type`). Integer terms with n * max term < 2**53 use
+    float64: every entry is then a sum of at most n such integers, so float64
+    holds it exactly and ``inf`` marks infeasible states natively. Float terms
+    use float64 as they are; other exact terms use an object array of Python
+    numbers, through the same code.
+
+    No backpointers are stored. Reconstruction walks down from the best root
+    state, re-evaluates that one state's candidates in the forward order with
+    the same operations on the same operands (so the values match bit for bit)
+    and follows the first candidate that attains the minimum.
     """
     n = inst.n
     k, z = inst.k, inst.z
-    dist = inst.dist
-    term = obj.term
-    summing = obj.aggregate == "sum"
-    INF = math.inf
-    size = btree.size
     n_real = btree.n_real
-    ncent = n_real + 1  # center axis: 0..n_real-1 real, slot n_real = outlier
-    OUT = n_real
+    K, T = k + 1, z + 1
+    OUT = n_real  # center axis: 0..n_real-1 real, slot n_real = outlier
+    terms = [t for row in inst.dist for t in map(obj.term, row)]
+    dtype, exact = _number_type(terms, n)
+    E = np.array(terms, dtype=dtype).reshape(n, n)  # E[c, u] = term(d(c, u))
+    zero = np.zeros(n_real, dtype=dtype)
+    summing = obj.aggregate == "sum"
+    # the same operation on arrays and on single table entries
+    combine = np.add if summing else np.maximum
+    combine_entry = operator.add if summing else max
 
-    def ed(c: int, node: int):
-        if node >= n_real:
-            return 0
-        return term(dist[c][node])
-
-    combine = (lambda a, b: a + b) if summing else (lambda a, b: a if a >= b else b)
-
-    mask = [0] * size
     post = []
     stack = [(btree.root, False)]
     while stack:
         u, done = stack.pop()
         if done:
-            m = 1 << u if u < n_real else 0
-            for w in btree.children(u):
-                m |= mask[w]
-            mask[u] = m
             post.append(u)
         else:
             stack.append((u, True))
             for w in btree.children(u):
                 stack.append((w, False))
 
-    # table[u][j][t][c] and best-over-subtree-centers M[u][j][t] = (val, c)
-    table: dict[int, list] = {}
-    M: dict[int, list] = {}
-    bp: dict[int, list] = {}
+    # tab[u]: the node's table; M[u][j, t, 0]: its minimum over subtree
+    # centers and the outlier slot; inside[u]: real points in the subtree
+    tab: dict[int, np.ndarray] = {}
+    M: dict[int, np.ndarray] = {}
+    inside: dict[int, np.ndarray] = {}
+
+    def base(u: int) -> np.ndarray:
+        return E[:, u] if u < n_real else zero
 
     for u in post:
-        tab = [[[INF] * ncent for _ in range(z + 1)] for _ in range(k + 1)]
-        back = [[[None] * ncent for _ in range(z + 1)] for _ in range(k + 1)]
+        t_own = 1 if u < n_real else 0  # outliers spent by marking u OUT
+        cur = np.full((K, T, n_real + 1), INF, dtype=dtype)
         kids = btree.children(u)
-        real = u < n_real
         if not kids:
-            if real:
-                if z >= 1:
-                    tab[0][1][OUT] = 0
-            else:
-                tab[0][0][OUT] = 0
-            for c in range(n_real):
-                tab[1][0][c] = ed(c, u)
+            mask = np.zeros(n_real, dtype=bool)
+            if t_own < T:
+                cur[0, t_own, OUT] = 0
+            cur[1, 0, :OUT] = base(u)
         elif len(kids) == 1:
             (w,) = kids
-            tw, Mw, mw = table[w], M[w], mask[w]
-            for j in range(k + 1):
-                for t in range(z + 1):
-                    treq = t - 1 if real else t
-                    if treq >= 0:
-                        val, cw = Mw[j][treq]
-                        if val < INF:
-                            tab[j][t][OUT] = val
-                            back[j][t][OUT] = ((j, treq, cw), None)
-            for c in range(n_real):
-                inside = (mw >> c) & 1
-                base = ed(c, u)
-                for j in range(1, k + 1):
-                    for t in range(z + 1):
-                        best = INF
-                        choice = None
-                        joined = tw[j][t][c]
-                        if joined < INF:
-                            best = joined
-                            choice = ((j, t, c), None)
-                        if not inside:
-                            val, cw = Mw[j - 1][t]
-                            if val < best:
-                                best = val
-                                choice = ((j - 1, t, cw), None)
-                        if best < INF:
-                            tab[j][t][c] = combine(base, best)
-                            back[j][t][c] = choice
+            mask = inside[w].copy()
+            cur[:, t_own:, OUT] = M[w][:, : T - t_own, 0]
+            # joined: w in u's cluster; separate: w's cluster closes below u
+            separate = np.where(mask, INF, M[w][:-1])
+            best = np.minimum(tab[w][1:, :, :OUT], separate)
+            cur[1:, :, :OUT] = combine(base(u), best)
         else:
             l, r = kids
-            tl, Ml, ml = table[l], M[l], mask[l]
-            tr, Mr, mr = table[r], M[r], mask[r]
-            for j in range(k + 1):
-                for t in range(z + 1):
-                    treq = t - 1 if real else t
-                    if treq < 0:
-                        continue
-                    best = INF
-                    choice = None
-                    for jl in range(j + 1):
-                        row_l = Ml[jl]
-                        row_r = Mr[j - jl]
-                        for tl_ in range(treq + 1):
-                            a, ca = row_l[tl_]
-                            if a >= INF:
-                                continue
-                            b, cb = row_r[treq - tl_]
-                            if b >= INF:
-                                continue
-                            v = combine(a, b)
-                            if v < best:
-                                best = v
-                                choice = ((jl, tl_, ca), (j - jl, treq - tl_, cb))
-                    if best < INF:
-                        tab[j][t][OUT] = best
-                        back[j][t][OUT] = choice
-            for c in range(n_real):
-                in_l = (ml >> c) & 1
-                in_r = (mr >> c) & 1
-                base = ed(c, u)
-                for j in range(1, k + 1):
-                    for t in range(z + 1):
-                        best = INF
-                        choice = None
-                        if not in_l and not in_r:
-                            # both children's clusters stay in their subtrees
-                            for jl in range(j):
-                                row_l = Ml[jl]
-                                row_r = Mr[j - 1 - jl]
-                                for tl_ in range(t + 1):
-                                    a, ca = row_l[tl_]
-                                    if a >= INF:
-                                        continue
-                                    b, cb = row_r[t - tl_]
-                                    if b >= INF:
-                                        continue
-                                    v = combine(a, b)
-                                    if v < best:
-                                        best = v
-                                        choice = ((jl, tl_, ca), (j - 1 - jl, t - tl_, cb))
-                        if not in_l:
-                            # right child joins u's cluster
-                            for jl in range(j + 1):
-                                row_l = Ml[jl]
-                                col_r = tr[j - jl]
-                                for tl_ in range(t + 1):
-                                    a, ca = row_l[tl_]
-                                    if a >= INF:
-                                        continue
-                                    b = col_r[t - tl_][c]
-                                    if b >= INF:
-                                        continue
-                                    v = combine(a, b)
-                                    if v < best:
-                                        best = v
-                                        choice = ((jl, tl_, ca), (j - jl, t - tl_, c))
-                        if not in_r:
-                            # left child joins u's cluster
-                            for jl in range(j + 1):
-                                col_l = tl[jl]
-                                row_r = Mr[j - jl]
-                                for tl_ in range(t + 1):
-                                    a = col_l[tl_][c]
-                                    if a >= INF:
-                                        continue
-                                    b, cb = row_r[t - tl_]
-                                    if b >= INF:
-                                        continue
-                                    v = combine(a, b)
-                                    if v < best:
-                                        best = v
-                                        choice = ((jl, tl_, c), (j - jl, t - tl_, cb))
-                        # both children join u's cluster: it is counted in both
-                        # child tables, so the split sums to j + 1
-                        for jl in range(1, j + 1):
-                            jr = j + 1 - jl
-                            if jr < 1 or jr > k:
-                                continue
-                            col_l = tl[jl]
-                            col_r = tr[jr]
-                            for tl_ in range(t + 1):
-                                a = col_l[tl_][c]
-                                if a >= INF:
-                                    continue
-                                b = col_r[t - tl_][c]
-                                if b >= INF:
-                                    continue
-                                v = combine(a, b)
-                                if v < best:
-                                    best = v
-                                    choice = ((jl, tl_, c), (jr, t - tl_, c))
-                        if best < INF:
-                            tab[j][t][c] = combine(base, best)
-                            back[j][t][c] = choice
-        msub = [[(INF, OUT)] * (z + 1) for _ in range(k + 1)]
-        m = mask[u]
-        for j in range(k + 1):
-            row = tab[j]
-            out = msub[j]
-            for t in range(z + 1):
-                best = row[t][OUT]
-                cbest = OUT
-                cells = row[t]
-                cc = m
-                while cc:
-                    c = (cc & -cc).bit_length() - 1
-                    cc &= cc - 1
-                    if cells[c] < best:
-                        best = cells[c]
-                        cbest = c
-                out[t] = (best, cbest)
-        table[u] = tab
-        M[u] = msub
-        bp[u] = back
+            mask = inside[l] | inside[r]
+            cur[:, t_own:, OUT] = _conv(M[l], M[r], 0, combine, dtype)[:, : T - t_own, 0]
+            best = np.full((K, T, n_real), INF, dtype=dtype)
+            for l_joins, r_joins, shift, excluded in _two_child_cases(inside[l], inside[r]):
+                a = tab[l][..., :OUT] if l_joins else M[l]
+                b = tab[r][..., :OUT] if r_joins else M[r]
+                cand = _conv(a, b, shift, combine, dtype)
+                if excluded is not None:
+                    cand = np.where(excluded, INF, cand)
+                np.minimum(best, cand, out=best)
+            cur[..., :OUT] = combine(base(u), best)
+        if u < n_real:
+            mask[u] = True
+        cols = np.append(np.flatnonzero(mask), OUT)
+        tab[u] = cur
+        M[u] = cur[:, :, cols].min(axis=2, keepdims=True)
+        inside[u] = mask
 
-    root = btree.root
-    best_val = INF
-    best_state = None
-    for t in range(z + 1):
-        cells = table[root][k][t]
-        for c in list(range(n_real)) + [OUT]:
-            if cells[c] < best_val:
-                best_val = cells[c]
-                best_state = (k, t, c)
-    if best_state is None or best_val >= INF:
+    root_cells = tab[btree.root][k]  # [t, c], c ascending with OUT last
+    flat = int(np.argmin(root_cells))
+    best_val = root_cells.flat[flat]
+    if not best_val < INF:
         raise Infeasible("no feasible partition into k clusters within the outlier budget")
 
+    def subtree_center(w: int, j: int, t: int) -> int:
+        """The center M[w] took at (j, t): the outlier slot first, then lowest c."""
+        row, val = tab[w][j, t], M[w][j, t, 0]
+        if row[OUT] == val:
+            return OUT
+        return int(np.flatnonzero(inside[w] & (row[:OUT] == val))[0])
+
+    def candidates(u: int, j: int, t: int, c: int):
+        """(value, child states) of one state in forward order, before u's own term."""
+        kids = btree.children(u)
+        if c == OUT:
+            t -= 1 if u < n_real else 0
+            if len(kids) == 1:
+                (w,) = kids
+                yield M[w][j, t, 0], ((w, j, t, None),)
+                return
+            cases = ((False, False, 0, None),)
+        elif len(kids) == 1:
+            (w,) = kids
+            yield tab[w][j, t, c], ((w, j, t, c),)
+            if not inside[w][c]:
+                yield M[w][j - 1, t, 0], ((w, j - 1, t, None),)
+            return
+        else:
+            cases = _two_child_cases(inside[kids[0]], inside[kids[1]])
+        l, r = kids
+        for l_joins, r_joins, shift, excluded in cases:
+            if excluded is not None and excluded[c]:
+                continue
+            for jl in range(K):
+                jr = j + shift - jl
+                if not 0 <= jr < K:
+                    continue
+                for tl in range(t + 1):
+                    sl = (l, jl, tl, c if l_joins else None)
+                    sr = (r, jr, t - tl, c if r_joins else None)
+                    a = tab[l][jl, tl, c] if l_joins else M[l][jl, tl, 0]
+                    b = tab[r][jr, t - tl, c] if r_joins else M[r][jr, t - tl, 0]
+                    yield combine_entry(a, b), (sl, sr)
+
     assignment = [OUTLIER] * n
-    stack = [(root, best_state)]
+    t_root, c_root = divmod(flat, n_real + 1)
+    stack = [(btree.root, k, t_root, c_root)]
     while stack:
-        u, (j, t, c) = stack.pop()
+        u, j, t, c = stack.pop()
         if u < n_real and c != OUT:
             assignment[u] = c
-        node_bp = bp[u][j][t][c]
-        if node_bp is None:
+        if not btree.children(u):
             continue
-        for child, st in zip(btree.children(u), node_bp):
-            if st is not None:
-                stack.append((child, st))
+        val, states = min(candidates(u, j, t, c), key=lambda vc: vc[0])
+        if c != OUT:
+            val = combine_entry(base(u)[c], val)
+        if val != tab[u][j, t, c]:
+            raise InternalCheckFailed(f"DP state {(u, j, t, c)} does not recompute to its value")
+        for w, jw, tw, cw in states:
+            stack.append((w, jw, tw, subtree_center(w, jw, tw) if cw is None else cw))
 
     centers = tuple(sorted({a for a in assignment if a != OUTLIER}))
     if len(centers) != k:
@@ -398,10 +384,12 @@ def solve_btp(inst: Instance, btree: BinaryTree, obj: Objective) -> Clustering:
     final = tuple(OUTLIER if a == OUTLIER else index[a] for a in assignment)
     clus = Clustering(final, centers)
     achieved = cost(inst, clus, obj)
-    if inst.exact:
-        assert achieved == best_val, (achieved, best_val)
+    if exact:
+        ok = achieved == best_val
     else:
-        assert math.isclose(achieved, best_val, rel_tol=1e-9, abs_tol=1e-9)
+        ok = math.isclose(achieved, best_val, rel_tol=1e-9, abs_tol=1e-9)
+    if not ok:
+        raise InternalCheckFailed(f"DP optimum {best_val} but its clustering costs {achieved}")
     return clus
 
 

@@ -111,6 +111,20 @@ def test_empty_file_exit_1(tmp_path, capsys):
     assert "empty" in err
 
 
+def test_internal_check_failure_exit_4(tmp_path, capsys, monkeypatch):
+    from resilient_cluster import mstdp
+
+    path = tmp_path / "inst.json"
+    run(capsys, "generate", "--n", "12", "--k", "2", "--z", "2", "--mode", "outlier",
+        "--seed", "1", "--out", str(path))
+    monkeypatch.setattr(mstdp, "cost", lambda inst, clus, obj: cost(inst, clus, obj) + 1)
+    code, out, err = run(capsys, "solve", "--input", str(path), "--method", "mstdp",
+                         "--objective", "kmedian")
+    assert code == 4
+    assert out == ""
+    assert "internal error" in err
+
+
 def test_malformed_json_reports_position(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text('{"n": 2,\n  "k": ]\n}')
