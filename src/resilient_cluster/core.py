@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -152,6 +153,15 @@ class Instance:
 
     def d(self, u: int, v: int):
         return self.dist[u][v]
+
+    @cached_property
+    def _array(self) -> np.ndarray:
+        """``dist`` as one numpy array, built on first use and kept out of
+        equality and repr: int64 for int entries, object for ``Fraction`` (or
+        ints beyond int64), float64 for float instances."""
+        if not self.exact:
+            return np.array(self.dist, dtype=np.float64)
+        return np.array(self.dist)
 
     def distinct_distances(self) -> list:
         return sorted({x for row in self.dist for x in row})

@@ -1,26 +1,58 @@
-"""Threshold-graph LP relaxations, minimum-radius search, and the certifier.
+"""Threshold-graph LP relaxations, the minimum-radius search, and the exact
+certificates behind every verdict.
 
-At a radius R the threshold graph connects pairs within distance R. The three
-relaxations (plain, in-neighbor/asymmetric, and outlier coverage) are solved
-through provably equivalent reduced forms:
+At a radius R the threshold graph G_R joins u to v when d(u, v) <= R (self
+always included). Inside this module it is one boolean matrix ``G`` with
+``G[u, v]`` true when u can serve v. The three relaxations are solved through
+equivalent reduced forms, each a primal/dual pair:
 
-* plain / asymmetric: the relaxation at R is feasible iff the fractional
-  in-neighbor covering LP has value <= k; we solve its packing dual (no
-  phase-1 needed), read the cover off the dual values, and keep the packing
-  vector as the infeasibility certificate when the value exceeds k.
-* outlier form: feasible iff the bounded-coverage maximum (open mass k, each
-  point covered at most once by its in-neighbors) reaches n - z.
+* plain / asymmetric (KC, asym-KC): the relaxation at R is feasible iff the
+  fractional in-neighbor cover  min sum(y) s.t. y @ G >= 1, y >= 0  has value
+  <= k. The simplex solves its packing dual  max sum(p) s.t. G @ p <= 1,
+  p >= 0  (no phase-1 needed) and reads the cover y off the duals.
+* outlier form (KCO): feasible iff the bounded coverage  max sum(t) s.t.
+  t_v <= y(N_in(v)), t <= 1, sum(y) <= k, y >= 0  reaches n - z; at an optimum
+  t_v = min(1, y(N_in(v))). Its dual is (alpha, beta, gamma) >= 0 with
+  alpha + beta >= 1 and gamma >= G @ alpha, of value sum(beta) + k * gamma.
 
-Full (x, y) witnesses for the written formulations are reconstructed from the
-reduced solutions, so every constraint of the original LP can be checked
-directly on the outcome.
+Every outcome carries both sides: the primal ``y`` and the dual
+``certificate`` (the packing p, or alpha, beta and gamma concatenated). The
+witness ``x`` of the written formulation is rebuilt from ``y`` on first use.
+
+How a verdict is proved: :func:`min_feasible_radius` runs one binary search
+with float probes, then, on exact instances, checks its boundary exactly in
+O(n^2) integer arithmetic. Float vectors are rationalized with
+``Fraction.limit_denominator`` and the dual is repaired to feasibility (the
+packing divided by its largest out-neighbourhood sum; alpha clipped to
+[0, 1], beta = 1 - alpha, gamma = the largest out-neighbourhood sum of
+alpha). At R* primal and dual must be exactly feasible with equal
+objectives, which proves the exact optimum ``bound``; at the candidate below,
+the repaired dual alone must prove infeasibility (a packing of total > k, or
+a KCO dual of value < n - z). The ``_check_*`` functions are these checks:
+each returns a reason, or None when the check passes. A failed check sends
+that radius to ``solve_lp(..., arithmetic="exact")``, the exact simplex,
+whose answer the same checks verify; that counted fallback is the only exact
+pivoting left.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
+from fractions import Fraction
+from functools import cached_property
 
-from .core import KCENTER, AsymmetricUnsupported, Clustering, Instance, cost, voronoi
+import numpy as np
+
+from .core import (
+    KCENTER,
+    AsymmetricUnsupported,
+    Clustering,
+    Instance,
+    InternalCheckFailed,
+    cost,
+    voronoi,
+)
 from .simplex import OPTIMAL as SIMPLEX_OPTIMAL
 from .simplex import SolverPrecisionExceeded, maximize
 
@@ -35,6 +67,11 @@ NOT_2PR = "NOT_2PR"
 # A variable counts as integral when within this distance of 0 or 1 (floating
 # mode); exact equality is required in rational mode.
 INTEGRALITY_TOL = 1e-7
+# Float probes compare their LP value with k or n - z within this slack.
+FEASIBILITY_TOL = 1e-9
+# Float solutions are rationalized to the closest fraction with at most this
+# denominator.
+SNAP_DENOMINATOR = 10**6
 
 
 @dataclass(frozen=True)
@@ -48,15 +85,42 @@ class ThresholdGraph:
 
 @dataclass(frozen=True)
 class LpOutcome:
+    """The reduced relaxation at one radius.
+
+    ``bound`` is the LP value, compared with k (KC, asym-KC) or n - z (KCO);
+    ``y`` is the primal and ``certificate`` the dual solution (see the module
+    docstring). On an exact outcome both were checked exactly, so ``bound`` is
+    the LP optimum and ``certificate`` proves it.
+    """
+
     feasible: bool
-    x: tuple | None
-    y: tuple | None
+    y: tuple
     integral: bool
     radius: object
     formulation: str
     bound: object
-    certificate: tuple | None
+    certificate: tuple
     exact: bool
+    _graph: np.ndarray = field(repr=False, compare=False)
+
+    @cached_property
+    def x(self) -> tuple | None:
+        """The (x, y) witness's assignment part, x[u][v] <= y[u] on edges u -> v;
+        None when infeasible."""
+        if not self.feasible:
+            return None
+        y = self.y
+        n = len(y)
+        rows = self._graph.tolist()
+        if self.formulation != KCO:
+            return tuple(tuple(y[u] if rows[u][v] else 0 for v in range(n)) for u in range(n))
+        scale = []
+        for v in range(n):
+            mass = sum(y[u] for u in range(n) if rows[u][v])
+            scale.append(min(1, mass) / mass if mass > 0 else 0)
+        return tuple(
+            tuple(y[u] * scale[v] if rows[u][v] else 0 for v in range(n)) for u in range(n)
+        )
 
 
 @dataclass(frozen=True)
@@ -67,28 +131,25 @@ class CertifierVerdict:
     fractional_witness: LpOutcome | None
 
 
-def build_threshold_graph(inst: Instance, R) -> ThresholdGraph:
+def _threshold_matrix(inst: Instance, R) -> np.ndarray:
+    """G_R as a boolean matrix: ``G[u, v]`` iff d(u, v) <= R, or u == v."""
     if R < 0:
         raise ValueError("radius must be nonnegative")
-    n = inst.n
-    dist = inst.dist
-    tol = inst.tol
-    out_nbr = []
-    for v in range(n):
-        row = dist[v]
-        out_nbr.append(frozenset(u for u in range(n) if u == v or row[u] <= R + tol))
+    D = inst._array
+    if D.dtype == np.int64 and isinstance(R, Fraction):
+        R = math.floor(R)
+    G = D <= R + inst.tol
+    np.fill_diagonal(G, True)
+    return G
+
+
+def build_threshold_graph(inst: Instance, R) -> ThresholdGraph:
+    G = _threshold_matrix(inst, R)
+    out_nbr = tuple(frozenset(np.flatnonzero(row).tolist()) for row in G)
     if inst.symmetric:
-        out_t = tuple(out_nbr)
-        return ThresholdGraph(R, out_t, out_t)
-    in_nbr = tuple(
-        frozenset(u for u in range(n) if u == v or dist[u][v] <= R + tol)
-        for v in range(n)
-    )
-    return ThresholdGraph(R, tuple(out_nbr), in_nbr)
-
-
-def _is_binary(value, tol) -> bool:
-    return abs(value) <= tol or abs(value - 1) <= tol
+        return ThresholdGraph(R, out_nbr, out_nbr)
+    in_nbr = tuple(frozenset(np.flatnonzero(col).tolist()) for col in G.T)
+    return ThresholdGraph(R, out_nbr, in_nbr)
 
 
 def _check_formulation(inst: Instance, formulation: str) -> None:
@@ -101,154 +162,217 @@ def _check_formulation(inst: Instance, formulation: str) -> None:
 
 
 def solve_lp(inst: Instance, R, formulation: str, arithmetic: str | None = None) -> LpOutcome:
-    """Feasibility of the chosen relaxation at radius R, with a full witness.
+    """Feasibility of the chosen relaxation at radius R, with both LP sides.
 
     ``arithmetic`` overrides the instance's number mode ("exact"/"float"); the
     threshold graph itself is always built from the instance values, so probes
-    in either mode agree on which edges exist.
+    in either mode agree on which edges exist. An exact solve is checked by
+    the same exact checks as a rationalized float solve.
     """
     _check_formulation(inst, formulation)
     exact = inst.exact if arithmetic is None else arithmetic == "exact"
-    graph = build_threshold_graph(inst, R)
+    G = _threshold_matrix(inst, R)
     n = inst.n
-    tol = 0 if exact else INTEGRALITY_TOL
     if formulation == KCO:
-        return _solve_kco(inst, graph, exact, tol)
-    return _solve_covering(inst, graph, formulation, exact, tol)
-
-
-def _solve_covering(inst: Instance, graph: ThresholdGraph, formulation: str, exact, tol) -> LpOutcome:
-    n = inst.n
-    k = inst.k
-    # dual of the fractional in-neighbor cover: pack weights on points, each
-    # column u capped by 1 over the points it can serve (its out-neighbors)
-    A = [[1 if v in graph.out_nbr[u] else 0 for v in range(n)] for u in range(n)]
-    res = maximize([1] * n, A, [1] * n, exact=exact)
+        # variables y_0..y_{n-1}, t_0..t_{n-1}; maximize total coverage sum(t)
+        eye = np.eye(n, dtype=np.int64)
+        A = np.zeros((2 * n + 1, 2 * n), dtype=np.int64)
+        A[:n, :n] = -G.T.astype(np.int64)
+        A[:n, n:] = eye
+        A[n : 2 * n, n:] = eye
+        A[2 * n, :n] = 1
+        b = [0] * n + [1] * n + [inst.k]
+        res = maximize([0] * n + [1] * n, A, b, exact=exact)
+        y, dual = res.x[:n], res.duals
+    else:
+        res = maximize([1] * n, G, [1] * n, exact=exact)
+        y, dual = res.duals, res.x
     if res.status != SIMPLEX_OPTIMAL:
-        raise RuntimeError("covering dual cannot be unbounded")
-    bound = res.value
-    y = res.duals
-    feasible = bound <= k if exact else bound <= k + 1e-9
-    if not feasible:
-        return LpOutcome(
-            feasible=False,
-            x=None,
-            y=tuple(y),
-            integral=False,
-            radius=graph.radius,
-            formulation=formulation,
-            bound=bound,
-            certificate=tuple(res.x),
-            exact=exact,
-        )
-    x = tuple(
-        tuple(y[u] if u in graph.in_nbr[v] else 0 for v in range(n)) for u in range(n)
-    )
-    integral = all(_is_binary(v, tol) for v in y)
-    if exact:
-        _assert_covering_witness(graph, y, k)
-    return LpOutcome(
-        feasible=True,
-        x=x,
-        y=tuple(y),
-        integral=integral,
-        radius=graph.radius,
-        formulation=formulation,
-        bound=bound,
-        certificate=None,
-        exact=exact,
-    )
+        raise RuntimeError("the reduced LPs are bounded by construction")
+    if not exact:
+        return _outcome(inst, G, R, formulation, y, dual, res.value, exact=False)
+    outcome = _exact_outcome(inst, G, R, formulation, y, dual)
+    if isinstance(outcome, str):
+        raise InternalCheckFailed(f"exact {formulation} solve at radius {R}: {outcome}")
+    return outcome
 
 
-def _assert_covering_witness(graph: ThresholdGraph, y, k) -> None:
-    assert sum(y) <= k
-    assert all(v >= 0 for v in y)
-    for v in range(len(y)):
-        assert sum(y[u] for u in graph.in_nbr[v]) >= 1
+def _outcome(inst, G, R, formulation, y, dual, bound, exact) -> LpOutcome:
+    if formulation == KCO:
+        target = inst.n - inst.z
+        feasible = bound >= target if exact else bound >= target - FEASIBILITY_TOL
+    else:
+        feasible = bound <= inst.k if exact else bound <= inst.k + FEASIBILITY_TOL
+    tol = 0 if exact else INTEGRALITY_TOL
+    integral = feasible and _is_integral(G, y, formulation, tol)
+    return LpOutcome(feasible, tuple(y), integral, R, formulation, bound, tuple(dual), exact, G)
 
 
-def _solve_kco(inst: Instance, graph: ThresholdGraph, exact, tol) -> LpOutcome:
-    n = inst.n
-    k = inst.k
-    z = inst.z
-    # variables: y_0..y_{n-1}, t_0..t_{n-1}; maximize total coverage sum(t)
-    nv = 2 * n
-    A = []
-    b = []
-    for v in range(n):
-        row = [0] * nv
-        row[n + v] = 1
-        for u in graph.in_nbr[v]:
-            row[u] = -1
-        A.append(row)
-        b.append(0)
-    for v in range(n):
-        row = [0] * nv
-        row[n + v] = 1
-        A.append(row)
-        b.append(1)
-    A.append([1] * n + [0] * n)
-    b.append(k)
-    c = [0] * n + [1] * n
-    res = maximize(c, A, b, exact=exact)
-    if res.status != SIMPLEX_OPTIMAL:
-        raise RuntimeError("coverage LP is bounded by construction")
-    bound = res.value
-    target = n - z
-    feasible = bound >= target if exact else bound >= target - 1e-9
-    y = tuple(res.x[:n])
-    t = res.x[n:]
-    if not feasible:
-        return LpOutcome(
-            feasible=False,
-            x=None,
-            y=y,
-            integral=False,
-            radius=graph.radius,
-            formulation=KCO,
-            bound=bound,
-            certificate=tuple(res.duals),
-            exact=exact,
-        )
-    x_rows = [[0] * n for _ in range(n)]
-    for v in range(n):
-        mass = sum(y[u] for u in graph.in_nbr[v])
-        if t[v] > 0 and mass > 0:
-            scale = t[v] / mass
-            for u in graph.in_nbr[v]:
-                x_rows[u][v] = y[u] * scale
-    x = tuple(tuple(row) for row in x_rows)
-    integral = all(_is_binary(v, tol) for v in y) and all(
-        _is_binary(x_rows[u][v], tol) for u in range(n) for v in range(n)
-    )
-    if exact:
-        _assert_kco_witness(graph, x_rows, y, k, target)
-    return LpOutcome(
-        feasible=True,
-        x=x,
-        y=y,
-        integral=integral,
-        radius=graph.radius,
-        formulation=KCO,
-        bound=bound,
-        certificate=None,
-        exact=exact,
-    )
+def _is_integral(G, y, formulation, tol) -> bool:
+    """y is 0/1 and, for KCO, so is the witness x: with a 0/1 cover, x_uv is
+    1 / (centers serving v), so no point may have two serving centers."""
+    ones = np.array([abs(v - 1) <= tol for v in y])
+    if not all(ones[u] or abs(v) <= tol for u, v in enumerate(y)):
+        return False
+    return formulation != KCO or bool((ones.astype(np.int64) @ G <= 1).all())
 
 
-def _assert_kco_witness(graph: ThresholdGraph, x_rows, y, k, target) -> None:
-    n = len(y)
-    assert sum(y) <= k
-    total = 0
-    for v in range(n):
-        col = sum(x_rows[u][v] for u in range(n))
-        assert col <= 1
-        total += col
-        for u in range(n):
-            assert 0 <= x_rows[u][v] <= y[u]
-            if u not in graph.in_nbr[v]:
-                assert x_rows[u][v] == 0
-    assert total >= target
+# ---------------------------------------------------------------------------
+# exact checks: each returns a reason, or None when the check passes
+
+
+def _over_common_denominator(values) -> tuple[np.ndarray, int]:
+    """Integer numerators of a rational vector over one common denominator:
+    int64 when every sum of them fits, Python ints otherwise."""
+    den = math.lcm(*(v.denominator for v in values))
+    nums = [v.numerator * (den // v.denominator) for v in values]
+    top = max(map(abs, nums), default=0) * (len(nums) + 1)
+    return np.array(nums, dtype=np.int64 if top < 2**62 else object), den
+
+
+def _check_packing(G, p) -> str | None:
+    """p >= 0 and every out-neighbourhood packs at most 1."""
+    P, den = _over_common_denominator(p)
+    if (P < 0).any():
+        return "packing has a negative entry"
+    if (G @ P > den).any():
+        return "an out-neighbourhood packs more than 1"
+    return None
+
+
+def _check_packing_certificate(G, p, k) -> str | None:
+    """p proves the cover at this radius needs more than k: a packing of total > k."""
+    reason = _check_packing(G, p)
+    if reason is None and sum(p) <= k:
+        return f"packing total {sum(p)} does not exceed k={k}"
+    return reason
+
+
+def _check_covering_witness(G, y, p) -> str | None:
+    """y is a cover and p a packing of the same total, so both are optimal."""
+    Y, den = _over_common_denominator(y)
+    if (Y < 0).any():
+        return "cover has a negative entry"
+    if (Y @ G < den).any():
+        return "a point is covered less than once"
+    reason = _check_packing(G, p)
+    if reason is None and sum(y) != sum(p):
+        return f"cover total {sum(y)} differs from packing total {sum(p)}"
+    return reason
+
+
+def _kco_dual_value(dual, k):
+    n = len(dual) // 2
+    return sum(dual[n : 2 * n]) + k * dual[2 * n]
+
+
+def _check_kco_dual(G, dual) -> str | None:
+    """(alpha, beta, gamma) >= 0, alpha + beta >= 1, gamma >= G @ alpha."""
+    n = len(G)
+    D, den = _over_common_denominator(dual)
+    alpha, beta, gamma = D[:n], D[n : 2 * n], D[2 * n]
+    if (D < 0).any():
+        return "KCO dual has a negative entry"
+    if (alpha + beta < den).any():
+        return "alpha_v + beta_v < 1 at some point"
+    if (G @ alpha > gamma).any():
+        return "gamma is below an out-neighbourhood sum of alpha"
+    return None
+
+
+def _check_kco_certificate(G, dual, k, target) -> str | None:
+    """The dual proves the coverage at this radius stays below n - z."""
+    reason = _check_kco_dual(G, dual)
+    if reason is None and _kco_dual_value(dual, k) >= target:
+        return f"KCO dual value {_kco_dual_value(dual, k)} is not below n - z = {target}"
+    return reason
+
+
+def _check_kco_witness(G, y, dual, k) -> str | None:
+    """y (with t_v = min(1, y(N_in(v)))) is feasible, the dual is feasible,
+    and the coverage equals the dual value, so both are optimal."""
+    Y, den = _over_common_denominator(y)
+    if (Y < 0).any():
+        return "y has a negative entry"
+    if int(Y.sum()) > k * den:
+        return f"sum(y) exceeds k={k}"
+    reason = _check_kco_dual(G, dual)
+    if reason is not None:
+        return reason
+    coverage = Fraction(int(np.minimum(Y @ G, den).sum()), den)
+    if coverage != _kco_dual_value(dual, k):
+        return f"coverage {coverage} differs from dual value {_kco_dual_value(dual, k)}"
+    return None
+
+
+def _exact_outcome(inst, G, R, formulation, y, dual) -> LpOutcome | str:
+    """The exact outcome at R when the rational pair (y, dual) checks out as
+    optimal, else the reason it does not."""
+    if formulation == KCO:
+        reason = _check_kco_witness(G, y, dual, inst.k)
+        bound = _kco_dual_value(dual, inst.k)
+    else:
+        reason = _check_covering_witness(G, y, dual)
+        bound = sum(dual)
+    if reason is not None:
+        return reason
+    return _outcome(inst, G, R, formulation, y, dual, Fraction(bound), exact=True)
+
+
+# ---------------------------------------------------------------------------
+# rationalizing float solutions
+
+
+def _rationalize(values) -> list[Fraction]:
+    """The closest fraction with denominator <= SNAP_DENOMINATOR to each
+    value, negatives clipped to 0. A value within 1 / (2 SNAP_DENOMINATOR)
+    of an integer has that integer as its closest such fraction."""
+    out = []
+    for v in values:
+        r = round(v)
+        if abs(v - r) < 0.5 / SNAP_DENOMINATOR:
+            out.append(Fraction(max(r, 0)))
+        else:
+            out.append(Fraction(v).limit_denominator(SNAP_DENOMINATOR) if v > 0 else Fraction(0))
+    return out
+
+
+def _repaired_dual(inst: Instance, outcome: LpOutcome) -> list[Fraction]:
+    """The outcome's dual, rationalized and repaired to exact feasibility: the
+    packing divided by its largest out-neighbourhood sum; or alpha clipped to
+    [0, 1] with the cheapest beta and gamma it admits."""
+    G = outcome._graph
+    if outcome.formulation == KCO:
+        alpha = [min(a, 1) for a in _rationalize(outcome.certificate[: inst.n])]
+        A, den = _over_common_denominator(alpha)
+        gamma = Fraction(int((G @ A).max()), den)
+        return alpha + [1 - a for a in alpha] + [gamma]
+    p = _rationalize(outcome.certificate)
+    P, den = _over_common_denominator(p)
+    top = int((G @ P).max())
+    if top == 0:
+        return p
+    return [Fraction(int(v), top) for v in P]
+
+
+def _exact_from_float(inst: Instance, outcome: LpOutcome) -> LpOutcome | str:
+    """Rebuild the exact optimum at a float probe's radius, or say why not."""
+    y = _rationalize(outcome.y)
+    dual = _repaired_dual(inst, outcome)
+    return _exact_outcome(inst, outcome._graph, outcome.radius, outcome.formulation, y, dual)
+
+
+def _infeasibility_reason(inst: Instance, outcome: LpOutcome) -> str | None:
+    """None iff the float probe's repaired dual proves exactly that its radius
+    is infeasible."""
+    dual = _repaired_dual(inst, outcome)
+    if outcome.formulation == KCO:
+        return _check_kco_certificate(outcome._graph, dual, inst.k, inst.n - inst.z)
+    return _check_packing_certificate(outcome._graph, dual, inst.k)
+
+
+# ---------------------------------------------------------------------------
+# radius search
 
 
 def _candidates(inst: Instance) -> list:
@@ -257,53 +381,60 @@ def _candidates(inst: Instance) -> list:
 
 def min_feasible_radius(inst: Instance, formulation: str) -> tuple[object, LpOutcome]:
     """Smallest candidate radius (distinct distance value) whose relaxation is
-    feasible, by binary search over the monotone feasibility predicate.
+    feasible: one binary search, then one check.
 
-    On exact instances the search probes in floating point for speed and then
-    certifies the boundary exactly: feasibility at R* plus infeasibility at the
-    previous candidate pins R* by monotonicity. A disagreement (never expected)
-    falls back to a fully exact search.
+    The search probes in floating point and caches each probe by candidate
+    index (a probe that loses precision is redone exactly). On a float
+    instance its boundary is the answer. On an exact instance the boundary is
+    then proved exactly: at R* the optimum is rebuilt from the float probe and
+    checked, and at the candidate below the probe's repaired dual must prove
+    infeasibility; by monotonicity these two facts pin R*. A check that fails
+    sends that radius to the exact simplex through ``solve_lp``; if the exact
+    answer moves the boundary, the same search goes on with exact probes.
     """
     _check_formulation(inst, formulation)
     cands = _candidates(inst)
+    probes: dict[int, LpOutcome] = {}
 
     def probe(idx: int, arithmetic: str) -> LpOutcome:
-        try:
-            return solve_lp(inst, cands[idx], formulation, arithmetic=arithmetic)
-        except SolverPrecisionExceeded:
-            return solve_lp(inst, cands[idx], formulation, arithmetic="exact")
+        outcome = probes.get(idx)
+        if outcome is None or (arithmetic == "exact" and not outcome.exact):
+            try:
+                outcome = solve_lp(inst, cands[idx], formulation, arithmetic=arithmetic)
+            except SolverPrecisionExceeded:
+                outcome = solve_lp(inst, cands[idx], formulation, arithmetic="exact")
+            probes[idx] = outcome
+        return outcome
 
+    arithmetic = "float"
     lo, hi = 0, len(cands) - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if probe(mid, "float").feasible:
-            hi = mid
-        else:
-            lo = mid + 1
-    if not inst.exact:
-        outcome = probe(lo, "float")
-        if outcome.feasible:
+    while True:
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if probe(mid, arithmetic).feasible:
+                hi = mid
+            else:
+                lo = mid + 1
+        # lo was probed feasible, or it is the largest distance, where every
+        # relaxation is feasible
+        outcome = probe(lo, arithmetic)
+        if not inst.exact:
             return cands[lo], outcome
-        # float probes disagreed with themselves; climb to the next breakpoint
-        for idx in range(lo + 1, len(cands)):
-            outcome = probe(idx, "float")
-            if outcome.feasible:
-                return cands[idx], outcome
-        raise SolverPrecisionExceeded("no feasible radius found in float mode")
-    outcome = solve_lp(inst, cands[lo], formulation, arithmetic="exact")
-    boundary_ok = outcome.feasible and (
-        lo == 0 or not solve_lp(inst, cands[lo - 1], formulation, arithmetic="exact").feasible
-    )
-    if boundary_ok:
+        if not outcome.exact:
+            outcome = _exact_from_float(inst, outcome)
+            if isinstance(outcome, str):
+                outcome = probe(lo, "exact")
+        if not outcome.feasible:
+            lo, hi, arithmetic = lo + 1, len(cands) - 1, "exact"
+            continue
+        if lo > 0:
+            below = probes[lo - 1]
+            if not below.exact and _infeasibility_reason(inst, below) is not None:
+                below = probe(lo - 1, "exact")
+            if below.feasible:
+                lo, hi, arithmetic = 0, lo - 1, "exact"
+                continue
         return cands[lo], outcome
-    lo, hi = 0, len(cands) - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if solve_lp(inst, cands[mid], formulation, arithmetic="exact").feasible:
-            hi = mid
-        else:
-            lo = mid + 1
-    return cands[lo], solve_lp(inst, cands[lo], formulation, arithmetic="exact")
 
 
 def _undirected_components(inst: Instance, graph: ThresholdGraph) -> list[list[int]]:
@@ -346,10 +477,8 @@ def _cluster_within_radius(inst: Instance, centers: list[int], R, max_outliers: 
             outliers.append(u)
     if len(outliers) > max_outliers:
         return None
-    clus = voronoi(inst, tuple(chosen), outliers)
-    if cost(inst, clus, KCENTER) > R + tol:
-        return None
-    return clus
+    # every kept point has a center within R, and Voronoi picks the nearest
+    return voronoi(inst, tuple(chosen), outliers)
 
 
 def extract_integral(inst: Instance, outcome: LpOutcome) -> Clustering | None:
@@ -409,8 +538,9 @@ def certify(inst: Instance, formulation: str) -> CertifierVerdict:
     if clus is None:
         return CertifierVerdict(NOT_2PR, None, r_star, outcome)
     achieved = cost(inst, clus, KCENTER)
-    if inst.exact:
-        assert achieved == r_star
-    else:
-        assert abs(achieved - r_star) <= 1e-6
+    same = achieved == r_star if inst.exact else abs(achieved - r_star) <= 1e-6
+    if not same:
+        raise InternalCheckFailed(
+            f"extracted clustering has radius {achieved}, the LP radius is {r_star}"
+        )
     return CertifierVerdict(OPTIMAL, clus, r_star, None)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import islice
 
-from .core import KCENTER, Clustering, Instance, Objective, cost
+from .core import KCENTER, Clustering, Instance, InternalCheckFailed, Objective, cost
 from .oracle import OracleResult, brute_force
 
 DIRECTED = "directed"
@@ -48,8 +48,13 @@ class PerturbationSpec:
 
 @dataclass(frozen=True)
 class FalsifierReport:
+    """``tried`` counts the perturbation shapes attempted (invalid ones
+    included); ``exhausted`` is true when the budget cut the search short."""
+
     verdict: str
     witness: tuple[PerturbationSpec, Clustering] | None
+    tried: int = 0
+    exhausted: bool = False
 
     def __post_init__(self):
         if self.verdict == NOT_RESILIENT and self.witness is None:
@@ -92,8 +97,10 @@ def apply_perturbation(inst: Instance, spec: PerturbationSpec) -> Instance:
                     row_u[v] = alt
     for u in range(n):
         for v in range(n):
-            assert ell[u][v] <= dist[u][v] + tol
-            assert 2 * ell[u][v] >= dist[u][v] - tol
+            if ell[u][v] > dist[u][v] + tol or 2 * ell[u][v] < dist[u][v] - tol:
+                raise InternalCheckFailed(
+                    f"perturbed d({u}, {v}) = {ell[u][v]} left the band [d/2, d]"
+                )
     return Instance(tuple(tuple(row) for row in ell), inst.k, inst.z, inst.symmetric)
 
 
@@ -165,14 +172,18 @@ def falsify_resilience(
         return FalsifierReport(NOT_RESILIENT, (identity, base.tie_witness))
     base_key = base.best.partition_key()
     r_hat = cost(inst, base.best, KCENTER)
-    for spec in islice(_candidate_specs(inst, base.best, r_hat), budget):
+    specs = _candidate_specs(inst, base.best, r_hat)
+    tried = 0
+    for spec in islice(specs, budget):
+        tried += 1
         try:
             pert = apply_perturbation(inst, spec)
         except InvalidPerturbation:
             continue
         res = brute_force(pert, obj)
         if res.best.partition_key() != base_key:
-            return FalsifierReport(NOT_RESILIENT, (spec, res.best))
+            return FalsifierReport(NOT_RESILIENT, (spec, res.best), tried)
         if not res.unique:
-            return FalsifierReport(NOT_RESILIENT, (spec, res.tie_witness))
-    return FalsifierReport(RESILIENT_UNREFUTED, None)
+            return FalsifierReport(NOT_RESILIENT, (spec, res.tie_witness), tried)
+    exhausted = next(specs, None) is not None
+    return FalsifierReport(RESILIENT_UNREFUTED, None, tried, exhausted)

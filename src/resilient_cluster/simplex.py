@@ -1,10 +1,17 @@
-"""Dense-tableau simplex over exact rationals or floats, with Bland's rule.
+"""Dense-tableau simplex over floats or exact rationals, with Bland's rule.
 
 Handles max c.x subject to A x <= b, x >= 0 with b >= 0 — the shape every LP
 in this package takes once cast as a packing / bounded-coverage problem — so
-the all-slack basis is feasible and no phase-1 is needed. Bland's pivoting rule
-rules out cycling; in exact mode every comparison and division is rational, so
-optimality is not a tolerance statement.
+the all-slack basis is feasible and no phase-1 is needed.
+
+One numpy tableau serves both arithmetics. The dtype rule: float64 in float
+mode, object (``Fraction`` entries) in exact mode; every pivot is the same
+array expression either way. Bland's rule picks the first column with a
+positive reduced cost and, among the rows of minimum ratio, the one whose
+basic variable has the lowest index, which rules out cycling. In exact mode
+every comparison and division is rational, so optimality is not a tolerance
+statement. The certifier solves in float mode and checks the result exactly
+(see :mod:`resilient_cluster.lp`); exact mode is its counted fallback.
 """
 
 from __future__ import annotations
@@ -12,10 +19,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 OPTIMAL = "optimal"
 UNBOUNDED = "unbounded"
 
 FLOAT_PIVOT_TOL = 1e-9
+
+_to_fraction = np.frompyfunc(Fraction, 1, 1)
 
 
 class SolverPrecisionExceeded(RuntimeError):
@@ -30,74 +41,65 @@ class SimplexResult:
     duals: tuple  # y >= 0 with y.A >= c componentwise and y.b == value at optimum
 
 
-def maximize(c, A, b, exact: bool = True) -> SimplexResult:
-    m = len(A)
-    nv = len(c)
+def _as_array(values, exact: bool) -> np.ndarray:
     if exact:
-        c = [Fraction(v) for v in c]
-        rows = [[Fraction(v) for v in row] for row in A]
-        rhs = [Fraction(v) for v in b]
-        tol = 0
-    else:
-        c = [float(v) for v in c]
-        rows = [[float(v) for v in row] for row in A]
-        rhs = [float(v) for v in b]
-        tol = FLOAT_PIVOT_TOL
-    if any(len(row) != nv for row in rows) or len(rhs) != m:
-        raise ValueError("inconsistent LP dimensions")
-    if any(v < -tol for v in rhs):
-        raise ValueError("rhs must be nonnegative (all-slack start)")
+        # bools and numpy integers become Python ints first: Fraction takes those
+        return _to_fraction(np.asarray(values).astype(object))
+    return np.asarray(values, dtype=np.float64)
 
+
+def maximize(c, A, b, exact: bool = True) -> SimplexResult:
+    try:
+        c = _as_array(c, exact)
+        rows = _as_array(A, exact)
+        rhs = _as_array(b, exact)
+    except ValueError as e:
+        raise ValueError(f"inconsistent LP dimensions: {e}") from None
+    m = len(rhs)
+    nv = len(c)
+    if m == 0:
+        rows = rows.reshape(0, nv)
+    if c.ndim != 1 or rhs.ndim != 1 or rows.shape != (m, nv):
+        raise ValueError("inconsistent LP dimensions")
+    tol = 0 if exact else FLOAT_PIVOT_TOL
+    if (rhs < -tol).any():
+        raise ValueError("rhs must be nonnegative (all-slack start)")
+    zero, one = (Fraction(0), Fraction(1)) if exact else (0.0, 1.0)
+
+    # rows 0..m-1 are the constraints, row m the reduced costs; the last
+    # column is the right-hand side
     width = nv + m
-    zero = Fraction(0) if exact else 0.0
-    one = Fraction(1) if exact else 1.0
-    tableau = []
-    for i in range(m):
-        row = rows[i] + [zero] * m + [rhs[i] if rhs[i] > 0 else zero]
-        row[nv + i] = one
-        tableau.append(row)
-    zrow = list(c) + [zero] * m
-    basis = list(range(nv, nv + m))
+    T = np.full((m + 1, width + 1), zero, dtype=rhs.dtype)
+    T[:m, :nv] = rows
+    T[np.arange(m), nv + np.arange(m)] = one
+    T[:m, width] = np.where(rhs > 0, rhs, zero)
+    T[m, :nv] = c
+    zrow = T[m, :width]
+    rhs_col = T[:m, width]
+    basis = np.arange(nv, nv + m)
 
     max_iters = 2000 + 50 * (m + nv)
     iters = 0
     while True:
-        enter = -1
-        for j in range(width):
-            if zrow[j] > tol:
-                enter = j
-                break
-        if enter < 0:
+        positive = np.flatnonzero(zrow > tol)
+        if not len(positive):
             break
-        leave = -1
-        best_ratio = None
-        for i in range(m):
-            a = tableau[i][enter]
-            if a > tol:
-                ratio = tableau[i][-1] / a
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and basis[i] < basis[leave])
-                ):
-                    best_ratio = ratio
-                    leave = i
-        if leave < 0:
+        enter = positive[0]
+        col = T[:m, enter]
+        cand = np.flatnonzero(col > tol)
+        if not len(cand):
             return SimplexResult(UNBOUNDED, (), None, ())
-        piv_row = tableau[leave]
-        piv = piv_row[enter]
-        inv = 1 / piv if exact else 1.0 / piv
-        piv_row[:] = [v * inv for v in piv_row]
-        for i in range(m):
-            if i == leave:
-                continue
-            f = tableau[i][enter]
-            if f:
-                row = tableau[i]
-                row[:] = [row[j] - f * piv_row[j] for j in range(width + 1)]
-        f = zrow[enter]
-        if f:
-            zrow[:] = [zrow[j] - f * piv_row[j] for j in range(width)]
+        ratios = rhs_col[cand] / col[cand]
+        tied = cand[ratios == ratios.min()]
+        leave = tied[np.argmin(basis[tied])]
+        piv = T[leave, enter]
+        inv = 1 / piv
+        piv_row = T[leave] * inv
+        T[leave] = piv_row
+        f = T[:, enter].copy()
+        f[leave] = 0
+        hit = np.flatnonzero(f)
+        T[hit] -= f[hit, None] * piv_row
         basis[leave] = enter
         iters += 1
         if iters > max_iters:
@@ -105,10 +107,10 @@ def maximize(c, A, b, exact: bool = True) -> SimplexResult:
                 raise RuntimeError("simplex failed to terminate under Bland's rule")
             raise SolverPrecisionExceeded(f"no convergence after {iters} pivots")
 
-    x = [zero] * nv
-    for i in range(m):
-        if basis[i] < nv:
-            x[basis[i]] = tableau[i][-1]
-    value = sum(cv * xv for cv, xv in zip(c, x))
-    duals = tuple(-zrow[nv + i] for i in range(m))
+    x = np.full(nv, zero, dtype=T.dtype)
+    basic = basis < nv
+    x[basis[basic]] = rhs_col[basic]
+    x = x.tolist()
+    value = sum(cv * xv for cv, xv in zip(c.tolist(), x))
+    duals = tuple((-zrow[nv:]).tolist())
     return SimplexResult(OPTIMAL, tuple(x), value, duals)

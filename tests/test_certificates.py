@@ -1,0 +1,349 @@
+"""Tests for the exact checks behind every certifier verdict.
+
+Each check takes a rationalized LP solution and returns a reason, or None when
+the solution proves what it claims. Corrupting one entry must make it return a
+reason; a probe whose certificate fails must send that radius (and only that
+radius) to the exact simplex; planted instances must never need exact pivoting.
+"""
+
+import dataclasses
+import os
+import random
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from resilient_cluster import (
+    ASYM_KC,
+    KC,
+    KCENTER,
+    KCO,
+    NOT_2PR,
+    OPTIMAL,
+    GeneratorConfig,
+    Instance,
+    brute_force,
+    build_threshold_graph,
+    certify,
+    generate,
+    min_feasible_radius,
+    solve_lp,
+    verify_planted,
+)
+from resilient_cluster import lp
+
+from conftest import random_metric_instance
+
+PLANTED = {
+    KC: dict(mode="symmetric", z=0),
+    ASYM_KC: dict(mode="asymmetric", z=0),
+    KCO: dict(mode="outlier", z=2),
+}
+
+
+def planted(formulation, n=16, k=3, seed=1):
+    inst, _ = generate(GeneratorConfig(n=n, k=k, seed=seed, **PLANTED[formulation]))
+    return inst
+
+
+def boundary(inst, formulation):
+    """R* and the candidate radius just below it."""
+    r_star, _ = min_feasible_radius(inst, formulation)
+    below = max(r for r in inst.distinct_distances() if r < r_star)
+    return r_star, below
+
+
+# ---------------------------------------------------------------------------
+# each certificate kind passes as solved, and fails with one entry corrupted
+
+
+@pytest.mark.parametrize("formulation", [KC, ASYM_KC])
+def test_packing_certificate_rejects_a_corrupted_entry(formulation):
+    inst = planted(formulation)
+    _, below = boundary(inst, formulation)
+    outcome = solve_lp(inst, below, formulation)
+    assert outcome.exact and not outcome.feasible
+    G = lp._threshold_matrix(inst, below)
+    p = list(outcome.certificate)
+    assert lp._check_packing_certificate(G, p, inst.k) is None
+    v = max(range(inst.n), key=lambda u: p[u])
+    overfull = p[:v] + [p[v] + 1] + p[v + 1 :]
+    assert "packs more than 1" in lp._check_packing_certificate(G, overfull, inst.k)
+    negative = p[:v] + [Fraction(-1)] + p[v + 1 :]
+    assert "negative" in lp._check_packing_certificate(G, negative, inst.k)
+    short = [Fraction(0)] * inst.n
+    assert "does not exceed" in lp._check_packing_certificate(G, short, inst.k)
+
+
+def test_kco_dual_certificate_rejects_a_corrupted_entry():
+    inst = planted(KCO)
+    _, below = boundary(inst, KCO)
+    outcome = solve_lp(inst, below, KCO)
+    assert outcome.exact and not outcome.feasible
+    G = lp._threshold_matrix(inst, below)
+    n, k, target = inst.n, inst.k, inst.n - inst.z
+    dual = list(outcome.certificate)
+    assert len(dual) == 2 * n + 1
+    assert lp._check_kco_certificate(G, dual, k, target) is None
+    for v in range(n):
+        beta_cut = dual[: n + v] + [dual[n + v] - 1] + dual[n + v + 1 :]
+        assert lp._check_kco_certificate(G, beta_cut, k, target) is not None
+    gamma_cut = dual[:-1] + [dual[-1] - Fraction(1, 2)]
+    assert lp._check_kco_certificate(G, gamma_cut, k, target) is not None
+    expensive = dual[:-1] + [dual[-1] + n]
+    assert "not below" in lp._check_kco_certificate(G, expensive, k, target)
+
+
+@pytest.mark.parametrize("formulation", [KC, ASYM_KC])
+def test_covering_optimum_pair_rejects_a_corrupted_entry(formulation):
+    inst = planted(formulation)
+    r_star, _ = boundary(inst, formulation)
+    outcome = solve_lp(inst, r_star, formulation)
+    G = lp._threshold_matrix(inst, r_star)
+    y, p = list(outcome.y), list(outcome.certificate)
+    assert lp._check_covering_witness(G, y, p) is None
+    assert outcome.bound == sum(y) == sum(p)
+    for u in range(inst.n):
+        raised = y[:u] + [y[u] + 1] + y[u + 1 :]
+        assert "differs" in lp._check_covering_witness(G, raised, p)
+    center = y.index(1)
+    uncovered = y[:center] + [Fraction(0)] + y[center + 1 :]
+    assert "covered less than once" in lp._check_covering_witness(G, uncovered, p)
+    overfull = p[:center] + [p[center] + 1] + p[center + 1 :]
+    assert "packs more than 1" in lp._check_covering_witness(G, y, overfull)
+
+
+def test_kco_optimum_pair_rejects_a_corrupted_entry():
+    inst = planted(KCO)
+    r_star, _ = boundary(inst, KCO)
+    outcome = solve_lp(inst, r_star, KCO)
+    G = lp._threshold_matrix(inst, r_star)
+    y, dual = list(outcome.y), list(outcome.certificate)
+    assert lp._check_kco_witness(G, y, dual, inst.k) is None
+    for u in range(inst.n):
+        negative = y[:u] + [Fraction(-1, 2)] + y[u + 1 :]
+        assert lp._check_kco_witness(G, negative, dual, inst.k) is not None
+    assert "exceeds k" in lp._check_kco_witness(G, [Fraction(1)] * inst.n, dual, inst.k)
+    costly = dual[:-1] + [dual[-1] + 1]
+    assert "differs" in lp._check_kco_witness(G, y, costly, inst.k)
+
+
+# ---------------------------------------------------------------------------
+# a failed check falls back to the exact simplex once, at that radius only
+
+
+def count_solves(monkeypatch, corrupt_at=None, corrupt=None):
+    """Wrap lp.solve_lp: count exact solves, and corrupt the float outcome at
+    one radius."""
+    real = lp.solve_lp
+    exact_radii = []
+
+    def wrapped(inst, R, formulation, arithmetic=None):
+        out = real(inst, R, formulation, arithmetic=arithmetic)
+        if out.exact:
+            exact_radii.append(R)
+        elif R == corrupt_at:
+            out = corrupt(out)
+        return out
+
+    monkeypatch.setattr(lp, "solve_lp", wrapped)
+    return exact_radii
+
+
+@pytest.mark.parametrize("formulation", [KC, ASYM_KC, KCO])
+@pytest.mark.parametrize("side", ["at R*", "below R*"])
+def test_corrupted_float_certificate_falls_back_once(monkeypatch, formulation, side):
+    inst = planted(formulation)
+    expected = certify(inst, formulation)
+    r_star, below = boundary(inst, formulation)
+    if side == "at R*":
+        # zero cover: the rebuilt optimum fails its check
+        radius, corrupt = r_star, lambda o: dataclasses.replace(o, y=(0.0,) * len(o.y))
+    else:
+        # zero dual: proves nothing
+        radius, corrupt = below, lambda o: dataclasses.replace(
+            o, certificate=(0.0,) * len(o.certificate))
+    exact_radii = count_solves(monkeypatch, radius, corrupt)
+    verdict = lp.certify(inst, formulation)
+    assert exact_radii == [radius]
+    assert verdict.kind == expected.kind == OPTIMAL
+    assert verdict.lp_radius == expected.lp_radius
+    assert verdict.clustering == expected.clustering
+
+
+def test_float_probe_that_moves_the_boundary_is_overruled(monkeypatch):
+    """A float probe that wrongly reports R* infeasible pulls the float search
+    above R*; the exact check at the boundary sends the search back down."""
+    inst = planted(KC)
+    expected = certify(inst, KC)
+    real = lp.solve_lp
+
+    def wrong(inst_, R, formulation, arithmetic=None):
+        out = real(inst_, R, formulation, arithmetic=arithmetic)
+        if R == expected.lp_radius and not out.exact:
+            out = dataclasses.replace(out, feasible=False)
+        return out
+
+    monkeypatch.setattr(lp, "solve_lp", wrong)
+    verdict = lp.certify(inst, KC)
+    assert verdict.lp_radius == expected.lp_radius
+    assert verdict.clustering == expected.clustering
+
+
+@pytest.mark.parametrize("formulation", [KC, ASYM_KC, KCO])
+@pytest.mark.parametrize("n", [16, 32])
+def test_planted_certify_never_pivots_exactly(monkeypatch, formulation, n):
+    real = lp.maximize
+    exact_calls = []
+
+    def counted(c, A, b, exact=True):
+        if exact:
+            exact_calls.append(len(c))
+        return real(c, A, b, exact=exact)
+
+    monkeypatch.setattr(lp, "maximize", counted)
+    inst = planted(formulation, n=n, seed=n)
+    assert inst.exact
+    verdict = certify(inst, formulation)
+    assert verdict.kind == OPTIMAL
+    assert exact_calls == []
+
+
+# ---------------------------------------------------------------------------
+# the threshold graph as one comparison
+
+
+def set_based_graph(inst, R):
+    n, tol = inst.n, inst.tol
+    out_nbr = [frozenset(u for u in range(n) if u == v or inst.dist[v][u] <= R + tol)
+               for v in range(n)]
+    in_nbr = [frozenset(u for u in range(n) if u == v or inst.dist[u][v] <= R + tol)
+              for v in range(n)]
+    return out_nbr, in_nbr
+
+
+@pytest.mark.parametrize("numbers", ["int", "fraction", "float"])
+@pytest.mark.parametrize("mode", ["symmetric", "asymmetric"])
+def test_threshold_graph_matches_set_definition(numbers, mode):
+    base, _ = generate(GeneratorConfig(n=14, k=3, seed=4, mode=mode))
+    scale = {"int": lambda d: d, "fraction": lambda d: Fraction(d, 7),
+             "float": lambda d: d / 3}[numbers]
+    inst = Instance(tuple(tuple(scale(d) for d in row) for row in base.dist),
+                    base.k, symmetric=base.symmetric)
+    assert inst.exact == (numbers != "float")
+    cands = inst.distinct_distances()
+    # every candidate is a distance, so pairs at exactly R are on the boundary
+    radii = cands[:: max(1, len(cands) // 12)] + [cands[-1]]
+    if numbers != "float":
+        radii += [Fraction(7, 2), Fraction(1, 3)]
+    for R in radii:
+        graph = build_threshold_graph(inst, R)
+        out_nbr, in_nbr = set_based_graph(inst, R)
+        assert list(graph.out_nbr) == out_nbr
+        assert list(graph.in_nbr) == in_nbr
+
+
+def test_distance_array_is_cached_and_private():
+    inst = Instance(((0, 3), (3, 0)), k=1)
+    other = Instance(((0, 3), (3, 0)), k=1)
+    assert inst._array is inst._array
+    assert inst._array.dtype.kind == "i"
+    assert inst == other and hash(inst) == hash(other)
+    assert "_array" not in repr(inst)
+    assert Instance(((0, Fraction(1, 2)), (Fraction(1, 2), 0)), k=1)._array.dtype == object
+    assert Instance(((0, 2**70), (2**70, 0)), k=1)._array.dtype == object
+    assert Instance(((0, 0.5), (0.5, 0)), k=1)._array.dtype.kind == "f"
+
+
+# ---------------------------------------------------------------------------
+# certify against the oracle and under relabelling
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10_000), formulation=st.sampled_from([KC, KCO]))
+def test_certify_radius_against_brute_force(seed, formulation):
+    rng = random.Random(seed)
+    n = rng.randint(4, 9)
+    z = rng.randint(1, 2) if formulation == KCO else 0
+    k = rng.randint(1, n - z - 1)
+    inst = random_metric_instance(rng, n, k, z=z, high=rng.choice([5, 60]))
+    best = brute_force(inst, KCENTER).cost
+    verdict = certify(inst, formulation)
+    if verdict.kind == OPTIMAL:
+        assert verdict.lp_radius == best
+    else:
+        assert verdict.kind == NOT_2PR
+        assert verdict.lp_radius <= best
+
+
+def relabelled(inst, perm):
+    """perm[u] is the new label of point u."""
+    n = inst.n
+    dist = [[0] * n for _ in range(n)]
+    for u in range(n):
+        for v in range(n):
+            dist[perm[u]][perm[v]] = inst.dist[u][v]
+    return Instance(tuple(map(tuple, dist)), inst.k, inst.z)
+
+
+def moved_partition(clus, perm):
+    blocks, outliers = clus.partition_key()
+    return (frozenset(frozenset(perm[u] for u in b) for b in blocks),
+            frozenset(perm[u] for u in outliers))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10_000), formulation=st.sampled_from([KC, KCO]))
+def test_certify_relabelling_relabels_the_output(seed, formulation):
+    rng = random.Random(seed)
+    n = rng.randint(4, 9)
+    z = rng.randint(1, 2) if formulation == KCO else 0
+    k = rng.randint(1, n - z - 1)
+    inst = random_metric_instance(rng, n, k, z=z, high=rng.choice([5, 60]))
+    perm = list(range(n))
+    rng.shuffle(perm)
+    before = certify(inst, formulation)
+    after = certify(relabelled(inst, perm), formulation)
+    assert after.lp_radius == before.lp_radius
+    best = brute_force(inst, KCENTER)
+    if after.kind != before.kind:
+        # Integral recovery is a heuristic off the resilient class: its route
+        # (the simplex vertex, the padding of centers) depends on the labels,
+        # so OPTIMAL and NOT_2PR can both be true of one instance. Both only
+        # ever happen on an instance that is not 2-perturbation resilient.
+        assert not best.unique or verify_planted(inst, best.best, KCENTER) != []
+    elif before.kind == OPTIMAL:
+        if best.unique:
+            assert after.clustering.partition_key() == moved_partition(before.clustering, perm)
+    else:
+        assert after.fractional_witness.bound == before.fractional_witness.bound
+
+
+# ---------------------------------------------------------------------------
+# the verdict check survives python -O
+
+
+def test_certify_cost_check_exits_4_under_python_O(tmp_path):
+    inst = planted(KC, n=12)
+    path = tmp_path / "inst.json"
+    path.write_text('{"k": %d, "dist": %s}' % (inst.k, [list(row) for row in inst.dist]))
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH", "")) if p)
+    script = (
+        "import sys\n"
+        "if __debug__: sys.exit('not running under -O')\n"
+        "from resilient_cluster import cli, lp\n"
+        "real = lp.cost\n"
+        "lp.cost = lambda inst, clus, obj: real(inst, clus, obj) + 1\n"
+        f"sys.exit(cli.main(['certify', '--input', {str(path)!r}]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 4, proc.stderr
+    assert "internal error" in proc.stderr

@@ -89,6 +89,17 @@ def test_certify_gap_instance_exit_3_with_falsifier(tmp_path, capsys):
     assert "alternate" in report["falsifier"]["witness"]
 
 
+def test_certify_falsifier_reports_tries_and_budget(tmp_path, capsys):
+    path = tmp_path / "inst.json"
+    run(capsys, "generate", "--n", "10", "--k", "3", "--seed", "2", "--out", str(path))
+    code, out, _ = run(capsys, "certify", "--input", str(path), "--falsify")
+    assert code == 0
+    falsifier = json.loads(out)["falsifier"]
+    assert falsifier["verdict"] == "resilient-unrefuted"
+    assert falsifier["tried"] > 0
+    assert falsifier["exhausted"] is False
+
+
 def test_certify_uniform_control_is_integral_but_falsified(tmp_path, capsys):
     # a uniform metric is not resilient (many optima) yet its relaxation is
     # integral, so certification reports a provably optimal clustering while
@@ -120,6 +131,24 @@ def test_internal_check_failure_exit_4(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(mstdp, "cost", lambda inst, clus, obj: cost(inst, clus, obj) + 1)
     code, out, err = run(capsys, "solve", "--input", str(path), "--method", "mstdp",
                          "--objective", "kmedian")
+    assert code == 4
+    assert out == ""
+    assert "internal error" in err
+
+
+def test_inconsistent_reported_cost_exit_4(tmp_path, capsys, monkeypatch):
+    from resilient_cluster import cli
+
+    path = tmp_path / "inst.json"
+    run(capsys, "generate", "--n", "12", "--k", "3", "--seed", "1", "--out", str(path))
+    calls = []
+
+    def drifting(inst, clus, obj):
+        calls.append(obj)
+        return cost(inst, clus, obj) + len(calls)
+
+    monkeypatch.setattr(cli, "cost", drifting)
+    code, out, err = run(capsys, "certify", "--input", str(path))
     assert code == 4
     assert out == ""
     assert "internal error" in err

@@ -176,3 +176,15 @@ def test_falsifier_outlier_instance():
     inst = line_instance([0, 4, 8, 100, 104], k=2, z=1)
     report = falsify_resilience(inst, KMEDIAN)
     assert report.verdict == NOT_RESILIENT
+
+
+def test_falsifier_reports_tries_and_budget():
+    inst, _ = generate(GeneratorConfig(n=10, k=3, seed=2))
+    full = falsify_resilience(inst, KCENTER)
+    assert full.verdict == RESILIENT_UNREFUTED
+    assert full.tried > 3 and not full.exhausted
+    cut = falsify_resilience(inst, KCENTER, budget=3)
+    assert cut.verdict == RESILIENT_UNREFUTED
+    assert cut.tried == 3 and cut.exhausted
+    exact_fit = falsify_resilience(inst, KCENTER, budget=full.tried)
+    assert exact_fit.tried == full.tried and not exact_fit.exhausted
