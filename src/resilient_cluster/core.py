@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -39,8 +40,10 @@ class InternalCheckFailed(RuntimeError):
     """A solver's own consistency check failed: a bug, not bad input."""
 
 
-def is_exact_number(x) -> bool:
-    return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
+def _is_exact_type(t: type) -> bool:
+    """Values of type ``t`` are exact numbers: ``int`` or ``Fraction``
+    (subclasses included), but not ``bool``."""
+    return issubclass(t, (int, Fraction)) and not issubclass(t, bool)
 
 
 # ---------------------------------------------------------------------------
@@ -79,6 +82,30 @@ class Objective:
 KCENTER = Objective(1, "max", "kcenter")
 KMEDIAN = Objective(1, "sum", "kmedian")
 KMEANS = Objective(2, "sum", "kmeans")
+
+
+def number_type(terms: list, n: int) -> tuple:
+    """(dtype, exact) for arrays of objective terms over n points.
+
+    Integer terms with n * max term < 2**53 are exact in float64 (every sum of
+    at most n of them is an exactly represented integer), floats are float64
+    as given, and anything else (big ints, Fractions) keeps Python numbers in
+    an object array. ``exact`` is false only for float terms.
+    """
+    kinds = set(map(type, terms))
+    if kinds == {int}:
+        return (np.float64 if n * max(terms) < 2**53 else object), True
+    if float in kinds:
+        return np.float64, False
+    return object, True
+
+
+def term_matrix(inst: Instance, obj: Objective) -> tuple:
+    """(E, exact) with ``E[c, u] = obj.term(d(c, u))``, each entry computed by
+    :meth:`Objective.term` and stored in the dtype :func:`number_type` picks."""
+    terms = list(map(obj.term, chain.from_iterable(inst.dist)))
+    dtype, exact = number_type(terms, inst.n)
+    return np.array(terms, dtype=dtype).reshape(inst.n, inst.n), exact
 
 
 def lp_norm(p) -> Objective:
@@ -121,7 +148,11 @@ class Instance:
     exact: bool = field(init=False, compare=False, default=True)
 
     def __post_init__(self):
-        rows = tuple(tuple(row) for row in self.dist)
+        # tuple(list), not tuple(generator): CPython grows a tuple from a
+        # generator by resizing a shorter one, so each freed one lands on the
+        # free list of its length without having come from it, and with one
+        # instance built per perturbation those lists fill up to 2000 tuples
+        rows = tuple([tuple(row) for row in self.dist])
         n = len(rows)
         if n == 0 or any(len(row) != n for row in rows):
             raise ValueError("dist must be a nonempty square matrix")
@@ -131,11 +162,10 @@ class Instance:
             raise ValueError(f"z={self.z} out of range for n={n}")
         if self.k + self.z > n:
             raise ValueError("k + z must not exceed n")
-        exact = n <= EXACTNESS_CAP and all(
-            is_exact_number(x) for row in rows for x in row
-        )
-        if not exact:
-            rows = tuple(tuple(float(x) for x in row) for row in rows)
+        kinds = set(map(type, chain.from_iterable(rows)))
+        exact = n <= EXACTNESS_CAP and all(map(_is_exact_type, kinds))
+        if not exact and kinds != {float}:
+            rows = tuple([tuple(map(float, row)) for row in rows])
         object.__setattr__(self, "dist", rows)
         object.__setattr__(self, "exact", exact)
 

@@ -33,6 +33,7 @@ from .core import (
     InternalCheckFailed,
     Objective,
     cost,
+    term_matrix,
 )
 
 INF = math.inf
@@ -166,21 +167,6 @@ def binarize(tree, inst: Instance) -> BinaryTree:
     return BinaryTree(root, tuple(parent), tuple(left), tuple(right), is_dummy, n)
 
 
-def _number_type(terms: list, n: int) -> tuple:
-    """(dtype, exact) for DP tables over the objective terms of n points.
-
-    Integer terms with n * max term < 2**53 are exact in float64, floats are
-    float64 as given, and anything else (big ints, Fractions) keeps Python
-    numbers in an object array.
-    """
-    kinds = set(map(type, terms))
-    if kinds == {int}:
-        return (np.float64 if n * max(terms) < 2**53 else object), True
-    if float in kinds:
-        return np.float64, False
-    return object, True
-
-
 def _conv(a, b, shift: int, combine, dtype):
     """(min, combine) convolution over the (clusters, outliers) axes.
 
@@ -232,7 +218,7 @@ def solve_btp(inst: Instance, btree: BinaryTree, obj: Objective) -> Clustering:
     children by (min, +) convolutions over (j, t) -- (min, max) for k-center.
 
     The table dtype is chosen once from the objective's terms
-    (:func:`_number_type`). Integer terms with n * max term < 2**53 use
+    (:func:`core.number_type`). Integer terms with n * max term < 2**53 use
     float64: every entry is then a sum of at most n such integers, so float64
     holds it exactly and ``inf`` marks infeasible states natively. Float terms
     use float64 as they are; other exact terms use an object array of Python
@@ -248,9 +234,8 @@ def solve_btp(inst: Instance, btree: BinaryTree, obj: Objective) -> Clustering:
     n_real = btree.n_real
     K, T = k + 1, z + 1
     OUT = n_real  # center axis: 0..n_real-1 real, slot n_real = outlier
-    terms = [t for row in inst.dist for t in map(obj.term, row)]
-    dtype, exact = _number_type(terms, n)
-    E = np.array(terms, dtype=dtype).reshape(n, n)  # E[c, u] = term(d(c, u))
+    E, exact = term_matrix(inst, obj)  # E[c, u] = term(d(c, u))
+    dtype = E.dtype
     zero = np.zeros(n_real, dtype=dtype)
     summing = obj.aggregate == "sum"
     # the same operation on arrays and on single table entries

@@ -3,17 +3,45 @@
 Every other solver in the package is tested against :func:`brute_force`; its
 verdicts (cost, partition, uniqueness) are the reference the LP and DP results
 must reproduce.
+
+Evaluation is blockwise. The center sets are enumerated in lexicographic
+order, at most ``BLOCK_CELLS // n`` of them at a time, as an ``(m, k)`` index
+array. One numpy pass over such a block gives every point's distance to its
+nearest center for all m sets (the k center columns are scanned with a strict
+``<``), drops the z farthest points of each set (a stable sort, so among equal
+distances the lowest point is dropped first), and aggregates the objective
+terms: the maximum, or a sum taken point by point in index order. A first pass
+keeps the best value by the rule ``value < best - tol``; a second pass builds
+clusterings, with ties going to the lowest center index as in
+:func:`core.voronoi`, only for the sets whose value is within tol of it.
+
+Memory: a handful of ``(m, n)`` arrays, so at most a few times
+``BLOCK_CELLS`` numbers whatever the number of center sets (up to the work
+cap); no list of all center sets is ever built, and the second pass reuses the
+last block and skips blocks with no value near the best.
+
+Exactness: distances are compared on the instance's own array (int64, object
+or float64), and terms come from :func:`core.term_matrix`: integer terms are
+summed in float64 only while every sum of n of them is an exactly represented
+integer, other exact terms stay Python numbers in object arrays, and float
+sums add the same numbers in the same order as a left-to-right Python sum, so
+they are bit-identical to it. Costs come back as Python numbers in the
+arithmetic of the terms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations, islice
 from math import comb
 
-from .core import KCENTER, OUTLIER, Clustering, Instance, Objective
+import numpy as np
+
+from .core import KCENTER, OUTLIER, Clustering, Instance, Objective, term_matrix
 
 DEFAULT_WORK_CAP = 10_000_000
+# cells of one (center sets x points) array in a block
+BLOCK_CELLS = 1 << 16
 
 
 class InstanceTooLarge(RuntimeError):
@@ -36,62 +64,102 @@ def _enumeration_work(n: int, k: int, z: int) -> int:
     return comb(n, k) * comb(n - k, min(z, n - k))
 
 
-def _evaluate(inst: Instance, obj: Objective, centers: tuple[int, ...]):
-    """Best solution with this center set: Voronoi distances, then drop the z
-    points with the largest assigned distance (assignments do not interact, and
-    off-center distances are positive, so dropping the largest is exactly
-    optimal for sum and max aggregation alike).
+def _blocks(n: int, k: int):
+    """The k-subsets of range(n) in lexicographic order, as ``(m, k)`` index
+    arrays with m * n <= BLOCK_CELLS (at least one set per block)."""
+    m = max(1, BLOCK_CELLS // n)
+    sets = combinations(range(n), k)
+    while True:
+        block = np.fromiter(chain.from_iterable(islice(sets, m)), dtype=np.intp)
+        if not block.size:
+            return
+        yield block.reshape(-1, k)
 
-    Returns (cost, dmin, amin, picked_outliers, boundary_tie) where
-    ``boundary_tie`` means a different outlier set achieves the same cost.
+
+def _evaluate(D: np.ndarray, E: np.ndarray, aggregate: str, z: int, C: np.ndarray):
+    """Best solution for each center set of the block ``C``: Voronoi
+    distances, then drop the z points with the largest assigned distance
+    (assignments do not interact, and off-center distances are positive, so
+    dropping the largest is exactly optimal for sum and max aggregation alike).
+
+    Returns (values, dmin, ranked): the objective value of each set, each
+    point's distance to its center (m, n), and the points ordered by
+    decreasing distance, ties by index (m, n; its first z columns are the
+    dropped points; None when z = 0).
     """
-    dist = inst.dist
-    n = inst.n
-    z = inst.z
-    rows = [dist[c] for c in centers]
-    dmin = []
-    amin = []
-    for u in range(n):
-        best_i = 0
-        best_d = rows[0][u]
-        for i in range(1, len(rows)):
-            d = rows[i][u]
-            if d < best_d:
-                best_i, best_d = i, d
-        dmin.append(best_d)
-        amin.append(best_i)
-    if z:
-        ranked = sorted(range(n), key=lambda u: (-dmin[u], u))
-        picked = tuple(ranked[:z])
-        boundary_tie = abs(dmin[ranked[z]] - dmin[ranked[z - 1]]) <= inst.tol
-    else:
-        ranked = None
-        picked = ()
-        boundary_tie = False
-    if obj.aggregate == "max":
+    dmin = D[C[:, 0]]
+    terms = E[C[:, 0]]
+    for i in range(1, C.shape[1]):
+        d = D[C[:, i]]
+        closer = d < dmin
+        np.copyto(dmin, d, where=closer)
+        np.copyto(terms, E[C[:, i]], where=closer)
+    ranked = np.argsort(-dmin, axis=1, kind="stable") if z else None
+    if aggregate == "max":
         if z:
-            value = obj.term(dmin[ranked[z]])
+            values = np.take_along_axis(terms, ranked[:, z : z + 1], axis=1)[:, 0]
         else:
-            value = max(obj.term(d) for d in dmin)
+            values = terms.max(axis=1)
     else:
-        dropped = frozenset(picked)
-        value = 0
-        for u in range(n):
-            if u not in dropped:
-                value += obj.term(dmin[u])
-    return value, dmin, amin, picked, boundary_tie
+        if z:
+            np.put_along_axis(terms, ranked[:, :z], 0, axis=1)
+        values = terms[:, 0].copy()
+        for u in range(1, D.shape[0]):
+            values += terms[:, u]
+    return values, dmin, ranked
 
 
-def _build(inst: Instance, centers, amin, picked) -> Clustering:
-    dropped = frozenset(picked)
-    assignment = tuple(
-        OUTLIER if u in dropped else amin[u] for u in range(inst.n)
-    )
-    return Clustering(assignment, centers)
+def _lowest(values: np.ndarray, best, tol):
+    """Scan ``values`` in order from ``best`` with the rule ``value < best -
+    tol``. A value can only replace ``best`` if it is below every value
+    before it, so only the strict running minima of the block are visited."""
+    below = np.flatnonzero(values[1:] < np.minimum.accumulate(values)[:-1]) + 1
+    for j in chain((0,), below.tolist()):
+        value = values[j]
+        if best is None or value < best - tol:
+            best = value
+    return best
 
 
-def _close(a, b, tol) -> bool:
-    return abs(a - b) <= tol
+def _python_number(value, E: np.ndarray, exact: bool):
+    """A value read from an array of terms, as the Python number a
+    left-to-right Python evaluation of the same terms would produce."""
+    if E.dtype == object:
+        return value
+    return int(value) if exact else float(value)
+
+
+def _build(centers, amin: list, picked) -> Clustering:
+    # a list, not a generator, for the reason given in Instance.__post_init__
+    assignment = list(amin)
+    for u in picked:
+        assignment[u] = OUTLIER
+    return Clustering(tuple(assignment), centers)
+
+
+def _solutions(inst: Instance, centers: tuple, dmin: np.ndarray, ranked: list):
+    """The best clustering with these centers, then alternatives at the same
+    cost: swapping the last dropped point for the first kept one when their
+    distances tie, and the first kept non-center point with two centers at
+    its distance moved to the second of them."""
+    z, tol = inst.z, inst.tol
+    rows = inst._array[list(centers)]
+    picked = ranked[:z]
+    # the first minimum in each column is the lowest center position
+    amin = rows.argmin(axis=0).tolist()
+    clus = _build(centers, amin, picked)
+    yield clus
+    if z and abs(dmin[ranked[z]] - dmin[ranked[z - 1]]) <= tol:
+        yield _build(centers, amin, ranked[: z - 1] + [ranked[z]])
+    near = np.abs(rows - dmin) <= tol
+    tied = near.sum(axis=0) >= 2
+    tied[picked] = False
+    tied[list(centers)] = False
+    if tied.any():
+        u = int(tied.argmax())
+        alt_assignment = list(clus.assignment)
+        alt_assignment[u] = int(np.flatnonzero(near[:, u])[1])
+        yield Clustering(tuple(alt_assignment), centers)
 
 
 def brute_force(inst: Instance, obj: Objective, work_cap: int = DEFAULT_WORK_CAP) -> OracleResult:
@@ -105,59 +173,40 @@ def brute_force(inst: Instance, obj: Objective, work_cap: int = DEFAULT_WORK_CAP
     if _enumeration_work(n, k, z) > work_cap:
         raise InstanceTooLarge(f"C({n},{k})*C({n - k},{z}) exceeds cap {work_cap}")
     tol = inst.tol
+    D = inst._array
+    E, exact = term_matrix(inst, obj)
 
     best_value = None
-    for centers in combinations(range(n), k):
-        value = _evaluate(inst, obj, centers)[0]
-        if best_value is None or value < best_value - tol:
-            best_value = value
+    lows = []  # each block's lowest value
+    for C in _blocks(n, k):
+        last = C, _evaluate(D, E, obj.aggregate, z, C)
+        values = last[1][0]
+        lows.append(values.min())
+        best_value = _lowest(values, best_value, tol)
+    best_value = _python_number(best_value, E, exact)
 
-    # Second pass: collect distinct optimal (partition, outliers) identities.
+    # Second pass, over the blocks that hold a value within tol of the best
+    # (the last block's evaluation is still at hand): collect distinct
+    # optimal (partition, outliers) identities.
     best: Clustering | None = None
-    witness: Clustering | None = None
     seen_keys = set()
-    for centers in combinations(range(n), k):
-        value, dmin, amin, picked, boundary_tie = _evaluate(inst, obj, centers)
-        if not _close(value, best_value, tol):
+    blocks = _blocks(n, k)
+    for b, low in enumerate(lows):
+        C, evaluation = last if b == len(lows) - 1 else (next(blocks), None)
+        if low - best_value > tol:
             continue
-        clus = _build(inst, centers, amin, picked)
-        key = clus.partition_key()
-        if key not in seen_keys:
-            seen_keys.add(key)
-            if best is None:
-                best = clus
-            elif witness is None:
-                witness = clus
-        if witness is None and boundary_tie:
-            # swap the last dropped point with the first kept tied point
-            ranked = sorted(range(n), key=lambda u: (-dmin[u], u))
-            alt_picked = tuple(ranked[: z - 1]) + (ranked[z],)
-            alt = _build(inst, centers, amin, alt_picked)
-            if alt.partition_key() not in seen_keys:
-                seen_keys.add(alt.partition_key())
-                witness = alt
-        if witness is None:
-            # a kept point equidistant to two centers is an alternative partition
-            dropped = frozenset(picked)
-            for u in range(n):
-                if u in dropped or u in centers:
+        values, dmin, ranked = evaluation or _evaluate(D, E, obj.aggregate, z, C)
+        for j in np.flatnonzero(np.abs(values - best_value) <= tol).tolist():
+            order = ranked[j].tolist() if z else []
+            for clus in _solutions(inst, tuple(C[j].tolist()), dmin[j], order):
+                key = clus.partition_key()
+                if key in seen_keys:
                     continue
-                ties = [
-                    i
-                    for i, c in enumerate(centers)
-                    if _close(inst.dist[c][u], dmin[u], tol)
-                ]
-                if len(ties) >= 2:
-                    alt_assignment = list(clus.assignment)
-                    alt_assignment[u] = ties[1]
-                    alt = Clustering(tuple(alt_assignment), centers)
-                    if alt.partition_key() not in seen_keys:
-                        seen_keys.add(alt.partition_key())
-                        witness = alt
-                    break
-        if witness is not None:
-            break
-    return OracleResult(best=best, cost=best_value, unique=witness is None, tie_witness=witness)
+                seen_keys.add(key)
+                if best is not None:
+                    return OracleResult(best=best, cost=best_value, unique=False, tie_witness=clus)
+                best = clus
+    return OracleResult(best=best, cost=best_value, unique=True, tie_witness=None)
 
 
 def brute_force_kminus1_check(
@@ -171,11 +220,10 @@ def brute_force_kminus1_check(
         return False
     if _enumeration_work(n, k - 1, z) > work_cap:
         raise InstanceTooLarge(f"C({n},{k - 1})*C({n - k + 1},{z}) exceeds cap {work_cap}")
-    obj = KCENTER
-    tol = inst.tol
-    shrunk = inst.replace(k=k - 1)
-    for centers in combinations(range(n), k - 1):
-        value = _evaluate(shrunk, obj, centers)[0]
-        if value <= result.cost + tol:
+    D = inst._array
+    E, _ = term_matrix(inst, KCENTER)
+    bound = result.cost + inst.tol
+    for C in _blocks(n, k - 1):
+        if (_evaluate(D, E, KCENTER.aggregate, z, C)[0] <= bound).any():
             return True
     return False

@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import islice
 
+import numpy as np
+
 from .core import KCENTER, Clustering, Instance, InternalCheckFailed, Objective, cost
 from .oracle import OracleResult, brute_force
 
@@ -61,47 +63,60 @@ class FalsifierReport:
             raise ValueError("a non-resilience verdict must carry a witness")
 
 
+def _shortest_paths(E: np.ndarray) -> None:
+    """Floyd-Warshall closure of ``E`` in place, one numpy step per midpoint.
+
+    Exact: row w and column w do not change during step w (the diagonal is
+    zero), so each step equals the scalar loop over (u, v) with the same
+    additions and comparisons; on a tie the entry already in ``E`` is kept.
+    """
+    for w in range(E.shape[0]):
+        np.minimum(E, E[:, w : w + 1] + E[w : w + 1, :], out=E)
+
+
 def apply_perturbation(inst: Instance, spec: PerturbationSpec) -> Instance:
     """Shortest-path closure after capping the special edges at min(d, cap).
 
     Requires min(d(u,v), cap) >= d(u,v)/2 on every special edge; the output then
     satisfies d/2 <= d' <= d entrywise and the triangle inequality exactly
-    (symmetry too in undirected mode).
+    (symmetry too in undirected mode). The matrix keeps the instance's number
+    type unless a cap that shortens an edge needs a wider one (a ``Fraction``
+    or float cap on an int instance).
     """
     if (spec.mode == UNDIRECTED) != inst.symmetric:
         raise ValueError("perturbation mode does not match the instance symmetry flag")
     n = inst.n
     dist = inst.dist
     tol = inst.tol
-    ell = [list(row) for row in dist]
+    cap = spec.cap
     for u, v in spec.edges:
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"edge ({u}, {v}) references a missing point")
-        capped = min(dist[u][v], spec.cap)
         # integer-safe half check: capped >= d/2  <=>  2*capped >= d
-        if 2 * capped < dist[u][v] - tol:
+        if 2 * min(dist[u][v], cap) < dist[u][v] - tol:
             raise InvalidPerturbation(
-                f"cap {spec.cap} shortens edge ({u}, {v}) below half its length"
+                f"cap {cap} shortens edge ({u}, {v}) below half its length"
             )
-        ell[u][v] = capped
+    D = inst._array
+    shortened = [(u, v) for u, v in spec.edges if cap < dist[u][v]]
+    dtype = np.result_type(D.dtype, np.asarray(cap).dtype) if shortened else D.dtype
+    if dtype == np.int64 and np.abs(D).max() >= 2**61:
+        dtype = object  # the sums of two entries, and twice one, must not wrap
+    E = D.astype(dtype)
+    if shortened:
+        us, vs = zip(*shortened)
+        E[us, vs] = cap
         if spec.mode == UNDIRECTED:
-            ell[v][u] = capped
-    for w in range(n):
-        row_w = ell[w]
-        for u in range(n):
-            duw = ell[u][w]
-            row_u = ell[u]
-            for v in range(n):
-                alt = duw + row_w[v]
-                if alt < row_u[v]:
-                    row_u[v] = alt
-    for u in range(n):
-        for v in range(n):
-            if ell[u][v] > dist[u][v] + tol or 2 * ell[u][v] < dist[u][v] - tol:
-                raise InternalCheckFailed(
-                    f"perturbed d({u}, {v}) = {ell[u][v]} left the band [d/2, d]"
-                )
-    return Instance(tuple(tuple(row) for row in ell), inst.k, inst.z, inst.symmetric)
+            E[vs, us] = cap
+    _shortest_paths(E)
+    rows = E.tolist()
+    bad = (E > D + tol) | (2 * E < D - tol)
+    if bad.any():
+        u, v = divmod(int(np.argmax(bad)), n)
+        raise InternalCheckFailed(
+            f"perturbed d({u}, {v}) = {rows[u][v]} left the band [d/2, d]"
+        )
+    return Instance(rows, inst.k, inst.z, inst.symmetric)
 
 
 def radius_preserving_check(inst: Instance, pert: Instance, clus: Clustering) -> bool:

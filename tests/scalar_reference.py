@@ -1,0 +1,176 @@
+"""Scalar reference versions of the brute-force oracle and the perturbation
+closure: one Python loop per center set and per matrix entry, the arithmetic
+of the vectorized code in the package done one number at a time. Tests compare
+the package against them for equality, bit for bit on floats."""
+
+from __future__ import annotations
+
+from itertools import combinations
+
+from resilient_cluster import (
+    KCENTER,
+    OUTLIER,
+    UNDIRECTED,
+    Clustering,
+    InternalCheckFailed,
+    InvalidPerturbation,
+    OracleResult,
+)
+
+
+def _evaluate(inst, obj, centers):
+    """Voronoi distances to ``centers`` (ties: lowest center position), the z
+    farthest points dropped (ties: lowest point first), then the objective.
+
+    Returns (cost, dmin, amin, picked_outliers, boundary_tie).
+    """
+    dist = inst.dist
+    n = inst.n
+    z = inst.z
+    rows = [dist[c] for c in centers]
+    dmin = []
+    amin = []
+    for u in range(n):
+        best_i = 0
+        best_d = rows[0][u]
+        for i in range(1, len(rows)):
+            d = rows[i][u]
+            if d < best_d:
+                best_i, best_d = i, d
+        dmin.append(best_d)
+        amin.append(best_i)
+    if z:
+        ranked = sorted(range(n), key=lambda u: (-dmin[u], u))
+        picked = tuple(ranked[:z])
+        boundary_tie = abs(dmin[ranked[z]] - dmin[ranked[z - 1]]) <= inst.tol
+    else:
+        ranked = None
+        picked = ()
+        boundary_tie = False
+    if obj.aggregate == "max":
+        if z:
+            value = obj.term(dmin[ranked[z]])
+        else:
+            value = max(obj.term(d) for d in dmin)
+    else:
+        dropped = frozenset(picked)
+        value = 0
+        for u in range(n):
+            if u not in dropped:
+                value += obj.term(dmin[u])
+    return value, dmin, amin, picked, boundary_tie
+
+
+def _build(inst, centers, amin, picked):
+    dropped = frozenset(picked)
+    assignment = tuple(OUTLIER if u in dropped else amin[u] for u in range(inst.n))
+    return Clustering(assignment, centers)
+
+
+def _close(a, b, tol):
+    return abs(a - b) <= tol
+
+
+def brute_force(inst, obj):
+    """Two passes over all center sets: the best value by the rule ``value <
+    best - tol``, then the first two distinct optimal partitions."""
+    n, k, z = inst.n, inst.k, inst.z
+    tol = inst.tol
+
+    best_value = None
+    for centers in combinations(range(n), k):
+        value = _evaluate(inst, obj, centers)[0]
+        if best_value is None or value < best_value - tol:
+            best_value = value
+
+    best = None
+    witness = None
+    seen_keys = set()
+    for centers in combinations(range(n), k):
+        value, dmin, amin, picked, boundary_tie = _evaluate(inst, obj, centers)
+        if not _close(value, best_value, tol):
+            continue
+        clus = _build(inst, centers, amin, picked)
+        key = clus.partition_key()
+        if key not in seen_keys:
+            seen_keys.add(key)
+            if best is None:
+                best = clus
+            elif witness is None:
+                witness = clus
+        if witness is None and boundary_tie:
+            # swap the last dropped point with the first kept tied point
+            ranked = sorted(range(n), key=lambda u: (-dmin[u], u))
+            alt_picked = tuple(ranked[: z - 1]) + (ranked[z],)
+            alt = _build(inst, centers, amin, alt_picked)
+            if alt.partition_key() not in seen_keys:
+                seen_keys.add(alt.partition_key())
+                witness = alt
+        if witness is None:
+            # a kept point equidistant to two centers is an alternative partition
+            dropped = frozenset(picked)
+            for u in range(n):
+                if u in dropped or u in centers:
+                    continue
+                ties = [
+                    i
+                    for i, c in enumerate(centers)
+                    if _close(inst.dist[c][u], dmin[u], tol)
+                ]
+                if len(ties) >= 2:
+                    alt_assignment = list(clus.assignment)
+                    alt_assignment[u] = ties[1]
+                    alt = Clustering(tuple(alt_assignment), centers)
+                    if alt.partition_key() not in seen_keys:
+                        seen_keys.add(alt.partition_key())
+                        witness = alt
+                    break
+        if witness is not None:
+            break
+    return OracleResult(best=best, cost=best_value, unique=witness is None, tie_witness=witness)
+
+
+def brute_force_kminus1_check(inst, result):
+    if inst.k == 1:
+        return False
+    shrunk = inst.replace(k=inst.k - 1)
+    for centers in combinations(range(inst.n), inst.k - 1):
+        if _evaluate(shrunk, KCENTER, centers)[0] <= result.cost + inst.tol:
+            return True
+    return False
+
+
+def perturbed_dist(inst, spec):
+    """The capped, closed distance matrix as a tuple of tuples: edges checked
+    and capped in order, then Floyd-Warshall over lists, then the band check."""
+    n = inst.n
+    dist = inst.dist
+    tol = inst.tol
+    ell = [list(row) for row in dist]
+    for u, v in spec.edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u}, {v}) references a missing point")
+        capped = min(dist[u][v], spec.cap)
+        if 2 * capped < dist[u][v] - tol:
+            raise InvalidPerturbation(
+                f"cap {spec.cap} shortens edge ({u}, {v}) below half its length"
+            )
+        ell[u][v] = capped
+        if spec.mode == UNDIRECTED:
+            ell[v][u] = capped
+    for w in range(n):
+        row_w = ell[w]
+        for u in range(n):
+            duw = ell[u][w]
+            row_u = ell[u]
+            for v in range(n):
+                alt = duw + row_w[v]
+                if alt < row_u[v]:
+                    row_u[v] = alt
+    for u in range(n):
+        for v in range(n):
+            if ell[u][v] > dist[u][v] + tol or 2 * ell[u][v] < dist[u][v] - tol:
+                raise InternalCheckFailed(
+                    f"perturbed d({u}, {v}) = {ell[u][v]} left the band [d/2, d]"
+                )
+    return tuple(tuple(row) for row in ell)

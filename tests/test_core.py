@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -45,6 +46,27 @@ def test_exact_mode_detection():
     inst = Instance(((0, 0.5), (0.5, 0)), k=1)
     assert not inst.exact
     assert isinstance(inst.dist[0][1], float)
+
+
+@pytest.mark.parametrize(
+    "entry, exact",
+    [
+        (1, True),
+        (Fraction(1, 3), True),
+        (type("Small", (int,), {})(1), True),  # int and Fraction subclasses count
+        (type("Ratio", (Fraction,), {})(1, 3), True),
+        (True, False),  # bool does not
+        (0.5, False),
+        (np.int64(1), False),  # not a Python int
+    ],
+    ids=["int", "fraction", "int-subclass", "fraction-subclass", "bool", "float", "numpy-int64"],
+)
+def test_exactness_rule_on_entry_types(entry, exact):
+    inst = Instance(((0, entry), (entry, 0)), k=1)
+    assert inst.exact is exact
+    if not exact:
+        assert all(type(x) is float for row in inst.dist for x in row)
+    assert inst.dist[0][1] == entry
 
 
 def test_exactness_cap_demotes_large_rational_instances():

@@ -27,6 +27,7 @@ from resilient_cluster import (
     mstdp,
     solve_outlier_clustering,
 )
+from resilient_cluster.core import number_type
 
 OBJECTIVES = (KMEDIAN, KMEANS, KCENTER, lp_norm(3))
 
@@ -43,7 +44,7 @@ def encoded(inst, scale):
 
 def table_type(inst, obj):
     terms = [obj.term(d) for row in inst.dist for d in row]
-    return mstdp._number_type(terms, inst.n)
+    return number_type(terms, inst.n)
 
 
 @pytest.mark.parametrize("seed", range(6))

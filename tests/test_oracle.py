@@ -1,20 +1,27 @@
 """Tests for the brute-force ground-truth solvers."""
 
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import scalar_reference as reference
 from resilient_cluster import (
     KCENTER,
+    KMEANS,
     KMEDIAN,
     Instance,
     InstanceTooLarge,
     brute_force,
     brute_force_kminus1_check,
     cost,
+    lp_norm,
+    oracle,
 )
 
-from conftest import line_instance, random_metric_instance, uniform_instance
+from conftest import _closure, line_instance, random_metric_instance, uniform_instance
 
 
 def test_two_points_single_cluster_is_unique():
@@ -98,3 +105,124 @@ def test_oracle_lower_bounds_heuristics(seed):
         assert cost(inst, recover_via_2approx(inst, alg), KCENTER) >= res.cost
     med = brute_force(inst, KMEDIAN)
     assert cost(inst, solve_outlier_clustering(inst, KMEDIAN), KMEDIAN) >= med.cost
+
+
+# ---------------------------------------------------------------------------
+# the blockwise oracle against the scalar reference
+
+ORACLE_OBJECTIVES = (KCENTER, KMEDIAN, KMEANS, lp_norm(Fraction(3, 2)))
+
+
+def encoded_metric(rng, n, k, z, encoding, directed=False):
+    """Closure of small random weights as ints, Fractions or floats; the
+    small range leaves many ties, which float rounding may or may not break."""
+
+    def weight():
+        x = rng.randint(1, 12)
+        if encoding == "fraction":
+            return Fraction(x, rng.randint(1, 4))
+        if encoding == "float":
+            return x / 3 if rng.random() < 0.5 else rng.uniform(1, 12)
+        return x
+
+    raw = [[0] * n for _ in range(n)]
+    for u in range(n):
+        for v in range(n):
+            if u < v or (directed and u != v):
+                raw[u][v] = weight()
+                if not directed:
+                    raw[v][u] = raw[u][v]
+    return Instance(_closure(raw), k, z, symmetric=not directed)
+
+
+def same_result(got, want):
+    assert type(got.cost) is type(want.cost)
+    assert got.cost == want.cost
+    assert got.best == want.best
+    assert got.unique == want.unique
+    assert got.tie_witness == want.tie_witness
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    n=st.integers(2, 9),
+    encoding=st.sampled_from(("int", "fraction", "float")),
+    obj=st.sampled_from(ORACLE_OBJECTIVES),
+    z=st.integers(0, 2),
+    directed=st.booleans(),
+)
+def test_brute_force_matches_scalar_reference(seed, n, encoding, obj, z, directed):
+    rng = random.Random(seed)
+    z = min(z, n - 1)
+    k = rng.randint(1, min(3, n - z))
+    inst = encoded_metric(rng, n, k, z, encoding, directed)
+    want = reference.brute_force(inst, obj)
+    want_kminus1 = reference.brute_force_kminus1_check(inst, want)
+    # the default block holds every center set; one and two sets per block
+    # exercise the block boundaries of both passes
+    for cells in (oracle.BLOCK_CELLS, n, 2 * n):
+        saved, oracle.BLOCK_CELLS = oracle.BLOCK_CELLS, cells
+        try:
+            got = brute_force(inst, obj)
+            same_result(got, want)
+            assert brute_force_kminus1_check(inst, got) == want_kminus1
+        finally:
+            oracle.BLOCK_CELLS = saved
+
+
+def test_uniform_metric_ties_match_reference():
+    for n, k, z in ((5, 2, 0), (6, 2, 2), (7, 3, 1)):
+        inst = uniform_instance(n, k, z=z)
+        for obj in ORACLE_OBJECTIVES:
+            same_result(brute_force(inst, obj), reference.brute_force(inst, obj))
+
+
+@pytest.mark.parametrize("scale", [1, 10**12, 2**60 - 1, 2**70])
+def test_large_int_distances_match_reference(scale):
+    inst = line_instance([0, 1, 3, 7, 8], k=2, z=1)
+    inst = Instance(tuple(tuple(scale * d for d in row) for row in inst.dist), 2, 1)
+    for obj in ORACLE_OBJECTIVES:
+        same_result(brute_force(inst, obj), reference.brute_force(inst, obj))
+
+
+def test_float_near_tie_keeps_the_first_best():
+    # center 0 costs 0.1 + 0.2 = 0.30000000000000004, center 1 costs 0.3: within
+    # the float tolerance, so the first value found stays the best
+    d12 = 0.19999999999999998
+    inst = Instance(((0, 0.1, 0.2), (0.1, 0, d12), (0.2, d12, 0)), k=1)
+    res = brute_force(inst, KMEDIAN)
+    assert res.cost == 0.1 + 0.2 and res.unique
+    same_result(res, reference.brute_force(inst, KMEDIAN))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    n=st.integers(2, 9),
+    encoding=st.sampled_from(("int", "fraction")),
+    obj=st.sampled_from((KCENTER, KMEDIAN, KMEANS)),
+    z=st.integers(0, 2),
+    directed=st.booleans(),
+)
+def test_brute_force_relabelling(seed, n, encoding, obj, z, directed):
+    rng = random.Random(seed)
+    z = min(z, n - 1)
+    k = rng.randint(1, min(3, n - z))
+    inst = encoded_metric(rng, n, k, z, encoding, directed)
+    perm = list(range(n))  # point u is called perm[u] after relabelling
+    rng.shuffle(perm)
+    dist = [[0] * n for _ in range(n)]
+    for u in range(n):
+        for v in range(n):
+            dist[perm[u]][perm[v]] = inst.dist[u][v]
+    moved = Instance(dist, k, z, symmetric=inst.symmetric)
+    res, res_moved = brute_force(inst, obj), brute_force(moved, obj)
+    assert res_moved.cost == res.cost
+    assert res_moved.unique == res.unique
+    if res.unique:
+        clusters, outliers = res.best.partition_key()
+        assert res_moved.best.partition_key() == (
+            frozenset(frozenset(perm[u] for u in members) for members in clusters),
+            frozenset(perm[u] for u in outliers),
+        )

@@ -1,5 +1,6 @@
 """Tests for structured 2-perturbations and the resilience falsifier."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from resilient_cluster import (
     UNDIRECTED,
     GeneratorConfig,
     Instance,
+    InternalCheckFailed,
     InvalidPerturbation,
     PerturbationSpec,
     apply_perturbation,
@@ -23,10 +25,12 @@ from resilient_cluster import (
     cost,
     falsify_resilience,
     generate,
+    perturb,
     radius_preserving_check,
     validate_metric,
 )
 
+import scalar_reference as reference
 from conftest import (
     line_instance,
     random_directed_metric_instance,
@@ -188,3 +192,113 @@ def test_falsifier_reports_tries_and_budget():
     assert cut.tried == 3 and cut.exhausted
     exact_fit = falsify_resilience(inst, KCENTER, budget=full.tried)
     assert exact_fit.tried == full.tried and not exact_fit.exhausted
+
+
+# ---------------------------------------------------------------------------
+# the numpy closure against the list Floyd-Warshall
+
+
+def outcome(f):
+    """("ok", dist, entry types) or (exception type, message)."""
+    try:
+        dist = f()
+    except (ValueError, InternalCheckFailed) as e:
+        return type(e), str(e)
+    return "ok", dist, [type(x) for row in dist for x in row]
+
+
+def reference_outcome(inst, spec):
+    def perturbed():
+        dist = reference.perturbed_dist(inst, spec)
+        return Instance(dist, inst.k, inst.z, inst.symmetric).dist
+
+    return outcome(perturbed)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    kind=st.sampled_from(("int", "fraction-cap", "float-cap", "float")),
+    directed=st.booleans(),
+)
+def test_apply_perturbation_matches_list_closure(seed, kind, directed):
+    rng = random.Random(seed)
+    n = rng.randint(2, 8)
+    if directed:
+        inst = random_directed_metric_instance(rng, n, k=1)
+    else:
+        inst = random_metric_instance(rng, n, k=1)
+    if kind == "float":
+        inst = Instance(
+            tuple(tuple(d / 3 for d in row) for row in inst.dist), 1, 0, inst.symmetric
+        )
+    edges = tuple(
+        (u, v) for u in range(n) for v in range(n) if u != v and rng.random() < 0.3
+    )
+    if rng.random() < 0.7:  # a cap every edge allows; else any cap
+        cap = max((inst.dist[u][v] / 2 for u, v in edges), default=0) + rng.randint(0, 4)
+    else:
+        cap = rng.randint(1, 60) / (3 if kind == "float" else 1)
+    if kind == "int":
+        cap = math.ceil(cap)
+    elif kind == "fraction-cap":
+        cap = Fraction(math.ceil(2 * cap) + 1, 2)
+    elif kind == "float-cap":
+        cap = float(cap) + 0.25
+    spec = PerturbationSpec(edges, cap, DIRECTED if directed else UNDIRECTED)
+    got = outcome(lambda: apply_perturbation(inst, spec).dist)
+    assert got == reference_outcome(inst, spec)
+
+
+def test_fraction_cap_widens_int_instance_only_where_it_shortens():
+    inst = line_instance([0, 1, 2, 4], k=1)
+    long_edge = apply_perturbation(inst, PerturbationSpec(((0, 3),), Fraction(5, 2), UNDIRECTED))
+    assert long_edge.exact and long_edge.dist[0][3] == Fraction(5, 2)
+    assert outcome(lambda: long_edge.dist) == reference_outcome(
+        inst, PerturbationSpec(((0, 3),), Fraction(5, 2), UNDIRECTED)
+    )
+    # the cap is above every special edge: nothing changes, ints stay ints
+    short_edge = apply_perturbation(inst, PerturbationSpec(((0, 1),), Fraction(5, 2), UNDIRECTED))
+    assert short_edge.dist == inst.dist
+    assert all(type(x) is int for row in short_edge.dist for x in row)
+
+
+@pytest.mark.parametrize("scale", [1, 2**59, 2**61 - 1, 2**70])
+def test_large_int_distances_do_not_wrap(scale):
+    inst = line_instance([0, scale, 2 * scale, 4 * scale], k=1)
+    spec = PerturbationSpec(((0, 3), (1, 3)), 3 * scale, UNDIRECTED)
+    pert = apply_perturbation(inst, spec)
+    assert pert.dist[0][3] == 3 * scale and pert.exact
+    assert outcome(lambda: pert.dist) == reference_outcome(inst, spec)
+
+
+@pytest.mark.parametrize(
+    "edges, cap, error",
+    [
+        (((0, 1), (0, 3), (1, 3)), 1, InvalidPerturbation),  # (0, 3) is cut first
+        (((2, 3), (0, 1), (0, 3)), Fraction(1, 2), InvalidPerturbation),  # (0, 1) sorts first
+        (((0, 9), (1, 3)), 1, ValueError),  # a missing point before an invalid cap
+        (((0, 3), (1, 9)), 1, InvalidPerturbation),  # an invalid cap before a missing point
+    ],
+)
+def test_first_offending_edge_and_exception_unchanged(edges, cap, error):
+    inst = line_instance([0, 1, 2, 4], k=1)
+    spec = PerturbationSpec(edges, cap, UNDIRECTED)
+    got = outcome(lambda: apply_perturbation(inst, spec).dist)
+    assert got[0] is error
+    assert got == reference_outcome(inst, spec)
+
+
+def test_corrupted_closure_raises_internal_check(monkeypatch):
+    inst = line_instance([0, 1, 2, 4, 8], k=1)
+    spec = PerturbationSpec(((0, 4),), 5, UNDIRECTED)
+    real = perturb._shortest_paths
+
+    def corrupted(E):
+        real(E)
+        E[2, 1] = 3 * E[2, 1]  # above d
+        E[1, 3] = 0  # below d/2, and first in row-major order
+
+    monkeypatch.setattr(perturb, "_shortest_paths", corrupted)
+    with pytest.raises(InternalCheckFailed, match=r"perturbed d\(1, 3\) = 0 left the band"):
+        apply_perturbation(inst, spec)
