@@ -191,7 +191,12 @@ class Instance:
         ints beyond int64), float64 for float instances."""
         if not self.exact:
             return np.array(self.dist, dtype=np.float64)
-        return np.array(self.dist)
+        D = np.array(self.dist)
+        if D.dtype != np.int64 and D.dtype != object:
+            # ints from 2**63 on, next to smaller ones, make numpy pick
+            # float64 (rounded) or uint64 (wraps on negation): keep them exact
+            D = np.array(self.dist, dtype=object)
+        return D
 
     def distinct_distances(self) -> list:
         return sorted({x for row in self.dist for x in row})

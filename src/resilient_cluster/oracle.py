@@ -17,8 +17,9 @@ clusterings, with ties going to the lowest center index as in
 
 Memory: a handful of ``(m, n)`` arrays, so at most a few times
 ``BLOCK_CELLS`` numbers whatever the number of center sets (up to the work
-cap); no list of all center sets is ever built, and the second pass reuses the
-last block and skips blocks with no value near the best.
+cap); no list of all center sets is ever built. When all sets fit in one
+block, the second pass reuses its evaluation; otherwise it evaluates each
+block again.
 
 Exactness: distances are compared on the instance's own array (int64, object
 or float64), and terms come from :func:`core.term_matrix`: integer terms are
@@ -177,25 +178,22 @@ def brute_force(inst: Instance, obj: Objective, work_cap: int = DEFAULT_WORK_CAP
     E, exact = term_matrix(inst, obj)
 
     best_value = None
-    lows = []  # each block's lowest value
+    blocks = 0
     for C in _blocks(n, k):
         last = C, _evaluate(D, E, obj.aggregate, z, C)
-        values = last[1][0]
-        lows.append(values.min())
-        best_value = _lowest(values, best_value, tol)
+        blocks += 1
+        best_value = _lowest(last[1][0], best_value, tol)
     best_value = _python_number(best_value, E, exact)
 
-    # Second pass, over the blocks that hold a value within tol of the best
-    # (the last block's evaluation is still at hand): collect distinct
-    # optimal (partition, outliers) identities.
+    # Second pass, on the one block still at hand or on every block evaluated
+    # again: collect distinct optimal (partition, outliers) identities.
+    if blocks == 1:
+        evaluated = [last]
+    else:
+        evaluated = ((C, _evaluate(D, E, obj.aggregate, z, C)) for C in _blocks(n, k))
     best: Clustering | None = None
     seen_keys = set()
-    blocks = _blocks(n, k)
-    for b, low in enumerate(lows):
-        C, evaluation = last if b == len(lows) - 1 else (next(blocks), None)
-        if low - best_value > tol:
-            continue
-        values, dmin, ranked = evaluation or _evaluate(D, E, obj.aggregate, z, C)
+    for C, (values, dmin, ranked) in evaluated:
         for j in np.flatnonzero(np.abs(values - best_value) <= tol).tolist():
             order = ranked[j].tolist() if z else []
             for clus in _solutions(inst, tuple(C[j].tolist()), dmin[j], order):
@@ -221,9 +219,9 @@ def brute_force_kminus1_check(
     if _enumeration_work(n, k - 1, z) > work_cap:
         raise InstanceTooLarge(f"C({n},{k - 1})*C({n - k + 1},{z}) exceeds cap {work_cap}")
     D = inst._array
-    E, _ = term_matrix(inst, KCENTER)
     bound = result.cost + inst.tol
     for C in _blocks(n, k - 1):
-        if (_evaluate(D, E, KCENTER.aggregate, z, C)[0] <= bound).any():
+        # the k-center term of a distance is the distance itself
+        if (_evaluate(D, D, KCENTER.aggregate, z, C)[0] <= bound).any():
             return True
     return False

@@ -57,7 +57,13 @@ def test_exact_mode_detection():
         (type("Ratio", (Fraction,), {})(1, 3), True),
         (True, False),  # bool does not
         (0.5, False),
-        (np.int64(1), False),  # not a Python int
+        pytest.param(
+            np.int64(1),
+            True,
+            marks=pytest.mark.xfail(
+                strict=True, reason="numpy integers are not int, so they are demoted to floats"
+            ),
+        ),
     ],
     ids=["int", "fraction", "int-subclass", "fraction-subclass", "bool", "float", "numpy-int64"],
 )

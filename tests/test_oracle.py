@@ -178,10 +178,27 @@ def test_uniform_metric_ties_match_reference():
             same_result(brute_force(inst, obj), reference.brute_force(inst, obj))
 
 
-@pytest.mark.parametrize("scale", [1, 10**12, 2**60 - 1, 2**70])
+@pytest.mark.parametrize("scale", [1, 10**12, 2**60 - 1, 2**60, 2**70])
 def test_large_int_distances_match_reference(scale):
     inst = line_instance([0, 1, 3, 7, 8], k=2, z=1)
     inst = Instance(tuple(tuple(scale * d for d in row) for row in inst.dist), 2, 1)
+    for obj in ORACLE_OBJECTIVES:
+        same_result(brute_force(inst, obj), reference.brute_force(inst, obj))
+
+
+def test_ints_from_2_pow_63_are_not_rounded():
+    # {0, 1} and {2, 3} cost B; every other partition costs B + 1 or more,
+    # which float64 would round to B
+    B = 3 * 2**61
+    dist = (
+        (0, B, 2 * B, 2 * B),
+        (B, 0, B + 1, B + 1),
+        (2 * B, B + 1, 0, 1),
+        (2 * B, B + 1, 1, 0),
+    )
+    inst = Instance(dist, k=2)
+    res = brute_force(inst, KCENTER)
+    assert res.cost == B and res.unique
     for obj in ORACLE_OBJECTIVES:
         same_result(brute_force(inst, obj), reference.brute_force(inst, obj))
 

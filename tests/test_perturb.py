@@ -263,7 +263,7 @@ def test_fraction_cap_widens_int_instance_only_where_it_shortens():
     assert all(type(x) is int for row in short_edge.dist for x in row)
 
 
-@pytest.mark.parametrize("scale", [1, 2**59, 2**61 - 1, 2**70])
+@pytest.mark.parametrize("scale", [1, 2**59, 2**61 - 1, 2**62 - 1, 2**70])
 def test_large_int_distances_do_not_wrap(scale):
     inst = line_instance([0, scale, 2 * scale, 4 * scale], k=1)
     spec = PerturbationSpec(((0, 3), (1, 3)), 3 * scale, UNDIRECTED)
