@@ -8,6 +8,7 @@ verdicts are never a rounding artifact.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -163,6 +164,11 @@ class Instance:
         if self.k + self.z > n:
             raise ValueError("k + z must not exceed n")
         kinds = set(map(type, chain.from_iterable(rows)))
+        if any(issubclass(t, np.integer) for t in kinds):
+            # numpy integers are exact but not int: store them as int
+            rows = tuple([tuple([int(x) if isinstance(x, np.integer) else x for x in row])
+                          for row in rows])
+            kinds = {int if issubclass(t, np.integer) else t for t in kinds}
         exact = n <= EXACTNESS_CAP and all(map(_is_exact_type, kinds))
         if not exact and kinds != {float}:
             rows = tuple([tuple(map(float, row)) for row in rows])
@@ -315,49 +321,78 @@ class TriangleViolation(Violation):
     v: int
 
 
+def _metric_matrix(inst: Instance) -> np.ndarray:
+    """The matrix :func:`validate_metric` compares, in an order-preserving
+    number form where ``a + b`` neither rounds nor wraps.
+
+    Float instances give their float64 array. Exact instances give integers:
+    ``Fraction`` entries are multiplied by the LCM of all denominators, which
+    is exact, positive, and keeps every comparison of sums the same. The
+    result is int64 while every |entry| is below 2**62, so that a sum of two
+    entries or their difference fits, and a Python-int object array
+    otherwise.
+    """
+    D = inst._array
+    if not inst.exact:
+        return D
+    if D.dtype == object:
+        entries = list(chain.from_iterable(inst.dist))
+        scale = math.lcm(*{x.denominator for x in entries})
+        ints = [x.numerator * (scale // x.denominator) for x in entries]
+        wide = max(ints) >= 2**62 or min(ints) <= -(2**62)
+        return np.array(ints, dtype=object if wide else np.int64).reshape(D.shape)
+    if D.max() >= 2**62 or D.min() <= -(2**62):
+        return D.astype(object)
+    return D
+
+
 def validate_metric(inst: Instance) -> list[Violation]:
     """Return every invariant violation of the distance matrix (empty list if valid).
 
     Violations are data, not errors: d(u,u) != 0, nonpositive off-diagonal
     entries, symmetry-flag contradictions, and triangle-inequality failures
-    d(u,v) > d(u,mid) + d(mid,v).
+    d(u,v) > d(u,mid) + d(mid,v). They come in that order: diagonal and
+    positivity row by row, then symmetry pairs u < v, then triangles by mid,
+    u, v; a symmetric instance reports each violated triple once, with u <= v.
+
+    Exact instances are checked on integers, with no tolerance: ``Fraction``
+    entries are scaled by the LCM of their denominators first, which changes
+    no verdict (see :func:`_metric_matrix`). Float instances are checked with
+    the absolute tolerance ``tol`` = :data:`FLOAT_TOL`: a diagonal entry
+    must lie in [-tol, tol], an off-diagonal one above tol, the two sides of
+    a symmetric pair within tol, and d(u,v) at most d(u,mid) + d(mid,v) +
+    tol. Each comparison is written as that sentence says, so a NaN entry
+    fails the diagonal test and passes the others, as in scalar Python.
     """
-    n = len(inst.dist)
+    D = _metric_matrix(inst)
+    n = len(D)
     tol = inst.tol
-    dist = inst.dist
     out: list[Violation] = []
-    for u in range(n):
-        if not (-tol <= dist[u][u] <= tol):
-            out.append(DiagonalViolation(u))
-        for v in range(n):
-            if u != v and dist[u][v] <= tol:
-                out.append(PositivityViolation(u, v))
-    if inst.symmetric:
-        for u in range(n):
-            for v in range(u + 1, n):
-                a, b = dist[u][v], dist[v][u]
-                if abs(a - b) > tol:
-                    out.append(SymmetryViolation(u, v))
-    # symmetric instances report each violated triple once, oriented u < v
-    if not inst.exact and n >= 48:
-        D = np.asarray(dist, dtype=float)
+    with np.errstate(invalid="ignore", over="ignore"):
+        diag = D.diagonal()
+        bad_diag = ~((-tol <= diag) & (diag <= tol))
+        bad_pos = D <= tol
+        np.fill_diagonal(bad_pos, False)
+        for u in np.flatnonzero(bad_diag | bad_pos.any(axis=1)).tolist():
+            if bad_diag[u]:
+                out.append(DiagonalViolation(u))
+            out.extend(PositivityViolation(u, v) for v in np.flatnonzero(bad_pos[u]).tolist())
+        if inst.symmetric:
+            bad_sym = np.triu(abs(D - D.T) > tol, 1)
+            out.extend(SymmetryViolation(u, v) for u, v in np.argwhere(bad_sym).tolist())
+        buf = np.empty_like(D)
+        bad = np.empty(D.shape, dtype=bool)
         for mid in range(n):
-            bad = D > D[:, [mid]] + D[[mid], :] + tol
-            for u, v in np.argwhere(bad):
-                if inst.symmetric and u > v:
-                    continue
-                out.append(TriangleViolation(int(u), mid, int(v)))
-        return out
-    for mid in range(n):
-        row_mid = dist[mid]
-        for u in range(n):
-            d_u_mid = dist[u][mid]
-            row_u = dist[u]
-            for v in range(n):
-                if inst.symmetric and u > v:
-                    continue
-                if row_u[v] > d_u_mid + row_mid[v] + tol:
-                    out.append(TriangleViolation(u, mid, v))
+            np.add(D[:, mid : mid + 1], D[mid : mid + 1, :], out=buf)
+            if tol:
+                buf += tol
+            np.greater(D, buf, out=bad)
+            if bad.any():
+                out.extend(
+                    TriangleViolation(u, mid, v)
+                    for u, v in np.argwhere(bad).tolist()
+                    if u <= v or not inst.symmetric
+                )
     return out
 
 

@@ -1,7 +1,8 @@
-"""Scalar reference versions of the brute-force oracle and the perturbation
-closure: one Python loop per center set and per matrix entry, the arithmetic
-of the vectorized code in the package done one number at a time. Tests compare
-the package against them for equality, bit for bit on floats."""
+"""Scalar reference versions of the brute-force oracle, the perturbation
+closure and the metric check: one Python loop per center set and per matrix
+entry, the arithmetic of the vectorized code in the package done one number
+at a time. Tests compare the package against them for equality, bit for bit
+on floats."""
 
 from __future__ import annotations
 
@@ -15,6 +16,12 @@ from resilient_cluster import (
     InternalCheckFailed,
     InvalidPerturbation,
     OracleResult,
+)
+from resilient_cluster.core import (
+    DiagonalViolation,
+    PositivityViolation,
+    SymmetryViolation,
+    TriangleViolation,
 )
 
 
@@ -174,3 +181,34 @@ def perturbed_dist(inst, spec):
                     f"perturbed d({u}, {v}) = {ell[u][v]} left the band [d/2, d]"
                 )
     return tuple(tuple(row) for row in ell)
+
+
+def validate_metric(inst):
+    """Every violation, found by comparing the entries of ``inst.dist`` as
+    given (int, Fraction or float) one triple at a time."""
+    n = len(inst.dist)
+    tol = inst.tol
+    dist = inst.dist
+    out = []
+    for u in range(n):
+        if not (-tol <= dist[u][u] <= tol):
+            out.append(DiagonalViolation(u))
+        for v in range(n):
+            if u != v and dist[u][v] <= tol:
+                out.append(PositivityViolation(u, v))
+    if inst.symmetric:
+        for u in range(n):
+            for v in range(u + 1, n):
+                if abs(dist[u][v] - dist[v][u]) > tol:
+                    out.append(SymmetryViolation(u, v))
+    for mid in range(n):
+        row_mid = dist[mid]
+        for u in range(n):
+            d_u_mid = dist[u][mid]
+            row_u = dist[u]
+            for v in range(n):
+                if inst.symmetric and u > v:
+                    continue
+                if row_u[v] > d_u_mid + row_mid[v] + tol:
+                    out.append(TriangleViolation(u, mid, v))
+    return out

@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from resilient_cluster import KMEDIAN, cost
+import scalar_reference as reference
+from resilient_cluster import KMEDIAN, Instance, cost
 from resilient_cluster.cli import load_instance_file, main
 
 
@@ -175,6 +176,36 @@ def test_non_metric_rejected(tmp_path, capsys):
     code, _, err = run(capsys, "solve", "--input", str(path), "--method", "oracle")
     assert code == 1
     assert "metric" in err
+
+
+@pytest.mark.parametrize("number", [int, float])
+def test_non_metric_64_points_same_message(tmp_path, capsys, number):
+    # points on a line, one pair moved too far apart
+    n = 64
+    dist = [[number(abs(u - v)) for v in range(n)] for u in range(n)]
+    dist[3][40] = dist[40][3] = number(100)
+    path = tmp_path / "bad64.json"
+    path.write_text(json.dumps({"k": 2, "symmetric": True, "dist": dist}))
+    first = reference.validate_metric(Instance(dist, k=2))[0]
+    code, out, err = run(capsys, "certify", "--input", str(path))
+    assert code == 1 and out == ""
+    assert err == f"error: {path}: not a valid metric, e.g. {first}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("certify",),
+    ("solve", "--method", "lp"),
+    ("solve", "--method", "mstdp", "--objective", "kmedian"),
+])
+def test_timing_parts_add_up_to_at_most_total(tmp_path, capsys, argv):
+    path = tmp_path / "inst.json"
+    run(capsys, "generate", "--n", "24", "--k", "3", "--seed", "2", "--out", str(path))
+    code, out, _ = run(capsys, *argv, "--input", str(path))
+    assert code == 0
+    timing = json.loads(out)["timing"]
+    assert set(timing) == {"load", "validate", "seconds", "total"}
+    assert min(timing.values()) >= 0
+    assert timing["load"] + timing["validate"] + timing["seconds"] <= timing["total"]
 
 
 def test_points_euclidean_input(tmp_path, capsys):

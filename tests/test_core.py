@@ -1,5 +1,6 @@
 """Tests for instances, objectives, metric validation, cost, and Voronoi assignment."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -23,9 +24,10 @@ from resilient_cluster import (
     validate_metric,
     voronoi,
 )
-from resilient_cluster.core import SymmetryViolation, TriangleViolation
+from resilient_cluster.core import FLOAT_TOL, SymmetryViolation, TriangleViolation, _metric_matrix
 
-from conftest import line_instance, random_metric_instance, uniform_instance
+import scalar_reference as reference
+from conftest import _closure, line_instance, random_metric_instance, uniform_instance
 
 
 def test_instance_parameter_validation():
@@ -57,13 +59,7 @@ def test_exact_mode_detection():
         (type("Ratio", (Fraction,), {})(1, 3), True),
         (True, False),  # bool does not
         (0.5, False),
-        pytest.param(
-            np.int64(1),
-            True,
-            marks=pytest.mark.xfail(
-                strict=True, reason="numpy integers are not int, so they are demoted to floats"
-            ),
-        ),
+        (np.int64(1), True),
     ],
     ids=["int", "fraction", "int-subclass", "fraction-subclass", "bool", "float", "numpy-int64"],
 )
@@ -100,6 +96,142 @@ def test_validate_metric_symmetry_flag_contradiction():
     assert validate_metric(inst) == [SymmetryViolation(0, 1)]
     # with the flag off the same matrix is a fine asymmetric metric
     assert validate_metric(Instance(((0, 1), (3, 0)), k=1, symmetric=False)) == []
+
+
+def test_numpy_integer_entries_are_stored_as_int():
+    inst = Instance(((0, np.int64(3)), (np.int64(3), 0)), k=1)
+    assert inst.exact
+    assert all(type(x) is int for row in inst.dist for x in row)
+    assert Instance(np.array([[0, 3], [3, 0]], dtype=np.uint64), k=1) == inst
+
+
+# ---------------------------------------------------------------------------
+# validate_metric against the scalar reference
+
+# offsets of the "big" encoding: every off-diagonal entry is B + a small
+# weight, a metric for any B >= 60; around 2**62 the checked matrix switches
+# from int64 to Python ints, and from 2**63 on it cannot be int64 at all
+BIG_OFFSETS = (2**61, 2**62 - 100, 2**62 - 30, 2**62, 2**63 - 100, 2**63, 2**64 + 1)
+DENOMINATORS = (1, 2, 3, 7, 12, 10**9 + 7, 2**31 - 1)
+
+
+def _weight(rng, encoding, big):
+    w = rng.randint(1, 60)
+    if encoding == "fraction":
+        return Fraction(w, rng.choice(DENOMINATORS))
+    if encoding == "float":
+        return w * 0.37
+    if encoding == "big":
+        return big + w
+    return w
+
+
+def _special_values(rng, encoding, D):
+    """Entries that sit on or just past the edge of a check."""
+    n = len(D)
+    u, m, v = (rng.randrange(n) for _ in range(3))
+    through = D[u][m] + D[m][v]
+    x = D[rng.randrange(n)][rng.randrange(n)]
+    if encoding == "float":
+        return [
+            0.0, FLOAT_TOL, -FLOAT_TOL, 2 * FLOAT_TOL, FLOAT_TOL / 2, -x,
+            x + FLOAT_TOL, x + 2 * FLOAT_TOL, 3 * x,
+            through + FLOAT_TOL, math.nextafter(through + FLOAT_TOL, math.inf),
+            math.nan, math.inf, -math.inf,
+        ]
+    unit = Fraction(1, rng.choice(DENOMINATORS)) if encoding == "fraction" else 1
+    return [0, -x, x + unit, 3 * x, through, through + unit, -unit]
+
+
+def perturbed_metric(rng, n, encoding, directed):
+    """A metric (closed under shortest paths) with a few entries then set to
+    values from :func:`_special_values`, on or off the diagonal, sometimes on
+    both sides of a pair."""
+    big = rng.choice(BIG_OFFSETS)
+    raw = [[0] * n for _ in range(n)]
+    for u in range(n):
+        for v in range(u + 1, n):
+            raw[u][v] = _weight(rng, encoding, big)
+            raw[v][u] = _weight(rng, encoding, big) if directed else raw[u][v]
+    D = [list(row) for row in _closure(raw)]
+    for _ in range(rng.choice((0, 0, 1, 2, 3))):
+        u, v = rng.randrange(n), rng.randrange(n)
+        D[u][v] = rng.choice(_special_values(rng, encoding, D))
+        if rng.random() < 0.5:
+            D[v][u] = D[u][v]
+    return D
+
+
+def same_as_reference(inst):
+    want = reference.validate_metric(inst)
+    assert validate_metric(inst) == want
+    return want
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    n=st.integers(1, 9),
+    encoding=st.sampled_from(("int", "fraction", "float", "big")),
+    directed=st.booleans(),
+    symmetric=st.booleans(),
+)
+def test_validate_metric_matches_scalar_reference(seed, n, encoding, directed, symmetric):
+    rng = random.Random(seed)
+    D = perturbed_metric(rng, n, encoding, directed)
+    same_as_reference(Instance(D, k=1, symmetric=symmetric))
+
+
+@pytest.mark.parametrize("encoding, n", [
+    ("int", 64), ("fraction", 48), ("float", 48), ("float", 64), ("big", 48),
+])
+@pytest.mark.parametrize("symmetric", [True, False])
+def test_validate_metric_matches_scalar_reference_at_larger_n(encoding, n, symmetric):
+    rng = random.Random(n + len(encoding))
+    for _ in range(2):
+        D = perturbed_metric(rng, n, encoding, directed=not symmetric)
+        same_as_reference(Instance(D, k=1, symmetric=symmetric))
+
+
+@pytest.mark.parametrize("a", [2**62 - 1, 2**62, 2**62 + 1, 2**63 - 1])
+def test_validate_metric_sums_do_not_wrap(a):
+    # a directed metric whose two-hop sums reach 2**63 and more, where int64
+    # would wrap to negative numbers and report false triangle violations
+    dist = ((0, a, 5), (a - 3, 0, a), (5, a - 2, 0))
+    inst = Instance(dist, k=1, symmetric=False)
+    assert a + a >= 2**63 - 2
+    assert same_as_reference(inst) == []
+    # and a true violation on the same scale is still found
+    dist = ((0, a, 2 * a + 1), (a - 3, 0, a), (5, a - 2, 0))
+    assert same_as_reference(Instance(dist, k=1, symmetric=False)) == [
+        TriangleViolation(0, 1, 2)
+    ]
+
+
+def test_validate_metric_fractions_scaled_past_2_pow_62():
+    # the LCM of the denominators is about 2**62, so the scaled entries need
+    # Python ints
+    p, q = 2**31 - 1, 2**31 + 11
+    third = Fraction(1, p) + Fraction(1, q)
+    dist = (
+        (0, Fraction(1, p), 3, third),
+        (Fraction(1, p), 0, 3, Fraction(1, q)),
+        (3, 3, 0, 3),
+        (third, Fraction(1, q), 3, 0),
+    )
+    inst = Instance(dist, k=1)
+    assert _metric_matrix(inst).dtype == object
+    assert same_as_reference(inst) == []
+    rows = [list(r) for r in dist]
+    rows[0][3] = rows[3][0] = third + Fraction(1, p * q)
+    bad = Instance(rows, k=1)
+    assert same_as_reference(bad) == [TriangleViolation(0, 1, 3)]
+
+
+def test_validate_metric_small_fractions_stay_int64():
+    inst = Instance(((0, Fraction(1, 3)), (Fraction(1, 3), 0)), k=1)
+    assert _metric_matrix(inst).dtype == np.int64
+    assert validate_metric(inst) == []
 
 
 def test_objective_names_and_terms():
