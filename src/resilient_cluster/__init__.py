@@ -47,6 +47,7 @@ from .lp import (
     OPTIMAL,
     CertifierVerdict,
     LpOutcome,
+    Packing,
     ThresholdGraph,
     build_threshold_graph,
     certify,

@@ -57,6 +57,15 @@ def _parse_number(x):
     return x
 
 
+def _parse_row(row) -> tuple:
+    """A matrix row as a tuple, its string entries parsed as numbers; a row
+    with no string in it is kept as it is."""
+    row = tuple(row)
+    if str in set(map(type, row)):
+        return tuple(map(_parse_number, row))
+    return row
+
+
 def _emit_number(x, exact_out: bool):
     if isinstance(x, bool):
         raise TypeError("unexpected boolean")
@@ -95,9 +104,7 @@ def load_instance_file(
         k = int(doc["k"])
         z = int(doc.get("z", 0))
         if "dist" in doc:
-            dist = tuple(
-                tuple(_parse_number(x) for x in row) for row in doc["dist"]
-            )
+            dist = tuple(map(_parse_row, doc["dist"]))
             if "n" in doc and int(doc["n"]) != len(dist):
                 raise ValueError("declared n does not match the matrix size")
             symmetric = doc.get("symmetric")
@@ -283,7 +290,11 @@ def cmd_certify(args) -> int:
     formulation = args.formulation or _default_formulation(inst)
     started = time.perf_counter()
     verdict = lp.certify(inst, formulation)
-    report: dict = {"formulation": formulation, "radius": verdict.lp_radius}
+    report: dict = {"formulation": formulation, "radius": verdict.lp_radius,
+                    "route": verdict.route, "packing": None}
+    if verdict.packing is not None:
+        report["packing"] = {"radius": verdict.packing.radius,
+                             "points": list(verdict.packing.points)}
     code = EXIT_OK
     if verdict.kind == lp.OPTIMAL:
         report["verdict"] = lp.OPTIMAL

@@ -205,7 +205,14 @@ class Instance:
         return D
 
     def distinct_distances(self) -> list:
-        return sorted({x for row in self.dist for x in row})
+        D = self._array
+        if D.dtype == object:
+            return sorted({x for row in self.dist for x in row})
+        # sort and drop repeats: faster than a set, and than np.unique
+        values = np.sort(D, axis=None)
+        keep = np.ones(len(values), dtype=bool)
+        np.not_equal(values[1:], values[:-1], out=keep[1:])
+        return values[keep].tolist()
 
     def replace(self, **kwargs) -> "Instance":
         base = dict(dist=self.dist, k=self.k, z=self.z, symmetric=self.symmetric)

@@ -19,9 +19,19 @@ Every outcome carries both sides: the primal ``y`` and the dual
 ``certificate`` (the packing p, or alpha, beta and gamma concatenated). The
 witness ``x`` of the written formulation is rebuilt from ``y`` on first use.
 
-How a verdict is proved: :func:`min_feasible_radius` runs one binary search
-with float probes, then, on exact instances, checks its boundary exactly in
-O(n^2) integer arithmetic. Float vectors are rationalized with
+How a verdict is proved. :func:`certify` first tries the packing route,
+which needs no LP: at the largest candidate radius where a greedy finds k + 1
+points (k + z + 1 for KCO) with pairwise disjoint in-neighbourhoods, that
+0/1 vector is a packing of total k + 1 > k, and for KCO the dual alpha = 1_S,
+beta = 1 - alpha, gamma = 1 of value n - z - 1 < n - z (Hochbaum and
+Shmoys' lower bound). The same exact checks as below must accept it. A
+clustering that component recovery builds at the next candidate then has
+cost R*, the LP's and the integral optimum. When the greedy or the recovery
+misses, the search below decides, and only the search answers NOT_2PR.
+
+:func:`min_feasible_radius` runs one binary search with float probes, then,
+on exact instances, checks its boundary exactly in O(n^2) integer
+arithmetic. Float vectors are rationalized with
 ``Fraction.limit_denominator`` and the dual is repaired to feasibility (the
 packing divided by its largest out-neighbourhood sum; alpha clipped to
 [0, 1], beta = 1 - alpha, gamma = the largest out-neighbourhood sum of
@@ -63,6 +73,9 @@ FORMULATIONS = (KC, ASYM_KC, KCO)
 
 OPTIMAL = "OPTIMAL"
 NOT_2PR = "NOT_2PR"
+
+PACKING = "packing"
+SEARCH = "search"
 
 # A variable counts as integral when within this distance of 0 or 1 (floating
 # mode); exact equality is required in rational mode.
@@ -124,11 +137,27 @@ class LpOutcome:
 
 
 @dataclass(frozen=True)
+class Packing:
+    """The lower bound of a packing-route proof: ``points`` have pairwise
+    disjoint in-neighbourhoods in G_radius, so no center serves two of them
+    within ``radius``. There are k + 1 of them (k + z + 1 for KCO), so every
+    clustering with k centers (and at most z outliers) has a larger radius."""
+
+    radius: object
+    points: tuple
+
+
+@dataclass(frozen=True)
 class CertifierVerdict:
+    """``route`` names what proved the verdict: :data:`PACKING` (a checked
+    ``packing`` and a clustering, no LP) or :data:`SEARCH` (the LP search)."""
+
     kind: str
     clustering: Clustering | None
     lp_radius: object
     fractional_witness: LpOutcome | None
+    route: str = SEARCH
+    packing: Packing | None = None
 
 
 def _threshold_matrix(inst: Instance, R) -> np.ndarray:
@@ -437,31 +466,33 @@ def min_feasible_radius(inst: Instance, formulation: str) -> tuple[object, LpOut
         return cands[lo], outcome
 
 
-def _undirected_components(inst: Instance, graph: ThresholdGraph) -> list[list[int]]:
-    n = inst.n
-    seen = [False] * n
+def _undirected_components(G: np.ndarray) -> list[np.ndarray]:
+    """Connected components of G with every edge taken both ways, each as a
+    sorted index array, in the order of their lowest points."""
+    U = G | G.T
+    seen = np.zeros(len(G), dtype=bool)
     comps = []
-    for s in range(n):
+    for s in range(len(G)):
         if seen[s]:
             continue
-        stack = [s]
-        seen[s] = True
-        comp = []
-        while stack:
-            u = stack.pop()
-            comp.append(u)
-            for v in graph.out_nbr[u] | graph.in_nbr[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    stack.append(v)
-        comps.append(sorted(comp))
+        comp = U[s].copy()
+        frontier = comp
+        while True:
+            grown = U[frontier].any(axis=0) & ~comp
+            if not grown.any():
+                break
+            comp |= grown
+            frontier = grown
+        seen |= comp
+        comps.append(np.flatnonzero(comp))
     return comps
 
 
-def _cluster_within_radius(inst: Instance, centers: list[int], R, max_outliers: int) -> Clustering | None:
-    """Voronoi clustering of k centers (padded deterministically) whose
-    non-outlier radius is at most R and outlier count within budget."""
-    tol = inst.tol
+def _cluster_within_radius(inst: Instance, G: np.ndarray, centers: list[int],
+                           max_outliers: int) -> Clustering | None:
+    """Voronoi clustering of k centers (padded deterministically) in which
+    every point that no center reaches in G is an outlier, or None when that
+    is more than ``max_outliers`` points."""
     chosen = list(dict.fromkeys(centers))
     for u in range(inst.n):
         if len(chosen) == inst.k:
@@ -470,77 +501,185 @@ def _cluster_within_radius(inst: Instance, centers: list[int], R, max_outliers: 
             chosen.append(u)
     if len(chosen) != inst.k:
         return None
-    dist = inst.dist
-    outliers = []
-    for u in range(inst.n):
-        if min(dist[c][u] for c in chosen) > R + tol:
-            outliers.append(u)
+    outliers = np.flatnonzero(~G[chosen].any(axis=0)).tolist()
     if len(outliers) > max_outliers:
         return None
     # every kept point has a center within R, and Voronoi picks the nearest
     return voronoi(inst, tuple(chosen), outliers)
 
 
-def extract_integral(inst: Instance, outcome: LpOutcome) -> Clustering | None:
-    """Recover an integral solution at the outcome's radius, if one is reachable.
-
-    Tries direct rounding of an integral vertex first, then component
-    recovery: each connected component of G_R must contain a point covering
-    the whole component within R (in-neighbor covering in the asymmetric
-    case); for the outlier formulation the k largest coverable components are
-    kept and everything else must fit in the outlier budget.
-    """
-    if not outcome.feasible:
-        return None
-    R = outcome.radius
-    budget = inst.z if outcome.formulation == KCO else 0
-    tol = 0 if outcome.exact else INTEGRALITY_TOL
-    if outcome.integral and outcome.y is not None:
-        centers = [u for u, v in enumerate(outcome.y) if abs(v - 1) <= tol]
-        if 0 < len(centers) <= inst.k:
-            clus = _cluster_within_radius(inst, centers, R, budget)
-            if clus is not None:
-                return clus
-    graph = build_threshold_graph(inst, R)
-    comps = _undirected_components(inst, graph)
-    dist = inst.dist
-    ctol = inst.tol
-    coverers: list[int | None] = []
+def _component_clustering(inst: Instance, G: np.ndarray, formulation: str) -> Clustering | None:
+    """Component recovery at the radius of G: each connected component must
+    contain a point covering the whole component (its lowest such point is
+    used); for the outlier formulation the k largest coverable components are
+    kept and everything else must fit in the outlier budget."""
+    comps = _undirected_components(G)
+    # a point's out-neighbours lie in its own component, so it covers the
+    # component iff it has as many out-neighbours as the component has points
+    reach = G.sum(axis=1)
+    coverers = []
     for comp in comps:
-        found = None
-        for c in comp:
-            if all(dist[c][v] <= R + ctol for v in comp):
-                found = c
-                break
-        coverers.append(found)
-    if outcome.formulation in (KC, ASYM_KC):
-        if len(comps) > inst.k or any(c is None for c in coverers):
+        hits = comp[reach[comp] == len(comp)]
+        coverers.append(int(hits[0]) if len(hits) else None)
+    if formulation != KCO:
+        if len(comps) > inst.k or None in coverers:
             return None
-        return _cluster_within_radius(inst, [c for c in coverers if c is not None], R, budget)
+        return _cluster_within_radius(inst, G, coverers, 0)
     coverable = [(comp, c) for comp, c in zip(comps, coverers) if c is not None]
     coverable.sort(key=lambda item: (-len(item[0]), item[0][0]))
     centers = [c for _, c in coverable[: inst.k]]
     if not centers:
         return None
-    return _cluster_within_radius(inst, centers, R, budget)
+    return _cluster_within_radius(inst, G, centers, inst.z)
+
+
+def extract_integral(inst: Instance, outcome: LpOutcome) -> Clustering | None:
+    """Recover an integral solution at the outcome's radius, if one is reachable.
+
+    Tries direct rounding of an integral vertex first, then component
+    recovery (:func:`_component_clustering`) on the outcome's threshold graph;
+    in the asymmetric case a component's center must reach it along out-edges.
+    """
+    if not outcome.feasible:
+        return None
+    G = outcome._graph
+    tol = 0 if outcome.exact else INTEGRALITY_TOL
+    if outcome.integral and outcome.y is not None:
+        centers = [u for u, v in enumerate(outcome.y) if abs(v - 1) <= tol]
+        if 0 < len(centers) <= inst.k:
+            budget = inst.z if outcome.formulation == KCO else 0
+            clus = _cluster_within_radius(inst, G, centers, budget)
+            if clus is not None:
+                return clus
+    return _component_clustering(inst, G, outcome.formulation)
+
+
+# ---------------------------------------------------------------------------
+# the packing route: OPTIMAL with no LP
+
+
+class _FarthestFirst:
+    """The farthest-first order of an instance's points, built as far as it
+    is read: point 0, then each time the point farthest from those already
+    listed (ties to the lowest index). An asymmetric pair counts by its
+    shorter direction, since d(u, v) <= R either way makes u and v share an
+    in-neighbour in G_R."""
+
+    def __init__(self, inst: Instance):
+        D = inst._array
+        self._dist = D if inst.symmetric else np.minimum(D, D.T)
+        self._nearest = self._dist[0].copy()
+        self._listed = np.zeros(inst.n, dtype=bool)
+        self._listed[0] = True
+        self._order = np.zeros(inst.n, dtype=np.intp)
+        self._len = 1
+
+    def first_free(self, blocked: np.ndarray) -> int:
+        """The first point of the order that is not blocked; one must exist."""
+        listed = self._order[: self._len]
+        free = ~blocked[listed]
+        i = int(free.argmax())
+        if free[i]:
+            return int(listed[i])
+        while True:
+            u = int(np.argmax(self._nearest))
+            if self._listed[u]:
+                # only off a valid metric (a zero or NaN distance)
+                u = int(np.argmin(self._listed))
+            self._listed[u] = True
+            self._order[self._len] = u
+            self._len += 1
+            np.minimum(self._nearest, self._dist[u], out=self._nearest)
+            if not blocked[u]:
+                return u
+
+
+def _greedy_packing(G: np.ndarray, order: _FarthestFirst, size: int) -> list[int] | None:
+    """``size`` points with pairwise disjoint in-neighbourhoods in G, taken
+    greedily in ``order``, or None when too few points are left. After each
+    pick u, every point that shares an in-neighbour with u is blocked."""
+    blocked = np.zeros(len(G), dtype=bool)
+    picked: list[int] = []
+    while len(picked) < size:
+        if len(picked) + len(G) - np.count_nonzero(blocked) < size:
+            return None
+        u = order.first_free(blocked)
+        picked.append(u)
+        blocked |= G[G[:, u]].any(axis=0)
+    return picked
+
+
+def _packing_reason(inst: Instance, G: np.ndarray, points, formulation: str) -> str | None:
+    """None iff ``points`` as a 0/1 vector passes the exact infeasibility
+    check at the radius of G: the packing itself (KC, asym-KC), or the KCO
+    dual alpha = 1_S, beta = 1 - alpha, gamma = 1, of value n - |S| + k."""
+    p = [0] * inst.n
+    for u in points:
+        p[u] = 1
+    if formulation == KCO:
+        dual = p + [1 - a for a in p] + [1]
+        return _check_kco_certificate(G, dual, inst.k, inst.n - inst.z)
+    return _check_packing_certificate(G, p, inst.k)
+
+
+def _packing_route(inst: Instance, formulation: str) -> CertifierVerdict | None:
+    """An OPTIMAL verdict proved with no LP, or None.
+
+    Binary search over the candidate radii for the largest one at which the
+    greedy finds k + 1 points (k + z + 1 for KCO) with pairwise disjoint
+    in-neighbourhoods. Once the exact check accepts that packing, no
+    clustering has a radius at or below that candidate, so a clustering from
+    component recovery at the next candidate is optimal, and that candidate
+    is also the LP's R*.
+    """
+    cands = _candidates(inst)
+    size = inst.k + 1 + (inst.z if formulation == KCO else 0)
+    order = _FarthestFirst(inst)
+    # the greedy succeeds at lo and fails at hi; at the largest distance G is
+    # complete and no two points pack
+    lo, hi, found = -1, len(cands) - 1, None
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        G = _threshold_matrix(inst, cands[mid])
+        points = _greedy_packing(G, order, size)
+        if points is None:
+            hi = mid
+        else:
+            lo, found = mid, (G, points)
+    if found is None or _packing_reason(inst, *found, formulation) is not None:
+        return None
+    clus = _component_clustering(inst, _threshold_matrix(inst, cands[hi]), formulation)
+    if clus is None:
+        return None
+    packing = Packing(cands[lo], tuple(sorted(found[1])))
+    return CertifierVerdict(OPTIMAL, clus, cands[hi], None, PACKING, packing)
 
 
 def certify(inst: Instance, formulation: str) -> CertifierVerdict:
-    """Minimum-radius relaxation plus integral recovery.
+    """The certifier's verdict: OPTIMAL with a clustering whose k-center cost
+    is the LP radius R*, or NOT_2PR with the fractional outcome at R*.
 
-    OPTIMAL comes with a clustering whose k-center cost equals the LP radius;
-    since that radius lower-bounds every solution, the clustering is provably
-    optimal. Otherwise the fractional outcome at R* is returned as a
-    certificate that the instance is not 2-perturbation resilient.
+    The packing route (:func:`_packing_route`) is tried first; when it
+    misses, :func:`min_feasible_radius` finds R* and :func:`extract_integral`
+    looks for a clustering there. On either route R* lower-bounds every
+    solution, so a clustering of cost R* is provably optimal; its cost is
+    checked against R* before OPTIMAL is returned. NOT_2PR comes only from
+    the search: no integral clustering at R* was found and the LP witness is
+    fractional, which on a 2-perturbation-resilient instance cannot happen.
     """
-    r_star, outcome = min_feasible_radius(inst, formulation)
-    clus = extract_integral(inst, outcome)
-    if clus is None:
-        return CertifierVerdict(NOT_2PR, None, r_star, outcome)
-    achieved = cost(inst, clus, KCENTER)
+    _check_formulation(inst, formulation)
+    verdict = _packing_route(inst, formulation)
+    if verdict is None:
+        r_star, outcome = min_feasible_radius(inst, formulation)
+        clus = extract_integral(inst, outcome)
+        if clus is None:
+            return CertifierVerdict(NOT_2PR, None, r_star, outcome)
+        verdict = CertifierVerdict(OPTIMAL, clus, r_star, None)
+    achieved = cost(inst, verdict.clustering, KCENTER)
+    r_star = verdict.lp_radius
     same = achieved == r_star if inst.exact else abs(achieved - r_star) <= 1e-6
     if not same:
         raise InternalCheckFailed(
             f"extracted clustering has radius {achieved}, the LP radius is {r_star}"
         )
-    return CertifierVerdict(OPTIMAL, clus, r_star, None)
+    return verdict

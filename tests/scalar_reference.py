@@ -1,6 +1,6 @@
 """Scalar reference versions of the brute-force oracle, the perturbation
-closure and the metric check: one Python loop per center set and per matrix
-entry, the arithmetic of the vectorized code in the package done one number
+closure, the metric check, component recovery and the loader's matrix parse:
+one Python loop per center set and per matrix entry, the arithmetic of the vectorized code in the package done one number
 at a time. Tests compare the package against them for equality, bit for bit
 on floats."""
 
@@ -22,6 +22,7 @@ from resilient_cluster.core import (
     PositivityViolation,
     SymmetryViolation,
     TriangleViolation,
+    voronoi,
 )
 
 
@@ -212,3 +213,60 @@ def validate_metric(inst):
                 if row_u[v] > d_u_mid + row_mid[v] + tol:
                     out.append(TriangleViolation(u, mid, v))
     return out
+
+
+def parse_matrix(dist):
+    """The instance loader's matrix parse with every entry through
+    ``cli._parse_number``, strings or not."""
+    from resilient_cluster.cli import _parse_number
+
+    return tuple(tuple(_parse_number(x) for x in row) for row in dist)
+
+
+def component_clustering(inst, R, formulation):
+    """Component recovery at radius R, one point and one pair at a time: the
+    connected components of G_R (edges either way) by depth-first search, the
+    lowest point of each that is within R of all of it, and the Voronoi
+    clustering of those centers, padded with the lowest other points, where a
+    point no center reaches within R is an outlier."""
+    n, dist, tol = inst.n, inst.dist, inst.tol
+
+    def edge(u, v):
+        return u == v or dist[u][v] <= R + tol or dist[v][u] <= R + tol
+
+    seen = [False] * n
+    comps = []
+    for s in range(n):
+        if seen[s]:
+            continue
+        stack, comp = [s], []
+        seen[s] = True
+        while stack:
+            u = stack.pop()
+            comp.append(u)
+            for v in range(n):
+                if not seen[v] and edge(u, v):
+                    seen[v] = True
+                    stack.append(v)
+        comps.append(sorted(comp))
+    coverers = [next((c for c in comp if all(dist[c][v] <= R + tol for v in comp)), None)
+                for comp in comps]
+    budget = inst.z if formulation == "kco" else 0
+    if formulation != "kco":
+        if len(comps) > inst.k or None in coverers:
+            return None
+        centers = coverers
+    else:
+        coverable = sorted(((comp, c) for comp, c in zip(comps, coverers) if c is not None),
+                           key=lambda item: (-len(item[0]), item[0][0]))
+        centers = [c for _, c in coverable[: inst.k]]
+        if not centers:
+            return None
+    chosen = list(dict.fromkeys(centers))
+    chosen += [u for u in range(n) if u not in chosen][: inst.k - len(chosen)]
+    if len(chosen) != inst.k:
+        return None
+    outliers = [u for u in range(n) if min(dist[c][u] for c in chosen) > R + tol]
+    if len(outliers) > budget:
+        return None
+    return voronoi(inst, tuple(chosen), outliers)

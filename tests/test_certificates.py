@@ -14,6 +14,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -37,7 +38,8 @@ from resilient_cluster import (
 )
 from resilient_cluster import lp
 
-from conftest import random_metric_instance
+import scalar_reference as reference
+from conftest import random_directed_metric_instance, random_metric_instance
 
 PLANTED = {
     KC: dict(mode="symmetric", z=0),
@@ -155,21 +157,42 @@ def count_solves(monkeypatch, corrupt_at=None, corrupt=None):
     return exact_radii
 
 
+def corruption(inst, formulation, side):
+    """The radius to corrupt and how: at R* a zero cover (the rebuilt optimum
+    fails its check), below R* a zero dual (it proves nothing)."""
+    r_star, below = boundary(inst, formulation)
+    if side == "at R*":
+        return r_star, lambda o: dataclasses.replace(o, y=(0.0,) * len(o.y))
+    return below, lambda o: dataclasses.replace(o, certificate=(0.0,) * len(o.certificate))
+
+
+def greedy_misses(monkeypatch):
+    monkeypatch.setattr(lp, "_greedy_packing", lambda G, order, size: None)
+
+
 @pytest.mark.parametrize("formulation", [KC, ASYM_KC, KCO])
 @pytest.mark.parametrize("side", ["at R*", "below R*"])
 def test_corrupted_float_certificate_falls_back_once(monkeypatch, formulation, side):
     inst = planted(formulation)
-    expected = certify(inst, formulation)
-    r_star, below = boundary(inst, formulation)
-    if side == "at R*":
-        # zero cover: the rebuilt optimum fails its check
-        radius, corrupt = r_star, lambda o: dataclasses.replace(o, y=(0.0,) * len(o.y))
-    else:
-        # zero dual: proves nothing
-        radius, corrupt = below, lambda o: dataclasses.replace(
-            o, certificate=(0.0,) * len(o.certificate))
+    expected_radius, expected = min_feasible_radius(inst, formulation)
+    expected_clustering = lp.extract_integral(inst, expected)
+    radius, corrupt = corruption(inst, formulation, side)
     exact_radii = count_solves(monkeypatch, radius, corrupt)
-    verdict = lp.certify(inst, formulation)
+    r_star, outcome = lp.min_feasible_radius(inst, formulation)
+    assert exact_radii == [radius]
+    assert expected_clustering is not None
+    assert r_star == expected_radius
+    assert lp.extract_integral(inst, outcome) == expected_clustering
+
+
+def test_certify_falls_back_to_the_search_when_the_greedy_misses(monkeypatch):
+    inst = planted(KC)
+    greedy_misses(monkeypatch)
+    expected = certify(inst, KC)
+    assert expected.route == lp.SEARCH and expected.packing is None
+    radius, corrupt = corruption(inst, KC, "at R*")
+    exact_radii = count_solves(monkeypatch, radius, corrupt)
+    verdict = lp.certify(inst, KC)
     assert exact_radii == [radius]
     assert verdict.kind == expected.kind == OPTIMAL
     assert verdict.lp_radius == expected.lp_radius
@@ -180,6 +203,7 @@ def test_float_probe_that_moves_the_boundary_is_overruled(monkeypatch):
     """A float probe that wrongly reports R* infeasible pulls the float search
     above R*; the exact check at the boundary sends the search back down."""
     inst = planted(KC)
+    greedy_misses(monkeypatch)
     expected = certify(inst, KC)
     real = lp.solve_lp
 
@@ -191,6 +215,7 @@ def test_float_probe_that_moves_the_boundary_is_overruled(monkeypatch):
 
     monkeypatch.setattr(lp, "solve_lp", wrong)
     verdict = lp.certify(inst, KC)
+    assert verdict.route == lp.SEARCH
     assert verdict.lp_radius == expected.lp_radius
     assert verdict.clustering == expected.clustering
 
@@ -215,6 +240,137 @@ def test_planted_certify_never_pivots_exactly(monkeypatch, formulation, n):
 
 
 # ---------------------------------------------------------------------------
+# the packing route: a 0/1 packing and a clustering, checked, with no LP
+
+
+def zero_one(inst, points):
+    p = [0] * inst.n
+    for u in points:
+        p[u] = 1
+    return p
+
+
+SCALE = {"int": lambda d: d, "fraction": lambda d: Fraction(d, 7), "float": lambda d: d / 3}
+
+
+def random_instance(rng, formulation, numbers, n, k, z):
+    """A random closed metric (directed for asym-KC), its distances as
+    ``numbers``: int, Fraction or float."""
+    make = random_directed_metric_instance if formulation == ASYM_KC else random_metric_instance
+    base = make(rng, n, k, z=z, high=rng.choice([5, 60]))
+    scale = SCALE[numbers]
+    return Instance(tuple(tuple(scale(d) for d in row) for row in base.dist),
+                    k, z, symmetric=base.symmetric)
+
+
+def overlapping(G, points):
+    """``points`` with its last point swapped for one that shares an
+    in-neighbour with the first."""
+    first = points[0]
+    shared = next(w for w in np.flatnonzero(G[first]).tolist() if w != first)
+    return list(points[:-1]) + [shared]
+
+
+@pytest.mark.parametrize("formulation", [KC, ASYM_KC, KCO])
+def test_checkers_accept_a_zero_one_packing_and_reject_an_overlap(formulation):
+    inst = planted(formulation, n=16, seed=16)
+    verdict = certify(inst, formulation)
+    assert verdict.route == lp.PACKING
+    packing = verdict.packing
+    r_star, below = boundary(inst, formulation)
+    assert packing.radius == below and verdict.lp_radius == r_star
+    assert len(packing.points) == inst.k + 1 + (inst.z if formulation == KCO else 0)
+    G = lp._threshold_matrix(inst, packing.radius)
+    k, target = inst.k, inst.n - inst.z
+    if formulation == KCO:
+        def check(points):
+            p = zero_one(inst, points)
+            dual = p + [1 - a for a in p] + [1]
+            assert lp._kco_dual_value(dual, k) == target - 1
+            return lp._check_kco_certificate(G, dual, k, target)
+        rejection = "below an out-neighbourhood sum"
+    else:
+        def check(points):
+            return lp._check_packing_certificate(G, zero_one(inst, points), k)
+        rejection = "packs more than 1"
+    overlap = overlapping(G, packing.points)
+    assert check(packing.points) is None
+    assert rejection in check(overlap)
+    for points in (packing.points, overlap):
+        assert lp._packing_reason(inst, G, points, formulation) == check(points)
+
+
+@pytest.mark.parametrize("formulation", [KC, KCO])
+def test_overlapping_greedy_packing_is_rejected(monkeypatch, formulation):
+    inst = planted(formulation)
+    real = lp._greedy_packing
+    greedy_misses(monkeypatch)
+    expected = certify(inst, formulation)
+    overlaps = []
+
+    def overlap(G, order, size):
+        points = real(G, order, size)
+        if points is not None:
+            points = overlapping(G, points)
+            overlaps.append(points)
+        return points
+
+    monkeypatch.setattr(lp, "_greedy_packing", overlap)
+    verdict = lp.certify(inst, formulation)
+    assert overlaps
+    assert verdict.route == lp.SEARCH and verdict.packing is None
+    assert verdict == expected
+
+
+@pytest.mark.parametrize("formulation", [KC, KCO])
+@pytest.mark.parametrize("n", [16, 32])
+def test_planted_certify_solves_no_lp(monkeypatch, formulation, n):
+    real = lp.solve_lp
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(lp, "solve_lp", counted)
+    inst = planted(formulation, n=n, seed=n)
+    verdict = certify(inst, formulation)
+    assert verdict.kind == OPTIMAL and verdict.route == lp.PACKING
+    assert calls == []
+
+
+@settings(max_examples=120, deadline=None)
+@given(seed=st.integers(0, 10_000), formulation=st.sampled_from([KC, ASYM_KC, KCO]),
+       numbers=st.sampled_from(["int", "fraction", "float"]))
+def test_packing_route_radius_is_the_searched_and_the_brute_force_one(seed, formulation,
+                                                                      numbers):
+    rng = random.Random(seed)
+    n = rng.randint(4, 9)
+    z = rng.randint(1, 2) if formulation == KCO else 0
+    inst = random_instance(rng, formulation, numbers, n, rng.randint(1, n - z - 1), z)
+    verdict = lp._packing_route(inst, formulation)
+    if verdict is None:
+        return
+    r_star = verdict.lp_radius
+    assert r_star == min_feasible_radius(inst, formulation)[0]
+    assert r_star == brute_force(inst, KCENTER).cost == lp.cost(inst, verdict.clustering, KCENTER)
+    assert verdict.packing.radius == max(r for r in inst.distinct_distances() if r < r_star)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 10_000), formulation=st.sampled_from([KC, ASYM_KC, KCO]),
+       numbers=st.sampled_from(["int", "fraction", "float"]))
+def test_component_recovery_matches_the_scalar_reference(seed, formulation, numbers):
+    rng = random.Random(seed)
+    n = rng.randint(2, 12)
+    z = rng.randint(1, n - 1) if formulation == KCO else 0
+    inst = random_instance(rng, formulation, numbers, n, rng.randint(1, n - z), z)
+    for R in inst.distinct_distances():
+        got = lp._component_clustering(inst, lp._threshold_matrix(inst, R), formulation)
+        assert got == reference.component_clustering(inst, R, formulation)
+
+
+# ---------------------------------------------------------------------------
 # the threshold graph as one comparison
 
 
@@ -231,8 +387,7 @@ def set_based_graph(inst, R):
 @pytest.mark.parametrize("mode", ["symmetric", "asymmetric"])
 def test_threshold_graph_matches_set_definition(numbers, mode):
     base, _ = generate(GeneratorConfig(n=14, k=3, seed=4, mode=mode))
-    scale = {"int": lambda d: d, "fraction": lambda d: Fraction(d, 7),
-             "float": lambda d: d / 3}[numbers]
+    scale = SCALE[numbers]
     inst = Instance(tuple(tuple(scale(d) for d in row) for row in base.dist),
                     base.k, symmetric=base.symmetric)
     assert inst.exact == (numbers != "float")
@@ -341,7 +496,11 @@ def test_certify_cost_check_exits_4_under_python_O(tmp_path):
         "from resilient_cluster import cli, lp\n"
         "real = lp.cost\n"
         "lp.cost = lambda inst, clus, obj: real(inst, clus, obj) + 1\n"
-        f"sys.exit(cli.main(['certify', '--input', {str(path)!r}]))\n"
+        "route = lp._packing_route\n"
+        "answered = []\n"
+        "lp._packing_route = lambda *a: answered.append(route(*a)) or answered[-1]\n"
+        f"code = cli.main(['certify', '--input', {str(path)!r}])\n"
+        "sys.exit(code if len(answered) == 1 and answered[0] else 'the packing route missed')\n"
     )
     proc = subprocess.run([sys.executable, "-O", "-c", script],
                           env=env, capture_output=True, text=True, timeout=120)

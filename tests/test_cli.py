@@ -8,7 +8,7 @@ import pytest
 
 import scalar_reference as reference
 from resilient_cluster import KMEDIAN, Instance, cost
-from resilient_cluster.cli import load_instance_file, main
+from resilient_cluster.cli import CliError, load_instance_file, main
 
 
 def run(capsys, *argv):
@@ -60,6 +60,11 @@ def test_certify_planted_exit_0(tmp_path, capsys):
     report = json.loads(out)
     assert report["verdict"] == "OPTIMAL"
     assert report["cost"] == report["radius"]
+    # k + 1 points that no k centers cover within the candidate below R*
+    assert report["route"] == "packing"
+    packing = report["packing"]
+    assert packing["radius"] < report["radius"]
+    assert len(set(packing["points"])) == 4
 
 
 def _gap_instance_doc():
@@ -86,6 +91,7 @@ def test_certify_gap_instance_exit_3_with_falsifier(tmp_path, capsys):
     assert code == 3
     report = json.loads(out)
     assert report["verdict"] == "NOT_2PR"
+    assert report["route"] == "search" and report["packing"] is None
     assert report["falsifier"]["verdict"] == "not-resilient"
     assert "alternate" in report["falsifier"]["witness"]
 
@@ -241,6 +247,35 @@ def test_exact_mode_roundtrips_rationals(tmp_path, capsys):
     report = json.loads(out)
     assert report["cost"] == "3/2"
     assert Fraction(report["cost"]) == Fraction(3, 2)
+
+
+@pytest.mark.parametrize("dist", [
+    [[0, "3/2"], ["3/2", 0]],
+    [["0", 1], [1, 0]],
+    [[0, "x"], 5],
+    [[0, 1], 5],
+    [[False, True], [1, False]],
+    [[0, 1.5], [1.5, 0]],
+    ["01", "10"],
+    [[0, 1, 2], [1, 0]],
+    7,
+])
+def test_matrix_parse_matches_the_per_entry_reference(tmp_path, dist):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"k": 1, "symmetric": True, "dist": dist}))
+
+    def typed(inst):
+        return [[(type(x), x) for x in row] for row in inst.dist]
+
+    try:
+        expected = typed(Instance(reference.parse_matrix(dist), 1))
+    except (TypeError, ValueError) as e:
+        expected = f"{path}: {e}"
+    try:
+        got = typed(load_instance_file(str(path), exact=False)[0])
+    except CliError as e:
+        got = str(e)
+    assert got == expected
 
 
 def test_exact_env_var(tmp_path, capsys, monkeypatch):

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from resilient_cluster import (
@@ -180,6 +180,23 @@ def test_validate_metric_matches_scalar_reference(seed, n, encoding, directed, s
     rng = random.Random(seed)
     D = perturbed_metric(rng, n, encoding, directed)
     same_as_reference(Instance(D, k=1, symmetric=symmetric))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    n=st.integers(1, 9),
+    encoding=st.sampled_from(("int", "fraction", "float", "big")),
+    directed=st.booleans(),
+)
+def test_distinct_distances_match_the_sorted_set(seed, n, encoding, directed):
+    rng = random.Random(seed)
+    inst = Instance(perturbed_metric(rng, n, encoding, directed), k=1)
+    entries = [x for row in inst.dist for x in row]
+    # a NaN has no place in a sorted order
+    assume(not any(x != x for x in entries))
+    want = sorted(set(entries))
+    assert [(type(x), x) for x in inst.distinct_distances()] == [(type(x), x) for x in want]
 
 
 @pytest.mark.parametrize("encoding, n", [
