@@ -102,8 +102,23 @@ def number_type(terms: list, n: int) -> tuple:
 
 
 def term_matrix(inst: Instance, obj: Objective) -> tuple:
-    """(E, exact) with ``E[c, u] = obj.term(d(c, u))``, each entry computed by
-    :meth:`Objective.term` and stored in the dtype :func:`number_type` picks."""
+    """(E, exact) with ``E[c, u] = obj.term(d(c, u))``, stored in the dtype
+    :func:`number_type` picks.
+
+    An int64 instance with an integer exponent e and n * max|d|**e < 2**53
+    takes ``D ** e`` in int64, where no entry overflows and each equals its
+    Python term, and converts it to float64, as :func:`number_type` would.
+    Every other input computes each entry by :meth:`Objective.term`; float
+    ``pow`` there need not match numpy's power bit for bit.
+    """
+    D = inst._array
+    e = obj.exponent
+    if isinstance(e, Fraction) and e.denominator == 1:
+        e = e.numerator
+    if D.dtype == np.int64 and isinstance(e, int):
+        top = max(int(D.max()), -int(D.min()))
+        if inst.n * top**e < 2**53:
+            return (D**e).astype(np.float64), True
     terms = list(map(obj.term, chain.from_iterable(inst.dist)))
     dtype, exact = number_type(terms, inst.n)
     return np.array(terms, dtype=dtype).reshape(inst.n, inst.n), exact

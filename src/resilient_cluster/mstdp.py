@@ -9,12 +9,21 @@ the best subtree-structured solution, which may be suboptimal.
 
 Each node's DP table is one numpy array of shape ``[k+1, z+1, n_real+1]``
 (clusters, outliers, center; the last center slot means "the node is an
-outlier"), filled by elementwise operations over the center axis. The table
-dtype is float64 when the objective's terms are floats, or integers whose
-n-fold sum stays below 2**53 (every entry is then an exactly represented
-integer); otherwise an object array of exact Python numbers. No backpointers
-are kept: reconstruction recomputes the argmin along the single root-to-leaf
-path of states it visits.
+outlier"), filled by elementwise operations over the center axis. A node's
+real-center states are one (min, +) convolution over (clusters, outliers) of
+its children's *sides* -- (min, max) for k-center. A child's side holds, for
+each center c, the cheaper of the child joining c's cluster and the child
+closing a cluster of its own, and counts only the clusters other than the
+node's. Every split of the node's j clusters then has j = i_left + i_right + 1
+(the node's own cluster is the + 1), so the four join/separate cases share one
+convolution. The outlier slot is one more convolution, of the children's
+minima.
+
+The table dtype is float64 when the objective's terms are floats, or integers
+whose n-fold sum stays below 2**53 (every entry is then an exactly
+represented integer); otherwise an object array of exact Python numbers. No
+backpointers are kept: reconstruction recomputes the argmin along the single
+root-to-leaf path of states it visits, case by case.
 """
 
 from __future__ import annotations
@@ -86,14 +95,17 @@ class BinaryTree:
 
 
 def build_mst(inst: Instance) -> tuple:
-    """Minimum spanning tree edge list (Kruskal, lexicographic tie-breaking)."""
+    """Minimum spanning tree edge list (Kruskal, lexicographic tie-breaking).
+
+    Pairs u < v are taken in (d(u, v), u, v) order, sorted by one numpy
+    ``lexsort`` of the upper triangle; edges come out in the order Kruskal
+    accepts them.
+    """
     if not inst.symmetric:
         raise AsymmetricUnsupported("spanning trees need a symmetric instance")
     n = inst.n
-    dist = inst.dist
-    edges = sorted(
-        (dist[u][v], u, v) for u in range(n) for v in range(u + 1, n)
-    )
+    us, vs = np.triu_indices(n, 1)
+    order = np.lexsort((vs, us, inst._array[us, vs]))
     parent = list(range(n))
 
     def find(a: int) -> int:
@@ -103,7 +115,7 @@ def build_mst(inst: Instance) -> tuple:
         return a
 
     out = []
-    for _, u, v in edges:
+    for u, v in zip(us[order].tolist(), vs[order].tolist()):
         ru, rv = find(u), find(v)
         if ru != rv:
             parent[ru] = rv
@@ -196,7 +208,8 @@ def _two_child_cases(in_l: np.ndarray, in_r: np.ndarray) -> tuple:
     both children separate (u's cluster is one more than their sum), right
     joins, left joins, and both join (u's cluster is counted in both child
     tables, so the split sums to j + 1). A child that stays separate must not
-    hold u's center in its subtree.
+    hold u's center in its subtree. Only reconstruction walks these cases;
+    the forward pass folds them into one convolution (:func:`_side`).
     """
     return (
         (False, False, -1, in_l | in_r),
@@ -206,41 +219,29 @@ def _two_child_cases(in_l: np.ndarray, in_r: np.ndarray) -> tuple:
     )
 
 
-def solve_btp(inst: Instance, btree: BinaryTree, obj: Objective) -> Clustering:
-    """Fill the partition DP bottom-up and reconstruct the best clustering.
+def _side(tab_w: np.ndarray, M_w: np.ndarray, inside_w: np.ndarray) -> np.ndarray:
+    """A child w's best cost under a real center c of its parent's cluster.
 
-    ``tab[u][j, t, c]`` is the minimum cost of the subtree of ``u`` with j
-    clusters touched and t real outliers, where ``u``'s own cluster is
-    centered at the real point c (possibly outside the subtree) or, in the
-    last slot ``c = n_real``, ``u`` is an outlier. Each node's table is one
-    array of shape ``[k+1, z+1, n_real+1]``; with (j, t) fixed every
-    transition is elementwise over c, and a two-child node combines its
-    children by (min, +) convolutions over (j, t) -- (min, max) for k-center.
-
-    The table dtype is chosen once from the objective's terms
-    (:func:`core.number_type`). Integer terms with n * max term < 2**53 use
-    float64: every entry is then a sum of at most n such integers, so float64
-    holds it exactly and ``inf`` marks infeasible states natively. Float terms
-    use float64 as they are; other exact terms use an object array of Python
-    numbers, through the same code.
-
-    No backpointers are stored. Reconstruction walks down from the best root
-    state, re-evaluates that one state's candidates in the forward order with
-    the same operations on the same operands (so the values match bit for bit)
-    and follows the first candidate that attains the minimum.
+    ``side[i, t, c]`` is the minimum cost of w's subtree with i clusters
+    other than the parent's and t outliers: w joins c's cluster
+    (``tab_w[i + 1, t, c]``) or closes its own below the parent
+    (``M_w[i, t]``, allowed only when c is not in w's subtree). The last row
+    has no joined option, as ``tab_w`` has no row K.
     """
-    n = inst.n
-    k, z = inst.k, inst.z
+    side = np.where(inside_w, INF, M_w)
+    np.minimum(side[:-1], tab_w[1:, :, :-1], out=side[:-1])
+    return side
+
+
+def _forward(btree: BinaryTree, base, K: int, T: int, combine, dtype) -> tuple:
+    """Fill every node's table bottom-up: (tab, M, inside), keyed by node.
+
+    ``tab[u]`` is the node's table, ``M[u][j, t, 0]`` its minimum over the
+    centers in u's subtree and the outlier slot, and ``inside[u]`` the real
+    points of the subtree. ``base(u)[c]`` is u's own term under center c.
+    """
     n_real = btree.n_real
-    K, T = k + 1, z + 1
-    OUT = n_real  # center axis: 0..n_real-1 real, slot n_real = outlier
-    E, exact = term_matrix(inst, obj)  # E[c, u] = term(d(c, u))
-    dtype = E.dtype
-    zero = np.zeros(n_real, dtype=dtype)
-    summing = obj.aggregate == "sum"
-    # the same operation on arrays and on single table entries
-    combine = np.add if summing else np.maximum
-    combine_entry = operator.add if summing else max
+    OUT = n_real
 
     post = []
     stack = [(btree.root, False)]
@@ -253,15 +254,9 @@ def solve_btp(inst: Instance, btree: BinaryTree, obj: Objective) -> Clustering:
             for w in btree.children(u):
                 stack.append((w, False))
 
-    # tab[u]: the node's table; M[u][j, t, 0]: its minimum over subtree
-    # centers and the outlier slot; inside[u]: real points in the subtree
     tab: dict[int, np.ndarray] = {}
     M: dict[int, np.ndarray] = {}
     inside: dict[int, np.ndarray] = {}
-
-    def base(u: int) -> np.ndarray:
-        return E[:, u] if u < n_real else zero
-
     for u in post:
         t_own = 1 if u < n_real else 0  # outliers spent by marking u OUT
         cur = np.full((K, T, n_real + 1), INF, dtype=dtype)
@@ -275,29 +270,77 @@ def solve_btp(inst: Instance, btree: BinaryTree, obj: Objective) -> Clustering:
             (w,) = kids
             mask = inside[w].copy()
             cur[:, t_own:, OUT] = M[w][:, : T - t_own, 0]
-            # joined: w in u's cluster; separate: w's cluster closes below u
-            separate = np.where(mask, INF, M[w][:-1])
-            best = np.minimum(tab[w][1:, :, :OUT], separate)
-            cur[1:, :, :OUT] = combine(base(u), best)
+            # u's cluster plus i others in w's subtree: j = i + 1
+            cur[1:, :, :OUT] = combine(base(u), _side(tab[w], M[w], inside[w])[:-1])
         else:
             l, r = kids
             mask = inside[l] | inside[r]
             cur[:, t_own:, OUT] = _conv(M[l], M[r], 0, combine, dtype)[:, : T - t_own, 0]
-            best = np.full((K, T, n_real), INF, dtype=dtype)
-            for l_joins, r_joins, shift, excluded in _two_child_cases(inside[l], inside[r]):
-                a = tab[l][..., :OUT] if l_joins else M[l]
-                b = tab[r][..., :OUT] if r_joins else M[r]
-                cand = _conv(a, b, shift, combine, dtype)
-                if excluded is not None:
-                    cand = np.where(excluded, INF, cand)
-                np.minimum(best, cand, out=best)
-            cur[..., :OUT] = combine(base(u), best)
+            # u's cluster plus i_l + i_r others: j = i_l + i_r + 1, shift -1
+            best = _conv(_side(tab[l], M[l], inside[l]), _side(tab[r], M[r], inside[r]),
+                         -1, combine, dtype)
+            cur[1:, :, :OUT] = combine(base(u), best[1:])
         if u < n_real:
             mask[u] = True
         cols = np.append(np.flatnonzero(mask), OUT)
         tab[u] = cur
         M[u] = cur[:, :, cols].min(axis=2, keepdims=True)
         inside[u] = mask
+    return tab, M, inside
+
+
+def solve_btp(inst: Instance, btree: BinaryTree, obj: Objective) -> Clustering:
+    """Fill the partition DP bottom-up and reconstruct the best clustering.
+
+    ``tab[u][j, t, c]`` is the minimum cost of the subtree of ``u`` with j
+    clusters touched and t real outliers, where ``u``'s own cluster is
+    centered at the real point c (possibly outside the subtree) or, in the
+    last slot ``c = n_real``, ``u`` is an outlier. Each node's table is one
+    array of shape ``[k+1, z+1, n_real+1]``; with (j, t) fixed every
+    transition is elementwise over c. The outlier slot of a two-child node is
+    one (min, +) convolution of the children's minima over (j, t) -- (min,
+    max) for k-center.
+
+    The real-center transition is one convolution too. Each child w is first
+    reduced to its side (:func:`_side`): for every i, t and c, the cheaper of
+    w joining c's cluster and w closing a cluster of its own, counted in i
+    clusters other than u's. Every way to split u's state then has
+    j = i_l + i_r + 1, so ``tab[u][j]`` is u's own term combined with the
+    (min, combine) convolution of the two sides at i_l + i_r = j - 1, and
+    with the one side at i = j - 1 for a one-child node. This is the minimum
+    over the four join/separate cases, bit for bit: min distributes over
+    ``+`` (float rounding is monotone) and over ``max``, and ``inf`` absorbs
+    under both.
+
+    The table dtype is chosen once from the objective's terms
+    (:func:`core.number_type`). Integer terms with n * max term < 2**53 use
+    float64: every entry is then a sum of at most n such integers, so float64
+    holds it exactly and ``inf`` marks infeasible states natively. Float terms
+    use float64 as they are; other exact terms use an object array of Python
+    numbers, through the same code.
+
+    No backpointers are stored. Reconstruction walks down from the best root
+    state, re-evaluates that one state's four cases in order with the same
+    operations on the same operands (so the values match bit for bit), checks
+    that they recompute the forward value, and follows the first candidate
+    that attains the minimum.
+    """
+    n = inst.n
+    k, z = inst.k, inst.z
+    n_real = btree.n_real
+    K, T = k + 1, z + 1
+    OUT = n_real  # center axis: 0..n_real-1 real, slot n_real = outlier
+    E, exact = term_matrix(inst, obj)  # E[c, u] = term(d(c, u))
+    zero = np.zeros(n_real, dtype=E.dtype)
+    summing = obj.aggregate == "sum"
+    # the same operation on arrays and on single table entries
+    combine = np.add if summing else np.maximum
+    combine_entry = operator.add if summing else max
+
+    def base(u: int) -> np.ndarray:
+        return E[:, u] if u < n_real else zero
+
+    tab, M, inside = _forward(btree, base, K, T, combine, E.dtype)
 
     root_cells = tab[btree.root][k]  # [t, c], c ascending with OUT last
     flat = int(np.argmin(root_cells))

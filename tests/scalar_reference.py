@@ -1,12 +1,17 @@
 """Scalar reference versions of the brute-force oracle, the perturbation
-closure, the metric check, component recovery and the loader's matrix parse:
-one Python loop per center set and per matrix entry, the arithmetic of the vectorized code in the package done one number
-at a time. Tests compare the package against them for equality, bit for bit
-on floats."""
+closure, the metric check, component recovery, the loader's matrix parse,
+Kruskal's spanning tree, the objective's term matrix and the MST-DP's forward
+pass: one Python loop per center set and per matrix entry, the arithmetic of
+the vectorized code in the package done one number at a time (the DP
+reference one table row at a time). Tests compare the package against them for
+equality, bit for bit on floats."""
 
 from __future__ import annotations
 
-from itertools import combinations
+import math
+from itertools import chain, combinations
+
+import numpy as np
 
 from resilient_cluster import (
     KCENTER,
@@ -22,6 +27,7 @@ from resilient_cluster.core import (
     PositivityViolation,
     SymmetryViolation,
     TriangleViolation,
+    number_type,
     voronoi,
 )
 
@@ -270,3 +276,118 @@ def component_clustering(inst, R, formulation):
     if len(outliers) > budget:
         return None
     return voronoi(inst, tuple(chosen), outliers)
+
+
+def build_mst(inst):
+    """Kruskal on a Python sort of every (d(u, v), u, v) with u < v; edges in
+    the order they are accepted."""
+    n = inst.n
+    dist = inst.dist
+    edges = sorted((dist[u][v], u, v) for u in range(n) for v in range(u + 1, n))
+    parent = list(range(n))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    out = []
+    for _, u, v in edges:
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[ru] = rv
+            out.append((u, v))
+            if len(out) == n - 1:
+                break
+    return tuple(out)
+
+
+def term_matrix(inst, obj):
+    """(E, exact): every entry by ``Objective.term``, in the dtype
+    ``number_type`` picks for the list of terms."""
+    terms = list(map(obj.term, chain.from_iterable(inst.dist)))
+    dtype, exact = number_type(terms, inst.n)
+    return np.array(terms, dtype=dtype).reshape(inst.n, inst.n), exact
+
+
+def _conv_rows(a, b, shift, combine, dtype):
+    """out[j, t] = min of combine(a[ja, ta], b[jb, tb]) over ja + jb = j + shift
+    and ta + tb = t, one (ja, jb, ta) at a time."""
+    K, T = a.shape[:2]
+    out = np.full((K, T, max(a.shape[2], b.shape[2])), math.inf, dtype=dtype)
+    for ja in range(K):
+        for jb in range(K):
+            j = ja + jb - shift
+            if not 0 <= j < K:
+                continue
+            for ta in range(T):
+                cell = combine(a[ja, ta], b[jb, : T - ta])
+                np.minimum(out[j, ta:], cell, out=out[j, ta:])
+    return out
+
+
+def forward_four_cases(btree, base, K, T, combine, dtype):
+    """The MST-DP forward pass with ``mstdp._forward``'s signature and result,
+    a two-child node's real-center state taken as the minimum of four
+    convolutions, one per join/separate case, each masked after the fact:
+    both children separate (j = jl + jr + 1, u's center in neither subtree),
+    right joins (j = jl + jr, not in the left one), left joins (not in the
+    right one), both join (j = jl + jr - 1)."""
+    INF = math.inf
+    n_real = btree.n_real
+    OUT = n_real
+    post = []
+    stack = [(btree.root, False)]
+    while stack:
+        u, done = stack.pop()
+        if done:
+            post.append(u)
+        else:
+            stack.append((u, True))
+            for w in btree.children(u):
+                stack.append((w, False))
+    tab, M, inside = {}, {}, {}
+    for u in post:
+        t_own = 1 if u < n_real else 0
+        cur = np.full((K, T, n_real + 1), INF, dtype=dtype)
+        kids = btree.children(u)
+        if not kids:
+            mask = np.zeros(n_real, dtype=bool)
+            if t_own < T:
+                cur[0, t_own, OUT] = 0
+            cur[1, 0, :OUT] = base(u)
+        elif len(kids) == 1:
+            (w,) = kids
+            mask = inside[w].copy()
+            cur[:, t_own:, OUT] = M[w][:, : T - t_own, 0]
+            separate = np.where(mask, INF, M[w][:-1])
+            best = np.minimum(tab[w][1:, :, :OUT], separate)
+            cur[1:, :, :OUT] = combine(base(u), best)
+        else:
+            l, r = kids
+            in_l, in_r = inside[l], inside[r]
+            mask = in_l | in_r
+            cur[:, t_own:, OUT] = _conv_rows(M[l], M[r], 0, combine, dtype)[:, : T - t_own, 0]
+            best = np.full((K, T, n_real), INF, dtype=dtype)
+            cases = (
+                (False, False, -1, in_l | in_r),
+                (False, True, 0, in_l),
+                (True, False, 0, in_r),
+                (True, True, 1, None),
+            )
+            for l_joins, r_joins, shift, excluded in cases:
+                a = tab[l][..., :OUT] if l_joins else M[l]
+                b = tab[r][..., :OUT] if r_joins else M[r]
+                cand = _conv_rows(a, b, shift, combine, dtype)
+                if excluded is not None:
+                    cand = np.where(excluded, INF, cand)
+                np.minimum(best, cand, out=best)
+            cur[..., :OUT] = combine(base(u), best)
+        if u < n_real:
+            mask[u] = True
+        cols = np.append(np.flatnonzero(mask), OUT)
+        tab[u] = cur
+        M[u] = cur[:, :, cols].min(axis=2, keepdims=True)
+        inside[u] = mask
+    return tab, M, inside

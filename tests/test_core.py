@@ -24,7 +24,14 @@ from resilient_cluster import (
     validate_metric,
     voronoi,
 )
-from resilient_cluster.core import FLOAT_TOL, SymmetryViolation, TriangleViolation, _metric_matrix
+from resilient_cluster.core import (
+    FLOAT_TOL,
+    Objective,
+    SymmetryViolation,
+    TriangleViolation,
+    _metric_matrix,
+    term_matrix,
+)
 
 import scalar_reference as reference
 from conftest import _closure, line_instance, random_metric_instance, uniform_instance
@@ -261,6 +268,77 @@ def test_objective_names_and_terms():
         objective_by_name("bogus")
     with pytest.raises(ValueError):
         lp_norm(0)
+
+
+# ---------------------------------------------------------------------------
+# term_matrix against the per-entry reference
+
+TERM_OBJECTIVES = (KMEDIAN, KCENTER, KMEANS, lp_norm(2), lp_norm(3))
+
+
+def counted(obj):
+    """A copy of ``obj`` that records every call of its ``term``."""
+    calls = []
+
+    class Counted(Objective):
+        def term(self, d):
+            calls.append(d)
+            return super().term(d)
+
+    return Counted(obj.exponent, obj.aggregate, obj.name), calls
+
+
+def two_level_metric(n, top):
+    """A metric with every off-diagonal entry top or top - 1 (top >= 2), and
+    top between points 0 and 1."""
+    return Instance(tuple(tuple(0 if u == v else top - (u * v) % 2 for v in range(n))
+                          for u in range(n)), k=1)
+
+
+def same_terms_as_reference(inst, obj):
+    """term_matrix equals the per-entry reference in dtype, flag, and every
+    entry's value and type; returns the number of ``term`` calls it made."""
+    probe, calls = counted(obj)
+    E, exact = term_matrix(inst, probe)
+    E_ref, exact_ref = reference.term_matrix(inst, obj)
+    assert (E.dtype, exact) == (E_ref.dtype, exact_ref)
+    assert [(type(x), x) for x in E.flat] == [(type(x), x) for x in E_ref.flat]
+    return len(calls)
+
+
+@pytest.mark.parametrize("obj", TERM_OBJECTIVES, ids=lambda o: o.name)
+def test_term_matrix_int64_path_stops_just_below_2_pow_53(obj):
+    e = int(obj.exponent)
+    for n in (2, 5):
+        top = round((2**53 / n) ** (1 / e))  # the largest top with n * top**e < 2**53
+        while n * top**e >= 2**53:
+            top -= 1
+        while n * (top + 1) ** e < 2**53:
+            top += 1
+        below, above = two_level_metric(n, top), two_level_metric(n, top + 1)
+        assert below._array.dtype == above._array.dtype == np.int64
+        assert same_terms_as_reference(below, obj) == 0
+        assert term_matrix(below, obj)[0].dtype == np.float64
+        # n = 2 lands on 2**53 exactly for exponents 1 and 2
+        assert same_terms_as_reference(above, obj) == n * n
+        assert term_matrix(above, obj)[0].dtype == object
+
+
+@pytest.mark.parametrize("obj", TERM_OBJECTIVES + (lp_norm(Fraction(3, 2)),), ids=lambda o: o.name)
+@pytest.mark.parametrize("encoding", ["int", "fraction", "float", "big"])
+def test_term_matrix_matches_the_per_entry_reference(obj, encoding):
+    rng = random.Random(7)
+    big = rng.choice(BIG_OFFSETS)
+    raw = [[0 if u == v else _weight(rng, encoding, big) for v in range(9)] for u in range(9)]
+    raw = [[raw[min(u, v)][max(u, v)] for v in range(9)] for u in range(9)]
+    inst = Instance(_closure(raw), k=1)
+    calls = same_terms_as_reference(inst, obj)
+    # only int64 instances with an integer exponent e and 9 * max**e < 2**53
+    # skip the per-entry path
+    e = Fraction(obj.exponent)
+    fast = (inst._array.dtype == np.int64 and e.denominator == 1
+            and 9 * int(inst._array.max()) ** int(e) < 2**53)
+    assert calls == (0 if fast else 81)
 
 
 def test_cost_zero_when_every_point_is_a_center():

@@ -1,8 +1,11 @@
 """Tests for the MST build, binary-tree transform, and the partition DP."""
 
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from resilient_cluster import (
     KCENTER,
@@ -21,7 +24,17 @@ from resilient_cluster import (
     solve_outlier_clustering,
 )
 
+import scalar_reference as reference
 from conftest import line_instance, random_metric_instance, uniform_instance
+
+# distance encodings that keep a metric and its order of distances: int64,
+# Fractions and floats, and ints beyond int64 (an object array)
+ENCODINGS = {
+    "int": lambda d: d,
+    "fraction": lambda d: Fraction(d, 7),
+    "float": lambda d: d / 3,
+    "big": lambda d: d and d + 2**64,
+}
 
 
 def star_instance(leaves, spoke=1, k=1, z=0):
@@ -46,6 +59,23 @@ def test_mst_line_path(line4):
 def test_mst_requires_symmetry():
     with pytest.raises(AsymmetricUnsupported):
         build_mst(Instance(((0, 1), (2, 0)), k=1, symmetric=False))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    n=st.integers(1, 14),
+    high=st.sampled_from((2, 3, 60)),
+    encoding=st.sampled_from(tuple(ENCODINGS)),
+)
+def test_mst_matches_kruskal_reference_edge_for_edge(seed, n, high, encoding):
+    # weights 1..2 or 1..3 leave most distances tied: the edges and their
+    # order must follow the (d, u, v) tie-break exactly
+    rng = random.Random(seed)
+    closed = random_metric_instance(rng, n, k=1, high=high)
+    scale = ENCODINGS[encoding]
+    inst = Instance(tuple(tuple(map(scale, row)) for row in closed.dist), k=1)
+    assert build_mst(inst) == reference.build_mst(inst)
 
 
 def test_planted_clusters_are_mst_subtrees():

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,7 +28,10 @@ from resilient_cluster import (
     mstdp,
     solve_outlier_clustering,
 )
-from resilient_cluster.core import number_type
+from resilient_cluster.core import number_type, term_matrix
+
+import scalar_reference as reference
+from conftest import random_metric_instance
 
 OBJECTIVES = (KMEDIAN, KMEANS, KCENTER, lp_norm(3))
 
@@ -157,3 +161,63 @@ def test_relabelling_relabels_the_partition(seed, obj):
     got = solve_outlier_clustering(moved, obj)
     assert got.partition_key() == expected.partition_key()
     assert cost(moved, got, obj) == cost(inst, clus, obj)
+
+
+# ---------------------------------------------------------------------------
+# the folded forward pass against the four-case reference
+
+ENCODINGS = {
+    "int": lambda d: d,
+    "fraction": lambda d: Fraction(d, 7),
+    "float": lambda d: d / 3,
+}
+
+
+def tied_outlier_instance(rng, encoding):
+    """A small closed metric, often with most distances tied, or a planted
+    outlier instance; z >= 1."""
+    n = rng.randint(3, 16)
+    k = rng.randint(1, min(4, n - 1))
+    z = rng.randint(1, min(3, n - k))
+    if rng.random() < 0.25 and n - z >= 2 * k:
+        inst, _ = planted_outlier(n, k, z, rng.randrange(10**6))
+    else:
+        inst = random_metric_instance(rng, n, k, z, high=rng.choice((2, 4, 60)))
+    return encoded(inst, ENCODINGS[encoding])
+
+
+def forward_tables(forward, inst, obj):
+    """The tables ``forward`` fills for ``inst``, set up as solve_btp does."""
+    btree = mstdp.binarize(mstdp.build_mst(inst), inst)
+    E, _ = term_matrix(inst, obj)
+    zero = np.zeros(btree.n_real, dtype=E.dtype)
+    combine = np.add if obj.aggregate == "sum" else np.maximum
+
+    def base(u):
+        return E[:, u] if u < btree.n_real else zero
+
+    return forward(btree, base, inst.k + 1, inst.z + 1, combine, E.dtype)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    encoding=st.sampled_from(tuple(ENCODINGS)),
+    obj=st.sampled_from(OBJECTIVES),
+)
+def test_folded_forward_pass_matches_the_four_case_reference(seed, encoding, obj):
+    inst = tied_outlier_instance(random.Random(seed), encoding)
+    got = solve_outlier_clustering(inst, obj)
+    with mock.patch.object(mstdp, "_forward", reference.forward_four_cases):
+        want = solve_outlier_clustering(inst, obj)
+    assert (got.assignment, got.centers) == (want.assignment, want.centers)
+    assert cost(inst, got, obj) == cost(inst, want, obj)
+    # every state of every node, not only the path reconstruction walks
+    tab, M, inside = forward_tables(mstdp._forward, inst, obj)
+    ref_tab, ref_M, ref_inside = forward_tables(reference.forward_four_cases, inst, obj)
+    assert tab.keys() == ref_tab.keys()
+    for u in tab:
+        assert tab[u].dtype == ref_tab[u].dtype
+        assert np.array_equal(tab[u], ref_tab[u]), u
+        assert np.array_equal(M[u], ref_M[u]), u
+        assert np.array_equal(inside[u], ref_inside[u]), u
