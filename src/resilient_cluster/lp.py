@@ -404,10 +404,6 @@ def _infeasibility_reason(inst: Instance, outcome: LpOutcome) -> str | None:
 # radius search
 
 
-def _candidates(inst: Instance) -> list:
-    return inst.distinct_distances()
-
-
 def min_feasible_radius(inst: Instance, formulation: str) -> tuple[object, LpOutcome]:
     """Smallest candidate radius (distinct distance value) whose relaxation is
     feasible: one binary search, then one check.
@@ -422,7 +418,7 @@ def min_feasible_radius(inst: Instance, formulation: str) -> tuple[object, LpOut
     answer moves the boundary, the same search goes on with exact probes.
     """
     _check_formulation(inst, formulation)
-    cands = _candidates(inst)
+    cands = inst.distinct_distances()
     probes: dict[int, LpOutcome] = {}
 
     def probe(idx: int, arithmetic: str) -> LpOutcome:
@@ -632,7 +628,7 @@ def _packing_route(inst: Instance, formulation: str) -> CertifierVerdict | None:
     component recovery at the next candidate is optimal, and that candidate
     is also the LP's R*.
     """
-    cands = _candidates(inst)
+    cands = inst.distinct_distances()
     size = inst.k + 1 + (inst.z if formulation == KCO else 0)
     order = _FarthestFirst(inst)
     # the greedy succeeds at lo and fails at hi; at the largest distance G is

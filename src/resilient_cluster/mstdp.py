@@ -9,27 +9,31 @@ the best subtree-structured solution, which may be suboptimal.
 
 Each node's DP table is one numpy array of shape ``[k+1, z+1, n_real+1]``
 (clusters, outliers, center; the last center slot means "the node is an
-outlier"), filled by elementwise operations over the center axis. A node's
-real-center states are one (min, +) convolution over (clusters, outliers) of
-its children's *sides* -- (min, max) for k-center. A child's side holds, for
-each center c, the cheaper of the child joining c's cluster and the child
-closing a cluster of its own, and counts only the clusters other than the
-node's. Every split of the node's j clusters then has j = i_left + i_right + 1
-(the node's own cluster is the + 1), so the four join/separate cases share one
-convolution. The outlier slot is one more convolution, of the children's
-minima.
+outlier"), filled by elementwise operations over the center axis.
+
+One split rule serves both passes. A child's *side* holds, for each center
+c, the cheaper of the child joining c's cluster and the child closing a
+cluster of its own, and counts only the clusters other than the node's, so
+every split of a real-center state's j clusters has j = i_left + i_right + 1
+(the node's own cluster is the + 1). The forward pass fills all real-center
+states as one (min, +) convolution over (clusters, outliers) of the
+children's sides -- (min, max) for k-center -- and the outlier slot as one
+more, of the children's minima. Reconstruction keeps no backpointers: it
+walks down from the best root state and, at each state it visits, recomputes
+that state's sides at its one center (the minima for the outlier slot) and
+takes the first split, in (left clusters, left outliers) order, that attains
+the minimum. Ties: a child joins the node's cluster whenever joining attains
+its side; otherwise it closes its own cluster in the state its minimum took,
+the outlier slot first, then the lowest center.
 
 The table dtype is float64 when the objective's terms are floats, or integers
 whose n-fold sum stays below 2**53 (every entry is then an exactly
-represented integer); otherwise an object array of exact Python numbers. No
-backpointers are kept: reconstruction recomputes the argmin along the single
-root-to-leaf path of states it visits, case by case.
+represented integer); otherwise an object array of exact Python numbers.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -201,24 +205,6 @@ def _conv(a, b, shift: int, combine, dtype):
     return out
 
 
-def _two_child_cases(in_l: np.ndarray, in_r: np.ndarray) -> tuple:
-    """The four ways a two-child node's real-center state splits, in order.
-
-    Each is (left joins u's cluster, right joins, shift, centers excluded):
-    both children separate (u's cluster is one more than their sum), right
-    joins, left joins, and both join (u's cluster is counted in both child
-    tables, so the split sums to j + 1). A child that stays separate must not
-    hold u's center in its subtree. Only reconstruction walks these cases;
-    the forward pass folds them into one convolution (:func:`_side`).
-    """
-    return (
-        (False, False, -1, in_l | in_r),
-        (False, True, 0, in_l),
-        (True, False, 0, in_r),
-        (True, True, 1, None),
-    )
-
-
 def _side(tab_w: np.ndarray, M_w: np.ndarray, inside_w: np.ndarray) -> np.ndarray:
     """A child w's best cost under a real center c of its parent's cluster.
 
@@ -226,7 +212,11 @@ def _side(tab_w: np.ndarray, M_w: np.ndarray, inside_w: np.ndarray) -> np.ndarra
     other than the parent's and t outliers: w joins c's cluster
     (``tab_w[i + 1, t, c]``) or closes its own below the parent
     (``M_w[i, t]``, allowed only when c is not in w's subtree). The last row
-    has no joined option, as ``tab_w`` has no row K.
+    has no joined option, as ``tab_w`` has no row K. The last center column
+    of ``tab_w`` (the outlier slot) is dropped, so the forward pass passes
+    the whole table, and reconstruction the columns c and c + 1 with
+    ``inside_w[c : c + 1]`` to get column c alone. The side is the only
+    operand of a real-center split in both passes.
     """
     side = np.where(inside_w, INF, M_w)
     np.minimum(side[:-1], tab_w[1:, :, :-1], out=side[:-1])
@@ -307,8 +297,8 @@ def solve_btp(inst: Instance, btree: BinaryTree, obj: Objective) -> Clustering:
     clusters other than u's. Every way to split u's state then has
     j = i_l + i_r + 1, so ``tab[u][j]`` is u's own term combined with the
     (min, combine) convolution of the two sides at i_l + i_r = j - 1, and
-    with the one side at i = j - 1 for a one-child node. This is the minimum
-    over the four join/separate cases, bit for bit: min distributes over
+    with the one side at i = j - 1 for a one-child node. That is the minimum
+    over every join/separate choice of the children: min distributes over
     ``+`` (float rounding is monotone) and over ``max``, and ``inf`` absorbs
     under both.
 
@@ -319,11 +309,19 @@ def solve_btp(inst: Instance, btree: BinaryTree, obj: Objective) -> Clustering:
     use float64 as they are; other exact terms use an object array of Python
     numbers, through the same code.
 
-    No backpointers are stored. Reconstruction walks down from the best root
-    state, re-evaluates that one state's four cases in order with the same
-    operations on the same operands (so the values match bit for bit), checks
-    that they recompute the forward value, and follows the first candidate
-    that attains the minimum.
+    Reconstruction uses the same split rule, on the one state it visits at
+    each node on the way down from the best root state (the lowest t, then
+    the lowest c, on a tie): it takes the children's sides at that state's
+    center c (their minima ``M`` for the outlier slot, where both children
+    close their own clusters), and the first split (i_l, t_l), in ascending
+    order, whose combined value is the minimum. Each child then joins u's
+    cluster at (i + 1, t) when its joined entry equals its side there, and
+    otherwise closes its own cluster at (i, t), centered by
+    :func:`subtree_center`. The recomputed state, u's own term combined with
+    that minimum, must equal the forward entry bit for bit (the same
+    operations on the same operands), and the clustering must have k
+    centers and cost the DP's optimum; a failed check raises
+    :class:`InternalCheckFailed`.
     """
     n = inst.n
     k, z = inst.k, inst.z
@@ -332,10 +330,7 @@ def solve_btp(inst: Instance, btree: BinaryTree, obj: Objective) -> Clustering:
     OUT = n_real  # center axis: 0..n_real-1 real, slot n_real = outlier
     E, exact = term_matrix(inst, obj)  # E[c, u] = term(d(c, u))
     zero = np.zeros(n_real, dtype=E.dtype)
-    summing = obj.aggregate == "sum"
-    # the same operation on arrays and on single table entries
-    combine = np.add if summing else np.maximum
-    combine_entry = operator.add if summing else max
+    combine = np.add if obj.aggregate == "sum" else np.maximum
 
     def base(u: int) -> np.ndarray:
         return E[:, u] if u < n_real else zero
@@ -355,59 +350,46 @@ def solve_btp(inst: Instance, btree: BinaryTree, obj: Objective) -> Clustering:
             return OUT
         return int(np.flatnonzero(inside[w] & (row[:OUT] == val))[0])
 
-    def candidates(u: int, j: int, t: int, c: int):
-        """(value, child states) of one state in forward order, before u's own term."""
-        kids = btree.children(u)
-        if c == OUT:
-            t -= 1 if u < n_real else 0
-            if len(kids) == 1:
-                (w,) = kids
-                yield M[w][j, t, 0], ((w, j, t, None),)
-                return
-            cases = ((False, False, 0, None),)
-        elif len(kids) == 1:
-            (w,) = kids
-            yield tab[w][j, t, c], ((w, j, t, c),)
-            if not inside[w][c]:
-                yield M[w][j - 1, t, 0], ((w, j - 1, t, None),)
-            return
-        else:
-            cases = _two_child_cases(inside[kids[0]], inside[kids[1]])
-        l, r = kids
-        for l_joins, r_joins, shift, excluded in cases:
-            if excluded is not None and excluded[c]:
-                continue
-            for jl in range(K):
-                jr = j + shift - jl
-                if not 0 <= jr < K:
-                    continue
-                for tl in range(t + 1):
-                    sl = (l, jl, tl, c if l_joins else None)
-                    sr = (r, jr, t - tl, c if r_joins else None)
-                    a = tab[l][jl, tl, c] if l_joins else M[l][jl, tl, 0]
-                    b = tab[r][jr, t - tl, c] if r_joins else M[r][jr, t - tl, 0]
-                    yield combine_entry(a, b), (sl, sr)
+    def split(sides: list, j: int, t: int) -> tuple:
+        """(value as a 1-array, child (i, s) pairs): the first split of j
+        clusters and t outliers over the children's [K, T] sides that
+        minimizes combine(side_l[i, s], side_r[j - i, t - s])."""
+        if len(sides) == 1:
+            return sides[0][j, t : t + 1], ((j, t),)
+        a, b = sides
+        cand = combine(a[: j + 1, : t + 1], b[j::-1, t::-1])
+        i, s = divmod(int(np.argmin(cand)), t + 1)
+        return cand[i, s : s + 1], ((i, s), (j - i, t - s))
 
     assignment = [OUTLIER] * n
     t_root, c_root = divmod(flat, n_real + 1)
     stack = [(btree.root, k, t_root, c_root)]
     while stack:
         u, j, t, c = stack.pop()
+        kids = btree.children(u)
         if u < n_real and c != OUT:
             assignment[u] = c
-        if not btree.children(u):
+        if not kids:
             continue
-        val, states = min(candidates(u, j, t, c), key=lambda vc: vc[0])
-        if c != OUT:
-            val = combine_entry(base(u)[c], val)
-        if val != tab[u][j, t, c]:
+        if c == OUT:  # both children close their own clusters
+            sides = [M[w][..., 0] for w in kids]
+            val, parts = split(sides, j, t - (1 if u < n_real else 0))
+        else:  # u's cluster is the + 1 in j; _side drops the column after c
+            sides = [_side(tab[w][:, :, c : c + 2], M[w], inside[w][c : c + 1])[..., 0]
+                     for w in kids]
+            val, parts = split(sides, j - 1, t)
+            val = combine(base(u)[[c]], val)
+        if val[0] != tab[u][j, t, c]:
             raise InternalCheckFailed(f"DP state {(u, j, t, c)} does not recompute to its value")
-        for w, jw, tw, cw in states:
-            stack.append((w, jw, tw, subtree_center(w, jw, tw) if cw is None else cw))
+        for w, side, (i, s) in zip(kids, sides, parts):
+            if c != OUT and i + 1 < K and tab[w][i + 1, s, c] == side[i, s]:
+                stack.append((w, i + 1, s, c))
+            else:
+                stack.append((w, i, s, subtree_center(w, i, s)))
 
     centers = tuple(sorted({a for a in assignment if a != OUTLIER}))
     if len(centers) != k:
-        raise Infeasible(f"reconstruction produced {len(centers)} clusters, expected {k}")
+        raise InternalCheckFailed(f"reconstruction produced {len(centers)} clusters, expected {k}")
     index = {c: i for i, c in enumerate(centers)}
     final = tuple(OUTLIER if a == OUTLIER else index[a] for a in assignment)
     clus = Clustering(final, centers)

@@ -3,12 +3,14 @@ closure, the metric check, component recovery, the loader's matrix parse,
 Kruskal's spanning tree, the objective's term matrix and the MST-DP's forward
 pass: one Python loop per center set and per matrix entry, the arithmetic of
 the vectorized code in the package done one number at a time (the DP
-reference one table row at a time). Tests compare the package against them for
-equality, bit for bit on floats."""
+reference one table row at a time, and its reconstruction one join/separate
+case at a time). Tests compare the package against them for equality, bit for
+bit on floats."""
 
 from __future__ import annotations
 
 import math
+import operator
 from itertools import chain, combinations
 
 import numpy as np
@@ -21,6 +23,7 @@ from resilient_cluster import (
     InternalCheckFailed,
     InvalidPerturbation,
     OracleResult,
+    cost,
 )
 from resilient_cluster.core import (
     DiagonalViolation,
@@ -391,3 +394,104 @@ def forward_four_cases(btree, base, K, T, combine, dtype):
         M[u] = cur[:, :, cols].min(axis=2, keepdims=True)
         inside[u] = mask
     return tab, M, inside
+
+
+def solve_btp_four_cases(inst, btree, obj):
+    """The MST-DP with :func:`forward_four_cases` and a reconstruction that
+    walks each visited state's cases in order, following the first candidate
+    that attains the minimum: a one-child node tries joining, then separating;
+    a two-child node both separate, right joins, left joins, both join, each
+    over (left clusters, left outliers) ascending; an outlier state has its
+    children separate. The same checks as ``mstdp.solve_btp``."""
+    INF = math.inf
+    n_real = btree.n_real
+    OUT = n_real
+    k, z = inst.k, inst.z
+    K, T = k + 1, z + 1
+    E, exact = term_matrix(inst, obj)
+    zero = np.zeros(n_real, dtype=E.dtype)
+    summing = obj.aggregate == "sum"
+    combine = np.add if summing else np.maximum
+    combine_entry = operator.add if summing else max
+
+    def base(u):
+        return E[:, u] if u < n_real else zero
+
+    tab, M, inside = forward_four_cases(btree, base, K, T, combine, E.dtype)
+    root_cells = tab[btree.root][k]
+    flat = int(np.argmin(root_cells))
+    best_val = root_cells.flat[flat]
+    if not best_val < INF:
+        raise ValueError("no feasible partition")
+
+    def subtree_center(w, j, t):
+        row, val = tab[w][j, t], M[w][j, t, 0]
+        if row[OUT] == val:
+            return OUT
+        return int(np.flatnonzero(inside[w] & (row[:OUT] == val))[0])
+
+    def candidates(u, j, t, c):
+        kids = btree.children(u)
+        if c == OUT:
+            t -= 1 if u < n_real else 0
+            if len(kids) == 1:
+                (w,) = kids
+                yield M[w][j, t, 0], ((w, j, t, None),)
+                return
+            cases = ((False, False, 0, None),)
+        elif len(kids) == 1:
+            (w,) = kids
+            yield tab[w][j, t, c], ((w, j, t, c),)
+            if not inside[w][c]:
+                yield M[w][j - 1, t, 0], ((w, j - 1, t, None),)
+            return
+        else:
+            in_l, in_r = inside[kids[0]], inside[kids[1]]
+            cases = (
+                (False, False, -1, in_l | in_r),
+                (False, True, 0, in_l),
+                (True, False, 0, in_r),
+                (True, True, 1, None),
+            )
+        l, r = kids
+        for l_joins, r_joins, shift, excluded in cases:
+            if excluded is not None and excluded[c]:
+                continue
+            for jl in range(K):
+                jr = j + shift - jl
+                if not 0 <= jr < K:
+                    continue
+                for tl in range(t + 1):
+                    sl = (l, jl, tl, c if l_joins else None)
+                    sr = (r, jr, t - tl, c if r_joins else None)
+                    a = tab[l][jl, tl, c] if l_joins else M[l][jl, tl, 0]
+                    b = tab[r][jr, t - tl, c] if r_joins else M[r][jr, t - tl, 0]
+                    yield combine_entry(a, b), (sl, sr)
+
+    assignment = [OUTLIER] * inst.n
+    t_root, c_root = divmod(flat, n_real + 1)
+    stack = [(btree.root, k, t_root, c_root)]
+    while stack:
+        u, j, t, c = stack.pop()
+        if u < n_real and c != OUT:
+            assignment[u] = c
+        if not btree.children(u):
+            continue
+        val, states = min(candidates(u, j, t, c), key=lambda vc: vc[0])
+        if c != OUT:
+            val = combine_entry(base(u)[c], val)
+        if val != tab[u][j, t, c]:
+            raise InternalCheckFailed(f"DP state {(u, j, t, c)} does not recompute to its value")
+        for w, jw, tw, cw in states:
+            stack.append((w, jw, tw, subtree_center(w, jw, tw) if cw is None else cw))
+
+    centers = tuple(sorted({a for a in assignment if a != OUTLIER}))
+    if len(centers) != k:
+        raise InternalCheckFailed(f"reconstruction produced {len(centers)} clusters")
+    index = {c: i for i, c in enumerate(centers)}
+    clus = Clustering(tuple(OUTLIER if a == OUTLIER else index[a] for a in assignment), centers)
+    achieved = cost(inst, clus, obj)
+    ok = achieved == best_val if exact else math.isclose(achieved, best_val, rel_tol=1e-9, abs_tol=1e-9)
+    if not ok:
+        raise InternalCheckFailed(f"DP optimum {best_val} but its clustering costs {achieved}")
+    return clus

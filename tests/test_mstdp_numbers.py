@@ -1,7 +1,9 @@
 """The vectorized MST-DP: number types, its internal check, scale and relabelling."""
 
+import math
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -22,6 +24,7 @@ from resilient_cluster import (
     GeneratorConfig,
     Instance,
     InternalCheckFailed,
+    brute_force,
     cost,
     generate,
     lp_norm,
@@ -31,7 +34,7 @@ from resilient_cluster import (
 from resilient_cluster.core import number_type, term_matrix
 
 import scalar_reference as reference
-from conftest import random_metric_instance
+from conftest import line_instance, random_metric_instance
 
 OBJECTIVES = (KMEDIAN, KMEANS, KCENTER, lp_norm(3))
 
@@ -132,6 +135,47 @@ def test_corrupted_cost_raises_under_python_O():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_state_that_does_not_recompute_raises_internal_check_failed():
+    # the root's optimal entry lowered below what its children give
+    inst, _ = planted_outlier(16, 2, 2, 3)
+    real_forward = mstdp._forward
+    seen = {}
+
+    def lowered(btree, base, K, T, combine, dtype):
+        tab, M, inside = real_forward(btree, base, K, T, combine, dtype)
+        cells = tab[btree.root][K - 1]
+        flat = int(np.argmin(cells))
+        cells.flat[flat] -= 1
+        seen["state"] = (btree.root, K - 1, *divmod(flat, btree.n_real + 1))
+        return tab, M, inside
+
+    with mock.patch.object(mstdp, "_forward", lowered):
+        with pytest.raises(InternalCheckFailed, match="does not recompute") as err:
+            solve_outlier_clustering(inst, KMEDIAN)
+    assert f"DP state {seen['state']} " in str(err.value)
+
+
+def test_wrong_cluster_count_raises_internal_check_failed():
+    # a leaf's entry for joining its parent's cluster with one more cluster
+    # below it set to the leaf's own singleton cluster's cost: every side the
+    # parent reads keeps its value, so each visited state recomputes, but the
+    # leaf at 10 now joins the cluster of 0 and 1 instead of closing its own
+    inst = line_instance([0, 1, 10], k=2)
+    real_forward = mstdp._forward
+
+    def tampered(btree, base, K, T, combine, dtype):
+        tab, M, inside = real_forward(btree, base, K, T, combine, dtype)
+        for w in range(btree.n_real):
+            if not btree.children(w):
+                row = tab[w][2, 0, : btree.n_real]
+                row[~inside[w]] = M[w][1, 0, 0]
+        return tab, M, inside
+
+    with mock.patch.object(mstdp, "_forward", tampered):
+        with pytest.raises(InternalCheckFailed, match=re.escape("produced 1 clusters, expected 2")):
+            solve_outlier_clustering(inst, KMEDIAN)
+
+
 def relabelled(inst, clus, perm):
     """perm[u] is the new label of point u."""
     n = inst.n
@@ -208,10 +252,21 @@ def forward_tables(forward, inst, obj):
 def test_folded_forward_pass_matches_the_four_case_reference(seed, encoding, obj):
     inst = tied_outlier_instance(random.Random(seed), encoding)
     got = solve_outlier_clustering(inst, obj)
-    with mock.patch.object(mstdp, "_forward", reference.forward_four_cases):
-        want = solve_outlier_clustering(inst, obj)
-    assert (got.assignment, got.centers) == (want.assignment, want.centers)
-    assert cost(inst, got, obj) == cost(inst, want, obj)
+    btree = mstdp.binarize(mstdp.build_mst(inst), inst)
+    want = reference.solve_btp_four_cases(inst, btree, obj)
+    # ties may split differently, the optimum may not
+    got_cost, want_cost = cost(inst, got, obj), cost(inst, want, obj)
+    if encoding == "float":
+        assert math.isclose(got_cost, want_cost, rel_tol=1e-9, abs_tol=1e-9)
+    else:
+        assert (got_cost, type(got_cost)) == (want_cost, type(want_cost))
+    # a sum objective's optimum assigns every kept point to a nearest center,
+    # so when it reaches the oracle's unique optimum it is that partition (a
+    # k-center optimum may reassign points within the radius, which the
+    # oracle's uniqueness does not count)
+    res = brute_force(inst, obj)
+    if res.unique and obj.aggregate == "sum" and abs(got_cost - res.cost) <= inst.tol:
+        assert got.partition_key() == want.partition_key() == res.best.partition_key()
     # every state of every node, not only the path reconstruction walks
     tab, M, inside = forward_tables(mstdp._forward, inst, obj)
     ref_tab, ref_M, ref_inside = forward_tables(reference.forward_four_cases, inst, obj)
