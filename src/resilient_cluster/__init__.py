@@ -9,7 +9,6 @@ p-th-power objectives.
 
 from .approx import GONZALEZ, HOCHBAUM_SHMOYS, ApproxResult, gonzalez, hochbaum_shmoys, recover_via_2approx
 from .core import (
-    EXACTNESS_CAP,
     KCENTER,
     KMEANS,
     KMEDIAN,

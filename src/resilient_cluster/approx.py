@@ -2,12 +2,17 @@
 
 On 2-perturbation-resilient instances the Voronoi partition of any
 2-approximate center set is the unique optimal clustering, so both algorithms
-here double as exact solvers on resilient inputs.
+here double as exact solvers on resilient inputs. Gonzalez's farthest-first
+order (:class:`FarthestFirst`) is also the order in which the certifier's
+packing greedy takes points.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+
+import numpy as np
 
 from .core import AsymmetricUnsupported, Clustering, Instance, voronoi
 
@@ -29,23 +34,65 @@ def _require_plain_symmetric(inst: Instance) -> None:
         raise ValueError("2-approximations do not handle outliers (z must be 0)")
 
 
+class FarthestFirst:
+    """Gonzalez's farthest-first order of an instance's points, built as far
+    as it is read: point 0, then each time the point farthest from those
+    already listed (ties to the lowest index). An asymmetric pair counts by
+    its shorter direction, since d(u, v) <= R either way makes u and v share
+    an in-neighbour in G_R."""
+
+    def __init__(self, inst: Instance):
+        D = inst._array
+        self._dist = D if inst.symmetric else np.minimum(D, D.T)
+        self._nearest = self._dist[0].copy()
+        self._listed = np.zeros(inst.n, dtype=bool)
+        self._listed[0] = True
+        self._order = np.zeros(inst.n, dtype=np.intp)
+        self._len = 1
+
+    def _append(self) -> int:
+        u = int(np.argmax(self._nearest))
+        if self._listed[u]:
+            # only off a valid metric (a zero or NaN distance)
+            u = int(np.argmin(self._listed))
+        self._listed[u] = True
+        self._order[self._len] = u
+        self._len += 1
+        np.minimum(self._nearest, self._dist[u], out=self._nearest)
+        return u
+
+    def prefix(self, m: int) -> list[int]:
+        """The first m points of the order."""
+        while self._len < m:
+            self._append()
+        return self._order[:m].tolist()
+
+    def first_free(self, blocked: np.ndarray) -> int:
+        """The first point of the order that is not blocked; one must exist."""
+        listed = self._order[: self._len]
+        free = ~blocked[listed]
+        i = int(free.argmax())
+        if free[i]:
+            return int(listed[i])
+        while True:
+            u = self._append()
+            if not blocked[u]:
+                return u
+
+
+def _radius(inst: Instance, centers: list[int]):
+    """The largest distance from a point to its Voronoi center, as the entry
+    of ``inst.dist`` that attains it first (``cost`` would give an int 0 on a
+    float instance with k = n)."""
+    clus = voronoi(inst, centers)
+    return max(inst.dist[clus.center_of(u)][u] for u in inst.points)
+
+
 def gonzalez(inst: Instance) -> ApproxResult:
-    """Farthest-point traversal from point 0 (ties broken by lowest index)."""
+    """The first k points of the farthest-first order (:class:`FarthestFirst`)."""
     _require_plain_symmetric(inst)
-    dist = inst.dist
-    centers = [0]
-    mind = list(dist[0])
-    for _ in range(inst.k - 1):
-        far = 0
-        for u in range(1, inst.n):
-            if mind[u] > mind[far]:
-                far = u
-        centers.append(far)
-        row = dist[far]
-        for u in range(inst.n):
-            if row[u] < mind[u]:
-                mind[u] = row[u]
-    return ApproxResult(tuple(centers), max(mind), GONZALEZ)
+    centers = FarthestFirst(inst).prefix(inst.k)
+    return ApproxResult(tuple(centers), _radius(inst, centers), GONZALEZ)
 
 
 def _greedy_ball_cover(inst: Instance, R) -> list[int]:
@@ -68,22 +115,16 @@ def hochbaum_shmoys(inst: Instance) -> ApproxResult:
     the returned centers are a 2-approximation."""
     _require_plain_symmetric(inst)
     cands = inst.distinct_distances()
-    lo, hi = 0, len(cands) - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if len(_greedy_ball_cover(inst, cands[mid])) <= inst.k:
-            hi = mid
-        else:
-            lo = mid + 1
+    # the first candidate where at most k balls suffice; the largest always does
+    lo = bisect_left(range(len(cands)), True, 0, len(cands) - 1,
+                     key=lambda i: len(_greedy_ball_cover(inst, cands[i])) <= inst.k)
     centers = _greedy_ball_cover(inst, cands[lo])
     for u in range(inst.n):
         if len(centers) == inst.k:
             break
         if u not in centers:
             centers.append(u)
-    dist = inst.dist
-    radius = max(min(dist[c][u] for c in centers) for u in range(inst.n))
-    return ApproxResult(tuple(centers), radius, HOCHBAUM_SHMOYS)
+    return ApproxResult(tuple(centers), _radius(inst, centers), HOCHBAUM_SHMOYS)
 
 
 def recover_via_2approx(inst: Instance, algorithm: str = GONZALEZ) -> Clustering:

@@ -66,6 +66,24 @@ def _parse_row(row) -> tuple:
     return row
 
 
+def _coordinates(points, exact: bool) -> np.ndarray:
+    """Point coordinates as one array: int64 when every coordinate is an
+    integer (Python ints when a distance could leave int64), ``Fraction``s
+    under ``exact``, float64 otherwise."""
+    coords = [[_parse_number(x) for x in row] for row in points]
+    flat = [x for row in coords for x in row]
+    if all(Fraction(x).denominator == 1 for x in flat):
+        coords = [[int(x) for x in row] for row in coords]
+        dim = len(coords[0]) if coords else 0
+        wide = 2 * dim * max(map(abs, flat), default=0) >= 2**63
+        return np.array(coords, dtype=object if wide else np.int64)
+    return np.array(coords, dtype=object if exact else np.float64)
+
+
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
+
+
 def _emit_number(x, exact_out: bool):
     if isinstance(x, bool):
         raise TypeError("unexpected boolean")
@@ -95,9 +113,12 @@ def load_instance_file(
     if not text.strip():
         raise CliError(f"{path}: empty file")
     try:
-        doc = json.loads(text, parse_float=Fraction if exact else float)
+        doc = json.loads(text, parse_float=Fraction if exact else float,
+                         parse_constant=_reject_constant)
     except json.JSONDecodeError as e:
         raise CliError(f"{path}: malformed JSON at line {e.lineno}, column {e.colno}: {e.msg}")
+    except ValueError as e:
+        raise CliError(f"{path}: {e}")
     if not isinstance(doc, dict):
         raise CliError(f"{path}: top-level JSON object expected")
     try:
@@ -116,44 +137,24 @@ def load_instance_file(
                 )
             inst = Instance(dist, k, z, symmetric=bool(symmetric))
         elif "points" in doc:
-            pts = np.asarray(
-                [[float(x) for x in row] for row in doc["points"]], dtype=float
-            )
             metric = doc.get("metric", "euclidean")
-            diff = pts[:, None, :] - pts[None, :, :]
             if metric == "euclidean":
-                mat = np.sqrt((diff**2).sum(axis=2))
-                dist = tuple(tuple(float(x) for x in row) for row in mat)
+                pts = np.array([[float(x) for x in row] for row in doc["points"]])
+                mat = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
             elif metric == "manhattan":
-                if exact or all(
-                    float(x).is_integer() for row in doc["points"] for x in row
-                ):
-                    rows = [
-                        [
-                            sum(
-                                abs(_parse_number(a) - _parse_number(b))
-                                for a, b in zip(p, q)
-                            )
-                            for q in doc["points"]
-                        ]
-                        for p in doc["points"]
-                    ]
-                    rows = [
-                        [int(x) if float(x).is_integer() else x for x in row]
-                        for row in rows
-                    ]
-                    dist = tuple(tuple(row) for row in rows)
-                else:
-                    mat = np.abs(diff).sum(axis=2)
-                    dist = tuple(tuple(float(x) for x in row) for row in mat)
+                pts = _coordinates(doc["points"], exact)
+                mat = np.abs(pts[:, None, :] - pts[None, :, :]).sum(axis=2)
             else:
                 raise ValueError(f"unknown metric {metric!r}")
-            inst = Instance(dist, k, z, symmetric=True)
+            rows = mat.tolist()
+            if mat.dtype == object:
+                rows = [[x.numerator if x.denominator == 1 else x for x in row] for row in rows]
+            inst = Instance(tuple(map(tuple, rows)), k, z, symmetric=True)
         else:
             raise ValueError('either "dist" or "points" is required')
     except CliError:
         raise
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise CliError(f"{path}: {e}")
     started = time.perf_counter()
     violations = validate_metric(inst)
@@ -259,23 +260,8 @@ def cmd_solve(args) -> int:
     elif args.method == "lp":
         if obj.name != "kcenter":
             raise CliError("--method lp solves the kcenter objective only")
-        formulation = args.formulation or _default_formulation(inst)
-        verdict = lp.certify(inst, formulation)
-        report["formulation"] = formulation
-        report["radius"] = verdict.lp_radius
-        if verdict.kind == lp.OPTIMAL:
-            report["verdict"] = lp.OPTIMAL
-            report["cost"] = cost(inst, verdict.clustering, KCENTER)
-            report["clustering"] = _clustering_doc(verdict.clustering)
-        else:
-            report["verdict"] = lp.NOT_2PR
-            witness = verdict.fractional_witness
-            report["lp"] = {
-                "feasible": witness.feasible,
-                "bound": witness.bound,
-                "y": list(witness.y) if witness.y is not None else None,
-            }
-            code = EXIT_NOT_RESILIENT
+        fields, code = _certify_report(inst, args.formulation)
+        report.update(fields)
     else:
         raise CliError(f"unknown method {args.method!r}")
     # seconds: the solve alone; total: from the start of loading
@@ -285,32 +271,36 @@ def cmd_solve(args) -> int:
     return code
 
 
-def cmd_certify(args) -> int:
-    inst, timing, loaded = _load(args)
-    formulation = args.formulation or _default_formulation(inst)
-    started = time.perf_counter()
+def _certify_report(inst: Instance, formulation: str | None) -> tuple[dict, int]:
+    """The report fields of :func:`lp.certify`'s verdict and the exit code."""
+    formulation = formulation or _default_formulation(inst)
     verdict = lp.certify(inst, formulation)
     report: dict = {"formulation": formulation, "radius": verdict.lp_radius,
                     "route": verdict.route, "packing": None}
     if verdict.packing is not None:
         report["packing"] = {"radius": verdict.packing.radius,
                              "points": list(verdict.packing.points)}
-    code = EXIT_OK
     if verdict.kind == lp.OPTIMAL:
         report["verdict"] = lp.OPTIMAL
         report["cost"] = cost(inst, verdict.clustering, KCENTER)
         report["clustering"] = _clustering_doc(verdict.clustering)
         _self_consistent(inst, verdict.clustering, KCENTER, report["cost"])
-    else:
-        report["verdict"] = lp.NOT_2PR
-        witness = verdict.fractional_witness
-        report["lp"] = {
-            "feasible": witness.feasible,
-            "integral": witness.integral,
-            "bound": witness.bound,
-            "y": list(witness.y) if witness.y is not None else None,
-        }
-        code = EXIT_NOT_RESILIENT
+        return report, EXIT_OK
+    report["verdict"] = lp.NOT_2PR
+    witness = verdict.fractional_witness
+    report["lp"] = {
+        "feasible": witness.feasible,
+        "integral": witness.integral,
+        "bound": witness.bound,
+        "y": list(witness.y) if witness.y is not None else None,
+    }
+    return report, EXIT_NOT_RESILIENT
+
+
+def cmd_certify(args) -> int:
+    inst, timing, loaded = _load(args)
+    started = time.perf_counter()
+    report, code = _certify_report(inst, args.formulation)
     if args.falsify:
         try:
             fr = perturb.falsify_resilience(inst, KCENTER)

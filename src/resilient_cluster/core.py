@@ -20,9 +20,6 @@ import numpy as np
 OUTLIER = -1
 
 FLOAT_TOL = 1e-9
-# Rational inputs larger than this are demoted to floats; exact pivoting on
-# big instances is not worth the cost.
-EXACTNESS_CAP = 256
 
 
 class ClusteringInvalid(ValueError):
@@ -184,7 +181,7 @@ class Instance:
             rows = tuple([tuple([int(x) if isinstance(x, np.integer) else x for x in row])
                           for row in rows])
             kinds = {int if issubclass(t, np.integer) else t for t in kinds}
-        exact = n <= EXACTNESS_CAP and all(map(_is_exact_type, kinds))
+        exact = all(map(_is_exact_type, kinds))
         if not exact and kinds != {float}:
             rows = tuple([tuple(map(float, row)) for row in rows])
         object.__setattr__(self, "dist", rows)
@@ -473,17 +470,10 @@ def voronoi(inst: Instance, centers: Sequence[int], outliers: Iterable[int] = ()
             raise ValueError(f"center {c} is not a point")
         if c in outset:
             raise ValueError(f"center {c} marked as outlier")
-    dist = inst.dist
-    assignment = []
-    for u in range(inst.n):
-        if u in outset:
-            assignment.append(OUTLIER)
-            continue
-        best_i = 0
-        best_d = dist[centers[0]][u]
-        for i in range(1, len(centers)):
-            d = dist[centers[i]][u]
-            if d < best_d:
-                best_i, best_d = i, d
-        assignment.append(best_i)
+    # argmin takes the first minimum of each column: the first listed center
+    assignment = inst._array[list(centers)].argmin(axis=0).tolist()
+    for u in outset:
+        if not 0 <= u < inst.n:
+            raise ValueError(f"outlier {u} is not a point")
+        assignment[u] = OUTLIER
     return Clustering(tuple(assignment), centers)

@@ -48,12 +48,14 @@ pivoting left.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
 
+from .approx import FarthestFirst
 from .core import (
     KCENTER,
     AsymmetricUnsupported,
@@ -434,12 +436,8 @@ def min_feasible_radius(inst: Instance, formulation: str) -> tuple[object, LpOut
     arithmetic = "float"
     lo, hi = 0, len(cands) - 1
     while True:
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if probe(mid, arithmetic).feasible:
-                hi = mid
-            else:
-                lo = mid + 1
+        lo = bisect_left(range(len(cands)), True, lo, hi,
+                         key=lambda i: probe(i, arithmetic).feasible)
         # lo was probed feasible, or it is the largest distance, where every
         # relaxation is feasible
         outcome = probe(lo, arithmetic)
@@ -554,43 +552,7 @@ def extract_integral(inst: Instance, outcome: LpOutcome) -> Clustering | None:
 # the packing route: OPTIMAL with no LP
 
 
-class _FarthestFirst:
-    """The farthest-first order of an instance's points, built as far as it
-    is read: point 0, then each time the point farthest from those already
-    listed (ties to the lowest index). An asymmetric pair counts by its
-    shorter direction, since d(u, v) <= R either way makes u and v share an
-    in-neighbour in G_R."""
-
-    def __init__(self, inst: Instance):
-        D = inst._array
-        self._dist = D if inst.symmetric else np.minimum(D, D.T)
-        self._nearest = self._dist[0].copy()
-        self._listed = np.zeros(inst.n, dtype=bool)
-        self._listed[0] = True
-        self._order = np.zeros(inst.n, dtype=np.intp)
-        self._len = 1
-
-    def first_free(self, blocked: np.ndarray) -> int:
-        """The first point of the order that is not blocked; one must exist."""
-        listed = self._order[: self._len]
-        free = ~blocked[listed]
-        i = int(free.argmax())
-        if free[i]:
-            return int(listed[i])
-        while True:
-            u = int(np.argmax(self._nearest))
-            if self._listed[u]:
-                # only off a valid metric (a zero or NaN distance)
-                u = int(np.argmin(self._listed))
-            self._listed[u] = True
-            self._order[self._len] = u
-            self._len += 1
-            np.minimum(self._nearest, self._dist[u], out=self._nearest)
-            if not blocked[u]:
-                return u
-
-
-def _greedy_packing(G: np.ndarray, order: _FarthestFirst, size: int) -> list[int] | None:
+def _greedy_packing(G: np.ndarray, order: FarthestFirst, size: int) -> list[int] | None:
     """``size`` points with pairwise disjoint in-neighbourhoods in G, taken
     greedily in ``order``, or None when too few points are left. After each
     pick u, every point that shares an in-neighbour with u is blocked."""
@@ -630,24 +592,27 @@ def _packing_route(inst: Instance, formulation: str) -> CertifierVerdict | None:
     """
     cands = inst.distinct_distances()
     size = inst.k + 1 + (inst.z if formulation == KCO else 0)
-    order = _FarthestFirst(inst)
-    # the greedy succeeds at lo and fails at hi; at the largest distance G is
-    # complete and no two points pack
-    lo, hi, found = -1, len(cands) - 1, None
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        G = _threshold_matrix(inst, cands[mid])
+    order = FarthestFirst(inst)
+    found = None
+
+    def misses(i: int) -> bool:
+        nonlocal found
+        G = _threshold_matrix(inst, cands[i])
         points = _greedy_packing(G, order, size)
-        if points is None:
-            hi = mid
-        else:
-            lo, found = mid, (G, points)
-    if found is None or _packing_reason(inst, *found, formulation) is not None:
+        if points is not None:
+            found = G, points
+        return points is None
+
+    # the first candidate where the greedy misses; at the largest distance G
+    # is complete and no two points pack. The last hit recorded is the one
+    # just below it.
+    hi = bisect_left(range(len(cands)), True, 0, len(cands) - 1, key=misses)
+    if hi == 0 or _packing_reason(inst, *found, formulation) is not None:
         return None
     clus = _component_clustering(inst, _threshold_matrix(inst, cands[hi]), formulation)
     if clus is None:
         return None
-    packing = Packing(cands[lo], tuple(sorted(found[1])))
+    packing = Packing(cands[hi - 1], tuple(sorted(found[1])))
     return CertifierVerdict(OPTIMAL, clus, cands[hi], None, PACKING, packing)
 
 

@@ -12,8 +12,8 @@ nearest center for all m sets (the k center columns are scanned with a strict
 distances the lowest point is dropped first), and aggregates the objective
 terms: the maximum, or a sum taken point by point in index order. A first pass
 keeps the best value by the rule ``value < best - tol``; a second pass builds
-clusterings, with ties going to the lowest center index as in
-:func:`core.voronoi`, only for the sets whose value is within tol of it.
+clusterings with :func:`core.voronoi` (ties to the lowest center index) only
+for the sets whose value is within tol of it.
 
 Memory: a handful of ``(m, n)`` arrays, so at most a few times
 ``BLOCK_CELLS`` numbers whatever the number of center sets (up to the work
@@ -38,7 +38,7 @@ from math import comb
 
 import numpy as np
 
-from .core import KCENTER, OUTLIER, Clustering, Instance, Objective, term_matrix
+from .core import KCENTER, Clustering, Instance, Objective, term_matrix, voronoi
 
 DEFAULT_WORK_CAP = 10_000_000
 # cells of one (center sets x points) array in a block
@@ -130,36 +130,30 @@ def _python_number(value, E: np.ndarray, exact: bool):
     return int(value) if exact else float(value)
 
 
-def _build(centers, amin: list, picked) -> Clustering:
-    # a list, not a generator, for the reason given in Instance.__post_init__
-    assignment = list(amin)
-    for u in picked:
-        assignment[u] = OUTLIER
-    return Clustering(tuple(assignment), centers)
-
-
-def _solutions(inst: Instance, centers: tuple, dmin: np.ndarray, ranked: list):
+def _solutions(inst: Instance, centers: tuple, dmin: np.ndarray, ranked: list, within):
     """The best clustering with these centers, then alternatives at the same
     cost: swapping the last dropped point for the first kept one when their
-    distances tie, and the first kept non-center point with two centers at
-    its distance moved to the second of them."""
-    z, tol = inst.z, inst.tol
-    rows = inst._array[list(centers)]
+    distances tie, and the first kept non-center point that ``within`` (a
+    (k, n) boolean array over the centers) allows at a center other than its
+    Voronoi one, moved to the first such center. Sum objectives allow a
+    point only its nearest centers, max objectives every center whose term
+    stays within the optimum."""
+    z = inst.z
     picked = ranked[:z]
-    # the first minimum in each column is the lowest center position
-    amin = rows.argmin(axis=0).tolist()
-    clus = _build(centers, amin, picked)
+    clus = voronoi(inst, centers, picked)
     yield clus
-    if z and abs(dmin[ranked[z]] - dmin[ranked[z - 1]]) <= tol:
-        yield _build(centers, amin, ranked[: z - 1] + [ranked[z]])
-    near = np.abs(rows - dmin) <= tol
-    tied = near.sum(axis=0) >= 2
-    tied[picked] = False
-    tied[list(centers)] = False
-    if tied.any():
-        u = int(tied.argmax())
+    if z and abs(dmin[ranked[z]] - dmin[ranked[z - 1]]) <= inst.tol:
+        yield voronoi(inst, centers, ranked[: z - 1] + [ranked[z]])
+    # a kept point's Voronoi center is always within
+    movable = within.sum(axis=0) >= 2
+    movable[picked] = False
+    movable[list(centers)] = False
+    if movable.any():
+        u = int(movable.argmax())
         alt_assignment = list(clus.assignment)
-        alt_assignment[u] = int(np.flatnonzero(near[:, u])[1])
+        others = np.flatnonzero(within[:, u]).tolist()
+        others.remove(alt_assignment[u])
+        alt_assignment[u] = others[0]
         yield Clustering(tuple(alt_assignment), centers)
 
 
@@ -168,7 +162,8 @@ def brute_force(inst: Instance, obj: Objective, work_cap: int = DEFAULT_WORK_CAP
 
     Uniqueness is judged on induced partitions plus outlier sets, not on center
     identities; Voronoi ties and outlier-choice ties both count as alternative
-    optimal solutions.
+    optimal solutions, and under a max objective so does a kept point that a
+    second center serves within the optimum.
     """
     n, k, z = inst.n, inst.k, inst.z
     if _enumeration_work(n, k, z) > work_cap:
@@ -196,7 +191,12 @@ def brute_force(inst: Instance, obj: Objective, work_cap: int = DEFAULT_WORK_CAP
     for C, (values, dmin, ranked) in evaluated:
         for j in np.flatnonzero(np.abs(values - best_value) <= tol).tolist():
             order = ranked[j].tolist() if z else []
-            for clus in _solutions(inst, tuple(C[j].tolist()), dmin[j], order):
+            centers = C[j].tolist()
+            if obj.aggregate == "max":
+                within = E[centers] <= best_value + tol
+            else:
+                within = np.abs(D[centers] - dmin[j]) <= tol
+            for clus in _solutions(inst, tuple(centers), dmin[j], order, within):
                 key = clus.partition_key()
                 if key in seen_keys:
                     continue

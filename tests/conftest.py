@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -63,6 +64,28 @@ def random_metric_instance(rng: random.Random, n, k, z=0, high=60) -> Instance:
 def random_directed_metric_instance(rng: random.Random, n, k, z=0, high=60) -> Instance:
     raw = [[0 if u == v else rng.randint(1, high) for v in range(n)] for u in range(n)]
     return Instance(_closure(raw), k, z, symmetric=False)
+
+
+def encoded_metric(rng, n, k, z, encoding, directed=False):
+    """Closure of small random weights as ints, Fractions or floats; the
+    small range leaves many ties, which float rounding may or may not break."""
+
+    def weight():
+        x = rng.randint(1, 12)
+        if encoding == "fraction":
+            return Fraction(x, rng.randint(1, 4))
+        if encoding == "float":
+            return x / 3 if rng.random() < 0.5 else rng.uniform(1, 12)
+        return x
+
+    raw = [[0] * n for _ in range(n)]
+    for u in range(n):
+        for v in range(n):
+            if u < v or (directed and u != v):
+                raw[u][v] = weight()
+                if not directed:
+                    raw[v][u] = raw[u][v]
+    return Instance(_closure(raw), k, z, symmetric=not directed)
 
 
 @pytest.fixture

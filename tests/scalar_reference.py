@@ -1,11 +1,12 @@
 """Scalar reference versions of the brute-force oracle, the perturbation
-closure, the metric check, component recovery, the loader's matrix parse,
-Kruskal's spanning tree, the objective's term matrix and the MST-DP's forward
-pass: one Python loop per center set and per matrix entry, the arithmetic of
-the vectorized code in the package done one number at a time (the DP
-reference one table row at a time, and its reconstruction one join/separate
-case at a time). Tests compare the package against them for equality, bit for
-bit on floats."""
+closure, the metric check, Voronoi assignment, Gonzalez's and Hochbaum and
+Shmoys' 2-approximations, component recovery, the loader's matrix parse and
+Manhattan distances, Kruskal's spanning tree, the objective's term matrix and
+the MST-DP's forward pass: one Python loop per center set and per matrix
+entry, the arithmetic of the vectorized code in the package done one number
+at a time (the DP reference one table row at a time, and its reconstruction
+one join/separate case at a time). Tests compare the package against them for
+equality, bit for bit on floats."""
 
 from __future__ import annotations
 
@@ -31,7 +32,6 @@ from resilient_cluster.core import (
     SymmetryViolation,
     TriangleViolation,
     number_type,
-    voronoi,
 )
 
 
@@ -124,19 +124,23 @@ def brute_force(inst, obj):
                 seen_keys.add(alt.partition_key())
                 witness = alt
         if witness is None:
-            # a kept point equidistant to two centers is an alternative partition
+            # a kept point that a second center serves at the same cost is an
+            # alternative partition: equidistant (sum), or within the optimum
+            # (max)
             dropped = frozenset(picked)
             for u in range(n):
                 if u in dropped or u in centers:
                     continue
-                ties = [
-                    i
-                    for i, c in enumerate(centers)
-                    if _close(inst.dist[c][u], dmin[u], tol)
-                ]
-                if len(ties) >= 2:
+                if obj.aggregate == "max":
+                    serving = [i for i, c in enumerate(centers)
+                               if obj.term(inst.dist[c][u]) <= best_value + tol]
+                else:
+                    serving = [i for i, c in enumerate(centers)
+                               if _close(inst.dist[c][u], dmin[u], tol)]
+                others = [i for i in serving if i != amin[u]]
+                if others:
                     alt_assignment = list(clus.assignment)
-                    alt_assignment[u] = ties[1]
+                    alt_assignment[u] = others[0]
                     alt = Clustering(tuple(alt_assignment), centers)
                     if alt.partition_key() not in seen_keys:
                         seen_keys.add(alt.partition_key())
@@ -230,6 +234,94 @@ def parse_matrix(dist):
     from resilient_cluster.cli import _parse_number
 
     return tuple(tuple(_parse_number(x) for x in row) for row in dist)
+
+
+def voronoi(inst, centers, outliers=()):
+    """Every non-outlier to its nearest center, scanning the centers in order
+    with a strict ``<`` (ties: the first listed center)."""
+    centers = tuple(centers)
+    outset = frozenset(outliers)
+    dist = inst.dist
+    assignment = []
+    for u in range(inst.n):
+        if u in outset:
+            assignment.append(OUTLIER)
+            continue
+        best_i = 0
+        best_d = dist[centers[0]][u]
+        for i in range(1, len(centers)):
+            d = dist[centers[i]][u]
+            if d < best_d:
+                best_i, best_d = i, d
+        assignment.append(best_i)
+    return Clustering(tuple(assignment), centers)
+
+
+def gonzalez(inst):
+    """(centers, radius): farthest-point traversal from point 0, the farthest
+    point found by a strict ``>`` scan (ties: lowest index)."""
+    dist = inst.dist
+    centers = [0]
+    mind = list(dist[0])
+    for _ in range(inst.k - 1):
+        far = 0
+        for u in range(1, inst.n):
+            if mind[u] > mind[far]:
+                far = u
+        centers.append(far)
+        row = dist[far]
+        for u in range(inst.n):
+            if row[u] < mind[u]:
+                mind[u] = row[u]
+    return tuple(centers), max(mind)
+
+
+def hochbaum_shmoys(inst):
+    """(centers, radius): a hand-written binary search for the first
+    candidate where greedy 2R-balls from the lowest uncovered point need at
+    most k centers, padded with the lowest other points."""
+
+    def ball_cover(R):
+        uncovered = set(range(inst.n))
+        centers = []
+        while uncovered:
+            p = min(uncovered)
+            centers.append(p)
+            uncovered = {u for u in uncovered if inst.dist[p][u] > 2 * R + inst.tol}
+        return centers
+
+    cands = inst.distinct_distances()
+    lo, hi = 0, len(cands) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if len(ball_cover(cands[mid])) <= inst.k:
+            hi = mid
+        else:
+            lo = mid + 1
+    centers = ball_cover(cands[lo])
+    for u in range(inst.n):
+        if len(centers) == inst.k:
+            break
+        if u not in centers:
+            centers.append(u)
+    radius = max(min(inst.dist[c][u] for c in centers) for u in range(inst.n))
+    return tuple(centers), radius
+
+
+def manhattan(points, exact):
+    """The loader's L1 matrix, entry by entry: exact sums of the parsed
+    coordinates when ``exact`` or when every coordinate is integer-valued
+    (integral entries as int), else float64 sums over numpy."""
+    from resilient_cluster.cli import _parse_number
+
+    if exact or all(float(x).is_integer() for row in points for x in row):
+        rows = [[sum(abs(_parse_number(a) - _parse_number(b)) for a, b in zip(p, q))
+                 for q in points] for p in points]
+        return tuple(tuple(int(x) if float(x).is_integer() else x for x in row)
+                     for row in rows)
+    pts = np.asarray([[float(x) for x in row] for row in points], dtype=float)
+    mat = np.abs(pts[:, None, :] - pts[None, :, :]).sum(axis=2)
+    return tuple(tuple(float(x) for x in row) for row in mat)
 
 
 def component_clustering(inst, R, formulation):

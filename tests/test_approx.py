@@ -3,6 +3,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import scalar_reference as reference
 
 from resilient_cluster import (
     GONZALEZ,
@@ -19,7 +23,7 @@ from resilient_cluster import (
     recover_via_2approx,
 )
 
-from conftest import line_instance, random_metric_instance, uniform_instance
+from conftest import encoded_metric, line_instance, random_metric_instance, uniform_instance
 
 
 def test_gonzalez_all_points_zero_radius():
@@ -107,3 +111,19 @@ def test_recovered_clusters_separated_beyond_radius():
             for v in range(inst.n):
                 if u != v and clus.assignment[u] != clus.assignment[v]:
                     assert inst.dist[u][v] > radius
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    n=st.integers(1, 10),
+    encoding=st.sampled_from(("int", "fraction", "float")),
+)
+def test_two_approximations_match_the_scalar_reference(seed, n, encoding):
+    rng = random.Random(seed)
+    inst = encoded_metric(rng, n, rng.randint(1, n), 0, encoding)
+    for fn, ref in ((gonzalez, reference.gonzalez), (hochbaum_shmoys, reference.hochbaum_shmoys)):
+        got = fn(inst)
+        centers, radius = ref(inst)
+        assert got.centers == centers
+        assert (got.radius, type(got.radius)) == (radius, type(radius))

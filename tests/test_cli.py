@@ -5,6 +5,8 @@ import os
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import scalar_reference as reference
 from resilient_cluster import KMEDIAN, Instance, cost
@@ -235,6 +237,65 @@ def test_points_manhattan_integer_input_stays_exact(tmp_path, capsys):
     assert json.loads(out)["verdict"] == "OPTIMAL"
 
 
+COORDINATES = {
+    "int": st.integers(-50, 50),
+    # written as "p/q" strings, which only --exact reads as numbers
+    "fraction": st.fractions(-50, 50, max_denominator=12).map(str),
+    # some integral, so that a file may hold only integer-valued floats
+    "float": st.one_of(st.integers(-50, 50).map(float),
+                       st.floats(-50, 50, allow_nan=False).map(lambda x: round(x, 3))),
+}
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    data=st.data(),
+    kind=st.sampled_from(tuple(COORDINATES)),
+    exact=st.booleans(),
+    dim=st.integers(1, 3),
+)
+def test_manhattan_matches_the_scalar_reference(tmp_path, data, kind, exact, dim):
+    exact = exact or kind == "fraction"
+    points = data.draw(st.lists(st.tuples(*[COORDINATES[kind]] * dim),
+                                min_size=1, max_size=7, unique=True))
+    path = tmp_path / "pts.json"
+    text = json.dumps({"points": points, "metric": "manhattan", "k": 1})
+    path.write_text(text)
+    parsed = json.loads(text, parse_float=Fraction if exact else float)["points"]
+    want = reference.manhattan(parsed, exact)
+    got = load_instance_file(str(path), exact)[0].dist
+    assert [[(type(x), x) for x in row] for row in got] == \
+        [[(type(x), x) for x in row] for row in want]
+
+
+def test_manhattan_keeps_ints_beyond_int64_exact(tmp_path):
+    path = tmp_path / "pts.json"
+    path.write_text(json.dumps({"points": [[0], [2**62], [-(2**62) - 1]],
+                                "metric": "manhattan", "k": 1}))
+    inst, _ = load_instance_file(str(path), exact=False)
+    assert inst.dist == ((0, 2**62, 2**62 + 1), (2**62, 0, 2**63 + 1), (2**62 + 1, 2**63 + 1, 0))
+    assert all(type(x) is int for row in inst.dist for x in row)
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"k": 1, "symmetric": true, "dist": [[0, NaN, 2], [NaN, 0, 3], [2, 3, 0]]}',
+     "NaN is not a JSON number"),
+    ('{"k": 1, "metric": "manhattan", "points": [[0, 1], [Infinity, 2]]}',
+     "Infinity is not a JSON number"),
+    ('{"k": 1, "points": [[0, -Infinity], [1, 2]]}', "-Infinity is not a JSON number"),
+    # a literal that float() overflows to infinity
+    ('{"k": 1, "metric": "manhattan", "points": [[0], [1e999]]}', "Infinity"),
+], ids=["nan-dist", "infinity-points", "minus-infinity-points", "overflow-points"])
+def test_non_finite_numbers_are_rejected(tmp_path, capsys, text, message):
+    path = tmp_path / "nan.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "certify", "--input", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {path}: ")
+    assert message in err
+
+
 def test_exact_mode_roundtrips_rationals(tmp_path, capsys):
     path = tmp_path / "frac.json"
     dist = [["0", "3/2"], ["3/2", "0"]]
@@ -295,6 +356,25 @@ def test_solve_lp_not_resilient_exit_3(tmp_path, capsys):
     report = json.loads(out)
     assert report["verdict"] == "NOT_2PR"
     assert report["lp"]["y"] is not None
+
+
+@pytest.mark.parametrize("instance", ["planted", "gap"])
+def test_solve_lp_reports_what_certify_reports(tmp_path, capsys, instance):
+    path = tmp_path / "inst.json"
+    if instance == "planted":
+        run(capsys, "generate", "--n", "12", "--k", "3", "--seed", "1", "--out", str(path))
+    else:
+        path.write_text(json.dumps(_gap_instance_doc()))
+    solve_code, solve_out, _ = run(capsys, "solve", "--input", str(path), "--method", "lp")
+    certify_code, certify_out, _ = run(capsys, "certify", "--input", str(path))
+    solved, certified = json.loads(solve_out), json.loads(certify_out)
+    assert solve_code == certify_code == (0 if instance == "planted" else 3)
+    assert (solved.pop("method"), solved.pop("objective")) == ("lp", "kcenter")
+    del solved["timing"], certified["timing"]
+    assert solved == certified
+    assert {"route", "packing"} <= set(solved)
+    if instance == "gap":
+        assert "integral" in solved["lp"]
 
 
 def test_solve_mstdp_outliers(tmp_path, capsys):

@@ -34,7 +34,7 @@ from resilient_cluster.core import (
 )
 
 import scalar_reference as reference
-from conftest import _closure, line_instance, random_metric_instance, uniform_instance
+from conftest import _closure, encoded_metric, line_instance, random_metric_instance, uniform_instance
 
 
 def test_instance_parameter_validation():
@@ -78,14 +78,15 @@ def test_exactness_rule_on_entry_types(entry, exact):
     assert inst.dist[0][1] == entry
 
 
-def test_exactness_cap_demotes_large_rational_instances():
-    from resilient_cluster import core
-
-    n = core.EXACTNESS_CAP + 1
+def test_exactness_follows_entry_types_at_any_size():
+    # 257 points: one more than the size cap that used to demote int
+    # instances to float
+    n = 257
     dist = tuple(tuple(0 if u == v else 1 for v in range(n)) for u in range(n))
     inst = Instance(dist, k=1)
-    assert not inst.exact
-    assert isinstance(inst.dist[0][1], float)
+    assert inst.exact
+    assert all(type(x) is int for row in inst.dist for x in row)
+    assert inst._array.dtype == np.int64
 
 
 def test_validate_metric_uniform_ok():
@@ -411,6 +412,27 @@ def test_voronoi_input_validation(line4):
         voronoi(line4, (0, 9))
     with pytest.raises(ValueError):
         voronoi(line4, (0, 2), outliers={0})
+    with pytest.raises(ValueError):
+        voronoi(line4, (0, 2), outliers={9})
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    n=st.integers(1, 9),
+    encoding=st.sampled_from(("int", "fraction", "float")),
+    directed=st.booleans(),
+    z=st.integers(0, 3),
+)
+def test_voronoi_matches_the_scalar_reference(seed, n, encoding, directed, z):
+    # small weights leave many ties; centers in any order, so that the first
+    # listed center, not the lowest point, must win them
+    rng = random.Random(seed)
+    inst = encoded_metric(rng, n, 1, 0, encoding, directed)
+    centers = rng.sample(range(n), rng.randint(1, n))
+    rest = [u for u in range(n) if u not in centers]
+    outliers = rng.sample(rest, min(z, len(rest)))
+    assert voronoi(inst, centers, outliers) == reference.voronoi(inst, centers, outliers)
 
 
 @settings(max_examples=40, deadline=None)

@@ -230,6 +230,20 @@ def tied_outlier_instance(rng, encoding):
     return encoded(inst, ENCODINGS[encoding])
 
 
+def test_kcenter_point_within_the_radius_of_two_centers_is_a_second_optimum():
+    # points 4 and 12 each have both centers within the optimum 12, so moving
+    # one of them keeps the cost: the oracle once called this optimum unique
+    inst = tied_outlier_instance(random.Random(225), "int")
+    res = brute_force(inst, KCENTER)
+    assert (res.cost, res.unique) == (12, False)
+    assert res == reference.brute_force(inst, KCENTER)
+    for u in (4, 12):
+        assert all(inst.dist[c][u] <= 12 for c in res.best.centers)
+    moved = [u for u in inst.points if res.best.assignment[u] != res.tie_witness.assignment[u]]
+    assert moved == [4]
+    assert cost(inst, res.tie_witness, KCENTER) == 12
+
+
 def forward_tables(forward, inst, obj):
     """The tables ``forward`` fills for ``inst``, set up as solve_btp does."""
     btree = mstdp.binarize(mstdp.build_mst(inst), inst)
@@ -260,12 +274,9 @@ def test_folded_forward_pass_matches_the_four_case_reference(seed, encoding, obj
         assert math.isclose(got_cost, want_cost, rel_tol=1e-9, abs_tol=1e-9)
     else:
         assert (got_cost, type(got_cost)) == (want_cost, type(want_cost))
-    # a sum objective's optimum assigns every kept point to a nearest center,
-    # so when it reaches the oracle's unique optimum it is that partition (a
-    # k-center optimum may reassign points within the radius, which the
-    # oracle's uniqueness does not count)
+    # when the DP reaches the oracle's unique optimum it is that partition
     res = brute_force(inst, obj)
-    if res.unique and obj.aggregate == "sum" and abs(got_cost - res.cost) <= inst.tol:
+    if res.unique and abs(got_cost - res.cost) <= inst.tol:
         assert got.partition_key() == want.partition_key() == res.best.partition_key()
     # every state of every node, not only the path reconstruction walks
     tab, M, inside = forward_tables(mstdp._forward, inst, obj)

@@ -21,7 +21,7 @@ from resilient_cluster import (
     oracle,
 )
 
-from conftest import _closure, line_instance, random_metric_instance, uniform_instance
+from conftest import encoded_metric, line_instance, random_metric_instance, uniform_instance
 
 
 def test_two_points_single_cluster_is_unique():
@@ -111,28 +111,6 @@ def test_oracle_lower_bounds_heuristics(seed):
 # the blockwise oracle against the scalar reference
 
 ORACLE_OBJECTIVES = (KCENTER, KMEDIAN, KMEANS, lp_norm(Fraction(3, 2)))
-
-
-def encoded_metric(rng, n, k, z, encoding, directed=False):
-    """Closure of small random weights as ints, Fractions or floats; the
-    small range leaves many ties, which float rounding may or may not break."""
-
-    def weight():
-        x = rng.randint(1, 12)
-        if encoding == "fraction":
-            return Fraction(x, rng.randint(1, 4))
-        if encoding == "float":
-            return x / 3 if rng.random() < 0.5 else rng.uniform(1, 12)
-        return x
-
-    raw = [[0] * n for _ in range(n)]
-    for u in range(n):
-        for v in range(n):
-            if u < v or (directed and u != v):
-                raw[u][v] = weight()
-                if not directed:
-                    raw[v][u] = raw[u][v]
-    return Instance(_closure(raw), k, z, symmetric=not directed)
 
 
 def same_result(got, want):
