@@ -84,6 +84,13 @@ def _reject_constant(name: str):
     raise ValueError(f"{name} is not a JSON number")
 
 
+def _finite_float(text: str) -> float:
+    x = float(text)
+    if not math.isfinite(x):
+        raise ValueError(f"{text} overflows to {json.dumps(x)} as a float")
+    return x
+
+
 def _emit_number(x, exact_out: bool):
     if isinstance(x, bool):
         raise TypeError("unexpected boolean")
@@ -113,7 +120,7 @@ def load_instance_file(
     if not text.strip():
         raise CliError(f"{path}: empty file")
     try:
-        doc = json.loads(text, parse_float=Fraction if exact else float,
+        doc = json.loads(text, parse_float=Fraction if exact else _finite_float,
                          parse_constant=_reject_constant)
     except json.JSONDecodeError as e:
         raise CliError(f"{path}: malformed JSON at line {e.lineno}, column {e.colno}: {e.msg}")

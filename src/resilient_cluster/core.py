@@ -415,6 +415,17 @@ def validate_metric(inst: Instance) -> list[Violation]:
     return out
 
 
+def _shortest_paths(E: np.ndarray) -> None:
+    """Floyd-Warshall closure of ``E`` in place, one numpy step per midpoint.
+
+    Exact: row w and column w do not change during step w (the diagonal is
+    zero), so each step equals the scalar loop over (u, v) with the same
+    additions and comparisons; on a tie the entry already in ``E`` is kept.
+    """
+    for w in range(E.shape[0]):
+        np.minimum(E, E[:, w : w + 1] + E[w : w + 1, :], out=E)
+
+
 # ---------------------------------------------------------------------------
 # cost and Voronoi assignment
 

@@ -9,6 +9,13 @@ inter-cluster distance is at least sigma * radius while every point sits within
 radius of its hub. All randomness is drawn before sigma is applied, so sweeping
 sigma with a fixed seed varies one knob of the same instance. Distances are
 integers, which keeps generated instances in exact arithmetic.
+
+The matrix is assembled in one step: off the diagonal, d(u, v) is u's spoke
+out to its hub, plus the distance from u's hub to v's hub, plus v's spoke in
+from its hub. A point that is a hub has spokes of length 0, and a hub's
+distance to itself is 0, so one sum covers hub and member points alike. In
+asymmetric mode the outward spokes are drawn apart from the inward ones, and
+the hub distances are the shortest-path closure of jittered line distances.
 """
 
 from __future__ import annotations
@@ -17,8 +24,11 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
-from .core import KCENTER, OUTLIER, Clustering, Instance, Objective, cost
+import numpy as np
+
+from .core import KCENTER, OUTLIER, Clustering, Instance, Objective, _shortest_paths, cost
 
 SYMMETRIC = "symmetric"
 ASYMMETRIC = "asymmetric"
@@ -93,14 +103,9 @@ def generate(cfg: GeneratorConfig) -> tuple[Instance, Clustering]:
     n, k, z, r = cfg.n, cfg.k, cfg.z, cfg.radius
 
     if cfg.mode == NON_RESILIENT:
-        dist = tuple(
-            tuple(0 if u == v else r for v in range(n)) for u in range(n)
-        )
-        inst = Instance(dist, k, 0, symmetric=True)
-        assignment = [0] * n
-        for i in range(k):
-            assignment[i] = i
-        return inst, Clustering(tuple(assignment), tuple(range(k)))
+        dist = [[0 if u == v else r for v in range(n)] for u in range(n)]
+        assignment = list(range(k)) + [0] * (n - k)
+        return Instance(dist, k, 0, symmetric=True), Clustering(assignment, range(k))
 
     min_size = 2 if cfg.mode == OUTLIER_MODE else 1
     sizes = _cluster_sizes(rng, k, n - z, min_size)
@@ -114,184 +119,118 @@ def generate(cfg: GeneratorConfig) -> tuple[Instance, Clustering]:
     ]
 
     base_gap = math.ceil(cfg.sigma * r)
-    pos = [0] * (k + z)
-    for h in range(1, k + z):
-        pos[h] = pos[h - 1] + base_gap + hub_jitter[h]
+    pos = list(accumulate((base_gap + j for j in hub_jitter[1:]), initial=0))
 
-    # roles: hub h < k is the center of cluster h; hubs k..k+z-1 are outliers
-    centers = []
-    members: list[list[int]] = []
-    it = iter(perm)
-    for i in range(k):
-        block = [next(it) for _ in range(sizes[i])]
-        centers.append(block[0])
-        members.append(block)
-    outliers = [next(it) for _ in range(z)]
+    # roles: hub h < k is the center of cluster h; hubs k..k+z-1 are outliers.
+    # perm lists the points hub by hub, each cluster's center first.
+    starts = list(accumulate(sizes, initial=0))
+    members = [perm[a:b] for a, b in zip(starts, starts[1:])]
+    centers = [block[0] for block in members]
+    hub = np.empty(n, dtype=np.intp)
+    hub[perm] = np.repeat(np.arange(k + z), sizes + [1] * z)
 
-    hub_of = {}
-    for i in range(k):
-        for p in members[i]:
-            hub_of[p] = i
-    for j, o in enumerate(outliers):
-        hub_of[o] = k + j
-    is_hub = {c: i for i, c in enumerate(centers)}
-    is_hub.update({o: k + j for j, o in enumerate(outliers)})
-
+    # int64 holds every entry and every sum the closure forms (each below
+    # 2 * (pos[-1] + 2r)) unless the radius is huge; then Python ints do
+    dtype = np.int64 if 2 * (pos[-1] + 2 * r) < 2**63 else object
+    hub_points = centers + perm[n - z :]
+    spoke_in = np.array(spoke_a, dtype=dtype)
+    spoke_out = np.array(spoke_b if cfg.mode == ASYMMETRIC else spoke_a, dtype=dtype)
+    spoke_in[hub_points] = 0
+    spoke_out[hub_points] = 0
+    coord = np.array(pos, dtype=dtype)
+    H = abs(coord[:, None] - coord[None, :])
     if cfg.mode == ASYMMETRIC:
-        nh = k + z
-        hub_d = [
-            [
-                0 if a == b else abs(pos[a] - pos[b]) + dir_jitter[a][b]
-                for b in range(nh)
-            ]
-            for a in range(nh)
-        ]
-        for w in range(nh):
-            for a in range(nh):
-                for b in range(nh):
-                    alt = hub_d[a][w] + hub_d[w][b]
-                    if alt < hub_d[a][b]:
-                        hub_d[a][b] = alt
-    else:
-        hub_d = [
-            [abs(pos[a] - pos[b]) for b in range(k + z)] for a in range(k + z)
-        ]
+        H += np.array(dir_jitter, dtype=dtype)
+        np.fill_diagonal(H, 0)
+        _shortest_paths(H)
+    D = H[np.ix_(hub, hub)]
+    D += spoke_out[:, None]
+    D += spoke_in[None, :]
+    np.fill_diagonal(D, 0)
+    dist = D.tolist()
+    del H, D
+    inst = Instance(dist, k, z, symmetric=cfg.mode != ASYMMETRIC)
 
-    def w_in(u):  # hub -> point spoke
-        return spoke_a[u]
-
-    def w_out(u):  # point -> hub spoke (same as w_in when symmetric)
-        return spoke_a[u] if cfg.mode != ASYMMETRIC else spoke_b[u]
-
-    dist = [[0] * n for _ in range(n)]
-    for u in range(n):
-        hu = hub_of[u]
-        u_hub = u in is_hub
-        for v in range(n):
-            if u == v:
-                continue
-            hv = hub_of[v]
-            v_hub = v in is_hub
-            if u_hub and v_hub:
-                d = hub_d[hu][hv]
-            elif u_hub:
-                d = hub_d[hu][hv] + w_in(v)
-            elif v_hub:
-                d = w_out(u) + hub_d[hu][hv]
-            elif hu == hv:
-                d = w_out(u) + w_in(v)
-            else:
-                d = w_out(u) + hub_d[hu][hv] + w_in(v)
-            dist[u][v] = d
-
-    inst = Instance(
-        tuple(tuple(row) for row in dist),
-        k,
-        z,
-        symmetric=cfg.mode != ASYMMETRIC,
-    )
     order = sorted(range(k), key=lambda i: centers[i])
-    rank = {i: pos_ for pos_, i in enumerate(order)}
     assignment = [OUTLIER] * n
-    for i in range(k):
+    for rank, i in enumerate(order):
         for p in members[i]:
-            assignment[p] = rank[i]
-    planted = Clustering(
-        tuple(assignment), tuple(centers[i] for i in order)
-    )
-    return inst, planted
+            assignment[p] = rank
+    return inst, Clustering(assignment, [centers[i] for i in order])
 
 
 def verify_planted(inst: Instance, planted: Clustering, obj: Objective) -> list[SeparationViolation]:
     """Check the separation properties a resilient optimum must satisfy,
-    literally, against the given solution; empty list means all hold."""
+    literally, against the given solution; empty list means all hold.
+
+    Each check is a mask over the distance matrix, built from two: ``apart``
+    (the points lie in different clusters, the outliers counting as one more
+    cluster) and ``near`` (their distance is at most r_hat + tol). Violations
+    come point by point, in row-major order of each mask.
+    """
     dist = inst.dist
     tol = inst.tol
     clusters = planted.clusters()
     outliers = planted.outliers
     r_hat = cost(inst, planted, KCENTER)
+    D = inst._array
+    if D.dtype == np.int64 and (D.max() >= 2**62 or D.min() <= -(2**62)):
+        D = D.astype(object)  # twice an entry must not wrap
+    label = np.array(planted.assignment)
+    apart = label[:, None] != label[None, :]
+    near = D <= r_hat + tol
+    centers = list(planted.centers)
     out: list[SeparationViolation] = []
-    cluster_of = planted.assignment
+
+    def emit(check, pairs):
+        out.extend(SeparationViolation(check, tuple(pair)) for pair in pairs)
 
     if obj.aggregate == "max":
         if outliers:
-            for p in range(inst.n):
-                if p in outliers:
-                    continue
-                for q in range(inst.n):
-                    if q == p or cluster_of[q] == cluster_of[p]:
-                        continue
-                    if dist[p][q] <= r_hat + tol:
-                        out.append(SeparationViolation("outlier_separation", (p, q)))
-            min_size = min(len(c) for c in clusters)
-            for o in outliers:
-                ball = sum(
-                    1 for q in outliers if dist[o][q] <= 2 * r_hat + tol
-                )
-                if ball >= min_size:
-                    out.append(SeparationViolation("outlier_ball_sparsity", (o,)))
+            clustered = (label != OUTLIER)[:, None]
+            emit("outlier_separation", np.argwhere(apart & near & clustered).tolist())
+            min_size = min(map(len, clusters))
+            order = list(outliers)
+            ball = (D[np.ix_(order, order)] <= 2 * r_hat + tol).sum(axis=1)
+            emit("outlier_ball_sparsity",
+                 [(o,) for o, b in zip(order, ball.tolist()) if b >= min_size])
         elif inst.symmetric:
-            for p in range(inst.n):
-                for q in range(inst.n):
-                    if q != p and cluster_of[q] != cluster_of[p]:
-                        if dist[p][q] <= r_hat + tol:
-                            out.append(SeparationViolation("inter_cluster_separation", (p, q)))
+            emit("inter_cluster_separation", np.argwhere(apart & near).tolist())
             for members in clusters:
-                if len(members) < 2:
-                    continue
                 for p in members:
-                    for w in members:
-                        if w == p:
-                            continue
-                        for q in range(inst.n):
-                            if cluster_of[q] != cluster_of[p]:
-                                if dist[p][q] <= dist[p][w] + tol:
-                                    out.append(
-                                        SeparationViolation("intra_beats_inter", (p, w, q))
-                                    )
+                    ws = [w for w in members if w != p]
+                    qs = np.flatnonzero(apart[p]).tolist()
+                    beats = D[p, qs][None, :] <= D[p, ws][:, None] + tol
+                    emit("intra_beats_inter",
+                         [(p, ws[a], qs[b]) for a, b in np.argwhere(beats).tolist()])
         else:
-            for i, c_i in enumerate(planted.centers):
-                for q in range(inst.n):
-                    if cluster_of[q] != i and dist[q][c_i] <= r_hat + tol:
-                        out.append(SeparationViolation("center_separation", (q, c_i)))
+            emit("center_separation",
+                 [(q, centers[i]) for i, q in np.argwhere((apart & near)[:, centers].T).tolist()])
+            core = near[np.arange(inst.n), np.array(centers)[label]]
             for i, members in enumerate(clusters):
-                c_i = planted.centers[i]
-                core_i = [p for p in members if dist[p][c_i] <= r_hat + tol]
                 far = {
                     (p, w)
-                    for p in core_i
+                    for p in members
+                    if core[p]
                     for w in members
                     if w != p and dist[p][w] >= r_hat - tol
                 }
                 if not far:
                     continue
-                for j, other in enumerate(clusters):
-                    if j == i:
-                        continue
-                    c_j = planted.centers[j]
-                    for q in other:
-                        if dist[q][c_j] > r_hat + tol:
-                            continue
-                        for _, w in far:
-                            if dist[q][w] <= r_hat + tol:
-                                out.append(
-                                    SeparationViolation("core_point_separation", (q, w))
-                                )
+                # repeated w stay: each (q, w) comes once per far pair
+                ws = [w for _, w in far]
+                qs = [q for j, other in enumerate(clusters) if j != i for q in other if core[q]]
+                hits = np.argwhere(near[np.ix_(qs, ws)]).tolist()
+                emit("core_point_separation", [(qs[a], ws[b]) for a, b in hits])
     else:
-        for p in range(inst.n):
-            if p in outliers:
+        for p, g in enumerate(planted.assignment):
+            if g == OUTLIER:
                 continue
-            c_p = planted.centers[cluster_of[p]]
-            for q in range(inst.n):
-                if q == p:
-                    continue
-                if q not in outliers and cluster_of[q] == cluster_of[p]:
-                    continue
-                if dist[c_p][p] >= dist[p][q] - tol:
-                    out.append(SeparationViolation("center_proximity", (p, q)))
-            for j, c_j in enumerate(planted.centers):
-                if j == cluster_of[p]:
-                    continue
-                if 2 * dist[p][c_p] >= dist[p][c_j] - tol:
-                    out.append(SeparationViolation("center_dominance", (p, c_j)))
+            c_p = centers[g]
+            proximity = apart[p] & (dist[c_p][p] >= D[p] - tol)
+            emit("center_proximity", [(p, q) for q in np.flatnonzero(proximity).tolist()])
+            dominance = 2 * dist[p][c_p] >= D[p, centers] - tol
+            dominance[g] = False
+            emit("center_dominance",
+                 [(p, centers[j]) for j in np.flatnonzero(dominance).tolist()])
     return out

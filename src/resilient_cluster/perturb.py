@@ -13,7 +13,15 @@ from itertools import islice
 
 import numpy as np
 
-from .core import KCENTER, Clustering, Instance, InternalCheckFailed, Objective, cost
+from .core import (
+    KCENTER,
+    Clustering,
+    Instance,
+    InternalCheckFailed,
+    Objective,
+    _shortest_paths,
+    cost,
+)
 from .oracle import OracleResult, brute_force
 
 DIRECTED = "directed"
@@ -61,17 +69,6 @@ class FalsifierReport:
     def __post_init__(self):
         if self.verdict == NOT_RESILIENT and self.witness is None:
             raise ValueError("a non-resilience verdict must carry a witness")
-
-
-def _shortest_paths(E: np.ndarray) -> None:
-    """Floyd-Warshall closure of ``E`` in place, one numpy step per midpoint.
-
-    Exact: row w and column w do not change during step w (the diagonal is
-    zero), so each step equals the scalar loop over (u, v) with the same
-    additions and comparisons; on a tie the entry already in ``E`` is kept.
-    """
-    for w in range(E.shape[0]):
-        np.minimum(E, E[:, w : w + 1] + E[w : w + 1, :], out=E)
 
 
 def apply_perturbation(inst: Instance, spec: PerturbationSpec) -> Instance:

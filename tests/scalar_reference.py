@@ -1,8 +1,9 @@
 """Scalar reference versions of the brute-force oracle, the perturbation
 closure, the metric check, Voronoi assignment, Gonzalez's and Hochbaum and
 Shmoys' 2-approximations, component recovery, the loader's matrix parse and
-Manhattan distances, Kruskal's spanning tree, the objective's term matrix and
-the MST-DP's forward pass: one Python loop per center set and per matrix
+Manhattan distances, Kruskal's spanning tree, the objective's term matrix,
+the MST-DP's forward pass, the planted-instance generator's distance assembly
+and its separation checks: one Python loop per center set and per matrix
 entry, the arithmetic of the vectorized code in the package done one number
 at a time (the DP reference one table row at a time, and its reconstruction
 one join/separate case at a time). Tests compare the package against them for
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import math
 import operator
+import random
 from itertools import chain, combinations
 
 import numpy as np
@@ -21,6 +23,7 @@ from resilient_cluster import (
     OUTLIER,
     UNDIRECTED,
     Clustering,
+    Instance,
     InternalCheckFailed,
     InvalidPerturbation,
     OracleResult,
@@ -32,6 +35,13 @@ from resilient_cluster.core import (
     SymmetryViolation,
     TriangleViolation,
     number_type,
+)
+from resilient_cluster.generator import (
+    ASYMMETRIC,
+    NON_RESILIENT,
+    OUTLIER_MODE,
+    SeparationViolation,
+    _cluster_sizes,
 )
 
 
@@ -587,3 +597,213 @@ def solve_btp_four_cases(inst, btree, obj):
     if not ok:
         raise InternalCheckFailed(f"DP optimum {best_val} but its clustering costs {achieved}")
     return clus
+
+
+def generate(cfg):
+    """The generator with its five-case distance assembly, one entry at a
+    time, and the asymmetric hub closure as a scalar triple loop."""
+    cfg.validate()
+    rng = random.Random(cfg.seed)
+    n, k, z, r = cfg.n, cfg.k, cfg.z, cfg.radius
+
+    if cfg.mode == NON_RESILIENT:
+        dist = tuple(
+            tuple(0 if u == v else r for v in range(n)) for u in range(n)
+        )
+        inst = Instance(dist, k, 0, symmetric=True)
+        assignment = [0] * n
+        for i in range(k):
+            assignment[i] = i
+        return inst, Clustering(tuple(assignment), tuple(range(k)))
+
+    min_size = 2 if cfg.mode == OUTLIER_MODE else 1
+    sizes = _cluster_sizes(rng, k, n - z, min_size)
+    perm = rng.sample(range(n), n)
+    half = (r + 1) // 2
+    spoke_a = [rng.randint(half, r) for _ in range(n)]
+    spoke_b = [rng.randint(half, r) for _ in range(n)]
+    hub_jitter = [rng.randint(0, r // 2) for _ in range(k + z)]
+    dir_jitter = [
+        [rng.randint(0, r // 2) for _ in range(k + z)] for _ in range(k + z)
+    ]
+
+    base_gap = math.ceil(cfg.sigma * r)
+    pos = [0] * (k + z)
+    for h in range(1, k + z):
+        pos[h] = pos[h - 1] + base_gap + hub_jitter[h]
+
+    centers = []
+    members = []
+    it = iter(perm)
+    for i in range(k):
+        block = [next(it) for _ in range(sizes[i])]
+        centers.append(block[0])
+        members.append(block)
+    outliers = [next(it) for _ in range(z)]
+
+    hub_of = {}
+    for i in range(k):
+        for p in members[i]:
+            hub_of[p] = i
+    for j, o in enumerate(outliers):
+        hub_of[o] = k + j
+    is_hub = {c: i for i, c in enumerate(centers)}
+    is_hub.update({o: k + j for j, o in enumerate(outliers)})
+
+    if cfg.mode == ASYMMETRIC:
+        nh = k + z
+        hub_d = [
+            [
+                0 if a == b else abs(pos[a] - pos[b]) + dir_jitter[a][b]
+                for b in range(nh)
+            ]
+            for a in range(nh)
+        ]
+        for w in range(nh):
+            for a in range(nh):
+                for b in range(nh):
+                    alt = hub_d[a][w] + hub_d[w][b]
+                    if alt < hub_d[a][b]:
+                        hub_d[a][b] = alt
+    else:
+        hub_d = [
+            [abs(pos[a] - pos[b]) for b in range(k + z)] for a in range(k + z)
+        ]
+
+    def w_in(u):  # hub -> point spoke
+        return spoke_a[u]
+
+    def w_out(u):  # point -> hub spoke (same as w_in when symmetric)
+        return spoke_a[u] if cfg.mode != ASYMMETRIC else spoke_b[u]
+
+    dist = [[0] * n for _ in range(n)]
+    for u in range(n):
+        hu = hub_of[u]
+        u_hub = u in is_hub
+        for v in range(n):
+            if u == v:
+                continue
+            hv = hub_of[v]
+            v_hub = v in is_hub
+            if u_hub and v_hub:
+                d = hub_d[hu][hv]
+            elif u_hub:
+                d = hub_d[hu][hv] + w_in(v)
+            elif v_hub:
+                d = w_out(u) + hub_d[hu][hv]
+            elif hu == hv:
+                d = w_out(u) + w_in(v)
+            else:
+                d = w_out(u) + hub_d[hu][hv] + w_in(v)
+            dist[u][v] = d
+
+    inst = Instance(
+        tuple(tuple(row) for row in dist),
+        k,
+        z,
+        symmetric=cfg.mode != ASYMMETRIC,
+    )
+    order = sorted(range(k), key=lambda i: centers[i])
+    rank = {i: pos_ for pos_, i in enumerate(order)}
+    assignment = [OUTLIER] * n
+    for i in range(k):
+        for p in members[i]:
+            assignment[p] = rank[i]
+    planted = Clustering(
+        tuple(assignment), tuple(centers[i] for i in order)
+    )
+    return inst, planted
+
+
+def verify_planted(inst, planted, obj):
+    """The separation checks, one pair (or triple) of points at a time."""
+    dist = inst.dist
+    tol = inst.tol
+    clusters = planted.clusters()
+    outliers = planted.outliers
+    r_hat = cost(inst, planted, KCENTER)
+    out = []
+    cluster_of = planted.assignment
+
+    if obj.aggregate == "max":
+        if outliers:
+            for p in range(inst.n):
+                if p in outliers:
+                    continue
+                for q in range(inst.n):
+                    if q == p or cluster_of[q] == cluster_of[p]:
+                        continue
+                    if dist[p][q] <= r_hat + tol:
+                        out.append(SeparationViolation("outlier_separation", (p, q)))
+            min_size = min(len(c) for c in clusters)
+            for o in outliers:
+                ball = sum(
+                    1 for q in outliers if dist[o][q] <= 2 * r_hat + tol
+                )
+                if ball >= min_size:
+                    out.append(SeparationViolation("outlier_ball_sparsity", (o,)))
+        elif inst.symmetric:
+            for p in range(inst.n):
+                for q in range(inst.n):
+                    if q != p and cluster_of[q] != cluster_of[p]:
+                        if dist[p][q] <= r_hat + tol:
+                            out.append(SeparationViolation("inter_cluster_separation", (p, q)))
+            for members in clusters:
+                if len(members) < 2:
+                    continue
+                for p in members:
+                    for w in members:
+                        if w == p:
+                            continue
+                        for q in range(inst.n):
+                            if cluster_of[q] != cluster_of[p]:
+                                if dist[p][q] <= dist[p][w] + tol:
+                                    out.append(
+                                        SeparationViolation("intra_beats_inter", (p, w, q))
+                                    )
+        else:
+            for i, c_i in enumerate(planted.centers):
+                for q in range(inst.n):
+                    if cluster_of[q] != i and dist[q][c_i] <= r_hat + tol:
+                        out.append(SeparationViolation("center_separation", (q, c_i)))
+            for i, members in enumerate(clusters):
+                c_i = planted.centers[i]
+                core_i = [p for p in members if dist[p][c_i] <= r_hat + tol]
+                far = {
+                    (p, w)
+                    for p in core_i
+                    for w in members
+                    if w != p and dist[p][w] >= r_hat - tol
+                }
+                if not far:
+                    continue
+                for j, other in enumerate(clusters):
+                    if j == i:
+                        continue
+                    c_j = planted.centers[j]
+                    for q in other:
+                        if dist[q][c_j] > r_hat + tol:
+                            continue
+                        for _, w in far:
+                            if dist[q][w] <= r_hat + tol:
+                                out.append(
+                                    SeparationViolation("core_point_separation", (q, w))
+                                )
+    else:
+        for p in range(inst.n):
+            if p in outliers:
+                continue
+            c_p = planted.centers[cluster_of[p]]
+            for q in range(inst.n):
+                if q == p:
+                    continue
+                if q not in outliers and cluster_of[q] == cluster_of[p]:
+                    continue
+                if dist[c_p][p] >= dist[p][q] - tol:
+                    out.append(SeparationViolation("center_proximity", (p, q)))
+            for j, c_j in enumerate(planted.centers):
+                if j == cluster_of[p]:
+                    continue
+                if 2 * dist[p][c_p] >= dist[p][c_j] - tol:
+                    out.append(SeparationViolation("center_dominance", (p, c_j)))
+    return out

@@ -286,7 +286,12 @@ def test_manhattan_keeps_ints_beyond_int64_exact(tmp_path):
     ('{"k": 1, "points": [[0, -Infinity], [1, 2]]}', "-Infinity is not a JSON number"),
     # a literal that float() overflows to infinity
     ('{"k": 1, "metric": "manhattan", "points": [[0], [1e999]]}', "Infinity"),
-], ids=["nan-dist", "infinity-points", "minus-infinity-points", "overflow-points"])
+    ('{"k": 1, "symmetric": true, "dist": [[0, 1e999], [1e999, 0]]}',
+     "1e999 overflows to Infinity as a float"),
+    ('{"k": 1, "symmetric": true, "dist": [[0, -1e999], [-1e999, 0]]}',
+     "-1e999 overflows to -Infinity as a float"),
+], ids=["nan-dist", "infinity-points", "minus-infinity-points", "overflow-points",
+        "overflow-dist", "minus-overflow-dist"])
 def test_non_finite_numbers_are_rejected(tmp_path, capsys, text, message):
     path = tmp_path / "nan.json"
     path.write_text(text)
