@@ -311,7 +311,8 @@ def cmd_certify(args) -> int:
     if args.falsify:
         try:
             fr = perturb.falsify_resilience(inst, KCENTER)
-            fdoc: dict = {"verdict": fr.verdict, "tried": fr.tried, "exhausted": fr.exhausted}
+            fdoc: dict = {"verdict": fr.verdict, "tried": fr.tried, "exhausted": fr.exhausted,
+                          "invalid": fr.invalid}
             if fr.witness is not None:
                 spec, alt = fr.witness
                 fdoc["witness"] = {

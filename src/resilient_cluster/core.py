@@ -98,15 +98,15 @@ def number_type(terms: list, n: int) -> tuple:
     return object, True
 
 
-def term_matrix(inst: Instance, obj: Objective) -> tuple:
-    """(E, exact) with ``E[c, u] = obj.term(d(c, u))``, stored in the dtype
-    :func:`number_type` picks.
+def int64_power(inst: Instance, obj: Objective):
+    """The power route of the objective's terms: a function mapping an array
+    of the instance's distances to their terms, ``(x ** e).astype(float64)``,
+    or None when the terms must be computed entry by entry.
 
-    An int64 instance with an integer exponent e and n * max|d|**e < 2**53
-    takes ``D ** e`` in int64, where no entry overflows and each equals its
-    Python term, and converts it to float64, as :func:`number_type` would.
-    Every other input computes each entry by :meth:`Objective.term`; float
-    ``pow`` there need not match numpy's power bit for bit.
+    It applies to an int64 instance with an integer exponent e and
+    n * max|d|**e < 2**53: there no power overflows int64, each equals its
+    Python term, and every sum of n of them is exact in float64, the dtype
+    :func:`number_type` would pick.
     """
     D = inst._array
     e = obj.exponent
@@ -115,7 +115,23 @@ def term_matrix(inst: Instance, obj: Objective) -> tuple:
     if D.dtype == np.int64 and isinstance(e, int):
         top = max(int(D.max()), -int(D.min()))
         if inst.n * top**e < 2**53:
-            return (D**e).astype(np.float64), True
+            if e == 1:  # int64 ** 1 is a copy numpy does not skip
+                return lambda x: x.astype(np.float64)
+            return lambda x: (x**e).astype(np.float64)
+    return None
+
+
+def term_matrix(inst: Instance, obj: Objective) -> tuple:
+    """(E, exact) with ``E[c, u] = obj.term(d(c, u))``, stored in the dtype
+    :func:`number_type` picks.
+
+    On the power route of :func:`int64_power` E is the power of the whole
+    matrix. Every other input computes each entry by :meth:`Objective.term`;
+    float ``pow`` there need not match numpy's power bit for bit.
+    """
+    power = int64_power(inst, obj)
+    if power is not None:
+        return power(inst._array), True
     terms = list(map(obj.term, chain.from_iterable(inst.dist)))
     dtype, exact = number_type(terms, inst.n)
     return np.array(terms, dtype=dtype).reshape(inst.n, inst.n), exact

@@ -6,39 +6,49 @@ must reproduce.
 
 Evaluation is blockwise. The center sets are enumerated in lexicographic
 order, at most ``BLOCK_CELLS // n`` of them at a time, as an ``(m, k)`` index
-array. One numpy pass over such a block gives every point's distance to its
-nearest center for all m sets (the k center columns are scanned with a strict
-``<``), drops the z farthest points of each set (a stable sort, so among equal
-distances the lowest point is dropped first), and aggregates the objective
-terms: the maximum, or a sum taken point by point in index order. A first pass
-keeps the best value by the rule ``value < best - tol``; a second pass builds
-clusterings with :func:`core.voronoi` (ties to the lowest center index) only
-for the sets whose value is within tol of it.
+array; when all C(n, k) sets fit in one block, that block is built once per
+(n, k) and kept as a read-only array, since the falsifier solves many
+perturbed instances of one n and k. One numpy pass over such a block gives
+every point's distance to its nearest center for all m sets, drops the z
+farthest points of each set (a stable sort, so among equal distances the
+lowest point is dropped first), and aggregates the objective terms: the
+maximum, or a sum taken point by point in index order. The nearest distance is
+the minimum of the k rows of the distance matrix a set gathers. Where
+:func:`core.int64_power` maps distances to terms (int64 distances, an integer
+exponent, sums exact in float64), the terms come from that distance alone: a
+term never decreases with the distance, so the term at the nearest center is
+the term of the nearest distance, and a maximum is the term of the largest
+distance. Otherwise the terms are read from the term matrix at the first
+nearest center (the k center columns are scanned with a strict ``<``). A first
+pass keeps the best value by the rule ``value < best - tol``; a second pass
+builds clusterings with :func:`core.voronoi` (ties to the lowest center index)
+only for the sets whose value is within tol of it.
 
-Memory: a handful of ``(m, n)`` arrays, so at most a few times
-``BLOCK_CELLS`` numbers whatever the number of center sets (up to the work
-cap); no list of all center sets is ever built. When all sets fit in one
-block, the second pass reuses its evaluation; otherwise it evaluates each
-block again.
+Memory: a handful of ``(m, n)`` arrays, so at most a few times ``BLOCK_CELLS``
+numbers whatever the number of center sets (up to the work cap); the sets are
+listed whole only when they fit in one block, and at most 64 such blocks are
+kept. When all sets fit in one block, the second pass reuses its evaluation;
+otherwise it evaluates each block again.
 
 Exactness: distances are compared on the instance's own array (int64, object
-or float64), and terms come from :func:`core.term_matrix`: integer terms are
-summed in float64 only while every sum of n of them is an exactly represented
-integer, other exact terms stay Python numbers in object arrays, and float
-sums add the same numbers in the same order as a left-to-right Python sum, so
-they are bit-identical to it. Costs come back as Python numbers in the
-arithmetic of the terms.
+or float64), and terms come from :func:`core.int64_power` or
+:func:`core.term_matrix`: integer terms are summed in float64 only while every
+sum of n of them is an exactly represented integer, other exact terms stay
+Python numbers in object arrays, and float sums add the same numbers in the
+same order as a left-to-right Python sum, so they are bit-identical to it.
+Costs come back as Python numbers in the arithmetic of the terms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain, combinations, islice
 from math import comb
 
 import numpy as np
 
-from .core import KCENTER, Clustering, Instance, Objective, term_matrix, voronoi
+from .core import KCENTER, Clustering, Instance, Objective, int64_power, term_matrix, voronoi
 
 DEFAULT_WORK_CAP = 10_000_000
 # cells of one (center sets x points) array in a block
@@ -67,8 +77,13 @@ def _enumeration_work(n: int, k: int, z: int) -> int:
 
 def _blocks(n: int, k: int):
     """The k-subsets of range(n) in lexicographic order, as ``(m, k)`` index
-    arrays with m * n <= BLOCK_CELLS (at least one set per block)."""
+    arrays with m * n <= BLOCK_CELLS (at least one set per block). When every
+    set fits in one block, that block is the cached array of
+    :func:`_all_sets`."""
     m = max(1, BLOCK_CELLS // n)
+    if comb(n, k) <= m:
+        yield _all_sets(n, k)
+        return
     sets = combinations(range(n), k)
     while True:
         block = np.fromiter(chain.from_iterable(islice(sets, m)), dtype=np.intp)
@@ -77,11 +92,38 @@ def _blocks(n: int, k: int):
         yield block.reshape(-1, k)
 
 
-def _evaluate(D: np.ndarray, E: np.ndarray, aggregate: str, z: int, C: np.ndarray):
+@lru_cache(maxsize=64)
+def _all_sets(n: int, k: int) -> np.ndarray:
+    """Every k-subset of range(n), lexicographic, as one read-only ``(C(n, k),
+    k)`` array, built once: every solve of a falsifier pass at one n and k
+    reads the same sets. Only :func:`_blocks` calls it, and only when the
+    sets fit in one block at the current ``BLOCK_CELLS``."""
+    C = np.fromiter(chain.from_iterable(combinations(range(n), k)), dtype=np.intp)
+    C = C.reshape(-1, k)
+    C.flags.writeable = False
+    return C
+
+
+def _evaluate(
+    D: np.ndarray, E: np.ndarray, aggregate: str, z: int, C: np.ndarray, power=None
+):
     """Best solution for each center set of the block ``C``: Voronoi
     distances, then drop the z points with the largest assigned distance
     (assignments do not interact, and off-center distances are positive, so
     dropping the largest is exactly optimal for sum and max aggregation alike).
+
+    The nearest-center distance ``dmin`` is the minimum of the k rows of D the
+    set gathers. When ``power`` (the route of :func:`core.int64_power`) is
+    given, or E is D itself (the k-center check, whose terms are the
+    distances), the terms come from dmin alone: a term never decreases with
+    the distance, so the term at the nearest center is the term of dmin
+    whichever of two equal centers the strict ``<`` would pick, and the
+    largest term is the term of the largest distance, so a max maps only the
+    m values. Otherwise (object and float terms, fractional exponents, where
+    :meth:`Objective.term` and numpy's power need not agree bit for bit) the
+    terms are read from E at the first nearest center, by a strict ``<`` scan
+    of the k center columns. When E is D the terms are dmin itself, which a
+    sum with z > 0 would overwrite; only the max aggregate passes D as E.
 
     Returns (values, dmin, ranked): the objective value of each set, each
     point's distance to its center (m, n), and the points ordered by
@@ -89,19 +131,30 @@ def _evaluate(D: np.ndarray, E: np.ndarray, aggregate: str, z: int, C: np.ndarra
     dropped points; None when z = 0).
     """
     dmin = D[C[:, 0]]
-    terms = E[C[:, 0]]
-    for i in range(1, C.shape[1]):
-        d = D[C[:, i]]
-        closer = d < dmin
-        np.copyto(dmin, d, where=closer)
-        np.copyto(terms, E[C[:, i]], where=closer)
+    if power is None and E is not D:
+        terms = E[C[:, 0]]
+        for i in range(1, C.shape[1]):
+            d = D[C[:, i]]
+            closer = d < dmin
+            np.copyto(dmin, d, where=closer)
+            np.copyto(terms, E[C[:, i]], where=closer)
+    else:
+        for i in range(1, C.shape[1]):
+            np.minimum(dmin, D[C[:, i]], out=dmin)
+        terms = dmin
     ranked = np.argsort(-dmin, axis=1, kind="stable") if z else None
     if aggregate == "max":
         if z:
             values = np.take_along_axis(terms, ranked[:, z : z + 1], axis=1)[:, 0]
         else:
             values = terms.max(axis=1)
+        if power is not None:
+            # the term of the largest distance is the largest term
+            values = power(values)
     else:
+        if power is not None:
+            # a new array, so the put below leaves dmin alone
+            terms = power(terms)
         if z:
             np.put_along_axis(terms, ranked[:, :z], 0, axis=1)
         values = terms[:, 0].copy()
@@ -171,11 +224,12 @@ def brute_force(inst: Instance, obj: Objective, work_cap: int = DEFAULT_WORK_CAP
     tol = inst.tol
     D = inst._array
     E, exact = term_matrix(inst, obj)
+    power = int64_power(inst, obj)
 
     best_value = None
     blocks = 0
     for C in _blocks(n, k):
-        last = C, _evaluate(D, E, obj.aggregate, z, C)
+        last = C, _evaluate(D, E, obj.aggregate, z, C, power)
         blocks += 1
         best_value = _lowest(last[1][0], best_value, tol)
     best_value = _python_number(best_value, E, exact)
@@ -185,7 +239,7 @@ def brute_force(inst: Instance, obj: Objective, work_cap: int = DEFAULT_WORK_CAP
     if blocks == 1:
         evaluated = [last]
     else:
-        evaluated = ((C, _evaluate(D, E, obj.aggregate, z, C)) for C in _blocks(n, k))
+        evaluated = ((C, _evaluate(D, E, obj.aggregate, z, C, power)) for C in _blocks(n, k))
     best: Clustering | None = None
     seen_keys = set()
     for C, (values, dmin, ranked) in evaluated:

@@ -59,16 +59,25 @@ class PerturbationSpec:
 @dataclass(frozen=True)
 class FalsifierReport:
     """``tried`` counts the perturbation shapes attempted (invalid ones
-    included); ``exhausted`` is true when the budget cut the search short."""
+    included); ``exhausted`` is true when the budget cut the search short;
+    ``invalid`` counts the shapes in ``tried`` that cap an edge below half its
+    length, which are never applied."""
 
     verdict: str
     witness: tuple[PerturbationSpec, Clustering] | None
     tried: int = 0
     exhausted: bool = False
+    invalid: int = 0
 
     def __post_init__(self):
         if self.verdict == NOT_RESILIENT and self.witness is None:
             raise ValueError("a non-resilience verdict must carry a witness")
+
+
+def _below_half(d, cap, tol) -> bool:
+    """Capping an edge of length d at ``cap`` leaves it below d/2 (integer-safe:
+    capped >= d/2  <=>  2*capped >= d)."""
+    return 2 * min(d, cap) < d - tol
 
 
 def apply_perturbation(inst: Instance, spec: PerturbationSpec) -> Instance:
@@ -89,8 +98,7 @@ def apply_perturbation(inst: Instance, spec: PerturbationSpec) -> Instance:
     for u, v in spec.edges:
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"edge ({u}, {v}) references a missing point")
-        # integer-safe half check: capped >= d/2  <=>  2*capped >= d
-        if 2 * min(dist[u][v], cap) < dist[u][v] - tol:
+        if _below_half(dist[u][v], cap, tol):
             raise InvalidPerturbation(
                 f"cap {cap} shortens edge ({u}, {v}) below half its length"
             )
@@ -128,45 +136,43 @@ def radius_preserving_check(inst: Instance, pert: Instance, clus: Clustering) ->
     return abs(opt.cost - r_pert) <= tol
 
 
-def _candidate_specs(inst: Instance, base: Clustering, r_hat):
-    """Perturbation shapes drawn from the proofs: (a) one point into one optimal
-    cluster, (b) a point into the ball of radius 2*r_hat around it, (c) a single
-    center-to-point edge capped at an intra-cluster distance."""
-    mode = UNDIRECTED if inst.symmetric else DIRECTED
+def _shapes(inst: Instance, base: Clustering, r_hat):
+    """Perturbation shapes drawn from the proofs, as (edges, cap): (a) one
+    point into one optimal cluster, (b) a point into the ball of radius
+    2*r_hat around it, (c) a single center-to-point edge capped at an
+    intra-cluster distance."""
     clusters = base.clusters()
     dist = inst.dist
-    seen = set()
+    for q in range(inst.n):
+        for members in clusters:
+            if q not in members:
+                yield [(q, v) for v in members], r_hat
+    for p in range(inst.n):
+        ball = [v for v in range(inst.n) if v != p and dist[p][v] <= 2 * r_hat]
+        if ball:
+            yield [(p, v) for v in ball], r_hat
+    for i, c in enumerate(base.centers):
+        caps = sorted({dist[c][p] for p in clusters[i] if p != c})
+        for q in range(inst.n):
+            if base.assignment[q] != i:
+                for cap in caps:
+                    yield [(c, q)], cap
 
-    def emit(edges, cap):
+
+def _candidate_specs(inst: Instance, base: Clustering, r_hat):
+    """Each distinct nonempty shape of :func:`_shapes` once, as (spec, valid):
+    ``valid`` is false when the cap shortens a special edge below half its
+    length, the shape :func:`apply_perturbation` would reject."""
+    mode = UNDIRECTED if inst.symmetric else DIRECTED
+    dist = inst.dist
+    tol = inst.tol
+    seen = set()
+    for edges, cap in _shapes(inst, base, r_hat):
         spec = PerturbationSpec(tuple(edges), cap, mode)
         key = (spec.edges, spec.cap)
         if spec.edges and key not in seen:
             seen.add(key)
-            return spec
-        return None
-
-    for q in range(inst.n):
-        for members in clusters:
-            if q in members:
-                continue
-            spec = emit([(q, v) for v in members], r_hat)
-            if spec:
-                yield spec
-    for p in range(inst.n):
-        ball = [v for v in range(inst.n) if v != p and dist[p][v] <= 2 * r_hat]
-        if ball:
-            spec = emit([(p, v) for v in ball], r_hat)
-            if spec:
-                yield spec
-    for i, c in enumerate(base.centers):
-        caps = sorted({dist[c][p] for p in clusters[i] if p != c})
-        for q in range(inst.n):
-            if base.assignment[q] == i:
-                continue
-            for cap in caps:
-                spec = emit([(c, q)], cap)
-                if spec:
-                    yield spec
+            yield spec, not any(_below_half(dist[u][v], cap, tol) for u, v in spec.edges)
 
 
 def falsify_resilience(
@@ -185,17 +191,16 @@ def falsify_resilience(
     base_key = base.best.partition_key()
     r_hat = cost(inst, base.best, KCENTER)
     specs = _candidate_specs(inst, base.best, r_hat)
-    tried = 0
-    for spec in islice(specs, budget):
+    tried = invalid = 0
+    for spec, valid in islice(specs, budget):
         tried += 1
-        try:
-            pert = apply_perturbation(inst, spec)
-        except InvalidPerturbation:
+        if not valid:
+            invalid += 1
             continue
-        res = brute_force(pert, obj)
+        res = brute_force(apply_perturbation(inst, spec), obj)
         if res.best.partition_key() != base_key:
-            return FalsifierReport(NOT_RESILIENT, (spec, res.best), tried)
+            return FalsifierReport(NOT_RESILIENT, (spec, res.best), tried, invalid=invalid)
         if not res.unique:
-            return FalsifierReport(NOT_RESILIENT, (spec, res.tie_witness), tried)
+            return FalsifierReport(NOT_RESILIENT, (spec, res.tie_witness), tried, invalid=invalid)
     exhausted = next(specs, None) is not None
-    return FalsifierReport(RESILIENT_UNREFUTED, None, tried, exhausted)
+    return FalsifierReport(RESILIENT_UNREFUTED, None, tried, exhausted, invalid)

@@ -1,13 +1,13 @@
 """Scalar reference versions of the brute-force oracle, the perturbation
-closure, the metric check, Voronoi assignment, Gonzalez's and Hochbaum and
-Shmoys' 2-approximations, component recovery, the loader's matrix parse and
-Manhattan distances, Kruskal's spanning tree, the objective's term matrix,
-the MST-DP's forward pass, the planted-instance generator's distance assembly
-and its separation checks: one Python loop per center set and per matrix
-entry, the arithmetic of the vectorized code in the package done one number
-at a time (the DP reference one table row at a time, and its reconstruction
-one join/separate case at a time). Tests compare the package against them for
-equality, bit for bit on floats."""
+closure, the resilience falsifier, the metric check, Voronoi assignment,
+Gonzalez's and Hochbaum and Shmoys' 2-approximations, component recovery, the
+loader's matrix parse and Manhattan distances, Kruskal's spanning tree, the
+objective's term matrix, the MST-DP's forward pass, the planted-instance
+generator's distance assembly and its separation checks: one Python loop per
+center set and per matrix entry, the arithmetic of the vectorized code in the
+package done one number at a time (the DP reference one table row at a time,
+and its reconstruction one join/separate case at a time). Tests compare the
+package against them for equality, bit for bit on floats."""
 
 from __future__ import annotations
 
@@ -19,14 +19,20 @@ from itertools import chain, combinations
 import numpy as np
 
 from resilient_cluster import (
+    DIRECTED,
     KCENTER,
+    NOT_RESILIENT,
     OUTLIER,
+    RESILIENT_UNREFUTED,
     UNDIRECTED,
     Clustering,
+    FalsifierReport,
     Instance,
     InternalCheckFailed,
     InvalidPerturbation,
     OracleResult,
+    PerturbationSpec,
+    apply_perturbation,
     cost,
 )
 from resilient_cluster.core import (
@@ -43,6 +49,7 @@ from resilient_cluster.generator import (
     SeparationViolation,
     _cluster_sizes,
 )
+from resilient_cluster.perturb import DEFAULT_BUDGET
 
 
 def _evaluate(inst, obj, centers):
@@ -205,6 +212,58 @@ def perturbed_dist(inst, spec):
                     f"perturbed d({u}, {v}) = {ell[u][v]} left the band [d/2, d]"
                 )
     return tuple(tuple(row) for row in ell)
+
+
+def falsify_resilience(inst, obj, budget=DEFAULT_BUDGET):
+    """The falsifier's search with every shape applied: the proof shapes in
+    order, each built as a ``PerturbationSpec`` and deduplicated on its
+    normalised (edges, cap), then ``apply_perturbation``, whose
+    ``InvalidPerturbation`` marks an invalid shape, still counted in
+    ``tried``; every solve is the scalar :func:`brute_force`."""
+    base = brute_force(inst, obj)
+    mode = UNDIRECTED if inst.symmetric else DIRECTED
+    if not base.unique:
+        return FalsifierReport(NOT_RESILIENT, (PerturbationSpec((), 0, mode), base.tie_witness))
+    base_key = base.best.partition_key()
+    r_hat = cost(inst, base.best, KCENTER)
+    dist = inst.dist
+    clus = base.best
+    clusters = clus.clusters()
+    shapes = []
+    for q in range(inst.n):
+        for members in clusters:
+            if q not in members:
+                shapes.append(([(q, v) for v in members], r_hat))
+    for p in range(inst.n):
+        ball = [v for v in range(inst.n) if v != p and dist[p][v] <= 2 * r_hat]
+        if ball:
+            shapes.append(([(p, v) for v in ball], r_hat))
+    for i, c in enumerate(clus.centers):
+        caps = sorted({dist[c][p] for p in clusters[i] if p != c})
+        for q in range(inst.n):
+            if clus.assignment[q] != i:
+                shapes.extend(([(c, q)], cap) for cap in caps)
+    specs = []
+    seen = set()
+    for edges, cap in shapes:
+        spec = PerturbationSpec(tuple(edges), cap, mode)
+        if spec.edges and (spec.edges, spec.cap) not in seen:
+            seen.add((spec.edges, spec.cap))
+            specs.append(spec)
+    tried = invalid = 0
+    for spec in specs[:budget]:
+        tried += 1
+        try:
+            pert = apply_perturbation(inst, spec)
+        except InvalidPerturbation:
+            invalid += 1
+            continue
+        res = brute_force(pert, obj)
+        if res.best.partition_key() != base_key:
+            return FalsifierReport(NOT_RESILIENT, (spec, res.best), tried, invalid=invalid)
+        if not res.unique:
+            return FalsifierReport(NOT_RESILIENT, (spec, res.tie_witness), tried, invalid=invalid)
+    return FalsifierReport(RESILIENT_UNREFUTED, None, tried, len(specs) > budget, invalid)
 
 
 def validate_metric(inst):

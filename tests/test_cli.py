@@ -106,6 +106,7 @@ def test_certify_falsifier_reports_tries_and_budget(tmp_path, capsys):
     falsifier = json.loads(out)["falsifier"]
     assert falsifier["verdict"] == "resilient-unrefuted"
     assert falsifier["tried"] > 0
+    assert 0 <= falsifier["invalid"] <= falsifier["tried"]
     assert falsifier["exhausted"] is False
 
 

@@ -2,7 +2,9 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,12 +16,14 @@ from resilient_cluster import (
     KMEDIAN,
     Instance,
     InstanceTooLarge,
+    Objective,
     brute_force,
     brute_force_kminus1_check,
     cost,
     lp_norm,
     oracle,
 )
+from resilient_cluster.core import int64_power
 
 from conftest import encoded_metric, line_instance, random_metric_instance, uniform_instance
 
@@ -110,7 +114,10 @@ def test_oracle_lower_bounds_heuristics(seed):
 # ---------------------------------------------------------------------------
 # the blockwise oracle against the scalar reference
 
-ORACLE_OBJECTIVES = (KCENTER, KMEDIAN, KMEANS, lp_norm(Fraction(3, 2)))
+# the last is a max whose terms are not the distances
+ORACLE_OBJECTIVES = (
+    KCENTER, KMEDIAN, KMEANS, lp_norm(Fraction(3, 2)), Objective(2, "max", "max-sq")
+)
 
 
 def same_result(got, want):
@@ -162,6 +169,41 @@ def test_large_int_distances_match_reference(scale):
     inst = Instance(tuple(tuple(scale * d for d in row) for row in inst.dist), 2, 1)
     for obj in ORACLE_OBJECTIVES:
         same_result(brute_force(inst, obj), reference.brute_force(inst, obj))
+
+
+@pytest.mark.parametrize("z", [0, 1])
+@pytest.mark.parametrize("obj", ORACLE_OBJECTIVES[:3], ids=lambda o: o.name)
+def test_term_routes_either_side_of_2_pow_53(obj, z):
+    # int64 distances with n * max**e < 2**53 take the power route; one more
+    # at the top and they take the per-entry route
+    n, e = 5, obj.exponent
+    top = round((2**53 / n) ** (1 / e))  # the largest top with n * top**e < 2**53
+    while n * top**e >= 2**53:
+        top -= 1
+    while n * (top + 1) ** e < 2**53:
+        top += 1
+    for t, power_route in ((top, True), (top + 1, False)):
+        inst = line_instance([0, 1, 3, t - 1, t], k=2, z=z)
+        assert inst._array.dtype == np.int64
+        assert (int64_power(inst, obj) is not None) == power_route
+        same_result(brute_force(inst, obj), reference.brute_force(inst, obj))
+
+
+def test_a_block_of_every_set_is_built_once():
+    (first,) = oracle._blocks(18, 3)
+    (again,) = oracle._blocks(18, 3)
+    assert again is first and not first.flags.writeable
+    assert first.tolist() == [list(c) for c in combinations(range(18), 3)]
+
+
+@pytest.mark.parametrize("n, k", [(7, 3), (9, 2), (6, 6), (5, 1)])
+def test_blocks_hold_every_set_once_in_order(monkeypatch, n, k):
+    want = [list(c) for c in combinations(range(n), k)]
+    for cells in (oracle.BLOCK_CELLS, n, 2 * n, 5 * n):
+        monkeypatch.setattr(oracle, "BLOCK_CELLS", cells)
+        blocks = list(oracle._blocks(n, k))
+        assert all(len(C) <= max(1, cells // n) for C in blocks)
+        assert np.concatenate(blocks).tolist() == want
 
 
 def test_ints_from_2_pow_63_are_not_rounded():

@@ -32,6 +32,7 @@ from resilient_cluster import (
 
 import scalar_reference as reference
 from conftest import (
+    encoded_metric,
     line_instance,
     random_directed_metric_instance,
     random_metric_instance,
@@ -192,6 +193,31 @@ def test_falsifier_reports_tries_and_budget():
     assert cut.tried == 3 and cut.exhausted
     exact_fit = falsify_resilience(inst, KCENTER, budget=full.tried)
     assert exact_fit.tried == full.tried and not exact_fit.exhausted
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    n=st.integers(2, 7),
+    encoding=st.sampled_from(("int", "fraction", "float")),
+    obj=st.sampled_from((KCENTER, KMEDIAN)),
+    z=st.integers(0, 1),
+    directed=st.booleans(),
+    budget=st.sampled_from((1, 3, perturb.DEFAULT_BUDGET)),
+)
+def test_falsifier_matches_the_reference_loop(seed, n, encoding, obj, z, directed, budget):
+    # the reference applies every shape and counts the ones apply_perturbation
+    # rejects; the falsifier drops them where it makes them
+    rng = random.Random(seed)
+    z = min(z, n - 1)
+    k = rng.randint(1, min(3, n - z))
+    inst = encoded_metric(rng, n, k, z, encoding, directed)
+    got = falsify_resilience(inst, obj, budget)
+    want = reference.falsify_resilience(inst, obj, budget)
+    assert got == want
+    if got.witness is not None:
+        assert type(got.witness[0].cap) is type(want.witness[0].cap)
+    assert 0 <= got.invalid <= got.tried <= budget
 
 
 # ---------------------------------------------------------------------------
