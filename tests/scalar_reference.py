@@ -492,9 +492,10 @@ def _conv_rows(a, b, shift, combine, dtype):
 
 
 def forward_four_cases(btree, base, K, T, combine, dtype):
-    """The MST-DP forward pass with ``mstdp._forward``'s signature and result,
-    a two-child node's real-center state taken as the minimum of four
-    convolutions, one per join/separate case, each masked after the fact:
+    """The MST-DP forward pass with ``mstdp._forward``'s signature, its tables
+    kept in dicts keyed by node, a two-child node's real-center state taken as
+    the minimum of four convolutions, one per join/separate case, each masked
+    after the fact:
     both children separate (j = jl + jr + 1, u's center in neither subtree),
     right joins (j = jl + jr, not in the left one), left joins (not in the
     right one), both join (j = jl + jr - 1)."""

@@ -6,6 +6,7 @@ import random
 import re
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -101,6 +102,37 @@ def test_planted_n256_recovered(obj):
     assert cost(inst, clus, obj) == cost(inst, planted, obj)
 
 
+def test_cost_check_holds_at_a_small_scale():
+    # an error of 0.1 % of the optimum, far below any absolute tolerance
+    inst, _ = planted_outlier(16, 2, 2, 3)
+    small = encoded(inst, lambda d: d * 1e-12)
+    assert not small.exact
+    real_cost = mstdp.cost
+    solve_outlier_clustering(small, KMEDIAN)
+
+    def off(inst, clus, obj):
+        return real_cost(inst, clus, obj) * 1.001
+
+    with mock.patch.object(mstdp, "cost", off):
+        with pytest.raises(InternalCheckFailed, match="its clustering costs"):
+            solve_outlier_clustering(small, KMEDIAN)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10**6), obj=st.sampled_from((KMEDIAN, KMEANS, KCENTER)))
+def test_float_partition_does_not_depend_on_the_scale(seed, obj):
+    rng = random.Random(seed)
+    n = rng.randint(8, 24)
+    k = rng.randint(2, 3)
+    z = rng.randint(1, 2)
+    inst, _ = planted_outlier(n, k, z, seed)
+    want = solve_outlier_clustering(encoded(inst, lambda d: d / 3), obj).partition_key()
+    for exponent in (12, -12, 100, -100):
+        scale = 10.0**exponent
+        scaled = encoded(inst, lambda d: d / 3 * scale)
+        assert solve_outlier_clustering(scaled, obj).partition_key() == want, exponent
+
+
 def expect_corrupted_cost_rejected():
     """The exactness check after reconstruction rejects a cost one above the DP's."""
     inst, _ = planted_outlier(16, 2, 2, 3)
@@ -143,10 +175,10 @@ def test_state_that_does_not_recompute_raises_internal_check_failed():
 
     def lowered(btree, base, K, T, combine, dtype):
         tab, M, inside = real_forward(btree, base, K, T, combine, dtype)
-        cells = tab[btree.root][K - 1]
-        flat = int(np.argmin(cells))
-        cells.flat[flat] -= 1
-        seen["state"] = (btree.root, K - 1, *divmod(flat, btree.n_real + 1))
+        flat = int(np.argmin(tab[K - 1, :, btree.root]))
+        t, c = divmod(flat, btree.n_real + 1)
+        tab[K - 1, t, btree.root, c] -= 1
+        seen["state"] = (btree.root, K - 1, t, c)
         return tab, M, inside
 
     with mock.patch.object(mstdp, "_forward", lowered):
@@ -167,8 +199,8 @@ def test_wrong_cluster_count_raises_internal_check_failed():
         tab, M, inside = real_forward(btree, base, K, T, combine, dtype)
         for w in range(btree.n_real):
             if not btree.children(w):
-                row = tab[w][2, 0, : btree.n_real]
-                row[~inside[w]] = M[w][1, 0, 0]
+                row = tab[2, 0, w, : btree.n_real]
+                row[~inside[w, : btree.n_real]] = M[1, 0, w, 0]
         return tab, M, inside
 
     with mock.patch.object(mstdp, "_forward", tampered):
@@ -244,8 +276,8 @@ def test_kcenter_point_within_the_radius_of_two_centers_is_a_second_optimum():
     assert cost(inst, res.tie_witness, KCENTER) == 12
 
 
-def forward_tables(forward, inst, obj):
-    """The tables ``forward`` fills for ``inst``, set up as solve_btp does."""
+def forward_args(inst, obj):
+    """The forward pass's arguments for ``inst``, set up as solve_btp does."""
     btree = mstdp.binarize(mstdp.build_mst(inst), inst)
     E, _ = term_matrix(inst, obj)
     zero = np.zeros(btree.n_real, dtype=E.dtype)
@@ -254,7 +286,21 @@ def forward_tables(forward, inst, obj):
     def base(u):
         return E[:, u] if u < btree.n_real else zero
 
-    return forward(btree, base, inst.k + 1, inst.z + 1, combine, E.dtype)
+    return btree, base, inst.k + 1, inst.z + 1, combine, E.dtype
+
+
+def forward_tables(forward, inst, obj):
+    """The tables ``forward`` fills for ``inst``."""
+    return forward(*forward_args(inst, obj))
+
+
+def by_node(tables):
+    """``mstdp._forward``'s stacked arrays as the reference's per-node dicts."""
+    tab, M, inside = tables
+    n_real = tab.shape[3] - 1
+    nodes = range(tab.shape[2])
+    return ({u: tab[:, :, u] for u in nodes}, {u: M[:, :, u] for u in nodes},
+            {u: inside[u, :n_real] for u in nodes})
 
 
 @settings(max_examples=80, deadline=None)
@@ -279,7 +325,7 @@ def test_folded_forward_pass_matches_the_four_case_reference(seed, encoding, obj
     if res.unique and abs(got_cost - res.cost) <= inst.tol:
         assert got.partition_key() == want.partition_key() == res.best.partition_key()
     # every state of every node, not only the path reconstruction walks
-    tab, M, inside = forward_tables(mstdp._forward, inst, obj)
+    tab, M, inside = by_node(forward_tables(mstdp._forward, inst, obj))
     ref_tab, ref_M, ref_inside = forward_tables(reference.forward_four_cases, inst, obj)
     assert tab.keys() == ref_tab.keys()
     for u in tab:
@@ -287,3 +333,51 @@ def test_folded_forward_pass_matches_the_four_case_reference(seed, encoding, obj
         assert np.array_equal(tab[u], ref_tab[u]), u
         assert np.array_equal(M[u], ref_M[u]), u
         assert np.array_equal(inside[u], ref_inside[u]), u
+
+
+# ---------------------------------------------------------------------------
+# the level batches of the forward pass
+
+BATCH_ENCODINGS = {
+    "float": lambda d: d / 3,
+    "fraction": lambda d: Fraction(d, 7),
+    "int-past-2**63": lambda d: d * 2**64,
+}
+
+
+@pytest.mark.parametrize("obj", (KMEDIAN, KCENTER), ids=lambda o: o.name)
+@pytest.mark.parametrize("z", (0, 2))
+@pytest.mark.parametrize("encoding", tuple(BATCH_ENCODINGS))
+def test_batch_boundaries_leave_every_table_unchanged(encoding, z, obj):
+    if z:
+        inst, _ = planted_outlier(24, 3, z, 5)
+    else:
+        inst, _ = generate(GeneratorConfig(n=24, k=3, seed=5))
+    inst = encoded(inst, BATCH_ENCODINGS[encoding])
+    want = forward_tables(mstdp._forward, inst, obj)
+    assert (want[0].dtype == object) == (encoding != "float")
+    node_cells = (inst.k + 1) * (inst.z + 1) * (inst.n + 1)
+    leaves = sum(1 for row in want[2] if row.sum() == 1)
+    # one node per batch, then three: the leaves' level is split either way
+    for cells in (1, 3 * node_cells):
+        assert leaves > cells // node_cells
+        with mock.patch.object(mstdp, "BATCH_CELLS", cells):
+            got = forward_tables(mstdp._forward, inst, obj)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype
+            assert np.array_equal(g, w), cells
+
+
+def test_forward_peak_memory_stays_within_the_batch_budget():
+    # the stacked operands of one batch, not a whole level, on top of the tables
+    inst, _ = planted_outlier(128, 4, 3, 11)
+    args = forward_args(inst, KMEDIAN)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tables = mstdp._forward(*args)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    own = sum(a.nbytes for a in tables)
+    assert peak < own + 8 * mstdp.BATCH_CELLS * 8, (peak, own)
