@@ -3,8 +3,8 @@
 On 2-perturbation-resilient instances the Voronoi partition of any
 2-approximate center set is the unique optimal clustering, so both algorithms
 here double as exact solvers on resilient inputs. Gonzalez's farthest-first
-order (:class:`FarthestFirst`) is also the order in which the certifier's
-packing greedy takes points.
+order (:func:`farthest_first`) also picks the certifier's packing, in
+conflict radius instead of distance.
 """
 
 from __future__ import annotations
@@ -34,50 +34,26 @@ def _require_plain_symmetric(inst: Instance) -> None:
         raise ValueError("2-approximations do not handle outliers (z must be 0)")
 
 
-class FarthestFirst:
-    """Gonzalez's farthest-first order of an instance's points, built as far
-    as it is read: point 0, then each time the point farthest from those
-    already listed (ties to the lowest index). An asymmetric pair counts by
-    its shorter direction, since d(u, v) <= R either way makes u and v share
-    an in-neighbour in G_R."""
-
-    def __init__(self, inst: Instance):
-        D = inst._array
-        self._dist = D if inst.symmetric else np.minimum(D, D.T)
-        self._nearest = self._dist[0].copy()
-        self._listed = np.zeros(inst.n, dtype=bool)
-        self._listed[0] = True
-        self._order = np.zeros(inst.n, dtype=np.intp)
-        self._len = 1
-
-    def _append(self) -> int:
-        u = int(np.argmax(self._nearest))
-        if self._listed[u]:
+def farthest_first(row, start: int, m: int) -> tuple[list[int], list]:
+    """The first m points of a farthest-first order (Gonzalez), and the gap
+    at which each point after ``start`` was taken. ``row(u)`` gives u's
+    distance to every point; the order starts at ``start`` and then each time
+    takes the point whose smallest distance to those already listed is
+    largest (ties to the lowest index), which is that point's gap."""
+    nearest = row(start).copy()
+    listed = np.zeros(len(nearest), dtype=bool)
+    listed[start] = True
+    points, gaps = [start], []
+    while len(points) < m:
+        u = int(np.argmax(nearest))
+        if listed[u]:
             # only off a valid metric (a zero or NaN distance)
-            u = int(np.argmin(self._listed))
-        self._listed[u] = True
-        self._order[self._len] = u
-        self._len += 1
-        np.minimum(self._nearest, self._dist[u], out=self._nearest)
-        return u
-
-    def prefix(self, m: int) -> list[int]:
-        """The first m points of the order."""
-        while self._len < m:
-            self._append()
-        return self._order[:m].tolist()
-
-    def first_free(self, blocked: np.ndarray) -> int:
-        """The first point of the order that is not blocked; one must exist."""
-        listed = self._order[: self._len]
-        free = ~blocked[listed]
-        i = int(free.argmax())
-        if free[i]:
-            return int(listed[i])
-        while True:
-            u = self._append()
-            if not blocked[u]:
-                return u
+            u = int(np.argmin(listed))
+        listed[u] = True
+        points.append(u)
+        gaps.append(nearest[u])
+        np.minimum(nearest, row(u), out=nearest)
+    return points, gaps
 
 
 def _radius(inst: Instance, centers: list[int]):
@@ -89,9 +65,10 @@ def _radius(inst: Instance, centers: list[int]):
 
 
 def gonzalez(inst: Instance) -> ApproxResult:
-    """The first k points of the farthest-first order (:class:`FarthestFirst`)."""
+    """The first k points of the farthest-first order from point 0."""
     _require_plain_symmetric(inst)
-    centers = FarthestFirst(inst).prefix(inst.k)
+    D = inst._array
+    centers, _ = farthest_first(lambda u: D[u], 0, inst.k)
     return ApproxResult(tuple(centers), _radius(inst, centers), GONZALEZ)
 
 

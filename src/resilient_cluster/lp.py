@@ -20,14 +20,18 @@ Every outcome carries both sides: the primal ``y`` and the dual
 witness ``x`` of the written formulation is rebuilt from ``y`` on first use.
 
 How a verdict is proved. :func:`certify` first tries the packing route,
-which needs no LP: at the largest candidate radius where a greedy finds k + 1
-points (k + z + 1 for KCO) with pairwise disjoint in-neighbourhoods, that
-0/1 vector is a packing of total k + 1 > k, and for KCO the dual alpha = 1_S,
-beta = 1 - alpha, gamma = 1 of value n - z - 1 < n - z (Hochbaum and
-Shmoys' lower bound). The same exact checks as below must accept it. A
-clustering that component recovery builds at the next candidate then has
-cost R*, the LP's and the integral optimum. When the greedy or the recovery
-misses, the search below decides, and only the search answers NOT_2PR.
+which needs no LP. The conflict radius c(u, v) is the smallest radius at
+which u and v share an in-neighbour. One farthest-first pass in conflict
+radius takes k + 1 points (k + z + 1 for KCO), and m is the smallest
+conflict radius between two of them. At the largest candidate below m their
+in-neighbourhoods are pairwise disjoint, so that 0/1 vector is a packing of
+total k + 1 > k, and for KCO the dual alpha = 1_S, beta = 1 - alpha,
+gamma = 1 of value n - z - 1 < n - z (Hochbaum and Shmoys' lower bound). The
+same exact checks as below must accept it. A clustering that component
+recovery builds at m then has cost R* = m, the LP's and the integral
+optimum. When the check or the recovery fails, one more pass starts at the
+last point taken; when that misses too, the search below decides, and only
+the search answers NOT_2PR.
 
 :func:`min_feasible_radius` runs one binary search with float probes, then,
 on exact instances, checks its boundary exactly in O(n^2) integer
@@ -51,11 +55,11 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
-from .approx import FarthestFirst
+from .approx import farthest_first
 from .core import (
     KCENTER,
     AsymmetricUnsupported,
@@ -552,19 +556,37 @@ def extract_integral(inst: Instance, outcome: LpOutcome) -> Clustering | None:
 # the packing route: OPTIMAL with no LP
 
 
-def _greedy_packing(G: np.ndarray, order: FarthestFirst, size: int) -> list[int] | None:
-    """``size`` points with pairwise disjoint in-neighbourhoods in G, taken
-    greedily in ``order``, or None when too few points are left. After each
-    pick u, every point that shares an in-neighbour with u is blocked."""
-    blocked = np.zeros(len(G), dtype=bool)
-    picked: list[int] = []
-    while len(picked) < size:
-        if len(picked) + len(G) - np.count_nonzero(blocked) < size:
-            return None
-        u = order.first_free(blocked)
-        picked.append(u)
-        blocked |= G[G[:, u]].any(axis=0)
-    return picked
+def _conflict_row(D: np.ndarray, u: int) -> np.ndarray:
+    """The conflict radius c(u, v) for every v: min over w of
+    max(d(w, u), d(w, v)), with every point its own in-neighbour. u and v
+    share an in-neighbour in G_R iff c(u, v) <= R (+ the tolerance)."""
+    row = np.maximum(D[:, u, None], D).min(axis=0)
+    np.minimum(row, D[u], out=row)
+    np.minimum(row, D[:, u], out=row)
+    return row
+
+
+def _greedy_packing(D: np.ndarray, start: int, size: int) -> tuple[list[int], object] | None:
+    """``size`` points taken farthest-first in conflict radius from
+    ``start``, and m, the smallest conflict radius between two of them (so
+    they pack at every radius below m); None when there are fewer than
+    ``size`` points."""
+    if size > len(D):
+        return None
+    points, gaps = farthest_first(partial(_conflict_row, D), start, size)
+    m = min(gaps)
+    return points, m.item() if isinstance(m, np.generic) else m
+
+
+def _largest_below(D: np.ndarray, m):
+    """The largest entry of D below m (the candidate radius just below m), or
+    None when there is none."""
+    below = D < m
+    i = int(below.argmax())
+    if not below.flat[i]:
+        return None
+    r = D.max(where=below, initial=D.flat[i])
+    return r.item() if isinstance(r, np.generic) else r
 
 
 def _packing_reason(inst: Instance, G: np.ndarray, points, formulation: str) -> str | None:
@@ -583,37 +605,32 @@ def _packing_reason(inst: Instance, G: np.ndarray, points, formulation: str) -> 
 def _packing_route(inst: Instance, formulation: str) -> CertifierVerdict | None:
     """An OPTIMAL verdict proved with no LP, or None.
 
-    Binary search over the candidate radii for the largest one at which the
-    greedy finds k + 1 points (k + z + 1 for KCO) with pairwise disjoint
-    in-neighbourhoods. Once the exact check accepts that packing, no
-    clustering has a radius at or below that candidate, so a clustering from
-    component recovery at the next candidate is optimal, and that candidate
-    is also the LP's R*.
+    One farthest-first pass in conflict radius (:func:`_greedy_packing`)
+    takes k + 1 points (k + z + 1 for KCO); m is the smallest conflict radius
+    between two of them. Once the exact check accepts them as a packing at
+    the candidate just below m, no clustering has a radius at or below that
+    candidate, so a clustering from component recovery at m is optimal, and
+    m is also the LP's R*. When the check or the recovery fails, one more
+    pass starts at the last point taken; when that fails too, the route
+    misses.
     """
-    cands = inst.distinct_distances()
+    D = inst._array
     size = inst.k + 1 + (inst.z if formulation == KCO else 0)
-    order = FarthestFirst(inst)
-    found = None
-
-    def misses(i: int) -> bool:
-        nonlocal found
-        G = _threshold_matrix(inst, cands[i])
-        points = _greedy_packing(G, order, size)
-        if points is not None:
-            found = G, points
-        return points is None
-
-    # the first candidate where the greedy misses; at the largest distance G
-    # is complete and no two points pack. The last hit recorded is the one
-    # just below it.
-    hi = bisect_left(range(len(cands)), True, 0, len(cands) - 1, key=misses)
-    if hi == 0 or _packing_reason(inst, *found, formulation) is not None:
-        return None
-    clus = _component_clustering(inst, _threshold_matrix(inst, cands[hi]), formulation)
-    if clus is None:
-        return None
-    packing = Packing(cands[hi - 1], tuple(sorted(found[1])))
-    return CertifierVerdict(OPTIMAL, clus, cands[hi], None, PACKING, packing)
+    start = 0
+    for _ in range(2):
+        found = _greedy_packing(D, start, size)
+        if found is None:
+            return None
+        points, m = found
+        below = _largest_below(D, m)
+        if (below is not None and _packing_reason(
+                inst, _threshold_matrix(inst, below), points, formulation) is None):
+            clus = _component_clustering(inst, _threshold_matrix(inst, m), formulation)
+            if clus is not None:
+                packing = Packing(below, tuple(sorted(points)))
+                return CertifierVerdict(OPTIMAL, clus, m, None, PACKING, packing)
+        start = points[-1]
+    return None
 
 
 def certify(inst: Instance, formulation: str) -> CertifierVerdict:

@@ -13,6 +13,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -39,7 +40,7 @@ from resilient_cluster import (
 from resilient_cluster import lp
 
 import scalar_reference as reference
-from conftest import random_directed_metric_instance, random_metric_instance
+from conftest import encoded_metric, random_directed_metric_instance, random_metric_instance
 
 PLANTED = {
     KC: dict(mode="symmetric", z=0),
@@ -167,7 +168,7 @@ def corruption(inst, formulation, side):
 
 
 def greedy_misses(monkeypatch):
-    monkeypatch.setattr(lp, "_greedy_packing", lambda G, order, size: None)
+    monkeypatch.setattr(lp, "_greedy_packing", lambda D, start, size: None)
 
 
 @pytest.mark.parametrize("formulation", [KC, ASYM_KC, KCO])
@@ -302,24 +303,83 @@ def test_checkers_accept_a_zero_one_packing_and_reject_an_overlap(formulation):
 
 @pytest.mark.parametrize("formulation", [KC, KCO])
 def test_overlapping_greedy_packing_is_rejected(monkeypatch, formulation):
+    """Every pass hands the checks a set with a real overlap at the radius
+    they check; they reject it, and the search answers."""
     inst = planted(formulation)
-    real = lp._greedy_packing
+    real, real_reason = lp._greedy_packing, lp._packing_reason
     greedy_misses(monkeypatch)
     expected = certify(inst, formulation)
-    overlaps = []
+    overlaps, reasons = [], []
 
-    def overlap(G, order, size):
-        points = real(G, order, size)
-        if points is not None:
-            points = overlapping(G, points)
-            overlaps.append(points)
-        return points
+    def overlap(D, start, size):
+        points, m = real(D, start, size)
+        below = max(r for r in inst.distinct_distances() if r < m)
+        points = overlapping(lp._threshold_matrix(inst, below), points)
+        overlaps.append(points)
+        return points, m
+
+    def reason(inst_, G, points, formulation_):
+        reasons.append((points, real_reason(inst_, G, points, formulation_)))
+        return reasons[-1][1]
 
     monkeypatch.setattr(lp, "_greedy_packing", overlap)
+    monkeypatch.setattr(lp, "_packing_reason", reason)
     verdict = lp.certify(inst, formulation)
-    assert overlaps
+    rejection = "below an out-neighbourhood sum" if formulation == KCO else "packs more than 1"
+    assert len(overlaps) == 2
+    assert [points for points, _ in reasons] == overlaps
+    assert all(rejection in why for _, why in reasons)
     assert verdict.route == lp.SEARCH and verdict.packing is None
     assert verdict == expected
+
+
+NUMBERS = ["int", "fraction", "float", "int past 2^63"]
+
+
+def encoded_instance(rng, numbers, directed, n):
+    """A random closed metric with many ties, its entries as ``numbers``."""
+    k = rng.randint(1, n)
+    if numbers != "int past 2^63":
+        return encoded_metric(rng, n, k, 0, numbers, directed)
+    base = encoded_metric(rng, n, k, 0, "int", directed)
+    inst = Instance(tuple(tuple(d * 2**64 for d in row) for row in base.dist), k,
+                    symmetric=base.symmetric)
+    assert inst._array.dtype == object
+    return inst
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 10_000), numbers=st.sampled_from(NUMBERS),
+       directed=st.booleans(), self_distance=st.booleans())
+def test_conflict_radius_is_the_shared_in_neighbour_rule(seed, numbers, directed,
+                                                         self_distance):
+    """c(u, v) <= R (+ tol) iff u and v share an in-neighbour in G_R, at
+    every candidate radius. Every point is its own in-neighbour even when
+    its distance to itself is above zero; then only u != v is compared."""
+    rng = random.Random(seed)
+    inst = encoded_instance(rng, numbers, directed, rng.randint(2, 9))
+    n = inst.n
+    if self_distance:
+        inst = inst.replace(dist=tuple(
+            tuple(row[(u + 1) % n] if v == u else d for v, d in enumerate(row))
+            for u, row in enumerate(inst.dist)))
+    others = ~np.eye(n, dtype=bool) if self_distance else np.ones((n, n), dtype=bool)
+    rows = [lp._conflict_row(inst._array, u) for u in inst.points]
+    for R in inst.distinct_distances():
+        G = lp._threshold_matrix(inst, R)
+        for u in inst.points:
+            blocked = G[G[:, u]].any(axis=0)
+            assert ((rows[u] <= R + inst.tol) == blocked)[others[u]].all()
+
+
+def test_asymmetric_planted_instance_takes_the_packing_route():
+    """Point 0 as the only start missed this instance; the farthest-first
+    pass in conflict radius packs it."""
+    inst = planted(ASYM_KC)
+    verdict = certify(inst, ASYM_KC)
+    assert verdict.route == lp.PACKING
+    assert verdict.packing == lp.Packing(radius=980, points=(2, 4, 6, 9))
+    assert verdict.lp_radius == 996 == brute_force(inst, KCENTER).cost
 
 
 @pytest.mark.parametrize("formulation", [KC, KCO])
@@ -352,9 +412,19 @@ def test_packing_route_radius_is_the_searched_and_the_brute_force_one(seed, form
     if verdict is None:
         return
     r_star = verdict.lp_radius
+    best = brute_force(inst, KCENTER)
     assert r_star == min_feasible_radius(inst, formulation)[0]
-    assert r_star == brute_force(inst, KCENTER).cost == lp.cost(inst, verdict.clustering, KCENTER)
+    assert r_star == best.cost == lp.cost(inst, verdict.clustering, KCENTER)
     assert verdict.packing.radius == max(r for r in inst.distinct_distances() if r < r_star)
+    # the search gives the same verdict, and the same partition unless a
+    # second optimum exists (with outliers, component recovery and the
+    # integral vertex may then leave out different points)
+    with mock.patch.object(lp, "_packing_route", lambda inst_, formulation_: None):
+        searched = certify(inst, formulation)
+    assert searched.route == lp.SEARCH
+    assert (searched.kind, searched.lp_radius) == (verdict.kind, r_star)
+    same = searched.clustering.partition_key() == verdict.clustering.partition_key()
+    assert same or not best.unique
 
 
 @settings(max_examples=150, deadline=None)
