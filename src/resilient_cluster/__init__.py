@@ -47,7 +47,6 @@ from .lp import (
     CertifierVerdict,
     LpOutcome,
     Packing,
-    ThresholdGraph,
     build_threshold_graph,
     certify,
     extract_integral,

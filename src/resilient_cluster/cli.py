@@ -210,11 +210,9 @@ def _report(doc: dict, exact_out: bool) -> None:
 
 def _self_consistent(inst, clus, obj, reported) -> None:
     again = cost(inst, clus, obj)
-    if inst.exact:
-        same = again == reported
-    else:
-        same = math.isclose(float(again), float(reported), rel_tol=1e-9, abs_tol=1e-9)
-    if not same:
+    # a relative tolerance alone keeps the check the same at every scale
+    if not (again == reported if inst.exact
+            else math.isclose(float(again), float(reported), rel_tol=1e-9)):
         raise InternalCheckFailed(f"reported cost {reported}, recomputed {again}")
 
 
@@ -299,7 +297,7 @@ def _certify_report(inst: Instance, formulation: str | None) -> tuple[dict, int]
         "feasible": witness.feasible,
         "integral": witness.integral,
         "bound": witness.bound,
-        "y": list(witness.y) if witness.y is not None else None,
+        "y": list(witness.y),
     }
     return report, EXIT_NOT_RESILIENT
 

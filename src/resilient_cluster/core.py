@@ -161,6 +161,18 @@ def objective_by_name(name: str) -> Objective:
 # instances
 
 
+def _exact_array(values) -> np.ndarray:
+    """Exact numbers as int64 while every |value| < 2**61, so that twice a sum
+    of two of them (or of their difference) neither wraps nor rounds, and as
+    an object array of the Python numbers otherwise."""
+    D = np.array(values)
+    if D.dtype == object or (D.dtype == np.int64 and -(2**61) < D.min() and D.max() < 2**61):
+        return D
+    # from 2**61 on; from 2**63 on numpy may also have picked float64
+    # (rounded) or uint64 (wraps on negation)
+    return np.array(values, dtype=object)
+
+
 @dataclass(frozen=True)
 class Instance:
     """A clustering instance: distance matrix plus the parameters k and z.
@@ -211,9 +223,15 @@ class Instance:
     def points(self) -> range:
         return range(len(self.dist))
 
-    @property
+    @cached_property
     def tol(self):
-        return 0 if self.exact else FLOAT_TOL
+        """The one distance tolerance: 0 on exact instances, and on float ones
+        :data:`FLOAT_TOL` times the largest finite |entry|, so that a
+        comparison with it gives the same answer at every scale."""
+        if self.exact:
+            return 0
+        D = np.abs(self._array)
+        return FLOAT_TOL * float(D.max(where=np.isfinite(D), initial=0.0))
 
     def d(self, u: int, v: int):
         return self.dist[u][v]
@@ -221,16 +239,11 @@ class Instance:
     @cached_property
     def _array(self) -> np.ndarray:
         """``dist`` as one numpy array, built on first use and kept out of
-        equality and repr: int64 for int entries, object for ``Fraction`` (or
-        ints beyond int64), float64 for float instances."""
+        equality and repr: float64 for float instances, and for exact ones
+        the array :func:`_exact_array` picks."""
         if not self.exact:
             return np.array(self.dist, dtype=np.float64)
-        D = np.array(self.dist)
-        if D.dtype != np.int64 and D.dtype != object:
-            # ints from 2**63 on, next to smaller ones, make numpy pick
-            # float64 (rounded) or uint64 (wraps on negation): keep them exact
-            D = np.array(self.dist, dtype=object)
-        return D
+        return _exact_array(self.dist)
 
     def distinct_distances(self) -> list:
         D = self._array
@@ -360,25 +373,19 @@ def _metric_matrix(inst: Instance) -> np.ndarray:
     """The matrix :func:`validate_metric` compares, in an order-preserving
     number form where ``a + b`` neither rounds nor wraps.
 
-    Float instances give their float64 array. Exact instances give integers:
-    ``Fraction`` entries are multiplied by the LCM of all denominators, which
-    is exact, positive, and keeps every comparison of sums the same. The
-    result is int64 while every |entry| is below 2**62, so that a sum of two
-    entries or their difference fits, and a Python-int object array
-    otherwise.
+    Float and int64 instances give their own array. Other exact instances
+    give integers: ``Fraction`` entries are multiplied by the LCM of all
+    denominators, which is exact, positive, and keeps every comparison of
+    sums the same, and the result is stored as :func:`_exact_array` stores
+    an instance.
     """
     D = inst._array
-    if not inst.exact:
+    if D.dtype != object:
         return D
-    if D.dtype == object:
-        entries = list(chain.from_iterable(inst.dist))
-        scale = math.lcm(*{x.denominator for x in entries})
-        ints = [x.numerator * (scale // x.denominator) for x in entries]
-        wide = max(ints) >= 2**62 or min(ints) <= -(2**62)
-        return np.array(ints, dtype=object if wide else np.int64).reshape(D.shape)
-    if D.max() >= 2**62 or D.min() <= -(2**62):
-        return D.astype(object)
-    return D
+    entries = list(chain.from_iterable(inst.dist))
+    scale = math.lcm(*{x.denominator for x in entries})
+    ints = [x.numerator * (scale // x.denominator) for x in entries]
+    return _exact_array(ints).reshape(D.shape)
 
 
 def validate_metric(inst: Instance) -> list[Violation]:
@@ -393,11 +400,13 @@ def validate_metric(inst: Instance) -> list[Violation]:
     Exact instances are checked on integers, with no tolerance: ``Fraction``
     entries are scaled by the LCM of their denominators first, which changes
     no verdict (see :func:`_metric_matrix`). Float instances are checked with
-    the absolute tolerance ``tol`` = :data:`FLOAT_TOL`: a diagonal entry
-    must lie in [-tol, tol], an off-diagonal one above tol, the two sides of
-    a symmetric pair within tol, and d(u,v) at most d(u,mid) + d(mid,v) +
-    tol. Each comparison is written as that sentence says, so a NaN entry
-    fails the diagonal test and passes the others, as in scalar Python.
+    the instance's tolerance ``tol``, :data:`FLOAT_TOL` times the largest
+    finite |entry|, so scaling every distance scales the test with it: a
+    diagonal entry must lie in [-tol, tol], an off-diagonal one above tol,
+    the two sides of a symmetric pair within tol, and d(u,v) at most
+    d(u,mid) + d(mid,v) + tol. Each comparison is written as that sentence
+    says, so a NaN entry fails the diagonal test and passes the others, as
+    in scalar Python.
     """
     D = _metric_matrix(inst)
     n = len(D)

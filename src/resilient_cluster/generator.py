@@ -174,8 +174,6 @@ def verify_planted(inst: Instance, planted: Clustering, obj: Objective) -> list[
     outliers = planted.outliers
     r_hat = cost(inst, planted, KCENTER)
     D = inst._array
-    if D.dtype == np.int64 and (D.max() >= 2**62 or D.min() <= -(2**62)):
-        D = D.astype(object)  # twice an entry must not wrap
     label = np.array(planted.assignment)
     apart = label[:, None] != label[None, :]
     near = D <= r_hat + tol

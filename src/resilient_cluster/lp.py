@@ -2,9 +2,12 @@
 certificates behind every verdict.
 
 At a radius R the threshold graph G_R joins u to v when d(u, v) <= R (self
-always included). Inside this module it is one boolean matrix ``G`` with
-``G[u, v]`` true when u can serve v. The three relaxations are solved through
-equivalent reduced forms, each a primal/dual pair:
+always included; on a float instance, within the instance's tolerance
+``inst.tol``, which is relative to the largest distance).
+:func:`build_threshold_graph` returns it as one boolean matrix ``G`` with
+``G[u, v]`` true when u can serve v, and every stage below reads that matrix.
+The three relaxations are solved through equivalent reduced forms, each a
+primal/dual pair:
 
 * plain / asymmetric (KC, asym-KC): the relaxation at R is feasible iff the
   fractional in-neighbor cover  min sum(y) s.t. y @ G >= 1, y >= 0  has value
@@ -16,8 +19,7 @@ equivalent reduced forms, each a primal/dual pair:
   alpha + beta >= 1 and gamma >= G @ alpha, of value sum(beta) + k * gamma.
 
 Every outcome carries both sides: the primal ``y`` and the dual
-``certificate`` (the packing p, or alpha, beta and gamma concatenated). The
-witness ``x`` of the written formulation is rebuilt from ``y`` on first use.
+``certificate`` (the packing p, or alpha, beta and gamma concatenated).
 
 How a verdict is proved. :func:`certify` first tries the packing route,
 which needs no LP. The conflict radius c(u, v) is the smallest radius at
@@ -46,7 +48,8 @@ a KCO dual of value < n - z). The ``_check_*`` functions are these checks:
 each returns a reason, or None when the check passes. A failed check sends
 that radius to ``solve_lp(..., arithmetic="exact")``, the exact simplex,
 whose answer the same checks verify; that counted fallback is the only exact
-pivoting left.
+pivoting left. At R* :func:`extract_integral` runs the packing route's
+component recovery first, so both routes give the same partition.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import partial
 
 import numpy as np
 
@@ -94,15 +97,6 @@ SNAP_DENOMINATOR = 10**6
 
 
 @dataclass(frozen=True)
-class ThresholdGraph:
-    """Neighbor sets of G_R: edges (u, v) with d(u, v) <= R, self always included."""
-
-    radius: object
-    out_nbr: tuple
-    in_nbr: tuple
-
-
-@dataclass(frozen=True)
 class LpOutcome:
     """The reduced relaxation at one radius.
 
@@ -121,25 +115,6 @@ class LpOutcome:
     certificate: tuple
     exact: bool
     _graph: np.ndarray = field(repr=False, compare=False)
-
-    @cached_property
-    def x(self) -> tuple | None:
-        """The (x, y) witness's assignment part, x[u][v] <= y[u] on edges u -> v;
-        None when infeasible."""
-        if not self.feasible:
-            return None
-        y = self.y
-        n = len(y)
-        rows = self._graph.tolist()
-        if self.formulation != KCO:
-            return tuple(tuple(y[u] if rows[u][v] else 0 for v in range(n)) for u in range(n))
-        scale = []
-        for v in range(n):
-            mass = sum(y[u] for u in range(n) if rows[u][v])
-            scale.append(min(1, mass) / mass if mass > 0 else 0)
-        return tuple(
-            tuple(y[u] * scale[v] if rows[u][v] else 0 for v in range(n)) for u in range(n)
-        )
 
 
 @dataclass(frozen=True)
@@ -166,8 +141,9 @@ class CertifierVerdict:
     packing: Packing | None = None
 
 
-def _threshold_matrix(inst: Instance, R) -> np.ndarray:
-    """G_R as a boolean matrix: ``G[u, v]`` iff d(u, v) <= R, or u == v."""
+def build_threshold_graph(inst: Instance, R) -> np.ndarray:
+    """G_R as a boolean matrix: ``G[u, v]`` iff d(u, v) <= R + ``inst.tol``,
+    or u == v. Row u lists u's out-neighbours, column v its in-neighbours."""
     if R < 0:
         raise ValueError("radius must be nonnegative")
     D = inst._array
@@ -176,15 +152,6 @@ def _threshold_matrix(inst: Instance, R) -> np.ndarray:
     G = D <= R + inst.tol
     np.fill_diagonal(G, True)
     return G
-
-
-def build_threshold_graph(inst: Instance, R) -> ThresholdGraph:
-    G = _threshold_matrix(inst, R)
-    out_nbr = tuple(frozenset(np.flatnonzero(row).tolist()) for row in G)
-    if inst.symmetric:
-        return ThresholdGraph(R, out_nbr, out_nbr)
-    in_nbr = tuple(frozenset(np.flatnonzero(col).tolist()) for col in G.T)
-    return ThresholdGraph(R, out_nbr, in_nbr)
 
 
 def _check_formulation(inst: Instance, formulation: str) -> None:
@@ -206,7 +173,7 @@ def solve_lp(inst: Instance, R, formulation: str, arithmetic: str | None = None)
     """
     _check_formulation(inst, formulation)
     exact = inst.exact if arithmetic is None else arithmetic == "exact"
-    G = _threshold_matrix(inst, R)
+    G = build_threshold_graph(inst, R)
     n = inst.n
     if formulation == KCO:
         # variables y_0..y_{n-1}, t_0..t_{n-1}; maximize total coverage sum(t)
@@ -534,22 +501,24 @@ def _component_clustering(inst: Instance, G: np.ndarray, formulation: str) -> Cl
 def extract_integral(inst: Instance, outcome: LpOutcome) -> Clustering | None:
     """Recover an integral solution at the outcome's radius, if one is reachable.
 
-    Tries direct rounding of an integral vertex first, then component
-    recovery (:func:`_component_clustering`) on the outcome's threshold graph;
-    in the asymmetric case a component's center must reach it along out-edges.
+    Component recovery (:func:`_component_clustering`) on the outcome's
+    threshold graph runs first; in the asymmetric case a component's center
+    must reach it along out-edges. The packing route recovers the same way at
+    the same R*, so both routes give the same partition. Only when recovery
+    fails is an integral vertex rounded.
     """
     if not outcome.feasible:
         return None
     G = outcome._graph
+    clus = _component_clustering(inst, G, outcome.formulation)
+    if clus is not None or not outcome.integral:
+        return clus
     tol = 0 if outcome.exact else INTEGRALITY_TOL
-    if outcome.integral and outcome.y is not None:
-        centers = [u for u, v in enumerate(outcome.y) if abs(v - 1) <= tol]
-        if 0 < len(centers) <= inst.k:
-            budget = inst.z if outcome.formulation == KCO else 0
-            clus = _cluster_within_radius(inst, G, centers, budget)
-            if clus is not None:
-                return clus
-    return _component_clustering(inst, G, outcome.formulation)
+    centers = [u for u, v in enumerate(outcome.y) if abs(v - 1) <= tol]
+    if not 0 < len(centers) <= inst.k:
+        return None
+    budget = inst.z if outcome.formulation == KCO else 0
+    return _cluster_within_radius(inst, G, centers, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -624,8 +593,8 @@ def _packing_route(inst: Instance, formulation: str) -> CertifierVerdict | None:
         points, m = found
         below = _largest_below(D, m)
         if (below is not None and _packing_reason(
-                inst, _threshold_matrix(inst, below), points, formulation) is None):
-            clus = _component_clustering(inst, _threshold_matrix(inst, m), formulation)
+                inst, build_threshold_graph(inst, below), points, formulation) is None):
+            clus = _component_clustering(inst, build_threshold_graph(inst, m), formulation)
             if clus is not None:
                 packing = Packing(below, tuple(sorted(points)))
                 return CertifierVerdict(OPTIMAL, clus, m, None, PACKING, packing)
@@ -655,8 +624,7 @@ def certify(inst: Instance, formulation: str) -> CertifierVerdict:
         verdict = CertifierVerdict(OPTIMAL, clus, r_star, None)
     achieved = cost(inst, verdict.clustering, KCENTER)
     r_star = verdict.lp_radius
-    same = achieved == r_star if inst.exact else abs(achieved - r_star) <= 1e-6
-    if not same:
+    if abs(achieved - r_star) > inst.tol:
         raise InternalCheckFailed(
             f"extracted clustering has radius {achieved}, the LP radius is {r_star}"
         )

@@ -105,8 +105,6 @@ def apply_perturbation(inst: Instance, spec: PerturbationSpec) -> Instance:
     D = inst._array
     shortened = [(u, v) for u, v in spec.edges if cap < dist[u][v]]
     dtype = np.result_type(D.dtype, np.asarray(cap).dtype) if shortened else D.dtype
-    if dtype == np.int64 and np.abs(D).max() >= 2**61:
-        dtype = object  # the sums of two entries, and twice one, must not wrap
     E = D.astype(dtype)
     if shortened:
         us, vs = zip(*shortened)

@@ -71,7 +71,7 @@ def test_packing_certificate_rejects_a_corrupted_entry(formulation):
     _, below = boundary(inst, formulation)
     outcome = solve_lp(inst, below, formulation)
     assert outcome.exact and not outcome.feasible
-    G = lp._threshold_matrix(inst, below)
+    G = build_threshold_graph(inst, below)
     p = list(outcome.certificate)
     assert lp._check_packing_certificate(G, p, inst.k) is None
     v = max(range(inst.n), key=lambda u: p[u])
@@ -88,7 +88,7 @@ def test_kco_dual_certificate_rejects_a_corrupted_entry():
     _, below = boundary(inst, KCO)
     outcome = solve_lp(inst, below, KCO)
     assert outcome.exact and not outcome.feasible
-    G = lp._threshold_matrix(inst, below)
+    G = build_threshold_graph(inst, below)
     n, k, target = inst.n, inst.k, inst.n - inst.z
     dual = list(outcome.certificate)
     assert len(dual) == 2 * n + 1
@@ -107,7 +107,7 @@ def test_covering_optimum_pair_rejects_a_corrupted_entry(formulation):
     inst = planted(formulation)
     r_star, _ = boundary(inst, formulation)
     outcome = solve_lp(inst, r_star, formulation)
-    G = lp._threshold_matrix(inst, r_star)
+    G = build_threshold_graph(inst, r_star)
     y, p = list(outcome.y), list(outcome.certificate)
     assert lp._check_covering_witness(G, y, p) is None
     assert outcome.bound == sum(y) == sum(p)
@@ -125,7 +125,7 @@ def test_kco_optimum_pair_rejects_a_corrupted_entry():
     inst = planted(KCO)
     r_star, _ = boundary(inst, KCO)
     outcome = solve_lp(inst, r_star, KCO)
-    G = lp._threshold_matrix(inst, r_star)
+    G = build_threshold_graph(inst, r_star)
     y, dual = list(outcome.y), list(outcome.certificate)
     assert lp._check_kco_witness(G, y, dual, inst.k) is None
     for u in range(inst.n):
@@ -281,7 +281,7 @@ def test_checkers_accept_a_zero_one_packing_and_reject_an_overlap(formulation):
     r_star, below = boundary(inst, formulation)
     assert packing.radius == below and verdict.lp_radius == r_star
     assert len(packing.points) == inst.k + 1 + (inst.z if formulation == KCO else 0)
-    G = lp._threshold_matrix(inst, packing.radius)
+    G = build_threshold_graph(inst, packing.radius)
     k, target = inst.k, inst.n - inst.z
     if formulation == KCO:
         def check(points):
@@ -314,7 +314,7 @@ def test_overlapping_greedy_packing_is_rejected(monkeypatch, formulation):
     def overlap(D, start, size):
         points, m = real(D, start, size)
         below = max(r for r in inst.distinct_distances() if r < m)
-        points = overlapping(lp._threshold_matrix(inst, below), points)
+        points = overlapping(build_threshold_graph(inst, below), points)
         overlaps.append(points)
         return points, m
 
@@ -366,7 +366,7 @@ def test_conflict_radius_is_the_shared_in_neighbour_rule(seed, numbers, directed
     others = ~np.eye(n, dtype=bool) if self_distance else np.ones((n, n), dtype=bool)
     rows = [lp._conflict_row(inst._array, u) for u in inst.points]
     for R in inst.distinct_distances():
-        G = lp._threshold_matrix(inst, R)
+        G = build_threshold_graph(inst, R)
         for u in inst.points:
             blocked = G[G[:, u]].any(axis=0)
             assert ((rows[u] <= R + inst.tol) == blocked)[others[u]].all()
@@ -416,15 +416,14 @@ def test_packing_route_radius_is_the_searched_and_the_brute_force_one(seed, form
     assert r_star == min_feasible_radius(inst, formulation)[0]
     assert r_star == best.cost == lp.cost(inst, verdict.clustering, KCENTER)
     assert verdict.packing.radius == max(r for r in inst.distinct_distances() if r < r_star)
-    # the search gives the same verdict, and the same partition unless a
-    # second optimum exists (with outliers, component recovery and the
-    # integral vertex may then leave out different points)
+    # the search gives the same verdict and the same partition, second
+    # optimum or not: it runs the same component recovery at the same R*
+    # before it rounds a vertex
     with mock.patch.object(lp, "_packing_route", lambda inst_, formulation_: None):
         searched = certify(inst, formulation)
     assert searched.route == lp.SEARCH
     assert (searched.kind, searched.lp_radius) == (verdict.kind, r_star)
-    same = searched.clustering.partition_key() == verdict.clustering.partition_key()
-    assert same or not best.unique
+    assert searched.clustering.partition_key() == verdict.clustering.partition_key()
 
 
 @settings(max_examples=150, deadline=None)
@@ -436,7 +435,7 @@ def test_component_recovery_matches_the_scalar_reference(seed, formulation, numb
     z = rng.randint(1, n - 1) if formulation == KCO else 0
     inst = random_instance(rng, formulation, numbers, n, rng.randint(1, n - z), z)
     for R in inst.distinct_distances():
-        got = lp._component_clustering(inst, lp._threshold_matrix(inst, R), formulation)
+        got = lp._component_clustering(inst, build_threshold_graph(inst, R), formulation)
         assert got == reference.component_clustering(inst, R, formulation)
 
 
@@ -467,10 +466,10 @@ def test_threshold_graph_matches_set_definition(numbers, mode):
     if numbers != "float":
         radii += [Fraction(7, 2), Fraction(1, 3)]
     for R in radii:
-        graph = build_threshold_graph(inst, R)
+        G = build_threshold_graph(inst, R)
         out_nbr, in_nbr = set_based_graph(inst, R)
-        assert list(graph.out_nbr) == out_nbr
-        assert list(graph.in_nbr) == in_nbr
+        assert [frozenset(np.flatnonzero(row).tolist()) for row in G] == out_nbr
+        assert [frozenset(np.flatnonzero(col).tolist()) for col in G.T] == in_nbr
 
 
 def test_distance_array_is_cached_and_private():
@@ -482,6 +481,10 @@ def test_distance_array_is_cached_and_private():
     assert "_array" not in repr(inst)
     assert Instance(((0, Fraction(1, 2)), (Fraction(1, 2), 0)), k=1)._array.dtype == object
     assert Instance(((0, 2**70), (2**70, 0)), k=1)._array.dtype == object
+    # int64 only while every |entry| < 2**61: twice a sum of two entries fits
+    assert Instance(((0, 2**61 - 1), (2**61 - 1, 0)), k=1)._array.dtype == np.int64
+    assert Instance(((0, 2**61), (2**61, 0)), k=1)._array.dtype == object
+    assert Instance(((0, -(2**61)), (1, 0)), k=1)._array.dtype == object
     assert Instance(((0, 0.5), (0.5, 0)), k=1)._array.dtype.kind == "f"
 
 

@@ -117,9 +117,10 @@ def test_numpy_integer_entries_are_stored_as_int():
 # validate_metric against the scalar reference
 
 # offsets of the "big" encoding: every off-diagonal entry is B + a small
-# weight, a metric for any B >= 60; around 2**62 the checked matrix switches
-# from int64 to Python ints, and from 2**63 on it cannot be int64 at all
-BIG_OFFSETS = (2**61, 2**62 - 100, 2**62 - 30, 2**62, 2**63 - 100, 2**63, 2**64 + 1)
+# weight, a metric for any B >= 60; from 2**61 on the instance's matrix holds
+# Python ints, and from 2**63 on it cannot be int64 at all
+BIG_OFFSETS = (2**61 - 100, 2**61, 2**62 - 100, 2**62 - 30, 2**62, 2**63 - 100, 2**63,
+               2**64 + 1)
 DENOMINATORS = (1, 2, 3, 7, 12, 10**9 + 7, 2**31 - 1)
 
 

@@ -1,13 +1,15 @@
 """Tests for the threshold-graph relaxations, radius search, and certifier.
 
 The reduced solves are validated here against the written formulations: every
-returned witness must satisfy the original constraints verbatim, and every
-infeasibility certificate must independently prove infeasibility.
+returned cover must satisfy the cover or coverage conditions those constraints
+come down to, and every infeasibility certificate must independently prove
+infeasibility.
 """
 
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from resilient_cluster import (
@@ -38,42 +40,51 @@ def two_points(k=1, z=0):
 
 
 # ---------------------------------------------------------------------------
-# threshold graphs
+# threshold graphs: row u of G holds u's out-neighbours, column v v's in-neighbours
+
+
+def out_nbr(G, u):
+    return set(np.flatnonzero(G[u]).tolist())
+
+
+def in_nbr(G, v):
+    return set(np.flatnonzero(G[:, v]).tolist())
 
 
 def test_threshold_graph_radius_zero(line4):
-    g = build_threshold_graph(line4, 0)
+    G = build_threshold_graph(line4, 0)
+    assert G.dtype == bool and G.shape == (4, 4)
     for v in range(4):
-        assert g.in_nbr[v] == {v}
-        assert g.out_nbr[v] == {v}
+        assert in_nbr(G, v) == {v}
+        assert out_nbr(G, v) == {v}
 
 
 def test_threshold_graph_complete(line4):
-    g = build_threshold_graph(line4, 11)
+    G = build_threshold_graph(line4, 11)
     for v in range(4):
-        assert g.in_nbr[v] == set(range(4))
+        assert in_nbr(G, v) == set(range(4))
 
 
 def test_threshold_graph_line_components(line4):
-    g = build_threshold_graph(line4, 1)
-    assert g.in_nbr[0] == {0, 1}
-    assert g.in_nbr[2] == {2, 3}
+    G = build_threshold_graph(line4, 1)
+    assert in_nbr(G, 0) == {0, 1}
+    assert in_nbr(G, 2) == {2, 3}
 
 
 def test_threshold_graph_monotone_in_radius(line4):
-    g1 = build_threshold_graph(line4, 1)
-    g2 = build_threshold_graph(line4, 9)
+    G1 = build_threshold_graph(line4, 1)
+    G2 = build_threshold_graph(line4, 9)
     for v in range(4):
-        assert g1.in_nbr[v] <= g2.in_nbr[v]
-        assert v in g1.in_nbr[v]
+        assert in_nbr(G1, v) <= in_nbr(G2, v)
+        assert v in in_nbr(G1, v)
 
 
 def test_threshold_graph_directed():
     inst = Instance(((0, 1), (5, 0)), k=1, symmetric=False)
-    g = build_threshold_graph(inst, 1)
-    assert g.out_nbr[0] == {0, 1}
-    assert g.in_nbr[1] == {0, 1}
-    assert g.in_nbr[0] == {0}
+    G = build_threshold_graph(inst, 1)
+    assert out_nbr(G, 0) == {0, 1}
+    assert in_nbr(G, 1) == {0, 1}
+    assert in_nbr(G, 0) == {0}
 
 
 def test_threshold_graph_negative_radius(line4):
@@ -82,47 +93,47 @@ def test_threshold_graph_negative_radius(line4):
 
 
 # ---------------------------------------------------------------------------
-# witness checks against the written formulations
+# witness checks against the written formulations: the assignment x_uv = y_u
+# on the edges u -> v (scaled down to 1 per point for KCO) satisfies them
+# exactly when these cover and coverage conditions on y and G hold
+
+
+def outcome_graph(inst, outcome):
+    G = build_threshold_graph(inst, outcome.radius)
+    assert (G == outcome._graph).all()
+    return G
 
 
 def assert_kc_witness(inst, outcome):
-    g = build_threshold_graph(inst, outcome.radius)
-    n = inst.n
-    y, x = outcome.y, outcome.x
+    """y opens at most k centers and every point has in-neighbour mass >= 1."""
+    G = outcome_graph(inst, outcome)
+    y = outcome.y
     assert sum(y) <= inst.k
-    for v in range(n):
-        assert sum(x[u][v] for u in g.in_nbr[v]) >= 1
-    for u in range(n):
-        for v in range(n):
-            assert 0 <= x[u][v] <= y[u]
+    assert all(val >= 0 for val in y)
+    for v in range(inst.n):
+        assert sum(y[u] for u in in_nbr(G, v)) >= 1
 
 
 def assert_kco_witness(inst, outcome):
-    g = build_threshold_graph(inst, outcome.radius)
-    n = inst.n
-    y, x = outcome.y, outcome.x
+    """y opens at most k centers and its coverage, the sum over points of
+    min(1, in-neighbour mass), reaches n - z."""
+    G = outcome_graph(inst, outcome)
+    y = outcome.y
     assert sum(y) <= inst.k
-    total = 0
-    for v in range(n):
-        col = sum(x[u][v] for u in range(n))
-        assert col <= 1
-        total += col
-        for u in range(n):
-            assert 0 <= x[u][v] <= y[u]
-            if u not in g.in_nbr[v]:
-                assert x[u][v] == 0
-    assert total >= inst.n - inst.z
+    assert all(val >= 0 for val in y)
+    coverage = sum(min(1, sum(y[u] for u in in_nbr(G, v))) for v in range(inst.n))
+    assert coverage >= inst.n - inst.z
 
 
 def assert_kc_infeasibility_certificate(inst, outcome):
     """The certificate is a packing: w >= 0, sum over each out-neighborhood at
     most 1, total weight > k. Any cover y would satisfy
     sum(w) <= sum_v w_v * y(N_in(v)) <= sum(y) <= k, a contradiction."""
-    g = build_threshold_graph(inst, outcome.radius)
+    G = outcome_graph(inst, outcome)
     w = outcome.certificate
     assert all(val >= 0 for val in w)
     for u in range(inst.n):
-        assert sum(w[v] for v in g.out_nbr[u]) <= 1
+        assert sum(w[v] for v in out_nbr(G, u)) <= 1
     assert sum(w) > inst.k
     assert outcome.bound == sum(w)
 
@@ -143,7 +154,8 @@ def test_two_points_k1_infeasible_at_half():
     outcome = solve_lp(inst, Fraction(1, 2), KC)
     assert not outcome.feasible
     assert outcome.bound == 2  # each point coverable only by itself
-    assert outcome.x is None
+    # so the only cover opens both points, one more than k
+    assert outcome.y == (1, 1)
     assert_kc_infeasibility_certificate(inst, outcome)
 
 
@@ -300,13 +312,13 @@ def test_kco_infeasible_below_optimum_with_accounting():
         # rebuild the best admissible coverage for the returned y and walk the
         # accounting: cov(Z) < y(Z) * n_min, cov(C_i) <= n_i * y(C_i) when
         # deficient, total < n - z
-        g = build_threshold_graph(inst, R)
+        G = build_threshold_graph(inst, R)
         y = outcome.y
         clusters = planted.clusters()
         sizes = [len(c) for c in clusters]
         n_min = min(sizes)
         outliers = planted.outliers
-        cov = [min(1, sum(y[u] for u in g.in_nbr[v])) for v in range(inst.n)]
+        cov = [min(1, sum(y[u] for u in in_nbr(G, v))) for v in range(inst.n)]
         b = sum(y[u] for u in outliers)
         cov_z = sum(cov[v] for v in outliers)
         if b > 0:
