@@ -121,15 +121,18 @@ def int64_power(inst: Instance, obj: Objective):
     return None
 
 
-def term_matrix(inst: Instance, obj: Objective) -> tuple:
+def term_matrix(inst: Instance, obj: Objective, power=False) -> tuple:
     """(E, exact) with ``E[c, u] = obj.term(d(c, u))``, stored in the dtype
     :func:`number_type` picks.
 
     On the power route of :func:`int64_power` E is the power of the whole
     matrix. Every other input computes each entry by :meth:`Objective.term`;
-    float ``pow`` there need not match numpy's power bit for bit.
+    float ``pow`` there need not match numpy's power bit for bit. A caller
+    that already holds ``int64_power(inst, obj)`` passes it as ``power``
+    (None included), so the route is not computed twice.
     """
-    power = int64_power(inst, obj)
+    if power is False:
+        power = int64_power(inst, obj)
     if power is not None:
         return power(inst._array), True
     terms = list(map(obj.term, chain.from_iterable(inst.dist)))
@@ -164,13 +167,21 @@ def objective_by_name(name: str) -> Objective:
 def _exact_array(values) -> np.ndarray:
     """Exact numbers as int64 while every |value| < 2**61, so that twice a sum
     of two of them (or of their difference) neither wraps nor rounds, and as
-    an object array of the Python numbers otherwise."""
+    an object array of the Python numbers otherwise. Always a new array."""
     D = np.array(values)
     if D.dtype == object or (D.dtype == np.int64 and -(2**61) < D.min() and D.max() < 2**61):
         return D
     # from 2**61 on; from 2**63 on numpy may also have picked float64
     # (rounded) or uint64 (wraps on negation)
     return np.array(values, dtype=object)
+
+
+def relative_tol(A: np.ndarray) -> float:
+    """:data:`FLOAT_TOL` times the largest finite |entry| of a float array
+    (NaN and ±inf do not set the scale), so that a comparison with it gives
+    the same answer when every entry is multiplied by a power of two."""
+    A = np.abs(A)
+    return FLOAT_TOL * float(A.max(where=np.isfinite(A), initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -180,6 +191,15 @@ class Instance:
     ``dist`` must satisfy the triangle inequality (and symmetry when the
     ``symmetric`` flag is set); use :func:`validate_metric` to check. ``z`` is
     the outlier budget, 0 for plain problems.
+
+    ``dist`` is any square sequence of rows, stored as a tuple of tuples of
+    Python numbers. An int64 or float64 numpy array is taken as it is: the
+    rows come from ``tolist()``, ``exact`` follows the dtype, and a copy of
+    the array becomes ``_array`` (an int64 one by the headroom rule of
+    :func:`_exact_array`), so no entry's type is looked at. Every other input
+    (lists, tuples, object, bool and other numpy arrays) has its entries'
+    types scanned: numpy integers become ``int``, and a matrix with any
+    inexact entry becomes all ``float``.
     """
 
     dist: tuple
@@ -189,11 +209,14 @@ class Instance:
     exact: bool = field(init=False, compare=False, default=True)
 
     def __post_init__(self):
+        dist = self.dist
+        native = (isinstance(dist, np.ndarray) and dist.ndim == 2
+                  and dist.dtype in (np.int64, np.float64))
         # tuple(list), not tuple(generator): CPython grows a tuple from a
         # generator by resizing a shorter one, so each freed one lands on the
         # free list of its length without having come from it, and with one
         # instance built per perturbation those lists fill up to 2000 tuples
-        rows = tuple([tuple(row) for row in self.dist])
+        rows = tuple([tuple(row) for row in (dist.tolist() if native else dist)])
         n = len(rows)
         if n == 0 or any(len(row) != n for row in rows):
             raise ValueError("dist must be a nonempty square matrix")
@@ -203,15 +226,19 @@ class Instance:
             raise ValueError(f"z={self.z} out of range for n={n}")
         if self.k + self.z > n:
             raise ValueError("k + z must not exceed n")
-        kinds = set(map(type, chain.from_iterable(rows)))
-        if any(issubclass(t, np.integer) for t in kinds):
-            # numpy integers are exact but not int: store them as int
-            rows = tuple([tuple([int(x) if isinstance(x, np.integer) else x for x in row])
-                          for row in rows])
-            kinds = {int if issubclass(t, np.integer) else t for t in kinds}
-        exact = all(map(_is_exact_type, kinds))
-        if not exact and kinds != {float}:
-            rows = tuple([tuple(map(float, row)) for row in rows])
+        if native:
+            exact = dist.dtype == np.int64
+            object.__setattr__(self, "_array", _exact_array(dist) if exact else dist.copy())
+        else:
+            kinds = set(map(type, chain.from_iterable(rows)))
+            if any(issubclass(t, np.integer) for t in kinds):
+                # numpy integers are exact but not int: store them as int
+                rows = tuple([tuple([int(x) if isinstance(x, np.integer) else x for x in row])
+                              for row in rows])
+                kinds = {int if issubclass(t, np.integer) else t for t in kinds}
+            exact = all(map(_is_exact_type, kinds))
+            if not exact and kinds != {float}:
+                rows = tuple([tuple(map(float, row)) for row in rows])
         object.__setattr__(self, "dist", rows)
         object.__setattr__(self, "exact", exact)
 
@@ -228,10 +255,7 @@ class Instance:
         """The one distance tolerance: 0 on exact instances, and on float ones
         :data:`FLOAT_TOL` times the largest finite |entry|, so that a
         comparison with it gives the same answer at every scale."""
-        if self.exact:
-            return 0
-        D = np.abs(self._array)
-        return FLOAT_TOL * float(D.max(where=np.isfinite(D), initial=0.0))
+        return 0 if self.exact else relative_tol(self._array)
 
     def d(self, u: int, v: int):
         return self.dist[u][v]
@@ -441,14 +465,17 @@ def validate_metric(inst: Instance) -> list[Violation]:
 
 
 def _shortest_paths(E: np.ndarray) -> None:
-    """Floyd-Warshall closure of ``E`` in place, one numpy step per midpoint.
+    """Floyd-Warshall closure of ``E`` in place, one numpy step per midpoint:
+    of one ``(n, n)`` matrix, or of every matrix of a ``(..., n, n)`` stack.
 
     Exact: row w and column w do not change during step w (the diagonal is
     zero), so each step equals the scalar loop over (u, v) with the same
     additions and comparisons; on a tie the entry already in ``E`` is kept.
+    The operations are elementwise, so every matrix of a stack gets the
+    closure it would get alone, bit for bit.
     """
-    for w in range(E.shape[0]):
-        np.minimum(E, E[:, w : w + 1] + E[w : w + 1, :], out=E)
+    for w in range(E.shape[-1]):
+        np.minimum(E, E[..., :, w : w + 1] + E[..., w : w + 1, :], out=E)
 
 
 # ---------------------------------------------------------------------------

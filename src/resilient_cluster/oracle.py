@@ -20,9 +20,13 @@ term never decreases with the distance, so the term at the nearest center is
 the term of the nearest distance, and a maximum is the term of the largest
 distance. Otherwise the terms are read from the term matrix at the first
 nearest center (the k center columns are scanned with a strict ``<``). A first
-pass keeps the best value by the rule ``value < best - tol``; a second pass
+pass keeps the best value by the rule ``value < best - vtol``; a second pass
 builds clusterings with :func:`core.voronoi` (ties to the lowest center index)
-only for the sets whose value is within tol of it.
+only for the sets whose value is within vtol of it. ``vtol`` is the value
+tolerance: 0 on exact instances, and on float ones :data:`core.FLOAT_TOL`
+times the largest finite term, so that k-means values (squared distances)
+are compared on their own scale; with exponent 1 it equals the distance
+tolerance ``inst.tol``, which the distance comparisons keep.
 
 Memory: a handful of ``(m, n)`` arrays, so at most a few times ``BLOCK_CELLS``
 numbers whatever the number of center sets (up to the work cap); the sets are
@@ -48,7 +52,16 @@ from math import comb
 
 import numpy as np
 
-from .core import KCENTER, Clustering, Instance, Objective, int64_power, term_matrix, voronoi
+from .core import (
+    KCENTER,
+    Clustering,
+    Instance,
+    Objective,
+    int64_power,
+    relative_tol,
+    term_matrix,
+    voronoi,
+)
 
 DEFAULT_WORK_CAP = 10_000_000
 # cells of one (center sets x points) array in a block
@@ -221,17 +234,19 @@ def brute_force(inst: Instance, obj: Objective, work_cap: int = DEFAULT_WORK_CAP
     n, k, z = inst.n, inst.k, inst.z
     if _enumeration_work(n, k, z) > work_cap:
         raise InstanceTooLarge(f"C({n},{k})*C({n - k},{z}) exceeds cap {work_cap}")
-    tol = inst.tol
     D = inst._array
-    E, exact = term_matrix(inst, obj)
     power = int64_power(inst, obj)
+    E, exact = term_matrix(inst, obj, power)
+    # objective values are compared on the scale of the terms, distances on
+    # the scale of the distances; the two agree when the exponent is 1
+    vtol = 0 if inst.exact else relative_tol(E)
 
     best_value = None
     blocks = 0
     for C in _blocks(n, k):
         last = C, _evaluate(D, E, obj.aggregate, z, C, power)
         blocks += 1
-        best_value = _lowest(last[1][0], best_value, tol)
+        best_value = _lowest(last[1][0], best_value, vtol)
     best_value = _python_number(best_value, E, exact)
 
     # Second pass, on the one block still at hand or on every block evaluated
@@ -243,13 +258,13 @@ def brute_force(inst: Instance, obj: Objective, work_cap: int = DEFAULT_WORK_CAP
     best: Clustering | None = None
     seen_keys = set()
     for C, (values, dmin, ranked) in evaluated:
-        for j in np.flatnonzero(np.abs(values - best_value) <= tol).tolist():
+        for j in np.flatnonzero(np.abs(values - best_value) <= vtol).tolist():
             order = ranked[j].tolist() if z else []
             centers = C[j].tolist()
             if obj.aggregate == "max":
-                within = E[centers] <= best_value + tol
+                within = E[centers] <= best_value + vtol
             else:
-                within = np.abs(D[centers] - dmin[j]) <= tol
+                within = np.abs(D[centers] - dmin[j]) <= inst.tol
             for clus in _solutions(inst, tuple(centers), dmin[j], order, within):
                 key = clus.partition_key()
                 if key in seen_keys:

@@ -4,6 +4,14 @@ A perturbation is specified by a set of special edges whose lengths are capped,
 everything else kept; the perturbed distance is the shortest-path closure, which
 keeps the triangle inequality exactly and stays within [d/2, d] entrywise
 whenever the cap respects the half-distance precondition.
+
+The falsifier makes its shapes from the optimum's proof and drops an invalid
+one (a cap below half an edge) where it makes it, before any spec is built.
+The valid ones are capped into one ``[P, n, n]`` stack per number type, at
+most ``oracle.BLOCK_CELLS`` entries at a time, and closed by one stacked
+Floyd-Warshall; each perturbed instance is built from its slice of the stack,
+and only when the solves before it left the optimum alone.
+:func:`apply_perturbation` is the same closure for one spec.
 """
 
 from __future__ import annotations
@@ -13,6 +21,7 @@ from itertools import islice
 
 import numpy as np
 
+from . import oracle
 from .core import (
     KCENTER,
     Clustering,
@@ -87,7 +96,8 @@ def apply_perturbation(inst: Instance, spec: PerturbationSpec) -> Instance:
     satisfies d/2 <= d' <= d entrywise and the triangle inequality exactly
     (symmetry too in undirected mode). The matrix keeps the instance's number
     type unless a cap that shortens an edge needs a wider one (a ``Fraction``
-    or float cap on an int instance).
+    or float cap on an int instance). This is the one-spec case of the
+    falsifier's stacked closure, :func:`_closures`.
     """
     if (spec.mode == UNDIRECTED) != inst.symmetric:
         raise ValueError("perturbation mode does not match the instance symmetry flag")
@@ -102,24 +112,51 @@ def apply_perturbation(inst: Instance, spec: PerturbationSpec) -> Instance:
             raise InvalidPerturbation(
                 f"cap {cap} shortens edge ({u}, {v}) below half its length"
             )
+    (E,) = _closures(inst, [spec])
+    return Instance(E, inst.k, inst.z, inst.symmetric)
+
+
+def _closures(inst: Instance, specs: list) -> list:
+    """The perturbed matrix of each spec, in order, for specs whose edges are
+    points and whose cap passes the half check.
+
+    A spec's matrix has the instance's dtype, or the one numpy gives the
+    instance's array and the cap when the cap shortens an edge. The specs of
+    one dtype are capped in one ``[P, n, n]`` stack and closed by one
+    :func:`core._shortest_paths` call, so each matrix is bit for bit the
+    closure it would get alone, and one band check covers the stack: an
+    entry outside [d/2, d] (tolerance ``inst.tol``) raises
+    :class:`InternalCheckFailed`.
+    """
     D = inst._array
-    shortened = [(u, v) for u, v in spec.edges if cap < dist[u][v]]
-    dtype = np.result_type(D.dtype, np.asarray(cap).dtype) if shortened else D.dtype
-    E = D.astype(dtype)
-    if shortened:
-        us, vs = zip(*shortened)
-        E[us, vs] = cap
-        if spec.mode == UNDIRECTED:
-            E[vs, us] = cap
-    _shortest_paths(E)
-    rows = E.tolist()
-    bad = (E > D + tol) | (2 * E < D - tol)
-    if bad.any():
-        u, v = divmod(int(np.argmax(bad)), n)
-        raise InternalCheckFailed(
-            f"perturbed d({u}, {v}) = {rows[u][v]} left the band [d/2, d]"
-        )
-    return Instance(rows, inst.k, inst.z, inst.symmetric)
+    n = inst.n
+    dist = inst.dist
+    groups: dict = {}
+    for i, spec in enumerate(specs):
+        cap = spec.cap
+        shortened = [(u, v) for u, v in spec.edges if cap < dist[u][v]]
+        dtype = np.result_type(D.dtype, np.asarray(cap).dtype) if shortened else D.dtype
+        groups.setdefault(dtype, []).append((i, spec, shortened))
+    out = [None] * len(specs)
+    for dtype, members in groups.items():
+        S = np.empty((len(members), n, n), dtype=dtype)
+        S[:] = D
+        for E, (_, spec, shortened) in zip(S, members):
+            if shortened:
+                us, vs = zip(*shortened)
+                E[us, vs] = spec.cap
+                if spec.mode == UNDIRECTED:
+                    E[vs, us] = spec.cap
+        _shortest_paths(S)
+        bad = (S > D + inst.tol) | (2 * S < D - inst.tol)
+        if bad.any():
+            p, u, v = map(int, np.unravel_index(np.argmax(bad), bad.shape))
+            raise InternalCheckFailed(
+                f"perturbed d({u}, {v}) = {S[p].tolist()[u][v]} left the band [d/2, d]"
+            )
+        for E, (i, _, _) in zip(S, members):
+            out[i] = E
+    return out
 
 
 def radius_preserving_check(inst: Instance, pert: Instance, clus: Clustering) -> bool:
@@ -138,7 +175,8 @@ def _shapes(inst: Instance, base: Clustering, r_hat):
     """Perturbation shapes drawn from the proofs, as (edges, cap): (a) one
     point into one optimal cluster, (b) a point into the ball of radius
     2*r_hat around it, (c) a single center-to-point edge capped at an
-    intra-cluster distance."""
+    intra-cluster distance. Every shape has at least one edge and none from
+    a point to itself."""
     clusters = base.clusters()
     dist = inst.dist
     for q in range(inst.n):
@@ -158,19 +196,27 @@ def _shapes(inst: Instance, base: Clustering, r_hat):
 
 
 def _candidate_specs(inst: Instance, base: Clustering, r_hat):
-    """Each distinct nonempty shape of :func:`_shapes` once, as (spec, valid):
-    ``valid`` is false when the cap shortens a special edge below half its
-    length, the shape :func:`apply_perturbation` would reject."""
-    mode = UNDIRECTED if inst.symmetric else DIRECTED
+    """Each distinct shape of :func:`_shapes` once, in order: its
+    ``PerturbationSpec`` when it is valid, None when its cap shortens a
+    special edge below half its length (the shape :func:`apply_perturbation`
+    rejects). The dedup key and the half check are taken from the edge list
+    as the spec would normalise it, so only valid shapes build a spec."""
+    symmetric = inst.symmetric
+    mode = UNDIRECTED if symmetric else DIRECTED
     dist = inst.dist
     tol = inst.tol
     seen = set()
     for edges, cap in _shapes(inst, base, r_hat):
-        spec = PerturbationSpec(tuple(edges), cap, mode)
-        key = (spec.edges, spec.cap)
-        if spec.edges and key not in seen:
-            seen.add(key)
-            yield spec, not any(_below_half(dist[u][v], cap, tol) for u, v in spec.edges)
+        if symmetric:
+            edges = [(u, v) if u < v else (v, u) for u, v in edges]
+        key = (tuple(sorted(set(edges))), cap)
+        if key in seen:
+            continue
+        seen.add(key)
+        if any(_below_half(dist[u][v], cap, tol) for u, v in key[0]):
+            yield None
+        else:
+            yield PerturbationSpec(key[0], cap, mode)
 
 
 def falsify_resilience(
@@ -181,6 +227,12 @@ def falsify_resilience(
     A NOT_RESILIENT verdict is a certificate (the witness re-solves to a
     different optimum); RESILIENT_UNREFUTED is not a proof of resilience — only
     the proof shapes are searched, not the full perturbation continuum.
+
+    The shapes are taken in order, at most ``budget`` of them, invalid ones
+    counted and skipped. The valid ones are closed a chunk at a time by
+    :func:`_closures`, at most ``oracle.BLOCK_CELLS`` matrix entries per
+    chunk, and solved one by one in order; the next chunk is made only when
+    none of them moved the optimum.
     """
     base = brute_force(inst, obj)
     identity = PerturbationSpec((), 0, UNDIRECTED if inst.symmetric else DIRECTED)
@@ -188,17 +240,30 @@ def falsify_resilience(
         return FalsifierReport(NOT_RESILIENT, (identity, base.tie_witness))
     base_key = base.best.partition_key()
     r_hat = cost(inst, base.best, KCENTER)
+    chunk = max(1, oracle.BLOCK_CELLS // inst.n**2)
     specs = _candidate_specs(inst, base.best, r_hat)
+    shapes = islice(specs, budget)
     tried = invalid = 0
-    for spec, valid in islice(specs, budget):
-        tried += 1
-        if not valid:
-            invalid += 1
-            continue
-        res = brute_force(apply_perturbation(inst, spec), obj)
-        if res.best.partition_key() != base_key:
-            return FalsifierReport(NOT_RESILIENT, (spec, res.best), tried, invalid=invalid)
-        if not res.unique:
-            return FalsifierReport(NOT_RESILIENT, (spec, res.tie_witness), tried, invalid=invalid)
-    exhausted = next(specs, None) is not None
+    while True:
+        # (spec, tried, invalid) as the report would give them at that spec
+        batch = []
+        for spec in shapes:
+            tried += 1
+            if spec is None:
+                invalid += 1
+                continue
+            batch.append((spec, tried, invalid))
+            if len(batch) == chunk:
+                break
+        if not batch:
+            break
+        closed = _closures(inst, [spec for spec, _, _ in batch])
+        for (spec, at, skipped), E in zip(batch, closed):
+            res = brute_force(Instance(E, inst.k, inst.z, inst.symmetric), obj)
+            if res.best.partition_key() != base_key:
+                return FalsifierReport(NOT_RESILIENT, (spec, res.best), at, invalid=skipped)
+            if not res.unique:
+                return FalsifierReport(NOT_RESILIENT, (spec, res.tie_witness), at, invalid=skipped)
+    # any shape left over, valid (a spec) or not (None), means the budget cut
+    exhausted = any(True for _ in specs)
     return FalsifierReport(RESILIENT_UNREFUTED, None, tried, exhausted, invalid)

@@ -36,6 +36,7 @@ from resilient_cluster import (
     cost,
 )
 from resilient_cluster.core import (
+    FLOAT_TOL,
     DiagonalViolation,
     PositivityViolation,
     SymmetryViolation,
@@ -105,16 +106,27 @@ def _close(a, b, tol):
     return abs(a - b) <= tol
 
 
+def value_tol(inst, obj):
+    """0 on exact instances, else FLOAT_TOL times the largest finite |term|."""
+    if inst.exact:
+        return 0
+    terms = [abs(obj.term(d)) for row in inst.dist for d in row]
+    return FLOAT_TOL * max((t for t in terms if math.isfinite(t)), default=0.0)
+
+
 def brute_force(inst, obj):
     """Two passes over all center sets: the best value by the rule ``value <
-    best - tol``, then the first two distinct optimal partitions."""
+    best - vtol``, then the first two distinct optimal partitions. Values are
+    compared with the value tolerance of :func:`value_tol`, distances with
+    ``inst.tol``."""
     n, k, z = inst.n, inst.k, inst.z
     tol = inst.tol
+    vtol = value_tol(inst, obj)
 
     best_value = None
     for centers in combinations(range(n), k):
         value = _evaluate(inst, obj, centers)[0]
-        if best_value is None or value < best_value - tol:
+        if best_value is None or value < best_value - vtol:
             best_value = value
 
     best = None
@@ -122,7 +134,7 @@ def brute_force(inst, obj):
     seen_keys = set()
     for centers in combinations(range(n), k):
         value, dmin, amin, picked, boundary_tie = _evaluate(inst, obj, centers)
-        if not _close(value, best_value, tol):
+        if not _close(value, best_value, vtol):
             continue
         clus = _build(inst, centers, amin, picked)
         key = clus.partition_key()
@@ -150,7 +162,7 @@ def brute_force(inst, obj):
                     continue
                 if obj.aggregate == "max":
                     serving = [i for i, c in enumerate(centers)
-                               if obj.term(inst.dist[c][u]) <= best_value + tol]
+                               if obj.term(inst.dist[c][u]) <= best_value + vtol]
                 else:
                     serving = [i for i, c in enumerate(centers)
                                if _close(inst.dist[c][u], dmin[u], tol)]

@@ -113,6 +113,56 @@ def test_numpy_integer_entries_are_stored_as_int():
     assert Instance(np.array([[0, 3], [3, 0]], dtype=np.uint64), k=1) == inst
 
 
+def _entry(values, dtype):
+    """A 3x3 array around the diagonal of zeros, the six given values off it."""
+    A = np.zeros((3, 3), dtype=dtype)
+    A[~np.eye(3, dtype=bool)] = values
+    return A
+
+
+B61 = 2**61
+ARRAYS = {
+    "int64": _entry([1, 2, 3, 4, 5, 6], np.int64),
+    "int64-below-2**61": _entry([B61 - 1, 1, -(B61 - 1), 2, B61 - 2, 3], np.int64),
+    "int64-at-2**61": _entry([B61, 1, 2, 3, 4, 5], np.int64),
+    "int64-at-minus-2**61": _entry([1, -B61, 2, 3, 4, 5], np.int64),
+    "float64": _entry([0.5, 1 / 3, 2.0, 1e-300, 7.25, 3.0], np.float64),
+    "float64-non-finite": _entry([np.nan, np.inf, -np.inf, 1.5, 2.0, np.nan], np.float64),
+    "object": _entry([Fraction(1, 3), 2, Fraction(5, 2), 1, 2**70, 3], object),
+    "bool": _entry([True, False, True, True, True, True], bool),
+}
+
+
+@pytest.mark.parametrize("name", ARRAYS)
+@pytest.mark.parametrize("symmetric", [True, False])
+def test_instance_from_an_array_equals_instance_from_its_rows(name, symmetric):
+    A = ARRAYS[name].copy()
+    got = Instance(A, k=1, symmetric=symmetric)
+    want = Instance(A.tolist(), k=1, symmetric=symmetric)
+    # repr, not ==: NaN is unequal to itself
+    assert repr(got) == repr(want)
+    assert [type(x) for row in got.dist for x in row] == [
+        type(x) for row in want.dist for x in row]
+    assert got.exact == want.exact
+    assert got._array.dtype == want._array.dtype
+    assert repr(got._array.tolist()) == repr(want._array.tolist())
+    assert got.tol == want.tol
+    if name != "float64-non-finite":
+        assert got == want
+    # the instance keeps its own copy of the array
+    before = repr(got._array.tolist())
+    A[0, 1] = A[0, 0]
+    assert repr(got._array.tolist()) == before
+
+
+def test_instance_from_an_array_checks_its_shape():
+    for A in (np.zeros((0, 0), dtype=np.int64), np.zeros((2, 3)), np.zeros((3, 2), dtype=np.int64)):
+        with pytest.raises(ValueError, match="square"):
+            Instance(A, k=1)
+    with pytest.raises(ValueError, match="k=3"):
+        Instance(np.zeros((2, 2)), k=3)
+
+
 # ---------------------------------------------------------------------------
 # validate_metric against the scalar reference
 

@@ -276,6 +276,90 @@ def test_apply_perturbation_matches_list_closure(seed, kind, directed):
     assert got == reference_outcome(inst, spec)
 
 
+def _valid_cap(rng, inst, edges, kind):
+    """A cap of the given type that every edge allows, at most a little above
+    half of the longest edge, so that it often shortens some."""
+    half = max((inst.dist[u][v] / 2 for u, v in edges), default=0)
+    if kind == "int":
+        return math.ceil(half) + rng.randint(0, 3)
+    if kind == "fraction":
+        return Fraction(math.ceil(2 * half) + rng.randint(0, 6), 2)
+    return float(half) + rng.choice((0.0, 0.25, 1.5))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    encoding=st.sampled_from(("int", "fraction", "float", "int-mixed-caps")),
+    directed=st.booleans(),
+)
+def test_stacked_closures_match_apply_perturbation(seed, encoding, directed):
+    # int-mixed-caps puts int, Fraction and float caps on one int instance
+    # into one call, so the specs need three dtypes
+    rng = random.Random(seed)
+    n = rng.randint(2, 8)
+    inst = encoded_metric(rng, n, 1, 0, encoding.split("-")[0], directed)
+    mode = DIRECTED if directed else UNDIRECTED
+    specs = []
+    for _ in range(rng.randint(1, 8)):
+        edges = tuple((u, v) for u in range(n) for v in range(n)
+                      if u != v and rng.random() < 0.3)
+        if encoding == "int-mixed-caps":
+            kind = rng.choice(("int", "fraction", "float"))
+        else:
+            kind = encoding
+        specs.append(PerturbationSpec(edges, _valid_cap(rng, inst, edges, kind), mode))
+    closed = perturb._closures(inst, specs)
+    assert len(closed) == len(specs)
+    for spec, E in zip(specs, closed):
+        got = Instance(E, inst.k, inst.z, inst.symmetric)
+        want = apply_perturbation(inst, spec)
+        assert got.dist == want.dist
+        assert [type(x) for row in got.dist for x in row] == [
+            type(x) for row in want.dist for x in row]
+        assert got.exact == want.exact
+        assert got._array.dtype == want._array.dtype
+
+
+def _chunk_corpus():
+    """(instance, objective) pairs whose falsifier runs close several valid
+    shapes: planted instances that stand, and random metrics whose witness
+    is the first to the thirteenth valid shape."""
+    out = []
+    for seed in range(2):
+        inst, _ = generate(GeneratorConfig(n=9, k=3, seed=seed))
+        out.append((inst, KCENTER))
+    for seed in range(40):
+        rng = random.Random(seed)
+        make = random_directed_metric_instance if seed % 2 else random_metric_instance
+        inst = make(rng, 8, k=2 + seed % 2)
+        out.extend((inst, obj) for obj in (KCENTER, KMEDIAN))
+    rng = random.Random(3)
+    for encoding in ("fraction", "float"):
+        for directed in (False, True):
+            out.append((encoded_metric(rng, 7, 2, 0, encoding, directed), KMEDIAN))
+    return out
+
+
+@pytest.mark.parametrize("matrices", [1, 2])
+def test_chunk_boundaries_leave_the_report_alone(monkeypatch, matrices):
+    corpus = _chunk_corpus()
+    want = [falsify_resilience(inst, obj) for inst, obj in corpus]
+    # witnesses at every position up to seven, and searches that close many
+    positions = {r.tried - r.invalid for r in want if r.witness and r.tried}
+    assert positions >= set(range(1, 8))
+    assert any(r.verdict == RESILIENT_UNREFUTED and r.tried - r.invalid > 2 for r in want)
+    for (inst, obj), report in zip(corpus, want):
+        monkeypatch.setattr(perturb.oracle, "BLOCK_CELLS", matrices * inst.n**2)
+        got = falsify_resilience(inst, obj)
+        assert got == report
+        if got.witness is not None:
+            assert type(got.witness[0].cap) is type(report.witness[0].cap)
+        got = falsify_resilience(inst, obj, budget=5)
+        monkeypatch.undo()
+        assert got == falsify_resilience(inst, obj, budget=5)
+
+
 def test_fraction_cap_widens_int_instance_only_where_it_shortens():
     inst = line_instance([0, 1, 2, 4], k=1)
     long_edge = apply_perturbation(inst, PerturbationSpec(((0, 3),), Fraction(5, 2), UNDIRECTED))
@@ -320,10 +404,10 @@ def test_corrupted_closure_raises_internal_check(monkeypatch):
     spec = PerturbationSpec(((0, 4),), 5, UNDIRECTED)
     real = perturb._shortest_paths
 
-    def corrupted(E):
+    def corrupted(E):  # E is a stack of closures, here of one
         real(E)
-        E[2, 1] = 3 * E[2, 1]  # above d
-        E[1, 3] = 0  # below d/2, and first in row-major order
+        E[..., 2, 1] = 3 * E[..., 2, 1]  # above d
+        E[..., 1, 3] = 0  # below d/2, and first in row-major order
 
     monkeypatch.setattr(perturb, "_shortest_paths", corrupted)
     with pytest.raises(InternalCheckFailed, match=r"perturbed d\(1, 3\) = 0 left the band"):

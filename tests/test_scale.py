@@ -4,7 +4,9 @@ A float instance's one tolerance is relative to its largest finite distance.
 Multiplying every distance by a power of two is exact in binary floating
 point, and so is every sum, comparison and tolerance formed from the scaled
 matrix, so each result must scale exactly: the same kinds, routes and
-partitions, and radii and costs multiplied by the scale.
+partitions, and radii and costs multiplied by the scale (k-means costs by its
+square: the oracle compares objective values with a tolerance relative to the
+largest term).
 """
 
 import math
@@ -104,6 +106,11 @@ def test_float_results_scale_exactly(seed, formulation, exponent):
     for obj in (KCENTER, KMEDIAN):
         want, got = brute_force(inst, obj), brute_force(big, obj)
         assert got.cost / scale == want.cost
+        assert got.unique == want.unique
+        assert got.best.partition_key() == want.best.partition_key()
+    if abs(exponent) == 40:  # k-means terms at 2^±660 leave the float range
+        want, got = brute_force(inst, KMEANS), brute_force(big, KMEANS)
+        assert got.cost / scale**2 == want.cost
         assert got.unique == want.unique
         assert got.best.partition_key() == want.best.partition_key()
 
