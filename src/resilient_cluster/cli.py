@@ -2,9 +2,11 @@
 
 Exit codes: 0 optimal/success, 1 I/O or validation error, 2 infeasible or too
 large, 3 certified not-resilient, 4 internal consistency check failed (a bug,
-not bad input). Setting RESILIENT_CLUSTER_EXACT=1 is the same as passing
---exact: float literals in input files are parsed as exact rationals and
-numbers are emitted as rational strings.
+not bad input), 5 the float LP solve at some radius R could not be confirmed
+exactly (the message names R and the reason). Setting
+RESILIENT_CLUSTER_EXACT=1 is the same as passing --exact: float literals in
+input files are parsed as exact rationals and numbers are emitted as
+rational strings.
 """
 
 from __future__ import annotations
@@ -31,12 +33,14 @@ from .core import (
     objective_by_name,
     validate_metric,
 )
+from .simplex import SolverPrecisionExceeded
 
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_INFEASIBLE = 2
 EXIT_NOT_RESILIENT = 3
 EXIT_INTERNAL = 4
+EXIT_UNCONFIRMED = 5
 
 
 class CliError(Exception):
@@ -378,6 +382,9 @@ def _run_single(func, args) -> int:
     except InternalCheckFailed as e:
         print(f"internal error: {e}", file=sys.stderr)
         return EXIT_INTERNAL
+    except SolverPrecisionExceeded as e:
+        print(f"error: the float solve could not be confirmed exactly {e}", file=sys.stderr)
+        return EXIT_UNCONFIRMED
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ERROR

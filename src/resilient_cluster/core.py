@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
+from itertools import chain, repeat
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -68,13 +68,15 @@ class Objective:
 
     def term(self, d):
         exp = self.exponent
-        if type(exp) is int:
-            return d**exp
-        if isinstance(exp, Fraction) and exp.denominator == 1:
+        if type(exp) is not int:
+            if not (isinstance(exp, Fraction) and exp.denominator == 1):
+                return float(d) ** float(exp)
             exp = exp.numerator
-        if isinstance(exp, int):
-            return d**exp
-        return float(d) ** float(exp)
+        if exp > 1 and isinstance(d, float):
+            # a float product, unlike libm's pow, scales exactly when d is
+            # scaled by a power of two, so float costs do not depend on scale
+            return math.prod(repeat(d, exp))
+        return d**exp
 
 
 KCENTER = Objective(1, "max", "kcenter")

@@ -37,19 +37,24 @@ the search answers NOT_2PR.
 
 :func:`min_feasible_radius` runs one binary search with float probes, then,
 on exact instances, checks its boundary exactly in O(n^2) integer
-arithmetic. Float vectors are rationalized with
-``Fraction.limit_denominator`` and the dual is repaired to feasibility (the
-packing divided by its largest out-neighbourhood sum; alpha clipped to
-[0, 1], beta = 1 - alpha, gamma = the largest out-neighbourhood sum of
-alpha). At R* primal and dual must be exactly feasible with equal
+arithmetic. Every LP is solved in float64 only (:mod:`.simplex`); exactness
+comes from checking, never from pivoting in rationals. Float vectors are
+rationalized with ``Fraction.limit_denominator`` and the dual is repaired to
+feasibility (the packing divided by its largest out-neighbourhood sum; alpha
+clipped to [0, 1], beta = 1 - alpha, gamma = the largest out-neighbourhood
+sum of alpha). At R* primal and dual must be exactly feasible with equal
 objectives, which proves the exact optimum ``bound``; at the candidate below,
 the repaired dual alone must prove infeasibility (a packing of total > k, or
 a KCO dual of value < n - z). The ``_check_*`` functions are these checks:
-each returns a reason, or None when the check passes. A failed check sends
-that radius to ``solve_lp(..., arithmetic="exact")``, the exact simplex,
-whose answer the same checks verify; that counted fallback is the only exact
-pivoting left. At R* :func:`extract_integral` runs the packing route's
-component recovery first, so both routes give the same partition.
+each returns a reason, or None when the check passes. When a check fails (an
+optimum whose denominator exceeds ``SNAP_DENOMINATOR``, say), the float
+solve's final basis B is solved exactly instead: B x_B = b and B^T y = c_B by
+integer Bareiss elimination, which gives that basis's vertex and its duals,
+and the same checks must accept them. When they do not, the float solve
+cannot be confirmed, and :class:`.SolverPrecisionExceeded` names the radius
+and the reason; exactness is never dropped silently. At R*
+:func:`extract_integral` runs the packing route's component recovery first,
+so both routes give the same partition.
 """
 
 from __future__ import annotations
@@ -103,7 +108,8 @@ class LpOutcome:
     ``bound`` is the LP value, compared with k (KC, asym-KC) or n - z (KCO);
     ``y`` is the primal and ``certificate`` the dual solution (see the module
     docstring). On an exact outcome both were checked exactly, so ``bound`` is
-    the LP optimum and ``certificate`` proves it.
+    the LP optimum and ``certificate`` proves it. A float outcome also keeps
+    the final simplex basis, which an exact confirmation may solve.
     """
 
     feasible: bool
@@ -115,6 +121,7 @@ class LpOutcome:
     certificate: tuple
     exact: bool
     _graph: np.ndarray = field(repr=False, compare=False)
+    _basis: tuple = field(repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -163,43 +170,53 @@ def _check_formulation(inst: Instance, formulation: str) -> None:
         )
 
 
-def solve_lp(inst: Instance, R, formulation: str, arithmetic: str | None = None) -> LpOutcome:
+def solve_lp(inst: Instance, R, formulation: str) -> LpOutcome:
     """Feasibility of the chosen relaxation at radius R, with both LP sides.
 
-    ``arithmetic`` overrides the instance's number mode ("exact"/"float"); the
-    threshold graph itself is always built from the instance values, so probes
-    in either mode agree on which edges exist. An exact solve is checked by
-    the same exact checks as a rationalized float solve.
+    The LP is solved in floating point. On an exact instance the outcome is
+    then confirmed exactly (see :func:`_confirmed`), so ``bound`` is the LP
+    optimum; on a float instance the float outcome is returned as it is.
     """
     _check_formulation(inst, formulation)
-    exact = inst.exact if arithmetic is None else arithmetic == "exact"
+    outcome = _float_probe(inst, R, formulation)
+    return _confirmed(inst, outcome) if inst.exact else outcome
+
+
+def _reduced_lp(G: np.ndarray, formulation: str, k: int) -> tuple:
+    """(c, A, b) of the reduced LP max c.x s.t. A x <= b, x >= 0 at the
+    radius of G: the packing (KC, asym-KC), or the bounded coverage (KCO) over
+    y_0..y_{n-1}, t_0..t_{n-1}."""
+    n = len(G)
+    if formulation != KCO:
+        return [1] * n, G, [1] * n
+    eye = np.eye(n, dtype=np.int64)
+    A = np.zeros((2 * n + 1, 2 * n), dtype=np.int64)
+    A[:n, :n] = -G.T.astype(np.int64)
+    A[:n, n:] = eye
+    A[n : 2 * n, n:] = eye
+    A[2 * n, :n] = 1
+    return [0] * n + [1] * n, A, [0] * n + [1] * n + [k]
+
+
+def _lp_sides(formulation: str, n: int, x, duals) -> tuple:
+    """(y, certificate) from the reduced LP's primal x and duals."""
+    return (x[:n], duals) if formulation == KCO else (duals, x)
+
+
+def _float_probe(inst: Instance, R, formulation: str) -> LpOutcome:
+    """The unchecked float solve at R, carrying its final simplex basis."""
     G = build_threshold_graph(inst, R)
-    n = inst.n
-    if formulation == KCO:
-        # variables y_0..y_{n-1}, t_0..t_{n-1}; maximize total coverage sum(t)
-        eye = np.eye(n, dtype=np.int64)
-        A = np.zeros((2 * n + 1, 2 * n), dtype=np.int64)
-        A[:n, :n] = -G.T.astype(np.int64)
-        A[:n, n:] = eye
-        A[n : 2 * n, n:] = eye
-        A[2 * n, :n] = 1
-        b = [0] * n + [1] * n + [inst.k]
-        res = maximize([0] * n + [1] * n, A, b, exact=exact)
-        y, dual = res.x[:n], res.duals
-    else:
-        res = maximize([1] * n, G, [1] * n, exact=exact)
-        y, dual = res.duals, res.x
+    try:
+        res = maximize(*_reduced_lp(G, formulation, inst.k))
+    except SolverPrecisionExceeded as e:
+        raise SolverPrecisionExceeded(f"at radius {R}: {e}") from None
     if res.status != SIMPLEX_OPTIMAL:
         raise RuntimeError("the reduced LPs are bounded by construction")
-    if not exact:
-        return _outcome(inst, G, R, formulation, y, dual, res.value, exact=False)
-    outcome = _exact_outcome(inst, G, R, formulation, y, dual)
-    if isinstance(outcome, str):
-        raise InternalCheckFailed(f"exact {formulation} solve at radius {R}: {outcome}")
-    return outcome
+    y, dual = _lp_sides(formulation, inst.n, res.x, res.duals)
+    return _outcome(inst, G, R, formulation, y, dual, res.value, exact=False, basis=res.basis)
 
 
-def _outcome(inst, G, R, formulation, y, dual, bound, exact) -> LpOutcome:
+def _outcome(inst, G, R, formulation, y, dual, bound, exact, basis=()) -> LpOutcome:
     if formulation == KCO:
         target = inst.n - inst.z
         feasible = bound >= target if exact else bound >= target - FEASIBILITY_TOL
@@ -207,7 +224,8 @@ def _outcome(inst, G, R, formulation, y, dual, bound, exact) -> LpOutcome:
         feasible = bound <= inst.k if exact else bound <= inst.k + FEASIBILITY_TOL
     tol = 0 if exact else INTEGRALITY_TOL
     integral = feasible and _is_integral(G, y, formulation, tol)
-    return LpOutcome(feasible, tuple(y), integral, R, formulation, bound, tuple(dual), exact, G)
+    return LpOutcome(feasible, tuple(y), integral, R, formulation, bound, tuple(dual), exact, G,
+                     basis)
 
 
 def _is_integral(G, y, formulation, tol) -> bool:
@@ -374,6 +392,78 @@ def _infeasibility_reason(inst: Instance, outcome: LpOutcome) -> str | None:
 
 
 # ---------------------------------------------------------------------------
+# solving the float basis exactly
+
+
+def _bareiss_solve(M: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, int] | None:
+    """Integers (v, d) with M (v / d) = rhs for a square integer M, or None
+    when M is singular. Fraction-free Gauss-Jordan elimination (Bareiss):
+    after step k every pivoted row's diagonal entry is the k-th leading minor,
+    every division is exact, and the entries stay integers the size of M's
+    minors."""
+    T = np.concatenate([M, rhs[:, None]], axis=1).astype(object)
+    m = len(T)
+    prev = 1
+    for k in range(m):
+        nonzero = np.flatnonzero(T[k:, k])
+        if not len(nonzero):
+            return None
+        p = k + nonzero[0]
+        if p != k:
+            T[[k, p]] = T[[p, k]]
+        piv = T[k, k]
+        rest = np.arange(m) != k
+        T[rest] = (T[rest] * piv - np.outer(T[rest, k], T[k])) // prev
+        prev = piv
+    return T[:, m], prev
+
+
+def _basis_solution(c, A, b, basis) -> tuple[list, list] | None:
+    """The vertex of the integer LP max c.x s.t. A x <= b, x >= 0 at a
+    simplex basis, in exact arithmetic: x from B x_B = b and the duals y
+    from B^T y = c_B, where B holds the columns ``basis`` of [A | I]. None
+    when B is singular."""
+    A = np.asarray(A, dtype=np.int64)
+    m, nv = A.shape
+    basis = list(basis)
+    B = np.concatenate([A, np.eye(m, dtype=np.int64)], axis=1)[:, basis]
+    c_B = np.concatenate([np.asarray(c, dtype=np.int64), np.zeros(m, dtype=np.int64)])[basis]
+    primal = _bareiss_solve(B, np.asarray(b, dtype=np.int64))
+    dual = _bareiss_solve(B.T, c_B)
+    if primal is None or dual is None:
+        return None
+    x = [Fraction(0)] * nv
+    for j, v in zip(basis, primal[0]):
+        if j < nv:
+            x[j] = Fraction(v, primal[1])
+    return x, [Fraction(v, dual[1]) for v in dual[0]]
+
+
+def _exact_from_basis(inst: Instance, outcome: LpOutcome) -> LpOutcome | str:
+    """Solve a float probe's final basis exactly and check the vertex it
+    gives, or say why that fails."""
+    G, formulation = outcome._graph, outcome.formulation
+    solved = _basis_solution(*_reduced_lp(G, formulation, inst.k), outcome._basis)
+    if solved is None:
+        return "the basis is singular"
+    y, dual = _lp_sides(formulation, inst.n, *solved)
+    return _exact_outcome(inst, G, outcome.radius, formulation, y, dual)
+
+
+def _confirmed(inst: Instance, outcome: LpOutcome) -> LpOutcome:
+    """The exact outcome at a float probe's radius: its rationalized solution
+    when that checks out, else its basis solved exactly. Raises
+    :class:`SolverPrecisionExceeded`, naming the radius, when neither does."""
+    exact = _exact_from_float(inst, outcome)
+    if isinstance(exact, str):
+        exact = _exact_from_basis(inst, outcome)
+    if isinstance(exact, str):
+        raise SolverPrecisionExceeded(
+            f"at radius {outcome.radius}: exact solve of the float basis: {exact}")
+    return exact
+
+
+# ---------------------------------------------------------------------------
 # radius search
 
 
@@ -382,51 +472,46 @@ def min_feasible_radius(inst: Instance, formulation: str) -> tuple[object, LpOut
     feasible: one binary search, then one check.
 
     The search probes in floating point and caches each probe by candidate
-    index (a probe that loses precision is redone exactly). On a float
-    instance its boundary is the answer. On an exact instance the boundary is
-    then proved exactly: at R* the optimum is rebuilt from the float probe and
-    checked, and at the candidate below the probe's repaired dual must prove
-    infeasibility; by monotonicity these two facts pin R*. A check that fails
-    sends that radius to the exact simplex through ``solve_lp``; if the exact
-    answer moves the boundary, the same search goes on with exact probes.
+    index. On a float instance its boundary is the answer. On an exact
+    instance the boundary is then confirmed: at R* the float probe is
+    confirmed exactly (its rationalized solution, else its basis solved
+    exactly), and at the candidate below the probe's repaired dual must prove
+    infeasibility, or else that probe is confirmed the same way; by
+    monotonicity these two facts pin R*. If a confirmed probe moves the
+    boundary, the same search goes on with every probe confirmed. A probe
+    that cannot be confirmed raises :class:`.SolverPrecisionExceeded`.
     """
     _check_formulation(inst, formulation)
     cands = inst.distinct_distances()
     probes: dict[int, LpOutcome] = {}
 
-    def probe(idx: int, arithmetic: str) -> LpOutcome:
+    def probe(idx: int, confirm: bool) -> LpOutcome:
         outcome = probes.get(idx)
-        if outcome is None or (arithmetic == "exact" and not outcome.exact):
-            try:
-                outcome = solve_lp(inst, cands[idx], formulation, arithmetic=arithmetic)
-            except SolverPrecisionExceeded:
-                outcome = solve_lp(inst, cands[idx], formulation, arithmetic="exact")
-            probes[idx] = outcome
+        if outcome is None:
+            outcome = probes[idx] = _float_probe(inst, cands[idx], formulation)
+        if confirm and not outcome.exact:
+            outcome = probes[idx] = _confirmed(inst, outcome)
         return outcome
 
-    arithmetic = "float"
+    confirm = False
     lo, hi = 0, len(cands) - 1
     while True:
         lo = bisect_left(range(len(cands)), True, lo, hi,
-                         key=lambda i: probe(i, arithmetic).feasible)
+                         key=lambda i: probe(i, confirm).feasible)
         # lo was probed feasible, or it is the largest distance, where every
         # relaxation is feasible
-        outcome = probe(lo, arithmetic)
         if not inst.exact:
-            return cands[lo], outcome
-        if not outcome.exact:
-            outcome = _exact_from_float(inst, outcome)
-            if isinstance(outcome, str):
-                outcome = probe(lo, "exact")
+            return cands[lo], probe(lo, False)
+        outcome = probe(lo, True)
         if not outcome.feasible:
-            lo, hi, arithmetic = lo + 1, len(cands) - 1, "exact"
+            lo, hi, confirm = lo + 1, len(cands) - 1, True
             continue
         if lo > 0:
             below = probes[lo - 1]
             if not below.exact and _infeasibility_reason(inst, below) is not None:
-                below = probe(lo - 1, "exact")
+                below = probe(lo - 1, True)
             if below.feasible:
-                lo, hi, arithmetic = 0, lo - 1, "exact"
+                lo, hi, confirm = 0, lo - 1, True
                 continue
         return cands[lo], outcome
 

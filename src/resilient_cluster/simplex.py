@@ -1,23 +1,26 @@
-"""Dense-tableau simplex over floats or exact rationals, with Bland's rule.
+"""Dense-tableau float64 simplex with Bland's rule and a stall fallback.
 
 Handles max c.x subject to A x <= b, x >= 0 with b >= 0 — the shape every LP
 in this package takes once cast as a packing / bounded-coverage problem — so
 the all-slack basis is feasible and no phase-1 is needed.
 
-One numpy tableau serves both arithmetics. The dtype rule: float64 in float
-mode, object (``Fraction`` entries) in exact mode; every pivot is the same
-array expression either way. Bland's rule picks the first column with a
-positive reduced cost and, among the rows of minimum ratio, the one whose
-basic variable has the lowest index, which rules out cycling. In exact mode
-every comparison and division is rational, so optimality is not a tolerance
-statement. The certifier solves in float mode and checks the result exactly
-(see :mod:`resilient_cluster.lp`); exact mode is its counted fallback.
+Bland's rule picks the first column with a positive reduced cost and, among
+the rows of minimum ratio, the one whose basic variable has the lowest index.
+In exact arithmetic that rules out cycling; in float64 rounding can still
+make it cycle on a degenerate vertex. So after ``max_iters`` Bland pivots the
+entering column becomes the one with the largest reduced cost (Dantzig's
+rule), and after as many again the solve gives up with
+:class:`SolverPrecisionExceeded`. Every solve that converges within the first
+budget takes exactly Bland's pivots.
+
+The result is a float solution and its final basis; nothing here is exact.
+The certifier rationalizes the solution, or solves that basis exactly, and
+checks the answer in rational arithmetic (see :mod:`resilient_cluster.lp`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -26,33 +29,28 @@ UNBOUNDED = "unbounded"
 
 FLOAT_PIVOT_TOL = 1e-9
 
-_to_fraction = np.frompyfunc(Fraction, 1, 1)
-
 
 class SolverPrecisionExceeded(RuntimeError):
-    """Floating-point pivoting degenerated; retry in exact arithmetic."""
+    """A float solve could not be confirmed exactly: the simplex stalled, or
+    neither its rationalized solution nor its basis passed the exact checks.
+    The message names the radius and the reason."""
 
 
 @dataclass(frozen=True)
 class SimplexResult:
     status: str
     x: tuple
-    value: object
+    value: float | None
     duals: tuple  # y >= 0 with y.A >= c componentwise and y.b == value at optimum
+    # the basic variable of each row: j < len(x) is x_j, len(x) + i the slack of row i
+    basis: tuple
 
 
-def _as_array(values, exact: bool) -> np.ndarray:
-    if exact:
-        # bools and numpy integers become Python ints first: Fraction takes those
-        return _to_fraction(np.asarray(values).astype(object))
-    return np.asarray(values, dtype=np.float64)
-
-
-def maximize(c, A, b, exact: bool = True) -> SimplexResult:
+def maximize(c, A, b) -> SimplexResult:
     try:
-        c = _as_array(c, exact)
-        rows = _as_array(A, exact)
-        rhs = _as_array(b, exact)
+        c = np.asarray(c, dtype=np.float64)
+        rows = np.asarray(A, dtype=np.float64)
+        rhs = np.asarray(b, dtype=np.float64)
     except ValueError as e:
         raise ValueError(f"inconsistent LP dimensions: {e}") from None
     m = len(rhs)
@@ -61,18 +59,17 @@ def maximize(c, A, b, exact: bool = True) -> SimplexResult:
         rows = rows.reshape(0, nv)
     if c.ndim != 1 or rhs.ndim != 1 or rows.shape != (m, nv):
         raise ValueError("inconsistent LP dimensions")
-    tol = 0 if exact else FLOAT_PIVOT_TOL
+    tol = FLOAT_PIVOT_TOL
     if (rhs < -tol).any():
         raise ValueError("rhs must be nonnegative (all-slack start)")
-    zero, one = (Fraction(0), Fraction(1)) if exact else (0.0, 1.0)
 
     # rows 0..m-1 are the constraints, row m the reduced costs; the last
     # column is the right-hand side
     width = nv + m
-    T = np.full((m + 1, width + 1), zero, dtype=rhs.dtype)
+    T = np.zeros((m + 1, width + 1))
     T[:m, :nv] = rows
-    T[np.arange(m), nv + np.arange(m)] = one
-    T[:m, width] = np.where(rhs > 0, rhs, zero)
+    T[np.arange(m), nv + np.arange(m)] = 1.0
+    T[:m, width] = np.where(rhs > 0, rhs, 0.0)
     T[m, :nv] = c
     zrow = T[m, :width]
     rhs_col = T[:m, width]
@@ -84,11 +81,12 @@ def maximize(c, A, b, exact: bool = True) -> SimplexResult:
         positive = np.flatnonzero(zrow > tol)
         if not len(positive):
             break
-        enter = positive[0]
+        # Bland's rule; past its budget, Dantzig's rule breaks a float cycle
+        enter = positive[0] if iters < max_iters else positive[np.argmax(zrow[positive])]
         col = T[:m, enter]
         cand = np.flatnonzero(col > tol)
         if not len(cand):
-            return SimplexResult(UNBOUNDED, (), None, ())
+            return SimplexResult(UNBOUNDED, (), None, (), ())
         ratios = rhs_col[cand] / col[cand]
         tied = cand[ratios == ratios.min()]
         leave = tied[np.argmin(basis[tied])]
@@ -102,15 +100,13 @@ def maximize(c, A, b, exact: bool = True) -> SimplexResult:
         T[hit] -= f[hit, None] * piv_row
         basis[leave] = enter
         iters += 1
-        if iters > max_iters:
-            if exact:
-                raise RuntimeError("simplex failed to terminate under Bland's rule")
+        if iters > 2 * max_iters:
             raise SolverPrecisionExceeded(f"no convergence after {iters} pivots")
 
-    x = np.full(nv, zero, dtype=T.dtype)
+    x = np.zeros(nv)
     basic = basis < nv
     x[basis[basic]] = rhs_col[basic]
     x = x.tolist()
     value = sum(cv * xv for cv, xv in zip(c.tolist(), x))
     duals = tuple((-zrow[nv:]).tolist())
-    return SimplexResult(OPTIMAL, tuple(x), value, duals)
+    return SimplexResult(OPTIMAL, tuple(x), value, duals, tuple(basis.tolist()))

@@ -88,6 +88,21 @@ def encoded_metric(rng, n, k, z, encoding, directed=False):
     return Instance(_closure(raw), k, z, symmetric=not directed)
 
 
+def graph_metric_instance(seed, k) -> Instance:
+    """d = 1 on the edges of a random graph G(n, p) and 2 elsewhere: always a
+    metric, and heavy in LP ties. ``random.Random(seed)`` draws n, then p,
+    then each pair u < v in row-major order."""
+    rng = random.Random(seed)
+    n = rng.choice([20, 30, 40, 50])
+    p = rng.choice([0.1, 0.15, 0.2, 0.3])
+    dist = [[0 if u == v else 2 for v in range(n)] for u in range(n)]
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < p:
+                dist[u][v] = dist[v][u] = 1
+    return Instance(dist, k, symmetric=True)
+
+
 @pytest.fixture
 def line4() -> Instance:
     return line_instance([0, 1, 10, 11], k=2)

@@ -3,7 +3,7 @@
 Each check takes a rationalized LP solution and returns a reason, or None when
 the solution proves what it claims. Corrupting one entry must make it return a
 reason; a probe whose certificate fails must send that radius (and only that
-radius) to the exact simplex; planted instances must never need exact pivoting.
+radius) to the exact basis solve; planted instances must never need it.
 """
 
 import dataclasses
@@ -137,25 +137,26 @@ def test_kco_optimum_pair_rejects_a_corrupted_entry():
 
 
 # ---------------------------------------------------------------------------
-# a failed check falls back to the exact simplex once, at that radius only
+# a failed check falls back to the exact basis solve once, at that radius only
 
 
 def count_solves(monkeypatch, corrupt_at=None, corrupt=None):
-    """Wrap lp.solve_lp: count exact solves, and corrupt the float outcome at
-    one radius."""
-    real = lp.solve_lp
-    exact_radii = []
+    """Wrap lp._float_probe to corrupt the float outcome at one radius, and
+    lp._exact_from_basis to record the radius of each exact basis solve."""
+    real_probe, real_basis = lp._float_probe, lp._exact_from_basis
+    basis_radii = []
 
-    def wrapped(inst, R, formulation, arithmetic=None):
-        out = real(inst, R, formulation, arithmetic=arithmetic)
-        if out.exact:
-            exact_radii.append(R)
-        elif R == corrupt_at:
-            out = corrupt(out)
-        return out
+    def probe(inst, R, formulation):
+        out = real_probe(inst, R, formulation)
+        return corrupt(out) if R == corrupt_at else out
 
-    monkeypatch.setattr(lp, "solve_lp", wrapped)
-    return exact_radii
+    def basis(inst, outcome):
+        basis_radii.append(outcome.radius)
+        return real_basis(inst, outcome)
+
+    monkeypatch.setattr(lp, "_float_probe", probe)
+    monkeypatch.setattr(lp, "_exact_from_basis", basis)
+    return basis_radii
 
 
 def corruption(inst, formulation, side):
@@ -178,9 +179,9 @@ def test_corrupted_float_certificate_falls_back_once(monkeypatch, formulation, s
     expected_radius, expected = min_feasible_radius(inst, formulation)
     expected_clustering = lp.extract_integral(inst, expected)
     radius, corrupt = corruption(inst, formulation, side)
-    exact_radii = count_solves(monkeypatch, radius, corrupt)
+    basis_radii = count_solves(monkeypatch, radius, corrupt)
     r_star, outcome = lp.min_feasible_radius(inst, formulation)
-    assert exact_radii == [radius]
+    assert basis_radii == [radius]
     assert expected_clustering is not None
     assert r_star == expected_radius
     assert lp.extract_integral(inst, outcome) == expected_clustering
@@ -192,9 +193,9 @@ def test_certify_falls_back_to_the_search_when_the_greedy_misses(monkeypatch):
     expected = certify(inst, KC)
     assert expected.route == lp.SEARCH and expected.packing is None
     radius, corrupt = corruption(inst, KC, "at R*")
-    exact_radii = count_solves(monkeypatch, radius, corrupt)
+    basis_radii = count_solves(monkeypatch, radius, corrupt)
     verdict = lp.certify(inst, KC)
-    assert exact_radii == [radius]
+    assert basis_radii == [radius]
     assert verdict.kind == expected.kind == OPTIMAL
     assert verdict.lp_radius == expected.lp_radius
     assert verdict.clustering == expected.clustering
@@ -206,15 +207,15 @@ def test_float_probe_that_moves_the_boundary_is_overruled(monkeypatch):
     inst = planted(KC)
     greedy_misses(monkeypatch)
     expected = certify(inst, KC)
-    real = lp.solve_lp
+    real = lp._float_probe
 
-    def wrong(inst_, R, formulation, arithmetic=None):
-        out = real(inst_, R, formulation, arithmetic=arithmetic)
-        if R == expected.lp_radius and not out.exact:
+    def wrong(inst_, R, formulation):
+        out = real(inst_, R, formulation)
+        if R == expected.lp_radius:
             out = dataclasses.replace(out, feasible=False)
         return out
 
-    monkeypatch.setattr(lp, "solve_lp", wrong)
+    monkeypatch.setattr(lp, "_float_probe", wrong)
     verdict = lp.certify(inst, KC)
     assert verdict.route == lp.SEARCH
     assert verdict.lp_radius == expected.lp_radius
@@ -224,20 +225,15 @@ def test_float_probe_that_moves_the_boundary_is_overruled(monkeypatch):
 @pytest.mark.parametrize("formulation", [KC, ASYM_KC, KCO])
 @pytest.mark.parametrize("n", [16, 32])
 def test_planted_certify_never_pivots_exactly(monkeypatch, formulation, n):
-    real = lp.maximize
-    exact_calls = []
-
-    def counted(c, A, b, exact=True):
-        if exact:
-            exact_calls.append(len(c))
-        return real(c, A, b, exact=exact)
-
-    monkeypatch.setattr(lp, "maximize", counted)
+    """With the packing route off, every float solve of the search is
+    confirmed by its rationalized solution: no basis is solved exactly."""
+    greedy_misses(monkeypatch)
+    basis_radii = count_solves(monkeypatch)
     inst = planted(formulation, n=n, seed=n)
     assert inst.exact
     verdict = certify(inst, formulation)
     assert verdict.kind == OPTIMAL
-    assert exact_calls == []
+    assert basis_radii == []
 
 
 # ---------------------------------------------------------------------------

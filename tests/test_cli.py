@@ -164,6 +164,25 @@ def test_inconsistent_reported_cost_exit_4(tmp_path, capsys, monkeypatch):
     assert "internal error" in err
 
 
+@pytest.mark.parametrize("batch", [False, True])
+def test_unconfirmed_float_solve_exit_5(tmp_path, capsys, monkeypatch, batch):
+    from resilient_cluster import lp
+    from resilient_cluster.simplex import SolverPrecisionExceeded
+
+    def unconfirmed(inst, outcome):
+        raise SolverPrecisionExceeded(f"at radius {outcome.radius}: injected")
+
+    path = tmp_path / "gap.json"
+    path.write_text(json.dumps(_gap_instance_doc()))
+    monkeypatch.setattr(lp, "_confirmed", unconfirmed)
+    code, out, err = run(capsys, "certify", "--input", str(tmp_path if batch else path))
+    assert code == 5
+    assert out == ""
+    assert err.startswith("error: the float solve could not be confirmed exactly at radius ")
+    radius = err.split("at radius ")[1].split(":")[0]
+    assert radius in {str(r) for r in Instance(**_gap_instance_doc()).distinct_distances()}
+
+
 def test_malformed_json_reports_position(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text('{"n": 2,\n  "k": ]\n}')

@@ -32,7 +32,13 @@ from resilient_cluster import (
     solve_lp,
 )
 
-from conftest import line_instance, random_metric_instance, ring_union_instance, uniform_instance
+from conftest import (
+    graph_metric_instance,
+    line_instance,
+    random_metric_instance,
+    ring_union_instance,
+    uniform_instance,
+)
 
 
 def two_points(k=1, z=0):
@@ -355,20 +361,67 @@ def test_separation_properties_on_oracle_optimum():
         assert verify_planted(inst, res.best, KCENTER) == []
 
 
-def test_precision_failure_falls_back_to_exact(monkeypatch, line4):
+def test_precision_failure_is_a_typed_error_naming_the_radius(monkeypatch, line4):
     from resilient_cluster import lp as lp_mod
     from resilient_cluster.simplex import SolverPrecisionExceeded
 
-    real = lp_mod.solve_lp
+    def stalled(c, A, b):
+        raise SolverPrecisionExceeded("injected")
 
-    def flaky(inst, R, formulation, arithmetic=None):
-        if arithmetic == "float":
-            raise SolverPrecisionExceeded("injected")
-        return real(inst, R, formulation, arithmetic=arithmetic)
+    monkeypatch.setattr(lp_mod, "maximize", stalled)
+    with pytest.raises(SolverPrecisionExceeded, match=r"^at radius \d+: injected$"):
+        lp_mod.min_feasible_radius(line4, KC)
 
-    monkeypatch.setattr(lp_mod, "solve_lp", flaky)
-    r, outcome = lp_mod.min_feasible_radius(line4, KC)
-    assert r == 1 and outcome.feasible and outcome.exact
+
+def test_unconfirmable_basis_names_the_radius_and_the_reason(monkeypatch, line4):
+    from resilient_cluster import lp as lp_mod
+    from resilient_cluster.simplex import SolverPrecisionExceeded
+
+    monkeypatch.setattr(lp_mod, "_exact_from_float", lambda inst, outcome: "corrupted")
+    monkeypatch.setattr(lp_mod, "_basis_solution", lambda c, A, b, basis: None)
+    with pytest.raises(SolverPrecisionExceeded, match="at radius 1: .*singular"):
+        solve_lp(line4, 1, KC)
+
+
+# ---------------------------------------------------------------------------
+# d = 1 on the edges of G(n, p), 2 elsewhere, k = the fractional cover at
+# radius 1 rounded up: the search route, with LP optima hard to confirm
+
+
+def count_basis_solves(monkeypatch):
+    from resilient_cluster import lp as lp_mod
+
+    real = lp_mod._exact_from_basis
+    radii = []
+
+    def counted(inst, outcome):
+        radii.append(outcome.radius)
+        return real(inst, outcome)
+
+    monkeypatch.setattr(lp_mod, "_exact_from_basis", counted)
+    return radii
+
+
+@pytest.mark.parametrize("seed,k,bound,basis_solves", [
+    # float Bland's rule cycles at radius 1; the rationalized optimum checks
+    (44, 10, Fraction(1407, 152), []),
+    # the optimum's denominator exceeds SNAP_DENOMINATOR; the basis is solved
+    (83, 4, Fraction(6047901, 1669313), [1]),
+], ids=["s44", "s83"])
+def test_graph_metric_lp_optimum_is_confirmed_exactly(monkeypatch, seed, k, bound,
+                                                       basis_solves):
+    inst = graph_metric_instance(seed, k)
+    assert inst.n == 50
+    radii = count_basis_solves(monkeypatch)
+    r_star, outcome = min_feasible_radius(inst, KC)
+    assert r_star == 1 and outcome.exact
+    assert outcome.bound == bound
+    assert radii == basis_solves
+    radii.clear()
+    verdict = certify(inst, KC)
+    assert verdict.kind == NOT_2PR and verdict.lp_radius == 1
+    assert verdict.fractional_witness.exact and verdict.fractional_witness.bound == bound
+    assert radii == basis_solves
 
 
 @pytest.mark.parametrize("formulation,z", [(KC, 0), (KCO, 2)])

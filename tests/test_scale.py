@@ -12,7 +12,7 @@ largest term).
 import math
 import random
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from resilient_cluster import (
@@ -87,6 +87,9 @@ def mstdp_partition(inst, obj):
 @settings(max_examples=80, deadline=None)
 @given(seed=st.integers(0, 10_000), formulation=st.sampled_from([KC, ASYM_KC, KCO]),
        exponent=st.sampled_from([40, -40, 330, -330]))
+# a k-means term d**2 taken by libm's pow came out one ulp apart at the two
+# scales here; the product d * d does not
+@example(seed=431, formulation=KCO, exponent=40)
 def test_float_results_scale_exactly(seed, formulation, exponent):
     rng = random.Random(seed)
     n = rng.randint(4, 9)

@@ -1,12 +1,17 @@
-"""Tests for the tableau simplex: hand cases, exact strong duality, scipy cross-check."""
+"""Tests for the float tableau simplex: hand cases, exact strong duality at
+its final basis, scipy cross-check, and a float cycle it must break."""
 
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from resilient_cluster import lp
 from resilient_cluster.simplex import OPTIMAL, UNBOUNDED, SimplexResult, maximize
+
+from conftest import graph_metric_instance
 
 
 def test_small_hand_lp():
@@ -59,27 +64,64 @@ def _random_lp(rng):
 
 @pytest.mark.parametrize("seed", range(30))
 def test_exact_strong_duality(seed):
+    """The float solve's final basis, solved exactly, is an optimal vertex:
+    exactly primal and dual feasible with equal objectives."""
     rng = random.Random(seed)
     c, A, b = _random_lp(rng)
-    res = maximize(c, A, b, exact=True)
+    res = maximize(c, A, b)
     assert res.status == OPTIMAL
+    x, y = lp._basis_solution(c, A, b, res.basis)
+    assert all(type(v) is Fraction for v in x + y)
     # primal feasibility
     for row, bi in zip(A, b):
-        assert sum(a * x for a, x in zip(row, res.x)) <= bi
-    assert all(x >= 0 for x in res.x)
+        assert sum(a * v for a, v in zip(row, x)) <= bi
+    assert all(v >= 0 for v in x)
     # dual feasibility and exact strong duality
-    assert all(y >= 0 for y in res.duals)
+    assert all(v >= 0 for v in y)
     for j in range(len(c)):
-        assert sum(res.duals[i] * A[i][j] for i in range(len(A))) >= c[j]
-    assert sum(y * bi for y, bi in zip(res.duals, b)) == res.value
+        assert sum(y[i] * A[i][j] for i in range(len(A))) >= c[j]
+    value = sum(cj * v for cj, v in zip(c, x))
+    assert sum(v * bi for v, bi in zip(y, b)) == value
+    assert value == pytest.approx(res.value, abs=1e-9)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_bareiss_solve_is_exact(seed):
+    """Integer elimination solves M x = rhs exactly; seeds 9 and 14 draw a
+    singular M, which it reports as None."""
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(1, 10))
+    M = rng.integers(-3, 4, size=(m, m)) * (rng.random((m, m)) < 0.6)
+    rhs = rng.integers(-5, 6, size=m)
+    solved = lp._bareiss_solve(M, rhs)
+    if np.linalg.matrix_rank(M) < m:
+        assert solved is None
+        return
+    v, d = solved
+    x = [Fraction(a, d) for a in v]
+    assert [sum(int(a) * xj for a, xj in zip(row, x)) for row in M] == rhs.tolist()
 
 
 @pytest.mark.parametrize("seed", range(20))
 def test_matches_scipy_linprog(seed):
     rng = random.Random(1000 + seed)
     c, A, b = _random_lp(rng)
-    res = maximize(c, A, b, exact=False)
+    res = maximize(c, A, b)
     assert res.status == OPTIMAL
     ref = linprog([-v for v in c], A_ub=A, b_ub=b, method="highs")
     assert ref.status == 0
     assert res.value == pytest.approx(-ref.fun, abs=1e-7)
+
+
+def test_float_bland_cycle_is_broken():
+    """On this packing LP float Bland's rule cycles past its budget (on
+    G(n, p) at radius 1, seed 44); the largest-reduced-cost rule then
+    converges, and the basis it ends on is exactly optimal."""
+    inst = graph_metric_instance(44, k=10)
+    G = lp.build_threshold_graph(inst, 1)
+    c, A, b = lp._reduced_lp(G, lp.KC, inst.k)
+    res = maximize(c, A, b)
+    assert res.status == OPTIMAL
+    x, y = lp._basis_solution(c, A, b, res.basis)
+    assert sum(x) == sum(y) == Fraction(1407, 152)
+    assert lp._check_covering_witness(G, y, x) is None
