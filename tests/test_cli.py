@@ -98,6 +98,22 @@ def test_certify_gap_instance_exit_3_with_falsifier(tmp_path, capsys):
     assert "alternate" in report["falsifier"]["witness"]
 
 
+def test_certify_float_five_cycle_reports_exact_thirds(tmp_path, capsys):
+    # d = 1.0 on the edges of a 5-cycle and 2.0 elsewhere, k = 2: at R* = 1
+    # the fractional cover puts 1/3 on every point, confirmed exactly although
+    # the input is float
+    n = 5
+    dist = [[0.0 if u == v else 1.0 if (u - v) % n in (1, n - 1) else 2.0
+             for v in range(n)] for u in range(n)]
+    path = tmp_path / "c5.json"
+    path.write_text(json.dumps({"k": 2, "dist": dist, "symmetric": True}))
+    code, out, _ = run(capsys, "certify", "--input", str(path))
+    assert code == 3
+    report = json.loads(out)
+    assert report["verdict"] == "NOT_2PR" and report["radius"] == 1.0
+    assert report["lp"]["y"] == [1 / 3] * n
+
+
 def test_certify_falsifier_reports_tries_and_budget(tmp_path, capsys):
     path = tmp_path / "inst.json"
     run(capsys, "generate", "--n", "10", "--k", "3", "--seed", "2", "--out", str(path))

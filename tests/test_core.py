@@ -429,6 +429,17 @@ def test_clustering_invariants():
     assert clus.center_of(1) == 0
 
 
+def test_partition_key_is_built_once_and_leaves_equality_alone():
+    clus = Clustering((0, 0, 1, OUTLIER), (0, 2))
+    key = clus.partition_key()
+    assert key == (frozenset({frozenset({0, 1}), frozenset({2})}), frozenset({3}))
+    assert clus.partition_key() is key
+    # the cached key is no field: a fresh clustering still compares and hashes equal
+    fresh = Clustering((0, 0, 1, OUTLIER), (0, 2))
+    assert fresh == clus and hash(fresh) == hash(clus)
+    assert Clustering((0, 0, 1, OUTLIER), (1, 2)).partition_key() == key
+
+
 def test_voronoi_line(line4):
     clus = voronoi(line4, (1, 2))
     assert clus.assignment == (0, 0, 1, 1)

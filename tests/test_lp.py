@@ -402,26 +402,36 @@ def count_basis_solves(monkeypatch):
     return radii
 
 
-@pytest.mark.parametrize("seed,k,bound,basis_solves", [
+@pytest.mark.parametrize("seed,k,bound,basis_solves,scale", [
     # float Bland's rule cycles at radius 1; the rationalized optimum checks
-    (44, 10, Fraction(1407, 152), []),
+    pytest.param(44, 10, Fraction(1407, 152), 0, 1, id="s44"),
     # the optimum's denominator exceeds SNAP_DENOMINATOR; the basis is solved
-    (83, 4, Fraction(6047901, 1669313), [1]),
-], ids=["s44", "s83"])
+    pytest.param(83, 4, Fraction(6047901, 1669313), 1, 1, id="s83"),
+    # the same graphs with every distance halved: float instances
+    pytest.param(44, 10, Fraction(1407, 152), 0, 0.5, id="s44-float"),
+    pytest.param(83, 4, Fraction(6047901, 1669313), 1, 0.5, id="s83-float"),
+])
 def test_graph_metric_lp_optimum_is_confirmed_exactly(monkeypatch, seed, k, bound,
-                                                       basis_solves):
+                                                       basis_solves, scale):
+    """The LP at a radius reads only the threshold graph, so halving every
+    distance (a float instance) leaves the exact optimum and the basis
+    solves as they are."""
     inst = graph_metric_instance(seed, k)
+    if scale != 1:
+        inst = inst.replace(dist=[[d * scale for d in row] for row in inst.dist])
+        assert not inst.exact
     assert inst.n == 50
     radii = count_basis_solves(monkeypatch)
     r_star, outcome = min_feasible_radius(inst, KC)
-    assert r_star == 1 and outcome.exact
+    assert r_star == scale and isinstance(outcome.bound, Fraction)
     assert outcome.bound == bound
-    assert radii == basis_solves
+    assert radii == [scale] * basis_solves
     radii.clear()
     verdict = certify(inst, KC)
-    assert verdict.kind == NOT_2PR and verdict.lp_radius == 1
-    assert verdict.fractional_witness.exact and verdict.fractional_witness.bound == bound
-    assert radii == basis_solves
+    assert verdict.kind == NOT_2PR and verdict.lp_radius == scale
+    assert isinstance(verdict.fractional_witness.bound, Fraction)
+    assert verdict.fractional_witness.bound == bound
+    assert radii == [scale] * basis_solves
 
 
 @pytest.mark.parametrize("formulation,z", [(KC, 0), (KCO, 2)])
