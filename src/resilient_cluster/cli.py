@@ -4,9 +4,8 @@ Exit codes: 0 optimal/success, 1 I/O or validation error, 2 infeasible or too
 large, 3 certified not-resilient, 4 internal consistency check failed (a bug,
 not bad input), 5 the float LP solve at some radius R could not be confirmed
 exactly, whatever the instance's number type (the message names R and the
-reason). Setting RESILIENT_CLUSTER_EXACT=1 is the same as passing --exact:
-float literals in input files are parsed as exact rationals and numbers are
-emitted as rational strings.
+reason). With --exact, float literals in input files are parsed as exact
+rationals and numbers are emitted as rational strings.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
 from fractions import Fraction
@@ -49,12 +47,6 @@ class CliError(Exception):
         self.code = code
 
 
-def _exact_requested(args) -> bool:
-    return bool(getattr(args, "exact", False)) or os.environ.get(
-        "RESILIENT_CLUSTER_EXACT"
-    ) == "1"
-
-
 def _parse_number(x):
     if isinstance(x, str):
         return Fraction(x)
@@ -82,6 +74,14 @@ def _coordinates(points, exact: bool) -> np.ndarray:
         wide = 2 * dim * max(map(abs, flat), default=0) >= 2**63
         return np.array(coords, dtype=object if wide else np.int64)
     return np.array(coords, dtype=object if exact else np.float64)
+
+
+def _typed(value, kind: type, name: str):
+    """``value`` when its JSON type is ``kind`` (int or bool), else a ValueError."""
+    if type(value) is not kind:
+        noun = "integer" if kind is int else "boolean"
+        raise ValueError(f'"{name}" must be a JSON {noun}, got {json.dumps(value, default=float)}')
+    return value
 
 
 def _reject_constant(name: str):
@@ -114,9 +114,10 @@ def load_instance_file(
 ) -> tuple[Instance, Clustering | None]:
     """Parse an instance file: either an explicit distance matrix
     {"n", "k", "z", "symmetric", "dist"} or a point cloud {"points", "metric",
-    "k", "z"}; an optional "planted" clustering rides along. The instance must
-    pass :func:`validate_metric`; its seconds go to ``timing["validate"]``
-    when a ``timing`` dict is given."""
+    "k", "z"}; an optional "planted" clustering rides along. "k", "z", "n"
+    and the planted indices must be JSON integers and "symmetric" a JSON
+    boolean. The instance must pass :func:`validate_metric`; its seconds go
+    to ``timing["validate"]`` when a ``timing`` dict is given."""
     try:
         text = Path(path).read_text()
     except OSError as e:
@@ -133,20 +134,21 @@ def load_instance_file(
     if not isinstance(doc, dict):
         raise CliError(f"{path}: top-level JSON object expected")
     try:
-        k = int(doc["k"])
-        z = int(doc.get("z", 0))
+        k = _typed(doc["k"], int, "k")
+        z = _typed(doc.get("z", 0), int, "z")
         if "dist" in doc:
             dist = tuple(map(_parse_row, doc["dist"]))
-            if "n" in doc and int(doc["n"]) != len(dist):
+            if "n" in doc and _typed(doc["n"], int, "n") != len(dist):
                 raise ValueError("declared n does not match the matrix size")
-            symmetric = doc.get("symmetric")
-            if symmetric is None:
+            if "symmetric" in doc:
+                symmetric = _typed(doc["symmetric"], bool, "symmetric")
+            else:
                 symmetric = all(
                     dist[u][v] == dist[v][u]
                     for u in range(len(dist))
                     for v in range(u + 1, len(dist))
                 )
-            inst = Instance(dist, k, z, symmetric=bool(symmetric))
+            inst = Instance(dist, k, z, symmetric=symmetric)
         elif "points" in doc:
             metric = doc.get("metric", "euclidean")
             if metric == "euclidean":
@@ -178,8 +180,8 @@ def load_instance_file(
         p = doc["planted"]
         try:
             planted = Clustering(
-                tuple(int(a) for a in p["assignment"]),
-                tuple(int(c) for c in p["centers"]),
+                tuple(_typed(a, int, "planted.assignment") for a in p["assignment"]),
+                tuple(_typed(c, int, "planted.centers") for c in p["centers"]),
             )
         except (KeyError, TypeError, ValueError) as e:
             raise CliError(f"{path}: bad planted clustering: {e}")
@@ -225,7 +227,7 @@ def _load(args) -> tuple[Instance, dict, float]:
     ``validate`` seconds, and the start time that ``total`` counts from."""
     started = time.perf_counter()
     timing: dict = {}
-    inst, _ = load_instance_file(args.input, _exact_requested(args), timing)
+    inst, _ = load_instance_file(args.input, args.exact, timing)
     timing["load"] = time.perf_counter() - started - timing["validate"]
     return inst, timing, started
 
@@ -276,7 +278,7 @@ def cmd_solve(args) -> int:
     # seconds: the solve alone; total: from the start of loading
     now = time.perf_counter()
     report["timing"] = dict(timing, seconds=now - started, total=now - loaded)
-    _report(report, _exact_requested(args))
+    _report(report, args.exact)
     return code
 
 
@@ -329,7 +331,7 @@ def cmd_certify(args) -> int:
     # seconds: the solve alone; total: from the start of loading
     now = time.perf_counter()
     report["timing"] = dict(timing, seconds=now - started, total=now - loaded)
-    _report(report, _exact_requested(args))
+    _report(report, args.exact)
     return code
 
 

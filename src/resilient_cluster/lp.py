@@ -1,5 +1,5 @@
 """Threshold-graph LP relaxations, the minimum-radius search, and the exact
-certificates behind every verdict.
+check behind every verdict.
 
 At a radius R the threshold graph G_R joins u to v when d(u, v) <= R (self
 always included; on a float instance, within the instance's tolerance
@@ -21,19 +21,25 @@ primal/dual pair:
 Every outcome carries both sides: the primal ``y`` and the dual
 ``certificate`` (the packing p, or alpha, beta and gamma concatenated).
 
-How a verdict is proved. :func:`certify` first tries the packing route,
-which needs no LP. The conflict radius c(u, v) is the smallest radius at
-which u and v share an in-neighbour. One farthest-first pass in conflict
-radius takes k + 1 points (k + z + 1 for KCO), and m is the smallest
-conflict radius between two of them. At the largest candidate below m their
-in-neighbourhoods are pairwise disjoint, so that 0/1 vector is a packing of
-total k + 1 > k, and for KCO the dual alpha = 1_S, beta = 1 - alpha,
-gamma = 1 of value n - z - 1 < n - z (Hochbaum and Shmoys' lower bound). The
-same exact checks as below must accept it. A clustering that component
-recovery builds at m then has cost R* = m, the LP's and the integral
-optimum. When the check or the recovery fails, one more pass starts at the
-last point taken; when that misses too, the search below decides, and only
-the search answers NOT_2PR.
+How a verdict is proved. :func:`_reduced_lp` writes each relaxation once, as
+max c.x s.t. A x <= b, x >= 0, and one exact duality check,
+:func:`_check_lp`, judges every proof about it: a feasible primal bounds the
+LP optimum from below, a feasible dual from above, and a pair of equal value
+proves it.
+
+:func:`certify` first tries the packing route, which needs no LP. The
+conflict radius c(u, v) is the smallest radius at which u and v share an
+in-neighbour. One farthest-first pass in conflict radius takes k + 1 points
+(k + z + 1 for KCO), and m is the smallest conflict radius between two of
+them. At the largest candidate below m their in-neighbourhoods are pairwise
+disjoint, so one side of the reduced LP there proves the relaxation
+infeasible: 1_S as a packing primal of value k + 1 > k, or for KCO the dual
+alpha = 1_S, beta = 1 - alpha, gamma = 1 of value n - z - 1 < n - z
+(Hochbaum and Shmoys' lower bound). :func:`_check_lp` must accept that side.
+A clustering that component recovery builds at m then has cost R* = m, the
+LP's and the integral optimum. When the check or the recovery fails, one
+more pass starts at the last point taken; when that misses too, the search
+below decides, and only the search answers NOT_2PR.
 
 :func:`min_feasible_radius` runs one binary search with float probes, then
 confirms its boundary exactly: at R* and at the candidate below. The LP at a
@@ -41,15 +47,15 @@ radius reads only the 0/1 matrix G, so this holds for int, Fraction and float
 instances alike, and every outcome that leaves this module is confirmed.
 Every LP is solved in float64 only (:mod:`.simplex`); exactness comes from
 checking, never from pivoting in rationals. The float primal and dual are
-rationalized with ``Fraction.limit_denominator`` and must be exactly feasible
-with equal objectives, which proves the exact optimum ``bound``; by
+rationalized with ``Fraction.limit_denominator``, and :func:`_check_lp` must
+accept them as an optimal pair (for KCO the primal is y with
+t_v = min(1, y(N_in(v)))), which proves the exact optimum ``bound``; by
 monotonicity, the optimum at R* and the one at the candidate below pin R*.
-The ``_check_*`` functions are these checks: each returns a reason, or None
-when the check passes. When a check fails (an optimum whose denominator
-exceeds ``SNAP_DENOMINATOR``, say), the float solve's final basis B is solved
+When the check fails (an optimum whose denominator exceeds
+``SNAP_DENOMINATOR``, say), the float solve's final basis B is solved
 exactly instead: B x_B = b and B^T y = c_B by integer Bareiss elimination,
-which gives that basis's vertex and its duals, and the same checks must
-accept them. When they do not, the float solve cannot be confirmed, and
+which gives that basis's vertex and its duals, and the same check must
+accept them. When it does not, the float solve cannot be confirmed, and
 :class:`.SolverPrecisionExceeded` names the radius and the reason; exactness
 is never dropped silently. At R* :func:`extract_integral` runs the packing
 route's component recovery first, so both routes give the same partition.
@@ -58,6 +64,7 @@ route's component recovery first, so both routes give the same partition.
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -209,10 +216,7 @@ def _float_probe(inst: Instance, R, formulation: str) -> LpOutcome:
     if res.status != SIMPLEX_OPTIMAL:
         raise RuntimeError("the reduced LPs are bounded by construction")
     y, dual = _lp_sides(formulation, inst.n, res.x, res.duals)
-    if formulation == KCO:
-        feasible = res.value >= inst.n - inst.z - FEASIBILITY_TOL
-    else:
-        feasible = res.value <= inst.k + FEASIBILITY_TOL
+    feasible = _feasible(inst, formulation, res.value, FEASIBILITY_TOL)
     return LpOutcome(feasible, tuple(y), False, R, formulation, res.value, tuple(dual), G,
                      res.basis)
 
@@ -227,7 +231,7 @@ def _is_integral(G, y, formulation) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# exact checks: each returns a reason, or None when the check passes
+# the exact check: LP duality on the reduced LP
 
 
 def _over_common_denominator(values) -> tuple[np.ndarray, int]:
@@ -239,94 +243,74 @@ def _over_common_denominator(values) -> tuple[np.ndarray, int]:
     return np.array(nums, dtype=np.int64 if top < 2**62 else object), den
 
 
-def _check_packing(G, p) -> str | None:
-    """p >= 0 and every out-neighbourhood packs at most 1."""
-    P, den = _over_common_denominator(p)
-    if (P < 0).any():
-        return "packing has a negative entry"
-    if (G @ P > den).any():
-        return "an out-neighbourhood packs more than 1"
+def _scaled(den: int, v) -> np.ndarray:
+    """den * v for an integer vector v, in Python ints when int64 could wrap
+    (den alone may be past int64, so it counts even where v is 0)."""
+    wide = den * (max(map(abs, v)) + 1) >= 2**62
+    return np.asarray(v, dtype=object if wide else np.int64) * den
+
+
+def _dot(w, V) -> int:
+    """w . V in Python ints, which do not wrap."""
+    return sum(map(operator.mul, w, V.tolist()))
+
+
+def _check_lp(c, A, b, x=None, y=None) -> str | None:
+    """None when x is feasible for max c.x s.t. A x <= b, x >= 0, y is
+    feasible for its dual min b.y s.t. y A >= c, y >= 0, and, with both
+    given, c.x = b.y, which proves both optimal; else the reason, naming the
+    failed side. x and y are integer numerators over one denominator, as
+    :func:`_over_common_denominator` gives them. A has entries in {-1, 0, 1},
+    so A x and y A fit wherever x and y do."""
+    if x is not None:
+        X, den = x
+        if (X < 0).any():
+            return f"primal entry x_{int(np.argmax(X < 0))} is negative"
+        AX = A @ X
+        over = np.flatnonzero(AX > _scaled(den, b))
+        if len(over):
+            i = int(over[0])
+            return f"primal row {i}: A x = {Fraction(int(AX[i]), den)} exceeds b = {b[i]}"
+    if y is not None:
+        Y, den = y
+        if (Y < 0).any():
+            return f"dual entry y_{int(np.argmax(Y < 0))} is negative"
+        YA = Y @ A
+        under = np.flatnonzero(YA < _scaled(den, c))
+        if len(under):
+            j = int(under[0])
+            return f"dual column {j}: y A = {Fraction(int(YA[j]), den)} is below c = {c[j]}"
+    if x is not None and y is not None:
+        primal, dual = Fraction(_dot(c, x[0]), x[1]), Fraction(_dot(b, y[0]), y[1])
+        if primal != dual:
+            return f"value: c.x = {primal} differs from b.y = {dual}"
     return None
 
 
-def _check_packing_certificate(G, p, k) -> str | None:
-    """p proves the cover at this radius needs more than k: a packing of total > k."""
-    reason = _check_packing(G, p)
-    if reason is None and sum(p) <= k:
-        return f"packing total {sum(p)} does not exceed k={k}"
-    return reason
-
-
-def _check_covering_witness(G, y, p) -> str | None:
-    """y is a cover and p a packing of the same total, so both are optimal."""
-    Y, den = _over_common_denominator(y)
-    if (Y < 0).any():
-        return "cover has a negative entry"
-    if (Y @ G < den).any():
-        return "a point is covered less than once"
-    reason = _check_packing(G, p)
-    if reason is None and sum(y) != sum(p):
-        return f"cover total {sum(y)} differs from packing total {sum(p)}"
-    return reason
-
-
-def _kco_dual_value(dual, k):
-    n = len(dual) // 2
-    return sum(dual[n : 2 * n]) + k * dual[2 * n]
-
-
-def _check_kco_dual(G, dual) -> str | None:
-    """(alpha, beta, gamma) >= 0, alpha + beta >= 1, gamma >= G @ alpha."""
-    n = len(G)
-    D, den = _over_common_denominator(dual)
-    alpha, beta, gamma = D[:n], D[n : 2 * n], D[2 * n]
-    if (D < 0).any():
-        return "KCO dual has a negative entry"
-    if (alpha + beta < den).any():
-        return "alpha_v + beta_v < 1 at some point"
-    if (G @ alpha > gamma).any():
-        return "gamma is below an out-neighbourhood sum of alpha"
-    return None
-
-
-def _check_kco_certificate(G, dual, k, target) -> str | None:
-    """The dual proves the coverage at this radius stays below n - z."""
-    reason = _check_kco_dual(G, dual)
-    if reason is None and _kco_dual_value(dual, k) >= target:
-        return f"KCO dual value {_kco_dual_value(dual, k)} is not below n - z = {target}"
-    return reason
-
-
-def _check_kco_witness(G, y, dual, k) -> str | None:
-    """y (with t_v = min(1, y(N_in(v)))) is feasible, the dual is feasible,
-    and the coverage equals the dual value, so both are optimal."""
-    Y, den = _over_common_denominator(y)
-    if (Y < 0).any():
-        return "y has a negative entry"
-    if int(Y.sum()) > k * den:
-        return f"sum(y) exceeds k={k}"
-    reason = _check_kco_dual(G, dual)
-    if reason is not None:
-        return reason
-    coverage = Fraction(int(np.minimum(Y @ G, den).sum()), den)
-    if coverage != _kco_dual_value(dual, k):
-        return f"coverage {coverage} differs from dual value {_kco_dual_value(dual, k)}"
-    return None
+def _feasible(inst: Instance, formulation: str, value, tol) -> bool:
+    """The LP value reaches n - z (KCO), or stays within k, up to ``tol``."""
+    if formulation == KCO:
+        return value >= inst.n - inst.z - tol
+    return value <= inst.k + tol
 
 
 def _exact_outcome(inst, G, R, formulation, y, dual) -> LpOutcome | str:
-    """The exact outcome at R when the rational pair (y, dual) checks out as
-    optimal, else the reason it does not."""
+    """The exact outcome at R when :func:`_check_lp` accepts the rational
+    pair (y, dual) as an optimal pair of the reduced LP, else the reason it
+    does not. For KCO the primal is y with t_v = min(1, y(N_in(v)))."""
+    c, A, b = _reduced_lp(G, formulation, inst.k)
+    Y, den = _over_common_denominator(y)
+    D = _over_common_denominator(dual)
     if formulation == KCO:
-        reason = _check_kco_witness(G, y, dual, inst.k)
-        bound = Fraction(_kco_dual_value(dual, inst.k))
-        feasible = bound >= inst.n - inst.z
+        t = np.minimum(Y @ G, _scaled(den, [1] * inst.n))
+        primal, reduced_dual = (np.concatenate([Y, t]), den), D
     else:
-        reason = _check_covering_witness(G, y, dual)
-        bound = Fraction(sum(dual))
-        feasible = bound <= inst.k
+        primal, reduced_dual = D, (Y, den)
+    reason = _check_lp(c, A, b, primal, reduced_dual)
     if reason is not None:
         return reason
+    bound = Fraction(_dot(c, primal[0]), primal[1])
+    feasible = _feasible(inst, formulation, bound, 0)
     integral = feasible and _is_integral(G, y, formulation)
     return LpOutcome(feasible, tuple(y), integral, R, formulation, bound, tuple(dual), G, ())
 
@@ -603,16 +587,22 @@ def _largest_below(D: np.ndarray, m):
 
 
 def _packing_reason(inst: Instance, G: np.ndarray, points, formulation: str) -> str | None:
-    """None iff ``points`` as a 0/1 vector passes the exact infeasibility
-    check at the radius of G: the packing itself (KC, asym-KC), or the KCO
-    dual alpha = 1_S, beta = 1 - alpha, gamma = 1, of value n - |S| + k."""
-    p = [0] * inst.n
-    for u in points:
-        p[u] = 1
+    """None iff :func:`_check_lp` accepts ``points`` as a 0/1 vector that
+    proves the relaxation at the radius of G infeasible: the packing primal
+    1_S of value |S| > k (KC, asym-KC), or the KCO dual alpha = 1_S,
+    beta = 1 - alpha, gamma = 1 of value n - |S| + k < n - z."""
+    c, A, b = _reduced_lp(G, formulation, inst.k)
+    p = np.zeros(inst.n, dtype=np.int64)
+    p[list(points)] = 1
     if formulation == KCO:
-        dual = p + [1 - a for a in p] + [1]
-        return _check_kco_certificate(G, dual, inst.k, inst.n - inst.z)
-    return _check_packing_certificate(G, p, inst.k)
+        dual = np.concatenate([p, 1 - p, [1]])
+        reason, value = _check_lp(c, A, b, y=(dual, 1)), _dot(b, dual)
+    else:
+        reason, value = _check_lp(c, A, b, x=(p, 1)), _dot(c, p)
+    if reason is None and _feasible(inst, formulation, value, 0):
+        bound = f"below n - z = {inst.n - inst.z}" if formulation == KCO else f"above k = {inst.k}"
+        return f"value: {value} is not {bound}"
+    return reason
 
 
 def _packing_route(inst: Instance, formulation: str) -> CertifierVerdict | None:
@@ -655,8 +645,11 @@ def certify(inst: Instance, formulation: str) -> CertifierVerdict:
     looks for a clustering there. On either route R* lower-bounds every
     solution, so a clustering of cost R* is provably optimal; its cost is
     checked against R* before OPTIMAL is returned. NOT_2PR comes only from
-    the search: no integral clustering at R* was found and the LP witness is
-    fractional, which on a 2-perturbation-resilient instance cannot happen.
+    the search. What it proves is the exact LP optimum at R* and at the
+    candidate below, and that no clustering was recovered at R*. Reading it
+    as non-resilience rests on the paper's theorem that the natural LP is
+    integral on 2-perturbation-resilient instances; it is not a proof of an
+    integrality gap.
     """
     _check_formulation(inst, formulation)
     verdict = _packing_route(inst, formulation)

@@ -1,8 +1,9 @@
-"""Tests for the exact checks behind every certifier verdict.
+"""Tests for the exact check behind every certifier verdict.
 
-Each check takes a rationalized LP solution and returns a reason, or None when
-the solution proves what it claims. Corrupting one entry must make it return a
-reason; a probe whose certificate fails must send that radius (and only that
+The one check, LP duality on the reduced LP, takes a rational primal, dual,
+or both, and returns a reason, or None when they prove what they claim.
+Corrupting one entry must make it return a reason that names the failed
+side; a probe whose certificate fails must send that radius (and only that
 radius) to the exact basis solve; planted instances must never need it.
 """
 
@@ -62,78 +63,108 @@ def boundary(inst, formulation):
 
 
 # ---------------------------------------------------------------------------
-# each certificate kind passes as solved, and fails with one entry corrupted
+# each confirmed pair passes the duality check as solved, and fails with one
+# entry corrupted, naming the failed side: primal, dual, or value
 
 
-@pytest.mark.parametrize("formulation", [KC, ASYM_KC])
+def with_entry(values, i, new):
+    return values[:i] + [new] + values[i + 1 :]
+
+
+def pair_reason(inst, R, formulation, y, certificate):
+    """Why the confirmation at R rejects the pair (y, certificate), or None."""
+    G = build_threshold_graph(inst, R)
+    checked = lp._exact_outcome(inst, G, R, formulation, y, certificate)
+    return None if isinstance(checked, lp.LpOutcome) else checked
+
+
+@pytest.mark.parametrize("formulation", [KC, ASYM_KC, KCO])
 def test_packing_certificate_rejects_a_corrupted_entry(formulation):
+    """Below R* the certificate proves the relaxation infeasible: the
+    packing (the reduced LP's primal for KC, asym-KC) or the KCO dual
+    (alpha, beta, gamma)."""
     inst = planted(formulation)
     _, below = boundary(inst, formulation)
     outcome = solve_lp(inst, below, formulation)
     assert isinstance(outcome.bound, Fraction) and not outcome.feasible
-    G = build_threshold_graph(inst, below)
-    p = list(outcome.certificate)
-    assert lp._check_packing_certificate(G, p, inst.k) is None
-    v = max(range(inst.n), key=lambda u: p[u])
-    overfull = p[:v] + [p[v] + 1] + p[v + 1 :]
-    assert "packs more than 1" in lp._check_packing_certificate(G, overfull, inst.k)
-    negative = p[:v] + [Fraction(-1)] + p[v + 1 :]
-    assert "negative" in lp._check_packing_certificate(G, negative, inst.k)
-    short = [Fraction(0)] * inst.n
-    assert "does not exceed" in lp._check_packing_certificate(G, short, inst.k)
+    y, cert = list(outcome.y), list(outcome.certificate)
+
+    def reason(certificate):
+        return pair_reason(inst, below, formulation, y, certificate)
+
+    assert reason(cert) is None
+    n = inst.n
+    if formulation == KCO:
+        assert len(cert) == 2 * n + 1
+        for v in range(n):
+            beta_cut = with_entry(cert, n + v, cert[n + v] - 1)
+            assert reason(beta_cut).startswith("dual ")
+        gamma_cut = with_entry(cert, 2 * n, cert[-1] - Fraction(1, 2))
+        assert reason(gamma_cut).startswith("dual column ")
+        expensive = with_entry(cert, 2 * n, cert[-1] + n)
+        assert reason(expensive).startswith("value: ")
+        return
+    v = max(range(n), key=lambda u: cert[u])
+    overfull = with_entry(cert, v, cert[v] + 1)
+    assert reason(overfull).startswith("primal row ")
+    negative = with_entry(cert, v, Fraction(-1))
+    assert reason(negative) == f"primal entry x_{v} is negative"
+    short = [Fraction(0)] * n
+    assert reason(short).startswith("value: ")
 
 
-def test_kco_dual_certificate_rejects_a_corrupted_entry():
-    inst = planted(KCO)
-    _, below = boundary(inst, KCO)
-    outcome = solve_lp(inst, below, KCO)
-    assert isinstance(outcome.bound, Fraction) and not outcome.feasible
-    G = build_threshold_graph(inst, below)
-    n, k, target = inst.n, inst.k, inst.n - inst.z
-    dual = list(outcome.certificate)
-    assert len(dual) == 2 * n + 1
-    assert lp._check_kco_certificate(G, dual, k, target) is None
-    for v in range(n):
-        beta_cut = dual[: n + v] + [dual[n + v] - 1] + dual[n + v + 1 :]
-        assert lp._check_kco_certificate(G, beta_cut, k, target) is not None
-    gamma_cut = dual[:-1] + [dual[-1] - Fraction(1, 2)]
-    assert lp._check_kco_certificate(G, gamma_cut, k, target) is not None
-    expensive = dual[:-1] + [dual[-1] + n]
-    assert "not below" in lp._check_kco_certificate(G, expensive, k, target)
-
-
-@pytest.mark.parametrize("formulation", [KC, ASYM_KC])
+@pytest.mark.parametrize("formulation", [KC, ASYM_KC, KCO])
 def test_covering_optimum_pair_rejects_a_corrupted_entry(formulation):
+    """At R* the cover y (for KCO with t_v = min(1, y(N_in(v)))) and the
+    certificate have equal values, which proves both optimal."""
     inst = planted(formulation)
     r_star, _ = boundary(inst, formulation)
     outcome = solve_lp(inst, r_star, formulation)
-    G = build_threshold_graph(inst, r_star)
-    y, p = list(outcome.y), list(outcome.certificate)
-    assert lp._check_covering_witness(G, y, p) is None
-    assert outcome.bound == sum(y) == sum(p)
+    y, cert = list(outcome.y), list(outcome.certificate)
+
+    def reason(y, certificate):
+        return pair_reason(inst, r_star, formulation, y, certificate)
+
+    assert reason(y, cert) is None
+    if formulation == KCO:
+        for u in range(inst.n):
+            negative = with_entry(y, u, Fraction(-1, 2))
+            assert reason(negative, cert) == f"primal entry x_{u} is negative"
+        # the last primal row is sum(y) <= k
+        assert reason([Fraction(1)] * inst.n, cert).startswith(f"primal row {2 * inst.n}: ")
+        costly = with_entry(cert, 2 * inst.n, cert[-1] + 1)
+        assert reason(y, costly).startswith("value: ")
+        return
+    assert outcome.bound == sum(y) == sum(cert)
     for u in range(inst.n):
-        raised = y[:u] + [y[u] + 1] + y[u + 1 :]
-        assert "differs" in lp._check_covering_witness(G, raised, p)
+        raised = with_entry(y, u, y[u] + 1)
+        assert reason(raised, cert).startswith("value: ")
     center = y.index(1)
-    uncovered = y[:center] + [Fraction(0)] + y[center + 1 :]
-    assert "covered less than once" in lp._check_covering_witness(G, uncovered, p)
-    overfull = p[:center] + [p[center] + 1] + p[center + 1 :]
-    assert "packs more than 1" in lp._check_covering_witness(G, y, overfull)
+    uncovered = with_entry(y, center, Fraction(0))
+    assert reason(uncovered, cert).startswith("dual column ")
+    overfull = with_entry(cert, center, cert[center] + 1)
+    assert reason(y, overfull).startswith("primal row ")
 
 
-def test_kco_optimum_pair_rejects_a_corrupted_entry():
-    inst = planted(KCO)
-    r_star, _ = boundary(inst, KCO)
-    outcome = solve_lp(inst, r_star, KCO)
-    G = build_threshold_graph(inst, r_star)
-    y, dual = list(outcome.y), list(outcome.certificate)
-    assert lp._check_kco_witness(G, y, dual, inst.k) is None
-    for u in range(inst.n):
-        negative = y[:u] + [Fraction(-1, 2)] + y[u + 1 :]
-        assert lp._check_kco_witness(G, negative, dual, inst.k) is not None
-    assert "exceeds k" in lp._check_kco_witness(G, [Fraction(1)] * inst.n, dual, inst.k)
-    costly = dual[:-1] + [dual[-1] + 1]
-    assert "differs" in lp._check_kco_witness(G, y, costly, inst.k)
+def test_check_lp_reads_values_past_int64():
+    """Small numerators over a common denominator past 2^63 put den * b and
+    den * c in Python ints, and the check stays exact; so does KCO's
+    t_v = min(1, y(N_in(v))) in numerators."""
+    c, A, b = [1, 1], np.array([[1, 1], [1, 0]]), [1, 1]
+    p, q = 2**32 + 1, 2**32 - 1
+    small = lp._over_common_denominator([Fraction(1, p), Fraction(1, q)])
+    assert small[0].dtype == np.int64 and small[1] >= 2**63
+    assert lp._check_lp(c, A, b, x=small) is None
+    assert lp._check_lp(c, A, b, y=small).startswith("dual column 0: ")
+    one = lp._over_common_denominator([Fraction(1), Fraction(0)])
+    assert lp._check_lp(c, A, b, x=small, y=one).startswith("value: ")
+    wide = lp._over_common_denominator([Fraction(1, p), 1 - Fraction(1, p) + Fraction(1, q)])
+    assert lp._check_lp(c, A, b, x=wide).startswith("primal row 0: ")
+    inst = Instance(((0, 1), (1, 0)), 1, 1)
+    y = [Fraction(1, p), Fraction(1, q)]
+    dual = [Fraction(v) for v in (0, 0, 1, 1, 0)]
+    reason = lp._exact_outcome(inst, np.eye(2, dtype=bool), 0, KCO, y, dual)
+    assert reason == f"value: c.x = {sum(y)} differs from b.y = 2"
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +310,13 @@ def overlapping(G, points):
     return list(points[:-1]) + [shared]
 
 
+def rejection(formulation):
+    """How an overlapping set fails: the packing exceeds 1 on some
+    out-neighbourhood (a primal row), or the KCO dual's gamma = 1 is below
+    one (a dual column)."""
+    return "dual column " if formulation == KCO else "primal row "
+
+
 @pytest.mark.parametrize("formulation", [KC, ASYM_KC, KCO])
 def test_checkers_accept_a_zero_one_packing_and_reject_an_overlap(formulation):
     inst = planted(formulation, n=16, seed=16)
@@ -289,29 +327,27 @@ def test_checkers_accept_a_zero_one_packing_and_reject_an_overlap(formulation):
     assert packing.radius == below and verdict.lp_radius == r_star
     assert len(packing.points) == inst.k + 1 + (inst.z if formulation == KCO else 0)
     G = build_threshold_graph(inst, packing.radius)
-    k, target = inst.k, inst.n - inst.z
+    c, A, b = lp._reduced_lp(G, formulation, inst.k)
+    p = np.array(zero_one(inst, packing.points))
     if formulation == KCO:
-        def check(points):
-            p = zero_one(inst, points)
-            dual = p + [1 - a for a in p] + [1]
-            assert lp._kco_dual_value(dual, k) == target - 1
-            return lp._check_kco_certificate(G, dual, k, target)
-        rejection = "below an out-neighbourhood sum"
+        dual = np.concatenate([p, 1 - p, [1]])
+        assert lp._check_lp(c, A, b, y=(dual, 1)) is None
+        assert lp._dot(b, dual) == inst.n - inst.z - 1
     else:
-        def check(points):
-            return lp._check_packing_certificate(G, zero_one(inst, points), k)
-        rejection = "packs more than 1"
+        assert lp._check_lp(c, A, b, x=(p, 1)) is None
+        assert lp._dot(c, p) == inst.k + 1
+    assert lp._packing_reason(inst, G, packing.points, formulation) is None
     overlap = overlapping(G, packing.points)
-    assert check(packing.points) is None
-    assert rejection in check(overlap)
-    for points in (packing.points, overlap):
-        assert lp._packing_reason(inst, G, points, formulation) == check(points)
+    assert lp._packing_reason(inst, G, overlap, formulation).startswith(rejection(formulation))
+    short = lp._packing_reason(inst, G, packing.points[:-1], formulation)
+    target = f"below n - z = {inst.n - inst.z}" if formulation == KCO else f"above k = {inst.k}"
+    assert short.startswith("value: ") and short.endswith(target)
 
 
-@pytest.mark.parametrize("formulation", [KC, KCO])
+@pytest.mark.parametrize("formulation", [KC, ASYM_KC, KCO])
 def test_overlapping_greedy_packing_is_rejected(monkeypatch, formulation):
-    """Every pass hands the checks a set with a real overlap at the radius
-    they check; they reject it, and the search answers."""
+    """Every pass hands the check a set with a real overlap at the radius it
+    checks; it rejects the set, and the search answers."""
     inst = planted(formulation)
     real, real_reason = lp._greedy_packing, lp._packing_reason
     greedy_misses(monkeypatch)
@@ -332,10 +368,9 @@ def test_overlapping_greedy_packing_is_rejected(monkeypatch, formulation):
     monkeypatch.setattr(lp, "_greedy_packing", overlap)
     monkeypatch.setattr(lp, "_packing_reason", reason)
     verdict = lp.certify(inst, formulation)
-    rejection = "below an out-neighbourhood sum" if formulation == KCO else "packs more than 1"
     assert len(overlaps) == 2
     assert [points for points, _ in reasons] == overlaps
-    assert all(rejection in why for _, why in reasons)
+    assert all(why.startswith(rejection(formulation)) for _, why in reasons)
     assert verdict.route == lp.SEARCH and verdict.packing is None
     assert verdict == expected
 

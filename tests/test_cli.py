@@ -380,13 +380,50 @@ def test_matrix_parse_matches_the_per_entry_reference(tmp_path, dist):
     assert got == expected
 
 
-def test_exact_env_var(tmp_path, capsys, monkeypatch):
+def test_exact_is_set_by_the_flag_alone(tmp_path, capsys, monkeypatch):
     path = tmp_path / "f.json"
     path.write_text(json.dumps({"k": 1, "dist": [["0", "1/3"], ["1/3", "0"]]}))
+    code, out, _ = run(capsys, "solve", "--input", str(path), "--method", "oracle", "--exact")
+    assert code == 0
+    assert json.loads(out)["cost"] == "1/3"
+    # no environment variable stands in for --exact
     monkeypatch.setenv("RESILIENT_CLUSTER_EXACT", "1")
     code, out, _ = run(capsys, "solve", "--input", str(path), "--method", "oracle")
     assert code == 0
-    assert json.loads(out)["cost"] == "1/3"
+    assert json.loads(out)["cost"] == 1 / 3
+
+
+LINE4 = {"k": 2, "dist": [[0, 1, 10, 11], [1, 0, 9, 10], [10, 9, 0, 1], [11, 10, 1, 0]],
+         "planted": {"assignment": [0, 0, 2, 2], "centers": [0, 2]}}
+
+
+@pytest.mark.parametrize("field, value, exact", [
+    ("k", 2.5, False),
+    ("k", 2.5, True),
+    ("k", True, False),
+    ("k", "2", False),
+    ("z", 0.9, False),
+    ("z", False, False),
+    ("n", 4.0, False),
+    ("symmetric", "false", False),
+    ("symmetric", 1, False),
+    ("planted.assignment", [0, 0, 2, 2.0], False),
+    ("planted.centers", [0, True], False),
+], ids=["k-float", "k-exact-rational", "k-bool", "k-string", "z-float", "z-bool", "n-float",
+        "symmetric-string", "symmetric-int", "assignment-float", "centers-bool"])
+def test_instance_fields_must_have_their_json_type(tmp_path, capsys, field, value, exact):
+    """k, z, n and the planted indices are JSON integers, never bools, and
+    symmetric is a JSON boolean; anything else exits 1 naming the field."""
+    doc = json.loads(json.dumps(LINE4))
+    if field.startswith("planted."):
+        doc["planted"][field.split(".")[1]] = value
+    else:
+        doc[field] = value
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "certify", "--input", str(path), *(["--exact"] if exact else []))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {path}: ") and f'"{field}" must be a JSON ' in err
 
 
 def test_solve_lp_not_resilient_exit_3(tmp_path, capsys):

@@ -124,4 +124,5 @@ def test_float_bland_cycle_is_broken():
     assert res.status == OPTIMAL
     x, y = lp._basis_solution(c, A, b, res.basis)
     assert sum(x) == sum(y) == Fraction(1407, 152)
-    assert lp._check_covering_witness(G, y, x) is None
+    assert lp._check_lp(c, A, b, lp._over_common_denominator(x),
+                        lp._over_common_denominator(y)) is None
