@@ -166,16 +166,46 @@ def objective_by_name(name: str) -> Objective:
 # instances
 
 
+def _has_headroom(D: np.ndarray) -> bool:
+    """Every |entry| of the int64 array ``D`` is below 2**61, so that twice a
+    sum of two of them (or of their difference) neither wraps nor rounds."""
+    return -(2**61) < D.min() and D.max() < 2**61
+
+
 def _exact_array(values) -> np.ndarray:
-    """Exact numbers as int64 while every |value| < 2**61, so that twice a sum
-    of two of them (or of their difference) neither wraps nor rounds, and as
-    an object array of the Python numbers otherwise. Always a new array."""
+    """Exact numbers as int64 while every |value| < 2**61 (see
+    :func:`_has_headroom`), and as an object array of the Python numbers
+    otherwise. Always a new array."""
     D = np.array(values)
-    if D.dtype == object or (D.dtype == np.int64 and -(2**61) < D.min() and D.max() < 2**61):
+    if D.dtype == object or (D.dtype == np.int64 and _has_headroom(D)):
         return D
     # from 2**61 on; from 2**63 on numpy may also have picked float64
     # (rounded) or uint64 (wraps on negation)
     return np.array(values, dtype=object)
+
+
+def _int_rows_array(rows: tuple, n: int):
+    """The array :func:`_exact_array` would make of ``rows``, read in one
+    typed pass, when every entry is an ``int`` (subclasses included) but not
+    a ``bool``; None when the entries' types must be scanned instead.
+
+    A row sum is ``int`` only when the row holds ints and bools: a numpy
+    scalar, ``Fraction`` or float entry makes it another type, and a string
+    makes ``sum`` raise. An entry outside int64 makes the int64 read raise,
+    and a bool, valued 0 or 1, is looked for among those entries alone.
+    """
+    try:
+        # numpy scalars may overflow in the sums; their type is all that counts
+        with np.errstate(all="ignore"):
+            if set(map(type, map(sum, rows))) != {int}:
+                return None
+        A = np.fromiter(chain.from_iterable(rows), np.int64, n * n).reshape(n, n)
+    except (TypeError, ArithmeticError):
+        return None
+    if any(type(rows[i // n][i % n]) is bool
+           for i in np.flatnonzero((A == 0) | (A == 1)).tolist()):
+        return None
+    return A if _has_headroom(A) else np.array(rows, dtype=object)
 
 
 def relative_tol(A: np.ndarray) -> float:
@@ -195,13 +225,20 @@ class Instance:
     the outlier budget, 0 for plain problems.
 
     ``dist`` is any square sequence of rows, stored as a tuple of tuples of
-    Python numbers. An int64 or float64 numpy array is taken as it is: the
-    rows come from ``tolist()``, ``exact`` follows the dtype, and a copy of
-    the array becomes ``_array`` (an int64 one by the headroom rule of
-    :func:`_exact_array`), so no entry's type is looked at. Every other input
-    (lists, tuples, object, bool and other numpy arrays) has its entries'
-    types scanned: numpy integers become ``int``, and a matrix with any
-    inexact entry becomes all ``float``.
+    Python numbers. ``_array``, the matrix as one numpy array that the
+    solvers read, is built here and kept out of equality and repr: float64
+    for float instances, and for exact ones int64 or object by the headroom
+    rule of :func:`_exact_array`. The input is read one of three ways:
+
+    - An int64 or float64 numpy array is taken as it is: the rows come from
+      ``tolist()``, ``exact`` follows the dtype, and ``_array`` is a copy.
+    - Rows whose sums are all ``int`` hold ints and perhaps bools. They are
+      read in one typed pass by :func:`_int_rows_array`, which looks at no
+      entry's type but those valued 0 or 1.
+    - Everything else (numpy scalars, Fractions, floats, strings, a bool
+      among int rows, an int past int64, and object, bool and other numpy
+      arrays) has its entries' types scanned: numpy integers become ``int``,
+      and a matrix with any inexact entry becomes all ``float``.
     """
 
     dist: tuple
@@ -230,7 +267,9 @@ class Instance:
             raise ValueError("k + z must not exceed n")
         if native:
             exact = dist.dtype == np.int64
-            object.__setattr__(self, "_array", _exact_array(dist) if exact else dist.copy())
+            array = _exact_array(dist) if exact else dist.copy()
+        elif (array := _int_rows_array(rows, n)) is not None:
+            exact = True
         else:
             kinds = set(map(type, chain.from_iterable(rows)))
             if any(issubclass(t, np.integer) for t in kinds):
@@ -241,8 +280,10 @@ class Instance:
             exact = all(map(_is_exact_type, kinds))
             if not exact and kinds != {float}:
                 rows = tuple([tuple(map(float, row)) for row in rows])
+            array = _exact_array(rows) if exact else np.array(rows, dtype=np.float64)
         object.__setattr__(self, "dist", rows)
         object.__setattr__(self, "exact", exact)
+        object.__setattr__(self, "_array", array)
 
     @property
     def n(self) -> int:
@@ -261,15 +302,6 @@ class Instance:
 
     def d(self, u: int, v: int):
         return self.dist[u][v]
-
-    @cached_property
-    def _array(self) -> np.ndarray:
-        """``dist`` as one numpy array, built on first use and kept out of
-        equality and repr: float64 for float instances, and for exact ones
-        the array :func:`_exact_array` picks."""
-        if not self.exact:
-            return np.array(self.dist, dtype=np.float64)
-        return _exact_array(self.dist)
 
     def distinct_distances(self) -> list:
         D = self._array

@@ -147,9 +147,7 @@ def generate(cfg: GeneratorConfig) -> tuple[Instance, Clustering]:
     D += spoke_out[:, None]
     D += spoke_in[None, :]
     np.fill_diagonal(D, 0)
-    dist = D.tolist()
-    del H, D
-    inst = Instance(dist, k, z, symmetric=cfg.mode != ASYMMETRIC)
+    inst = Instance(D, k, z, symmetric=cfg.mode != ASYMMETRIC)
 
     order = sorted(range(k), key=lambda i: centers[i])
     assignment = [OUTLIER] * n

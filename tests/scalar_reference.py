@@ -1,4 +1,5 @@
-"""Scalar reference versions of the brute-force oracle, the perturbation
+"""Scalar reference versions of the instance's reading of a matrix of rows
+(the type of every entry scanned), the brute-force oracle, the perturbation
 closure, the resilience falsifier, the metric check, Voronoi assignment,
 Gonzalez's and Hochbaum and Shmoys' 2-approximations, component recovery, the
 loader's matrix parse and Manhattan distances, Kruskal's spanning tree, the
@@ -14,6 +15,7 @@ from __future__ import annotations
 import math
 import operator
 import random
+from fractions import Fraction
 from itertools import chain, combinations
 
 import numpy as np
@@ -51,6 +53,32 @@ from resilient_cluster.generator import (
     _cluster_sizes,
 )
 from resilient_cluster.perturb import DEFAULT_BUDGET
+
+
+def exact_array(values):
+    """Exact numbers as int64 while every |value| < 2**61, else an object
+    array of the Python numbers."""
+    D = np.array(values)
+    if D.dtype == object or (D.dtype == np.int64 and -(2**61) < D.min() and D.max() < 2**61):
+        return D
+    return np.array(values, dtype=object)
+
+
+def read_rows(dist):
+    """(rows, exact, array) of a square matrix of rows, read by scanning the
+    type of every entry: numpy integers become ``int``; the matrix is exact
+    when every entry is an ``int`` or ``Fraction`` but not a ``bool``, and
+    otherwise every entry becomes a ``float``."""
+    rows = tuple(tuple(row) for row in dist)
+    kinds = set(map(type, chain.from_iterable(rows)))
+    if any(issubclass(t, np.integer) for t in kinds):
+        rows = tuple(tuple(int(x) if isinstance(x, np.integer) else x for x in row)
+                     for row in rows)
+        kinds = {int if issubclass(t, np.integer) else t for t in kinds}
+    exact = all(issubclass(t, (int, Fraction)) and not issubclass(t, bool) for t in kinds)
+    if not exact and kinds != {float}:
+        rows = tuple(tuple(map(float, row)) for row in rows)
+    return rows, exact, exact_array(rows) if exact else np.array(rows, dtype=np.float64)
 
 
 def _evaluate(inst, obj, centers):

@@ -34,7 +34,14 @@ from resilient_cluster.core import (
 )
 
 import scalar_reference as reference
-from conftest import _closure, encoded_metric, line_instance, random_metric_instance, uniform_instance
+from conftest import (
+    _closure,
+    encoded_metric,
+    graph_metric_instance,
+    line_instance,
+    random_metric_instance,
+    uniform_instance,
+)
 
 
 def test_instance_parameter_validation():
@@ -67,8 +74,13 @@ def test_exact_mode_detection():
         (True, False),  # bool does not
         (0.5, False),
         (np.int64(1), True),
+        (np.int32(1), True),
+        (np.True_, False),  # nor does numpy's
+        (2**63, True),
+        (Fraction(2, 1), True),
     ],
-    ids=["int", "fraction", "int-subclass", "fraction-subclass", "bool", "float", "numpy-int64"],
+    ids=["int", "fraction", "int-subclass", "fraction-subclass", "bool", "float", "numpy-int64",
+         "numpy-int32", "numpy-bool", "2**63", "fraction-2/1"],
 )
 def test_exactness_rule_on_entry_types(entry, exact):
     inst = Instance(((0, entry), (entry, 0)), k=1)
@@ -76,6 +88,24 @@ def test_exactness_rule_on_entry_types(entry, exact):
     if not exact:
         assert all(type(x) is float for row in inst.dist for x in row)
     assert inst.dist[0][1] == entry
+
+
+def test_a_bool_on_the_diagonal_makes_an_int_matrix_float():
+    inst = Instance(((False, 1, 2), (1, 0, 1), (2, 1, 0)), k=1)
+    assert not inst.exact
+    assert all(type(x) is float for row in inst.dist for x in row)
+    assert inst._array.dtype == np.float64
+
+
+def test_a_zero_one_heavy_int_matrix_stays_exact():
+    # d = 1 on the edges of a random graph and 2 elsewhere: the typed read
+    # looks at every entry valued 0 or 1 for a bool, and finds none
+    inst = graph_metric_instance(44, 10)
+    assert inst.n == 50
+    assert inst.exact
+    assert all(type(x) is int for row in inst.dist for x in row)
+    assert inst._array.dtype == np.int64
+    assert inst._array.tolist() == [list(row) for row in inst.dist]
 
 
 def test_exactness_follows_entry_types_at_any_size():
@@ -106,6 +136,51 @@ def test_validate_metric_symmetry_flag_contradiction():
     assert validate_metric(Instance(((0, 1), (3, 0)), k=1, symmetric=False)) == []
 
 
+Small = type("Small", (int,), {})
+B61 = 2**61
+ENTRIES = {
+    "int": st.integers(-3, 3),
+    "big-int": st.sampled_from([B61 - 1, -(B61 - 1), B61, -B61, 2**63, -(2**63), 2**64]),
+    "int-subclass": st.integers(0, 3).map(Small),
+    "bool": st.booleans(),
+    "numpy-int": st.sampled_from([np.int32, np.int64]).flatmap(
+        lambda t: st.integers(-3, 3).map(t)),
+    "numpy-big-int": st.sampled_from([np.int64(B61), np.int64(-(B61 - 1)), np.int64(2**62)]),
+    "numpy-bool": st.sampled_from([np.True_, np.False_]),
+    "fraction": st.sampled_from([Fraction(2, 1), Fraction(1, 3), Fraction(-5, 2)]),
+    "float": st.sampled_from([0.5, 1.0, 0.0, math.nan, math.inf, -math.inf]),
+}
+INT_ENTRIES = ["int", "big-int", "int-subclass", "bool"]
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), n=st.integers(1, 5), int_only=st.booleans())
+def test_reading_rows_matches_the_scalar_reference(data, n, int_only):
+    # each draw mixes at most three kinds, in half the draws only kinds whose
+    # row sums are int, so int matrices with a bool, a big int or an int
+    # subclass among them come up as often as matrices with other numbers
+    pool = INT_ENTRIES if int_only else sorted(ENTRIES)
+    kinds = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3, unique=True))
+    entry = st.sampled_from(kinds).flatmap(ENTRIES.__getitem__)
+    rows = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    # a metric's diagonal of int zeros, or of bools, or as drawn
+    diagonal = data.draw(st.sampled_from(["0", "False", "drawn"]), label="diagonal")
+    if diagonal != "drawn":
+        for u in range(n):
+            rows[u][u] = 0 if diagonal == "0" else False
+    want_rows, want_exact, want_array = reference.read_rows(rows)
+    got = Instance(tuple(map(tuple, rows)), k=1)
+    assert [[type(x) for x in row] for row in got.dist] == [
+        [type(x) for x in row] for row in want_rows]
+    # repr, not ==: NaN is unequal to itself
+    assert repr(got.dist) == repr(want_rows)
+    assert got.exact is want_exact
+    assert got._array.dtype == want_array.dtype
+    assert repr(got._array.tolist()) == repr(want_array.tolist())
+    assert [type(x) for x in got._array.ravel().tolist()] == [
+        type(x) for x in want_array.ravel().tolist()]
+
+
 def test_numpy_integer_entries_are_stored_as_int():
     inst = Instance(((0, np.int64(3)), (np.int64(3), 0)), k=1)
     assert inst.exact
@@ -120,7 +195,6 @@ def _entry(values, dtype):
     return A
 
 
-B61 = 2**61
 ARRAYS = {
     "int64": _entry([1, 2, 3, 4, 5, 6], np.int64),
     "int64-below-2**61": _entry([B61 - 1, 1, -(B61 - 1), 2, B61 - 2, 3], np.int64),
