@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AsymmetricUnsupported, Clustering, Instance, voronoi
+from .core import KCENTER, AsymmetricUnsupported, Clustering, Instance, cost, voronoi
 
 GONZALEZ = "gonzalez"
 HOCHBAUM_SHMOYS = "hochbaum-shmoys"
@@ -56,20 +56,12 @@ def farthest_first(row, start: int, m: int) -> tuple[list[int], list]:
     return points, gaps
 
 
-def _radius(inst: Instance, centers: list[int]):
-    """The largest distance from a point to its Voronoi center, as the entry
-    of ``inst.dist`` that attains it first (``cost`` would give an int 0 on a
-    float instance with k = n)."""
-    clus = voronoi(inst, centers)
-    return max(inst.dist[clus.center_of(u)][u] for u in inst.points)
-
-
 def gonzalez(inst: Instance) -> ApproxResult:
     """The first k points of the farthest-first order from point 0."""
     _require_plain_symmetric(inst)
     D = inst._array
     centers, _ = farthest_first(lambda u: D[u], 0, inst.k)
-    return ApproxResult(tuple(centers), _radius(inst, centers), GONZALEZ)
+    return ApproxResult(tuple(centers), cost(inst, voronoi(inst, centers), KCENTER), GONZALEZ)
 
 
 def _greedy_ball_cover(inst: Instance, R) -> list[int]:
@@ -101,7 +93,8 @@ def hochbaum_shmoys(inst: Instance) -> ApproxResult:
             break
         if u not in centers:
             centers.append(u)
-    return ApproxResult(tuple(centers), _radius(inst, centers), HOCHBAUM_SHMOYS)
+    radius = cost(inst, voronoi(inst, centers), KCENTER)
+    return ApproxResult(tuple(centers), radius, HOCHBAUM_SHMOYS)
 
 
 def recover_via_2approx(inst: Instance, algorithm: str = GONZALEZ) -> Clustering:

@@ -53,20 +53,30 @@ def _parse_number(x):
     return x
 
 
-def _parse_row(row) -> tuple:
-    """A matrix row as a tuple, its string entries parsed as numbers; a row
-    with no string in it is kept as it is."""
+# what json.loads makes of a JSON number: float literals are Fractions under --exact
+_NUMBERS = {int, float, Fraction}
+
+
+def _parse_row(row, name: str) -> tuple:
+    """A row of the field ``name`` as a tuple, its string entries parsed as
+    numbers; a row of numbers alone is kept as it is. Any other entry (a
+    bool, null, a list) is a ValueError naming the field."""
     row = tuple(row)
-    if str in set(map(type, row)):
+    kinds = set(map(type, row))
+    if kinds <= _NUMBERS:
+        return row
+    if kinds <= _NUMBERS | {str}:
         return tuple(map(_parse_number, row))
-    return row
+    bad = next(x for x in row if type(x) not in _NUMBERS | {str})
+    raise ValueError(f'"{name}" must be a JSON number or a rational string in every entry, '
+                     f"got {json.dumps(bad)}")
 
 
 def _coordinates(points, exact: bool) -> np.ndarray:
     """Point coordinates as one array: int64 when every coordinate is an
     integer (Python ints when a distance could leave int64), ``Fraction``s
     under ``exact``, float64 otherwise."""
-    coords = [[_parse_number(x) for x in row] for row in points]
+    coords = [_parse_row(row, "points") for row in points]
     flat = [x for row in coords for x in row]
     if all(Fraction(x).denominator == 1 for x in flat):
         coords = [[int(x) for x in row] for row in coords]
@@ -115,8 +125,9 @@ def load_instance_file(
     """Parse an instance file: either an explicit distance matrix
     {"n", "k", "z", "symmetric", "dist"} or a point cloud {"points", "metric",
     "k", "z"}; an optional "planted" clustering rides along. "k", "z", "n"
-    and the planted indices must be JSON integers and "symmetric" a JSON
-    boolean. The instance must pass :func:`validate_metric`; its seconds go
+    and the planted indices must be JSON integers, "symmetric" a JSON
+    boolean, and every distance and coordinate a JSON number or a rational
+    string. The instance must pass :func:`validate_metric`; its seconds go
     to ``timing["validate"]`` when a ``timing`` dict is given."""
     try:
         text = Path(path).read_text()
@@ -137,7 +148,7 @@ def load_instance_file(
         k = _typed(doc["k"], int, "k")
         z = _typed(doc.get("z", 0), int, "z")
         if "dist" in doc:
-            dist = tuple(map(_parse_row, doc["dist"]))
+            dist = tuple(_parse_row(row, "dist") for row in doc["dist"])
             if "n" in doc and _typed(doc["n"], int, "n") != len(dist):
                 raise ValueError("declared n does not match the matrix size")
             if "symmetric" in doc:
@@ -152,7 +163,8 @@ def load_instance_file(
         elif "points" in doc:
             metric = doc.get("metric", "euclidean")
             if metric == "euclidean":
-                pts = np.array([[float(x) for x in row] for row in doc["points"]])
+                pts = np.array([list(map(float, _parse_row(row, "points")))
+                                for row in doc["points"]])
                 mat = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
             elif metric == "manhattan":
                 pts = _coordinates(doc["points"], exact)

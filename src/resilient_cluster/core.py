@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import chain, repeat
 from typing import Iterable, Sequence
 
@@ -84,62 +84,40 @@ KMEDIAN = Objective(1, "sum", "kmedian")
 KMEANS = Objective(2, "sum", "kmeans")
 
 
-def number_type(terms: list, n: int) -> tuple:
-    """(dtype, exact) for arrays of objective terms over n points.
+def term_map(inst: Instance, obj: Objective) -> tuple:
+    """(term, exact): ``term`` maps an array of the instance's distances to
+    their objective terms, each equal to :meth:`Objective.term` of its entry,
+    and ``exact`` says whether the terms are exact numbers.
 
-    Integer terms with n * max term < 2**53 are exact in float64 (every sum of
-    at most n of them is an exactly represented integer), floats are float64
-    as given, and anything else (big ints, Fractions) keeps Python numbers in
-    an object array. ``exact`` is false only for float terms.
-    """
-    kinds = set(map(type, terms))
-    if kinds == {int}:
-        return (np.float64 if n * max(terms) < 2**53 else object), True
-    if float in kinds:
-        return np.float64, False
-    return object, True
-
-
-def int64_power(inst: Instance, obj: Objective):
-    """The power route of the objective's terms: a function mapping an array
-    of the instance's distances to their terms, ``(x ** e).astype(float64)``,
-    or None when the terms must be computed entry by entry.
-
-    It applies to an int64 instance with an integer exponent e and
-    n * max|d|**e < 2**53: there no power overflows int64, each equals its
-    Python term, and every sum of n of them is exact in float64, the dtype
-    :func:`number_type` would pick.
+    The dtype follows the instance. Under an integer exponent e, float64
+    distances give float64 terms, the e-fold product ``Objective.term``
+    forms; so do int64 distances with n * max|d|**e < 2**53, where every
+    product, and every sum of n terms, is an exactly represented integer.
+    Other int64 and object distances (big ints, Fractions) give Python powers
+    in an object array. A fractional exponent calls ``Objective.term`` per
+    entry, into float64. The result is always a new array.
     """
     D = inst._array
     e = obj.exponent
     if isinstance(e, Fraction) and e.denominator == 1:
         e = e.numerator
-    if D.dtype == np.int64 and isinstance(e, int):
-        top = max(int(D.max()), -int(D.min()))
-        if inst.n * top**e < 2**53:
-            if e == 1:  # int64 ** 1 is a copy numpy does not skip
-                return lambda x: x.astype(np.float64)
-            return lambda x: (x**e).astype(np.float64)
-    return None
+    if type(e) is not int:
+        return np.vectorize(obj.term, otypes=[np.float64]), False
+    if D.dtype == np.float64 or (
+            D.dtype == np.int64 and inst.n * max(int(D.max()), -int(D.min())) ** e < 2**53):
+
+        def product(x):  # ((d * d) * d) ..., as Objective.term forms it
+            x = x.astype(np.float64)
+            return reduce(np.multiply, repeat(x, e - 1), x)
+
+        return product, inst.exact
+    return lambda x: x.astype(object) ** e, True
 
 
-def term_matrix(inst: Instance, obj: Objective, power=False) -> tuple:
-    """(E, exact) with ``E[c, u] = obj.term(d(c, u))``, stored in the dtype
-    :func:`number_type` picks.
-
-    On the power route of :func:`int64_power` E is the power of the whole
-    matrix. Every other input computes each entry by :meth:`Objective.term`;
-    float ``pow`` there need not match numpy's power bit for bit. A caller
-    that already holds ``int64_power(inst, obj)`` passes it as ``power``
-    (None included), so the route is not computed twice.
-    """
-    if power is False:
-        power = int64_power(inst, obj)
-    if power is not None:
-        return power(inst._array), True
-    terms = list(map(obj.term, chain.from_iterable(inst.dist)))
-    dtype, exact = number_type(terms, inst.n)
-    return np.array(terms, dtype=dtype).reshape(inst.n, inst.n), exact
+def term_matrix(inst: Instance, obj: Objective) -> tuple:
+    """(E, exact) with ``E[c, u] = obj.term(d(c, u))``, by :func:`term_map`."""
+    term, exact = term_map(inst, obj)
+    return term(inst._array), exact
 
 
 def lp_norm(p) -> Objective:
@@ -541,12 +519,12 @@ def cost(inst: Instance, clus: Clustering, obj: Objective):
     dist = inst.dist
     centers = clus.centers
     if obj.aggregate == "max":
-        worst = 0
+        worst = None
         for u, g in enumerate(clus.assignment):
             if g == OUTLIER:
                 continue
             t = obj.term(dist[centers[g]][u])
-            if t > worst:
+            if worst is None or t > worst:
                 worst = t
         return worst
     total = 0

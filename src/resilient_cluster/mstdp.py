@@ -33,9 +33,10 @@ joins the node's cluster whenever joining attains its side; otherwise it
 closes its own cluster in the state its minimum took, the outlier slot
 first, then the lowest center.
 
-The table dtype is float64 when the objective's terms are floats, or integers
-whose n-fold sum stays below 2**53 (every entry is then an exactly
-represented integer); otherwise an object array of exact Python numbers.
+The table dtype is that of the objective's term matrix (:func:`core.term_map`):
+float64 for float terms, and for integer terms whose n-fold sum stays below
+2**53 (every entry is then an exactly represented integer); otherwise an
+object array of exact Python numbers.
 """
 
 from __future__ import annotations
@@ -328,12 +329,12 @@ def solve_btp(inst: Instance, btree: BinaryTree, obj: Objective) -> Clustering:
     the children: min distributes over ``+`` (float rounding is monotone)
     and over ``max``, and ``inf`` absorbs under both.
 
-    The table dtype is chosen once from the objective's terms
-    (:func:`core.number_type`). Integer terms with n * max term < 2**53 use
+    The table dtype is the term matrix's, which :func:`core.term_map` picks
+    once for the instance. Integer terms with n * max term < 2**53 are
     float64: every entry is then a sum of at most n such integers, so float64
-    holds it exactly and ``inf`` marks infeasible states natively. Float terms
-    use float64 as they are; other exact terms use an object array of Python
-    numbers, through the same code.
+    holds it exactly and ``inf`` marks infeasible states natively. Float
+    terms (float distances, or a fractional exponent) are float64 too; other
+    exact terms use an object array of Python numbers, through the same code.
 
     Reconstruction uses the same split rule, on the one state it visits at
     each node on the way down from the best root state (the lowest t, then

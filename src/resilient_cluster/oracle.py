@@ -13,20 +13,18 @@ every point's distance to its nearest center for all m sets, drops the z
 farthest points of each set (a stable sort, so among equal distances the
 lowest point is dropped first), and aggregates the objective terms: the
 maximum, or a sum taken point by point in index order. The nearest distance is
-the minimum of the k rows of the distance matrix a set gathers. Where
-:func:`core.int64_power` maps distances to terms (int64 distances, an integer
-exponent, sums exact in float64), the terms come from that distance alone: a
-term never decreases with the distance, so the term at the nearest center is
-the term of the nearest distance, and a maximum is the term of the largest
-distance. Otherwise the terms are read from the term matrix at the first
-nearest center (the k center columns are scanned with a strict ``<``). A first
-pass keeps the best value by the rule ``value < best - vtol``; a second pass
-builds clusterings with :func:`core.voronoi` (ties to the lowest center index)
-only for the sets whose value is within vtol of it. ``vtol`` is the value
-tolerance: 0 on exact instances, and on float ones :data:`core.FLOAT_TOL`
-times the largest finite term, so that k-means values (squared distances)
-are compared on their own scale; with exponent 1 it equals the distance
-tolerance ``inst.tol``, which the distance comparisons keep.
+the minimum of the k rows of the distance matrix a set gathers, and the map of
+:func:`core.term_map` turns it into its term, which depends on the distance
+alone. A maximum maps only the distance it keeps, since under an integer
+exponent a term never decreases with the distance; under a fractional exponent
+every distance is mapped first. A first pass keeps the best value by the rule
+``value < best - vtol``; a second pass builds clusterings with
+:func:`core.voronoi` (ties to the lowest center index) only for the sets whose
+value is within vtol of it. ``vtol`` is the value tolerance: 0 on exact
+instances, and on float ones :data:`core.FLOAT_TOL` times the largest finite
+term, so that k-means values (squared distances) are compared on their own
+scale; with exponent 1 it equals the distance tolerance ``inst.tol``, which
+the distance comparisons keep.
 
 Memory: a handful of ``(m, n)`` arrays, so at most a few times ``BLOCK_CELLS``
 numbers whatever the number of center sets (up to the work cap); the sets are
@@ -35,17 +33,18 @@ kept. When all sets fit in one block, the second pass reuses its evaluation;
 otherwise it evaluates each block again.
 
 Exactness: distances are compared on the instance's own array (int64, object
-or float64), and terms come from :func:`core.int64_power` or
-:func:`core.term_matrix`: integer terms are summed in float64 only while every
-sum of n of them is an exactly represented integer, other exact terms stay
-Python numbers in object arrays, and float sums add the same numbers in the
-same order as a left-to-right Python sum, so they are bit-identical to it.
-Costs come back as Python numbers in the arithmetic of the terms.
+or float64), and terms come from :func:`core.term_map`: integer terms are
+summed in float64 only while every sum of n of them is an exactly represented
+integer, other exact terms stay Python numbers in object arrays, and float
+sums add the same numbers in the same order as a left-to-right Python sum, so
+they are bit-identical to it. Costs come back as Python numbers in the
+arithmetic of the terms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations, islice
 from math import comb
@@ -57,9 +56,8 @@ from .core import (
     Clustering,
     Instance,
     Objective,
-    int64_power,
     relative_tol,
-    term_matrix,
+    term_map,
     voronoi,
 )
 
@@ -117,26 +115,18 @@ def _all_sets(n: int, k: int) -> np.ndarray:
     return C
 
 
-def _evaluate(
-    D: np.ndarray, E: np.ndarray, aggregate: str, z: int, C: np.ndarray, power=None
-):
+def _evaluate(D: np.ndarray, term, obj: Objective, z: int, C: np.ndarray):
     """Best solution for each center set of the block ``C``: Voronoi
     distances, then drop the z points with the largest assigned distance
     (assignments do not interact, and off-center distances are positive, so
     dropping the largest is exactly optimal for sum and max aggregation alike).
 
     The nearest-center distance ``dmin`` is the minimum of the k rows of D the
-    set gathers. When ``power`` (the route of :func:`core.int64_power`) is
-    given, or E is D itself (the k-center check, whose terms are the
-    distances), the terms come from dmin alone: a term never decreases with
-    the distance, so the term at the nearest center is the term of dmin
-    whichever of two equal centers the strict ``<`` would pick, and the
-    largest term is the term of the largest distance, so a max maps only the
-    m values. Otherwise (object and float terms, fractional exponents, where
-    :meth:`Objective.term` and numpy's power need not agree bit for bit) the
-    terms are read from E at the first nearest center, by a strict ``<`` scan
-    of the k center columns. When E is D the terms are dmin itself, which a
-    sum with z > 0 would overwrite; only the max aggregate passes D as E.
+    set gathers, and the terms are ``term`` (the map of :func:`core.term_map`)
+    of dmin: a term depends on the distance alone, so it is the term at
+    whichever nearest center. A max maps only the m distances it keeps when
+    the map never decreases, as with every integer exponent; a fractional
+    exponent maps every distance before the max is taken.
 
     Returns (values, dmin, ranked): the objective value of each set, each
     point's distance to its center (m, n), and the points ordered by
@@ -144,30 +134,18 @@ def _evaluate(
     dropped points; None when z = 0).
     """
     dmin = D[C[:, 0]]
-    if power is None and E is not D:
-        terms = E[C[:, 0]]
-        for i in range(1, C.shape[1]):
-            d = D[C[:, i]]
-            closer = d < dmin
-            np.copyto(dmin, d, where=closer)
-            np.copyto(terms, E[C[:, i]], where=closer)
-    else:
-        for i in range(1, C.shape[1]):
-            np.minimum(dmin, D[C[:, i]], out=dmin)
-        terms = dmin
+    for i in range(1, C.shape[1]):
+        np.minimum(dmin, D[C[:, i]], out=dmin)
     ranked = np.argsort(-dmin, axis=1, kind="stable") if z else None
-    if aggregate == "max":
+    if obj.aggregate == "max":
         if z:
-            values = np.take_along_axis(terms, ranked[:, z : z + 1], axis=1)[:, 0]
+            values = term(np.take_along_axis(dmin, ranked[:, z : z + 1], axis=1)[:, 0])
+        elif Fraction(obj.exponent).denominator == 1:
+            values = term(dmin.max(axis=1))
         else:
-            values = terms.max(axis=1)
-        if power is not None:
-            # the term of the largest distance is the largest term
-            values = power(values)
+            values = term(dmin).max(axis=1)
     else:
-        if power is not None:
-            # a new array, so the put below leaves dmin alone
-            terms = power(terms)
+        terms = term(dmin)  # a new array, so the put below leaves dmin alone
         if z:
             np.put_along_axis(terms, ranked[:, :z], 0, axis=1)
         values = terms[:, 0].copy()
@@ -235,8 +213,8 @@ def brute_force(inst: Instance, obj: Objective, work_cap: int = DEFAULT_WORK_CAP
     if _enumeration_work(n, k, z) > work_cap:
         raise InstanceTooLarge(f"C({n},{k})*C({n - k},{z}) exceeds cap {work_cap}")
     D = inst._array
-    power = int64_power(inst, obj)
-    E, exact = term_matrix(inst, obj, power)
+    term, exact = term_map(inst, obj)
+    E = term(D)
     # objective values are compared on the scale of the terms, distances on
     # the scale of the distances; the two agree when the exponent is 1
     vtol = 0 if inst.exact else relative_tol(E)
@@ -244,7 +222,7 @@ def brute_force(inst: Instance, obj: Objective, work_cap: int = DEFAULT_WORK_CAP
     best_value = None
     blocks = 0
     for C in _blocks(n, k):
-        last = C, _evaluate(D, E, obj.aggregate, z, C, power)
+        last = C, _evaluate(D, term, obj, z, C)
         blocks += 1
         best_value = _lowest(last[1][0], best_value, vtol)
     best_value = _python_number(best_value, E, exact)
@@ -254,7 +232,7 @@ def brute_force(inst: Instance, obj: Objective, work_cap: int = DEFAULT_WORK_CAP
     if blocks == 1:
         evaluated = [last]
     else:
-        evaluated = ((C, _evaluate(D, E, obj.aggregate, z, C, power)) for C in _blocks(n, k))
+        evaluated = ((C, _evaluate(D, term, obj, z, C)) for C in _blocks(n, k))
     best: Clustering | None = None
     seen_keys = set()
     for C, (values, dmin, ranked) in evaluated:
@@ -288,9 +266,9 @@ def brute_force_kminus1_check(
     if _enumeration_work(n, k - 1, z) > work_cap:
         raise InstanceTooLarge(f"C({n},{k - 1})*C({n - k + 1},{z}) exceeds cap {work_cap}")
     D = inst._array
+    term, _ = term_map(inst, KCENTER)
     bound = result.cost + inst.tol
     for C in _blocks(n, k - 1):
-        # the k-center term of a distance is the distance itself
-        if (_evaluate(D, D, KCENTER.aggregate, z, C)[0] <= bound).any():
+        if (_evaluate(D, term, KCENTER, z, C)[0] <= bound).any():
             return True
     return False

@@ -12,6 +12,7 @@ package against them for equality, bit for bit on floats."""
 
 from __future__ import annotations
 
+import json
 import math
 import operator
 import random
@@ -43,7 +44,6 @@ from resilient_cluster.core import (
     PositivityViolation,
     SymmetryViolation,
     TriangleViolation,
-    number_type,
 )
 from resilient_cluster.generator import (
     ASYMMETRIC,
@@ -338,11 +338,20 @@ def validate_metric(inst):
 
 
 def parse_matrix(dist):
-    """The instance loader's matrix parse with every entry through
-    ``cli._parse_number``, strings or not."""
+    """The instance loader's matrix parse, one row at a time: an entry that
+    is not a JSON number or a string (a bool, null, a list) rejects the row,
+    and otherwise every entry goes through ``cli._parse_number``, strings or
+    not."""
     from resilient_cluster.cli import _parse_number
 
-    return tuple(tuple(_parse_number(x) for x in row) for row in dist)
+    rows = []
+    for row in dist:
+        for x in row:
+            if type(x) not in (int, float, Fraction, str):
+                raise ValueError('"dist" must be a JSON number or a rational string in '
+                                 f"every entry, got {json.dumps(x)}")
+        rows.append(tuple(_parse_number(x) for x in row))
+    return tuple(rows)
 
 
 def voronoi(inst, centers, outliers=()):
@@ -507,9 +516,23 @@ def build_mst(inst):
     return tuple(out)
 
 
+def number_type(terms: list, n: int) -> tuple:
+    """(dtype, exact) for arrays of objective terms over n points, from the
+    types of the terms: integers with n * max term < 2**53 are float64 (every
+    sum of at most n of them is an exactly represented integer), floats are
+    float64 and inexact, and anything else (big ints, Fractions) is an object
+    array of Python numbers."""
+    kinds = set(map(type, terms))
+    if kinds == {int}:
+        return (np.float64 if n * max(terms) < 2**53 else object), True
+    if float in kinds:
+        return np.float64, False
+    return object, True
+
+
 def term_matrix(inst, obj):
     """(E, exact): every entry by ``Objective.term``, in the dtype
-    ``number_type`` picks for the list of terms."""
+    :func:`number_type` picks for the list of terms."""
     terms = list(map(obj.term, chain.from_iterable(inst.dist)))
     dtype, exact = number_type(terms, inst.n)
     return np.array(terms, dtype=dtype).reshape(inst.n, inst.n), exact

@@ -361,6 +361,7 @@ def test_exact_mode_roundtrips_rationals(tmp_path, capsys):
     ["01", "10"],
     [[0, 1, 2], [1, 0]],
     7,
+    [[0, None], [None, 0]],
 ])
 def test_matrix_parse_matches_the_per_entry_reference(tmp_path, dist):
     path = tmp_path / "m.json"
@@ -409,14 +410,26 @@ LINE4 = {"k": 2, "dist": [[0, 1, 10, 11], [1, 0, 9, 10], [10, 9, 0, 1], [11, 10,
     ("symmetric", 1, False),
     ("planted.assignment", [0, 0, 2, 2.0], False),
     ("planted.centers", [0, True], False),
+    ("dist", [[0, True, 10, 11], [True, 0, 9, 10], [10, 9, 0, 1], [11, 10, 1, 0]], False),
+    ("dist", [[0, None, 10, 11], [None, 0, 9, 10], [10, 9, 0, 1], [11, 10, 1, 0]], False),
+    ("dist", [[0, 1.0, 10, 11], [1.0, 0, 9, 10], [10, 9, 0, [1]], [11, 10, 1, 0]], True),
+    ("points", ("euclidean", [[0], [True], [10], [11]]), False),
+    ("points", ("manhattan", [[0], [1], [None], [11]]), False),
+    ("points", ("manhattan", [[0], [1], [10], [False]]), True),
 ], ids=["k-float", "k-exact-rational", "k-bool", "k-string", "z-float", "z-bool", "n-float",
-        "symmetric-string", "symmetric-int", "assignment-float", "centers-bool"])
+        "symmetric-string", "symmetric-int", "assignment-float", "centers-bool",
+        "dist-bool", "dist-null", "dist-list-exact", "points-bool-euclidean",
+        "points-null-manhattan", "points-bool-exact"])
 def test_instance_fields_must_have_their_json_type(tmp_path, capsys, field, value, exact):
-    """k, z, n and the planted indices are JSON integers, never bools, and
-    symmetric is a JSON boolean; anything else exits 1 naming the field."""
+    """k, z, n and the planted indices are JSON integers, never bools,
+    symmetric is a JSON boolean, and every distance and coordinate is a JSON
+    number or a rational string; anything else exits 1 naming the field."""
     doc = json.loads(json.dumps(LINE4))
     if field.startswith("planted."):
         doc["planted"][field.split(".")[1]] = value
+    elif field == "points":
+        del doc["dist"]
+        doc["metric"], doc["points"] = value
     else:
         doc[field] = value
     path = tmp_path / "typed.json"

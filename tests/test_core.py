@@ -446,7 +446,7 @@ def test_term_matrix_int64_path_stops_just_below_2_pow_53(obj):
         assert same_terms_as_reference(below, obj) == 0
         assert term_matrix(below, obj)[0].dtype == np.float64
         # n = 2 lands on 2**53 exactly for exponents 1 and 2
-        assert same_terms_as_reference(above, obj) == n * n
+        assert same_terms_as_reference(above, obj) == 0
         assert term_matrix(above, obj)[0].dtype == object
 
 
@@ -459,12 +459,8 @@ def test_term_matrix_matches_the_per_entry_reference(obj, encoding):
     raw = [[raw[min(u, v)][max(u, v)] for v in range(9)] for u in range(9)]
     inst = Instance(_closure(raw), k=1)
     calls = same_terms_as_reference(inst, obj)
-    # only int64 instances with an integer exponent e and 9 * max**e < 2**53
-    # skip the per-entry path
-    e = Fraction(obj.exponent)
-    fast = (inst._array.dtype == np.int64 and e.denominator == 1
-            and 9 * int(inst._array.max()) ** int(e) < 2**53)
-    assert calls == (0 if fast else 81)
+    # only a fractional exponent computes the terms entry by entry
+    assert calls == (0 if Fraction(obj.exponent).denominator == 1 else 81)
 
 
 def test_cost_zero_when_every_point_is_a_center():
@@ -472,6 +468,11 @@ def test_cost_zero_when_every_point_is_a_center():
     clus = voronoi(inst, (0, 1, 2, 3))
     for obj in (KCENTER, KMEDIAN, KMEANS):
         assert cost(inst, clus, obj) == 0
+    # a float instance costs a float 0.0 under every aggregate
+    floats = Instance([[0.0, 1.5], [1.5, 0.0]], k=2)
+    for obj in (KCENTER, KMEDIAN, KMEANS):
+        got = cost(floats, voronoi(floats, (0, 1)), obj)
+        assert (got, type(got)) == (0.0, float)
 
 
 def test_cost_line_examples(line4):

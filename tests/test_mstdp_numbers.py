@@ -32,7 +32,7 @@ from resilient_cluster import (
     mstdp,
     solve_outlier_clustering,
 )
-from resilient_cluster.core import number_type, term_matrix
+from resilient_cluster.core import term_matrix
 
 import scalar_reference as reference
 from conftest import line_instance, random_metric_instance
@@ -51,8 +51,8 @@ def encoded(inst, scale):
 
 
 def table_type(inst, obj):
-    terms = [obj.term(d) for row in inst.dist for d in row]
-    return number_type(terms, inst.n)
+    E, exact = term_matrix(inst, obj)
+    return E.dtype, exact
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -23,7 +23,7 @@ from resilient_cluster import (
     lp_norm,
     oracle,
 )
-from resilient_cluster.core import int64_power
+from resilient_cluster.core import term_matrix
 
 from conftest import encoded_metric, line_instance, random_metric_instance, uniform_instance
 
@@ -114,9 +114,11 @@ def test_oracle_lower_bounds_heuristics(seed):
 # ---------------------------------------------------------------------------
 # the blockwise oracle against the scalar reference
 
-# the last is a max whose terms are not the distances
+# the last two are maxima whose terms are not the distances, the last one
+# under a fractional exponent
 ORACLE_OBJECTIVES = (
-    KCENTER, KMEDIAN, KMEANS, lp_norm(Fraction(3, 2)), Objective(2, "max", "max-sq")
+    KCENTER, KMEDIAN, KMEANS, lp_norm(Fraction(3, 2)), Objective(2, "max", "max-sq"),
+    Objective(Fraction(1, 2), "max", "max-root"),
 )
 
 
@@ -174,18 +176,18 @@ def test_large_int_distances_match_reference(scale):
 @pytest.mark.parametrize("z", [0, 1])
 @pytest.mark.parametrize("obj", ORACLE_OBJECTIVES[:3], ids=lambda o: o.name)
 def test_term_routes_either_side_of_2_pow_53(obj, z):
-    # int64 distances with n * max**e < 2**53 take the power route; one more
-    # at the top and they take the per-entry route
+    # int64 distances with n * max**e < 2**53 have float64 terms; one more at
+    # the top and their terms are Python ints
     n, e = 5, obj.exponent
     top = round((2**53 / n) ** (1 / e))  # the largest top with n * top**e < 2**53
     while n * top**e >= 2**53:
         top -= 1
     while n * (top + 1) ** e < 2**53:
         top += 1
-    for t, power_route in ((top, True), (top + 1, False)):
+    for t, float_terms in ((top, True), (top + 1, False)):
         inst = line_instance([0, 1, 3, t - 1, t], k=2, z=z)
         assert inst._array.dtype == np.int64
-        assert (int64_power(inst, obj) is not None) == power_route
+        assert term_matrix(inst, obj)[0].dtype == (np.float64 if float_terms else object)
         same_result(brute_force(inst, obj), reference.brute_force(inst, obj))
 
 
