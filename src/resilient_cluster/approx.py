@@ -66,15 +66,14 @@ def gonzalez(inst: Instance) -> ApproxResult:
 
 def _greedy_ball_cover(inst: Instance, R) -> list[int]:
     """Repeatedly open the lowest-index uncovered point and remove its 2R-ball."""
-    tol = inst.tol
-    dist = inst.dist
-    uncovered = set(range(inst.n))
+    D = inst._array
+    bound = 2 * R + inst.tol
+    uncovered = np.ones(inst.n, dtype=bool)
     centers = []
-    while uncovered:
-        p = min(uncovered)
+    while uncovered.any():
+        p = int(uncovered.argmax())
         centers.append(p)
-        row = dist[p]
-        uncovered = {u for u in uncovered if row[u] > 2 * R + tol}
+        uncovered &= D[p] > bound
     return centers
 
 

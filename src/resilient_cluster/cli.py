@@ -57,26 +57,28 @@ def _parse_number(x):
 _NUMBERS = {int, float, Fraction}
 
 
-def _parse_row(row, name: str) -> tuple:
-    """A row of the field ``name`` as a tuple, its string entries parsed as
-    numbers; a row of numbers alone is kept as it is. Any other entry (a
-    bool, null, a list) is a ValueError naming the field."""
-    row = tuple(row)
-    kinds = set(map(type, row))
-    if kinds <= _NUMBERS:
-        return row
-    if kinds <= _NUMBERS | {str}:
-        return tuple(map(_parse_number, row))
-    bad = next(x for x in row if type(x) not in _NUMBERS | {str})
-    raise ValueError(f'"{name}" must be a JSON number or a rational string in every entry, '
-                     f"got {json.dumps(bad)}")
+def _parse_rows(rows, name: str) -> list:
+    """The field ``name``, a JSON array of JSON arrays of numbers or rational
+    strings, as a list of tuples, the strings parsed as numbers; anything else
+    is a ValueError naming the field."""
+    if type(rows) is not list or any(type(row) is not list for row in rows):
+        raise ValueError(f'"{name}" must be a JSON array of JSON arrays')
+    out = []
+    for row in rows:
+        kinds = set(map(type, row))
+        if not kinds <= _NUMBERS | {str}:
+            bad = next(x for x in row if type(x) not in _NUMBERS | {str})
+            raise ValueError(f'"{name}" must be a JSON number or a rational string in '
+                             f"every entry, got {json.dumps(bad)}")
+        out.append(tuple(row) if kinds <= _NUMBERS else tuple(map(_parse_number, row)))
+    return out
 
 
 def _coordinates(points, exact: bool) -> np.ndarray:
     """Point coordinates as one array: int64 when every coordinate is an
     integer (Python ints when a distance could leave int64), ``Fraction``s
     under ``exact``, float64 otherwise."""
-    coords = [_parse_row(row, "points") for row in points]
+    coords = _parse_rows(points, "points")
     flat = [x for row in coords for x in row]
     if all(Fraction(x).denominator == 1 for x in flat):
         coords = [[int(x) for x in row] for row in coords]
@@ -148,7 +150,7 @@ def load_instance_file(
         k = _typed(doc["k"], int, "k")
         z = _typed(doc.get("z", 0), int, "z")
         if "dist" in doc:
-            dist = tuple(_parse_row(row, "dist") for row in doc["dist"])
+            dist = _parse_rows(doc["dist"], "dist")
             if "n" in doc and _typed(doc["n"], int, "n") != len(dist):
                 raise ValueError("declared n does not match the matrix size")
             if "symmetric" in doc:
@@ -163,8 +165,8 @@ def load_instance_file(
         elif "points" in doc:
             metric = doc.get("metric", "euclidean")
             if metric == "euclidean":
-                pts = np.array([list(map(float, _parse_row(row, "points")))
-                                for row in doc["points"]])
+                pts = np.array([list(map(float, row))
+                                for row in _parse_rows(doc["points"], "points")])
                 mat = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
             elif metric == "manhattan":
                 pts = _coordinates(doc["points"], exact)
@@ -366,7 +368,7 @@ def cmd_generate(args) -> int:
         "k": inst.k,
         "z": inst.z,
         "symmetric": inst.symmetric,
-        "dist": [[x for x in row] for row in inst.dist],
+        "dist": inst._array.tolist(),
         "planted": {
             "assignment": list(planted.assignment),
             "centers": list(planted.centers),

@@ -9,7 +9,7 @@ verdicts are never a rounding artifact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import chain, repeat
@@ -36,12 +36,6 @@ class AsymmetricUnsupported(ValueError):
 
 class InternalCheckFailed(RuntimeError):
     """A solver's own consistency check failed: a bug, not bad input."""
-
-
-def _is_exact_type(t: type) -> bool:
-    """Values of type ``t`` are exact numbers: ``int`` or ``Fraction``
-    (subclasses included), but not ``bool``."""
-    return issubclass(t, (int, Fraction)) and not issubclass(t, bool)
 
 
 # ---------------------------------------------------------------------------
@@ -94,15 +88,20 @@ def term_map(inst: Instance, obj: Objective) -> tuple:
     forms; so do int64 distances with n * max|d|**e < 2**53, where every
     product, and every sum of n terms, is an exactly represented integer.
     Other int64 and object distances (big ints, Fractions) give Python powers
-    in an object array. A fractional exponent calls ``Objective.term`` per
-    entry, into float64. The result is always a new array.
+    in an object array. A fractional exponent calls ``Objective.term`` once
+    per distinct entry, into float64. The result is always a new array.
     """
     D = inst._array
     e = obj.exponent
     if isinstance(e, Fraction) and e.denominator == 1:
         e = e.numerator
     if type(e) is not int:
-        return np.vectorize(obj.term, otypes=[np.float64]), False
+        def per_value(x):  # Objective.term of each distinct value, looked up
+            values, inverse = np.unique(x, return_inverse=True)
+            terms = np.array(list(map(obj.term, values.tolist())), dtype=np.float64)
+            return terms[inverse].reshape(x.shape)
+
+        return per_value, False
     if D.dtype == np.float64 or (
             D.dtype == np.int64 and inst.n * max(int(D.max()), -int(D.min())) ** e < 2**53):
 
@@ -194,22 +193,22 @@ def relative_tol(A: np.ndarray) -> float:
     return FLOAT_TOL * float(A.max(where=np.isfinite(A), initial=0.0))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class Instance:
     """A clustering instance: distance matrix plus the parameters k and z.
 
-    ``dist`` must satisfy the triangle inequality (and symmetry when the
+    The matrix must satisfy the triangle inequality (and symmetry when the
     ``symmetric`` flag is set); use :func:`validate_metric` to check. ``z`` is
     the outlier budget, 0 for plain problems.
 
-    ``dist`` is any square sequence of rows, stored as a tuple of tuples of
-    Python numbers. ``_array``, the matrix as one numpy array that the
-    solvers read, is built here and kept out of equality and repr: float64
-    for float instances, and for exact ones int64 or object by the headroom
-    rule of :func:`_exact_array`. The input is read one of three ways:
+    The matrix, any square sequence of rows or a numpy array, is stored once,
+    as ``_array``, the one numpy array the solvers read: float64 for float
+    instances, and for exact ones int64 or object by the headroom rule of
+    :func:`_exact_array`. ``dist`` is a view of it, built on first read. The
+    input is read one of three ways:
 
-    - An int64 or float64 numpy array is taken as it is: the rows come from
-      ``tolist()``, ``exact`` follows the dtype, and ``_array`` is a copy.
+    - An int64 or float64 numpy array is taken as it is: ``exact`` follows
+      the dtype, and ``_array`` is a copy.
     - Rows whose sums are all ``int`` hold ints and perhaps bools. They are
       read in one typed pass by :func:`_int_rows_array`, which looks at no
       entry's type but those valued 0 or 1.
@@ -217,31 +216,28 @@ class Instance:
       among int rows, an int past int64, and object, bool and other numpy
       arrays) has its entries' types scanned: numpy integers become ``int``,
       and a matrix with any inexact entry becomes all ``float``.
+
+    Two instances are equal, and hash alike, when k, z, ``symmetric`` and the
+    matrix's values are equal, whatever the number types that hold them.
     """
 
-    dist: tuple
     k: int
-    z: int = 0
-    symmetric: bool = True
-    exact: bool = field(init=False, compare=False, default=True)
+    z: int
+    symmetric: bool
+    exact: bool
 
-    def __post_init__(self):
-        dist = self.dist
+    def __init__(self, dist, k: int, z: int = 0, symmetric: bool = True):
         native = (isinstance(dist, np.ndarray) and dist.ndim == 2
                   and dist.dtype in (np.int64, np.float64))
-        # tuple(list), not tuple(generator): CPython grows a tuple from a
-        # generator by resizing a shorter one, so each freed one lands on the
-        # free list of its length without having come from it, and with one
-        # instance built per perturbation those lists fill up to 2000 tuples
-        rows = tuple([tuple(row) for row in (dist.tolist() if native else dist)])
+        rows = dist if native else tuple([tuple(row) for row in dist])
         n = len(rows)
-        if n == 0 or any(len(row) != n for row in rows):
+        if n == 0 or (rows.shape[1] != n if native else any(len(row) != n for row in rows)):
             raise ValueError("dist must be a nonempty square matrix")
-        if not 1 <= self.k <= n:
-            raise ValueError(f"k={self.k} out of range for n={n}")
-        if not 0 <= self.z < n:
-            raise ValueError(f"z={self.z} out of range for n={n}")
-        if self.k + self.z > n:
+        if not 1 <= k <= n:
+            raise ValueError(f"k={k} out of range for n={n}")
+        if not 0 <= z < n:
+            raise ValueError(f"z={z} out of range for n={n}")
+        if k + z > n:
             raise ValueError("k + z must not exceed n")
         if native:
             exact = dist.dtype == np.int64
@@ -252,24 +248,44 @@ class Instance:
             kinds = set(map(type, chain.from_iterable(rows)))
             if any(issubclass(t, np.integer) for t in kinds):
                 # numpy integers are exact but not int: store them as int
-                rows = tuple([tuple([int(x) if isinstance(x, np.integer) else x for x in row])
-                              for row in rows])
+                rows = [[int(x) if isinstance(x, np.integer) else x for x in row] for row in rows]
                 kinds = {int if issubclass(t, np.integer) else t for t in kinds}
-            exact = all(map(_is_exact_type, kinds))
+            # int and Fraction (subclasses too) are exact numbers, bool is not
+            exact = all(issubclass(t, (int, Fraction)) and not issubclass(t, bool) for t in kinds)
             if not exact and kinds != {float}:
-                rows = tuple([tuple(map(float, row)) for row in rows])
+                rows = [list(map(float, row)) for row in rows]
             array = _exact_array(rows) if exact else np.array(rows, dtype=np.float64)
-        object.__setattr__(self, "dist", rows)
-        object.__setattr__(self, "exact", exact)
-        object.__setattr__(self, "_array", array)
+        self.__dict__.update(k=k, z=z, symmetric=symmetric, exact=exact, _array=array)
+
+    @cached_property
+    def dist(self) -> tuple:
+        """The matrix as a tuple of rows of Python numbers, those of
+        ``_array.tolist()``: built on first read and kept, O(n²) memory that
+        no solver reads."""
+        return tuple(map(tuple, self._array.tolist()))
+
+    def __eq__(self, other):
+        if not isinstance(other, Instance):
+            return NotImplemented
+        A, B = self._array, other._array
+        if A.dtype != B.dtype:  # as Python numbers, not in float64 as numpy would
+            A, B = A.astype(object), B.astype(object)
+        return ((self.k, self.z, self.symmetric) == (other.k, other.z, other.symmetric)
+                and np.array_equal(A, B))
+
+    def __hash__(self):
+        A = self._array
+        if A.dtype == np.float64:  # Python hashes a NaN by identity: hash it as inf
+            A = np.where(np.isnan(A), np.inf, A)
+        return hash((self.k, self.z, self.symmetric, *A.ravel().tolist()))
 
     @property
     def n(self) -> int:
-        return len(self.dist)
+        return len(self._array)
 
     @property
     def points(self) -> range:
-        return range(len(self.dist))
+        return range(len(self._array))
 
     @cached_property
     def tol(self):
@@ -278,13 +294,10 @@ class Instance:
         comparison with it gives the same answer at every scale."""
         return 0 if self.exact else relative_tol(self._array)
 
-    def d(self, u: int, v: int):
-        return self.dist[u][v]
-
     def distinct_distances(self) -> list:
         D = self._array
         if D.dtype == object:
-            return sorted({x for row in self.dist for x in row})
+            return sorted(set(D.ravel().tolist()))
         # sort and drop repeats: faster than a set, and than np.unique
         values = np.sort(D, axis=None)
         keep = np.ones(len(values), dtype=bool)
@@ -292,9 +305,8 @@ class Instance:
         return values[keep].tolist()
 
     def replace(self, **kwargs) -> "Instance":
-        base = dict(dist=self.dist, k=self.k, z=self.z, symmetric=self.symmetric)
-        base.update(kwargs)
-        return Instance(**base)
+        return Instance(**{"dist": self._array, "k": self.k, "z": self.z,
+                           "symmetric": self.symmetric, **kwargs})
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +437,7 @@ def _metric_matrix(inst: Instance) -> np.ndarray:
     D = inst._array
     if D.dtype != object:
         return D
-    entries = list(chain.from_iterable(inst.dist))
+    entries = D.ravel().tolist()
     scale = math.lcm(*{x.denominator for x in entries})
     ints = [x.numerator * (scale // x.denominator) for x in entries]
     return _exact_array(ints).reshape(D.shape)
@@ -504,34 +516,21 @@ def _shortest_paths(E: np.ndarray) -> None:
 def _check_compatible(inst: Instance, clus: Clustering) -> None:
     if clus.n != inst.n:
         raise ClusteringInvalid(f"clustering over {clus.n} points, instance has {inst.n}")
-    for c in clus.centers:
-        if not 0 <= c < inst.n:
-            raise ClusteringInvalid(f"assignment references missing center {c}")
     if clus.outlier_count > inst.z:
-        raise ClusteringInvalid(
-            f"{clus.outlier_count} outliers exceed the budget z={inst.z}"
-        )
+        raise ClusteringInvalid(f"{clus.outlier_count} outliers exceed the budget z={inst.z}")
 
 
 def cost(inst: Instance, clus: Clustering, obj: Objective):
     """Objective value of a clustering; distances run center-to-point."""
     _check_compatible(inst, clus)
-    dist = inst.dist
-    centers = clus.centers
+    assign = np.array(clus.assignment)
+    idx = np.flatnonzero(assign != OUTLIER)
+    terms = map(obj.term, inst._array[np.array(clus.centers)[assign[idx]], idx].tolist())
     if obj.aggregate == "max":
-        worst = None
-        for u, g in enumerate(clus.assignment):
-            if g == OUTLIER:
-                continue
-            t = obj.term(dist[centers[g]][u])
-            if worst is None or t > worst:
-                worst = t
-        return worst
+        return max(terms)  # the first largest, as a scan with a strict ``>`` keeps it
     total = 0
-    for u, g in enumerate(clus.assignment):
-        if g == OUTLIER:
-            continue
-        total += obj.term(dist[centers[g]][u])
+    for t in terms:
+        total += t
     return total
 
 

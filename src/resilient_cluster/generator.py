@@ -166,12 +166,12 @@ def verify_planted(inst: Instance, planted: Clustering, obj: Objective) -> list[
     cluster) and ``near`` (their distance is at most r_hat + tol). Violations
     come point by point, in row-major order of each mask.
     """
-    dist = inst.dist
     tol = inst.tol
     clusters = planted.clusters()
     outliers = planted.outliers
     r_hat = cost(inst, planted, KCENTER)
     D = inst._array
+    dist = D.tolist()
     label = np.array(planted.assignment)
     apart = label[:, None] != label[None, :]
     near = D <= r_hat + tol

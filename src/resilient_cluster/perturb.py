@@ -102,7 +102,7 @@ def apply_perturbation(inst: Instance, spec: PerturbationSpec) -> Instance:
     if (spec.mode == UNDIRECTED) != inst.symmetric:
         raise ValueError("perturbation mode does not match the instance symmetry flag")
     n = inst.n
-    dist = inst.dist
+    dist = inst._array.tolist()
     tol = inst.tol
     cap = spec.cap
     for u, v in spec.edges:
@@ -130,7 +130,7 @@ def _closures(inst: Instance, specs: list) -> list:
     """
     D = inst._array
     n = inst.n
-    dist = inst.dist
+    dist = inst._array.tolist()
     groups: dict = {}
     for i, spec in enumerate(specs):
         cap = spec.cap
@@ -178,7 +178,7 @@ def _shapes(inst: Instance, base: Clustering, r_hat):
     intra-cluster distance. Every shape has at least one edge and none from
     a point to itself."""
     clusters = base.clusters()
-    dist = inst.dist
+    dist = inst._array.tolist()
     for q in range(inst.n):
         for members in clusters:
             if q not in members:
@@ -203,7 +203,7 @@ def _candidate_specs(inst: Instance, base: Clustering, r_hat):
     as the spec would normalise it, so only valid shapes build a spec."""
     symmetric = inst.symmetric
     mode = UNDIRECTED if symmetric else DIRECTED
-    dist = inst.dist
+    dist = inst._array.tolist()
     tol = inst.tol
     seen = set()
     for edges, cap in _shapes(inst, base, r_hat):

@@ -338,12 +338,18 @@ def validate_metric(inst):
 
 
 def parse_matrix(dist):
-    """The instance loader's matrix parse, one row at a time: an entry that
-    is not a JSON number or a string (a bool, null, a list) rejects the row,
-    and otherwise every entry goes through ``cli._parse_number``, strings or
-    not."""
+    """The instance loader's matrix parse, one row at a time: the matrix and
+    each of its rows must be a JSON array, checked before any entry; then an
+    entry that is not a JSON number or a string (a bool, null, a list)
+    rejects the row, and otherwise every entry goes through
+    ``cli._parse_number``, strings or not."""
     from resilient_cluster.cli import _parse_number
 
+    if type(dist) is not list:
+        raise ValueError('"dist" must be a JSON array of JSON arrays')
+    for row in dist:
+        if type(row) is not list:
+            raise ValueError('"dist" must be a JSON array of JSON arrays')
     rows = []
     for row in dist:
         for x in row:

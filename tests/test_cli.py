@@ -362,6 +362,7 @@ def test_exact_mode_roundtrips_rationals(tmp_path, capsys):
     [[0, 1, 2], [1, 0]],
     7,
     [[0, None], [None, 0]],
+    [{"0": 5, "1": 7}, {"1": 0, "0": 9}],
 ])
 def test_matrix_parse_matches_the_per_entry_reference(tmp_path, dist):
     path = tmp_path / "m.json"
@@ -377,8 +378,13 @@ def test_matrix_parse_matches_the_per_entry_reference(tmp_path, dist):
     try:
         got = typed(load_instance_file(str(path), exact=False)[0])
     except CliError as e:
+        assert e.code == 1
         got = str(e)
     assert got == expected
+    # a matrix, or a row of one, that is not a JSON array (a number, a
+    # string, an object) exits 1 naming the field
+    if type(dist) is not list or any(type(row) is not list for row in dist):
+        assert got == f'{path}: "dist" must be a JSON array of JSON arrays'
 
 
 def test_exact_is_set_by_the_flag_alone(tmp_path, capsys, monkeypatch):
@@ -416,10 +422,16 @@ LINE4 = {"k": 2, "dist": [[0, 1, 10, 11], [1, 0, 9, 10], [10, 9, 0, 1], [11, 10,
     ("points", ("euclidean", [[0], [True], [10], [11]]), False),
     ("points", ("manhattan", [[0], [1], [None], [11]]), False),
     ("points", ("manhattan", [[0], [1], [10], [False]]), True),
+    ("dist", 7, False),
+    ("dist", ["0111", "1011", "1101", "1110"], False),
+    ("dist", [{"0": 0}, [1, 0, 9, 10], [10, 9, 0, 1], [11, 10, 1, 0]], False),
+    ("points", ("euclidean", "0123"), False),
+    ("points", ("manhattan", [[0], "1", [10], [11]]), False),
 ], ids=["k-float", "k-exact-rational", "k-bool", "k-string", "z-float", "z-bool", "n-float",
         "symmetric-string", "symmetric-int", "assignment-float", "centers-bool",
         "dist-bool", "dist-null", "dist-list-exact", "points-bool-euclidean",
-        "points-null-manhattan", "points-bool-exact"])
+        "points-null-manhattan", "points-bool-exact", "dist-number", "dist-string-rows",
+        "dist-object-row", "points-string", "points-string-row"])
 def test_instance_fields_must_have_their_json_type(tmp_path, capsys, field, value, exact):
     """k, z, n and the planted indices are JSON integers, never bools,
     symmetric is a JSON boolean, and every distance and coordinate is a JSON

@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -168,12 +169,15 @@ def test_reading_rows_matches_the_scalar_reference(data, n, int_only):
     if diagonal != "drawn":
         for u in range(n):
             rows[u][u] = 0 if diagonal == "0" else False
-    want_rows, want_exact, want_array = reference.read_rows(rows)
+    _, want_exact, want_array = reference.read_rows(rows)
     got = Instance(tuple(map(tuple, rows)), k=1)
+    # the view holds the stored array's Python numbers: an int subclass read
+    # into int64 comes back as int
+    want_view = want_array.tolist()
     assert [[type(x) for x in row] for row in got.dist] == [
-        [type(x) for x in row] for row in want_rows]
+        [type(x) for x in row] for row in want_view]
     # repr, not ==: NaN is unequal to itself
-    assert repr(got.dist) == repr(want_rows)
+    assert repr(got.dist) == repr(tuple(map(tuple, want_view)))
     assert got.exact is want_exact
     assert got._array.dtype == want_array.dtype
     assert repr(got._array.tolist()) == repr(want_array.tolist())
@@ -235,6 +239,39 @@ def test_instance_from_an_array_checks_its_shape():
             Instance(A, k=1)
     with pytest.raises(ValueError, match="k=3"):
         Instance(np.zeros((2, 2)), k=3)
+
+
+def test_an_instance_from_an_int64_array_stores_the_matrix_once():
+    # any square int64 matrix with a zero diagonal: Instance checks no metric
+    n = 2048
+    A = np.add.outer(np.arange(n), 3 * np.arange(n)) % 200 + 1
+    np.fill_diagonal(A, 0)
+    tracemalloc.start()
+    try:
+        inst = Instance(A, k=6)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held <= 1.1 * A.nbytes
+    # the view is built on the first read, and kept
+    assert inst.dist == tuple(map(tuple, inst._array.tolist()))
+    assert inst.dist is inst.dist
+
+
+def test_equality_and_hash_compare_the_matrix_values():
+    ints = Instance([[0, 3], [3, 0]], k=1)
+    for same in (Instance([[0, Fraction(3)], [Fraction(3), 0]], k=1),
+                 Instance([[0.0, 3.0], [3.0, 0.0]], k=1),
+                 Instance(np.array([[0, 3], [3, 0]], dtype=np.uint64), k=1)):
+        assert same == ints and hash(same) == hash(ints)
+    for other in (Instance([[0, 3], [3, 0]], k=2), Instance([[0, 3], [3, 0]], k=1, z=1),
+                  Instance([[0, 3], [3, 0]], k=1, symmetric=False), Instance([[0, 4], [3, 0]], k=1)):
+        assert other != ints
+    # values compare as Python numbers: 2**53 + 1 is not the float 2**53
+    assert Instance([[0, 2**53 + 1], [1, 0]], k=1) != Instance([[0, 2.0**53], [1, 0]], k=1)
+    # NaN is unequal to itself, but an instance holding one still hashes the same each time
+    nan = Instance([[0.0, math.nan], [1.0, 0.0]], k=1)
+    assert hash(nan) == hash(Instance(nan._array, k=1))
 
 
 # ---------------------------------------------------------------------------
@@ -459,8 +496,9 @@ def test_term_matrix_matches_the_per_entry_reference(obj, encoding):
     raw = [[raw[min(u, v)][max(u, v)] for v in range(9)] for u in range(9)]
     inst = Instance(_closure(raw), k=1)
     calls = same_terms_as_reference(inst, obj)
-    # only a fractional exponent computes the terms entry by entry
-    assert calls == (0 if Fraction(obj.exponent).denominator == 1 else 81)
+    # only a fractional exponent computes terms one by one, one per distinct entry
+    distinct = len(inst.distinct_distances())
+    assert calls == (0 if Fraction(obj.exponent).denominator == 1 else distinct)
 
 
 def test_cost_zero_when_every_point_is_a_center():
