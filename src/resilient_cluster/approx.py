@@ -74,6 +74,7 @@ def _greedy_ball_cover(inst: Instance, R) -> list[int]:
         p = int(uncovered.argmax())
         centers.append(p)
         uncovered &= D[p] > bound
+        uncovered[p] = False  # even when its own distance exceeds the bound
     return centers
 
 

@@ -75,15 +75,17 @@ def _parse_rows(rows, name: str) -> list:
 
 
 def _coordinates(points, exact: bool) -> np.ndarray:
-    """Point coordinates as one array: int64 when every coordinate is an
-    integer (Python ints when a distance could leave int64), ``Fraction``s
-    under ``exact``, float64 otherwise."""
+    """Point coordinates as one array, a row per point: int64 when every
+    coordinate is an integer (Python ints when a distance could leave int64),
+    ``Fraction``s under ``exact``, float64 otherwise. ``points`` must be a
+    nonempty JSON array of rows of one length."""
     coords = _parse_rows(points, "points")
+    if not coords or len(set(map(len, coords))) != 1:
+        raise ValueError('"points" must be a JSON array of one or more rows of one length')
     flat = [x for row in coords for x in row]
     if all(Fraction(x).denominator == 1 for x in flat):
         coords = [[int(x) for x in row] for row in coords]
-        dim = len(coords[0]) if coords else 0
-        wide = 2 * dim * max(map(abs, flat), default=0) >= 2**63
+        wide = 2 * len(coords[0]) * max(map(abs, flat), default=0) >= 2**63
         return np.array(coords, dtype=object if wide else np.int64)
     return np.array(coords, dtype=object if exact else np.float64)
 
@@ -105,20 +107,6 @@ def _finite_float(text: str) -> float:
     if not math.isfinite(x):
         raise ValueError(f"{text} overflows to {json.dumps(x)} as a float")
     return x
-
-
-def _emit_number(x, exact_out: bool):
-    if isinstance(x, bool):
-        raise TypeError("unexpected boolean")
-    if isinstance(x, int):
-        return x
-    if isinstance(x, Fraction):
-        return str(x) if exact_out else float(x)
-    if isinstance(x, float):
-        if not math.isfinite(x):
-            raise ValueError("non-finite value in report")
-        return x
-    raise TypeError(f"cannot serialize {type(x)!r}")
 
 
 def load_instance_file(
@@ -164,19 +152,18 @@ def load_instance_file(
             inst = Instance(dist, k, z, symmetric=symmetric)
         elif "points" in doc:
             metric = doc.get("metric", "euclidean")
-            if metric == "euclidean":
-                pts = np.array([list(map(float, row))
-                                for row in _parse_rows(doc["points"], "points")])
-                mat = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
-            elif metric == "manhattan":
-                pts = _coordinates(doc["points"], exact)
-                mat = np.abs(pts[:, None, :] - pts[None, :, :]).sum(axis=2)
-            else:
+            if metric not in ("euclidean", "manhattan"):
                 raise ValueError(f"unknown metric {metric!r}")
-            rows = mat.tolist()
+            pts = _coordinates(doc["points"], exact)
+            if metric == "euclidean":
+                pts = pts.astype(np.float64)
+                mat = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
+            else:
+                mat = np.abs(pts[:, None, :] - pts[None, :, :]).sum(axis=2)
             if mat.dtype == object:
-                rows = [[x.numerator if x.denominator == 1 else x for x in row] for row in rows]
-            inst = Instance(tuple(map(tuple, rows)), k, z, symmetric=True)
+                mat = [[x.numerator if x.denominator == 1 else x for x in row]
+                       for row in mat.tolist()]
+            inst = Instance(mat, k, z, symmetric=True)
         else:
             raise ValueError('either "dist" or "points" is required')
     except CliError:
@@ -222,18 +209,12 @@ def _report(doc: dict, exact_out: bool) -> None:
             return {key: walk(v) for key, v in x.items()}
         if isinstance(x, (list, tuple)):
             return [walk(v) for v in x]
-        if isinstance(x, (int, float, Fraction)) and not isinstance(x, bool):
-            return _emit_number(x, exact_out)
+        if isinstance(x, Fraction):
+            return str(x) if exact_out else float(x)
+        if isinstance(x, float) and not math.isfinite(x):
+            raise ValueError("non-finite value in report")
         return x
     print(json.dumps(walk(doc), indent=2, sort_keys=True))
-
-
-def _self_consistent(inst, clus, obj, reported) -> None:
-    again = cost(inst, clus, obj)
-    # a relative tolerance alone keeps the check the same at every scale
-    if not (again == reported if inst.exact
-            else math.isclose(float(again), float(reported), rel_tol=1e-9)):
-        raise InternalCheckFailed(f"reported cost {reported}, recomputed {again}")
 
 
 def _load(args) -> tuple[Instance, dict, float]:
@@ -249,46 +230,36 @@ def _load(args) -> tuple[Instance, dict, float]:
 def cmd_solve(args) -> int:
     inst, timing, loaded = _load(args)
     obj = objective_by_name(args.objective)
+    if args.method in ("lp", "gonzalez", "hs") and obj is not KCENTER:
+        raise CliError(f"--method {args.method} solves the kcenter objective only")
     started = time.perf_counter()
-    report: dict = {"method": args.method, "objective": args.objective}
+    report: dict = {"method": args.method, "objective": args.objective, "verdict": "SOLVED"}
     code = EXIT_OK
-    if args.method == "oracle":
+    if args.method == "lp":
+        fields, code = _certify_report(inst, args.formulation)
+        report.update(fields)
+    elif args.method == "oracle":
         try:
             res = oracle.brute_force(inst, obj)
         except oracle.InstanceTooLarge as e:
             raise CliError(str(e), EXIT_INFEASIBLE)
-        report["verdict"] = "SOLVED"
-        report["cost"] = res.cost
-        report["unique"] = res.unique
-        report["clustering"] = _clustering_doc(res.best)
-        _self_consistent(inst, res.best, obj, res.cost)
+        again = cost(inst, res.best, obj)
+        # a relative tolerance alone keeps the check the same at every scale
+        if not (again == res.cost if inst.exact
+                else math.isclose(float(again), float(res.cost), rel_tol=1e-9)):
+            raise InternalCheckFailed(f"reported cost {res.cost}, recomputed {again}")
+        report.update(cost=res.cost, unique=res.unique, clustering=_clustering_doc(res.best))
     elif args.method == "mstdp":
         try:
             clus = mstdp.solve_outlier_clustering(inst, obj)
         except mstdp.Infeasible as e:
             raise CliError(str(e), EXIT_INFEASIBLE)
-        value = cost(inst, clus, obj)
-        report["verdict"] = "SOLVED"
-        report["cost"] = value
-        report["clustering"] = _clustering_doc(clus)
-    elif args.method in ("gonzalez", "hs"):
-        if obj is not KCENTER and obj.name != "kcenter":
-            raise CliError(f"--method {args.method} solves the kcenter objective only")
+        report.update(cost=cost(inst, clus, obj), clustering=_clustering_doc(clus))
+    else:
         algo = approx.GONZALEZ if args.method == "gonzalez" else approx.HOCHBAUM_SHMOYS
         clus = approx.recover_via_2approx(inst, algo)
         value = cost(inst, clus, KCENTER)
-        report["verdict"] = "SOLVED"
-        report["cost"] = value
-        report["radius"] = value
-        report["clustering"] = _clustering_doc(clus)
-        _self_consistent(inst, clus, KCENTER, value)
-    elif args.method == "lp":
-        if obj.name != "kcenter":
-            raise CliError("--method lp solves the kcenter objective only")
-        fields, code = _certify_report(inst, args.formulation)
-        report.update(fields)
-    else:
-        raise CliError(f"unknown method {args.method!r}")
+        report.update(cost=value, radius=value, clustering=_clustering_doc(clus))
     # seconds: the solve alone; total: from the start of loading
     now = time.perf_counter()
     report["timing"] = dict(timing, seconds=now - started, total=now - loaded)
@@ -309,7 +280,6 @@ def _certify_report(inst: Instance, formulation: str | None) -> tuple[dict, int]
         report["verdict"] = lp.OPTIMAL
         report["cost"] = cost(inst, verdict.clustering, KCENTER)
         report["clustering"] = _clustering_doc(verdict.clustering)
-        _self_consistent(inst, verdict.clustering, KCENTER, report["cost"])
         return report, EXIT_OK
     report["verdict"] = lp.NOT_2PR
     witness = verdict.fractional_witness
@@ -449,8 +419,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_solve = sub.add_parser("solve", help="solve an instance with a chosen method")
-    p_solve.add_argument("--input", required=True, help="instance file or directory")
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--input", required=True, help="instance file or directory")
+    shared.add_argument("--formulation", choices=list(lp.FORMULATIONS), default=None)
+    shared.add_argument("--exact", action="store_true")
+    shared.add_argument("--jobs", type=int, default=1)
+
+    p_solve = sub.add_parser("solve", parents=[shared],
+                             help="solve an instance with a chosen method")
     p_solve.add_argument(
         "--objective",
         default="kcenter",
@@ -461,22 +437,12 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=["lp", "mstdp", "gonzalez", "hs", "oracle"],
     )
-    p_solve.add_argument(
-        "--formulation", choices=list(lp.FORMULATIONS), default=None
-    )
-    p_solve.add_argument("--exact", action="store_true")
-    p_solve.add_argument("--jobs", type=int, default=1)
     p_solve.set_defaults(func=cmd_solve)
 
-    p_cert = sub.add_parser("certify", help="optimality or non-resilience certificate")
-    p_cert.add_argument("--input", required=True, help="instance file or directory")
-    p_cert.add_argument(
-        "--formulation", choices=list(lp.FORMULATIONS), default=None
-    )
+    p_cert = sub.add_parser("certify", parents=[shared],
+                            help="optimality or non-resilience certificate")
     p_cert.add_argument("--falsify", action="store_true",
                         help="also search proof-shaped perturbations (small n)")
-    p_cert.add_argument("--exact", action="store_true")
-    p_cert.add_argument("--jobs", type=int, default=1)
     p_cert.set_defaults(func=cmd_certify)
 
     p_gen = sub.add_parser("generate", help="write a planted instance file")

@@ -525,11 +525,15 @@ def cost(inst: Instance, clus: Clustering, obj: Objective):
     _check_compatible(inst, clus)
     assign = np.array(clus.assignment)
     idx = np.flatnonzero(assign != OUTLIER)
-    terms = map(obj.term, inst._array[np.array(clus.centers)[assign[idx]], idx].tolist())
+    kept = inst._array[np.array(clus.centers)[assign[idx]], idx].tolist()
     if obj.aggregate == "max":
-        return max(terms)  # the first largest, as a scan with a strict ``>`` keeps it
+        if Fraction(obj.exponent).denominator == 1:
+            # an integer power never decreases with the distance: map the largest alone
+            return obj.term(max(kept))
+        # the first largest, as a scan with a strict ``>`` keeps it
+        return max(map(obj.term, kept))
     total = 0
-    for t in terms:
+    for t in map(obj.term, kept):
         total += t
     return total
 

@@ -1,6 +1,10 @@
 """Tests for the 2-approximations and the recovery pipeline."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -54,6 +58,26 @@ def test_hochbaum_shmoys_line_bound(line4):
     res = hochbaum_shmoys(line4)
     opt = brute_force(line4, KCENTER).cost
     assert res.radius <= 2 * opt
+
+
+def test_hochbaum_shmoys_ends_when_a_diagonal_entry_exceeds_the_ball():
+    # d(0, 0) = 5 > 2R at the candidates R = 0 and 1: the opened point must
+    # still leave the uncovered set; a subprocess so that a loop fails instead
+    # of hanging
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH", "")) if p)
+    script = (
+        "from resilient_cluster import Instance, hochbaum_shmoys\n"
+        "print(hochbaum_shmoys(Instance([[5, 1], [1, 0]], k=1)).centers)\n"
+    )
+    try:
+        proc = subprocess.run([sys.executable, "-c", script],
+                              env=env, capture_output=True, text=True, timeout=60)
+    except subprocess.TimeoutExpired:
+        pytest.fail("hochbaum_shmoys did not end within 60 s")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "(0,)"
 
 
 def test_asymmetric_rejected():

@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import scalar_reference as reference
-from resilient_cluster import KMEDIAN, Instance, cost
+from resilient_cluster import KMEDIAN, Clustering, Instance, cost
 from resilient_cluster.cli import CliError, load_instance_file, main
 
 
@@ -174,7 +174,7 @@ def test_inconsistent_reported_cost_exit_4(tmp_path, capsys, monkeypatch):
         return cost(inst, clus, obj) + len(calls)
 
     monkeypatch.setattr(cli, "cost", drifting)
-    code, out, err = run(capsys, "certify", "--input", str(path))
+    code, out, err = run(capsys, "solve", "--input", str(path), "--method", "oracle")
     assert code == 4
     assert out == ""
     assert "internal error" in err
@@ -427,11 +427,16 @@ LINE4 = {"k": 2, "dist": [[0, 1, 10, 11], [1, 0, 9, 10], [10, 9, 0, 1], [11, 10,
     ("dist", [{"0": 0}, [1, 0, 9, 10], [10, 9, 0, 1], [11, 10, 1, 0]], False),
     ("points", ("euclidean", "0123"), False),
     ("points", ("manhattan", [[0], "1", [10], [11]]), False),
+    ("points", ("euclidean", []), False),
+    ("points", ("manhattan", []), False),
+    ("points", ("euclidean", [[0], [1, 2], [10], [11]]), False),
+    ("points", ("manhattan", [[0], [1, 2], [10], [11]]), True),
 ], ids=["k-float", "k-exact-rational", "k-bool", "k-string", "z-float", "z-bool", "n-float",
         "symmetric-string", "symmetric-int", "assignment-float", "centers-bool",
         "dist-bool", "dist-null", "dist-list-exact", "points-bool-euclidean",
         "points-null-manhattan", "points-bool-exact", "dist-number", "dist-string-rows",
-        "dist-object-row", "points-string", "points-string-row"])
+        "dist-object-row", "points-string", "points-string-row", "points-empty-euclidean",
+        "points-empty-manhattan", "points-ragged-euclidean", "points-ragged-exact"])
 def test_instance_fields_must_have_their_json_type(tmp_path, capsys, field, value, exact):
     """k, z, n and the planted indices are JSON integers, never bools,
     symmetric is a JSON boolean, and every distance and coordinate is a JSON
@@ -508,6 +513,58 @@ def test_gonzalez_requires_kcenter(tmp_path, capsys):
     code, _, err = run(capsys, "solve", "--input", str(path), "--method", "gonzalez",
                        "--objective", "kmedian")
     assert code == 1
+
+
+def test_lp_requires_kcenter(tmp_path, capsys):
+    path = tmp_path / "i.json"
+    run(capsys, "generate", "--n", "10", "--k", "2", "--seed", "1", "--out", str(path))
+    code, out, err = run(capsys, "solve", "--input", str(path), "--method", "lp",
+                         "--objective", "kmedian")
+    assert (code, out) == (1, "")
+    assert err == "error: --method lp solves the kcenter objective only\n"
+
+
+@pytest.mark.parametrize("method", ["gonzalez", "hs"])
+def test_two_approximations_solve_to_the_certified_partition(tmp_path, capsys, method):
+    path = tmp_path / "inst.json"
+    run(capsys, "generate", "--n", "12", "--k", "3", "--seed", "7", "--out", str(path))
+    code, out, _ = run(capsys, "solve", "--input", str(path), "--method", method)
+    assert code == 0
+    report = json.loads(out)
+    assert report["verdict"] == "SOLVED" and report["cost"] == report["radius"]
+    _, certified, _ = run(capsys, "certify", "--input", str(path))
+    got, want = (Clustering(tuple(c["assignment"]), tuple(c["centers"])).partition_key()
+                 for c in (report["clustering"], json.loads(certified)["clustering"]))
+    assert got == want
+
+
+def test_oracle_past_its_work_cap(tmp_path, capsys):
+    # C(60, 6), about 5.0e7 center sets, is past the brute force's cap
+    path = tmp_path / "inst.json"
+    run(capsys, "generate", "--n", "60", "--k", "6", "--seed", "1", "--out", str(path))
+    code, out, err = run(capsys, "solve", "--input", str(path), "--method", "oracle")
+    assert (code, out) == (2, "") and err.startswith("error: ")
+    code, out, _ = run(capsys, "certify", "--input", str(path), "--falsify")
+    assert code == 0
+    assert json.loads(out)["falsifier"] == {"skipped": "instance too large for brute force"}
+
+
+def test_asymmetric_file_defaults_to_asym_kc(tmp_path, capsys):
+    path = tmp_path / "inst.json"
+    run(capsys, "generate", "--n", "12", "--k", "3", "--mode", "asymmetric", "--seed", "1",
+        "--out", str(path))
+    code, out, _ = run(capsys, "certify", "--input", str(path))
+    assert code == 0
+    assert json.loads(out)["formulation"] == "asym-kc"
+
+
+@pytest.mark.parametrize("kind", ["missing-file", "empty-directory"])
+def test_missing_input_exit_1(tmp_path, capsys, kind):
+    path = tmp_path / "absent.json" if kind == "missing-file" else tmp_path
+    code, out, err = run(capsys, "certify", "--input", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: cannot read " if kind == "missing-file"
+                          else "error: no *.json files in ")
 
 
 def test_lp_norm_objective_via_cli(tmp_path, capsys):
