@@ -47,14 +47,23 @@ class CliError(Exception):
         self.code = code
 
 
-def _parse_number(x):
-    if isinstance(x, str):
-        return Fraction(x)
-    return x
-
-
 # what json.loads makes of a JSON number: float literals are Fractions under --exact
 _NUMBERS = {int, float, Fraction}
+
+
+def _parse_number(x, name: str):
+    """``x`` when it is a JSON number, its ``Fraction`` when it is a rational
+    string; anything else, ``"1/0"`` and ``"abc"`` included, is a ValueError
+    naming the field ``name``."""
+    if type(x) in _NUMBERS:
+        return x
+    if type(x) is str:
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ValueError(f'"{name}" must be a JSON number or a rational string in every entry, '
+                     f"got {json.dumps(x)}")
 
 
 def _parse_rows(rows, name: str) -> list:
@@ -63,15 +72,9 @@ def _parse_rows(rows, name: str) -> list:
     is a ValueError naming the field."""
     if type(rows) is not list or any(type(row) is not list for row in rows):
         raise ValueError(f'"{name}" must be a JSON array of JSON arrays')
-    out = []
-    for row in rows:
-        kinds = set(map(type, row))
-        if not kinds <= _NUMBERS | {str}:
-            bad = next(x for x in row if type(x) not in _NUMBERS | {str})
-            raise ValueError(f'"{name}" must be a JSON number or a rational string in '
-                             f"every entry, got {json.dumps(bad)}")
-        out.append(tuple(row) if kinds <= _NUMBERS else tuple(map(_parse_number, row)))
-    return out
+    return [tuple(row) if set(map(type, row)) <= _NUMBERS
+            else tuple(_parse_number(x, name) for x in row)
+            for row in rows]
 
 
 def _coordinates(points, exact: bool) -> np.ndarray:
@@ -156,8 +159,12 @@ def load_instance_file(
                 raise ValueError(f"unknown metric {metric!r}")
             pts = _coordinates(doc["points"], exact)
             if metric == "euclidean":
-                pts = pts.astype(np.float64)
-                mat = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
+                try:
+                    with np.errstate(over="raise"):
+                        pts = pts.astype(np.float64)
+                        mat = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
+                except (OverflowError, FloatingPointError):
+                    raise ValueError('"points" is too large for float Euclidean distances')
             else:
                 mat = np.abs(pts[:, None, :] - pts[None, :, :]).sum(axis=2)
             if mat.dtype == object:
@@ -320,11 +327,15 @@ def cmd_certify(args) -> int:
 
 
 def cmd_generate(args) -> int:
+    try:
+        sigma = Fraction(args.sigma)
+    except (ValueError, ZeroDivisionError):
+        raise CliError(f"--sigma must be a number or a rational string, got {args.sigma!r}")
     cfg = generator.GeneratorConfig(
         n=args.n,
         k=args.k,
         z=args.z,
-        sigma=Fraction(args.sigma),
+        sigma=sigma,
         radius=args.radius,
         seed=args.seed,
         mode=args.mode,

@@ -145,55 +145,43 @@ def build_mst(inst: Instance) -> tuple:
 def binarize(tree, inst: Instance) -> BinaryTree:
     """Rooted binary version of a spanning tree (root = lowest index).
 
-    While a node has more than two children, its two smallest-id children are
-    reattached under a fresh dummy vertex; at most n - 2 dummies are created.
+    Children are listed in ascending order. From the highest-index node down,
+    while a node has more than two children, its two smallest are moved under
+    a dummy vertex with the next free id, which joins the end of the node's
+    list; so there are sum(max(0, c_u - 2)) dummies for c_u children of u.
     """
     n = inst.n
-    adj: dict[int, list[int]] = {u: [] for u in range(n)}
+    adj = [[] for _ in range(n)]
     for u, v in tree:
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u}, {v}) references a missing point")
         adj[u].append(v)
         adj[v].append(u)
-    root = 0
-    children: dict[int, list[int]] = {u: [] for u in range(n)}
-    seen = {root}
-    order = [root]
+    children = [[] for _ in range(n)]
+    seen = [True] + [False] * (n - 1)
+    order = [0]
     for u in order:
         for v in sorted(adj[u]):
-            if v not in seen:
-                seen.add(v)
+            if not seen[v]:
+                seen[v] = True
                 children[u].append(v)
                 order.append(v)
-    if len(seen) != n:
+    if len(order) != n:
         raise ValueError("input edges do not form a spanning tree")
-    next_id = n
-    todo = [u for u in range(n) if len(children[u]) > 2]
-    while todo:
-        u = todo.pop()
-        while len(children[u]) > 2:
-            kids = sorted(children[u])
-            a, b = kids[0], kids[1]
-            dummy = next_id
-            next_id += 1
-            children[dummy] = [a, b]
-            children[u] = kids[2:] + [dummy]
-    total = next_id
-    parent = [-1] * total
-    left = [-1] * total
-    right = [-1] * total
-    for u in range(total):
-        kids = sorted(children.get(u, []))
-        if len(kids) > 2:
-            raise InternalCheckFailed(f"binarized node {u} has {len(kids)} children")
-        if kids:
-            left[u] = kids[0]
-        if len(kids) == 2:
-            right[u] = kids[1]
+    for u in reversed(range(n)):
+        kids = children[u]
+        while len(kids) > 2:
+            children.append(kids[:2])
+            del kids[:2]
+            kids.append(len(children) - 1)
+    parent = [-1] * len(children)
+    for u, kids in enumerate(children):
         for v in kids:
             parent[v] = u
-    is_dummy = tuple(u >= n for u in range(total))
-    if total - n > max(0, n - 2):
-        raise InternalCheckFailed(f"binarize created {total - n} dummies for {n} points")
-    return BinaryTree(root, tuple(parent), tuple(left), tuple(right), is_dummy, n)
+    left = tuple(kids[0] if kids else -1 for kids in children)
+    right = tuple(kids[1] if len(kids) == 2 else -1 for kids in children)
+    is_dummy = tuple(u >= n for u in range(len(children)))
+    return BinaryTree(0, tuple(parent), left, right, is_dummy, n)
 
 
 def _conv(a, b, combine):

@@ -17,7 +17,7 @@ and only when the solves before it left the optimum alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 
 import numpy as np
 
@@ -171,52 +171,45 @@ def radius_preserving_check(inst: Instance, pert: Instance, clus: Clustering) ->
     return abs(opt.cost - r_pert) <= tol
 
 
-def _shapes(inst: Instance, base: Clustering, r_hat):
-    """Perturbation shapes drawn from the proofs, as (edges, cap): (a) one
-    point into one optimal cluster, (b) a point into the ball of radius
-    2*r_hat around it, (c) a single center-to-point edge capped at an
-    intra-cluster distance. Every shape has at least one edge and none from
-    a point to itself."""
-    clusters = base.clusters()
-    dist = inst._array.tolist()
-    for q in range(inst.n):
-        for members in clusters:
-            if q not in members:
-                yield [(q, v) for v in members], r_hat
-    for p in range(inst.n):
-        ball = [v for v in range(inst.n) if v != p and dist[p][v] <= 2 * r_hat]
-        if ball:
-            yield [(p, v) for v in ball], r_hat
-    for i, c in enumerate(base.centers):
-        caps = sorted({dist[c][p] for p in clusters[i] if p != c})
-        for q in range(inst.n):
-            if base.assignment[q] != i:
-                for cap in caps:
-                    yield [(c, q)], cap
-
-
 def _candidate_specs(inst: Instance, base: Clustering, r_hat):
-    """Each distinct shape of :func:`_shapes` once, in order: its
-    ``PerturbationSpec`` when it is valid, None when its cap shortens a
-    special edge below half its length (the shape :func:`apply_perturbation`
-    rejects). The dedup key and the half check are taken from the edge list
-    as the spec would normalise it, so only valid shapes build a spec."""
+    """The proof shapes, each distinct one once, in order: (a) one point
+    into one optimal cluster, (b) a point into the ball of radius 2*r_hat
+    around it, (c) a single center-to-point edge capped at an intra-cluster
+    distance. Each is a star (u, vs, cap), edges from u to the ascending far
+    ends vs, and comes out as its ``PerturbationSpec``, or as None when its
+    cap cuts an edge below half its length (the shape
+    :func:`apply_perturbation` rejects), checked on the edge as the spec
+    normalises it. The star is the dedup key, a one-edge star of a symmetric
+    instance taken from its lower end: a star of two or more edges has one
+    center, so equal keys are equal edge sets."""
+    n = inst.n
     symmetric = inst.symmetric
     mode = UNDIRECTED if symmetric else DIRECTED
     dist = inst._array.tolist()
     tol = inst.tol
+    clusters = base.clusters()
+    caps = [sorted({dist[c][p] for p in clusters[i] if p != c})
+            for i, c in enumerate(base.centers)]
+    balls = ([v for v in range(n) if v != p and dist[p][v] <= 2 * r_hat] for p in range(n))
+    stars = chain(
+        ((q, members, r_hat) for q in range(n) for members in clusters if q not in members),
+        ((p, ball, r_hat) for p, ball in enumerate(balls) if ball),
+        ((c, [q], cap) for i, c in enumerate(base.centers)
+         for q in range(n) if base.assignment[q] != i for cap in caps[i]),
+    )
     seen = set()
-    for edges, cap in _shapes(inst, base, r_hat):
-        if symmetric:
-            edges = [(u, v) if u < v else (v, u) for u, v in edges]
-        key = (tuple(sorted(set(edges))), cap)
+    for u, vs, cap in stars:
+        if symmetric and len(vs) == 1 and vs[0] < u:
+            u, vs = vs[0], [u]
+        key = (u, tuple(vs), cap)
         if key in seen:
             continue
         seen.add(key)
-        if any(_below_half(dist[u][v], cap, tol) for u, v in key[0]):
+        if any(_below_half(dist[v][u] if symmetric and v < u else dist[u][v], cap, tol)
+               for v in vs):
             yield None
         else:
-            yield PerturbationSpec(key[0], cap, mode)
+            yield PerturbationSpec(tuple((u, v) for v in vs), cap, mode)
 
 
 def falsify_resilience(

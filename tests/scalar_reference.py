@@ -254,20 +254,12 @@ def perturbed_dist(inst, spec):
     return tuple(tuple(row) for row in ell)
 
 
-def falsify_resilience(inst, obj, budget=DEFAULT_BUDGET):
-    """The falsifier's search with every shape applied: the proof shapes in
-    order, each built as a ``PerturbationSpec`` and deduplicated on its
-    normalised (edges, cap), then ``apply_perturbation``, whose
-    ``InvalidPerturbation`` marks an invalid shape, still counted in
-    ``tried``; every solve is the scalar :func:`brute_force`."""
-    base = brute_force(inst, obj)
-    mode = UNDIRECTED if inst.symmetric else DIRECTED
-    if not base.unique:
-        return FalsifierReport(NOT_RESILIENT, (PerturbationSpec((), 0, mode), base.tie_witness))
-    base_key = base.best.partition_key()
-    r_hat = cost(inst, base.best, KCENTER)
+def proof_shapes(inst, clus, r_hat):
+    """The proof shapes of ``clus`` in order as (edge list, cap), repeats
+    included: (a) one point into one cluster, (b) a point into the ball of
+    radius 2*r_hat around it, (c) one center-to-point edge capped at each
+    intra-cluster distance of the center."""
     dist = inst.dist
-    clus = base.best
     clusters = clus.clusters()
     shapes = []
     for q in range(inst.n):
@@ -283,13 +275,34 @@ def falsify_resilience(inst, obj, budget=DEFAULT_BUDGET):
         for q in range(inst.n):
             if clus.assignment[q] != i:
                 shapes.extend(([(c, q)], cap) for cap in caps)
+    return shapes
+
+
+def distinct_specs(inst, clus, r_hat):
+    """Each proof shape once, in order, built as a ``PerturbationSpec`` and
+    deduplicated on its normalised (edges, cap)."""
+    mode = UNDIRECTED if inst.symmetric else DIRECTED
     specs = []
     seen = set()
-    for edges, cap in shapes:
+    for edges, cap in proof_shapes(inst, clus, r_hat):
         spec = PerturbationSpec(tuple(edges), cap, mode)
         if spec.edges and (spec.edges, spec.cap) not in seen:
             seen.add((spec.edges, spec.cap))
             specs.append(spec)
+    return specs
+
+
+def falsify_resilience(inst, obj, budget=DEFAULT_BUDGET):
+    """The falsifier's search with every shape applied: the
+    :func:`distinct_specs` in order, each passed to ``apply_perturbation``,
+    whose ``InvalidPerturbation`` marks an invalid shape, still counted in
+    ``tried``; every solve is the scalar :func:`brute_force`."""
+    base = brute_force(inst, obj)
+    if not base.unique:
+        mode = UNDIRECTED if inst.symmetric else DIRECTED
+        return FalsifierReport(NOT_RESILIENT, (PerturbationSpec((), 0, mode), base.tie_witness))
+    base_key = base.best.partition_key()
+    specs = distinct_specs(inst, base.best, cost(inst, base.best, KCENTER))
     tried = invalid = 0
     for spec in specs[:budget]:
         tried += 1
@@ -338,13 +351,11 @@ def validate_metric(inst):
 
 
 def parse_matrix(dist):
-    """The instance loader's matrix parse, one row at a time: the matrix and
-    each of its rows must be a JSON array, checked before any entry; then an
-    entry that is not a JSON number or a string (a bool, null, a list)
-    rejects the row, and otherwise every entry goes through
-    ``cli._parse_number``, strings or not."""
-    from resilient_cluster.cli import _parse_number
-
+    """The instance loader's matrix parse, one entry at a time: the matrix and
+    each of its rows must be a JSON array, checked before any entry; then,
+    row by row and left to right, a JSON number is kept, a string is read as
+    a ``Fraction``, and anything else (a bool, null, a list, a string that
+    is no rational number such as "1/0") rejects the matrix."""
     if type(dist) is not list:
         raise ValueError('"dist" must be a JSON array of JSON arrays')
     for row in dist:
@@ -352,11 +363,20 @@ def parse_matrix(dist):
             raise ValueError('"dist" must be a JSON array of JSON arrays')
     rows = []
     for row in dist:
+        parsed = []
         for x in row:
-            if type(x) not in (int, float, Fraction, str):
-                raise ValueError('"dist" must be a JSON number or a rational string in '
-                                 f"every entry, got {json.dumps(x)}")
-        rows.append(tuple(_parse_number(x) for x in row))
+            if type(x) in (int, float, Fraction):
+                parsed.append(x)
+                continue
+            if type(x) is str:
+                try:
+                    parsed.append(Fraction(x))
+                    continue
+                except (ValueError, ZeroDivisionError):
+                    pass
+            raise ValueError('"dist" must be a JSON number or a rational string in '
+                             f"every entry, got {json.dumps(x)}")
+        rows.append(tuple(parsed))
     return tuple(rows)
 
 
@@ -436,10 +456,11 @@ def manhattan(points, exact):
     """The loader's L1 matrix, entry by entry: exact sums of the parsed
     coordinates when ``exact`` or when every coordinate is integer-valued
     (integral entries as int), else float64 sums over numpy."""
-    from resilient_cluster.cli import _parse_number
+    def number(x):
+        return Fraction(x) if isinstance(x, str) else x
 
     if exact or all(float(x).is_integer() for row in points for x in row):
-        rows = [[sum(abs(_parse_number(a) - _parse_number(b)) for a, b in zip(p, q))
+        rows = [[sum(abs(number(a) - number(b)) for a, b in zip(p, q))
                  for q in points] for p in points]
         return tuple(tuple(int(x) if float(x).is_integer() else x for x in row)
                      for row in rows)

@@ -326,8 +326,15 @@ def test_manhattan_keeps_ints_beyond_int64_exact(tmp_path):
      "1e999 overflows to Infinity as a float"),
     ('{"k": 1, "symmetric": true, "dist": [[0, -1e999], [-1e999, 0]]}',
      "-1e999 overflows to -Infinity as a float"),
+    # Euclidean distances are floats: a coordinate past the float range, or
+    # a difference or square that overflows, has no distance to give
+    ('{"k": 1, "points": [[1%s], [0]]}' % ("0" * 400), '"points" is too large'),
+    ('{"k": 1, "points": [[1e308], [-1e308]]}', '"points" is too large'),
+    ('{"k": 1, "points": [[0, 1e200], [0, 0]]}', '"points" is too large'),
 ], ids=["nan-dist", "infinity-points", "minus-infinity-points", "overflow-points",
-        "overflow-dist", "minus-overflow-dist"])
+        "overflow-dist", "minus-overflow-dist", "euclidean-int-past-float",
+        "euclidean-difference-overflows", "euclidean-square-overflows"])
+@pytest.mark.filterwarnings("error")  # numpy's overflow RuntimeWarning fails the test
 def test_non_finite_numbers_are_rejected(tmp_path, capsys, text, message):
     path = tmp_path / "nan.json"
     path.write_text(text)
@@ -363,6 +370,9 @@ def test_exact_mode_roundtrips_rationals(tmp_path, capsys):
     7,
     [[0, None], [None, 0]],
     [{"0": 5, "1": 7}, {"1": 0, "0": 9}],
+    [[0, "1/0"], ["1/0", 0]],
+    [[0, "abc"], ["abc", 0]],
+    [[0, "-3/0"], [None, 0]],
 ])
 def test_matrix_parse_matches_the_per_entry_reference(tmp_path, dist):
     path = tmp_path / "m.json"
@@ -422,6 +432,10 @@ LINE4 = {"k": 2, "dist": [[0, 1, 10, 11], [1, 0, 9, 10], [10, 9, 0, 1], [11, 10,
     ("points", ("euclidean", [[0], [True], [10], [11]]), False),
     ("points", ("manhattan", [[0], [1], [None], [11]]), False),
     ("points", ("manhattan", [[0], [1], [10], [False]]), True),
+    ("dist", [[0, "1/0", 10, 11], ["1/0", 0, 9, 10], [10, 9, 0, 1], [11, 10, 1, 0]], False),
+    ("dist", [[0, 1, 10, 11], [1, 0, 9, 10], [10, 9, 0, 1], [11, 10, 1, "abc"]], True),
+    ("points", ("euclidean", [[0], [1], ["1/0"], [11]]), False),
+    ("points", ("manhattan", [["abc"], [1], [10], [11]]), True),
     ("dist", 7, False),
     ("dist", ["0111", "1011", "1101", "1110"], False),
     ("dist", [{"0": 0}, [1, 0, 9, 10], [10, 9, 0, 1], [11, 10, 1, 0]], False),
@@ -434,7 +448,9 @@ LINE4 = {"k": 2, "dist": [[0, 1, 10, 11], [1, 0, 9, 10], [10, 9, 0, 1], [11, 10,
 ], ids=["k-float", "k-exact-rational", "k-bool", "k-string", "z-float", "z-bool", "n-float",
         "symmetric-string", "symmetric-int", "assignment-float", "centers-bool",
         "dist-bool", "dist-null", "dist-list-exact", "points-bool-euclidean",
-        "points-null-manhattan", "points-bool-exact", "dist-number", "dist-string-rows",
+        "points-null-manhattan", "points-bool-exact", "dist-zero-denominator",
+        "dist-not-a-number-exact", "points-zero-denominator", "points-not-a-number-exact",
+        "dist-number", "dist-string-rows",
         "dist-object-row", "points-string", "points-string-row", "points-empty-euclidean",
         "points-empty-manhattan", "points-ragged-euclidean", "points-ragged-exact"])
 def test_instance_fields_must_have_their_json_type(tmp_path, capsys, field, value, exact):
@@ -505,6 +521,28 @@ def test_batch_directory(tmp_path, capsys):
     code, out, _ = run(capsys, "certify", "--input", str(tmp_path))
     assert code == 0
     assert out.count('"verdict"') == 2  # one report per file
+
+
+def test_batch_reports_the_good_file_next_to_an_unparsable_one(tmp_path, capsys):
+    run(capsys, "generate", "--n", "10", "--k", "2", "--seed", "1",
+        "--out", str(tmp_path / "good.json"))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"k": 1, "symmetric": True, "dist": [[0, "1/0"], ["1/0", 0]]}))
+    code, out, err = run(capsys, "certify", "--input", str(tmp_path))
+    assert code == 1
+    assert json.loads(out)["verdict"] == "OPTIMAL"
+    assert err == (f'error: {bad}: "dist" must be a JSON number or a rational string in '
+                   'every entry, got "1/0"\n')
+
+
+@pytest.mark.parametrize("sigma", ["1/0", "abc"])
+def test_generate_sigma_must_be_a_number(tmp_path, capsys, sigma):
+    out = tmp_path / "x.json"
+    code, _, err = run(capsys, "generate", "--n", "10", "--k", "2", "--sigma", sigma,
+                       "--out", str(out))
+    assert code == 1
+    assert err == f"error: --sigma must be a number or a rational string, got {sigma!r}\n"
+    assert not out.exists()
 
 
 def test_gonzalez_requires_kcenter(tmp_path, capsys):

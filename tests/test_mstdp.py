@@ -122,6 +122,34 @@ def test_binarize_star_five_leaves_three_dummies():
         assert len(btree.children(u)) <= 2
 
 
+def test_binarize_star_six_leaves_layout():
+    # each dummy takes the two smallest children, and the node's list stays
+    # ascending with the dummy at its end
+    inst = star_instance(6)
+    btree = binarize(build_mst(inst), inst)
+    assert btree.left == (9, -1, -1, -1, -1, -1, -1, 1, 3, 5, 7)
+    assert btree.right == (10, -1, -1, -1, -1, -1, -1, 2, 4, 6, 8)
+    assert btree.parent == (-1, 7, 7, 8, 8, 9, 9, 10, 10, 0, 0)
+
+
+@pytest.mark.parametrize("tree", [[(0, 1)], [(0, 1), (1, -1)], [(0, 1), (1, 3)]])
+def test_binarize_rejects_an_edge_list_that_does_not_span(tree):
+    # -1 would index the last point's list, so it is rejected by its range
+    with pytest.raises(ValueError):
+        binarize(tree, uniform_instance(3, 1))
+
+
+def test_binarize_numbers_dummies_from_the_highest_node_down():
+    # 0 has children 1, 2, 3 and 1 has 4, 5, 6: node 1 is split first, so
+    # its dummy is 7 and node 0's is 8
+    tree = [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (1, 6)]
+    btree = binarize(tree, uniform_instance(7, 1))
+    assert btree.left == (3, 6, -1, -1, -1, -1, -1, 4, 1)
+    assert btree.right == (8, 7, -1, -1, -1, -1, -1, 5, 2)
+    assert btree.parent == (-1, 8, 8, 0, 7, 7, 1, 1, 0)
+    assert btree.is_dummy == (False,) * 7 + (True, True)
+
+
 def test_dp_all_singletons():
     inst = uniform_instance(4, 4)
     clus = solve_outlier_clustering(inst, KMEDIAN)

@@ -15,6 +15,7 @@ from resilient_cluster import (
     NOT_RESILIENT,
     RESILIENT_UNREFUTED,
     UNDIRECTED,
+    Clustering,
     GeneratorConfig,
     Instance,
     InternalCheckFailed,
@@ -218,6 +219,91 @@ def test_falsifier_matches_the_reference_loop(seed, n, encoding, obj, z, directe
     if got.witness is not None:
         assert type(got.witness[0].cap) is type(want.witness[0].cap)
     assert 0 <= got.invalid <= got.tried <= budget
+
+
+# ---------------------------------------------------------------------------
+# the shape stream keyed by its star, against the reference's dedup on the
+# normalised edge set
+
+
+def reference_stream(inst, clus):
+    """The reference's distinct shapes in order, None for the invalid ones."""
+    out = []
+    for spec in reference.distinct_specs(inst, clus, cost(inst, clus, KCENTER)):
+        try:
+            reference.perturbed_dist(inst, spec)
+        except InvalidPerturbation:
+            spec = None
+        out.append(spec)
+    return out
+
+
+# each case lists a shape that the proofs make twice and that the stream must
+# hold once, or two directed shapes that it must keep apart
+STAR_KEY_CASES = {
+    # clusters {0, 1}, {2}, {3}: (a) puts 2 into {3} and 3 into {2}
+    "two-singleton-clusters": (
+        Instance(((0, 1, 5, 10), (1, 0, 4, 11), (5, 4, 0, 9), (10, 11, 9, 0)), 3),
+        [(((2, 3),), 1)],
+    ),
+    # clusters {0}, {1, 2}, {3, 4}: the ball around 0 is the cluster {1, 2}
+    "ball-equals-cluster-star": (
+        line_instance([0, 3, 4, 20, 22], k=3),
+        [(((0, 1), (0, 2)), 2)],
+    ),
+    # clusters {0, 2, 3} and {1, 4, 5} around 0 and 4, each holding a point
+    # at distance 2 from its center: (c) caps 0-4 at 2 from either end
+    "center-to-center-edge": (
+        Instance(((0, 5, 2, 2, 4, 6), (5, 0, 7, 7, 2, 4), (2, 7, 0, 4, 6, 5),
+                  (2, 7, 4, 0, 6, 8), (4, 2, 6, 6, 0, 2), (6, 4, 5, 8, 2, 0)), 2),
+        [(((0, 4),), 2)],
+    ),
+    # clusters {0, 3}, {1}, {2} of a directed metric: (a) makes (1, 2) and
+    # (2, 1), two different edges
+    "directed-pair": (
+        Instance(((0, 6, 5, 1), (9, 0, 6, 5), (6, 8, 0, 3), (10, 5, 4, 0)), 3,
+                 symmetric=False),
+        [(((1, 2),), 1), (((2, 1),), 1)],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STAR_KEY_CASES))
+def test_star_key_merges_only_equal_edge_sets(case):
+    inst, shapes = STAR_KEY_CASES[case]
+    mode = UNDIRECTED if inst.symmetric else DIRECTED
+    base = brute_force(inst, KCENTER)
+    assert base.unique
+    r_hat = cost(inst, base.best, KCENTER)
+    raw = [PerturbationSpec(tuple(edges), cap, mode)
+           for edges, cap in reference.proof_shapes(inst, base.best, r_hat)]
+    wanted = [PerturbationSpec(edges, cap, mode) for edges, cap in shapes]
+    assert [raw.count(spec) for spec in wanted] == ([1, 1] if case == "directed-pair" else [2])
+    stream = list(perturb._candidate_specs(inst, base.best, r_hat))
+    assert stream == reference_stream(inst, base.best)
+    assert falsify_resilience(inst, KCENTER) == reference.falsify_resilience(inst, KCENTER)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    encoding=st.sampled_from(("int", "fraction", "float")),
+    directed=st.booleans(),
+)
+def test_shape_stream_matches_the_reference_on_any_clustering(seed, encoding, directed):
+    # any clustering, not only the optimum, so that singleton clusters and
+    # shapes past a witness are common
+    rng = random.Random(seed)
+    n = rng.randint(2, 8)
+    k = rng.randint(1, n)
+    inst = encoded_metric(rng, n, k, 0, encoding, directed)
+    centers = rng.sample(range(n), k)
+    assignment = [rng.randrange(k) for _ in range(n)]
+    for i, c in enumerate(centers):
+        assignment[c] = i
+    clus = Clustering(tuple(assignment), tuple(centers))
+    r_hat = cost(inst, clus, KCENTER)
+    assert list(perturb._candidate_specs(inst, clus, r_hat)) == reference_stream(inst, clus)
 
 
 # ---------------------------------------------------------------------------
