@@ -20,10 +20,13 @@ from pathlib import Path
 
 import numpy as np
 
-from . import approx, generator, lp, mstdp, oracle, perturb
+# generator, mstdp, oracle and perturb are imported by the commands that
+# run them, so that certify loads only the modules it calls
+from . import approx, lp
 from .core import (
     KCENTER,
-    OUTLIER,
+    MODES,
+    SYMMETRIC,
     Clustering,
     Instance,
     InternalCheckFailed,
@@ -51,6 +54,11 @@ class CliError(Exception):
 _NUMBERS = {int, float, Fraction}
 
 
+def _cut(text: str) -> str:
+    """``text`` for an error message: past 50 characters, its two ends."""
+    return text if len(text) <= 50 else f"{text[:20]}...{text[-10:]} ({len(text)} characters)"
+
+
 def _parse_number(x, name: str):
     """``x`` when it is a JSON number, its ``Fraction`` when it is a rational
     string; anything else, ``"1/0"`` and ``"abc"`` included, is a ValueError
@@ -63,7 +71,7 @@ def _parse_number(x, name: str):
         except (ValueError, ZeroDivisionError):
             pass
     raise ValueError(f'"{name}" must be a JSON number or a rational string in every entry, '
-                     f"got {json.dumps(x)}")
+                     f"got {_cut(json.dumps(x))}")
 
 
 def _parse_rows(rows, name: str) -> list:
@@ -97,7 +105,8 @@ def _typed(value, kind: type, name: str):
     """``value`` when its JSON type is ``kind`` (int or bool), else a ValueError."""
     if type(value) is not kind:
         noun = "integer" if kind is int else "boolean"
-        raise ValueError(f'"{name}" must be a JSON {noun}, got {json.dumps(value, default=float)}')
+        got = _cut(json.dumps(value, default=float))
+        raise ValueError(f'"{name}" must be a JSON {noun}, got {got}')
     return value
 
 
@@ -110,6 +119,35 @@ def _finite_float(text: str) -> float:
     if not math.isfinite(x):
         raise ValueError(f"{text} overflows to {json.dumps(x)} as a float")
     return x
+
+
+def _read_json(text: str, exact: bool, parse_int=int):
+    return json.loads(text, parse_int=parse_int, parse_float=Fraction if exact else _finite_float,
+                      parse_constant=_reject_constant)
+
+
+class _Digits(str):
+    """The text of a JSON integer literal, as :func:`_long_integer` reads it."""
+
+
+def _long_integer(text: str, exact: bool) -> str | None:
+    """When ``text`` holds an integer literal of more digits than Python
+    converts, which ``json.loads`` rejects without naming a field: a message
+    that names the top-level field holding it. None otherwise."""
+    try:
+        doc = _read_json(text, exact, parse_int=_Digits)
+    except ValueError:
+        return None
+    limit = sys.get_int_max_str_digits()
+    for name, value in doc.items() if isinstance(doc, dict) else ():
+        todo = [value]
+        while todo:
+            x = todo.pop()
+            if isinstance(x, (list, dict)):
+                todo.extend(x.values() if isinstance(x, dict) else x)
+            elif type(x) is _Digits and len(x.lstrip("-")) > limit:
+                return f'"{name}" must be a JSON number of at most {limit} digits, got {_cut(x)}'
+    return None
 
 
 def load_instance_file(
@@ -129,12 +167,11 @@ def load_instance_file(
     if not text.strip():
         raise CliError(f"{path}: empty file")
     try:
-        doc = json.loads(text, parse_float=Fraction if exact else _finite_float,
-                         parse_constant=_reject_constant)
+        doc = _read_json(text, exact)
     except json.JSONDecodeError as e:
         raise CliError(f"{path}: malformed JSON at line {e.lineno}, column {e.colno}: {e.msg}")
     except ValueError as e:
-        raise CliError(f"{path}: {e}")
+        raise CliError(f"{path}: {_long_integer(text, exact) or e}")
     if not isinstance(doc, dict):
         raise CliError(f"{path}: top-level JSON object expected")
     try:
@@ -156,7 +193,7 @@ def load_instance_file(
         elif "points" in doc:
             metric = doc.get("metric", "euclidean")
             if metric not in ("euclidean", "manhattan"):
-                raise ValueError(f"unknown metric {metric!r}")
+                raise ValueError(f"unknown metric {_cut(repr(metric))}")
             pts = _coordinates(doc["points"], exact)
             if metric == "euclidean":
                 try:
@@ -246,6 +283,8 @@ def cmd_solve(args) -> int:
         fields, code = _certify_report(inst, args.formulation)
         report.update(fields)
     elif args.method == "oracle":
+        from . import oracle
+
         try:
             res = oracle.brute_force(inst, obj)
         except oracle.InstanceTooLarge as e:
@@ -257,6 +296,8 @@ def cmd_solve(args) -> int:
             raise InternalCheckFailed(f"reported cost {res.cost}, recomputed {again}")
         report.update(cost=res.cost, unique=res.unique, clustering=_clustering_doc(res.best))
     elif args.method == "mstdp":
+        from . import mstdp
+
         try:
             clus = mstdp.solve_outlier_clustering(inst, obj)
         except mstdp.Infeasible as e:
@@ -304,6 +345,8 @@ def cmd_certify(args) -> int:
     started = time.perf_counter()
     report, code = _certify_report(inst, args.formulation)
     if args.falsify:
+        from . import oracle, perturb
+
         try:
             fr = perturb.falsify_resilience(inst, KCENTER)
             fdoc: dict = {"verdict": fr.verdict, "tried": fr.tried, "exhausted": fr.exhausted,
@@ -327,6 +370,8 @@ def cmd_certify(args) -> int:
 
 
 def cmd_generate(args) -> int:
+    from . import generator
+
     try:
         sigma = Fraction(args.sigma)
     except (ValueError, ZeroDivisionError):
@@ -465,8 +510,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument(
         "--mode",
-        default=generator.SYMMETRIC,
-        choices=list(generator.MODES),
+        default=SYMMETRIC,
+        choices=list(MODES),
     )
     p_gen.add_argument("--out", required=True)
     p_gen.set_defaults(func=cmd_generate)

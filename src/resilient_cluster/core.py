@@ -19,6 +19,14 @@ import numpy as np
 
 OUTLIER = -1
 
+# the generator's instance families; named here, so that the command line
+# lists them without importing the generator
+SYMMETRIC = "symmetric"
+ASYMMETRIC = "asymmetric"
+OUTLIER_MODE = "outlier"
+NON_RESILIENT = "non-resilient"
+MODES = (SYMMETRIC, ASYMMETRIC, OUTLIER_MODE, NON_RESILIENT)
+
 FLOAT_TOL = 1e-9
 
 

@@ -28,13 +28,21 @@ from itertools import accumulate
 
 import numpy as np
 
-from .core import KCENTER, OUTLIER, Clustering, Instance, Objective, _shortest_paths, cost
+from .core import (
+    ASYMMETRIC,
+    KCENTER,
+    MODES,
+    NON_RESILIENT,
+    OUTLIER,
+    OUTLIER_MODE,
+    SYMMETRIC,
+    Clustering,
+    Instance,
+    Objective,
+    _shortest_paths,
+    cost,
+)
 
-SYMMETRIC = "symmetric"
-ASYMMETRIC = "asymmetric"
-OUTLIER_MODE = "outlier"
-NON_RESILIENT = "non-resilient"
-MODES = (SYMMETRIC, ASYMMETRIC, OUTLIER_MODE, NON_RESILIENT)
 RESILIENT_MODES = (SYMMETRIC, ASYMMETRIC, OUTLIER_MODE)
 
 
@@ -213,8 +221,8 @@ def verify_planted(inst: Instance, planted: Clustering, obj: Objective) -> list[
                 }
                 if not far:
                     continue
-                # repeated w stay: each (q, w) comes once per far pair
-                ws = [w for _, w in far]
+                # each w once, in the order the far pairs first give it
+                ws = list(dict.fromkeys(w for _, w in far))
                 qs = [q for j, other in enumerate(clusters) if j != i for q in other if core[q]]
                 hits = np.argwhere(near[np.ix_(qs, ws)]).tolist()
                 emit("core_point_separation", [(qs[a], ws[b]) for a, b in hits])

@@ -935,10 +935,9 @@ def verify_planted(inst, planted, obj):
                         if dist[q][c_j] > r_hat + tol:
                             continue
                         for _, w in far:
-                            if dist[q][w] <= r_hat + tol:
-                                out.append(
-                                    SeparationViolation("core_point_separation", (q, w))
-                                )
+                            violation = SeparationViolation("core_point_separation", (q, w))
+                            if dist[q][w] <= r_hat + tol and violation not in out:
+                                out.append(violation)
     else:
         for p in range(inst.n):
             if p in outliers:

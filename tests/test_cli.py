@@ -412,6 +412,9 @@ def test_exact_is_set_by_the_flag_alone(tmp_path, capsys, monkeypatch):
 
 LINE4 = {"k": 2, "dist": [[0, 1, 10, 11], [1, 0, 9, 10], [10, 9, 0, 1], [11, 10, 1, 0]],
          "planted": {"assignment": [0, 0, 2, 2], "centers": [0, 2]}}
+# more digits than Python converts to an int by default; the string "@long"
+# is written into a file as this JSON integer literal
+LONG = "1" + "0" * 5000
 
 
 @pytest.mark.parametrize("field, value, exact", [
@@ -445,6 +448,11 @@ LINE4 = {"k": 2, "dist": [[0, 1, 10, 11], [1, 0, 9, 10], [10, 9, 0, 1], [11, 10,
     ("points", ("manhattan", []), False),
     ("points", ("euclidean", [[0], [1, 2], [10], [11]]), False),
     ("points", ("manhattan", [[0], [1, 2], [10], [11]]), True),
+    ("dist", [[0, "@long", 10, 11], ["@long", 0, 9, 10], [10, 9, 0, 1], [11, 10, 1, 0]], False),
+    ("dist", [[0, 1, 10, 11], [1, 0, 9, 10], [10, 9, 0, 1], [11, 10, 1, "@long"]], True),
+    ("dist", [[0, LONG, 10, 11], [LONG, 0, 9, 10], [10, 9, 0, 1], [11, 10, 1, 0]], False),
+    ("points", ("manhattan", [[0], ["@long"], [10], [11]]), False),
+    ("points", ("euclidean", [[0], [1], [LONG], [11]]), True),
 ], ids=["k-float", "k-exact-rational", "k-bool", "k-string", "z-float", "z-bool", "n-float",
         "symmetric-string", "symmetric-int", "assignment-float", "centers-bool",
         "dist-bool", "dist-null", "dist-list-exact", "points-bool-euclidean",
@@ -452,11 +460,14 @@ LINE4 = {"k": 2, "dist": [[0, 1, 10, 11], [1, 0, 9, 10], [10, 9, 0, 1], [11, 10,
         "dist-not-a-number-exact", "points-zero-denominator", "points-not-a-number-exact",
         "dist-number", "dist-string-rows",
         "dist-object-row", "points-string", "points-string-row", "points-empty-euclidean",
-        "points-empty-manhattan", "points-ragged-euclidean", "points-ragged-exact"])
+        "points-empty-manhattan", "points-ragged-euclidean", "points-ragged-exact",
+        "dist-long-literal", "dist-long-literal-exact", "dist-long-string",
+        "points-long-literal", "points-long-string-exact"])
 def test_instance_fields_must_have_their_json_type(tmp_path, capsys, field, value, exact):
     """k, z, n and the planted indices are JSON integers, never bools,
     symmetric is a JSON boolean, and every distance and coordinate is a JSON
-    number or a rational string; anything else exits 1 naming the field."""
+    number or a rational string; anything else exits 1 naming the field and
+    echoing at most a few dozen characters of the value."""
     doc = json.loads(json.dumps(LINE4))
     if field.startswith("planted."):
         doc["planted"][field.split(".")[1]] = value
@@ -466,10 +477,11 @@ def test_instance_fields_must_have_their_json_type(tmp_path, capsys, field, valu
     else:
         doc[field] = value
     path = tmp_path / "typed.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(doc).replace('"@long"', LONG))
     code, out, err = run(capsys, "certify", "--input", str(path), *(["--exact"] if exact else []))
     assert (code, out) == (1, "")
     assert err.startswith(f"error: {path}: ") and f'"{field}" must be a JSON ' in err
+    assert len(err) < len(f"error: {path}: ") + 200
 
 
 def test_solve_lp_not_resilient_exit_3(tmp_path, capsys):

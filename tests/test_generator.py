@@ -224,6 +224,17 @@ def test_verify_planted_float_tolerance_counts_a_near_tie_as_a_beat():
     assert got == reference.verify_planted(inst, clus, KCENTER)
 
 
+def test_core_point_separation_reports_each_pair_once():
+    # R = 6; cluster {1, 2, 3} around 1 has core points 1 and 2, each at
+    # least R from 3, and 0 is a core point within R of 3: two far pairs
+    # share w = 3, and (0, 3) comes once
+    inst = Instance([[0, 3, 2, 5], [1, 0, 3, 6], [3, 4, 0, 8], [5, 8, 7, 0]], 2, symmetric=False)
+    clus = Clustering((0, 1, 1, 1), (0, 1))
+    got = verify_planted(inst, clus, KCENTER)
+    assert [v.points for v in got if v.check == "core_point_separation"] == [(0, 3)]
+    assert got == reference.verify_planted(inst, clus, KCENTER)
+
+
 def random_clustering(rng, n, k, z):
     """k random centers, up to z random outliers, every other point in a
     random cluster."""
@@ -283,4 +294,5 @@ def test_verify_planted_matches_the_scalar_reference(seed, family, encoding, obj
                 "random-clustering": lambda: random_clustering(rng, inst.n, k, z)}[family]()
     got = verify_planted(inst, clus, obj)
     assert got == reference.verify_planted(inst, clus, obj)
+    assert len(set(got)) == len(got)
     assert all(type(x) is int for v in got for x in v.points)
