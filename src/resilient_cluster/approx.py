@@ -14,7 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import KCENTER, AsymmetricUnsupported, Clustering, Instance, cost, voronoi
+from .core import (
+    KCENTER,
+    AsymmetricUnsupported,
+    Clustering,
+    Instance,
+    completed_centers,
+    cost,
+    voronoi,
+)
 
 GONZALEZ = "gonzalez"
 HOCHBAUM_SHMOYS = "hochbaum-shmoys"
@@ -87,12 +95,7 @@ def hochbaum_shmoys(inst: Instance) -> ApproxResult:
     # the first candidate where at most k balls suffice; the largest always does
     lo = bisect_left(range(len(cands)), True, 0, len(cands) - 1,
                      key=lambda i: len(_greedy_ball_cover(inst, cands[i])) <= inst.k)
-    centers = _greedy_ball_cover(inst, cands[lo])
-    for u in range(inst.n):
-        if len(centers) == inst.k:
-            break
-        if u not in centers:
-            centers.append(u)
+    centers = completed_centers(inst, _greedy_ball_cover(inst, cands[lo]))
     radius = cost(inst, voronoi(inst, centers), KCENTER)
     return ApproxResult(tuple(centers), radius, HOCHBAUM_SHMOYS)
 

@@ -67,7 +67,7 @@ def _parse_number(x, name: str):
         return x
     if type(x) is str:
         try:
-            return Fraction(x)
+            return _fraction(x)
         except (ValueError, ZeroDivisionError):
             pass
     raise ValueError(f'"{name}" must be a JSON number or a rational string in every entry, '
@@ -121,32 +121,56 @@ def _finite_float(text: str) -> float:
     return x
 
 
-def _read_json(text: str, exact: bool, parse_int=int):
-    return json.loads(text, parse_int=parse_int, parse_float=Fraction if exact else _finite_float,
-                      parse_constant=_reject_constant)
+def _past_str_limit(v: int) -> bool:
+    """|v| has more digits than Python converts to a string."""
+    limit = sys.get_int_max_str_digits()
+    return 0 < limit and v.bit_length() > 3 * limit and abs(v) >= 10**limit
+
+
+def _fraction(text: str) -> Fraction:
+    """The ``Fraction`` of a decimal or rational literal; a ValueError when
+    its numerator or denominator has more digits than Python converts to a
+    string, which would stop the report that prints it."""
+    x = Fraction(text)
+    if _past_str_limit(x.numerator) or _past_str_limit(x.denominator):
+        raise ValueError(f"{_cut(text)} has more digits as a fraction than Python converts")
+    return x
 
 
 class _Digits(str):
-    """The text of a JSON integer literal, as :func:`_long_integer` reads it."""
+    """The text of a JSON integer literal, as :func:`_long_number` reads it."""
 
 
-def _long_integer(text: str, exact: bool) -> str | None:
-    """When ``text`` holds an integer literal of more digits than Python
+class _Decimal(str):
+    """The text of a JSON float literal, as :func:`_long_number` reads it."""
+
+
+def _long_number(text: str, exact: bool) -> str | None:
+    """When ``text`` holds a number literal of more digits than Python
     converts, which ``json.loads`` rejects without naming a field: a message
-    that names the top-level field holding it. None otherwise."""
+    that names the top-level field holding it. None otherwise. Such a literal
+    is an integer of more digits, or, under ``exact``, a float literal whose
+    fraction has a numerator or denominator of more digits."""
     try:
-        doc = _read_json(text, exact, parse_int=_Digits)
+        doc = json.loads(text, parse_int=_Digits, parse_float=_Decimal,
+                         parse_constant=_reject_constant)
     except ValueError:
         return None
     limit = sys.get_int_max_str_digits()
+    # without exact a float literal is a float, which has no digit limit
+    convert = {_Digits: int, _Decimal: _fraction if exact else float}
     for name, value in doc.items() if isinstance(doc, dict) else ():
         todo = [value]
         while todo:
             x = todo.pop()
             if isinstance(x, (list, dict)):
                 todo.extend(x.values() if isinstance(x, dict) else x)
-            elif type(x) is _Digits and len(x.lstrip("-")) > limit:
-                return f'"{name}" must be a JSON number of at most {limit} digits, got {_cut(x)}'
+            elif type(x) in convert:
+                try:
+                    convert[type(x)](x)
+                except ValueError:
+                    return (f'"{name}" must be a JSON number of at most {limit} digits '
+                            f"in its numerator and denominator, got {_cut(x)}")
     return None
 
 
@@ -167,11 +191,12 @@ def load_instance_file(
     if not text.strip():
         raise CliError(f"{path}: empty file")
     try:
-        doc = _read_json(text, exact)
+        doc = json.loads(text, parse_float=_fraction if exact else _finite_float,
+                         parse_constant=_reject_constant)
     except json.JSONDecodeError as e:
         raise CliError(f"{path}: malformed JSON at line {e.lineno}, column {e.colno}: {e.msg}")
     except ValueError as e:
-        raise CliError(f"{path}: {_long_integer(text, exact) or e}")
+        raise CliError(f"{path}: {_long_number(text, exact) or e}")
     if not isinstance(doc, dict):
         raise CliError(f"{path}: top-level JSON object expected")
     try:
@@ -433,14 +458,15 @@ def _run_single(func, args) -> int:
 
 
 def _run_batch(func, args) -> int:
-    """Process every *.json file in a directory; reports are printed in file
-    order regardless of worker scheduling. Exit code is the worst one seen."""
+    """Process every *.json file in a directory, with at most one worker per
+    file; reports are printed in file order regardless of worker scheduling.
+    Exit code is the worst one seen."""
     directory = Path(args.input)
     files = sorted(str(p) for p in directory.glob("*.json"))
     if not files:
         print(f"error: no *.json files in {directory}", file=sys.stderr)
         return EXIT_ERROR
-    jobs = max(1, args.jobs)
+    jobs = min(max(1, args.jobs), len(files))
     tasks = [(func.__name__, dict(vars(args), input=f, func=None)) for f in files]
     if jobs == 1:
         results = [_batch_worker(*t) for t in tasks]

@@ -143,7 +143,11 @@ def objective_by_name(name: str) -> Objective:
     if name == "kmeans":
         return KMEANS
     if name.startswith("lp:"):
-        return lp_norm(Fraction(name[3:]))
+        try:
+            p = Fraction(name[3:])
+        except ZeroDivisionError:
+            raise ValueError(f"p must be a number, got {name[3:]!r}") from None
+        return lp_norm(p)
     raise ValueError(f"unknown objective {name!r}")
 
 
@@ -544,6 +548,17 @@ def cost(inst: Instance, clus: Clustering, obj: Objective):
     for t in map(obj.term, kept):
         total += t
     return total
+
+
+def completed_centers(inst: Instance, centers: Iterable[int]) -> list[int]:
+    """At most k ``centers`` completed to k: each given center once, in
+    first-seen order, then the lowest-index other points."""
+    chosen = dict.fromkeys(centers)
+    for u in range(inst.n):
+        if len(chosen) >= inst.k:
+            break
+        chosen.setdefault(u)
+    return list(chosen)
 
 
 def voronoi(inst: Instance, centers: Sequence[int], outliers: Iterable[int] = ()) -> Clustering:

@@ -79,6 +79,7 @@ from .core import (
     Clustering,
     Instance,
     InternalCheckFailed,
+    completed_centers,
     cost,
     voronoi,
 )
@@ -111,8 +112,8 @@ class LpOutcome:
     ``y`` is the primal and ``certificate`` the dual solution (see the module
     docstring). Every outcome this module returns was checked exactly: its
     entries are Fractions, ``bound`` is the LP optimum and ``certificate``
-    proves it. The search's unchecked float probes also keep their final
-    simplex basis, which the confirmation may solve.
+    proves it, and ``_basis`` is empty. The search's unchecked float probes
+    keep their final simplex basis instead, which the confirmation may solve.
     """
 
     feasible: bool
@@ -333,14 +334,6 @@ def _rationalize(values) -> list[Fraction]:
     return out
 
 
-def _exact_from_float(inst: Instance, outcome: LpOutcome) -> LpOutcome | str:
-    """Rebuild the exact optimum at a float probe's radius from its
-    rationalized primal and dual, or say why not."""
-    y = _rationalize(outcome.y)
-    dual = _rationalize(outcome.certificate)
-    return _exact_outcome(inst, outcome._graph, outcome.radius, outcome.formulation, y, dual)
-
-
 # ---------------------------------------------------------------------------
 # solving the float basis exactly
 
@@ -389,27 +382,23 @@ def _basis_solution(c, A, b, basis) -> tuple[list, list] | None:
     return x, [Fraction(v, dual[1]) for v in dual[0]]
 
 
-def _exact_from_basis(inst: Instance, outcome: LpOutcome) -> LpOutcome | str:
-    """Solve a float probe's final basis exactly and check the vertex it
-    gives, or say why that fails."""
-    G, formulation = outcome._graph, outcome.formulation
-    solved = _basis_solution(*_reduced_lp(G, formulation, inst.k), outcome._basis)
-    if solved is None:
-        return "the basis is singular"
-    y, dual = _lp_sides(formulation, inst.n, *solved)
-    return _exact_outcome(inst, G, outcome.radius, formulation, y, dual)
-
-
 def _confirmed(inst: Instance, outcome: LpOutcome) -> LpOutcome:
-    """The exact outcome at a float probe's radius: its rationalized solution
-    when that checks out, else its basis solved exactly. Raises
+    """The exact outcome at a float probe's radius: its rationalized primal
+    and dual when :func:`_exact_outcome` accepts them, else the vertex of its
+    final basis solved exactly, checked the same way. Raises
     :class:`SolverPrecisionExceeded`, naming the radius, when neither does."""
-    exact = _exact_from_float(inst, outcome)
+    G, R, formulation = outcome._graph, outcome.radius, outcome.formulation
+    exact = _exact_outcome(inst, G, R, formulation,
+                           _rationalize(outcome.y), _rationalize(outcome.certificate))
     if isinstance(exact, str):
-        exact = _exact_from_basis(inst, outcome)
+        solved = _basis_solution(*_reduced_lp(G, formulation, inst.k), outcome._basis)
+        if solved is None:
+            exact = "the basis is singular"
+        else:
+            exact = _exact_outcome(inst, G, R, formulation,
+                                   *_lp_sides(formulation, inst.n, *solved))
     if isinstance(exact, str):
-        raise SolverPrecisionExceeded(
-            f"at radius {outcome.radius}: exact solve of the float basis: {exact}")
+        raise SolverPrecisionExceeded(f"at radius {R}: exact solve of the float basis: {exact}")
     return exact
 
 
@@ -422,9 +411,10 @@ def min_feasible_radius(inst: Instance, formulation: str) -> tuple[object, LpOut
     feasible: one binary search, then one check.
 
     The search probes in floating point and caches each probe by candidate
-    index. Its boundary is then confirmed, whatever the instance's number
-    type: the probes at R* and at the candidate below are confirmed exactly
-    (each by its rationalized solution, else its basis solved exactly), and
+    index; a confirmation replaces the cached probe, so no radius is solved
+    or confirmed twice. Its boundary is then confirmed, whatever the
+    instance's number type: the probes at R* and at the candidate below are
+    confirmed exactly by :func:`_confirmed`, and
     by monotonicity these two facts pin R*. If a confirmed probe moves the
     boundary, the same search goes on with every probe confirmed. A probe
     that cannot be confirmed raises :class:`.SolverPrecisionExceeded`.
@@ -432,15 +422,14 @@ def min_feasible_radius(inst: Instance, formulation: str) -> tuple[object, LpOut
     _check_formulation(inst, formulation)
     cands = inst.distinct_distances()
     probes: dict[int, LpOutcome] = {}
-    confirmed: set[int] = set()
 
     def probe(idx: int, confirm: bool) -> LpOutcome:
         outcome = probes.get(idx)
         if outcome is None:
             outcome = probes[idx] = _float_probe(inst, cands[idx], formulation)
-        if confirm and idx not in confirmed:
+        # a float probe keeps its basis (m >= 1 rows); a confirmed one keeps none
+        if confirm and outcome._basis:
             outcome = probes[idx] = _confirmed(inst, outcome)
-            confirmed.add(idx)
         return outcome
 
     confirm = False
@@ -484,17 +473,10 @@ def _undirected_components(G: np.ndarray) -> list[np.ndarray]:
 
 def _cluster_within_radius(inst: Instance, G: np.ndarray, centers: list[int],
                            max_outliers: int) -> Clustering | None:
-    """Voronoi clustering of k centers (padded deterministically) in which
-    every point that no center reaches in G is an outlier, or None when that
-    is more than ``max_outliers`` points."""
-    chosen = list(dict.fromkeys(centers))
-    for u in range(inst.n):
-        if len(chosen) == inst.k:
-            break
-        if u not in chosen:
-            chosen.append(u)
-    if len(chosen) != inst.k:
-        return None
+    """Voronoi clustering of at most k ``centers``, completed to k by
+    :func:`.completed_centers`, in which every point that no center reaches in
+    G is an outlier, or None when that is more than ``max_outliers`` points."""
+    chosen = completed_centers(inst, centers)
     outliers = np.flatnonzero(~G[chosen].any(axis=0)).tolist()
     if len(outliers) > max_outliers:
         return None

@@ -173,20 +173,26 @@ def test_check_lp_reads_values_past_int64():
 
 def count_solves(monkeypatch, corrupt_at=None, corrupt=None):
     """Wrap lp._float_probe to corrupt the float outcome at one radius, and
-    lp._exact_from_basis to record the radius of each exact basis solve."""
-    real_probe, real_basis = lp._float_probe, lp._exact_from_basis
-    basis_radii = []
+    lp._basis_solution to record the radius of each exact basis solve, as
+    the wrapped lp._confirmed that calls it was given."""
+    real_probe, real_confirmed, real_basis = lp._float_probe, lp._confirmed, lp._basis_solution
+    basis_radii, confirming = [], []
 
     def probe(inst, R, formulation):
         out = real_probe(inst, R, formulation)
         return corrupt(out) if R == corrupt_at else out
 
-    def basis(inst, outcome):
-        basis_radii.append(outcome.radius)
-        return real_basis(inst, outcome)
+    def confirmed(inst, outcome):
+        confirming[:] = [outcome.radius]
+        return real_confirmed(inst, outcome)
+
+    def basis(c, A, b, basis):
+        basis_radii.extend(confirming)
+        return real_basis(c, A, b, basis)
 
     monkeypatch.setattr(lp, "_float_probe", probe)
-    monkeypatch.setattr(lp, "_exact_from_basis", basis)
+    monkeypatch.setattr(lp, "_confirmed", confirmed)
+    monkeypatch.setattr(lp, "_basis_solution", basis)
     return basis_radii
 
 

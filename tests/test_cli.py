@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 from fractions import Fraction
 
 import pytest
@@ -415,6 +416,9 @@ LINE4 = {"k": 2, "dist": [[0, 1, 10, 11], [1, 0, 9, 10], [10, 9, 0, 1], [11, 10,
 # more digits than Python converts to an int by default; the string "@long"
 # is written into a file as this JSON integer literal
 LONG = "1" + "0" * 5000
+# float literals whose fractions have a numerator ("@huge") or a denominator
+# ("@tiny") of more digits than that, written into a file the same way
+LITERALS = {"@long": LONG, "@huge": "1e4400", "@tiny": "1e-4400", "@mantissa": LONG + ".5"}
 
 
 @pytest.mark.parametrize("field, value, exact", [
@@ -453,6 +457,13 @@ LONG = "1" + "0" * 5000
     ("dist", [[0, LONG, 10, 11], [LONG, 0, 9, 10], [10, 9, 0, 1], [11, 10, 1, 0]], False),
     ("points", ("manhattan", [[0], ["@long"], [10], [11]]), False),
     ("points", ("euclidean", [[0], [1], [LONG], [11]]), True),
+    ("dist", [[0, "@huge", 10, 11], ["@huge", 0, 9, 10], [10, 9, 0, 1], [11, 10, 1, 0]], True),
+    ("dist", [[0, 1, 10, 11], [1, 0, 9, 10], [10, 9, 0, "@tiny"], [11, 10, "@tiny", 0]], True),
+    ("dist", [[0, "1e4400", 10, 11], ["1e4400", 0, 9, 10], [10, 9, 0, 1], [11, 10, 1, 0]],
+     False),
+    ("points", ("manhattan", [[0], ["@huge"], [10], [11]]), True),
+    ("points", ("euclidean", [[0], [1], ["@tiny"], [11]]), True),
+    ("points", ("manhattan", [[0], [1], [10], ["@mantissa"]]), True),
 ], ids=["k-float", "k-exact-rational", "k-bool", "k-string", "z-float", "z-bool", "n-float",
         "symmetric-string", "symmetric-int", "assignment-float", "centers-bool",
         "dist-bool", "dist-null", "dist-list-exact", "points-bool-euclidean",
@@ -462,7 +473,10 @@ LONG = "1" + "0" * 5000
         "dist-object-row", "points-string", "points-string-row", "points-empty-euclidean",
         "points-empty-manhattan", "points-ragged-euclidean", "points-ragged-exact",
         "dist-long-literal", "dist-long-literal-exact", "dist-long-string",
-        "points-long-literal", "points-long-string-exact"])
+        "points-long-literal", "points-long-string-exact", "dist-long-numerator-exact",
+        "dist-long-denominator-exact", "dist-long-rational-string",
+        "points-long-numerator-exact", "points-long-denominator-exact",
+        "points-long-mantissa-exact"])
 def test_instance_fields_must_have_their_json_type(tmp_path, capsys, field, value, exact):
     """k, z, n and the planted indices are JSON integers, never bools,
     symmetric is a JSON boolean, and every distance and coordinate is a JSON
@@ -477,7 +491,10 @@ def test_instance_fields_must_have_their_json_type(tmp_path, capsys, field, valu
     else:
         doc[field] = value
     path = tmp_path / "typed.json"
-    path.write_text(json.dumps(doc).replace('"@long"', LONG))
+    text = json.dumps(doc)
+    for mark, literal in LITERALS.items():
+        text = text.replace(f'"{mark}"', literal)
+    path.write_text(text)
     code, out, err = run(capsys, "certify", "--input", str(path), *(["--exact"] if exact else []))
     assert (code, out) == (1, "")
     assert err.startswith(f"error: {path}: ") and f'"{field}" must be a JSON ' in err
@@ -628,6 +645,16 @@ def test_lp_norm_objective_via_cli(tmp_path, capsys):
     assert json.loads(out)["cost"] == 2  # 1^3 + 1^3
 
 
+@pytest.mark.parametrize("objective", ["lp:1/0", "lp:abc", "lp:-1"])
+def test_bad_lp_objective_exits_1(tmp_path, capsys, objective):
+    path = tmp_path / "i.json"
+    run(capsys, "generate", "--n", "6", "--k", "2", "--seed", "1", "--out", str(path))
+    code, out, err = run(capsys, "solve", "--input", str(path), "--method", "oracle",
+                         "--objective", objective)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_batch_parallel_jobs(tmp_path, capsys):
     for seed in (1, 2, 3):
         run(capsys, "generate", "--n", "10", "--k", "2", "--seed", str(seed),
@@ -635,3 +662,37 @@ def test_batch_parallel_jobs(tmp_path, capsys):
     code, out, _ = run(capsys, "certify", "--input", str(tmp_path), "--jobs", "2")
     assert code == 0
     assert out.count('"verdict"') == 3
+
+
+def test_batch_starts_at_most_one_worker_per_file(tmp_path, capsys, monkeypatch):
+    """--jobs 64 on two files asks the pool for two workers; a fake pool
+    records that and maps in-process, so no large pool is started."""
+    import multiprocessing
+
+    asked = []
+
+    class FakePool:
+        def __init__(self, processes):
+            asked.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def starmap(self, func, tasks):
+            return [func(*t) for t in tasks]
+
+    for seed in (1, 2):
+        run(capsys, "generate", "--n", "10", "--k", "2", "--seed", str(seed),
+            "--out", str(tmp_path / f"i{seed}.json"))
+    serial = run(capsys, "certify", "--input", str(tmp_path), "--jobs", "1")
+    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
+    parallel = run(capsys, "certify", "--input", str(tmp_path), "--jobs", "64")
+    assert asked == [2]
+    assert serial[0] == parallel[0] == 0
+    # the reports match with their timing masked
+    serial, parallel = ([re.sub(r'"(load|seconds|total|validate)": [0-9.e-]+', "", part)
+                         for part in result] for result in (serial[1:], parallel[1:]))
+    assert parallel == serial

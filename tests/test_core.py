@@ -427,8 +427,9 @@ def test_objective_names_and_terms():
     assert objective_by_name("kmeans").term(3) == 9
     assert objective_by_name("lp:3").term(2) == 8
     assert lp_norm(Fraction(1, 2)).term(4.0) == pytest.approx(2.0)
-    with pytest.raises(ValueError):
-        objective_by_name("bogus")
+    for bad in ("bogus", "lp:1/0", "lp:abc", "lp:-1"):
+        with pytest.raises(ValueError):
+            objective_by_name(bad)
     with pytest.raises(ValueError):
         lp_norm(0)
 

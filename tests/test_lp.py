@@ -7,6 +7,7 @@ infeasibility.
 """
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -35,6 +36,7 @@ from resilient_cluster import (
 from conftest import (
     graph_metric_instance,
     line_instance,
+    random_directed_metric_instance,
     random_metric_instance,
     ring_union_instance,
     uniform_instance,
@@ -377,7 +379,7 @@ def test_unconfirmable_basis_names_the_radius_and_the_reason(monkeypatch, line4)
     from resilient_cluster import lp as lp_mod
     from resilient_cluster.simplex import SolverPrecisionExceeded
 
-    monkeypatch.setattr(lp_mod, "_exact_from_float", lambda inst, outcome: "corrupted")
+    monkeypatch.setattr(lp_mod, "_rationalize", lambda values: [Fraction(0)] * len(values))
     monkeypatch.setattr(lp_mod, "_basis_solution", lambda c, A, b, basis: None)
     with pytest.raises(SolverPrecisionExceeded, match="at radius 1: .*singular"):
         solve_lp(line4, 1, KC)
@@ -389,16 +391,23 @@ def test_unconfirmable_basis_names_the_radius_and_the_reason(monkeypatch, line4)
 
 
 def count_basis_solves(monkeypatch):
+    """The radius of each exact basis solve, as the lp._confirmed that calls
+    lp._basis_solution was given."""
     from resilient_cluster import lp as lp_mod
 
-    real = lp_mod._exact_from_basis
-    radii = []
+    real_confirmed, real_basis = lp_mod._confirmed, lp_mod._basis_solution
+    radii, confirming = [], []
 
-    def counted(inst, outcome):
-        radii.append(outcome.radius)
-        return real(inst, outcome)
+    def confirmed(inst, outcome):
+        confirming[:] = [outcome.radius]
+        return real_confirmed(inst, outcome)
 
-    monkeypatch.setattr(lp_mod, "_exact_from_basis", counted)
+    def counted(c, A, b, basis):
+        radii.extend(confirming)
+        return real_basis(c, A, b, basis)
+
+    monkeypatch.setattr(lp_mod, "_confirmed", confirmed)
+    monkeypatch.setattr(lp_mod, "_basis_solution", counted)
     return radii
 
 
@@ -432,6 +441,74 @@ def test_graph_metric_lp_optimum_is_confirmed_exactly(monkeypatch, seed, k, boun
     assert isinstance(verdict.fractional_witness.bound, Fraction)
     assert verdict.fractional_witness.bound == bound
     assert radii == [scale] * basis_solves
+
+
+def search_instances(family):
+    """(instance, formulation) pairs for the search-cache test: the graph
+    metrics above, or random closed metrics (directed for asym-KC)."""
+    if family in ("s44", "s83"):
+        return [(graph_metric_instance(int(family[1:]), 10 if family == "s44" else 4), KC)]
+    rng = random.Random(3)
+    pairs = []
+    for formulation in (KC, ASYM_KC, KCO):
+        for _ in range(30):
+            n = rng.randint(3, 12)
+            k, z = rng.randint(1, 3), rng.randint(1, 2) if formulation == KCO else 0
+            if k + z >= n:
+                continue
+            make = (random_directed_metric_instance if formulation == ASYM_KC
+                    else random_metric_instance)
+            pairs.append((make(rng, n, k, z=z, high=rng.choice([5, 60])), formulation))
+    return pairs
+
+
+@pytest.mark.parametrize("family,wrong", [
+    ("s44", None), ("s83", None), ("random", None),
+    # a float probe that lies at R* or just below moves the boundary, and the
+    # search goes on with every probe confirmed
+    ("planted", "at R*"), ("planted", "below R*"),
+])
+def test_search_solves_and_confirms_each_radius_once(monkeypatch, family, wrong):
+    """Within one min_feasible_radius call the probe cache holds each radius
+    once: no radius is float-solved twice, and none is confirmed twice."""
+    from resilient_cluster import lp as lp_mod
+
+    if family == "planted":
+        inst = generate(GeneratorConfig(n=16, k=3, seed=1))[0]
+        r_star, _ = min_feasible_radius(inst, KC)
+        below = max(r for r in inst.distinct_distances() if r < r_star)
+        wrong_at = r_star if wrong == "at R*" else below
+        real_probe = lp_mod._float_probe
+
+        def lying(inst_, R, formulation):
+            out = real_probe(inst_, R, formulation)
+            return replace(out, feasible=not out.feasible) if R == wrong_at else out
+
+        monkeypatch.setattr(lp_mod, "_float_probe", lying)
+        pairs = [(inst, KC)]
+    else:
+        pairs = search_instances(family)
+    floats, confirms = [], []
+    float_probe, confirmed = lp_mod._float_probe, lp_mod._confirmed
+
+    def counted_probe(inst_, R, formulation):
+        floats.append(R)
+        return float_probe(inst_, R, formulation)
+
+    def counted_confirm(inst_, outcome):
+        confirms.append(outcome.radius)
+        return confirmed(inst_, outcome)
+
+    monkeypatch.setattr(lp_mod, "_float_probe", counted_probe)
+    monkeypatch.setattr(lp_mod, "_confirmed", counted_confirm)
+    for inst, formulation in pairs:
+        floats.clear()
+        confirms.clear()
+        lp_mod.min_feasible_radius(inst, formulation)
+        assert len(set(floats)) == len(floats) and len(set(confirms)) == len(confirms)
+        assert confirms and set(confirms) <= set(floats)
+        if wrong is not None:
+            assert len(confirms) > 2
 
 
 @pytest.mark.parametrize("formulation,z", [(KC, 0), (KCO, 2)])
