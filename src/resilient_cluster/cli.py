@@ -59,29 +59,39 @@ def _cut(text: str) -> str:
     return text if len(text) <= 50 else f"{text[:20]}...{text[-10:]} ({len(text)} characters)"
 
 
-def _parse_number(x, name: str):
+def _parse_number(x, name: str, exact: bool):
     """``x`` when it is a JSON number, its ``Fraction`` when it is a rational
     string; anything else, ``"1/0"`` and ``"abc"`` included, is a ValueError
-    naming the field ``name``."""
+    naming the field ``name``. Without ``exact`` the report prints a
+    ``Fraction`` as a float, so a rational string past the float range is a
+    ValueError too."""
     if type(x) in _NUMBERS:
         return x
     if type(x) is str:
         try:
-            return _fraction(x)
+            v = _fraction(x)
         except (ValueError, ZeroDivisionError):
             pass
+        else:
+            if not exact:
+                try:
+                    float(v)
+                except OverflowError:
+                    raise ValueError(f'"{name}" must lie within the float range without '
+                                     f"--exact, got {_cut(json.dumps(x))}") from None
+            return v
     raise ValueError(f'"{name}" must be a JSON number or a rational string in every entry, '
                      f"got {_cut(json.dumps(x))}")
 
 
-def _parse_rows(rows, name: str) -> list:
+def _parse_rows(rows, name: str, exact: bool) -> list:
     """The field ``name``, a JSON array of JSON arrays of numbers or rational
-    strings, as a list of tuples, the strings parsed as numbers; anything else
-    is a ValueError naming the field."""
+    strings, as a list of tuples, the strings parsed by :func:`_parse_number`;
+    anything else is a ValueError naming the field."""
     if type(rows) is not list or any(type(row) is not list for row in rows):
         raise ValueError(f'"{name}" must be a JSON array of JSON arrays')
     return [tuple(row) if set(map(type, row)) <= _NUMBERS
-            else tuple(_parse_number(x, name) for x in row)
+            else tuple(_parse_number(x, name, exact) for x in row)
             for row in rows]
 
 
@@ -90,7 +100,7 @@ def _coordinates(points, exact: bool) -> np.ndarray:
     coordinate is an integer (Python ints when a distance could leave int64),
     ``Fraction``s under ``exact``, float64 otherwise. ``points`` must be a
     nonempty JSON array of rows of one length."""
-    coords = _parse_rows(points, "points")
+    coords = _parse_rows(points, "points", exact)
     if not coords or len(set(map(len, coords))) != 1:
         raise ValueError('"points" must be a JSON array of one or more rows of one length')
     flat = [x for row in coords for x in row]
@@ -117,7 +127,7 @@ def _reject_constant(name: str):
 def _finite_float(text: str) -> float:
     x = float(text)
     if not math.isfinite(x):
-        raise ValueError(f"{text} overflows to {json.dumps(x)} as a float")
+        raise ValueError(f"{_cut(text)} overflows to {json.dumps(x)} as a float")
     return x
 
 
@@ -203,7 +213,7 @@ def load_instance_file(
         k = _typed(doc["k"], int, "k")
         z = _typed(doc.get("z", 0), int, "z")
         if "dist" in doc:
-            dist = _parse_rows(doc["dist"], "dist")
+            dist = _parse_rows(doc["dist"], "dist", exact)
             if "n" in doc and _typed(doc["n"], int, "n") != len(dist):
                 raise ValueError("declared n does not match the matrix size")
             if "symmetric" in doc:

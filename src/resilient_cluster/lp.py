@@ -215,7 +215,10 @@ def _float_probe(inst: Instance, R, formulation: str) -> LpOutcome:
     except SolverPrecisionExceeded as e:
         raise SolverPrecisionExceeded(f"at radius {R}: {e}") from None
     if res.status != SIMPLEX_OPTIMAL:
-        raise RuntimeError("the reduced LPs are bounded by construction")
+        # the reduced LPs are bounded by construction: an unbounded float
+        # solve is a rounding failure, as a stall is
+        raise SolverPrecisionExceeded(f"at radius {R}: the float solve came back {res.status}, "
+                                      "but the reduced LP is bounded")
     y, dual = _lp_sides(formulation, inst.n, res.x, res.duals)
     feasible = _feasible(inst, formulation, res.value, FEASIBILITY_TOL)
     return LpOutcome(feasible, tuple(y), False, R, formulation, res.value, tuple(dual), G,

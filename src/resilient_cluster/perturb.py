@@ -6,17 +6,29 @@ keeps the triangle inequality exactly and stays within [d/2, d] entrywise
 whenever the cap respects the half-distance precondition.
 
 The falsifier makes its shapes from the optimum's proof and drops an invalid
-one (a cap below half an edge) where it makes it, before any spec is built.
-The valid ones are capped into one ``[P, n, n]`` stack per number type, at
-most ``oracle.BLOCK_CELLS`` entries at a time, and closed by one stacked
-Floyd-Warshall; each perturbed instance is built from its slice of the stack,
-and only when the solves before it left the optimum alone.
+one (a cap below half an edge) where it makes it, before any spec is built, by
+one comparison with the shape's longest edge. The valid ones are capped into
+one ``[P, n, n]`` stack per number type, at most ``oracle.BLOCK_CELLS``
+entries at a time, and closed by one stacked Floyd-Warshall.
 :func:`apply_perturbation` is the same closure for one spec.
+
+The closed matrices are then solved as ``[P, m, n]`` stacks against only the
+m center sets that a 2-perturbation leaves in play. With d/2 <= d' <= d
+entrywise and exponent e, every set's value under d' is at least
+value_d(C) / 2**e (each nearest distance at least halves), and the optimum
+under d' is at most OPT (no distance grows, so d's optimal set costs at most
+OPT). A set with value_d(C) > 2**e * OPT never wins, so only the others are
+solved; each shape is decided in order on label arrays, and clusterings are
+built only for the shape that moves the optimum. The bound is used on exact
+instances under an integer exponent; on float instances, whose band check has
+a tolerance, and under a fractional exponent, whose terms are rounded, every
+set is solved.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import chain, islice
 
 import numpy as np
@@ -174,42 +186,62 @@ def radius_preserving_check(inst: Instance, pert: Instance, clus: Clustering) ->
 def _candidate_specs(inst: Instance, base: Clustering, r_hat):
     """The proof shapes, each distinct one once, in order: (a) one point
     into one optimal cluster, (b) a point into the ball of radius 2*r_hat
-    around it, (c) a single center-to-point edge capped at an intra-cluster
-    distance. Each is a star (u, vs, cap), edges from u to the ascending far
-    ends vs, and comes out as its ``PerturbationSpec``, or as None when its
-    cap cuts an edge below half its length (the shape
-    :func:`apply_perturbation` rejects), checked on the edge as the spec
-    normalises it. The star is the dedup key, a one-edge star of a symmetric
-    instance taken from its lower end: a star of two or more edges has one
-    center, so equal keys are equal edge sets."""
+    around it, (c) a single center-to-point edge capped at each
+    intra-cluster distance of the center. Each is a star (u, vs, cap), edges
+    from u to the ascending far ends vs, and comes out as its
+    ``PerturbationSpec``, or as None when its cap cuts an edge below half
+    its length (the shape :func:`apply_perturbation` rejects), checked on
+    the edge as the spec normalises it. The star is the dedup key, a
+    one-edge star of a symmetric instance taken from its lower end: a star
+    of two or more edges has one center, so equal keys are equal edge sets.
+
+    A star is invalid iff ``2 * cap < longest - tol``, ``longest`` the
+    longest of its edges: on nonnegative lengths that holds iff
+    :func:`_below_half` holds for some edge. The longest edges are read from
+    arrays made once per clustering: from each point into each cluster, and
+    from each point across its ball. The stars come in groups of one edge
+    set and its caps, in order, so that each edge set is normalised once."""
     n = inst.n
     symmetric = inst.symmetric
     mode = UNDIRECTED if symmetric else DIRECTED
-    dist = inst._array.tolist()
+    D = inst._array
+    dist = D.tolist()
     tol = inst.tol
-    clusters = base.clusters()
+    # each edge's length as the spec normalises the edge: a symmetric pair
+    # from its lower end
+    N = np.where(np.arange(n)[:, None] <= np.arange(n), D, D.T) if symmetric else D
+    lengths = N.tolist()
+    clusters = [tuple(members) for members in base.clusters()]
+    assignment = base.assignment
+    into = [N[:, members].max(axis=1).tolist() for members in clusters]
+    near = D <= 2 * r_hat
+    np.fill_diagonal(near, False)
+    # the min is at most every entry, so it leaves the max over a ball alone
+    across = np.where(near, N, N.min()).max(axis=1).tolist()
+    balls = [tuple(v for v, inside in enumerate(row) if inside) for row in near.tolist()]
     caps = [sorted({dist[c][p] for p in clusters[i] if p != c})
             for i, c in enumerate(base.centers)]
-    balls = ([v for v in range(n) if v != p and dist[p][v] <= 2 * r_hat] for p in range(n))
-    stars = chain(
-        ((q, members, r_hat) for q in range(n) for members in clusters if q not in members),
-        ((p, ball, r_hat) for p, ball in enumerate(balls) if ball),
-        ((c, [q], cap) for i, c in enumerate(base.centers)
-         for q in range(n) if base.assignment[q] != i for cap in caps[i]),
+    groups = chain(
+        ((q, members, (r_hat,), into[i][q]) for q in range(n)
+         for i, members in enumerate(clusters) if assignment[q] != i),
+        ((p, ball, (r_hat,), across[p]) for p, ball in enumerate(balls) if ball),
+        ((c, (q,), caps[i], lengths[c][q]) for i, c in enumerate(base.centers)
+         for q in range(n) if assignment[q] != i),
     )
     seen = set()
-    for u, vs, cap in stars:
+    for u, vs, group_caps, longest in groups:
         if symmetric and len(vs) == 1 and vs[0] < u:
-            u, vs = vs[0], [u]
-        key = (u, tuple(vs), cap)
-        if key in seen:
-            continue
-        seen.add(key)
-        if any(_below_half(dist[v][u] if symmetric and v < u else dist[u][v], cap, tol)
-               for v in vs):
-            yield None
-        else:
-            yield PerturbationSpec(tuple((u, v) for v in vs), cap, mode)
+            u, vs = vs[0], (u,)
+        floor = longest - tol
+        for cap in group_caps:
+            key = (u, vs, cap)
+            if key in seen:
+                continue
+            seen.add(key)
+            if 2 * cap < floor:
+                yield None
+            else:
+                yield PerturbationSpec(tuple((u, v) for v in vs), cap, mode)
 
 
 def falsify_resilience(
@@ -224,15 +256,29 @@ def falsify_resilience(
     The shapes are taken in order, at most ``budget`` of them, invalid ones
     counted and skipped. The valid ones are closed a chunk at a time by
     :func:`_closures`, at most ``oracle.BLOCK_CELLS`` matrix entries per
-    chunk, and solved one by one in order; the next chunk is made only when
-    none of them moved the optimum.
+    chunk, and decided in order as :func:`brute_force` would decide them, by
+    :func:`oracle._first_alternative`; the next chunk is made only when none
+    of them moved the optimum.
+
+    Only the center sets that can still be optimal are solved. A perturbed
+    d' keeps d/2 <= d' <= d (the band :func:`_closures` checks), so under the
+    exponent e every set's value is at least value_d(C) / 2**e, and the
+    optimum is at most OPT, the value of the optimal set under d. A set with
+    value_d(C) > 2**e * OPT is therefore never optimal under d', and only
+    the others are kept. The bound is exact on exact instances under an
+    integer exponent; on float instances, whose band check has a tolerance,
+    and under a fractional exponent, whose terms are rounded, every set is
+    kept.
     """
     base = brute_force(inst, obj)
     identity = PerturbationSpec((), 0, UNDIRECTED if inst.symmetric else DIRECTED)
     if not base.unique:
         return FalsifierReport(NOT_RESILIENT, (identity, base.tie_witness))
-    base_key = base.best.partition_key()
+    lab = np.array(base.best.assignment)
     r_hat = cost(inst, base.best, KCENTER)
+    e = Fraction(obj.exponent)
+    bound = 2**e.numerator * base.cost if inst.exact and e.denominator == 1 else None
+    sets = oracle._sets_within(inst, obj, bound)
     chunk = max(1, oracle.BLOCK_CELLS // inst.n**2)
     specs = _candidate_specs(inst, base.best, r_hat)
     shapes = islice(specs, budget)
@@ -251,12 +297,11 @@ def falsify_resilience(
         if not batch:
             break
         closed = _closures(inst, [spec for spec, _, _ in batch])
-        for (spec, at, skipped), E in zip(batch, closed):
-            res = brute_force(Instance(E, inst.k, inst.z, inst.symmetric), obj)
-            if res.best.partition_key() != base_key:
-                return FalsifierReport(NOT_RESILIENT, (spec, res.best), at, invalid=skipped)
-            if not res.unique:
-                return FalsifierReport(NOT_RESILIENT, (spec, res.tie_witness), at, invalid=skipped)
+        hit = oracle._first_alternative(closed, inst, obj, sets, lab)
+        if hit is not None:
+            i, alt = hit
+            spec, at, skipped = batch[i]
+            return FalsifierReport(NOT_RESILIENT, (spec, alt), at, invalid=skipped)
     # any shape left over, valid (a spec) or not (None), means the budget cut
     exhausted = any(True for _ in specs)
     return FalsifierReport(RESILIENT_UNREFUTED, None, tried, exhausted, invalid)

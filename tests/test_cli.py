@@ -345,6 +345,50 @@ def test_non_finite_numbers_are_rejected(tmp_path, capsys, text, message):
     assert message in err
 
 
+@pytest.mark.parametrize("field", ["dist", "points"])
+def test_rational_string_past_the_float_range_needs_exact(tmp_path, capsys, field):
+    # without --exact the report prints a Fraction as a float, which 1e400
+    # overflows; under --exact it is printed exactly
+    big = "1e400"
+    if field == "dist":
+        doc = {"k": 1, "symmetric": True, "dist": [[0, big], [big, 0]]}
+    else:
+        doc = {"k": 1, "metric": "manhattan", "points": [[0], [big]]}
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "certify", "--input", str(path))
+    assert (code, out) == (1, "")
+    assert err == (f'error: {path}: "{field}" must lie within the float range without '
+                   f'--exact, got "{big}"\n')
+    code, out, _ = run(capsys, "certify", "--input", str(path), "--exact")
+    assert code == 0
+    assert Fraction(json.loads(out)["radius"]) == 10**400
+
+
+def test_overflowing_float_literal_is_echoed_cut(tmp_path, capsys):
+    literal = "1" + "0" * 4399 + ".0"
+    path = tmp_path / "long.json"
+    path.write_text('{"k": 1, "symmetric": true, "dist": [[0, %s], [%s, 0]]}' % (literal, literal))
+    code, out, err = run(capsys, "certify", "--input", str(path))
+    assert (code, out) == (1, "")
+    assert err == (f"error: {path}: {literal[:20]}...{literal[-10:]} (4402 characters) "
+                   "overflows to Infinity as a float\n")
+    assert len(err) < len(str(path)) + 120
+
+
+def test_unbounded_float_probe_exits_5(tmp_path, capsys, monkeypatch):
+    from resilient_cluster import lp
+    from resilient_cluster.simplex import UNBOUNDED, SimplexResult
+
+    path = tmp_path / "gap.json"
+    path.write_text(json.dumps(_gap_instance_doc()))
+    monkeypatch.setattr(lp, "maximize", lambda c, A, b: SimplexResult(UNBOUNDED, (), None, (), ()))
+    code, out, err = run(capsys, "certify", "--input", str(path))
+    assert (code, out) == (5, "")
+    assert err.startswith("error: the float solve could not be confirmed exactly at radius ")
+    assert err.endswith(": the float solve came back unbounded, but the reduced LP is bounded\n")
+
+
 def test_exact_mode_roundtrips_rationals(tmp_path, capsys):
     path = tmp_path / "frac.json"
     dist = [["0", "3/2"], ["3/2", "0"]]

@@ -3,15 +3,19 @@
 import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from resilient_cluster import (
+    ASYMMETRIC,
     DIRECTED,
     KCENTER,
+    KMEANS,
     KMEDIAN,
+    OUTLIER_MODE,
     NOT_RESILIENT,
     RESILIENT_UNREFUTED,
     UNDIRECTED,
@@ -26,6 +30,7 @@ from resilient_cluster import (
     cost,
     falsify_resilience,
     generate,
+    oracle,
     perturb,
     radius_preserving_check,
     validate_metric,
@@ -201,8 +206,8 @@ def test_falsifier_reports_tries_and_budget():
     seed=st.integers(0, 10**6),
     n=st.integers(2, 7),
     encoding=st.sampled_from(("int", "fraction", "float")),
-    obj=st.sampled_from((KCENTER, KMEDIAN)),
-    z=st.integers(0, 1),
+    obj=st.sampled_from((KCENTER, KMEDIAN, KMEANS)),
+    z=st.integers(0, 2),
     directed=st.booleans(),
     budget=st.sampled_from((1, 3, perturb.DEFAULT_BUDGET)),
 )
@@ -219,6 +224,86 @@ def test_falsifier_matches_the_reference_loop(seed, n, encoding, obj, z, directe
     if got.witness is not None:
         assert type(got.witness[0].cap) is type(want.witness[0].cap)
     assert 0 <= got.invalid <= got.tried <= budget
+
+
+# the benchmark's instance families at its sizes: planted symmetric,
+# asymmetric, weakly separated and outlier instances, and closed random
+# integer weights; (n, objective, seed) spread over n = 12 to 18
+BENCH_FAMILIES = {
+    "symmetric": lambda n, seed: generate(GeneratorConfig(n=n, k=3, seed=seed))[0],
+    "asymmetric": lambda n, seed: generate(
+        GeneratorConfig(n=n, k=3, seed=seed, mode=ASYMMETRIC))[0],
+    "weak-sigma-2": lambda n, seed: generate(
+        GeneratorConfig(n=n, k=3, seed=seed, sigma=2, allow_weak_separation=True))[0],
+    "outlier": lambda n, seed: generate(
+        GeneratorConfig(n=n, k=2, z=1, seed=seed, mode=OUTLIER_MODE))[0],
+    "random-metric": lambda n, seed: random_metric_instance(random.Random(seed), n, 3, high=20),
+}
+BENCH_SIZES = [(12, KCENTER, 0), (13, KMEDIAN, 1), (15, KCENTER, 2), (16, KMEDIAN, 3),
+               (18, KCENTER, 4), (18, KMEDIAN, 5)]
+
+
+@pytest.mark.parametrize("family", sorted(BENCH_FAMILIES))
+def test_falsifier_matches_the_reference_at_bench_sizes(family):
+    for n, obj, seed in BENCH_SIZES:
+        inst = BENCH_FAMILIES[family](n, seed)
+        got = falsify_resilience(inst, obj)
+        assert got == reference.falsify_resilience(inst, obj), (n, obj.name, seed)
+
+
+@pytest.mark.parametrize("x, kept", [(6, True), (7, False)])
+def test_a_set_at_the_band_bound_is_kept(x, kept):
+    # k-median with one center on the line 0, 1, 2, 3, 4, x: centers 2 and 3
+    # cost x + 4, the optimum, and center 5 costs 5x - 10, which is exactly
+    # twice the optimum at x = 6 and above it at x = 7
+    inst = line_instance([0, 1, 2, 3, 4, x], k=1)
+    opt = brute_force(inst, KMEDIAN).cost
+    assert opt == x + 4 and cost(inst, Clustering((0,) * 6, (5,)), KMEDIAN) == 5 * x - 10
+    sets = oracle._sets_within(inst, KMEDIAN, 2 * opt).tolist()
+    assert sets == [[0], [1], [2], [3], [4]] + [[5]] * kept
+
+
+# instances whose witness is optimal on centers that cost exactly 2**e times
+# the optimum before the perturbation: a triangle under k-center with one
+# outlier, and a directed 4-point metric under k-means
+BAND_BOUND_WITNESSES = {
+    "kcenter-outlier": (Instance(((0, 3, 2), (3, 0, 1), (2, 1, 0)), 1, 1), KCENTER),
+    "kmeans-directed": (Instance(((0, 2, 3, 8), (3, 0, 2, 6), (1, 3, 0, 9), (7, 5, 7, 0)), 3,
+                                 symmetric=False), KMEANS),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAND_BOUND_WITNESSES))
+def test_a_witness_on_centers_at_the_band_bound(case):
+    inst, obj = BAND_BOUND_WITNESSES[case]
+    base = brute_force(inst, obj)
+    assert base.unique
+    report = falsify_resilience(inst, obj)
+    assert report.verdict == NOT_RESILIENT
+    assert report == reference.falsify_resilience(inst, obj)
+    centers = tuple(sorted(report.witness[1].centers))
+    assert reference._evaluate(inst, obj, centers)[0] == 2**obj.exponent * base.cost
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    encoding=st.sampled_from(("int", "fraction")),
+    obj=st.sampled_from((KCENTER, KMEDIAN, KMEANS)),
+    z=st.integers(0, 2),
+)
+def test_the_kept_sets_are_those_within_the_band_bound(seed, encoding, obj, z):
+    # every set whose value is at most 2**e times the optimum, in order,
+    # as the scalar reference evaluates them
+    rng = random.Random(seed)
+    n = rng.randint(3, 8)
+    z = min(z, n - 2)
+    k = rng.randint(1, min(3, n - z))
+    inst = encoded_metric(rng, n, k, z, encoding)
+    bound = 2**obj.exponent * reference.brute_force(inst, obj).cost
+    want = [list(c) for c in combinations(range(n), k)
+            if reference._evaluate(inst, obj, c)[0] <= bound]
+    assert oracle._sets_within(inst, obj, bound).tolist() == want
 
 
 # ---------------------------------------------------------------------------
@@ -435,15 +520,31 @@ def test_chunk_boundaries_leave_the_report_alone(monkeypatch, matrices):
     positions = {r.tried - r.invalid for r in want if r.witness and r.tried}
     assert positions >= set(range(1, 8))
     assert any(r.verdict == RESILIENT_UNREFUTED and r.tried - r.invalid > 2 for r in want)
+    real = oracle._evaluate
+    depths = []  # the matrices of each stack one search evaluates
+
+    def recording(D, *args):
+        if D.ndim == 3:
+            depths[-1].append(len(D))
+        return real(D, *args)
+
     for (inst, obj), report in zip(corpus, want):
-        monkeypatch.setattr(perturb.oracle, "BLOCK_CELLS", matrices * inst.n**2)
-        got = falsify_resilience(inst, obj)
-        assert got == report
-        if got.witness is not None:
-            assert type(got.witness[0].cap) is type(report.witness[0].cap)
-        got = falsify_resilience(inst, obj, budget=5)
-        monkeypatch.undo()
-        assert got == falsify_resilience(inst, obj, budget=5)
+        # closure chunks of `matrices` matrices; then room for one more
+        # matrix than that of all C(n, k) sets in one solve stack, which
+        # splits a chunk of the valid shapes into several stacks
+        for cells in (matrices * inst.n**2, (matrices + 1) * math.comb(inst.n, inst.k) * inst.n):
+            monkeypatch.setattr(perturb.oracle, "BLOCK_CELLS", cells)
+            monkeypatch.setattr(oracle, "_evaluate", recording)
+            depths.append([])
+            got = falsify_resilience(inst, obj)
+            assert got == report
+            if got.witness is not None:
+                assert type(got.witness[0].cap) is type(report.witness[0].cap)
+            got = falsify_resilience(inst, obj, budget=5)
+            monkeypatch.undo()
+            assert got == falsify_resilience(inst, obj, budget=5)
+    # some search evaluates several stacks, one of them of several matrices
+    assert any(len(d) > 1 and max(d) > 1 for d in depths[1::2])
 
 
 def test_fraction_cap_widens_int_instance_only_where_it_shortens():
