@@ -35,8 +35,12 @@ value_d(C) / 2**e, since each nearest distance at least halves and the kept
 terms of a set are its smallest, and the optimum under d' is at most OPT, the
 value of d's optimal set, since no distance grows. So a set with value_d(C)
 > 2**e * OPT is never optimal under d'. :func:`_sets_within` lists the other
-sets once, and :func:`_first_alternative` evaluates the perturbed matrices
-over them alone, as ``[P, m, n]`` stacks, deciding each matrix as
+sets once, reading their values under d from the base solve when all sets fit
+in one block (:func:`brute_force` keeps its first pass's values in
+:attr:`OracleResult.values`, which equality and repr leave out), so those
+sets are evaluated once. :func:`_first_alternative` takes the perturbed
+matrices as one ``[P, n, n]`` stack and evaluates slices of it over the kept
+sets alone, as ``[P, m, n]`` stacks, deciding each matrix as
 :func:`brute_force` would decide its instance.
 
 Memory: a handful of ``(m, n)`` arrays, or ``(P, m, n)`` stacks, so at most a
@@ -44,8 +48,9 @@ few times ``BLOCK_CELLS`` numbers whatever the number of center sets (up to
 the work cap), plus the rows the optimal sets gather, at most k times as many.
 The sets are listed whole when they fit in one block (at most 64 such lists
 are kept) and when the falsifier keeps them, at most C(n, k) * k indices.
-When all sets fit in one block, the second pass reuses its evaluation;
-otherwise it evaluates each block again.
+When all sets fit in one block, the second pass reuses its evaluation, and
+the result keeps those C(n, k) values; otherwise it evaluates each block
+again.
 
 Exactness: distances are compared on the instance's own array (int64, object
 or float64), and terms come from :func:`core.term_map`: integer terms are
@@ -58,7 +63,7 @@ arithmetic of the terms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations, islice
@@ -91,6 +96,9 @@ class OracleResult:
     cost: object
     unique: bool
     tie_witness: Clustering | None
+    # every center set's value, in lexicographic order, when all of them fit
+    # in one block (else None): the falsifier's band prune reads them
+    values: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.unique and self.tie_witness is None:
@@ -298,8 +306,10 @@ def brute_force(inst: Instance, obj: Objective, work_cap: int = DEFAULT_WORK_CAP
     # again: the optimal sets, in order, against the first one's partition.
     if blocks == 1:
         evaluated = [last]
+        kept = last[1]
     else:
         evaluated = ((C, _evaluate(D, term, obj, z, C)) for C in _blocks(n, k))
+        kept = None
     best = None
     for C, values in evaluated:
         optimal = C[np.abs(values - best_value) <= vtol]
@@ -311,51 +321,58 @@ def brute_force(inst: Instance, obj: Objective, work_cap: int = DEFAULT_WORK_CAP
             best = Clustering(tuple(lab.tolist()), tuple(optimal[0].tolist()))
         hit = _alternative(rows, optimal, lab, term, obj, z, inst.tol, best_value + vtol)
         if hit is not None:
-            return OracleResult(best=best, cost=best_value, unique=False, tie_witness=hit[1])
-    return OracleResult(best=best, cost=best_value, unique=True, tie_witness=None)
+            return OracleResult(best, best_value, False, hit[1], kept)
+    return OracleResult(best, best_value, True, None, kept)
 
 
-def _sets_within(inst: Instance, obj: Objective, bound) -> np.ndarray:
+def _sets_within(inst: Instance, obj: Objective, bound, values=None) -> np.ndarray:
     """The center sets whose value under ``inst`` is at most ``bound``, in
     lexicographic order, as one ``(m, k)`` array; every set when ``bound``
-    is None. The sets are held whole: at most C(n, k) * k indices."""
+    is None. ``values`` are the values :func:`brute_force` kept for ``inst``
+    and ``obj`` (:attr:`OracleResult.values`); when they are None, each
+    block is evaluated. The sets are held whole: at most C(n, k) * k
+    indices."""
     blocks = list(_blocks(inst.n, inst.k))
-    if bound is not None:
+    if bound is not None and values is not None:
+        (C,) = blocks
+        blocks = [C[values <= bound]]
+    elif bound is not None:
         term, _ = term_map(inst, obj)
         blocks = [C[_evaluate(inst._array, term, obj, inst.z, C) <= bound] for C in blocks]
     return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
 
 
-def _first_alternative(matrices: list, inst: Instance, obj: Objective, sets: np.ndarray,
+def _first_alternative(S: np.ndarray, inst: Instance, obj: Objective, sets: np.ndarray,
                        lab: np.ndarray):
-    """The first of ``matrices`` on whose instance (k, z and the number type
-    of ``inst``) :func:`brute_force` would not report the partition ``lab``
-    as the unique optimum, as ``(i, alternative)``: the Voronoi clustering of
-    matrix i's first optimal set when that is not ``lab``'s partition, else
-    its tie witness. None when there is no such matrix. The matrices are
-    perturbations of ``inst`` under caps of its own number type, so they
-    share one dtype. Only the center sets ``sets`` are searched; they must
-    hold every optimal one.
+    """The first matrix of the ``[P, n, n]`` stack ``S`` on whose instance
+    (k, z and the number type of ``inst``) :func:`brute_force` would not
+    report the partition ``lab`` as the unique optimum, as ``(i,
+    alternative)``: the Voronoi clustering of matrix i's first optimal set
+    when that is not ``lab``'s partition, else its tie witness. None when
+    there is no such matrix. The matrices are perturbations of ``inst``
+    under caps of its own number type, so the stack has its dtype. Only the
+    center sets ``sets`` are searched; they must hold every optimal one.
 
-    The matrices are taken as ``[P, m, n]`` stacks, P matrices against m of
-    the sets, at most ``BLOCK_CELLS`` cells (or one matrix and one set) at a
-    time, a stack only when the matrices before it are decided. Each stack's
-    optimal solutions are decided together by :func:`_alternative`, matrix
-    by matrix in order. The terms come from ``inst``'s map, which gives every
-    entry of a matrix of the same number type the term the perturbed
-    instance's own map would give it; a float matrix has its own tolerances.
+    The matrices are taken as ``[P, m, n]`` stacks, P matrices of ``S``
+    against m of the sets, at most ``BLOCK_CELLS`` cells (or one matrix and
+    one set) at a time, a stack only when the matrices before it are
+    decided. Each stack's optimal solutions are decided together by
+    :func:`_alternative`, matrix by matrix in order. The terms come from
+    ``inst``'s map, which gives every entry of a matrix of the same number
+    type the term the perturbed instance's own map would give it; a float
+    matrix has its own tolerances.
     """
     n, z = inst.n, inst.z
     term, _ = term_map(inst, obj)
     width = max(1, BLOCK_CELLS // n)  # sets per block, as in _blocks
     depth = max(1, BLOCK_CELLS // (min(len(sets), width) * n))
-    for i in range(0, len(matrices), depth):
-        S = np.stack(matrices[i : i + depth])
-        values = np.concatenate([_evaluate(S, term, obj, z, sets[s : s + width])
+    for i in range(0, len(S), depth):
+        T = S[i : i + depth]
+        values = np.concatenate([_evaluate(T, term, obj, z, sets[s : s + width])
                                  for s in range(0, len(sets), width)], axis=1)
         if S.dtype == np.float64:
-            tol = np.array([relative_tol(E) for E in S])
-            vtol = np.array([relative_tol(term(E)) for E in S])
+            tol = np.array([relative_tol(E) for E in T])
+            vtol = np.array([relative_tol(term(E)) for E in T])
             best = np.array([_lowest(v, None, t) for v, t in zip(values, vtol)])
             ps, js = np.nonzero(np.abs(values - best[:, None]) <= vtol[:, None])
             tol, bound = tol[ps], (best + vtol)[ps]
@@ -363,7 +380,7 @@ def _first_alternative(matrices: list, inst: Instance, obj: Objective, sets: np.
             best = values.min(axis=1)
             ps, js = np.nonzero(values == best[:, None])
             tol, bound = 0, best[ps]
-        hit = _alternative(S[ps[:, None], sets[js]], sets[js], lab, term, obj, z, tol, bound)
+        hit = _alternative(T[ps[:, None], sets[js]], sets[js], lab, term, obj, z, tol, bound)
         if hit is not None:
             return i + int(ps[hit[0]]), hit[1]
     return None

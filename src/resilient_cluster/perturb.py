@@ -5,12 +5,15 @@ everything else kept; the perturbed distance is the shortest-path closure, which
 keeps the triangle inequality exactly and stays within [d/2, d] entrywise
 whenever the cap respects the half-distance precondition.
 
-The falsifier makes its shapes from the optimum's proof and drops an invalid
-one (a cap below half an edge) where it makes it, before any spec is built, by
-one comparison with the shape's longest edge. The valid ones are capped into
-one ``[P, n, n]`` stack per number type, at most ``oracle.BLOCK_CELLS``
-entries at a time, and closed by one stacked Floyd-Warshall.
-:func:`apply_perturbation` is the same closure for one spec.
+The falsifier makes its shapes from the optimum's proof and carries each as
+its star key (u, vs, cap): the special edges run from u to each point of vs.
+It drops an invalid shape (a cap below half an edge) where it makes it, by one
+comparison with the star's longest edge, and builds a ``PerturbationSpec``
+only for the witness it returns. The valid stars are capped into one
+``[P, n, n]`` stack, at most ``oracle.BLOCK_CELLS`` entries at a time, by one
+index assignment from edge-index arrays, and closed by one stacked
+Floyd-Warshall; the caps are of the instance's own number type, so the stack
+has its dtype. :func:`apply_perturbation` is the same closure for one spec.
 
 The closed matrices are then solved as ``[P, m, n]`` stacks against only the
 m center sets that a 2-perturbation leaves in play. With d/2 <= d' <= d
@@ -22,7 +25,10 @@ solved; each shape is decided in order on label arrays, and clusterings are
 built only for the shape that moves the optimum. The bound is used on exact
 instances under an integer exponent; on float instances, whose band check has
 a tolerance, and under a fractional exponent, whose terms are rounded, every
-set is solved.
+set is solved. The values under d are those the base :func:`brute_force`
+kept (:attr:`oracle.OracleResult.values`) when every center set fits in one
+block, so the unperturbed sets are evaluated once; else they are evaluated
+again, a block at a time.
 """
 
 from __future__ import annotations
@@ -124,51 +130,55 @@ def apply_perturbation(inst: Instance, spec: PerturbationSpec) -> Instance:
             raise InvalidPerturbation(
                 f"cap {cap} shortens edge ({u}, {v}) below half its length"
             )
-    (E,) = _closures(inst, [spec])
+    us, vs = zip(*spec.edges) if spec.edges else ((), ())
+    (E,) = _closures(inst, [spec.cap], np.zeros(len(us), np.intp), us, vs)
     return Instance(E, inst.k, inst.z, inst.symmetric)
 
 
-def _closures(inst: Instance, specs: list) -> list:
-    """The perturbed matrix of each spec, in order, for specs whose edges are
-    points and whose cap passes the half check.
+def _closures(inst: Instance, caps, p, u, v) -> np.ndarray:
+    """The perturbed matrices of P shapes as one ``[P, n, n]`` stack: shape
+    i caps its special edges at ``caps[i]``, and edge j of the stack runs
+    from point ``u[j]`` to point ``v[j]`` in shape ``p[j]`` (index arrays
+    of one length; a symmetric edge is read from its lower end, as a spec
+    normalises it). Every cap must pass the half check.
 
-    A spec's matrix has the instance's dtype, or the one numpy gives the
-    instance's array and the cap when the cap shortens an edge. The specs of
-    one dtype are capped in one ``[P, n, n]`` stack and closed by one
-    :func:`core._shortest_paths` call, so each matrix is bit for bit the
-    closure it would get alone, and one band check covers the stack: an
-    entry outside [d/2, d] (tolerance ``inst.tol``) raises
-    :class:`InternalCheckFailed`.
+    A matrix has the instance's dtype, or the one numpy gives the
+    instance's array and the cap when the cap shortens an edge; the stack
+    has the one numpy gives those dtypes, so each matrix keeps its own when
+    the shapes share one, as the falsifier's shapes (caps of the instance's
+    own number type) always do. Each cap is compared with its edge and
+    written where it shortens it by one index assignment over the stack,
+    and the stack is closed by one :func:`core._shortest_paths` call, so
+    each matrix is bit for bit the closure :func:`apply_perturbation` gives
+    its shape. One band check covers the stack: an entry outside [d/2, d]
+    (tolerance ``inst.tol``) raises :class:`InternalCheckFailed`.
     """
     D = inst._array
-    n = inst.n
-    dist = inst._array.tolist()
-    groups: dict = {}
-    for i, spec in enumerate(specs):
-        cap = spec.cap
-        shortened = [(u, v) for u, v in spec.edges if cap < dist[u][v]]
-        dtype = np.result_type(D.dtype, np.asarray(cap).dtype) if shortened else D.dtype
-        groups.setdefault(dtype, []).append((i, spec, shortened))
-    out = [None] * len(specs)
-    for dtype, members in groups.items():
-        S = np.empty((len(members), n, n), dtype=dtype)
-        S[:] = D
-        for E, (_, spec, shortened) in zip(S, members):
-            if shortened:
-                us, vs = zip(*shortened)
-                E[us, vs] = spec.cap
-                if spec.mode == UNDIRECTED:
-                    E[vs, us] = spec.cap
-        _shortest_paths(S)
-        bad = (S > D + inst.tol) | (2 * S < D - inst.tol)
-        if bad.any():
-            p, u, v = map(int, np.unravel_index(np.argmax(bad), bad.shape))
-            raise InternalCheckFailed(
-                f"perturbed d({u}, {v}) = {S[p].tolist()[u][v]} left the band [d/2, d]"
-            )
-        for E, (i, _, _) in zip(S, members):
-            out[i] = E
-    return out
+    p, u, v = (np.asarray(a, dtype=np.intp) for a in (p, u, v))
+    if inst.symmetric:
+        u, v = np.minimum(u, v), np.maximum(u, v)
+    # the caps as the Python numbers they are, so that each comparison and
+    # each entry written is the one a scalar loop would make
+    capv = np.array(caps, dtype=object)[p]
+    shortened = capv < D[u, v]
+    p, u, v, capv = p[shortened], u[shortened], v[shortened], capv[shortened]
+    dtype = D.dtype
+    if len(p):
+        short_caps = [caps[i] for i in set(p.tolist())]
+        dtype = np.result_type(dtype, np.asarray(short_caps).dtype)
+    S = np.empty((len(caps), *D.shape), dtype=dtype)
+    S[:] = D
+    S[p, u, v] = capv
+    if inst.symmetric:
+        S[p, v, u] = capv
+    _shortest_paths(S)
+    bad = (S > D + inst.tol) | (2 * S < D - inst.tol)
+    if bad.any():
+        i, a, b = map(int, np.unravel_index(np.argmax(bad), bad.shape))
+        raise InternalCheckFailed(
+            f"perturbed d({a}, {b}) = {S[i].tolist()[a][b]} left the band [d/2, d]"
+        )
+    return S
 
 
 def radius_preserving_check(inst: Instance, pert: Instance, clus: Clustering) -> bool:
@@ -187,11 +197,11 @@ def _candidate_specs(inst: Instance, base: Clustering, r_hat):
     """The proof shapes, each distinct one once, in order: (a) one point
     into one optimal cluster, (b) a point into the ball of radius 2*r_hat
     around it, (c) a single center-to-point edge capped at each
-    intra-cluster distance of the center. Each is a star (u, vs, cap), edges
-    from u to the ascending far ends vs, and comes out as its
-    ``PerturbationSpec``, or as None when its cap cuts an edge below half
-    its length (the shape :func:`apply_perturbation` rejects), checked on
-    the edge as the spec normalises it. The star is the dedup key, a
+    intra-cluster distance of the center. Each is a star key (u, vs, cap),
+    edges from u to the ascending far ends vs, and comes out as that key,
+    or as None when its cap cuts an edge below half its length (the shape
+    :func:`apply_perturbation` rejects), checked on the edge as a
+    ``PerturbationSpec`` normalises it. The key is also the dedup key, a
     one-edge star of a symmetric instance taken from its lower end: a star
     of two or more edges has one center, so equal keys are equal edge sets.
 
@@ -200,10 +210,10 @@ def _candidate_specs(inst: Instance, base: Clustering, r_hat):
     :func:`_below_half` holds for some edge. The longest edges are read from
     arrays made once per clustering: from each point into each cluster, and
     from each point across its ball. The stars come in groups of one edge
-    set and its caps, in order, so that each edge set is normalised once."""
+    set and its caps, in order, so that each edge set is oriented and its
+    floor taken once."""
     n = inst.n
     symmetric = inst.symmetric
-    mode = UNDIRECTED if symmetric else DIRECTED
     D = inst._array
     dist = D.tolist()
     tol = inst.tol
@@ -238,10 +248,7 @@ def _candidate_specs(inst: Instance, base: Clustering, r_hat):
             if key in seen:
                 continue
             seen.add(key)
-            if 2 * cap < floor:
-                yield None
-            else:
-                yield PerturbationSpec(tuple((u, v) for v in vs), cap, mode)
+            yield None if 2 * cap < floor else key
 
 
 def falsify_resilience(
@@ -253,12 +260,14 @@ def falsify_resilience(
     different optimum); RESILIENT_UNREFUTED is not a proof of resilience — only
     the proof shapes are searched, not the full perturbation continuum.
 
-    The shapes are taken in order, at most ``budget`` of them, invalid ones
-    counted and skipped. The valid ones are closed a chunk at a time by
-    :func:`_closures`, at most ``oracle.BLOCK_CELLS`` matrix entries per
-    chunk, and decided in order as :func:`brute_force` would decide them, by
+    The shapes are taken in order as star keys, at most ``budget`` of them,
+    invalid ones counted and skipped. The valid ones are closed a chunk at a
+    time by :func:`_closures`, at most ``oracle.BLOCK_CELLS`` matrix entries
+    per chunk, and the chunk's stack is decided in order as
+    :func:`brute_force` would decide each matrix, by
     :func:`oracle._first_alternative`; the next chunk is made only when none
-    of them moved the optimum.
+    of them moved the optimum. A ``PerturbationSpec`` is built only for the
+    witness.
 
     Only the center sets that can still be optimal are solved. A perturbed
     d' keeps d/2 <= d' <= d (the band :func:`_closures` checks), so under the
@@ -268,40 +277,45 @@ def falsify_resilience(
     the others are kept. The bound is exact on exact instances under an
     integer exponent; on float instances, whose band check has a tolerance,
     and under a fractional exponent, whose terms are rounded, every set is
-    kept.
+    kept. The values under d come from the base solve when it kept them.
     """
     base = brute_force(inst, obj)
-    identity = PerturbationSpec((), 0, UNDIRECTED if inst.symmetric else DIRECTED)
+    mode = UNDIRECTED if inst.symmetric else DIRECTED
     if not base.unique:
-        return FalsifierReport(NOT_RESILIENT, (identity, base.tie_witness))
+        return FalsifierReport(NOT_RESILIENT, (PerturbationSpec((), 0, mode), base.tie_witness))
     lab = np.array(base.best.assignment)
     r_hat = cost(inst, base.best, KCENTER)
     e = Fraction(obj.exponent)
     bound = 2**e.numerator * base.cost if inst.exact and e.denominator == 1 else None
-    sets = oracle._sets_within(inst, obj, bound)
+    sets = oracle._sets_within(inst, obj, bound, base.values)
     chunk = max(1, oracle.BLOCK_CELLS // inst.n**2)
-    specs = _candidate_specs(inst, base.best, r_hat)
-    shapes = islice(specs, budget)
+    stars = _candidate_specs(inst, base.best, r_hat)
+    shapes = islice(stars, budget)
     tried = invalid = 0
     while True:
-        # (spec, tried, invalid) as the report would give them at that spec
+        # (star, tried, invalid) as the report would give them at that star
         batch = []
-        for spec in shapes:
+        for star in shapes:
             tried += 1
-            if spec is None:
+            if star is None:
                 invalid += 1
                 continue
-            batch.append((spec, tried, invalid))
+            batch.append((star, tried, invalid))
             if len(batch) == chunk:
                 break
         if not batch:
             break
-        closed = _closures(inst, [spec for spec, _, _ in batch])
+        us, vss, caps = zip(*(star for star, _, _ in batch))
+        sizes = list(map(len, vss))
+        p = np.repeat(np.arange(len(batch)), sizes)
+        v = np.fromiter(chain.from_iterable(vss), np.intp, len(p))
+        closed = _closures(inst, caps, p, np.repeat(us, sizes), v)
         hit = oracle._first_alternative(closed, inst, obj, sets, lab)
         if hit is not None:
             i, alt = hit
-            spec, at, skipped = batch[i]
+            (u, vs, cap), at, skipped = batch[i]
+            spec = PerturbationSpec(tuple((u, w) for w in vs), cap, mode)
             return FalsifierReport(NOT_RESILIENT, (spec, alt), at, invalid=skipped)
-    # any shape left over, valid (a spec) or not (None), means the budget cut
-    exhausted = any(True for _ in specs)
+    # any shape left over, valid (a star) or not (None), means the budget cut
+    exhausted = any(True for _ in stars)
     return FalsifierReport(RESILIENT_UNREFUTED, None, tried, exhausted, invalid)

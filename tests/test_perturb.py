@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,6 +21,7 @@ from resilient_cluster import (
     RESILIENT_UNREFUTED,
     UNDIRECTED,
     Clustering,
+    FalsifierReport,
     GeneratorConfig,
     Instance,
     InternalCheckFailed,
@@ -251,6 +253,49 @@ def test_falsifier_matches_the_reference_at_bench_sizes(family):
         assert got == reference.falsify_resilience(inst, obj), (n, obj.name, seed)
 
 
+def _budget_corpus():
+    """(instance, objective) pairs: each bench family at n = 10 to 12, and
+    small int, Fraction and float metrics, directed and not."""
+    out = [(BENCH_FAMILIES[family](10 + i % 3, i), (KCENTER, KMEDIAN)[i % 2])
+           for i, family in enumerate(sorted(BENCH_FAMILIES))]
+    rng = random.Random(10)
+    for encoding in ("int", "fraction", "float"):
+        for directed in (False, True):
+            for obj in (KCENTER, KMEDIAN):
+                out.append((encoded_metric(rng, 8, 3, 0, encoding, directed), obj))
+    return out
+
+
+def test_every_budget_cut_matches_the_reference_stream():
+    # at budget b the search has taken the first b shapes of the stream:
+    # it stops at the full run's witness once b reaches it, and otherwise
+    # reports the first min(b, L) shapes, the invalid ones among them, and
+    # whether shapes were left over
+    cuts = witnesses = 0
+    for inst, obj in _budget_corpus():
+        full = falsify_resilience(inst, obj)
+        assert not full.exhausted
+        base = brute_force(inst, obj)
+        stream = reference_stream(inst, base.best) if base.unique else []
+        if full.witness is not None and full.tried:
+            # the witness is the stream's shape at that position
+            assert full.witness[0] == stream[full.tried - 1]
+            assert full.invalid == stream[:full.tried].count(None)
+        for b in range(full.tried + 2):
+            if full.witness is not None and b >= full.tried:
+                want = full
+            else:
+                want = FalsifierReport(RESILIENT_UNREFUTED, None, min(b, len(stream)),
+                                       len(stream) > b, stream[:b].count(None))
+            got = falsify_resilience(inst, obj, b)
+            assert got == want, (b, obj.name)
+            if got.witness is not None:
+                assert type(got.witness[0].cap) is type(full.witness[0].cap)
+            cuts += want.exhausted
+        witnesses += full.tried > 0 and full.witness is not None
+    assert cuts > 100 and witnesses > 3
+
+
 @pytest.mark.parametrize("x, kept", [(6, True), (7, False)])
 def test_a_set_at_the_band_bound_is_kept(x, kept):
     # k-median with one center on the line 0, 1, 2, 3, 4, x: centers 2 and 3
@@ -323,6 +368,15 @@ def reference_stream(inst, clus):
     return out
 
 
+def stream_specs(inst, clus, r_hat):
+    """The falsifier's shape stream, each star key (u, vs, cap) as the spec
+    of its edges u-v, v in vs; None for the invalid ones."""
+    mode = UNDIRECTED if inst.symmetric else DIRECTED
+    return [None if key is None else PerturbationSpec(tuple((key[0], v) for v in key[1]),
+                                                       key[2], mode)
+            for key in perturb._candidate_specs(inst, clus, r_hat)]
+
+
 # each case lists a shape that the proofs make twice and that the stream must
 # hold once, or two directed shapes that it must keep apart
 STAR_KEY_CASES = {
@@ -364,8 +418,7 @@ def test_star_key_merges_only_equal_edge_sets(case):
            for edges, cap in reference.proof_shapes(inst, base.best, r_hat)]
     wanted = [PerturbationSpec(edges, cap, mode) for edges, cap in shapes]
     assert [raw.count(spec) for spec in wanted] == ([1, 1] if case == "directed-pair" else [2])
-    stream = list(perturb._candidate_specs(inst, base.best, r_hat))
-    assert stream == reference_stream(inst, base.best)
+    assert stream_specs(inst, base.best, r_hat) == reference_stream(inst, base.best)
     assert falsify_resilience(inst, KCENTER) == reference.falsify_resilience(inst, KCENTER)
 
 
@@ -388,7 +441,7 @@ def test_shape_stream_matches_the_reference_on_any_clustering(seed, encoding, di
         assignment[c] = i
     clus = Clustering(tuple(assignment), tuple(centers))
     r_hat = cost(inst, clus, KCENTER)
-    assert list(perturb._candidate_specs(inst, clus, r_hat)) == reference_stream(inst, clus)
+    assert stream_specs(inst, clus, r_hat) == reference_stream(inst, clus)
 
 
 # ---------------------------------------------------------------------------
@@ -458,6 +511,13 @@ def _valid_cap(rng, inst, edges, kind):
     return float(half) + rng.choice((0.0, 0.25, 1.5))
 
 
+def closure_stack(inst, specs):
+    """``perturb._closures`` of the specs, their edges as index arrays."""
+    ends = [(i, u, v) for i, spec in enumerate(specs) for u, v in spec.edges]
+    p, u, v = zip(*ends) if ends else ((), (), ())
+    return perturb._closures(inst, [spec.cap for spec in specs], p, u, v)
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     seed=st.integers(0, 10**6),
@@ -465,8 +525,10 @@ def _valid_cap(rng, inst, edges, kind):
     directed=st.booleans(),
 )
 def test_stacked_closures_match_apply_perturbation(seed, encoding, directed):
-    # int-mixed-caps puts int, Fraction and float caps on one int instance
-    # into one call, so the specs need three dtypes
+    # int-mixed-caps puts int, Fraction and float caps on one int instance,
+    # so the specs need up to three dtypes: the specs of each dtype are
+    # closed as one stack, and all of them as one stack of the dtype numpy
+    # gives those, with the same values
     rng = random.Random(seed)
     n = rng.randint(2, 8)
     inst = encoded_metric(rng, n, 1, 0, encoding.split("-")[0], directed)
@@ -480,16 +542,23 @@ def test_stacked_closures_match_apply_perturbation(seed, encoding, directed):
         else:
             kind = encoding
         specs.append(PerturbationSpec(edges, _valid_cap(rng, inst, edges, kind), mode))
-    closed = perturb._closures(inst, specs)
-    assert len(closed) == len(specs)
-    for spec, E in zip(specs, closed):
-        got = Instance(E, inst.k, inst.z, inst.symmetric)
-        want = apply_perturbation(inst, spec)
-        assert got.dist == want.dist
-        assert [type(x) for row in got.dist for x in row] == [
-            type(x) for row in want.dist for x in row]
-        assert got.exact == want.exact
-        assert got._array.dtype == want._array.dtype
+    wants = [apply_perturbation(inst, spec) for spec in specs]
+    groups = {}
+    for spec, want in zip(specs, wants):
+        groups.setdefault(want._array.dtype, []).append((spec, want))
+    for dtype, members in groups.items():
+        closed = closure_stack(inst, [spec for spec, _ in members])
+        assert closed.shape == (len(members), n, n) and closed.dtype == dtype
+        for E, (_, want) in zip(closed, members):
+            got = Instance(E, inst.k, inst.z, inst.symmetric)
+            assert got.dist == want.dist
+            assert [type(x) for row in got.dist for x in row] == [
+                type(x) for row in want.dist for x in row]
+            assert got.exact == want.exact
+            assert got._array.dtype == want._array.dtype
+    closed = closure_stack(inst, specs)
+    assert closed.dtype == np.result_type(*groups)
+    assert [tuple(map(tuple, E.tolist())) for E in closed] == [want.dist for want in wants]
 
 
 def _chunk_corpus():
@@ -599,3 +668,23 @@ def test_corrupted_closure_raises_internal_check(monkeypatch):
     monkeypatch.setattr(perturb, "_shortest_paths", corrupted)
     with pytest.raises(InternalCheckFailed, match=r"perturbed d\(1, 3\) = 0 left the band"):
         apply_perturbation(inst, spec)
+
+
+def test_corrupted_falsifier_stack_raises_internal_check(monkeypatch):
+    # a planted instance that stands: its first chunk closes every valid
+    # shape, at least two, as one stack
+    inst, _ = generate(GeneratorConfig(n=9, k=3, seed=0))
+    full = falsify_resilience(inst, KCENTER)
+    assert full.verdict == RESILIENT_UNREFUTED and full.tried - full.invalid >= 2
+    real = perturb._shortest_paths
+    depths = []
+
+    def corrupted(S):  # the second matrix of the stack leaves the band
+        depths.append(len(S))
+        real(S)
+        S[1, 2, 1] = 0
+
+    monkeypatch.setattr(perturb, "_shortest_paths", corrupted)
+    with pytest.raises(InternalCheckFailed, match=r"perturbed d\(2, 1\) = 0 left the band"):
+        falsify_resilience(inst, KCENTER)
+    assert depths == [full.tried - full.invalid]
