@@ -4,8 +4,11 @@ Exit codes: 0 optimal/success, 1 I/O or validation error, 2 infeasible or too
 large, 3 certified not-resilient, 4 internal consistency check failed (a bug,
 not bad input), 5 the float LP solve at some radius R could not be confirmed
 exactly, whatever the instance's number type (the message names R and the
-reason). With --exact, float literals in input files are parsed as exact
-rationals and numbers are emitted as rational strings.
+reason). Every number in an input file, distance, coordinate or integer
+field, is read by one rule, :func:`_number`: a JSON integer is an int, a
+float literal a finite float (with --exact, the Fraction it denotes), and a
+rational string such as "3/2" a Fraction. With --exact, numbers are emitted
+as rational strings.
 """
 
 from __future__ import annotations
@@ -50,48 +53,87 @@ class CliError(Exception):
         self.code = code
 
 
-# what json.loads makes of a JSON number: float literals are Fractions under --exact
-_NUMBERS = {int, float, Fraction}
+class _Literal(str):
+    """The text of a JSON number literal, kept for :func:`_number` to read."""
+
+    __slots__ = ()
 
 
-def _cut(text: str) -> str:
-    """``text`` for an error message: past 50 characters, its two ends."""
+class _Reread(Exception):
+    """A first reading met a number that only its literal's text can report."""
+
+
+def _cut(x) -> str:
+    """``x`` as the file wrote it, for an error message: a literal's text or
+    any other value's JSON, and past 50 characters only its two ends."""
+    text = x if type(x) is _Literal else json.dumps(x)
     return text if len(text) <= 50 else f"{text[:20]}...{text[-10:]} ({len(text)} characters)"
 
 
-def _parse_number(x, name: str, exact: bool):
-    """``x`` when it is a JSON number, its ``Fraction`` when it is a rational
-    string; anything else, ``"1/0"`` and ``"abc"`` included, is a ValueError
-    naming the field ``name``. Without ``exact`` the report prints a
-    ``Fraction`` as a float, so a rational string past the float range is a
-    ValueError too."""
-    if type(x) in _NUMBERS:
+def _integral(literal: str) -> bool:
+    return literal.lstrip("-").isdigit()
+
+
+def _number(x, name: str, exact: bool):
+    """The number that ``x``, a value of the field ``name``, stands for:
+
+    - a JSON integer is an ``int``;
+    - a JSON float literal is a finite ``float``, or a ``Fraction`` under
+      ``exact``;
+    - a rational string such as ``"3/2"`` is a ``Fraction``, which without
+      ``exact`` must lie within the float range, as the report prints floats.
+
+    Anything else (``"1/0"``, ``"abc"``, ``true``), and any number whose
+    numerator or denominator has more digits than Python converts, is a
+    ValueError naming the field. A float literal that overflows is a
+    ValueError echoing it, or :class:`_Reread` when a first reading made it
+    an infinite float, so that the second reading echoes its text."""
+    if type(x) is int:
         return x
-    if type(x) is str:
-        try:
-            v = _fraction(x)
-        except (ValueError, ZeroDivisionError):
-            pass
-        else:
-            if not exact:
-                try:
-                    float(v)
-                except OverflowError:
-                    raise ValueError(f'"{name}" must lie within the float range without '
-                                     f"--exact, got {_cut(json.dumps(x))}") from None
+    literal = type(x) is _Literal
+    if type(x) is float or literal and not (exact or _integral(x)):
+        v = float(x)
+        if math.isfinite(v):
             return v
-    raise ValueError(f'"{name}" must be a JSON number or a rational string in every entry, '
-                     f"got {_cut(json.dumps(x))}")
+        if not literal:
+            raise _Reread
+        raise ValueError(f"{_cut(x)} overflows to {json.dumps(v)} as a float")
+    try:
+        v = Fraction(x) if isinstance(x, str) else None
+    except (ValueError, ZeroDivisionError):  # a literal fails only past the digit limit
+        v = None
+    if v is None and not literal:
+        raise ValueError(f'"{name}" must be a JSON number or a rational string in every entry, '
+                         f"got {_cut(x)}")
+    limit = sys.get_int_max_str_digits()
+    m = 0 if v is None else max(abs(v.numerator), v.denominator)
+    if v is None or 0 < limit and m.bit_length() > 3 * limit and m >= 10**limit:
+        raise ValueError(f'"{name}" must be a JSON number of at most {limit} digits in its '
+                         f"numerator and denominator, got {_cut(x)}")
+    if literal:
+        return v.numerator if v.denominator == 1 and _integral(x) else v
+    if not exact:
+        try:
+            float(v)
+        except OverflowError:
+            raise ValueError(f'"{name}" must lie within the float range without --exact, '
+                             f"got {_cut(x)}") from None
+    return v
+
+
+def _plain(row: list) -> bool:
+    """Whether :func:`_number` keeps every entry of ``row`` as it is: all
+    ints, or all floats with a finite sum, which no infinite float has."""
+    kinds = set(map(type, row))
+    return kinds <= {int} or kinds == {float} and math.isfinite(sum(row))
 
 
 def _parse_rows(rows, name: str, exact: bool) -> list:
-    """The field ``name``, a JSON array of JSON arrays of numbers or rational
-    strings, as a list of tuples, the strings parsed by :func:`_parse_number`;
-    anything else is a ValueError naming the field."""
+    """The field ``name``, a JSON array of JSON arrays, as a list of tuples
+    of what :func:`_number` reads; anything else is a ValueError naming it."""
     if type(rows) is not list or any(type(row) is not list for row in rows):
         raise ValueError(f'"{name}" must be a JSON array of JSON arrays')
-    return [tuple(row) if set(map(type, row)) <= _NUMBERS
-            else tuple(_parse_number(x, name, exact) for x in row)
+    return [tuple(row) if _plain(row) else tuple([_number(x, name, exact) for x in row])
             for row in rows]
 
 
@@ -112,11 +154,16 @@ def _coordinates(points, exact: bool) -> np.ndarray:
 
 
 def _typed(value, kind: type, name: str):
-    """``value`` when its JSON type is ``kind`` (int or bool), else a ValueError."""
+    """``value`` when its JSON type is ``kind`` (int or bool), else a
+    ValueError naming the field ``name``; an integer literal kept as text is
+    read by :func:`_number`, alike with and without ``--exact``."""
+    if kind is int and type(value) is _Literal and _integral(value):
+        return _number(value, name, exact=True)
+    if type(value) is float and not math.isfinite(value):
+        raise _Reread
     if type(value) is not kind:
         noun = "integer" if kind is int else "boolean"
-        got = _cut(json.dumps(value, default=float))
-        raise ValueError(f'"{name}" must be a JSON {noun}, got {got}')
+        raise ValueError(f'"{name}" must be a JSON {noun}, got {_cut(value)}')
     return value
 
 
@@ -124,89 +171,20 @@ def _reject_constant(name: str):
     raise ValueError(f"{name} is not a JSON number")
 
 
-def _finite_float(text: str) -> float:
-    x = float(text)
-    if not math.isfinite(x):
-        raise ValueError(f"{_cut(text)} overflows to {json.dumps(x)} as a float")
-    return x
-
-
-def _past_str_limit(v: int) -> bool:
-    """|v| has more digits than Python converts to a string."""
-    limit = sys.get_int_max_str_digits()
-    return 0 < limit and v.bit_length() > 3 * limit and abs(v) >= 10**limit
-
-
-def _fraction(text: str) -> Fraction:
-    """The ``Fraction`` of a decimal or rational literal; a ValueError when
-    its numerator or denominator has more digits than Python converts to a
-    string, which would stop the report that prints it."""
-    x = Fraction(text)
-    if _past_str_limit(x.numerator) or _past_str_limit(x.denominator):
-        raise ValueError(f"{_cut(text)} has more digits as a fraction than Python converts")
-    return x
-
-
-class _Digits(str):
-    """The text of a JSON integer literal, as :func:`_long_number` reads it."""
-
-
-class _Decimal(str):
-    """The text of a JSON float literal, as :func:`_long_number` reads it."""
-
-
-def _long_number(text: str, exact: bool) -> str | None:
-    """When ``text`` holds a number literal of more digits than Python
-    converts, which ``json.loads`` rejects without naming a field: a message
-    that names the top-level field holding it. None otherwise. Such a literal
-    is an integer of more digits, or, under ``exact``, a float literal whose
-    fraction has a numerator or denominator of more digits."""
+def _read(text: str, path: str, exact: bool, literal: bool) -> tuple[Instance, Clustering | None]:
+    """The instance and planted clustering of an instance file's ``text``.
+    A first reading keeps json's own number readers, but under ``exact``
+    reads float literals as :class:`_Literal`; it raises :class:`_Reread`
+    at a number that only its literal's text can report. A second reading
+    (``literal``) reads every number literal as a :class:`_Literal`."""
     try:
-        doc = json.loads(text, parse_int=_Digits, parse_float=_Decimal,
-                         parse_constant=_reject_constant)
-    except ValueError:
-        return None
-    limit = sys.get_int_max_str_digits()
-    # without exact a float literal is a float, which has no digit limit
-    convert = {_Digits: int, _Decimal: _fraction if exact else float}
-    for name, value in doc.items() if isinstance(doc, dict) else ():
-        todo = [value]
-        while todo:
-            x = todo.pop()
-            if isinstance(x, (list, dict)):
-                todo.extend(x.values() if isinstance(x, dict) else x)
-            elif type(x) in convert:
-                try:
-                    convert[type(x)](x)
-                except ValueError:
-                    return (f'"{name}" must be a JSON number of at most {limit} digits '
-                            f"in its numerator and denominator, got {_cut(x)}")
-    return None
-
-
-def load_instance_file(
-    path: str, exact: bool, timing: dict | None = None
-) -> tuple[Instance, Clustering | None]:
-    """Parse an instance file: either an explicit distance matrix
-    {"n", "k", "z", "symmetric", "dist"} or a point cloud {"points", "metric",
-    "k", "z"}; an optional "planted" clustering rides along. "k", "z", "n"
-    and the planted indices must be JSON integers, "symmetric" a JSON
-    boolean, and every distance and coordinate a JSON number or a rational
-    string. The instance must pass :func:`validate_metric`; its seconds go
-    to ``timing["validate"]`` when a ``timing`` dict is given."""
-    try:
-        text = Path(path).read_text()
-    except OSError as e:
-        raise CliError(f"cannot read {path}: {e}")
-    if not text.strip():
-        raise CliError(f"{path}: empty file")
-    try:
-        doc = json.loads(text, parse_float=_fraction if exact else _finite_float,
+        doc = json.loads(text, parse_int=_Literal if literal else int,
+                         parse_float=_Literal if literal or exact else float,
                          parse_constant=_reject_constant)
     except json.JSONDecodeError as e:
         raise CliError(f"{path}: malformed JSON at line {e.lineno}, column {e.colno}: {e.msg}")
-    except ValueError as e:
-        raise CliError(f"{path}: {_long_number(text, exact) or e}")
+    except ValueError as e:  # NaN or ±Infinity, or an int past the digit limit
+        raise CliError(f"{path}: {e}") if literal else _Reread
     if not isinstance(doc, dict):
         raise CliError(f"{path}: top-level JSON object expected")
     try:
@@ -228,7 +206,7 @@ def load_instance_file(
         elif "points" in doc:
             metric = doc.get("metric", "euclidean")
             if metric not in ("euclidean", "manhattan"):
-                raise ValueError(f"unknown metric {_cut(repr(metric))}")
+                raise ValueError(f"unknown metric {_cut(metric)}")
             pts = _coordinates(doc["points"], exact)
             if metric == "euclidean":
                 try:
@@ -245,26 +223,47 @@ def load_instance_file(
             inst = Instance(mat, k, z, symmetric=True)
         else:
             raise ValueError('either "dist" or "points" is required')
-    except CliError:
-        raise
     except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise CliError(f"{path}: {e}")
+    if "planted" not in doc:
+        return inst, None
+    p = doc["planted"]
+    try:
+        return inst, Clustering(
+            tuple(_typed(a, int, "planted.assignment") for a in p["assignment"]),
+            tuple(_typed(c, int, "planted.centers") for c in p["centers"]),
+        )
+    except (KeyError, TypeError, ValueError) as e:
+        raise CliError(f"{path}: bad planted clustering: {e}")
+
+
+def load_instance_file(
+    path: str, exact: bool, timing: dict | None = None
+) -> tuple[Instance, Clustering | None]:
+    """Parse an instance file: either an explicit distance matrix
+    {"n", "k", "z", "symmetric", "dist"} or a point cloud {"points", "metric",
+    "k", "z"}; an optional "planted" clustering rides along. "k", "z", "n"
+    and the planted indices must be JSON integers, "symmetric" a JSON
+    boolean, and every distance and coordinate a JSON number or a rational
+    string, read by :func:`_number`. The instance must pass
+    :func:`validate_metric`; its seconds go to ``timing["validate"]`` when a
+    ``timing`` dict is given."""
+    try:
+        text = Path(path).read_text()
+    except OSError as e:
+        raise CliError(f"cannot read {path}: {e}")
+    if not text.strip():
+        raise CliError(f"{path}: empty file")
+    try:
+        inst, planted = _read(text, path, exact, literal=False)
+    except _Reread:
+        inst, planted = _read(text, path, exact, literal=True)
     started = time.perf_counter()
     violations = validate_metric(inst)
     if timing is not None:
         timing["validate"] = time.perf_counter() - started
     if violations:
         raise CliError(f"{path}: not a valid metric, e.g. {violations[0]}")
-    planted = None
-    if "planted" in doc:
-        p = doc["planted"]
-        try:
-            planted = Clustering(
-                tuple(_typed(a, int, "planted.assignment") for a in p["assignment"]),
-                tuple(_typed(c, int, "planted.centers") for c in p["centers"]),
-            )
-        except (KeyError, TypeError, ValueError) as e:
-            raise CliError(f"{path}: bad planted clustering: {e}")
     return inst, planted
 
 

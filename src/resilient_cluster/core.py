@@ -184,9 +184,10 @@ def _int_rows_array(rows: tuple, n: int):
     and a bool, valued 0 or 1, is looked for among those entries alone.
     """
     try:
-        # numpy scalars may overflow in the sums; their type is all that counts
+        # numpy scalars may overflow in the sums; their type is all that
+        # counts, and the first row whose sum is no int ends the scan
         with np.errstate(all="ignore"):
-            if set(map(type, map(sum, rows))) != {int}:
+            if not all(type(sum(row)) is int for row in rows):
                 return None
         A = np.fromiter(chain.from_iterable(rows), np.int64, n * n).reshape(n, n)
     except (TypeError, ArithmeticError):

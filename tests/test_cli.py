@@ -421,21 +421,26 @@ def test_exact_mode_roundtrips_rationals(tmp_path, capsys):
 ])
 def test_matrix_parse_matches_the_per_entry_reference(tmp_path, dist):
     path = tmp_path / "m.json"
-    path.write_text(json.dumps({"k": 1, "symmetric": True, "dist": dist}))
+    text = json.dumps({"k": 1, "symmetric": True, "dist": dist})
+    path.write_text(text)
 
     def typed(inst):
         return [[(type(x), x) for x in row] for row in inst.dist]
 
-    try:
-        expected = typed(Instance(reference.parse_matrix(dist), 1))
-    except (TypeError, ValueError) as e:
-        expected = f"{path}: {e}"
-    try:
-        got = typed(load_instance_file(str(path), exact=False)[0])
-    except CliError as e:
-        assert e.code == 1
-        got = str(e)
-    assert got == expected
+    # both modes, looped so that each matrix keeps its test id; under
+    # --exact the reference reads a float literal as the Fraction it denotes
+    for exact in (False, True):
+        parsed = json.loads(text, parse_float=Fraction if exact else float)["dist"]
+        try:
+            expected = typed(Instance(reference.parse_matrix(parsed), 1))
+        except (TypeError, ValueError) as e:
+            expected = f"{path}: {e}"
+        try:
+            got = typed(load_instance_file(str(path), exact)[0])
+        except CliError as e:
+            assert e.code == 1
+            got = str(e)
+        assert got == expected, exact
     # a matrix, or a row of one, that is not a JSON array (a number, a
     # string, an object) exits 1 naming the field
     if type(dist) is not list or any(type(row) is not list for row in dist):
@@ -461,8 +466,10 @@ LINE4 = {"k": 2, "dist": [[0, 1, 10, 11], [1, 0, 9, 10], [10, 9, 0, 1], [11, 10,
 # is written into a file as this JSON integer literal
 LONG = "1" + "0" * 5000
 # float literals whose fractions have a numerator ("@huge") or a denominator
-# ("@tiny") of more digits than that, written into a file the same way
-LITERALS = {"@long": LONG, "@huge": "1e4400", "@tiny": "1e-4400", "@mantissa": LONG + ".5"}
+# ("@tiny") of more digits than that, written into a file the same way, and
+# one past the float range ("@e400")
+LITERALS = {"@long": LONG, "@huge": "1e4400", "@tiny": "1e-4400", "@mantissa": LONG + ".5",
+            "@e400": "1e400"}
 
 
 @pytest.mark.parametrize("field, value, exact", [
@@ -508,6 +515,8 @@ LITERALS = {"@long": LONG, "@huge": "1e4400", "@tiny": "1e-4400", "@mantissa": L
     ("points", ("manhattan", [[0], ["@huge"], [10], [11]]), True),
     ("points", ("euclidean", [[0], [1], ["@tiny"], [11]]), True),
     ("points", ("manhattan", [[0], [1], [10], ["@mantissa"]]), True),
+    ("k", "@e400", True),
+    ("k", "@e400", False),
 ], ids=["k-float", "k-exact-rational", "k-bool", "k-string", "z-float", "z-bool", "n-float",
         "symmetric-string", "symmetric-int", "assignment-float", "centers-bool",
         "dist-bool", "dist-null", "dist-list-exact", "points-bool-euclidean",
@@ -520,7 +529,7 @@ LITERALS = {"@long": LONG, "@huge": "1e4400", "@tiny": "1e-4400", "@mantissa": L
         "points-long-literal", "points-long-string-exact", "dist-long-numerator-exact",
         "dist-long-denominator-exact", "dist-long-rational-string",
         "points-long-numerator-exact", "points-long-denominator-exact",
-        "points-long-mantissa-exact"])
+        "points-long-mantissa-exact", "k-overflowing-float-exact", "k-overflowing-float"])
 def test_instance_fields_must_have_their_json_type(tmp_path, capsys, field, value, exact):
     """k, z, n and the planted indices are JSON integers, never bools,
     symmetric is a JSON boolean, and every distance and coordinate is a JSON
@@ -543,6 +552,44 @@ def test_instance_fields_must_have_their_json_type(tmp_path, capsys, field, valu
     assert (code, out) == (1, "")
     assert err.startswith(f"error: {path}: ") and f'"{field}" must be a JSON ' in err
     assert len(err) < len(f"error: {path}: ") + 200
+
+
+def test_long_integer_before_a_syntax_error_reports_the_syntax_error(tmp_path, capsys):
+    # the integer is past json's digit limit, so the first reading stops at
+    # it; the error to report is the trailing comma after it
+    text = '{"k": 1, "symmetric": true, "dist": [[0, %s], [%s, 0]], }' % (LONG, LONG)
+    path = tmp_path / "trailing.json"
+    path.write_text(text)
+    with pytest.raises(json.JSONDecodeError) as want:
+        json.loads(text, parse_int=str)
+    code, out, err = run(capsys, "certify", "--input", str(path))
+    assert (code, out) == (1, "")
+    assert err == (f"error: {path}: malformed JSON at line {want.value.lineno}, "
+                   f"column {want.value.colno}: {want.value.msg}\n")
+
+
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("doc", [
+    dict(LINE4, planted={"assignment": [0, 0, 1, 1], "centers": [0, 2]}),
+    {"k": 1, "symmetric": False, "dist": [[0, 1.5, "7/2"], [1.5, 0, 2], [2.5, 2, 0]]},
+    {"k": 1, "dist": [[0, 2**63 + 1], [2**63 + 1, 0]]},
+    {"k": 2, "z": 1, "n": 3, "dist": [[0.0, 0.1, 1e-7], [0.1, 0.0, 0.1], [1e-7, 0.1, 0.0]]},
+    {"k": 1, "metric": "manhattan", "points": [[0, 1.5], [-2, "1/3"], [3.0, 4]]},
+    {"k": 1, "points": [[0, 1], [3, 5]]},
+], ids=["int", "mixed-asymmetric", "past-int64", "float", "manhattan", "euclidean"])
+def test_the_second_reading_reads_what_the_first_does(tmp_path, doc, exact):
+    """An integer past the digit limit in a field the loader does not read
+    sends the loader to its second reading, which keeps every number literal
+    as text; the instance, its number types and the planted clustering come
+    out as the first reading gives them."""
+    def load(text):
+        path = tmp_path / "doc.json"
+        path.write_text(text)
+        inst, planted = load_instance_file(str(path), exact)
+        return [[(type(x), x) for x in row] for row in inst.dist], inst.exact, inst.symmetric, planted
+
+    text = json.dumps(dict(doc, generator={"seed": "@long"}))
+    assert load(text.replace('"@long"', LONG)) == load(text.replace('"@long"', "1"))
 
 
 def test_solve_lp_not_resilient_exit_3(tmp_path, capsys):
