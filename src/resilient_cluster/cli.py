@@ -1,14 +1,17 @@
 """Command-line surface: solve, certify, and generate over JSON instance files.
 
 Exit codes: 0 optimal/success, 1 I/O or validation error, 2 infeasible or too
-large, 3 certified not-resilient, 4 internal consistency check failed (a bug,
-not bad input), 5 the float LP solve at some radius R could not be confirmed
-exactly, whatever the instance's number type (the message names R and the
-reason). Every number in an input file, distance, coordinate or integer
-field, is read by one rule, :func:`_number`: a JSON integer is an int, a
-float literal a finite float (with --exact, the Fraction it denotes), and a
-rational string such as "3/2" a Fraction. With --exact, numbers are emitted
-as rational strings.
+large (more C(n, k) center sets than the brute force's cap), 3 certified
+not-resilient, 4 internal consistency check failed (a bug, not bad input), 5
+the float LP solve at some radius R could not be confirmed exactly, whatever
+the instance's number type (the message names R and the reason). Every
+number in an input file, distance, coordinate or integer field, is read by
+one rule, :func:`_number`: a JSON integer is an int, a float literal a
+finite float (with --exact, the Fraction it denotes), and a rational string
+such as "3/2" a Fraction; a decimal exponent too large for the digit limit
+is rejected before its power of ten is built. Every solve and certify report
+is loaded, timed and printed by :func:`_report`; with --exact, numbers are
+emitted as rational strings.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ import numpy as np
 # run them, so that certify loads only the modules it calls
 from . import approx, lp
 from .core import (
+    FLOAT_TOL,
     KCENTER,
     MODES,
     SYMMETRIC,
@@ -74,6 +78,20 @@ def _integral(literal: str) -> bool:
     return literal.lstrip("-").isdigit()
 
 
+def _fraction(text: str, limit: int) -> Fraction:
+    """``Fraction(text)``, with a decimal exponent e past ``limit`` (0 is none)
+    plus the text's length cut to that bound plus one, so that no longer power
+    of ten is built: the number is 0, or past the limit, as it would be whole.
+    With its exponent's digits zeroed the text keeps the form Fraction checks."""
+    head, _, power = text.lower().partition("e")
+    e = int(power or 0) if limit else 0  # if int fails, so does Fraction
+    bound = limit + len(text) + 1
+    if abs(e) < bound:
+        return Fraction(text)
+    mantissa = Fraction(head + "e" + "".join("0" if c.isdecimal() else c for c in power))
+    return mantissa * 10**bound if e > 0 else mantissa / 10**bound
+
+
 def _number(x, name: str, exact: bool):
     """The number that ``x``, a value of the field ``name``, stands for:
 
@@ -98,14 +116,14 @@ def _number(x, name: str, exact: bool):
         if not literal:
             raise _Reread
         raise ValueError(f"{_cut(x)} overflows to {json.dumps(v)} as a float")
+    limit = sys.get_int_max_str_digits()
     try:
-        v = Fraction(x) if isinstance(x, str) else None
+        v = _fraction(x, limit) if isinstance(x, str) else None
     except (ValueError, ZeroDivisionError):  # a literal fails only past the digit limit
         v = None
     if v is None and not literal:
         raise ValueError(f'"{name}" must be a JSON number or a rational string in every entry, '
                          f"got {_cut(x)}")
-    limit = sys.get_int_max_str_digits()
     m = 0 if v is None else max(abs(v.numerator), v.denominator)
     if v is None or 0 < limit and m.bit_length() > 3 * limit and m >= 10**limit:
         raise ValueError(f'"{name}" must be a JSON number of at most {limit} digits in its '
@@ -281,40 +299,15 @@ def _default_formulation(inst: Instance) -> str:
     return lp.KCO if inst.z > 0 else lp.KC
 
 
-def _report(doc: dict, exact_out: bool) -> None:
-    def walk(x):
-        if isinstance(x, dict):
-            return {key: walk(v) for key, v in x.items()}
-        if isinstance(x, (list, tuple)):
-            return [walk(v) for v in x]
-        if isinstance(x, Fraction):
-            return str(x) if exact_out else float(x)
-        if isinstance(x, float) and not math.isfinite(x):
-            raise ValueError("non-finite value in report")
-        return x
-    print(json.dumps(walk(doc), indent=2, sort_keys=True))
-
-
-def _load(args) -> tuple[Instance, dict, float]:
-    """The instance of ``args.input``, its ``timing`` dict with ``load`` and
-    ``validate`` seconds, and the start time that ``total`` counts from."""
-    started = time.perf_counter()
-    timing: dict = {}
-    inst, _ = load_instance_file(args.input, args.exact, timing)
-    timing["load"] = time.perf_counter() - started - timing["validate"]
-    return inst, timing, started
-
-
-def cmd_solve(args) -> int:
-    inst, timing, loaded = _load(args)
+def cmd_solve(inst: Instance, args) -> tuple[dict, int]:
+    """``solve``'s report fields for ``inst`` and its exit code."""
     obj = objective_by_name(args.objective)
     if args.method in ("lp", "gonzalez", "hs") and obj is not KCENTER:
         raise CliError(f"--method {args.method} solves the kcenter objective only")
-    started = time.perf_counter()
     report: dict = {"method": args.method, "objective": args.objective, "verdict": "SOLVED"}
     code = EXIT_OK
     if args.method == "lp":
-        fields, code = _certify_report(inst, args.formulation)
+        fields, code = cmd_certify(inst, args)
         report.update(fields)
     elif args.method == "oracle":
         from . import oracle
@@ -326,7 +319,7 @@ def cmd_solve(args) -> int:
         again = cost(inst, res.best, obj)
         # a relative tolerance alone keeps the check the same at every scale
         if not (again == res.cost if inst.exact
-                else math.isclose(float(again), float(res.cost), rel_tol=1e-9)):
+                else math.isclose(float(again), float(res.cost), rel_tol=FLOAT_TOL)):
             raise InternalCheckFailed(f"reported cost {res.cost}, recomputed {again}")
         report.update(cost=res.cost, unique=res.unique, clustering=_clustering_doc(res.best))
     elif args.method == "mstdp":
@@ -342,42 +335,30 @@ def cmd_solve(args) -> int:
         clus = approx.recover_via_2approx(inst, algo)
         value = cost(inst, clus, KCENTER)
         report.update(cost=value, radius=value, clustering=_clustering_doc(clus))
-    # seconds: the solve alone; total: from the start of loading
-    now = time.perf_counter()
-    report["timing"] = dict(timing, seconds=now - started, total=now - loaded)
-    _report(report, args.exact)
-    return code
+    return report, code
 
 
-def _certify_report(inst: Instance, formulation: str | None) -> tuple[dict, int]:
-    """The report fields of :func:`lp.certify`'s verdict and the exit code."""
-    formulation = formulation or _default_formulation(inst)
+def cmd_certify(inst: Instance, args) -> tuple[dict, int]:
+    """``certify``'s report fields for ``inst`` and its exit code, which
+    ``solve --method lp`` reports too, with ``falsify`` off."""
+    formulation = args.formulation or _default_formulation(inst)
     verdict = lp.certify(inst, formulation)
     report: dict = {"formulation": formulation, "radius": verdict.lp_radius,
-                    "route": verdict.route, "packing": None}
+                    "route": verdict.route, "packing": None, "verdict": verdict.kind}
     if verdict.packing is not None:
         report["packing"] = {"radius": verdict.packing.radius,
                              "points": list(verdict.packing.points)}
     if verdict.kind == lp.OPTIMAL:
-        report["verdict"] = lp.OPTIMAL
         report["cost"] = cost(inst, verdict.clustering, KCENTER)
         report["clustering"] = _clustering_doc(verdict.clustering)
-        return report, EXIT_OK
-    report["verdict"] = lp.NOT_2PR
-    witness = verdict.fractional_witness
-    report["lp"] = {
-        "feasible": witness.feasible,
-        "integral": witness.integral,
-        "bound": witness.bound,
-        "y": list(witness.y),
-    }
-    return report, EXIT_NOT_RESILIENT
-
-
-def cmd_certify(args) -> int:
-    inst, timing, loaded = _load(args)
-    started = time.perf_counter()
-    report, code = _certify_report(inst, args.formulation)
+    else:
+        witness = verdict.fractional_witness
+        report["lp"] = {
+            "feasible": witness.feasible,
+            "integral": witness.integral,
+            "bound": witness.bound,
+            "y": list(witness.y),
+        }
     if args.falsify:
         from . import oracle, perturb
 
@@ -396,10 +377,30 @@ def cmd_certify(args) -> int:
             report["falsifier"] = fdoc
         except oracle.InstanceTooLarge:
             report["falsifier"] = {"skipped": "instance too large for brute force"}
-    # seconds: the solve alone; total: from the start of loading
+    return report, EXIT_OK if verdict.kind == lp.OPTIMAL else EXIT_NOT_RESILIENT
+
+
+def _report(args) -> int:
+    """Load ``args.input``, run the solve step ``args.solve`` on it and print
+    its report, with ``timing`` in seconds: ``load``, ``validate`` (the metric
+    check), ``seconds`` (the solve) and ``total``, from the start of loading
+    to the end of the solve. A Fraction prints as a rational string under
+    ``--exact``, else as a float."""
+    loaded = time.perf_counter()
+    timing: dict = {}
+    inst, _ = load_instance_file(args.input, args.exact, timing)
+    timing["load"] = time.perf_counter() - loaded - timing["validate"]
+    started = time.perf_counter()
+    report, code = args.solve(inst, args)
     now = time.perf_counter()
     report["timing"] = dict(timing, seconds=now - started, total=now - loaded)
-    _report(report, args.exact)
+
+    def number(x):
+        if type(x) is Fraction:
+            return str(x) if args.exact else float(x)
+        raise TypeError(f"{type(x).__name__} is not JSON serializable")
+
+    print(json.dumps(report, indent=2, sort_keys=True, allow_nan=False, default=number))
     return code
 
 
@@ -476,7 +477,7 @@ def _run_batch(func, args) -> int:
         print(f"error: no *.json files in {directory}", file=sys.stderr)
         return EXIT_ERROR
     jobs = min(max(1, args.jobs), len(files))
-    tasks = [(func.__name__, dict(vars(args), input=f, func=None)) for f in files]
+    tasks = [(func, dict(vars(args), input=f)) for f in files]
     if jobs == 1:
         results = [_batch_worker(*t) for t in tasks]
     else:
@@ -492,11 +493,10 @@ def _run_batch(func, args) -> int:
     return max(code for code, _, _ in results)
 
 
-def _batch_worker(func_name: str, arg_dict: dict) -> tuple[int, str, str]:
+def _batch_worker(func, arg_dict: dict) -> tuple[int, str, str]:
     import contextlib
     import io
 
-    func = {"cmd_solve": cmd_solve, "cmd_certify": cmd_certify}[func_name]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = _run_single(func, argparse.Namespace(**arg_dict))
@@ -528,13 +528,13 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=["lp", "mstdp", "gonzalez", "hs", "oracle"],
     )
-    p_solve.set_defaults(func=cmd_solve)
+    p_solve.set_defaults(func=_report, solve=cmd_solve, falsify=False)
 
     p_cert = sub.add_parser("certify", parents=[shared],
                             help="optimality or non-resilience certificate")
     p_cert.add_argument("--falsify", action="store_true",
                         help="also search proof-shaped perturbations (small n)")
-    p_cert.set_defaults(func=cmd_certify)
+    p_cert.set_defaults(func=_report, solve=cmd_certify)
 
     p_gen = sub.add_parser("generate", help="write a planted instance file")
     p_gen.add_argument("--n", type=int, required=True)
@@ -555,10 +555,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    func = args.func
-    if func in (cmd_solve, cmd_certify) and Path(args.input).is_dir():
-        return _run_batch(func, args)
-    return _run_single(func, args)
+    if args.func is _report and Path(args.input).is_dir():
+        return _run_batch(_report, args)
+    return _run_single(args.func, args)
 
 
 if __name__ == "__main__":

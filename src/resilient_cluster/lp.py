@@ -444,6 +444,9 @@ def min_feasible_radius(inst: Instance, formulation: str) -> tuple[object, LpOut
         # relaxation is feasible
         outcome = probe(lo, True)
         if not outcome.feasible:
+            if lo == len(cands) - 1:  # a NaN distance can leave G_R incomplete
+                raise ValueError(f"no {formulation} relaxation is feasible at any candidate "
+                                 f"radius, the largest being {cands[lo]}")
             lo, hi, confirm = lo + 1, len(cands) - 1, True
             continue
         if lo > 0 and probe(lo - 1, True).feasible:

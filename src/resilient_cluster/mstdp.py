@@ -47,6 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    FLOAT_TOL,
     OUTLIER,
     AsymmetricUnsupported,
     Clustering,
@@ -410,7 +411,8 @@ def solve_btp(inst: Instance, btree: BinaryTree, obj: Objective) -> Clustering:
     achieved = cost(inst, clus, obj)
     # float sums in tree order and in point order differ in the last bits; a
     # relative tolerance alone keeps the check the same at every scale
-    if not (achieved == best_val if exact else math.isclose(achieved, best_val, rel_tol=1e-9)):
+    if not (achieved == best_val if exact
+            else math.isclose(achieved, best_val, rel_tol=FLOAT_TOL)):
         raise InternalCheckFailed(f"DP optimum {best_val} but its clustering costs {achieved}")
     return clus
 

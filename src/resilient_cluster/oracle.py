@@ -11,7 +11,8 @@ array; when all C(n, k) sets fit in one block, that block is built once per
 perturbed instances of one n and k. One numpy pass over such a block gives
 every point's distance to its nearest center for all m sets, drops the z
 farthest points of each set (a stable sort, so among equal distances the
-lowest point is dropped first), and aggregates the objective terms: the
+lowest point is dropped first; no outlier set is enumerated, so the work cap
+counts the C(n, k) center sets alone), and aggregates the objective terms: the
 maximum, or a sum taken point by point in index order. The nearest distance is
 the minimum of the k rows of the distance matrix a set gathers, and the map of
 :func:`core.term_map` turns it into its term, which depends on the distance
@@ -87,7 +88,7 @@ BLOCK_CELLS = 1 << 16
 
 
 class InstanceTooLarge(RuntimeError):
-    """The center/outlier enumeration would exceed the configured work cap."""
+    """The C(n, k) center sets to enumerate exceed the configured work cap."""
 
 
 @dataclass(frozen=True)
@@ -105,8 +106,12 @@ class OracleResult:
             raise ValueError("non-unique result must carry a tie witness")
 
 
-def _enumeration_work(n: int, k: int, z: int) -> int:
-    return comb(n, k) * comb(n - k, min(z, n - k))
+def _check_work(n: int, k: int, work_cap: int) -> None:
+    """Raise :class:`InstanceTooLarge` when the C(n, k) center sets exceed
+    ``work_cap``; the outliers of each set are its farthest points, found by
+    one sort, so no outlier set is enumerated."""
+    if comb(n, k) > work_cap:
+        raise InstanceTooLarge(f"C({n},{k}) = {comb(n, k)} center sets exceed cap {work_cap}")
 
 
 def _blocks(n: int, k: int):
@@ -286,8 +291,7 @@ def brute_force(inst: Instance, obj: Objective, work_cap: int = DEFAULT_WORK_CAP
     partition, the first optimal set included.
     """
     n, k, z = inst.n, inst.k, inst.z
-    if _enumeration_work(n, k, z) > work_cap:
-        raise InstanceTooLarge(f"C({n},{k})*C({n - k},{z}) exceeds cap {work_cap}")
+    _check_work(n, k, work_cap)
     D = inst._array
     term, exact = term_map(inst, obj)
     # objective values are compared on the scale of the terms, distances on
@@ -395,8 +399,7 @@ def brute_force_kminus1_check(
     n, k, z = inst.n, inst.k, inst.z
     if k == 1:
         return False
-    if _enumeration_work(n, k - 1, z) > work_cap:
-        raise InstanceTooLarge(f"C({n},{k - 1})*C({n - k + 1},{z}) exceeds cap {work_cap}")
+    _check_work(n, k - 1, work_cap)
     D = inst._array
     term, _ = term_map(inst, KCENTER)
     bound = result.cost + inst.tol

@@ -3,6 +3,7 @@
 import json
 import os
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -568,6 +569,61 @@ def test_long_integer_before_a_syntax_error_reports_the_syntax_error(tmp_path, c
                    f"column {want.value.colno}: {want.value.msg}\n")
 
 
+def _refuse_far_exponents(monkeypatch):
+    """Make ``cli.Fraction`` refuse a text with the exponent 99999999, whose
+    power of ten would hold the loader for minutes."""
+    from resilient_cluster import cli
+
+    def fraction(x=0, *rest):
+        if isinstance(x, str) and "99999999" in x:
+            raise AssertionError(f"Fraction({x!r}) builds a power of ten of 10**8 digits")
+        return Fraction(x, *rest)
+
+    monkeypatch.setattr(cli, "Fraction", fraction)
+
+
+@pytest.mark.parametrize("literal, exact", [
+    ('"1e99999999"', False),
+    ('"1e-99999999"', False),
+    ('"-2.5E+99999999"', True),
+    ("1e99999999", True),
+    ("1e-99999999", True),
+], ids=["string", "string-negative-exponent", "string-exact", "literal-exact",
+        "literal-negative-exponent-exact"])
+def test_a_far_exponent_is_rejected_before_its_power_is_built(tmp_path, capsys, monkeypatch,
+                                                                literal, exact):
+    _refuse_far_exponents(monkeypatch)
+    path = tmp_path / "far.json"
+    path.write_text('{"k": 1, "symmetric": true, "dist": [[0, %s], [%s, 0]]}' % (literal, literal))
+    code, out, err = run(capsys, "certify", "--input", str(path), *(["--exact"] if exact else []))
+    assert (code, out) == (1, "")
+    assert err == (f'error: {path}: "dist" must be a JSON number of at most '
+                   f"{sys.get_int_max_str_digits()} digits in its numerator and denominator, "
+                   f"got {literal}\n")
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_a_zero_mantissa_is_zero_whatever_its_exponent(tmp_path, monkeypatch, exact):
+    _refuse_far_exponents(monkeypatch)
+
+    def load(zeros):
+        path = tmp_path / "zero.json"
+        path.write_text('{"k": 1, "metric": "manhattan", "points": [[%s, 1], [2, %s], [%s, 3]]}'
+                        % zeros)
+        return [[(type(x), x) for x in row] for row in load_instance_file(str(path), exact)[0].dist]
+
+    far = load(('"0e99999999"', '"-0.00E-99999999"', "0e99999999"))
+    assert far == load(('"0"', '"0"', "0.0" if exact else "0e0"))
+
+
+def test_an_exponent_under_no_digit_limit_is_read_in_full(tmp_path, monkeypatch):
+    # a limit of 0 lifts the bound: the power of ten is built as asked
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)
+    path = tmp_path / "big.json"
+    path.write_text('{"k": 1, "dist": [[0, "1e5000"], ["1e5000", 0]]}')
+    assert load_instance_file(str(path), True)[0].dist[0][1] == 10**5000
+
+
 @pytest.mark.parametrize("exact", [False, True])
 @pytest.mark.parametrize("doc", [
     dict(LINE4, planted={"assignment": [0, 0, 1, 1], "centers": [0, 2]}),
@@ -705,6 +761,24 @@ def test_oracle_past_its_work_cap(tmp_path, capsys):
     code, out, _ = run(capsys, "certify", "--input", str(path), "--falsify")
     assert code == 0
     assert json.loads(out)["falsifier"] == {"skipped": "instance too large for brute force"}
+
+
+def test_oracle_counts_center_sets_not_outlier_sets(tmp_path, capsys):
+    # C(60, 2) = 1770 center sets, each dropping its 3 farthest points; the
+    # 1770 * C(58, 3), about 5.5e7, outlier choices are never enumerated
+    path = tmp_path / "inst.json"
+    run(capsys, "generate", "--n", "60", "--k", "2", "--z", "3", "--mode", "outlier",
+        "--seed", "1", "--out", str(path))
+    planted = json.loads(path.read_text())["planted"]
+    code, out, err = run(capsys, "solve", "--input", str(path), "--method", "oracle",
+                         "--objective", "kmedian")
+    assert (code, err) == (0, "")
+    got, want = (Clustering(tuple(c["assignment"]), tuple(c["centers"])).partition_key()
+                 for c in (json.loads(out)["clustering"], planted))
+    assert got == want
+    code, out, _ = run(capsys, "certify", "--input", str(path), "--falsify")
+    assert code == 0
+    assert json.loads(out)["falsifier"]["verdict"] == "resilient-unrefuted"
 
 
 def test_asymmetric_file_defaults_to_asym_kc(tmp_path, capsys):

@@ -243,6 +243,19 @@ def test_min_radius_float_instance():
     assert outcome.feasible
 
 
+def test_no_feasible_candidate_radius_is_a_value_error():
+    # validate_metric lets an off-diagonal NaN through, and no threshold graph
+    # holds the NaN pairs: no single center covers the four points at any
+    # candidate radius, NaN (the largest) included
+    nan = float("nan")
+    inst = Instance([[0, 2, 1, nan], [2, 0, nan, 1], [1, nan, 0, 2], [nan, 1, 2, 0]], 1)
+    for search in (min_feasible_radius, certify):
+        with pytest.raises(ValueError, match=r"^no kc relaxation is feasible at any candidate "
+                                             r"radius, the largest being nan$"):
+            search(inst, KC)
+
+
+
 # ---------------------------------------------------------------------------
 # extract_integral and certify
 

@@ -130,6 +130,23 @@ def same_result(got, want):
     assert got.tie_witness == want.tie_witness
 
 
+@pytest.mark.parametrize("obj", ORACLE_OBJECTIVES[:3], ids=lambda obj: obj.name)
+def test_work_cap_counts_the_center_sets(obj):
+    # the z = 2 outliers of a center set are its two farthest points, so the
+    # work is the C(9, 2) = 36 center sets, not 36 * C(7, 2) = 756
+    inst = random_metric_instance(random.Random(5), 9, 2, z=2)
+    want = reference.brute_force(inst, obj)
+    got = brute_force(inst, obj, work_cap=36)
+    same_result(got, want)
+    # C(9, 1) = 9 sets of k - 1 centers, not 9 * C(8, 2) = 252
+    assert brute_force_kminus1_check(inst, got, work_cap=9) == \
+        reference.brute_force_kminus1_check(inst, want)
+    with pytest.raises(InstanceTooLarge, match=r"^C\(9,2\) = 36 center sets exceed cap 35$"):
+        brute_force(inst, obj, work_cap=35)
+    with pytest.raises(InstanceTooLarge, match=r"^C\(9,1\) = 9 center sets exceed cap 8$"):
+        brute_force_kminus1_check(inst, got, work_cap=8)
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     seed=st.integers(0, 10**6),
