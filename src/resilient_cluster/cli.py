@@ -37,6 +37,7 @@ from .core import (
     Clustering,
     Instance,
     InternalCheckFailed,
+    bounded_fraction,
     cost,
     objective_by_name,
     validate_metric,
@@ -78,20 +79,6 @@ def _integral(literal: str) -> bool:
     return literal.lstrip("-").isdigit()
 
 
-def _fraction(text: str, limit: int) -> Fraction:
-    """``Fraction(text)``, with a decimal exponent e past ``limit`` (0 is none)
-    plus the text's length cut to that bound plus one, so that no longer power
-    of ten is built: the number is 0, or past the limit, as it would be whole.
-    With its exponent's digits zeroed the text keeps the form Fraction checks."""
-    head, _, power = text.lower().partition("e")
-    e = int(power or 0) if limit else 0  # if int fails, so does Fraction
-    bound = limit + len(text) + 1
-    if abs(e) < bound:
-        return Fraction(text)
-    mantissa = Fraction(head + "e" + "".join("0" if c.isdecimal() else c for c in power))
-    return mantissa * 10**bound if e > 0 else mantissa / 10**bound
-
-
 def _number(x, name: str, exact: bool):
     """The number that ``x``, a value of the field ``name``, stands for:
 
@@ -116,18 +103,21 @@ def _number(x, name: str, exact: bool):
         if not literal:
             raise _Reread
         raise ValueError(f"{_cut(x)} overflows to {json.dumps(v)} as a float")
-    limit = sys.get_int_max_str_digits()
     try:
-        v = _fraction(x, limit) if isinstance(x, str) else None
-    except (ValueError, ZeroDivisionError):  # a literal fails only past the digit limit
+        if not isinstance(x, str):
+            raise ValueError
+        v = bounded_fraction(x)
+    except ValueError:
+        if not literal:  # a literal fails only past the digit limit
+            raise ValueError(f'"{name}" must be a JSON number or a rational string in every '
+                             f"entry, got {_cut(x)}") from None
         v = None
-    if v is None and not literal:
-        raise ValueError(f'"{name}" must be a JSON number or a rational string in every entry, '
-                         f"got {_cut(x)}")
-    m = 0 if v is None else max(abs(v.numerator), v.denominator)
-    if v is None or 0 < limit and m.bit_length() > 3 * limit and m >= 10**limit:
-        raise ValueError(f'"{name}" must be a JSON number of at most {limit} digits in its '
-                         f"numerator and denominator, got {_cut(x)}")
+    except OverflowError:
+        v = None
+    if v is None:
+        raise ValueError(f'"{name}" must be a JSON number of at most '
+                         f"{sys.get_int_max_str_digits()} digits in its numerator and "
+                         f"denominator, got {_cut(x)}")
     if literal:
         return v.numerator if v.denominator == 1 and _integral(x) else v
     if not exact:
@@ -214,8 +204,8 @@ def _read(text: str, path: str, exact: bool, literal: bool) -> tuple[Instance, C
                 raise ValueError("declared n does not match the matrix size")
             if "symmetric" in doc:
                 symmetric = _typed(doc["symmetric"], bool, "symmetric")
-            else:
-                symmetric = all(
+            else:  # a ragged matrix is left for Instance to reject
+                symmetric = all(len(row) == len(dist) for row in dist) and all(
                     dist[u][v] == dist[v][u]
                     for u in range(len(dist))
                     for v in range(u + 1, len(dist))
@@ -408,9 +398,11 @@ def cmd_generate(args) -> int:
     from . import generator
 
     try:
-        sigma = Fraction(args.sigma)
-    except (ValueError, ZeroDivisionError):
+        sigma = bounded_fraction(args.sigma)
+    except ValueError:
         raise CliError(f"--sigma must be a number or a rational string, got {args.sigma!r}")
+    except OverflowError as e:
+        raise CliError(f"--sigma: {e}")
     cfg = generator.GeneratorConfig(
         n=args.n,
         k=args.k,

@@ -9,6 +9,7 @@ verdicts are never a rounding artifact.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
@@ -135,6 +136,42 @@ def lp_norm(p) -> Objective:
     return Objective(p, "sum", f"lp:{p}")
 
 
+def finite_optimum(value, obj: Objective):
+    """``value``, the optimum a solver found under ``obj``, when it is finite.
+    An infinite one comes from float terms, or sums of them, past the float
+    range; every clustering then costs inf, and that is a ValueError."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"every clustering's {obj.name} cost overflows a float")
+    return value
+
+
+def bounded_fraction(text: str) -> Fraction:
+    """``Fraction(text)``, a ValueError when ``text`` is no number ("1/0"
+    included), and an OverflowError when its numerator or denominator has
+    more digits than Python converts (``sys.get_int_max_str_digits()``, 0 is
+    no limit). A decimal exponent e past that limit plus the text's length is
+    cut to that bound plus one, so that no longer power of ten is built: the
+    number is 0, or past the limit, as it would be whole. With its exponent's
+    digits zeroed the text keeps the form Fraction checks."""
+    limit = sys.get_int_max_str_digits()
+    head, _, power = text.lower().partition("e")
+    try:
+        e = int(power or 0) if limit else 0  # if int fails, so does Fraction
+        bound = limit + len(text) + 1
+        if abs(e) < bound:
+            v = Fraction(text)
+        else:
+            v = Fraction(head + "e" + "".join("0" if c.isdecimal() else c for c in power))
+            v = v * 10**bound if e > 0 else v / 10**bound
+    except ZeroDivisionError:
+        raise ValueError(f"{text!r} divides by zero") from None
+    m = max(abs(v.numerator), v.denominator)
+    if 0 < limit and m.bit_length() > 3 * limit and m >= 10**limit:
+        raise OverflowError(f"{text!r} has more than {limit} digits in its numerator "
+                            "or denominator")
+    return v
+
+
 def objective_by_name(name: str) -> Objective:
     if name == "kcenter":
         return KCENTER
@@ -144,9 +181,11 @@ def objective_by_name(name: str) -> Objective:
         return KMEANS
     if name.startswith("lp:"):
         try:
-            p = Fraction(name[3:])
-        except ZeroDivisionError:
-            raise ValueError(f"p must be a number, got {name[3:]!r}") from None
+            p = bounded_fraction(name[3:])
+        except ValueError:
+            raise ValueError(f"lp:P must have a number P, got {name[3:]!r}") from None
+        except OverflowError as e:
+            raise ValueError(f"lp:P: {e}") from None
         return lp_norm(p)
     raise ValueError(f"unknown objective {name!r}")
 

@@ -41,24 +41,25 @@ LP's and the integral optimum. When the check or the recovery fails, one
 more pass starts at the last point taken; when that misses too, the search
 below decides, and only the search answers NOT_2PR.
 
-:func:`min_feasible_radius` runs one binary search with float probes, then
-confirms its boundary exactly: at R* and at the candidate below. The LP at a
-radius reads only the 0/1 matrix G, so this holds for int, Fraction and float
-instances alike, and every outcome that leaves this module is confirmed.
-Every LP is solved in float64 only (:mod:`.simplex`); exactness comes from
+:func:`solve_lp` solves the reduced LP at one radius in float64
+(:mod:`.simplex`) and checks the answer exactly; exactness comes from
 checking, never from pivoting in rationals. The float primal and dual are
 rationalized with ``Fraction.limit_denominator``, and :func:`_check_lp` must
 accept them as an optimal pair (for KCO the primal is y with
-t_v = min(1, y(N_in(v)))), which proves the exact optimum ``bound``; by
-monotonicity, the optimum at R* and the one at the candidate below pin R*.
-When the check fails (an optimum whose denominator exceeds
-``SNAP_DENOMINATOR``, say), the float solve's final basis B is solved
-exactly instead: B x_B = b and B^T y = c_B by integer Bareiss elimination,
-which gives that basis's vertex and its duals, and the same check must
-accept them. When it does not, the float solve cannot be confirmed, and
+t_v = min(1, y(N_in(v)))), which proves the exact optimum ``bound``. When the
+check fails (an optimum whose denominator exceeds ``SNAP_DENOMINATOR``, say),
+the float solve's final basis B is solved exactly instead: B x_B = b and
+B^T y = c_B by integer Bareiss elimination, which gives that basis's vertex
+and its duals, and the same check must accept them. When it does not,
 :class:`.SolverPrecisionExceeded` names the radius and the reason; exactness
-is never dropped silently. At R* :func:`extract_integral` runs the packing
-route's component recovery first, so both routes give the same partition.
+is never dropped silently. The LP at a radius reads only the 0/1 matrix G, so
+this holds for int, Fraction and float instances alike.
+
+:func:`min_feasible_radius` is one binary search over the candidate radii,
+and every probe it reads is such a checked outcome. By monotonicity the
+exact optimum at R* and the one at the candidate below pin R*. At R*
+:func:`extract_integral` runs the packing route's component recovery first,
+so both routes give the same partition.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ import operator
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -97,8 +98,6 @@ NOT_2PR = "NOT_2PR"
 PACKING = "packing"
 SEARCH = "search"
 
-# Float probes compare their LP value with k or n - z within this slack.
-FEASIBILITY_TOL = 1e-9
 # Float solutions are rationalized to the closest fraction with at most this
 # denominator.
 SNAP_DENOMINATOR = 10**6
@@ -110,10 +109,8 @@ class LpOutcome:
 
     ``bound`` is the LP value, compared with k (KC, asym-KC) or n - z (KCO);
     ``y`` is the primal and ``certificate`` the dual solution (see the module
-    docstring). Every outcome this module returns was checked exactly: its
-    entries are Fractions, ``bound`` is the LP optimum and ``certificate``
-    proves it, and ``_basis`` is empty. The search's unchecked float probes
-    keep their final simplex basis instead, which the confirmation may solve.
+    docstring). Every outcome was checked exactly: its entries are
+    Fractions, ``bound`` is the LP optimum and ``certificate`` proves it.
     """
 
     feasible: bool
@@ -124,7 +121,6 @@ class LpOutcome:
     bound: object
     certificate: tuple
     _graph: np.ndarray = field(repr=False, compare=False)
-    _basis: tuple = field(repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -174,14 +170,39 @@ def _check_formulation(inst: Instance, formulation: str) -> None:
 
 
 def solve_lp(inst: Instance, R, formulation: str) -> LpOutcome:
-    """Feasibility of the chosen relaxation at radius R, with both LP sides.
+    """Feasibility of the chosen relaxation at radius R, with both LP sides,
+    checked exactly whatever the instance's number type, so ``bound`` is the
+    LP optimum.
 
-    The LP is solved in floating point and then confirmed exactly (see
-    :func:`_confirmed`), whatever the instance's number type, so ``bound`` is
-    the LP optimum.
+    The reduced LP is solved in floating point; its rationalized primal and
+    dual must pass :func:`_exact_outcome`, or else the vertex of the float
+    solve's final basis, solved exactly, must. Raises
+    :class:`SolverPrecisionExceeded`, naming the radius, when neither does.
     """
     _check_formulation(inst, formulation)
-    return _confirmed(inst, _float_probe(inst, R, formulation))
+    G = build_threshold_graph(inst, R)
+    c, A, b = _reduced_lp(G, formulation, inst.k)
+    try:
+        res = maximize(c, A, b)
+    except SolverPrecisionExceeded as e:
+        raise SolverPrecisionExceeded(f"at radius {R}: {e}") from None
+    if res.status != SIMPLEX_OPTIMAL:
+        # the reduced LPs are bounded by construction: an unbounded float
+        # solve is a rounding failure, as a stall is
+        raise SolverPrecisionExceeded(f"at radius {R}: the float solve came back {res.status}, "
+                                      "but the reduced LP is bounded")
+    sides = _lp_sides(formulation, inst.n, _rationalize(res.x), _rationalize(res.duals))
+    exact = _exact_outcome(inst, G, R, formulation, *sides)
+    if isinstance(exact, str):
+        solved = _basis_solution(c, A, b, res.basis)
+        if solved is None:
+            exact = "the basis is singular"
+        else:
+            exact = _exact_outcome(inst, G, R, formulation,
+                                   *_lp_sides(formulation, inst.n, *solved))
+    if isinstance(exact, str):
+        raise SolverPrecisionExceeded(f"at radius {R}: exact solve of the float basis: {exact}")
+    return exact
 
 
 def _reduced_lp(G: np.ndarray, formulation: str, k: int) -> tuple:
@@ -203,26 +224,6 @@ def _reduced_lp(G: np.ndarray, formulation: str, k: int) -> tuple:
 def _lp_sides(formulation: str, n: int, x, duals) -> tuple:
     """(y, certificate) from the reduced LP's primal x and duals."""
     return (x[:n], duals) if formulation == KCO else (duals, x)
-
-
-def _float_probe(inst: Instance, R, formulation: str) -> LpOutcome:
-    """The unchecked float solve at R, carrying its final simplex basis. It
-    only steers the search; ``integral`` is left False, since only a confirmed
-    outcome can say that y is 0/1."""
-    G = build_threshold_graph(inst, R)
-    try:
-        res = maximize(*_reduced_lp(G, formulation, inst.k))
-    except SolverPrecisionExceeded as e:
-        raise SolverPrecisionExceeded(f"at radius {R}: {e}") from None
-    if res.status != SIMPLEX_OPTIMAL:
-        # the reduced LPs are bounded by construction: an unbounded float
-        # solve is a rounding failure, as a stall is
-        raise SolverPrecisionExceeded(f"at radius {R}: the float solve came back {res.status}, "
-                                      "but the reduced LP is bounded")
-    y, dual = _lp_sides(formulation, inst.n, res.x, res.duals)
-    feasible = _feasible(inst, formulation, res.value, FEASIBILITY_TOL)
-    return LpOutcome(feasible, tuple(y), False, R, formulation, res.value, tuple(dual), G,
-                     res.basis)
 
 
 def _is_integral(G, y, formulation) -> bool:
@@ -291,11 +292,11 @@ def _check_lp(c, A, b, x=None, y=None) -> str | None:
     return None
 
 
-def _feasible(inst: Instance, formulation: str, value, tol) -> bool:
-    """The LP value reaches n - z (KCO), or stays within k, up to ``tol``."""
+def _feasible(inst: Instance, formulation: str, value) -> bool:
+    """The LP value reaches n - z (KCO), or stays within k."""
     if formulation == KCO:
-        return value >= inst.n - inst.z - tol
-    return value <= inst.k + tol
+        return value >= inst.n - inst.z
+    return value <= inst.k
 
 
 def _exact_outcome(inst, G, R, formulation, y, dual) -> LpOutcome | str:
@@ -314,9 +315,9 @@ def _exact_outcome(inst, G, R, formulation, y, dual) -> LpOutcome | str:
     if reason is not None:
         return reason
     bound = Fraction(_dot(c, primal[0]), primal[1])
-    feasible = _feasible(inst, formulation, bound, 0)
+    feasible = _feasible(inst, formulation, bound)
     integral = feasible and _is_integral(G, y, formulation)
-    return LpOutcome(feasible, tuple(y), integral, R, formulation, bound, tuple(dual), G, ())
+    return LpOutcome(feasible, tuple(y), integral, R, formulation, bound, tuple(dual), G)
 
 
 # ---------------------------------------------------------------------------
@@ -385,74 +386,32 @@ def _basis_solution(c, A, b, basis) -> tuple[list, list] | None:
     return x, [Fraction(v, dual[1]) for v in dual[0]]
 
 
-def _confirmed(inst: Instance, outcome: LpOutcome) -> LpOutcome:
-    """The exact outcome at a float probe's radius: its rationalized primal
-    and dual when :func:`_exact_outcome` accepts them, else the vertex of its
-    final basis solved exactly, checked the same way. Raises
-    :class:`SolverPrecisionExceeded`, naming the radius, when neither does."""
-    G, R, formulation = outcome._graph, outcome.radius, outcome.formulation
-    exact = _exact_outcome(inst, G, R, formulation,
-                           _rationalize(outcome.y), _rationalize(outcome.certificate))
-    if isinstance(exact, str):
-        solved = _basis_solution(*_reduced_lp(G, formulation, inst.k), outcome._basis)
-        if solved is None:
-            exact = "the basis is singular"
-        else:
-            exact = _exact_outcome(inst, G, R, formulation,
-                                   *_lp_sides(formulation, inst.n, *solved))
-    if isinstance(exact, str):
-        raise SolverPrecisionExceeded(f"at radius {R}: exact solve of the float basis: {exact}")
-    return exact
-
-
 # ---------------------------------------------------------------------------
 # radius search
 
 
 def min_feasible_radius(inst: Instance, formulation: str) -> tuple[object, LpOutcome]:
     """Smallest candidate radius (distinct distance value) whose relaxation is
-    feasible: one binary search, then one check.
+    feasible, with its outcome: one binary search over :func:`solve_lp`.
 
-    The search probes in floating point and caches each probe by candidate
-    index; a confirmation replaces the cached probe, so no radius is solved
-    or confirmed twice. Its boundary is then confirmed, whatever the
-    instance's number type: the probes at R* and at the candidate below are
-    confirmed exactly by :func:`_confirmed`, and
-    by monotonicity these two facts pin R*. If a confirmed probe moves the
-    boundary, the same search goes on with every probe confirmed. A probe
-    that cannot be confirmed raises :class:`.SolverPrecisionExceeded`.
+    Every probe is checked exactly and cached by candidate index, so no
+    radius is solved twice. Once the search ends, the candidate below R* was
+    probed infeasible and R* feasible, and by monotonicity these two facts
+    pin R*. A probe that cannot be checked raises
+    :class:`.SolverPrecisionExceeded`.
     """
     _check_formulation(inst, formulation)
     cands = inst.distinct_distances()
-    probes: dict[int, LpOutcome] = {}
-
-    def probe(idx: int, confirm: bool) -> LpOutcome:
-        outcome = probes.get(idx)
-        if outcome is None:
-            outcome = probes[idx] = _float_probe(inst, cands[idx], formulation)
-        # a float probe keeps its basis (m >= 1 rows); a confirmed one keeps none
-        if confirm and outcome._basis:
-            outcome = probes[idx] = _confirmed(inst, outcome)
-        return outcome
-
-    confirm = False
-    lo, hi = 0, len(cands) - 1
-    while True:
-        lo = bisect_left(range(len(cands)), True, lo, hi,
-                         key=lambda i: probe(i, confirm).feasible)
-        # lo was probed feasible, or it is the largest distance, where every
-        # relaxation is feasible
-        outcome = probe(lo, True)
-        if not outcome.feasible:
-            if lo == len(cands) - 1:  # a NaN distance can leave G_R incomplete
-                raise ValueError(f"no {formulation} relaxation is feasible at any candidate "
-                                 f"radius, the largest being {cands[lo]}")
-            lo, hi, confirm = lo + 1, len(cands) - 1, True
-            continue
-        if lo > 0 and probe(lo - 1, True).feasible:
-            lo, hi, confirm = 0, lo - 1, True
-            continue
-        return cands[lo], outcome
+    probe = cache(lambda i: solve_lp(inst, cands[i], formulation))
+    top = len(cands) - 1
+    # the largest distance is left out of the bisection: every relaxation is
+    # feasible there
+    lo = bisect_left(range(top), True, key=lambda i: probe(i).feasible)
+    outcome = probe(lo)
+    if not outcome.feasible:  # a NaN distance can leave G_R incomplete
+        raise ValueError(f"no {formulation} relaxation is feasible at any candidate "
+                         f"radius, the largest being {cands[top]}")
+    return cands[lo], outcome
 
 
 def _undirected_components(G: np.ndarray) -> list[np.ndarray]:
@@ -587,7 +546,7 @@ def _packing_reason(inst: Instance, G: np.ndarray, points, formulation: str) -> 
         reason, value = _check_lp(c, A, b, y=(dual, 1)), _dot(b, dual)
     else:
         reason, value = _check_lp(c, A, b, x=(p, 1)), _dot(c, p)
-    if reason is None and _feasible(inst, formulation, value, 0):
+    if reason is None and _feasible(inst, formulation, value):
         bound = f"below n - z = {inst.n - inst.z}" if formulation == KCO else f"above k = {inst.k}"
         return f"value: {value} is not {bound}"
     return reason

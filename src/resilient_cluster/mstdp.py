@@ -55,6 +55,7 @@ from .core import (
     InternalCheckFailed,
     Objective,
     cost,
+    finite_optimum,
     term_matrix,
 )
 
@@ -351,11 +352,16 @@ def solve_btp(inst: Instance, btree: BinaryTree, obj: Objective) -> Clustering:
     def base(u: int) -> np.ndarray:
         return E[:, u] if u < n_real else zero
 
-    tab, M, inside = _forward(btree, base, K, T, combine, E.dtype)
+    # inf marks a state with no partition, and a float sum past the float
+    # range comes out inf as well
+    with np.errstate(over="ignore"):
+        tab, M, inside = _forward(btree, base, K, T, combine, E.dtype)
 
     root_cells = tab[k, :, btree.root]  # [t, c], c ascending with OUT last
     flat = int(np.argmin(root_cells))
     best_val = root_cells.flat[flat]
+    if not exact:
+        finite_optimum(best_val, obj)
     if not best_val < INF:
         raise Infeasible("no feasible partition into k clusters within the outlier budget")
 

@@ -78,6 +78,7 @@ from .core import (
     Clustering,
     Instance,
     Objective,
+    finite_optimum,
     relative_tol,
     term_map,
 )
@@ -300,11 +301,14 @@ def brute_force(inst: Instance, obj: Objective, work_cap: int = DEFAULT_WORK_CAP
 
     best_value = None
     blocks = 0
-    for C in _blocks(n, k):
-        last = C, _evaluate(D, term, obj, z, C)
-        blocks += 1
-        best_value = _lowest(last[1], best_value, vtol)
-    best_value = _python_number(best_value, last[1], exact)
+    # a float sum past the float range comes out inf: finite_optimum reports
+    # it when every value is inf
+    with np.errstate(over="ignore"):
+        for C in _blocks(n, k):
+            last = C, _evaluate(D, term, obj, z, C)
+            blocks += 1
+            best_value = _lowest(last[1], best_value, vtol)
+    best_value = finite_optimum(_python_number(best_value, last[1], exact), obj)
 
     # Second pass, on the one block still at hand or on every block evaluated
     # again: the optimal sets, in order, against the first one's partition.

@@ -1,17 +1,17 @@
-"""Dense-tableau float64 simplex with Bland's rule and a stall fallback.
+"""Dense-tableau float64 simplex: Dantzig's rule, Bland's on a stall.
 
 Handles max c.x subject to A x <= b, x >= 0 with b >= 0 — the shape every LP
 in this package takes once cast as a packing / bounded-coverage problem — so
 the all-slack basis is feasible and no phase-1 is needed.
 
-Bland's rule picks the first column with a positive reduced cost and, among
-the rows of minimum ratio, the one whose basic variable has the lowest index.
-In exact arithmetic that rules out cycling; in float64 rounding can still
-make it cycle on a degenerate vertex. So after ``max_iters`` Bland pivots the
-entering column becomes the one with the largest reduced cost (Dantzig's
-rule), and after as many again the solve gives up with
-:class:`SolverPrecisionExceeded`. Every solve that converges within the first
-budget takes exactly Bland's pivots.
+Dantzig's rule enters the column with the largest reduced cost; among the
+rows of minimum ratio the one whose basic variable has the lowest index
+leaves. On the certifier's degenerate 0/1 packing LPs it takes far fewer
+pivots than Bland's rule, but it can cycle. So after ``max_iters`` pivots
+the first column with a positive reduced cost enters (Bland's rule, which
+cannot cycle in exact arithmetic), and after as many again the solve gives
+up with :class:`SolverPrecisionExceeded`. A solve that converges within the
+first budget takes exactly Dantzig's pivots.
 
 The result is a float solution and its final basis; nothing here is exact.
 The certifier rationalizes the solution, or solves that basis exactly, and
@@ -81,8 +81,8 @@ def maximize(c, A, b) -> SimplexResult:
         positive = np.flatnonzero(zrow > tol)
         if not len(positive):
             break
-        # Bland's rule; past its budget, Dantzig's rule breaks a float cycle
-        enter = positive[0] if iters < max_iters else positive[np.argmax(zrow[positive])]
+        # Dantzig's rule; past its budget, Bland's rule breaks a cycle
+        enter = positive[np.argmax(zrow[positive])] if iters < max_iters else positive[0]
         col = T[:m, enter]
         cand = np.flatnonzero(col > tol)
         if not len(cand):

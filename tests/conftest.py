@@ -61,6 +61,14 @@ def random_metric_instance(rng: random.Random, n, k, z=0, high=60) -> Instance:
     return Instance(_closure(raw), k, z, symmetric=True)
 
 
+def unplanted_instance(seed, n, z=0) -> Instance:
+    """A random metric with nothing planted: ``random.Random(seed)`` draws a
+    weight in 1..1000 for each pair u < v in row-major order, the matrix is
+    closed, and k = n // 10. The LP search decides it, on degenerate 0/1
+    packing LPs."""
+    return random_metric_instance(random.Random(seed), n, n // 10, z=z, high=1000)
+
+
 def random_directed_metric_instance(rng: random.Random, n, k, z=0, high=60) -> Instance:
     raw = [[0 if u == v else rng.randint(1, high) for v in range(n)] for u in range(n)]
     return Instance(_closure(raw), k, z, symmetric=False)

@@ -172,26 +172,24 @@ def test_check_lp_reads_values_past_int64():
 
 
 def count_solves(monkeypatch, corrupt_at=None, corrupt=None):
-    """Wrap lp._float_probe to corrupt the float outcome at one radius, and
-    lp._basis_solution to record the radius of each exact basis solve, as
-    the wrapped lp._confirmed that calls it was given."""
-    real_probe, real_confirmed, real_basis = lp._float_probe, lp._confirmed, lp._basis_solution
-    basis_radii, confirming = [], []
+    """Wrap lp._exact_outcome to corrupt the first pair checked at one radius
+    (the rationalized float solve), and lp._basis_solution to record the
+    radius of each exact basis solve, as the check before it was given."""
+    real_exact, real_basis = lp._exact_outcome, lp._basis_solution
+    basis_radii, checking, pending = [], [], {corrupt_at}
 
-    def probe(inst, R, formulation):
-        out = real_probe(inst, R, formulation)
-        return corrupt(out) if R == corrupt_at else out
-
-    def confirmed(inst, outcome):
-        confirming[:] = [outcome.radius]
-        return real_confirmed(inst, outcome)
+    def exact(inst, G, R, formulation, y, dual):
+        checking[:] = [R]
+        if R in pending:
+            pending.discard(R)
+            y, dual = corrupt(y, dual)
+        return real_exact(inst, G, R, formulation, y, dual)
 
     def basis(c, A, b, basis):
-        basis_radii.extend(confirming)
+        basis_radii.extend(checking)
         return real_basis(c, A, b, basis)
 
-    monkeypatch.setattr(lp, "_float_probe", probe)
-    monkeypatch.setattr(lp, "_confirmed", confirmed)
+    monkeypatch.setattr(lp, "_exact_outcome", exact)
     monkeypatch.setattr(lp, "_basis_solution", basis)
     return basis_radii
 
@@ -201,8 +199,8 @@ def corruption(inst, formulation, side):
     fails its check), below R* a zero dual (it proves nothing)."""
     r_star, below = boundary(inst, formulation)
     if side == "at R*":
-        return r_star, lambda o: dataclasses.replace(o, y=(0.0,) * len(o.y))
-    return below, lambda o: dataclasses.replace(o, certificate=(0.0,) * len(o.certificate))
+        return r_star, lambda y, dual: ([Fraction(0)] * len(y), dual)
+    return below, lambda y, dual: (y, [Fraction(0)] * len(dual))
 
 
 def greedy_misses(monkeypatch):
@@ -241,9 +239,9 @@ def test_certify_falls_back_to_the_search_when_the_greedy_misses(monkeypatch):
 @pytest.mark.parametrize("numbers", ["int", "float"])
 @pytest.mark.parametrize("side", ["at R*", "below R*"])
 def test_float_probe_that_moves_the_boundary_is_overruled(monkeypatch, numbers, side):
-    """A float probe that wrongly reports R* infeasible pulls the float search
-    above R*, and one that wrongly reports the candidate below feasible pulls
-    it below; the exact check at the boundary sends the search back. A float
+    """A float solve that wrongly puts R* past k (its optimum doubled), or
+    the candidate below within k (halved), fails its exact check there; the
+    basis solve at that radius alone keeps the boundary where it is. A float
     instance (distances divided by 7) takes the same check."""
     inst, planted_clustering = generate(GeneratorConfig(n=16, k=3, seed=1))
     if numbers == "float":
@@ -253,17 +251,27 @@ def test_float_probe_that_moves_the_boundary_is_overruled(monkeypatch, numbers, 
     expected = certify(inst, KC)
     assert expected.lp_radius == (996 if numbers == "int" else 996 / 7)
     r_star, below = boundary(inst, KC)
-    wrong_at, wrong_feasible = (r_star, False) if side == "at R*" else (below, True)
-    real = lp._float_probe
+    wrong_at, f = (r_star, 2) if side == "at R*" else (below, 0.5)
+    basis_radii = count_solves(monkeypatch)
+    real_solve, real_float = lp.solve_lp, lp.maximize
+    solving = []
 
-    def wrong(inst_, R, formulation):
-        out = real(inst_, R, formulation)
-        if R == wrong_at:
-            out = dataclasses.replace(out, feasible=wrong_feasible)
-        return out
+    def solve(inst_, R, formulation):
+        solving[:] = [R]
+        return real_solve(inst_, R, formulation)
 
-    monkeypatch.setattr(lp, "_float_probe", wrong)
+    def wrong(c, A, b):
+        res = real_float(c, A, b)
+        if solving == [wrong_at]:
+            assert (res.value * f <= inst.k) != (res.value <= inst.k)
+            res = dataclasses.replace(res, x=tuple(v * f for v in res.x), value=res.value * f,
+                                      duals=tuple(v * f for v in res.duals))
+        return res
+
+    monkeypatch.setattr(lp, "solve_lp", solve)
+    monkeypatch.setattr(lp, "maximize", wrong)
     verdict = lp.certify(inst, KC)
+    assert basis_radii == [wrong_at]
     assert verdict.kind == OPTIMAL and verdict.route == lp.SEARCH
     assert verdict.lp_radius == expected.lp_radius
     assert verdict.clustering == expected.clustering

@@ -185,14 +185,11 @@ def test_inconsistent_reported_cost_exit_4(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("batch", [False, True])
 def test_unconfirmed_float_solve_exit_5(tmp_path, capsys, monkeypatch, batch):
     from resilient_cluster import lp
-    from resilient_cluster.simplex import SolverPrecisionExceeded
-
-    def unconfirmed(inst, outcome):
-        raise SolverPrecisionExceeded(f"at radius {outcome.radius}: injected")
 
     path = tmp_path / "gap.json"
     path.write_text(json.dumps(_gap_instance_doc()))
-    monkeypatch.setattr(lp, "_confirmed", unconfirmed)
+    # every check fails, on the rationalized float solve and on its basis
+    monkeypatch.setattr(lp, "_exact_outcome", lambda *args: "injected")
     code, out, err = run(capsys, "certify", "--input", str(tmp_path if batch else path))
     assert code == 5
     assert out == ""
@@ -570,16 +567,16 @@ def test_long_integer_before_a_syntax_error_reports_the_syntax_error(tmp_path, c
 
 
 def _refuse_far_exponents(monkeypatch):
-    """Make ``cli.Fraction`` refuse a text with the exponent 99999999, whose
-    power of ten would hold the loader for minutes."""
-    from resilient_cluster import cli
+    """Make every ``Fraction`` refuse a text with the exponent 99999999, whose
+    power of ten would hold the reader for minutes."""
+    real = Fraction.__new__
 
-    def fraction(x=0, *rest):
+    def fraction(cls, x=0, *rest, **kwargs):
         if isinstance(x, str) and "99999999" in x:
             raise AssertionError(f"Fraction({x!r}) builds a power of ten of 10**8 digits")
-        return Fraction(x, *rest)
+        return real(cls, x, *rest, **kwargs)
 
-    monkeypatch.setattr(cli, "Fraction", fraction)
+    monkeypatch.setattr(Fraction, "__new__", fraction)
 
 
 @pytest.mark.parametrize("literal, exact", [
@@ -709,6 +706,53 @@ def test_batch_reports_the_good_file_next_to_an_unparsable_one(tmp_path, capsys)
     assert json.loads(out)["verdict"] == "OPTIMAL"
     assert err == (f'error: {bad}: "dist" must be a JSON number or a rational string in '
                    'every entry, got "1/0"\n')
+
+
+@pytest.mark.parametrize("sigma", ["1e99999999", "2.5E-99999999"])
+def test_generate_sigma_with_a_far_exponent_exits_1_at_once(tmp_path, capsys, monkeypatch,
+                                                             sigma):
+    _refuse_far_exponents(monkeypatch)
+    out = tmp_path / "x.json"
+    code, _, err = run(capsys, "generate", "--n", "10", "--k", "2", "--sigma", sigma,
+                       "--out", str(out))
+    assert code == 1
+    assert err == (f"error: --sigma: {sigma!r} has more than {sys.get_int_max_str_digits()} "
+                   "digits in its numerator or denominator\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("p", ["1e99999999", "1e-99999999"])
+def test_lp_objective_with_a_far_exponent_exits_1_at_once(tmp_path, capsys, monkeypatch, p):
+    _refuse_far_exponents(monkeypatch)
+    path = tmp_path / "l.json"
+    path.write_text(json.dumps({"k": 1, "dist": [[0, 1], [1, 0]]}))
+    code, out, err = run(capsys, "solve", "--input", str(path), "--method", "oracle",
+                         "--objective", f"lp:{p}")
+    assert (code, out) == (1, "")
+    assert err == (f"error: lp:P: {p!r} has more than {sys.get_int_max_str_digits()} "
+                   "digits in its numerator or denominator\n")
+
+
+def test_ragged_matrix_without_symmetric_exits_1(tmp_path, capsys):
+    path = tmp_path / "ragged.json"
+    path.write_text(json.dumps({"k": 1, "dist": [[0, 1], [1, 0], [1, 2]]}))
+    code, out, err = run(capsys, "certify", "--input", str(path))
+    assert (code, out) == (1, "")
+    assert err == f"error: {path}: dist must be a nonempty square matrix\n"
+
+
+@pytest.mark.parametrize("method", ["oracle", "mstdp"])
+def test_float_sums_past_the_float_range_exit_1(tmp_path, capsys, method):
+    """Every k-median cost of three points 1e308 apart with one center is
+    2e308, past the float range: both outlier solvers say so, and nothing
+    else."""
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps({"k": 1, "dist": [[0 if u == v else 1e308 for v in range(3)]
+                                                 for u in range(3)]}))
+    code, out, err = run(capsys, "solve", "--input", str(path), "--method", method,
+                         "--objective", "kmedian")
+    assert (code, out) == (1, "")
+    assert err == "error: every clustering's kmedian cost overflows a float\n"
 
 
 @pytest.mark.parametrize("sigma", ["1/0", "abc"])

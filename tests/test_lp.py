@@ -40,6 +40,7 @@ from conftest import (
     random_metric_instance,
     ring_union_instance,
     uniform_instance,
+    unplanted_instance,
 )
 
 
@@ -404,28 +405,29 @@ def test_unconfirmable_basis_names_the_radius_and_the_reason(monkeypatch, line4)
 
 
 def count_basis_solves(monkeypatch):
-    """The radius of each exact basis solve, as the lp._confirmed that calls
-    lp._basis_solution was given."""
+    """The radius of each exact basis solve, as the lp._exact_outcome whose
+    failed check precedes lp._basis_solution was given."""
     from resilient_cluster import lp as lp_mod
 
-    real_confirmed, real_basis = lp_mod._confirmed, lp_mod._basis_solution
-    radii, confirming = [], []
+    real_exact, real_basis = lp_mod._exact_outcome, lp_mod._basis_solution
+    radii, checking = [], []
 
-    def confirmed(inst, outcome):
-        confirming[:] = [outcome.radius]
-        return real_confirmed(inst, outcome)
+    def exact(inst, G, R, formulation, y, dual):
+        checking[:] = [R]
+        return real_exact(inst, G, R, formulation, y, dual)
 
     def counted(c, A, b, basis):
-        radii.extend(confirming)
+        radii.extend(checking)
         return real_basis(c, A, b, basis)
 
-    monkeypatch.setattr(lp_mod, "_confirmed", confirmed)
+    monkeypatch.setattr(lp_mod, "_exact_outcome", exact)
     monkeypatch.setattr(lp_mod, "_basis_solution", counted)
     return radii
 
 
 @pytest.mark.parametrize("seed,k,bound,basis_solves,scale", [
-    # float Bland's rule cycles at radius 1; the rationalized optimum checks
+    # Bland's rule alone cycles in float at radius 1; Dantzig's converges, and
+    # the rationalized optimum checks
     pytest.param(44, 10, Fraction(1407, 152), 0, 1, id="s44"),
     # the optimum's denominator exceeds SNAP_DENOMINATOR; the basis is solved
     pytest.param(83, 4, Fraction(6047901, 1669313), 1, 1, id="s83"),
@@ -477,8 +479,8 @@ def search_instances(family):
 
 @pytest.mark.parametrize("family,wrong", [
     ("s44", None), ("s83", None), ("random", None),
-    # a float probe that lies at R* or just below moves the boundary, and the
-    # search goes on with every probe confirmed
+    # a float solve that lies at R* or just below fails its check there, and
+    # the exact basis solve keeps the boundary where it is
     ("planted", "at R*"), ("planted", "below R*"),
 ])
 def test_search_solves_and_confirms_each_radius_once(monkeypatch, family, wrong):
@@ -486,42 +488,80 @@ def test_search_solves_and_confirms_each_radius_once(monkeypatch, family, wrong)
     once: no radius is float-solved twice, and none is confirmed twice."""
     from resilient_cluster import lp as lp_mod
 
+    lie = {}
     if family == "planted":
         inst = generate(GeneratorConfig(n=16, k=3, seed=1))[0]
         r_star, _ = min_feasible_radius(inst, KC)
         below = max(r for r in inst.distinct_distances() if r < r_star)
-        wrong_at = r_star if wrong == "at R*" else below
-        real_probe = lp_mod._float_probe
-
-        def lying(inst_, R, formulation):
-            out = real_probe(inst_, R, formulation)
-            return replace(out, feasible=not out.feasible) if R == wrong_at else out
-
-        monkeypatch.setattr(lp_mod, "_float_probe", lying)
+        # twice the float optimum packs past k at R*, half of it within k below
+        lie = {r_star: 2} if wrong == "at R*" else {below: 0.5}
         pairs = [(inst, KC)]
     else:
         pairs = search_instances(family)
     floats, confirms = [], []
-    float_probe, confirmed = lp_mod._float_probe, lp_mod._confirmed
+    solve, float_solve = lp_mod.solve_lp, lp_mod.maximize
 
-    def counted_probe(inst_, R, formulation):
+    def counted_solve(inst_, R, formulation):
+        confirms.append(R)
+        return solve(inst_, R, formulation)
+
+    def counted_float(c, A, b):
+        R = confirms[-1]
         floats.append(R)
-        return float_probe(inst_, R, formulation)
+        res = float_solve(c, A, b)
+        f = lie.get(R, 1)
+        return replace(res, x=tuple(v * f for v in res.x), value=res.value * f,
+                       duals=tuple(v * f for v in res.duals))
 
-    def counted_confirm(inst_, outcome):
-        confirms.append(outcome.radius)
-        return confirmed(inst_, outcome)
-
-    monkeypatch.setattr(lp_mod, "_float_probe", counted_probe)
-    monkeypatch.setattr(lp_mod, "_confirmed", counted_confirm)
+    monkeypatch.setattr(lp_mod, "solve_lp", counted_solve)
+    monkeypatch.setattr(lp_mod, "maximize", counted_float)
     for inst, formulation in pairs:
         floats.clear()
         confirms.clear()
-        lp_mod.min_feasible_radius(inst, formulation)
+        found, _ = lp_mod.min_feasible_radius(inst, formulation)
         assert len(set(floats)) == len(floats) and len(set(confirms)) == len(confirms)
         assert confirms and set(confirms) <= set(floats)
         if wrong is not None:
-            assert len(confirms) > 2
+            assert found == r_star and len(confirms) > 2
+
+
+def highs_value(inst, R, formulation):
+    """The optimum of the reduced LP at R by HiGHS, written from G: the
+    packing max sum(p) s.t. G p <= 1, or for KCO the bounded coverage
+    max sum(t) s.t. t_v <= y(N_in(v)), t <= 1, sum(y) <= k."""
+    from scipy.optimize import linprog
+
+    G = build_threshold_graph(inst, R).astype(float)
+    n = inst.n
+    if formulation != KCO:
+        res = linprog(-np.ones(n), A_ub=G, b_ub=np.ones(n), method="highs")
+    else:
+        A = np.block([[-G.T, np.eye(n)], [np.zeros((1, n)) + 1, np.zeros((1, n))]])
+        b = np.concatenate([np.zeros(n), [inst.k]])
+        bounds = [(0, None)] * n + [(0, 1)] * n
+        res = linprog(np.concatenate([np.zeros(n), -np.ones(n)]), A_ub=A, b_ub=b,
+                      bounds=bounds, method="highs")
+    assert res.status == 0
+    return -res.fun
+
+
+@pytest.mark.parametrize("formulation,n,z", [(KC, 80, 0), (KCO, 60, 3)], ids=["kc", "kco"])
+@pytest.mark.parametrize("seed", range(10))
+def test_unplanted_metrics_get_a_verdict(formulation, n, z, seed):
+    """Every unplanted draw gets a verdict from the search, and the exact LP
+    optimum at R* (feasible) and at the candidate below (infeasible) is the
+    one HiGHS finds."""
+    inst = unplanted_instance(seed, n, z)
+    verdict = certify(inst, formulation)
+    assert verdict.kind in (OPTIMAL, NOT_2PR)
+    r_star = verdict.lp_radius
+    below = max(r for r in inst.distinct_distances() if r < r_star)
+    at, under = solve_lp(inst, r_star, formulation), solve_lp(inst, below, formulation)
+    assert at.feasible and not under.feasible
+    for outcome in (at, under):
+        assert isinstance(outcome.bound, Fraction)
+        assert float(outcome.bound) == pytest.approx(
+            highs_value(inst, outcome.radius, formulation), abs=1e-7)
 
 
 @pytest.mark.parametrize("formulation,z", [(KC, 0), (KCO, 2)])

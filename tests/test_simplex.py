@@ -23,7 +23,7 @@ def test_small_hand_lp():
 
 
 def test_degenerate_lp_terminates():
-    # redundant constraints force degenerate pivots; Bland's rule must exit
+    # redundant constraints force degenerate pivots; the solve must exit
     res = maximize([1], [[1], [1], [1]], [1, 1, 1])
     assert res.status == OPTIMAL
     assert res.value == 1
@@ -114,9 +114,9 @@ def test_matches_scipy_linprog(seed):
 
 
 def test_float_bland_cycle_is_broken():
-    """On this packing LP float Bland's rule cycles past its budget (on
-    G(n, p) at radius 1, seed 44); the largest-reduced-cost rule then
-    converges, and the basis it ends on is exactly optimal."""
+    """On this packing LP (G(n, p) at radius 1, seed 44) float Bland's rule
+    alone cycles past its budget; Dantzig's rule, which the solve takes
+    first, converges, and the basis it ends on is exactly optimal."""
     inst = graph_metric_instance(44, k=10)
     G = lp.build_threshold_graph(inst, 1)
     c, A, b = lp._reduced_lp(G, lp.KC, inst.k)
@@ -126,3 +126,13 @@ def test_float_bland_cycle_is_broken():
     assert sum(x) == sum(y) == Fraction(1407, 152)
     assert lp._check_lp(c, A, b, lp._over_common_denominator(x),
                         lp._over_common_denominator(y)) is None
+
+
+def test_dantzig_cycle_falls_back_to_bland():
+    """Beale's LP: Dantzig's rule, ties to the lowest basic index, cycles on
+    it for the whole first budget of 2350 pivots; Bland's rule then
+    finishes at the optimum 5/4."""
+    res = maximize([3 / 4, -20, 1 / 2, -6],
+                   [[1 / 4, -8, -1, 9], [1 / 2, -12, -1 / 2, 3], [0, 0, 1, 0]], [0, 0, 1])
+    assert res.status == OPTIMAL
+    assert abs(res.value - 5 / 4) < 1e-9
