@@ -30,7 +30,6 @@ import numpy as np
 # run them, so that certify loads only the modules it calls
 from . import approx, lp
 from .core import (
-    FLOAT_TOL,
     KCENTER,
     MODES,
     SYMMETRIC,
@@ -39,6 +38,8 @@ from .core import (
     InternalCheckFailed,
     bounded_fraction,
     cost,
+    costs_agree,
+    integer_form,
     objective_by_name,
     validate_metric,
 )
@@ -153,11 +154,9 @@ def _coordinates(points, exact: bool) -> np.ndarray:
     coords = _parse_rows(points, "points", exact)
     if not coords or len(set(map(len, coords))) != 1:
         raise ValueError('"points" must be a JSON array of one or more rows of one length')
-    flat = [x for row in coords for x in row]
-    if all(Fraction(x).denominator == 1 for x in flat):
-        coords = [[int(x) for x in row] for row in coords]
-        wide = 2 * len(coords[0]) * max(map(abs, flat), default=0) >= 2**63
-        return np.array(coords, dtype=object if wide else np.int64)
+    if all(Fraction(x).denominator == 1 for row in coords for x in row):
+        # a distance sums one difference per dimension
+        return integer_form([[int(x) for x in row] for row in coords], len(coords[0]))[0]
     return np.array(coords, dtype=object if exact else np.float64)
 
 
@@ -283,12 +282,6 @@ def _clustering_doc(clus: Clustering) -> dict:
     }
 
 
-def _default_formulation(inst: Instance) -> str:
-    if not inst.symmetric:
-        return lp.ASYM_KC
-    return lp.KCO if inst.z > 0 else lp.KC
-
-
 def cmd_solve(inst: Instance, args) -> tuple[dict, int]:
     """``solve``'s report fields for ``inst`` and its exit code."""
     obj = objective_by_name(args.objective)
@@ -307,9 +300,7 @@ def cmd_solve(inst: Instance, args) -> tuple[dict, int]:
         except oracle.InstanceTooLarge as e:
             raise CliError(str(e), EXIT_INFEASIBLE)
         again = cost(inst, res.best, obj)
-        # a relative tolerance alone keeps the check the same at every scale
-        if not (again == res.cost if inst.exact
-                else math.isclose(float(again), float(res.cost), rel_tol=FLOAT_TOL)):
+        if not costs_agree(again, res.cost, inst.exact):
             raise InternalCheckFailed(f"reported cost {res.cost}, recomputed {again}")
         report.update(cost=res.cost, unique=res.unique, clustering=_clustering_doc(res.best))
     elif args.method == "mstdp":
@@ -331,7 +322,7 @@ def cmd_solve(inst: Instance, args) -> tuple[dict, int]:
 def cmd_certify(inst: Instance, args) -> tuple[dict, int]:
     """``certify``'s report fields for ``inst`` and its exit code, which
     ``solve --method lp`` reports too, with ``falsify`` off."""
-    formulation = args.formulation or _default_formulation(inst)
+    formulation = lp.ASYM_KC if not inst.symmetric else lp.KCO if inst.z else lp.KC
     verdict = lp.certify(inst, formulation)
     report: dict = {"formulation": formulation, "radius": verdict.lp_radius,
                     "route": verdict.route, "packing": None, "verdict": verdict.kind}
@@ -504,7 +495,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--input", required=True, help="instance file or directory")
-    shared.add_argument("--formulation", choices=list(lp.FORMULATIONS), default=None)
     shared.add_argument("--exact", action="store_true")
     shared.add_argument("--jobs", type=int, default=1)
 

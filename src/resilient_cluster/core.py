@@ -4,6 +4,10 @@ Points are abstract indices 0..n-1; geometry enters only through the distance
 matrix. Instances are exact (int/Fraction entries) or floating; every solver in
 the package keeps the instance's arithmetic so that integrality and optimality
 verdicts are never a rounding artifact.
+
+Exact numbers become integers over one common denominator, in int64 while the
+caller's sums fit, in :func:`integer_form` alone; float costs are compared by
+:func:`costs_agree`, within the relative tolerance :data:`FLOAT_TOL`.
 """
 
 from __future__ import annotations
@@ -113,10 +117,15 @@ def term_map(inst: Instance, obj: Objective) -> tuple:
         return per_value, False
     if D.dtype == np.float64 or (
             D.dtype == np.int64 and inst.n * max(int(D.max()), -int(D.min())) ** e < 2**53):
+        # a term can pass the float range only if twice the largest |d|'s does
+        loud = math.isinf(math.prod(repeat(2 * inst.tol / FLOAT_TOL, e)))
 
         def product(x):  # ((d * d) * d) ..., as Objective.term forms it
             x = x.astype(np.float64)
-            return reduce(np.multiply, repeat(x, e - 1), x)
+            if not loud:  # np.errstate costs more than a small product
+                return reduce(np.multiply, repeat(x, e - 1), x)
+            with np.errstate(over="ignore"):  # inf terms: finite_optimum reports them
+                return reduce(np.multiply, repeat(x, e - 1), x)
 
         return product, inst.exact
     return lambda x: x.astype(object) ** e, True
@@ -143,6 +152,12 @@ def finite_optimum(value, obj: Objective):
     if isinstance(value, float) and not math.isfinite(value):
         raise ValueError(f"every clustering's {obj.name} cost overflows a float")
     return value
+
+
+def costs_agree(a, b, exact: bool) -> bool:
+    """A solver's self-check of two costs: ``a == b`` when ``exact``, else the
+    floats within :data:`FLOAT_TOL` of each other, relatively, at every scale."""
+    return a == b if exact else math.isclose(float(a), float(b), rel_tol=FLOAT_TOL)
 
 
 def bounded_fraction(text: str) -> Fraction:
@@ -194,28 +209,36 @@ def objective_by_name(name: str) -> Objective:
 # instances
 
 
-def _has_headroom(D: np.ndarray) -> bool:
-    """Every |entry| of the int64 array ``D`` is below 2**61, so that twice a
-    sum of two of them (or of their difference) neither wraps nor rounds."""
-    return -(2**61) < D.min() and D.max() < 2**61
+def integer_form(values, terms: int, den: int | None = 1) -> tuple[np.ndarray, int]:
+    """(N, den): exact numbers as integers N over one common denominator, N /
+    den equal to ``values`` entry by entry. The one width rule: N is int64
+    while terms * max|N| < 2**62, where ``terms`` is how many values one of
+    the caller's sums adds, so that such a sum, and twice it, neither wraps
+    nor rounds; otherwise N is an object array of the Python ints.
 
-
-def _exact_array(values) -> np.ndarray:
-    """Exact numbers as int64 while every |value| < 2**61 (see
-    :func:`_has_headroom`), and as an object array of the Python numbers
-    otherwise. Always a new array."""
-    D = np.array(values)
-    if D.dtype == object or (D.dtype == np.int64 and _has_headroom(D)):
-        return D
-    # from 2**61 on; from 2**63 on numpy may also have picked float64
-    # (rounded) or uint64 (wraps on negation)
-    return np.array(values, dtype=object)
+    With den 1, ``values`` are integers: an int64 array, returned as it is
+    when it fits and tested by one min and one max, or a (nested) sequence of
+    ints, whose shape N keeps. Otherwise ``values`` is a flat sequence of ints
+    and Fractions put over ``den``, a multiple of every denominator, or when
+    den is None over the LCM of their denominators."""
+    if den != 1:
+        if den is None:
+            den = math.lcm(*{v.denominator for v in values})
+        values = [v.numerator * (den // v.denominator) for v in values]
+    bound = -(-(2**62) // terms)  # terms * max|N| < 2**62 iff max|N| < bound
+    try:
+        N = np.asarray(values, dtype=np.int64)
+        if -bound < N.min(initial=0) and N.max(initial=0) < bound:
+            return N, den
+    except OverflowError:  # an entry past int64
+        pass
+    return np.array(values, dtype=object), den
 
 
 def _int_rows_array(rows: tuple, n: int):
-    """The array :func:`_exact_array` would make of ``rows``, read in one
-    typed pass, when every entry is an ``int`` (subclasses included) but not
-    a ``bool``; None when the entries' types must be scanned instead.
+    """The int64 array :func:`integer_form` makes of ``rows`` at terms 2, read
+    in one typed pass, when every entry is an ``int`` (subclasses included)
+    but not a ``bool``; None when the entries must be scanned instead.
 
     A row sum is ``int`` only when the row holds ints and bools: a numpy
     scalar, ``Fraction`` or float entry makes it another type, and a string
@@ -234,7 +257,7 @@ def _int_rows_array(rows: tuple, n: int):
     if any(type(rows[i // n][i % n]) is bool
            for i in np.flatnonzero((A == 0) | (A == 1)).tolist()):
         return None
-    return A if _has_headroom(A) else np.array(rows, dtype=object)
+    return A if integer_form(A, 2)[0].dtype == np.int64 else None
 
 
 def relative_tol(A: np.ndarray) -> float:
@@ -255,8 +278,8 @@ class Instance:
 
     The matrix, any square sequence of rows or a numpy array, is stored once,
     as ``_array``, the one numpy array the solvers read: float64 for float
-    instances, and for exact ones int64 or object by the headroom rule of
-    :func:`_exact_array`. ``dist`` is a view of it, built on first read. The
+    instances, and for exact ones int64 or object by :func:`integer_form`'s
+    width rule at terms 2. ``dist`` is a view of it, built on first read. The
     input is read one of three ways:
 
     - An int64 or float64 numpy array is taken as it is: ``exact`` follows
@@ -264,10 +287,10 @@ class Instance:
     - Rows whose sums are all ``int`` hold ints and perhaps bools. They are
       read in one typed pass by :func:`_int_rows_array`, which looks at no
       entry's type but those valued 0 or 1.
-    - Everything else (numpy scalars, Fractions, floats, strings, a bool
-      among int rows, an int past int64, and object, bool and other numpy
-      arrays) has its entries' types scanned: numpy integers become ``int``,
-      and a matrix with any inexact entry becomes all ``float``.
+    - Everything else (numpy scalars, Fractions, floats, strings, a bool or
+      an int of size 2**61 or more among int rows, and object, bool and other
+      numpy arrays) has its entries' types scanned: numpy integers become
+      ``int``, and a matrix with any inexact entry becomes all ``float``.
 
     Two instances are equal, and hash alike, when k, z, ``symmetric`` and the
     matrix's values are equal, whatever the number types that hold them.
@@ -293,7 +316,7 @@ class Instance:
             raise ValueError("k + z must not exceed n")
         if native:
             exact = dist.dtype == np.int64
-            array = _exact_array(dist) if exact else dist.copy()
+            array = integer_form(dist.copy(), 2)[0] if exact else dist.copy()
         elif (array := _int_rows_array(rows, n)) is not None:
             exact = True
         else:
@@ -306,7 +329,10 @@ class Instance:
             exact = all(issubclass(t, (int, Fraction)) and not issubclass(t, bool) for t in kinds)
             if not exact and kinds != {float}:
                 rows = [list(map(float, row)) for row in rows]
-            array = _exact_array(rows) if exact else np.array(rows, dtype=np.float64)
+            if exact and not any(issubclass(t, Fraction) for t in kinds):
+                array = integer_form(rows, 2)[0]
+            else:  # Fractions are kept as they are
+                array = np.array(rows, dtype=object if exact else np.float64)
         self.__dict__.update(k=k, z=z, symmetric=symmetric, exact=exact, _array=array)
 
     @cached_property
@@ -481,18 +507,14 @@ def _metric_matrix(inst: Instance) -> np.ndarray:
     number form where ``a + b`` neither rounds nor wraps.
 
     Float and int64 instances give their own array. Other exact instances
-    give integers: ``Fraction`` entries are multiplied by the LCM of all
-    denominators, which is exact, positive, and keeps every comparison of
-    sums the same, and the result is stored as :func:`_exact_array` stores
-    an instance.
+    give their :func:`integer_form` over the LCM of all denominators, which
+    is exact, positive, and keeps every comparison of sums the same, at
+    terms 2, as an instance is stored.
     """
     D = inst._array
     if D.dtype != object:
         return D
-    entries = D.ravel().tolist()
-    scale = math.lcm(*{x.denominator for x in entries})
-    ints = [x.numerator * (scale // x.denominator) for x in entries]
-    return _exact_array(ints).reshape(D.shape)
+    return integer_form(D.ravel().tolist(), 2, None)[0].reshape(D.shape)
 
 
 def validate_metric(inst: Instance) -> list[Violation]:

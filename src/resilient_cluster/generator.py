@@ -41,6 +41,7 @@ from .core import (
     Objective,
     _shortest_paths,
     cost,
+    integer_form,
 )
 
 RESILIENT_MODES = (SYMMETRIC, ASYMMETRIC, OUTLIER_MODE)
@@ -137,9 +138,9 @@ def generate(cfg: GeneratorConfig) -> tuple[Instance, Clustering]:
     hub = np.empty(n, dtype=np.intp)
     hub[perm] = np.repeat(np.arange(k + z), sizes + [1] * z)
 
-    # int64 holds every entry and every sum the closure forms (each below
-    # 2 * (pos[-1] + 2r)) unless the radius is huge; then Python ints do
-    dtype = np.int64 if 2 * (pos[-1] + 2 * r) < 2**63 else object
+    # every entry is below pos[-1] + 2r, and twice that bounds each sum the
+    # closure forms: int64 holds them unless the radius is huge
+    dtype = integer_form([pos[-1] + 2 * r], 1)[0].dtype
     hub_points = centers + perm[n - z :]
     spoke_in = np.array(spoke_a, dtype=dtype)
     spoke_out = np.array(spoke_b if cfg.mode == ASYMMETRIC else spoke_a, dtype=dtype)

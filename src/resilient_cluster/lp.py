@@ -25,7 +25,7 @@ How a verdict is proved. :func:`_reduced_lp` writes each relaxation once, as
 max c.x s.t. A x <= b, x >= 0, and one exact duality check,
 :func:`_check_lp`, judges every proof about it: a feasible primal bounds the
 LP optimum from below, a feasible dual from above, and a pair of equal value
-proves it.
+proves it, on integers over one common denominator (:func:`.core.integer_form`).
 
 :func:`certify` first tries the packing route, which needs no LP. The
 conflict radius c(u, v) is the smallest radius at which u and v share an
@@ -43,7 +43,8 @@ below decides, and only the search answers NOT_2PR.
 
 :func:`solve_lp` solves the reduced LP at one radius in float64
 (:mod:`.simplex`) and checks the answer exactly; exactness comes from
-checking, never from pivoting in rationals. The float primal and dual are
+checking, never from pivoting in rationals; the reduced LP is built once,
+for the float solve and every check. The float primal and dual are
 rationalized with ``Fraction.limit_denominator``, and :func:`_check_lp` must
 accept them as an optimal pair (for KCO the primal is y with
 t_v = min(1, y(N_in(v)))), which proves the exact optimum ``bound``. When the
@@ -82,6 +83,7 @@ from .core import (
     InternalCheckFailed,
     completed_centers,
     cost,
+    integer_form,
     voronoi,
 )
 from .simplex import OPTIMAL as SIMPLEX_OPTIMAL
@@ -192,13 +194,13 @@ def solve_lp(inst: Instance, R, formulation: str) -> LpOutcome:
         raise SolverPrecisionExceeded(f"at radius {R}: the float solve came back {res.status}, "
                                       "but the reduced LP is bounded")
     sides = _lp_sides(formulation, inst.n, _rationalize(res.x), _rationalize(res.duals))
-    exact = _exact_outcome(inst, G, R, formulation, *sides)
+    exact = _exact_outcome(inst, G, R, formulation, (c, A, b), *sides)
     if isinstance(exact, str):
         solved = _basis_solution(c, A, b, res.basis)
         if solved is None:
             exact = "the basis is singular"
         else:
-            exact = _exact_outcome(inst, G, R, formulation,
+            exact = _exact_outcome(inst, G, R, formulation, (c, A, b),
                                    *_lp_sides(formulation, inst.n, *solved))
     if isinstance(exact, str):
         raise SolverPrecisionExceeded(f"at radius {R}: exact solve of the float basis: {exact}")
@@ -239,22 +241,6 @@ def _is_integral(G, y, formulation) -> bool:
 # the exact check: LP duality on the reduced LP
 
 
-def _over_common_denominator(values) -> tuple[np.ndarray, int]:
-    """Integer numerators of a rational vector over one common denominator:
-    int64 when every sum of them fits, Python ints otherwise."""
-    den = math.lcm(*(v.denominator for v in values))
-    nums = [v.numerator * (den // v.denominator) for v in values]
-    top = max(map(abs, nums), default=0) * (len(nums) + 1)
-    return np.array(nums, dtype=np.int64 if top < 2**62 else object), den
-
-
-def _scaled(den: int, v) -> np.ndarray:
-    """den * v for an integer vector v, in Python ints when int64 could wrap
-    (den alone may be past int64, so it counts even where v is 0)."""
-    wide = den * (max(map(abs, v)) + 1) >= 2**62
-    return np.asarray(v, dtype=object if wide else np.int64) * den
-
-
 def _dot(w, V) -> int:
     """w . V in Python ints, which do not wrap."""
     return sum(map(operator.mul, w, V.tolist()))
@@ -265,14 +251,15 @@ def _check_lp(c, A, b, x=None, y=None) -> str | None:
     feasible for its dual min b.y s.t. y A >= c, y >= 0, and, with both
     given, c.x = b.y, which proves both optimal; else the reason, naming the
     failed side. x and y are integer numerators over one denominator, as
-    :func:`_over_common_denominator` gives them. A has entries in {-1, 0, 1},
-    so A x and y A fit wherever x and y do."""
+    :func:`.integer_form` gives them at terms len + 1. A has entries in
+    {-1, 0, 1}, so A x and y A fit wherever x and y do; b and c are put over
+    the same denominator at terms 2, in Python ints when den is past int64."""
     if x is not None:
         X, den = x
         if (X < 0).any():
             return f"primal entry x_{int(np.argmax(X < 0))} is negative"
         AX = A @ X
-        over = np.flatnonzero(AX > _scaled(den, b))
+        over = np.flatnonzero(AX > integer_form(b, 2, den)[0])
         if len(over):
             i = int(over[0])
             return f"primal row {i}: A x = {Fraction(int(AX[i]), den)} exceeds b = {b[i]}"
@@ -281,7 +268,7 @@ def _check_lp(c, A, b, x=None, y=None) -> str | None:
         if (Y < 0).any():
             return f"dual entry y_{int(np.argmax(Y < 0))} is negative"
         YA = Y @ A
-        under = np.flatnonzero(YA < _scaled(den, c))
+        under = np.flatnonzero(YA < integer_form(c, 2, den)[0])
         if len(under):
             j = int(under[0])
             return f"dual column {j}: y A = {Fraction(int(YA[j]), den)} is below c = {c[j]}"
@@ -299,15 +286,16 @@ def _feasible(inst: Instance, formulation: str, value) -> bool:
     return value <= inst.k
 
 
-def _exact_outcome(inst, G, R, formulation, y, dual) -> LpOutcome | str:
+def _exact_outcome(inst, G, R, formulation, reduced, y, dual) -> LpOutcome | str:
     """The exact outcome at R when :func:`_check_lp` accepts the rational
-    pair (y, dual) as an optimal pair of the reduced LP, else the reason it
-    does not. For KCO the primal is y with t_v = min(1, y(N_in(v)))."""
-    c, A, b = _reduced_lp(G, formulation, inst.k)
-    Y, den = _over_common_denominator(y)
-    D = _over_common_denominator(dual)
+    pair (y, dual) as an optimal pair of the reduced LP ``reduced``, the
+    (c, A, b) of :func:`_reduced_lp` at G, else the reason it does not. For
+    KCO the primal is y with t_v = min(1, y(N_in(v)))."""
+    c, A, b = reduced
+    Y, den = integer_form(y, len(y) + 1, None)
+    D = integer_form(dual, len(dual) + 1, None)
     if formulation == KCO:
-        t = np.minimum(Y @ G, _scaled(den, [1] * inst.n))
+        t = np.minimum(Y @ G, integer_form([1] * inst.n, 2, den)[0])
         primal, reduced_dual = (np.concatenate([Y, t]), den), D
     else:
         primal, reduced_dual = D, (Y, den)

@@ -47,7 +47,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    FLOAT_TOL,
     OUTLIER,
     AsymmetricUnsupported,
     Clustering,
@@ -55,6 +54,7 @@ from .core import (
     InternalCheckFailed,
     Objective,
     cost,
+    costs_agree,
     finite_optimum,
     term_matrix,
 )
@@ -415,10 +415,8 @@ def solve_btp(inst: Instance, btree: BinaryTree, obj: Objective) -> Clustering:
     final = tuple(OUTLIER if a == OUTLIER else index[a] for a in assignment)
     clus = Clustering(final, centers)
     achieved = cost(inst, clus, obj)
-    # float sums in tree order and in point order differ in the last bits; a
-    # relative tolerance alone keeps the check the same at every scale
-    if not (achieved == best_val if exact
-            else math.isclose(achieved, best_val, rel_tol=FLOAT_TOL)):
+    # float sums in tree order and in point order differ in the last bits
+    if not costs_agree(achieved, best_val, exact):
         raise InternalCheckFailed(f"DP optimum {best_val} but its clustering costs {achieved}")
     return clus
 

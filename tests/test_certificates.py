@@ -39,6 +39,7 @@ from resilient_cluster import (
     verify_planted,
 )
 from resilient_cluster import lp
+from resilient_cluster.core import integer_form
 
 import scalar_reference as reference
 from conftest import encoded_metric, random_directed_metric_instance, random_metric_instance
@@ -74,7 +75,8 @@ def with_entry(values, i, new):
 def pair_reason(inst, R, formulation, y, certificate):
     """Why the confirmation at R rejects the pair (y, certificate), or None."""
     G = build_threshold_graph(inst, R)
-    checked = lp._exact_outcome(inst, G, R, formulation, y, certificate)
+    reduced = lp._reduced_lp(G, formulation, inst.k)
+    checked = lp._exact_outcome(inst, G, R, formulation, reduced, y, certificate)
     return None if isinstance(checked, lp.LpOutcome) else checked
 
 
@@ -152,18 +154,19 @@ def test_check_lp_reads_values_past_int64():
     t_v = min(1, y(N_in(v))) in numerators."""
     c, A, b = [1, 1], np.array([[1, 1], [1, 0]]), [1, 1]
     p, q = 2**32 + 1, 2**32 - 1
-    small = lp._over_common_denominator([Fraction(1, p), Fraction(1, q)])
+    small = integer_form([Fraction(1, p), Fraction(1, q)], 3, None)
     assert small[0].dtype == np.int64 and small[1] >= 2**63
     assert lp._check_lp(c, A, b, x=small) is None
     assert lp._check_lp(c, A, b, y=small).startswith("dual column 0: ")
-    one = lp._over_common_denominator([Fraction(1), Fraction(0)])
+    one = integer_form([Fraction(1), Fraction(0)], 3, None)
     assert lp._check_lp(c, A, b, x=small, y=one).startswith("value: ")
-    wide = lp._over_common_denominator([Fraction(1, p), 1 - Fraction(1, p) + Fraction(1, q)])
+    wide = integer_form([Fraction(1, p), 1 - Fraction(1, p) + Fraction(1, q)], 3, None)
     assert lp._check_lp(c, A, b, x=wide).startswith("primal row 0: ")
     inst = Instance(((0, 1), (1, 0)), 1, 1)
     y = [Fraction(1, p), Fraction(1, q)]
     dual = [Fraction(v) for v in (0, 0, 1, 1, 0)]
-    reason = lp._exact_outcome(inst, np.eye(2, dtype=bool), 0, KCO, y, dual)
+    G = np.eye(2, dtype=bool)
+    reason = lp._exact_outcome(inst, G, 0, KCO, lp._reduced_lp(G, KCO, inst.k), y, dual)
     assert reason == f"value: c.x = {sum(y)} differs from b.y = 2"
 
 
@@ -178,12 +181,12 @@ def count_solves(monkeypatch, corrupt_at=None, corrupt=None):
     real_exact, real_basis = lp._exact_outcome, lp._basis_solution
     basis_radii, checking, pending = [], [], {corrupt_at}
 
-    def exact(inst, G, R, formulation, y, dual):
+    def exact(inst, G, R, formulation, reduced, y, dual):
         checking[:] = [R]
         if R in pending:
             pending.discard(R)
             y, dual = corrupt(y, dual)
-        return real_exact(inst, G, R, formulation, y, dual)
+        return real_exact(inst, G, R, formulation, reduced, y, dual)
 
     def basis(c, A, b, basis):
         basis_radii.extend(checking)
@@ -220,6 +223,21 @@ def test_corrupted_float_certificate_falls_back_once(monkeypatch, formulation, s
     assert expected_clustering is not None
     assert r_star == expected_radius
     assert lp.extract_integral(inst, outcome) == expected_clustering
+
+
+@pytest.mark.parametrize("formulation", [KC, ASYM_KC, KCO])
+@pytest.mark.parametrize("corrupted", [False, True])
+def test_each_probe_builds_its_reduced_lp_once(monkeypatch, formulation, corrupted):
+    """solve_lp builds (c, A, b) once and hands it to the float solve and to
+    every check, the one after the exact basis solve included."""
+    inst = planted(formulation)
+    radius, corrupt = corruption(inst, formulation, "at R*")
+    basis_radii = count_solves(monkeypatch, radius if corrupted else None, corrupt)
+    real, built = lp._reduced_lp, []
+    monkeypatch.setattr(lp, "_reduced_lp", lambda *args: built.append(args) or real(*args))
+    assert solve_lp(inst, radius, formulation).feasible
+    assert len(built) == 1
+    assert basis_radii == ([radius] if corrupted else [])
 
 
 def test_certify_falls_back_to_the_search_when_the_greedy_misses(monkeypatch):

@@ -755,6 +755,21 @@ def test_float_sums_past_the_float_range_exit_1(tmp_path, capsys, method):
     assert err == "error: every clustering's kmedian cost overflows a float\n"
 
 
+@pytest.mark.parametrize("method", ["oracle", "mstdp"])
+@pytest.mark.filterwarnings("error")  # numpy's overflow RuntimeWarning fails the test
+def test_float_terms_past_the_float_range_exit_1_unwarned(tmp_path, capsys, method):
+    """Every k-means term of three points 1e200 apart is 1e400, past the
+    float range: the product that forms it overflows without a warning, and
+    both outlier solvers report the overflow alone."""
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps({"k": 1, "dist": [[0 if u == v else 1e200 for v in range(3)]
+                                                 for u in range(3)]}))
+    code, out, err = run(capsys, "solve", "--input", str(path), "--method", method,
+                         "--objective", "kmeans")
+    assert (code, out) == (1, "")
+    assert err == "error: every clustering's kmeans cost overflows a float\n"
+
+
 @pytest.mark.parametrize("sigma", ["1/0", "abc"])
 def test_generate_sigma_must_be_a_number(tmp_path, capsys, sigma):
     out = tmp_path / "x.json"

@@ -4,6 +4,7 @@ import math
 import random
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,12 +26,14 @@ from resilient_cluster import (
     validate_metric,
     voronoi,
 )
+from resilient_cluster import cli, generator
 from resilient_cluster.core import (
     FLOAT_TOL,
     Objective,
     SymmetryViolation,
     TriangleViolation,
     _metric_matrix,
+    integer_form,
     term_matrix,
 )
 
@@ -419,6 +422,50 @@ def test_validate_metric_small_fractions_stay_int64():
     inst = Instance(((0, Fraction(1, 3)), (Fraction(1, 3), 0)), k=1)
     assert _metric_matrix(inst).dtype == np.int64
     assert validate_metric(inst) == []
+
+
+def _generator_dtype(r):
+    """The dtype the generator builds its matrix in at k = 1, where the
+    largest entry it bounds, pos[-1] + 2r, is 2r."""
+    seen = []
+
+    def record(D, *args, **kwargs):
+        seen.append(D.dtype)
+        return Instance(D, *args, **kwargs)
+
+    with mock.patch.object(generator, "Instance", record):
+        generator.generate(generator.GeneratorConfig(n=3, k=1, radius=r))
+    return seen[0]
+
+
+# every caller of integer_form: the dtype it gives at a top value, and the
+# least top at which it gives Python ints
+WIDTH_RULES = {
+    # an instance's matrix, terms 2: every |entry| below 2**61
+    "instance-rows": (lambda top: Instance(((0, top), (top, 0)), 1)._array.dtype, 2**61),
+    "instance-array": (lambda top: Instance(np.array([[0, -top], [1, 0]]), 1)._array.dtype,
+                       2**61),
+    # validate_metric's matrix, terms 2 on the entries times the LCM 3
+    "metric-matrix": (lambda top: _metric_matrix(
+        Instance(((0, Fraction(top, 3)), (Fraction(top, 3), 0)), 1)).dtype, 2**61),
+    # the LP checker's numerators of three values, terms 3 + 1
+    "lp-numerators": (lambda top: integer_form(
+        [Fraction(top, 5), Fraction(1, 5), Fraction(0)], 4, None)[0].dtype, 2**60),
+    # the LP checker's den * b and den * c, terms 2 on den * max|b|
+    "lp-bounds": (lambda top: integer_form([1, 0], 2, top)[0].dtype, 2**61),
+    # three coordinates a point, terms 3: 2 * 3 * max|x| below 2**63
+    "cli-coordinates": (lambda top: cli._coordinates([[0, 0, top], [0, 1, 0]], False).dtype,
+                        -(-(2**62) // 3)),
+    # the generator, terms 1 on 2r: r below 2**61
+    "generator": (_generator_dtype, 2**61),
+}
+
+
+@pytest.mark.parametrize("name", WIDTH_RULES)
+def test_each_width_rule_switches_to_python_ints_at_its_bound(name):
+    dtype_at, bound = WIDTH_RULES[name]
+    assert dtype_at(bound - 1) == np.int64
+    assert dtype_at(bound) == object
 
 
 def test_objective_names_and_terms():

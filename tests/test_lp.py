@@ -412,9 +412,9 @@ def count_basis_solves(monkeypatch):
     real_exact, real_basis = lp_mod._exact_outcome, lp_mod._basis_solution
     radii, checking = [], []
 
-    def exact(inst, G, R, formulation, y, dual):
+    def exact(inst, G, R, formulation, reduced, y, dual):
         checking[:] = [R]
-        return real_exact(inst, G, R, formulation, y, dual)
+        return real_exact(inst, G, R, formulation, reduced, y, dual)
 
     def counted(c, A, b, basis):
         radii.extend(checking)

@@ -9,6 +9,7 @@ import pytest
 from scipy.optimize import linprog
 
 from resilient_cluster import lp
+from resilient_cluster.core import integer_form
 from resilient_cluster.simplex import OPTIMAL, UNBOUNDED, SimplexResult, maximize
 
 from conftest import graph_metric_instance
@@ -124,8 +125,8 @@ def test_float_bland_cycle_is_broken():
     assert res.status == OPTIMAL
     x, y = lp._basis_solution(c, A, b, res.basis)
     assert sum(x) == sum(y) == Fraction(1407, 152)
-    assert lp._check_lp(c, A, b, lp._over_common_denominator(x),
-                        lp._over_common_denominator(y)) is None
+    assert lp._check_lp(c, A, b, integer_form(x, len(x) + 1, None),
+                        integer_form(y, len(y) + 1, None)) is None
 
 
 def test_dantzig_cycle_falls_back_to_bland():
