@@ -55,12 +55,46 @@ class InternalCheckFailed(RuntimeError):
 # objectives
 
 
+# the largest exponent an objective takes, integer or not: past it the float
+# term of every distance of 2 or more overflows, and up to it the exact power
+# of an int64 distance has fewer than 2**16 bits, so no term is slow to build
+MAX_EXPONENT = 1024
+
+
+def bounded_fraction(text: str) -> Fraction:
+    """``Fraction(text)``, a ValueError when ``text`` is no number ("1/0"
+    included), and an OverflowError when its numerator or denominator has
+    more digits than Python converts (``sys.get_int_max_str_digits()``, 0 is
+    no limit). A decimal exponent e past that limit plus the text's length is
+    cut to that bound plus one, so that no longer power of ten is built: the
+    number is 0, or past the limit, as it would be whole. With its exponent's
+    digits zeroed the text keeps the form Fraction checks."""
+    limit = sys.get_int_max_str_digits()
+    head, _, power = text.lower().partition("e")
+    try:
+        e = int(power or 0) if limit else 0  # if int fails, so does Fraction
+        bound = limit + len(text) + 1
+        if abs(e) < bound:
+            v = Fraction(text)
+        else:
+            v = Fraction(head + "e" + "".join("0" if c.isdecimal() else c for c in power))
+            v = v * 10**bound if e > 0 else v / 10**bound
+    except ZeroDivisionError:
+        raise ValueError(f"{text!r} divides by zero") from None
+    m = max(abs(v.numerator), v.denominator)
+    if 0 < limit and m.bit_length() > 3 * limit and m >= 10**limit:
+        raise OverflowError(f"{text!r} has more than {limit} digits in its numerator "
+                            "or denominator")
+    return v
+
+
 @dataclass(frozen=True)
 class Objective:
     """Center-based objective: aggregate d(center, point)**exponent over non-outliers.
 
     ``aggregate`` is "sum" or "max"; k-means is the summed exponent-2 case (no
-    square root), k-median exponent 1, k-center the max with exponent 1.
+    square root), k-median exponent 1, k-center the max with exponent 1. The
+    exponent lies in (0, :data:`MAX_EXPONENT`].
     """
 
     exponent: int | Fraction
@@ -72,6 +106,8 @@ class Objective:
             raise ValueError(f"unknown aggregate {self.aggregate!r}")
         if self.exponent <= 0:
             raise ValueError("exponent must be positive")
+        if self.exponent > MAX_EXPONENT:
+            raise ValueError(f"exponent must be at most {MAX_EXPONENT}")
 
     def term(self, d):
         exp = self.exponent
@@ -158,33 +194,6 @@ def costs_agree(a, b, exact: bool) -> bool:
     """A solver's self-check of two costs: ``a == b`` when ``exact``, else the
     floats within :data:`FLOAT_TOL` of each other, relatively, at every scale."""
     return a == b if exact else math.isclose(float(a), float(b), rel_tol=FLOAT_TOL)
-
-
-def bounded_fraction(text: str) -> Fraction:
-    """``Fraction(text)``, a ValueError when ``text`` is no number ("1/0"
-    included), and an OverflowError when its numerator or denominator has
-    more digits than Python converts (``sys.get_int_max_str_digits()``, 0 is
-    no limit). A decimal exponent e past that limit plus the text's length is
-    cut to that bound plus one, so that no longer power of ten is built: the
-    number is 0, or past the limit, as it would be whole. With its exponent's
-    digits zeroed the text keeps the form Fraction checks."""
-    limit = sys.get_int_max_str_digits()
-    head, _, power = text.lower().partition("e")
-    try:
-        e = int(power or 0) if limit else 0  # if int fails, so does Fraction
-        bound = limit + len(text) + 1
-        if abs(e) < bound:
-            v = Fraction(text)
-        else:
-            v = Fraction(head + "e" + "".join("0" if c.isdecimal() else c for c in power))
-            v = v * 10**bound if e > 0 else v / 10**bound
-    except ZeroDivisionError:
-        raise ValueError(f"{text!r} divides by zero") from None
-    m = max(abs(v.numerator), v.denominator)
-    if 0 < limit and m.bit_length() > 3 * limit and m >= 10**limit:
-        raise OverflowError(f"{text!r} has more than {limit} digits in its numerator "
-                            "or denominator")
-    return v
 
 
 def objective_by_name(name: str) -> Objective:

@@ -23,15 +23,16 @@ children's sides -- (min, max) for k-center -- read at j - 1 for the real
 centers and at j for the outlier slot. It fills the tree one level (nodes of
 one height) at a time, in batches of at most :data:`BATCH_CELLS` cells per
 stacked operand, so a pass makes a few numpy calls per batch rather than
-per node, and the batch's temporaries stay a fixed size. A missing child
-is a phantom node that costs 0 with nothing in it, so leaves and one-child
-nodes take the same rule. Reconstruction keeps no backpointers: it walks
-down from the best root state and, at each state it visits, recomputes that
-state's sides at its one center and takes the first split, in (left
-clusters, left outliers) order, that attains the minimum. Ties: a child
-joins the node's cluster whenever joining attains its side; otherwise it
-closes its own cluster in the state its minimum took, the outlier slot
-first, then the lowest center.
+per node, and the batch's temporaries stay a fixed size. The leaves, which
+are real points, are written directly, in one indexed write: each closes its
+own cluster, or is an outlier. A one-child node's missing child is a phantom
+node that costs 0 with nothing in it, so one-child nodes take the two-child
+rule. Reconstruction keeps no backpointers: it walks down from the best root
+state and, at each state it visits, recomputes that state's sides at its one
+center and takes the first split, in (left clusters, left outliers) order,
+that attains the minimum. Ties: a child joins the node's cluster whenever
+joining attains its side; otherwise it closes its own cluster in the state
+its minimum took, the outlier slot first, then the lowest center.
 
 The table dtype is that of the objective's term matrix (:func:`core.term_map`):
 float64 for float terms, and for integer terms whose n-fold sum stays below
@@ -62,8 +63,8 @@ from .core import (
 INF = math.inf
 # cells of one stacked [clusters, outliers, nodes, centers] operand of the
 # forward pass: a tree level is filled in chunks of at most this many, so the
-# pass's temporaries stay within a few such operands (whole levels took 10 MB
-# more at n=128, k=4, z=3)
+# pass's temporaries stay within a few such operands (at n=128, k=4, z=3 the
+# peak above the 5.1 MB of tables is 0.75 MB, and 6.0 MB with whole levels)
 BATCH_CELLS = 1 << 14
 
 
@@ -236,13 +237,17 @@ def _forward(btree: BinaryTree, base, K: int, T: int, combine, dtype) -> tuple:
     ``c = n_real``). ``base(u)[c]`` is u's own term under center c.
 
     A node's height is 0 for a leaf and one more than its highest child's, so
-    the nodes of one height read only tables already filled; they are filled
-    together, in chunks of at most :data:`BATCH_CELLS` cells per stacked
-    operand. A missing child is the phantom node: its minimum is 0 at 0
-    clusters and 0 outliers and inf elsewhere, its table all inf and its
-    subtree empty. Costs are never negative, so combining with it leaves every
-    value as it is, and leaves and one-child nodes take the two-child rule
-    unchanged.
+    the nodes of one height read only tables already filled. The leaves, all
+    real points, are written first, in one indexed write and with no
+    convolution: a leaf's own cluster at 1 cluster and 0 outliers (its own
+    terms, its minimum its term at itself), and when z >= 1 the leaf as an
+    outlier at 0 clusters and 1 outlier (cost 0). Every higher height is
+    filled together, in chunks of at most :data:`BATCH_CELLS` cells per
+    stacked operand. The missing child of a one-child node is the phantom
+    node: its minimum is 0 at 0 clusters and 0 outliers and inf elsewhere, its
+    table all inf and its subtree empty. Costs are never negative, so
+    combining with it leaves every value as it is, and one-child nodes take
+    the two-child rule unchanged.
     """
     n_real, size = btree.n_real, btree.size
     OUT, PHANTOM = n_real, size
@@ -262,6 +267,15 @@ def _forward(btree: BinaryTree, base, K: int, T: int, combine, dtype) -> tuple:
     levels: list[list[int]] = [[] for _ in range(height[btree.root] + 1)]
     for u in range(size):
         levels[height[u]].append(u)
+
+    # a leaf is a real point: its own cluster, or an outlier when z >= 1
+    L = np.array(levels[0])
+    tab[1, 0, L, :OUT] = np.stack([base(u) for u in L])
+    inside[L, L] = True
+    M[1, 0, L, 0] = tab[1, 0, L, L]
+    if T > 1:
+        tab[0, 1, L, OUT] = 0
+        M[0, 1, L] = 0
 
     left, right = np.array(left), np.array(right)
 
@@ -285,10 +299,11 @@ def _forward(btree: BinaryTree, base, K: int, T: int, combine, dtype) -> tuple:
         tab[:, :, U] = cur
         inside[U] = mask
         mask[:, OUT] = True
-        M[:, :, U] = np.min(cur, axis=3, where=mask, initial=INF, keepdims=True)
+        np.copyto(cur, INF, where=~mask)  # cur is stored: mask it in place
+        M[:, :, U] = cur.min(axis=3, keepdims=True)
 
     chunk = max(1, BATCH_CELLS // (K * T * (n_real + 1)))
-    for level in levels:
+    for level in levels[1:]:
         for lo in range(0, len(level), chunk):
             fill(np.array(level[lo : lo + chunk]))
     return tab[:, :, :size], M[:, :, :size], inside[:size]
@@ -314,10 +329,12 @@ def solve_btp(inst: Instance, btree: BinaryTree, obj: Objective) -> Clustering:
     ``tab[j, t, u, c]`` is u's own term combined with the (min, combine)
     convolution of the two sides at i_l + i_r = j - 1; the outlier slot is
     the same convolution at i_l + i_r = j, at t - 1 outliers when u is real
-    (u is the t-th). A missing child is a phantom whose side is 0 at (0, 0)
-    and inf elsewhere. That is the minimum over every join/separate choice of
-    the children: min distributes over ``+`` (float rounding is monotone)
-    and over ``max``, and ``inf`` absorbs under both.
+    (u is the t-th). The missing child of a one-child node is a phantom
+    whose side is 0 at (0, 0) and inf elsewhere; a leaf's states are written
+    directly, its own term at one cluster and 0 as an outlier, which is what
+    the rule gives on two phantoms. That is the minimum over every
+    join/separate choice of the children: min distributes over ``+`` (float
+    rounding is monotone) and over ``max``, and ``inf`` absorbs under both.
 
     The table dtype is the term matrix's, which :func:`core.term_map` picks
     once for the instance. Integer terms with n * max term < 2**53 are

@@ -3,8 +3,10 @@
 import json
 import os
 import re
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 import scalar_reference as reference
 from resilient_cluster import KMEDIAN, Clustering, Instance, cost
 from resilient_cluster.cli import CliError, load_instance_file, main
+from resilient_cluster.core import MAX_EXPONENT
 
 
 def run(capsys, *argv):
@@ -867,6 +870,28 @@ def test_lp_norm_objective_via_cli(tmp_path, capsys):
                        "--objective", "lp:3")
     assert code == 0
     assert json.loads(out)["cost"] == 2  # 1^3 + 1^3
+
+
+@pytest.mark.parametrize("method", ["mstdp", "oracle"])
+@pytest.mark.parametrize("dist", [[[0, 1, 2], [1, 0, 1], [2, 1, 0]],
+                                  [[0.0, 1.5, 2.0], [1.5, 0.0, 1.0], [2.0, 1.0, 0.0]]],
+                         ids=["int", "float"])
+def test_lp_objective_past_the_exponent_bound_exits_1_at_once(tmp_path, dist, method):
+    # unchecked, lp:1e999 would build max|d| ** 10**999 on int input and
+    # repeat(d, 10**999) on float input; a subprocess, so a stall fails the test
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"k": 1, "symmetric": True, "dist": dist}))
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH", "")) if p)
+    argv = [sys.executable, "-m", "resilient_cluster.cli", "solve", "--input", str(path),
+            "--method", method, "--objective", "lp:1e999"]
+    try:
+        proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+    except subprocess.TimeoutExpired:
+        pytest.fail("solve --objective lp:1e999 did not end within 60 s")
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == f"error: exponent must be at most {MAX_EXPONENT}\n"
 
 
 @pytest.mark.parametrize("objective", ["lp:1/0", "lp:abc", "lp:-1"])

@@ -29,6 +29,7 @@ from resilient_cluster import (
 from resilient_cluster import cli, generator
 from resilient_cluster.core import (
     FLOAT_TOL,
+    MAX_EXPONENT,
     Objective,
     SymmetryViolation,
     TriangleViolation,
@@ -479,6 +480,16 @@ def test_objective_names_and_terms():
             objective_by_name(bad)
     with pytest.raises(ValueError):
         lp_norm(0)
+
+
+def test_exponent_past_the_bound_is_refused():
+    assert lp_norm(MAX_EXPONENT).term(2) == 2**MAX_EXPONENT
+    assert objective_by_name(f"lp:{2 * MAX_EXPONENT - 1}/2").exponent < MAX_EXPONENT
+    for p in (MAX_EXPONENT + 1, Fraction(2 * MAX_EXPONENT + 1, 2), 10**999):
+        with pytest.raises(ValueError, match=f"exponent must be at most {MAX_EXPONENT}$"):
+            lp_norm(p)
+    with pytest.raises(ValueError, match=f"exponent must be at most {MAX_EXPONENT}$"):
+        objective_by_name("lp:1e999")
 
 
 # ---------------------------------------------------------------------------

@@ -249,17 +249,38 @@ ENCODINGS = {
 }
 
 
-def tied_outlier_instance(rng, encoding):
+def tied_outlier_instance(rng, encoding, min_z=1):
     """A small closed metric, often with most distances tied, or a planted
-    outlier instance; z >= 1."""
+    instance (an outlier instance when z >= 1); z >= min_z."""
     n = rng.randint(3, 16)
     k = rng.randint(1, min(4, n - 1))
-    z = rng.randint(1, min(3, n - k))
+    z = rng.randint(min_z, min(3, n - k))
     if rng.random() < 0.25 and n - z >= 2 * k:
-        inst, _ = planted_outlier(n, k, z, rng.randrange(10**6))
+        seed = rng.randrange(10**6)
+        inst, _ = (planted_outlier(n, k, z, seed) if z
+                   else generate(GeneratorConfig(n=n, k=k, seed=seed)))
     else:
         inst = random_metric_instance(rng, n, k, z, high=rng.choice((2, 4, 60)))
     return encoded(inst, ENCODINGS[encoding])
+
+
+def star_metric_instance(rng, encoding):
+    """Point 0 joined to every other point u by a spoke of random length s_u,
+    d(u, v) = s_u + s_v: the MST is the star, so all but the root are leaves
+    or dummies; z >= 0."""
+    n = rng.randint(3, 16)
+    k = rng.randint(1, min(4, n - 1))
+    z = rng.randint(0, min(3, n - k))
+    spoke = [0] + [rng.randint(1, 9) for _ in range(n - 1)]
+    dist = [[0 if u == v else spoke[u] + spoke[v] for v in range(n)] for u in range(n)]
+    return encoded(Instance(dist, k, z), ENCODINGS[encoding])
+
+
+FORWARD_CASES = {
+    "tied": tied_outlier_instance,
+    "tied-z0": lambda rng, encoding: tied_outlier_instance(rng, encoding, min_z=0),
+    "star": star_metric_instance,
+}
 
 
 def test_kcenter_point_within_the_radius_of_two_centers_is_a_second_optimum():
@@ -303,14 +324,16 @@ def by_node(tables):
             {u: inside[u, :n_real] for u in nodes})
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=120, deadline=None)
 @given(
     seed=st.integers(0, 10**6),
+    case=st.sampled_from(tuple(FORWARD_CASES)),
     encoding=st.sampled_from(tuple(ENCODINGS)),
     obj=st.sampled_from(OBJECTIVES),
 )
-def test_folded_forward_pass_matches_the_four_case_reference(seed, encoding, obj):
-    inst = tied_outlier_instance(random.Random(seed), encoding)
+def test_folded_forward_pass_matches_the_four_case_reference(seed, case, encoding, obj):
+    # z = 0 leaves T = 1, where a leaf has no outlier cell
+    inst = FORWARD_CASES[case](random.Random(seed), encoding)
     got = solve_outlier_clustering(inst, obj)
     btree = mstdp.binarize(mstdp.build_mst(inst), inst)
     want = reference.solve_btp_four_cases(inst, btree, obj)
@@ -345,6 +368,23 @@ BATCH_ENCODINGS = {
 }
 
 
+def heights(btree):
+    """Every node's height: 0 for a leaf, one more than its highest child's."""
+    height = {}
+    order = [btree.root]
+    for u in order:
+        order.extend(btree.children(u))
+    for u in reversed(order):
+        height[u] = 1 + max((height[w] for w in btree.children(u)), default=-1)
+    return height
+
+
+def levels_above_the_leaves(inst):
+    """The node count of every height from 1 up."""
+    height = heights(mstdp.binarize(mstdp.build_mst(inst), inst))
+    return [list(height.values()).count(h) for h in range(1, max(height.values()) + 1)]
+
+
 @pytest.mark.parametrize("obj", (KMEDIAN, KCENTER), ids=lambda o: o.name)
 @pytest.mark.parametrize("z", (0, 2))
 @pytest.mark.parametrize("encoding", tuple(BATCH_ENCODINGS))
@@ -357,15 +397,40 @@ def test_batch_boundaries_leave_every_table_unchanged(encoding, z, obj):
     want = forward_tables(mstdp._forward, inst, obj)
     assert (want[0].dtype == object) == (encoding != "float")
     node_cells = (inst.k + 1) * (inst.z + 1) * (inst.n + 1)
-    leaves = sum(1 for row in want[2] if row.sum() == 1)
-    # one node per batch, then three: the leaves' level is split either way
+    # one node per batch, then three: a batched level (every height above the
+    # leaves') is split either way
+    widest = max(levels_above_the_leaves(inst))
     for cells in (1, 3 * node_cells):
-        assert leaves > cells // node_cells
+        assert widest > max(1, cells // node_cells)
         with mock.patch.object(mstdp, "BATCH_CELLS", cells):
             got = forward_tables(mstdp._forward, inst, obj)
         for g, w in zip(got, want):
             assert g.dtype == w.dtype
             assert np.array_equal(g, w), cells
+
+
+@pytest.mark.parametrize("z", (0, 2))
+def test_leaves_are_filled_without_a_convolution(z):
+    # every batch _conv serves is a batch of non-leaf nodes, each filled once
+    inst, _ = planted_outlier(24, 3, z, 5) if z else generate(GeneratorConfig(n=24, k=3, seed=5))
+    args = forward_args(inst, KMEDIAN)
+    btree = args[0]
+    height = heights(btree)
+    real_conv = mstdp._conv
+    filled = []
+
+    def conv(a, b, combine):
+        batch = sys._getframe(1).f_locals["U"]  # the nodes of the calling batch
+        assert len(batch) == a.shape[2]
+        filled.extend(batch.tolist())
+        return real_conv(a, b, combine)
+
+    with mock.patch.object(mstdp, "_conv", conv):
+        got = mstdp._forward(*args)
+    assert sorted(filled) == [u for u in range(btree.size) if height[u] > 0]
+    assert sum(1 for h in height.values() if h == 0) > 0
+    for g, w in zip(got, mstdp._forward(*args)):
+        assert np.array_equal(g, w)
 
 
 def test_forward_peak_memory_stays_within_the_batch_budget():
