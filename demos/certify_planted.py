@@ -8,7 +8,6 @@ cross-checks the result against the brute-force oracle and both
 from resilient_cluster import (
     GONZALEZ,
     HOCHBAUM_SHMOYS,
-    KC,
     KCENTER,
     GeneratorConfig,
     brute_force,
@@ -28,7 +27,7 @@ oracle = brute_force(inst, KCENTER)
 print(f"\noracle optimum: radius={oracle.cost}, unique={oracle.unique}")
 assert oracle.best.partition_key() == planted.partition_key()
 
-verdict = certify(inst, KC)
+verdict = certify(inst)
 print(f"certifier: {verdict.kind} at LP radius {verdict.lp_radius}")
 assert verdict.kind == "OPTIMAL"
 assert verdict.lp_radius == oracle.cost

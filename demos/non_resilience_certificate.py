@@ -8,7 +8,6 @@ and is not even unique.
 """
 
 from resilient_cluster import (
-    KC,
     KCENTER,
     Instance,
     brute_force,
@@ -35,7 +34,7 @@ def two_rings(size=4, cross=10):
 inst = two_rings()
 print(f"instance: two 4-cycles, n={inst.n}, k={inst.k}")
 
-verdict = certify(inst, KC)
+verdict = certify(inst)
 print(f"\ncertifier verdict: {verdict.kind} at LP radius {verdict.lp_radius}")
 witness = verdict.fractional_witness
 print(f"fractional cover value: {witness.bound} (y = {[str(v) for v in witness.y]})")

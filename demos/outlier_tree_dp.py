@@ -9,7 +9,6 @@ the brute-force oracle and the outlier LP certifier.
 
 from resilient_cluster import (
     KCENTER,
-    KCO,
     KMEANS,
     KMEDIAN,
     GeneratorConfig,
@@ -44,7 +43,7 @@ for obj in (KMEDIAN, KMEANS, KCENTER, lp_norm(3)):
     )
     assert value == oracle.cost
 
-verdict = certify(inst, KCO)
+verdict = certify(inst)
 print(f"\noutlier LP certifier: {verdict.kind} at radius {verdict.lp_radius}")
 kc = brute_force(inst, KCENTER)
 assert verdict.lp_radius == kc.cost

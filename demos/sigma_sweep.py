@@ -12,7 +12,6 @@ from fractions import Fraction
 from resilient_cluster import (
     GONZALEZ,
     HOCHBAUM_SHMOYS,
-    KC,
     KCENTER,
     GeneratorConfig,
     brute_force,
@@ -27,7 +26,7 @@ def four_way_agreement(inst) -> bool:
     if not oracle.unique:
         return False
     key = oracle.best.partition_key()
-    verdict = certify(inst, KC)
+    verdict = certify(inst)
     if (
         verdict.kind != "OPTIMAL"
         or verdict.lp_radius != oracle.cost

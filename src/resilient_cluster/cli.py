@@ -322,9 +322,8 @@ def cmd_solve(inst: Instance, args) -> tuple[dict, int]:
 def cmd_certify(inst: Instance, args) -> tuple[dict, int]:
     """``certify``'s report fields for ``inst`` and its exit code, which
     ``solve --method lp`` reports too, with ``falsify`` off."""
-    formulation = lp.ASYM_KC if not inst.symmetric else lp.KCO if inst.z else lp.KC
-    verdict = lp.certify(inst, formulation)
-    report: dict = {"formulation": formulation, "radius": verdict.lp_radius,
+    verdict = lp.certify(inst)
+    report: dict = {"formulation": lp.formulation_of(inst), "radius": verdict.lp_radius,
                     "route": verdict.route, "packing": None, "verdict": verdict.kind}
     if verdict.packing is not None:
         report["packing"] = {"radius": verdict.packing.radius,

@@ -184,8 +184,11 @@ def lp_norm(p) -> Objective:
 def finite_optimum(value, obj: Objective):
     """``value``, the optimum a solver found under ``obj``, when it is finite.
     An infinite one comes from float terms, or sums of them, past the float
-    range; every clustering then costs inf, and that is a ValueError."""
+    range; every clustering then costs inf, and that is a ValueError. A NaN
+    one comes from a NaN distance, and is a ValueError naming the NaN."""
     if isinstance(value, float) and not math.isfinite(value):
+        if math.isnan(value):
+            raise ValueError(f"the {obj.name} optimum is NaN: a distance is NaN")
         raise ValueError(f"every clustering's {obj.name} cost overflows a float")
     return value
 
@@ -542,9 +545,9 @@ def validate_metric(inst: Instance) -> list[Violation]:
     finite |entry|, so scaling every distance scales the test with it: a
     diagonal entry must lie in [-tol, tol], an off-diagonal one above tol,
     the two sides of a symmetric pair within tol, and d(u,v) at most
-    d(u,mid) + d(mid,v) + tol. Each comparison is written as that sentence
-    says, so a NaN entry fails the diagonal test and passes the others, as
-    in scalar Python.
+    d(u,mid) + d(mid,v) + tol. The diagonal and positivity tests are written
+    as "lies in" and "above", so a NaN entry fails them; it passes the
+    symmetry and triangle tests, as in scalar Python.
     """
     D = _metric_matrix(inst)
     n = len(D)
@@ -553,7 +556,7 @@ def validate_metric(inst: Instance) -> list[Violation]:
     with np.errstate(invalid="ignore", over="ignore"):
         diag = D.diagonal()
         bad_diag = ~((-tol <= diag) & (diag <= tol))
-        bad_pos = D <= tol
+        bad_pos = ~(D > tol)
         np.fill_diagonal(bad_pos, False)
         for u in np.flatnonzero(bad_diag | bad_pos.any(axis=1)).tolist():
             if bad_diag[u]:

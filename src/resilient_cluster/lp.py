@@ -6,7 +6,14 @@ always included; on a float instance, within the instance's tolerance
 ``inst.tol``, which is relative to the largest distance).
 :func:`build_threshold_graph` returns it as one boolean matrix ``G`` with
 ``G[u, v]`` true when u can serve v, and every stage below reads that matrix.
-The three relaxations are solved through equivalent reduced forms, each a
+
+The instance picks its relaxation (:func:`formulation_of`), the one the paper
+proves integral on its kind: KC when symmetric with z = 0, KCO when symmetric
+with z > 0, asym-KC when asymmetric with z = 0; an asymmetric instance with
+outliers has none and is refused. So each function below reads "outliers or
+not" from ``inst.z``, and a ``formulation`` passed to :func:`certify`,
+:func:`min_feasible_radius` or :func:`solve_lp` must be the instance's own.
+The relaxations are solved through equivalent reduced forms, each a
 primal/dual pair:
 
 * plain / asymmetric (KC, asym-KC): the relaxation at R is feasible iff the
@@ -41,20 +48,18 @@ LP's and the integral optimum. When the check or the recovery fails, one
 more pass starts at the last point taken; when that misses too, the search
 below decides, and only the search answers NOT_2PR.
 
-:func:`solve_lp` solves the reduced LP at one radius in float64
-(:mod:`.simplex`) and checks the answer exactly; exactness comes from
-checking, never from pivoting in rationals; the reduced LP is built once,
-for the float solve and every check. The float primal and dual are
-rationalized with ``Fraction.limit_denominator``, and :func:`_check_lp` must
-accept them as an optimal pair (for KCO the primal is y with
-t_v = min(1, y(N_in(v)))), which proves the exact optimum ``bound``. When the
-check fails (an optimum whose denominator exceeds ``SNAP_DENOMINATOR``, say),
-the float solve's final basis B is solved exactly instead: B x_B = b and
-B^T y = c_B by integer Bareiss elimination, which gives that basis's vertex
-and its duals, and the same check must accept them. When it does not,
-:class:`.SolverPrecisionExceeded` names the radius and the reason; exactness
-is never dropped silently. The LP at a radius reads only the 0/1 matrix G, so
-this holds for int, Fraction and float instances alike.
+:func:`solve_lp` builds the reduced LP at one radius once, solves it in
+float64 (:mod:`.simplex`) and checks the answer exactly: exactness comes from
+checking, never from pivoting in rationals. The float primal and dual are
+rationalized with ``Fraction.limit_denominator`` and must pass
+:func:`_check_lp` as an optimal pair (for KCO the primal is y with
+t_v = min(1, y(N_in(v)))), which proves the exact optimum ``bound``. Failing
+that (an optimum whose denominator exceeds ``SNAP_DENOMINATOR``, say), the
+float solve's final basis B is solved exactly, B x_B = b and B^T y = c_B by
+integer Bareiss elimination, and its vertex and duals must pass instead;
+else :class:`.SolverPrecisionExceeded` names the radius and the reason. The
+LP at a radius reads only the 0/1 matrix G, so this holds for int, Fraction
+and float instances alike.
 
 :func:`min_feasible_radius` is one binary search over the candidate radii,
 and every probe it reads is such a checked outcome. By monotonicity the
@@ -92,7 +97,6 @@ from .simplex import SolverPrecisionExceeded, maximize
 KC = "kc"
 ASYM_KC = "asym-kc"
 KCO = "kco"
-FORMULATIONS = (KC, ASYM_KC, KCO)
 
 OPTIMAL = "OPTIMAL"
 NOT_2PR = "NOT_2PR"
@@ -119,7 +123,6 @@ class LpOutcome:
     y: tuple
     integral: bool
     radius: object
-    formulation: str
     bound: object
     certificate: tuple
     _graph: np.ndarray = field(repr=False, compare=False)
@@ -162,28 +165,39 @@ def build_threshold_graph(inst: Instance, R) -> np.ndarray:
     return G
 
 
-def _check_formulation(inst: Instance, formulation: str) -> None:
-    if formulation not in FORMULATIONS:
-        raise ValueError(f"unknown formulation {formulation!r}")
-    if formulation in (KC, KCO) and not inst.symmetric:
-        raise AsymmetricUnsupported(
-            f"{formulation} is defined for symmetric instances; use {ASYM_KC}"
-        )
+def formulation_of(inst: Instance) -> str:
+    """The relaxation of ``inst`` (see the module docstring). An asymmetric
+    instance with z > 0 raises :class:`.AsymmetricUnsupported`."""
+    if inst.symmetric:
+        return KCO if inst.z else KC
+    if inst.z:
+        raise AsymmetricUnsupported("no LP relaxation is proved for an asymmetric instance "
+                                    f"with outliers (z = {inst.z}); use solve --method oracle")
+    return ASYM_KC
 
 
-def solve_lp(inst: Instance, R, formulation: str) -> LpOutcome:
-    """Feasibility of the chosen relaxation at radius R, with both LP sides,
-    checked exactly whatever the instance's number type, so ``bound`` is the
-    LP optimum.
+def _check_formulation(inst: Instance, formulation: str | None) -> str:
+    """:func:`formulation_of` ``(inst)``, which a given ``formulation`` must be:
+    KC or KCO on an asymmetric instance is AsymmetricUnsupported, else ValueError."""
+    own = formulation_of(inst)
+    if formulation is not None and formulation != own:
+        if formulation in (KC, KCO) and not inst.symmetric:
+            raise AsymmetricUnsupported(f"{formulation} is defined for symmetric instances; "
+                                        f"use {ASYM_KC}")
+        raise ValueError(f"this instance's relaxation is {own}, not {formulation!r}")
+    return own
 
-    The reduced LP is solved in floating point; its rationalized primal and
-    dual must pass :func:`_exact_outcome`, or else the vertex of the float
-    solve's final basis, solved exactly, must. Raises
+
+def solve_lp(inst: Instance, R, formulation: str | None = None) -> LpOutcome:
+    """Feasibility of the instance's relaxation at radius R, with both LP
+    sides, checked exactly whatever the instance's number type, so ``bound``
+    is the LP optimum. The rationalized float primal and dual must pass
+    :func:`_exact_outcome`, or else the float basis solved exactly must;
     :class:`SolverPrecisionExceeded`, naming the radius, when neither does.
     """
     _check_formulation(inst, formulation)
     G = build_threshold_graph(inst, R)
-    c, A, b = _reduced_lp(G, formulation, inst.k)
+    c, A, b = _reduced_lp(inst, G)
     try:
         res = maximize(c, A, b)
     except SolverPrecisionExceeded as e:
@@ -193,26 +207,23 @@ def solve_lp(inst: Instance, R, formulation: str) -> LpOutcome:
         # solve is a rounding failure, as a stall is
         raise SolverPrecisionExceeded(f"at radius {R}: the float solve came back {res.status}, "
                                       "but the reduced LP is bounded")
-    sides = _lp_sides(formulation, inst.n, _rationalize(res.x), _rationalize(res.duals))
-    exact = _exact_outcome(inst, G, R, formulation, (c, A, b), *sides)
+    sides = _lp_sides(inst, _rationalize(res.x), _rationalize(res.duals))
+    exact = _exact_outcome(inst, G, R, (c, A, b), *sides)
     if isinstance(exact, str):
         solved = _basis_solution(c, A, b, res.basis)
-        if solved is None:
-            exact = "the basis is singular"
-        else:
-            exact = _exact_outcome(inst, G, R, formulation, (c, A, b),
-                                   *_lp_sides(formulation, inst.n, *solved))
+        exact = ("the basis is singular" if solved is None
+                 else _exact_outcome(inst, G, R, (c, A, b), *_lp_sides(inst, *solved)))
     if isinstance(exact, str):
         raise SolverPrecisionExceeded(f"at radius {R}: exact solve of the float basis: {exact}")
     return exact
 
 
-def _reduced_lp(G: np.ndarray, formulation: str, k: int) -> tuple:
+def _reduced_lp(inst: Instance, G: np.ndarray) -> tuple:
     """(c, A, b) of the reduced LP max c.x s.t. A x <= b, x >= 0 at the
     radius of G: the packing (KC, asym-KC), or the bounded coverage (KCO) over
     y_0..y_{n-1}, t_0..t_{n-1}."""
     n = len(G)
-    if formulation != KCO:
+    if not inst.z:
         return [1] * n, G, [1] * n
     eye = np.eye(n, dtype=np.int64)
     A = np.zeros((2 * n + 1, 2 * n), dtype=np.int64)
@@ -220,21 +231,20 @@ def _reduced_lp(G: np.ndarray, formulation: str, k: int) -> tuple:
     A[:n, n:] = eye
     A[n : 2 * n, n:] = eye
     A[2 * n, :n] = 1
-    return [0] * n + [1] * n, A, [0] * n + [1] * n + [k]
+    return [0] * n + [1] * n, A, [0] * n + [1] * n + [inst.k]
 
 
-def _lp_sides(formulation: str, n: int, x, duals) -> tuple:
+def _lp_sides(inst: Instance, x, duals) -> tuple:
     """(y, certificate) from the reduced LP's primal x and duals."""
-    return (x[:n], duals) if formulation == KCO else (duals, x)
+    return (x[: inst.n], duals) if inst.z else (duals, x)
 
 
-def _is_integral(G, y, formulation) -> bool:
+def _is_integral(inst: Instance, G, y) -> bool:
     """y is 0/1 and, for KCO, so is the witness x: with a 0/1 cover, x_uv is
     1 / (centers serving v), so no point may have two serving centers."""
     ones = np.array([v == 1 for v in y])
-    if not all(ones[u] or v == 0 for u, v in enumerate(y)):
-        return False
-    return formulation != KCO or bool((ones.astype(np.int64) @ G <= 1).all())
+    zero_one = all(ones[u] or v == 0 for u, v in enumerate(y))
+    return zero_one and (not inst.z or bool((ones.astype(np.int64) @ G <= 1).all()))
 
 
 # ---------------------------------------------------------------------------
@@ -279,14 +289,12 @@ def _check_lp(c, A, b, x=None, y=None) -> str | None:
     return None
 
 
-def _feasible(inst: Instance, formulation: str, value) -> bool:
+def _feasible(inst: Instance, value) -> bool:
     """The LP value reaches n - z (KCO), or stays within k."""
-    if formulation == KCO:
-        return value >= inst.n - inst.z
-    return value <= inst.k
+    return value >= inst.n - inst.z if inst.z else value <= inst.k
 
 
-def _exact_outcome(inst, G, R, formulation, reduced, y, dual) -> LpOutcome | str:
+def _exact_outcome(inst, G, R, reduced, y, dual) -> LpOutcome | str:
     """The exact outcome at R when :func:`_check_lp` accepts the rational
     pair (y, dual) as an optimal pair of the reduced LP ``reduced``, the
     (c, A, b) of :func:`_reduced_lp` at G, else the reason it does not. For
@@ -294,7 +302,7 @@ def _exact_outcome(inst, G, R, formulation, reduced, y, dual) -> LpOutcome | str
     c, A, b = reduced
     Y, den = integer_form(y, len(y) + 1, None)
     D = integer_form(dual, len(dual) + 1, None)
-    if formulation == KCO:
+    if inst.z:
         t = np.minimum(Y @ G, integer_form([1] * inst.n, 2, den)[0])
         primal, reduced_dual = (np.concatenate([Y, t]), den), D
     else:
@@ -303,9 +311,9 @@ def _exact_outcome(inst, G, R, formulation, reduced, y, dual) -> LpOutcome | str
     if reason is not None:
         return reason
     bound = Fraction(_dot(c, primal[0]), primal[1])
-    feasible = _feasible(inst, formulation, bound)
-    integral = feasible and _is_integral(G, y, formulation)
-    return LpOutcome(feasible, tuple(y), integral, R, formulation, bound, tuple(dual), G)
+    feasible = _feasible(inst, bound)
+    integral = feasible and _is_integral(inst, G, y)
+    return LpOutcome(feasible, tuple(y), integral, R, bound, tuple(dual), G)
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +386,7 @@ def _basis_solution(c, A, b, basis) -> tuple[list, list] | None:
 # radius search
 
 
-def min_feasible_radius(inst: Instance, formulation: str) -> tuple[object, LpOutcome]:
+def min_feasible_radius(inst: Instance, formulation: str | None = None) -> tuple[object, LpOutcome]:
     """Smallest candidate radius (distinct distance value) whose relaxation is
     feasible, with its outcome: one binary search over :func:`solve_lp`.
 
@@ -388,12 +396,11 @@ def min_feasible_radius(inst: Instance, formulation: str) -> tuple[object, LpOut
     pin R*. A probe that cannot be checked raises
     :class:`.SolverPrecisionExceeded`.
     """
-    _check_formulation(inst, formulation)
+    formulation = _check_formulation(inst, formulation)
     cands = inst.distinct_distances()
     probe = cache(lambda i: solve_lp(inst, cands[i], formulation))
     top = len(cands) - 1
-    # the largest distance is left out of the bisection: every relaxation is
-    # feasible there
+    # every relaxation is feasible at the largest distance: the bisection leaves it out
     lo = bisect_left(range(top), True, key=lambda i: probe(i).feasible)
     outcome = probe(lo)
     if not outcome.feasible:  # a NaN distance can leave G_R incomplete
@@ -411,37 +418,32 @@ def _undirected_components(G: np.ndarray) -> list[np.ndarray]:
     for s in range(len(G)):
         if seen[s]:
             continue
-        comp = U[s].copy()
-        frontier = comp
-        while True:
-            grown = U[frontier].any(axis=0) & ~comp
-            if not grown.any():
-                break
-            comp |= grown
-            frontier = grown
+        comp = frontier = U[s].copy()
+        while frontier.any():
+            frontier = U[frontier].any(axis=0) & ~comp
+            comp |= frontier
         seen |= comp
         comps.append(np.flatnonzero(comp))
     return comps
 
 
-def _cluster_within_radius(inst: Instance, G: np.ndarray, centers: list[int],
-                           max_outliers: int) -> Clustering | None:
+def _cluster_within_radius(inst: Instance, G: np.ndarray, centers: list[int]) -> Clustering | None:
     """Voronoi clustering of at most k ``centers``, completed to k by
     :func:`.completed_centers`, in which every point that no center reaches in
-    G is an outlier, or None when that is more than ``max_outliers`` points."""
+    G is an outlier, or None when that is more than z points."""
     chosen = completed_centers(inst, centers)
     outliers = np.flatnonzero(~G[chosen].any(axis=0)).tolist()
-    if len(outliers) > max_outliers:
+    if len(outliers) > inst.z:
         return None
     # every kept point has a center within R, and Voronoi picks the nearest
     return voronoi(inst, tuple(chosen), outliers)
 
 
-def _component_clustering(inst: Instance, G: np.ndarray, formulation: str) -> Clustering | None:
+def _component_clustering(inst: Instance, G: np.ndarray) -> Clustering | None:
     """Component recovery at the radius of G: each connected component must
     contain a point covering the whole component (its lowest such point is
-    used); for the outlier formulation the k largest coverable components are
-    kept and everything else must fit in the outlier budget."""
+    used); with outliers the k largest coverable components are kept and
+    everything else must fit in the outlier budget."""
     comps = _undirected_components(G)
     # a point's out-neighbours lie in its own component, so it covers the
     # component iff it has as many out-neighbours as the component has points
@@ -450,16 +452,16 @@ def _component_clustering(inst: Instance, G: np.ndarray, formulation: str) -> Cl
     for comp in comps:
         hits = comp[reach[comp] == len(comp)]
         coverers.append(int(hits[0]) if len(hits) else None)
-    if formulation != KCO:
+    if not inst.z:
         if len(comps) > inst.k or None in coverers:
             return None
-        return _cluster_within_radius(inst, G, coverers, 0)
+        return _cluster_within_radius(inst, G, coverers)
     coverable = [(comp, c) for comp, c in zip(comps, coverers) if c is not None]
     coverable.sort(key=lambda item: (-len(item[0]), item[0][0]))
     centers = [c for _, c in coverable[: inst.k]]
     if not centers:
         return None
-    return _cluster_within_radius(inst, G, centers, inst.z)
+    return _cluster_within_radius(inst, G, centers)
 
 
 def extract_integral(inst: Instance, outcome: LpOutcome) -> Clustering | None:
@@ -474,14 +476,13 @@ def extract_integral(inst: Instance, outcome: LpOutcome) -> Clustering | None:
     if not outcome.feasible:
         return None
     G = outcome._graph
-    clus = _component_clustering(inst, G, outcome.formulation)
+    clus = _component_clustering(inst, G)
     if clus is not None or not outcome.integral:
         return clus
     centers = [u for u, v in enumerate(outcome.y) if v == 1]
     if not 0 < len(centers) <= inst.k:
         return None
-    budget = inst.z if outcome.formulation == KCO else 0
-    return _cluster_within_radius(inst, G, centers, budget)
+    return _cluster_within_radius(inst, G, centers)
 
 
 # ---------------------------------------------------------------------------
@@ -521,26 +522,26 @@ def _largest_below(D: np.ndarray, m):
     return r.item() if isinstance(r, np.generic) else r
 
 
-def _packing_reason(inst: Instance, G: np.ndarray, points, formulation: str) -> str | None:
+def _packing_reason(inst: Instance, G: np.ndarray, points) -> str | None:
     """None iff :func:`_check_lp` accepts ``points`` as a 0/1 vector that
     proves the relaxation at the radius of G infeasible: the packing primal
     1_S of value |S| > k (KC, asym-KC), or the KCO dual alpha = 1_S,
     beta = 1 - alpha, gamma = 1 of value n - |S| + k < n - z."""
-    c, A, b = _reduced_lp(G, formulation, inst.k)
+    c, A, b = _reduced_lp(inst, G)
     p = np.zeros(inst.n, dtype=np.int64)
     p[list(points)] = 1
-    if formulation == KCO:
+    if inst.z:
         dual = np.concatenate([p, 1 - p, [1]])
         reason, value = _check_lp(c, A, b, y=(dual, 1)), _dot(b, dual)
     else:
         reason, value = _check_lp(c, A, b, x=(p, 1)), _dot(c, p)
-    if reason is None and _feasible(inst, formulation, value):
-        bound = f"below n - z = {inst.n - inst.z}" if formulation == KCO else f"above k = {inst.k}"
+    if reason is None and _feasible(inst, value):
+        bound = f"below n - z = {inst.n - inst.z}" if inst.z else f"above k = {inst.k}"
         return f"value: {value} is not {bound}"
     return reason
 
 
-def _packing_route(inst: Instance, formulation: str) -> CertifierVerdict | None:
+def _packing_route(inst: Instance) -> CertifierVerdict | None:
     """An OPTIMAL verdict proved with no LP, or None.
 
     One farthest-first pass in conflict radius (:func:`_greedy_packing`)
@@ -553,7 +554,7 @@ def _packing_route(inst: Instance, formulation: str) -> CertifierVerdict | None:
     misses.
     """
     D = inst._array
-    size = inst.k + 1 + (inst.z if formulation == KCO else 0)
+    size = inst.k + 1 + inst.z
     start = 0
     for _ in range(2):
         found = _greedy_packing(D, start, size)
@@ -561,9 +562,9 @@ def _packing_route(inst: Instance, formulation: str) -> CertifierVerdict | None:
             return None
         points, m = found
         below = _largest_below(D, m)
-        if (below is not None and _packing_reason(
-                inst, build_threshold_graph(inst, below), points, formulation) is None):
-            clus = _component_clustering(inst, build_threshold_graph(inst, m), formulation)
+        if (below is not None
+                and _packing_reason(inst, build_threshold_graph(inst, below), points) is None):
+            clus = _component_clustering(inst, build_threshold_graph(inst, m))
             if clus is not None:
                 packing = Packing(below, tuple(sorted(points)))
                 return CertifierVerdict(OPTIMAL, clus, m, None, PACKING, packing)
@@ -571,7 +572,7 @@ def _packing_route(inst: Instance, formulation: str) -> CertifierVerdict | None:
     return None
 
 
-def certify(inst: Instance, formulation: str) -> CertifierVerdict:
+def certify(inst: Instance, formulation: str | None = None) -> CertifierVerdict:
     """The certifier's verdict: OPTIMAL with a clustering whose k-center cost
     is the LP radius R*, or NOT_2PR with the fractional outcome at R*.
 
@@ -579,15 +580,13 @@ def certify(inst: Instance, formulation: str) -> CertifierVerdict:
     misses, :func:`min_feasible_radius` finds R* and :func:`extract_integral`
     looks for a clustering there. On either route R* lower-bounds every
     solution, so a clustering of cost R* is provably optimal; its cost is
-    checked against R* before OPTIMAL is returned. NOT_2PR comes only from
-    the search. What it proves is the exact LP optimum at R* and at the
-    candidate below, and that no clustering was recovered at R*. Reading it
-    as non-resilience rests on the paper's theorem that the natural LP is
-    integral on 2-perturbation-resilient instances; it is not a proof of an
-    integrality gap.
+    checked against R* before OPTIMAL is returned. NOT_2PR, from the search
+    only, proves the exact LP optimum at R* and at the candidate below, and
+    that no clustering was recovered at R*; reading it as non-resilience
+    rests on the paper's integrality theorem, not on a proven gap.
     """
-    _check_formulation(inst, formulation)
-    verdict = _packing_route(inst, formulation)
+    formulation = _check_formulation(inst, formulation)
+    verdict = _packing_route(inst)
     if verdict is None:
         r_star, outcome = min_feasible_radius(inst, formulation)
         clus = extract_integral(inst, outcome)
@@ -597,7 +596,6 @@ def certify(inst: Instance, formulation: str) -> CertifierVerdict:
     achieved = cost(inst, verdict.clustering, KCENTER)
     r_star = verdict.lp_radius
     if abs(achieved - r_star) > inst.tol:
-        raise InternalCheckFailed(
-            f"extracted clustering has radius {achieved}, the LP radius is {r_star}"
-        )
+        raise InternalCheckFailed(f"extracted clustering has radius {achieved}, "
+                                  f"the LP radius is {r_star}")
     return verdict

@@ -330,7 +330,7 @@ def validate_metric(inst):
         if not (-tol <= dist[u][u] <= tol):
             out.append(DiagonalViolation(u))
         for v in range(n):
-            if u != v and dist[u][v] <= tol:
+            if u != v and not dist[u][v] > tol:
                 out.append(PositivityViolation(u, v))
     if inst.symmetric:
         for u in range(n):

@@ -72,11 +72,10 @@ def with_entry(values, i, new):
     return values[:i] + [new] + values[i + 1 :]
 
 
-def pair_reason(inst, R, formulation, y, certificate):
+def pair_reason(inst, R, y, certificate):
     """Why the confirmation at R rejects the pair (y, certificate), or None."""
     G = build_threshold_graph(inst, R)
-    reduced = lp._reduced_lp(G, formulation, inst.k)
-    checked = lp._exact_outcome(inst, G, R, formulation, reduced, y, certificate)
+    checked = lp._exact_outcome(inst, G, R, lp._reduced_lp(inst, G), y, certificate)
     return None if isinstance(checked, lp.LpOutcome) else checked
 
 
@@ -92,7 +91,7 @@ def test_packing_certificate_rejects_a_corrupted_entry(formulation):
     y, cert = list(outcome.y), list(outcome.certificate)
 
     def reason(certificate):
-        return pair_reason(inst, below, formulation, y, certificate)
+        return pair_reason(inst, below, y, certificate)
 
     assert reason(cert) is None
     n = inst.n
@@ -125,7 +124,7 @@ def test_covering_optimum_pair_rejects_a_corrupted_entry(formulation):
     y, cert = list(outcome.y), list(outcome.certificate)
 
     def reason(y, certificate):
-        return pair_reason(inst, r_star, formulation, y, certificate)
+        return pair_reason(inst, r_star, y, certificate)
 
     assert reason(y, cert) is None
     if formulation == KCO:
@@ -166,7 +165,7 @@ def test_check_lp_reads_values_past_int64():
     y = [Fraction(1, p), Fraction(1, q)]
     dual = [Fraction(v) for v in (0, 0, 1, 1, 0)]
     G = np.eye(2, dtype=bool)
-    reason = lp._exact_outcome(inst, G, 0, KCO, lp._reduced_lp(G, KCO, inst.k), y, dual)
+    reason = lp._exact_outcome(inst, G, 0, lp._reduced_lp(inst, G), y, dual)
     assert reason == f"value: c.x = {sum(y)} differs from b.y = 2"
 
 
@@ -181,12 +180,12 @@ def count_solves(monkeypatch, corrupt_at=None, corrupt=None):
     real_exact, real_basis = lp._exact_outcome, lp._basis_solution
     basis_radii, checking, pending = [], [], {corrupt_at}
 
-    def exact(inst, G, R, formulation, reduced, y, dual):
+    def exact(inst, G, R, reduced, y, dual):
         checking[:] = [R]
         if R in pending:
             pending.discard(R)
             y, dual = corrupt(y, dual)
-        return real_exact(inst, G, R, formulation, reduced, y, dual)
+        return real_exact(inst, G, R, reduced, y, dual)
 
     def basis(c, A, b, basis):
         basis_radii.extend(checking)
@@ -359,7 +358,7 @@ def test_checkers_accept_a_zero_one_packing_and_reject_an_overlap(formulation):
     assert packing.radius == below and verdict.lp_radius == r_star
     assert len(packing.points) == inst.k + 1 + (inst.z if formulation == KCO else 0)
     G = build_threshold_graph(inst, packing.radius)
-    c, A, b = lp._reduced_lp(G, formulation, inst.k)
+    c, A, b = lp._reduced_lp(inst, G)
     p = np.array(zero_one(inst, packing.points))
     if formulation == KCO:
         dual = np.concatenate([p, 1 - p, [1]])
@@ -368,10 +367,10 @@ def test_checkers_accept_a_zero_one_packing_and_reject_an_overlap(formulation):
     else:
         assert lp._check_lp(c, A, b, x=(p, 1)) is None
         assert lp._dot(c, p) == inst.k + 1
-    assert lp._packing_reason(inst, G, packing.points, formulation) is None
+    assert lp._packing_reason(inst, G, packing.points) is None
     overlap = overlapping(G, packing.points)
-    assert lp._packing_reason(inst, G, overlap, formulation).startswith(rejection(formulation))
-    short = lp._packing_reason(inst, G, packing.points[:-1], formulation)
+    assert lp._packing_reason(inst, G, overlap).startswith(rejection(formulation))
+    short = lp._packing_reason(inst, G, packing.points[:-1])
     target = f"below n - z = {inst.n - inst.z}" if formulation == KCO else f"above k = {inst.k}"
     assert short.startswith("value: ") and short.endswith(target)
 
@@ -393,8 +392,8 @@ def test_overlapping_greedy_packing_is_rejected(monkeypatch, formulation):
         overlaps.append(points)
         return points, m
 
-    def reason(inst_, G, points, formulation_):
-        reasons.append((points, real_reason(inst_, G, points, formulation_)))
+    def reason(inst_, G, points):
+        reasons.append((points, real_reason(inst_, G, points)))
         return reasons[-1][1]
 
     monkeypatch.setattr(lp, "_greedy_packing", overlap)
@@ -482,7 +481,7 @@ def test_packing_route_radius_is_the_searched_and_the_brute_force_one(seed, form
     n = rng.randint(4, 9)
     z = rng.randint(1, 2) if formulation == KCO else 0
     inst = random_instance(rng, formulation, numbers, n, rng.randint(1, n - z - 1), z)
-    verdict = lp._packing_route(inst, formulation)
+    verdict = lp._packing_route(inst)
     if verdict is None:
         return
     r_star = verdict.lp_radius
@@ -493,7 +492,7 @@ def test_packing_route_radius_is_the_searched_and_the_brute_force_one(seed, form
     # the search gives the same verdict and the same partition, second
     # optimum or not: it runs the same component recovery at the same R*
     # before it rounds a vertex
-    with mock.patch.object(lp, "_packing_route", lambda inst_, formulation_: None):
+    with mock.patch.object(lp, "_packing_route", lambda inst_: None):
         searched = certify(inst, formulation)
     assert searched.route == lp.SEARCH
     assert (searched.kind, searched.lp_radius) == (verdict.kind, r_star)
@@ -509,7 +508,7 @@ def test_component_recovery_matches_the_scalar_reference(seed, formulation, numb
     z = rng.randint(1, n - 1) if formulation == KCO else 0
     inst = random_instance(rng, formulation, numbers, n, rng.randint(1, n - z), z)
     for R in inst.distinct_distances():
-        got = lp._component_clustering(inst, build_threshold_graph(inst, R), formulation)
+        got = lp._component_clustering(inst, build_threshold_graph(inst, R))
         assert got == reference.component_clustering(inst, R, formulation)
 
 

@@ -852,6 +852,22 @@ def test_asymmetric_file_defaults_to_asym_kc(tmp_path, capsys):
     assert json.loads(out)["formulation"] == "asym-kc"
 
 
+@pytest.mark.parametrize("argv", [["certify"], ["solve", "--method", "lp"]])
+def test_asymmetric_file_with_outliers_exit_1(tmp_path, capsys, argv):
+    """No relaxation is proved for it, so the LP gives no verdict; the
+    oracle solves it, at radius 1."""
+    path = tmp_path / "inst.json"
+    path.write_text('{"k": 2, "z": 1, "symmetric": false, "dist": '
+                    '[[0,1,5,50],[2,0,5,50],[5,5,0,50],[50,50,50,0]]}')
+    code, out, err = run(capsys, *argv, "--input", str(path))
+    assert (code, out) == (1, "")
+    assert err == ("error: no LP relaxation is proved for an asymmetric instance with "
+                   "outliers (z = 1); use solve --method oracle\n")
+    code, out, err = run(capsys, "solve", "--input", str(path), "--method", "oracle")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["cost"] == 1
+
+
 @pytest.mark.parametrize("kind", ["missing-file", "empty-directory"])
 def test_missing_input_exit_1(tmp_path, capsys, kind):
     path = tmp_path / "absent.json" if kind == "missing-file" else tmp_path

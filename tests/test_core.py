@@ -20,9 +20,11 @@ from resilient_cluster import (
     ClusteringInvalid,
     EmptyCenters,
     Instance,
+    brute_force,
     cost,
     lp_norm,
     objective_by_name,
+    solve_outlier_clustering,
     validate_metric,
     voronoi,
 )
@@ -31,6 +33,7 @@ from resilient_cluster.core import (
     FLOAT_TOL,
     MAX_EXPONENT,
     Objective,
+    PositivityViolation,
     SymmetryViolation,
     TriangleViolation,
     _metric_matrix,
@@ -132,6 +135,19 @@ def test_validate_metric_triangle_violation():
     dist = ((0, 1, 5), (1, 0, 1), (5, 1, 0))
     inst = Instance(dist, k=1)
     assert validate_metric(inst) == [TriangleViolation(0, 1, 2)]
+
+
+def test_an_off_diagonal_nan_is_a_violation_and_a_nan_optimum():
+    """A NaN fails the positivity test; a solver handed it anyway names the
+    NaN, not an overflow."""
+    nan = math.nan
+    inst = Instance([[0, nan, 1], [nan, 0, 1], [1, 1, 0]], 1)
+    assert validate_metric(inst) == [PositivityViolation(0, 1), PositivityViolation(1, 0)]
+    for obj in (KMEDIAN, KCENTER):
+        for solve in (brute_force, solve_outlier_clustering):
+            with pytest.raises(ValueError, match=f"^the {obj.name} optimum is NaN: "
+                                                 "a distance is NaN$"):
+                solve(inst, obj)
 
 
 def test_validate_metric_symmetry_flag_contradiction():

@@ -7,7 +7,7 @@ infeasibility.
 """
 
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import numpy as np
@@ -32,8 +32,10 @@ from resilient_cluster import (
     min_feasible_radius,
     solve_lp,
 )
+from resilient_cluster.lp import formulation_of
 
 from conftest import (
+    encoded_metric,
     graph_metric_instance,
     line_instance,
     random_directed_metric_instance,
@@ -207,6 +209,71 @@ def test_feasibility_monotone_in_radius():
 
 
 # ---------------------------------------------------------------------------
+# the instance picks its relaxation
+
+TRIANGLE = ((0, 1, 3), (1, 0, 2), (3, 2, 0))
+OWN_RELAXATION = {
+    "symmetric, z = 0": (Instance(TRIANGLE, k=1), KC),
+    "symmetric, z = 1": (Instance(TRIANGLE, k=1, z=1), KCO),
+    "asymmetric, z = 0": (Instance(((0, 1, 3), (2, 0, 2), (3, 1, 0)), k=1, symmetric=False),
+                          ASYM_KC),
+}
+RELAXED = {
+    "certify": certify,
+    "min_feasible_radius": min_feasible_radius,
+    "solve_lp": lambda inst, *given: solve_lp(inst, max(inst.distinct_distances()), *given),
+}
+# brute force gives radius 1 (centers 0 and 2, point 3 an outlier); asym-KC,
+# which ignores z, would give 5
+ASYMMETRIC_WITH_OUTLIER = Instance(
+    ((0, 1, 5, 50), (2, 0, 5, 50), (5, 5, 0, 50), (50, 50, 50, 0)), k=2, z=1, symmetric=False)
+
+
+@pytest.mark.parametrize("relaxed", RELAXED)
+@pytest.mark.parametrize("case", OWN_RELAXATION)
+@pytest.mark.parametrize("given", [KC, ASYM_KC, KCO])
+def test_only_the_instance_s_own_relaxation_is_accepted(relaxed, case, given):
+    inst, own = OWN_RELAXATION[case]
+    run = RELAXED[relaxed]
+    assert formulation_of(inst) == own
+    if given == own:
+        assert run(inst, given) == run(inst)
+    elif given in (KC, KCO) and not inst.symmetric:
+        with pytest.raises(AsymmetricUnsupported, match=f"^{given} is defined for symmetric "):
+            run(inst, given)
+    else:
+        with pytest.raises(ValueError, match=f"relaxation is {own}, not '{given}'$") as caught:
+            run(inst, given)
+        assert caught.type is ValueError
+
+
+@pytest.mark.parametrize("relaxed", RELAXED)
+@pytest.mark.parametrize("given", [None, KC, ASYM_KC, KCO])
+def test_an_asymmetric_instance_with_outliers_is_refused(relaxed, given):
+    inst = ASYMMETRIC_WITH_OUTLIER
+    assert brute_force(inst, KCENTER).cost == 1
+    with pytest.raises(AsymmetricUnsupported, match=r"\(z = 1\); use solve --method oracle$"):
+        formulation_of(inst)
+    with pytest.raises(AsymmetricUnsupported, match=r"\(z = 1\); use solve --method oracle$"):
+        RELAXED[relaxed](inst, *([] if given is None else [given]))
+
+
+def test_certify_reads_its_relaxation_from_the_instance():
+    """certify(inst) and certify(inst, its own relaxation) agree on every
+    field, the fractional witness's included."""
+    rng = random.Random(33)
+    for _ in range(60):
+        n = rng.randint(4, 10)
+        directed = rng.random() < 1 / 3
+        z = 0 if directed else rng.choice([0, 0, 1, 2])
+        numbers = rng.choice(["int", "fraction", "float"])
+        inst = encoded_metric(rng, n, rng.randint(1, n - z - 1), z, numbers, directed)
+        got, want = certify(inst), certify(inst, formulation_of(inst))
+        for f in fields(want):
+            assert getattr(got, f.name) == getattr(want, f.name), f.name
+
+
+# ---------------------------------------------------------------------------
 # min_feasible_radius
 
 
@@ -245,9 +312,9 @@ def test_min_radius_float_instance():
 
 
 def test_no_feasible_candidate_radius_is_a_value_error():
-    # validate_metric lets an off-diagonal NaN through, and no threshold graph
-    # holds the NaN pairs: no single center covers the four points at any
-    # candidate radius, NaN (the largest) included
+    # validate_metric reports an off-diagonal NaN, but Instance takes it, and
+    # no threshold graph holds the NaN pairs: no single center covers the
+    # four points at any candidate radius, NaN (the largest) included
     nan = float("nan")
     inst = Instance([[0, 2, 1, nan], [2, 0, nan, 1], [1, nan, 0, 2], [nan, 1, 2, 0]], 1)
     for search in (min_feasible_radius, certify):
@@ -412,9 +479,9 @@ def count_basis_solves(monkeypatch):
     real_exact, real_basis = lp_mod._exact_outcome, lp_mod._basis_solution
     radii, checking = [], []
 
-    def exact(inst, G, R, formulation, reduced, y, dual):
+    def exact(inst, G, R, reduced, y, dual):
         checking[:] = [R]
-        return real_exact(inst, G, R, formulation, reduced, y, dual)
+        return real_exact(inst, G, R, reduced, y, dual)
 
     def counted(c, A, b, basis):
         radii.extend(checking)

@@ -133,8 +133,10 @@ NON_FINITE = (
     (NAN, 2.5, 1.5, NAN, 1.0),
     (2.0, 1.0, 0.5, 1.0, 0.0),
 )
-# what validate_metric reported when its tolerance was an absolute 1e-9
-HEAD = [PositivityViolation(2, 4), DiagonalViolation(3)]
+# what validate_metric reported when its tolerance was an absolute 1e-9, with
+# the NaN pairs (0, 3) and (3, 0), which fail the positivity test
+HEAD = [PositivityViolation(0, 3), PositivityViolation(2, 4), DiagonalViolation(3),
+        PositivityViolation(3, 0)]
 SYMMETRIC_TRIANGLES = [(1, 0, 2), (0, 2, 4), (3, 2, 4), (4, 2, 4), (1, 3, 2), (0, 4, 2),
                        (1, 4, 2), (1, 4, 3), (2, 4, 2), (2, 4, 3)]
 DIRECTED_TRIANGLES = [(1, 0, 2), (2, 0, 1), (0, 2, 4), (3, 2, 4), (4, 2, 4), (1, 3, 2),

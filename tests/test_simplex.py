@@ -120,7 +120,7 @@ def test_float_bland_cycle_is_broken():
     first, converges, and the basis it ends on is exactly optimal."""
     inst = graph_metric_instance(44, k=10)
     G = lp.build_threshold_graph(inst, 1)
-    c, A, b = lp._reduced_lp(G, lp.KC, inst.k)
+    c, A, b = lp._reduced_lp(inst, G)
     res = maximize(c, A, b)
     assert res.status == OPTIMAL
     x, y = lp._basis_solution(c, A, b, res.basis)
