@@ -94,7 +94,8 @@ class Objective:
 
     ``aggregate`` is "sum" or "max"; k-means is the summed exponent-2 case (no
     square root), k-median exponent 1, k-center the max with exponent 1. The
-    exponent lies in (0, :data:`MAX_EXPONENT`].
+    exponent lies in (0, :data:`MAX_EXPONENT`]; a whole ``Fraction`` is stored
+    as its ``int``, so ``type(exponent) is int`` is the one integer test.
     """
 
     exponent: int | Fraction
@@ -108,13 +109,13 @@ class Objective:
             raise ValueError("exponent must be positive")
         if self.exponent > MAX_EXPONENT:
             raise ValueError(f"exponent must be at most {MAX_EXPONENT}")
+        if isinstance(self.exponent, Fraction) and self.exponent.denominator == 1:
+            object.__setattr__(self, "exponent", self.exponent.numerator)
 
     def term(self, d):
         exp = self.exponent
         if type(exp) is not int:
-            if not (isinstance(exp, Fraction) and exp.denominator == 1):
-                return float(d) ** float(exp)
-            exp = exp.numerator
+            return float(d) ** float(exp)
         if exp > 1 and isinstance(d, float):
             # a float product, unlike libm's pow, scales exactly when d is
             # scaled by a power of two, so float costs do not depend on scale
@@ -142,8 +143,6 @@ def term_map(inst: Instance, obj: Objective) -> tuple:
     """
     D = inst._array
     e = obj.exponent
-    if isinstance(e, Fraction) and e.denominator == 1:
-        e = e.numerator
     if type(e) is not int:
         def per_value(x):  # Objective.term of each distinct value, looked up
             values, inverse = np.unique(x, return_inverse=True)
@@ -613,7 +612,7 @@ def cost(inst: Instance, clus: Clustering, obj: Objective):
     idx = np.flatnonzero(assign != OUTLIER)
     kept = inst._array[np.array(clus.centers)[assign[idx]], idx].tolist()
     if obj.aggregate == "max":
-        if Fraction(obj.exponent).denominator == 1:
+        if type(obj.exponent) is int:
             # an integer power never decreases with the distance: map the largest alone
             return obj.term(max(kept))
         # the first largest, as a scan with a strict ``>`` keeps it

@@ -154,11 +154,14 @@ class CertifierVerdict:
 
 def build_threshold_graph(inst: Instance, R) -> np.ndarray:
     """G_R as a boolean matrix: ``G[u, v]`` iff d(u, v) <= R + ``inst.tol``,
-    or u == v. Row u lists u's out-neighbours, column v its in-neighbours."""
+    or u == v. Row u lists u's out-neighbours, column v its in-neighbours.
+    An int64 matrix is compared with floor(R), an exact int, for every finite
+    R (numpy would round it and the matrix to float64); an infinite R keeps
+    every pair, and a NaN only the diagonal."""
     if R < 0:
         raise ValueError("radius must be nonnegative")
     D = inst._array
-    if D.dtype == np.int64 and isinstance(R, Fraction):
+    if D.dtype == np.int64 and R == R and R != math.inf:  # a NaN is not equal to itself
         R = math.floor(R)
     G = D <= R + inst.tol
     np.fill_diagonal(G, True)

@@ -35,14 +35,17 @@ sets can win: under the exponent e a set's value under d' is at least
 value_d(C) / 2**e, since each nearest distance at least halves and the kept
 terms of a set are its smallest, and the optimum under d' is at most OPT, the
 value of d's optimal set, since no distance grows. So a set with value_d(C)
-> 2**e * OPT is never optimal under d'. :func:`_sets_within` lists the other
-sets once, reading their values under d from the base solve when all sets fit
-in one block (:func:`brute_force` keeps its first pass's values in
-:attr:`OracleResult.values`, which equality and repr leave out), so those
-sets are evaluated once. :func:`_first_alternative` takes the perturbed
-matrices as one ``[P, n, n]`` stack and evaluates slices of it over the kept
-sets alone, as ``[P, m, n]`` stacks, deciding each matrix as
-:func:`brute_force` would decide its instance.
+> 2**e * OPT is never optimal under d'. The bound is exact on exact instances
+under an integer exponent; on float instances, whose band check has a
+tolerance, and under a fractional exponent, whose terms are rounded, it is
+not, and every set stays in play. :func:`_sets_within` alone decides the
+band: it lists the sets in play once, in order, reading their values under d
+from the base solve when all sets fit in one block (:func:`brute_force` keeps
+its first pass's values in :attr:`OracleResult.values`, which equality and
+repr leave out), so those sets are evaluated once. :func:`_first_alternative`
+takes the perturbed matrices as one ``[P, n, n]`` stack and evaluates slices
+of it over the kept sets alone, as ``[P, m, n]`` stacks, deciding each matrix
+as :func:`brute_force` would decide its instance.
 
 Memory: a handful of ``(m, n)`` arrays, or ``(P, m, n)`` stacks, so at most a
 few times ``BLOCK_CELLS`` numbers whatever the number of center sets (up to
@@ -65,7 +68,6 @@ arithmetic of the terms.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations, islice
 from math import comb
@@ -99,7 +101,7 @@ class OracleResult:
     unique: bool
     tie_witness: Clustering | None
     # every center set's value, in lexicographic order, when all of them fit
-    # in one block (else None): the falsifier's band prune reads them
+    # in one block (else None): _sets_within reads them
     values: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
@@ -169,7 +171,7 @@ def _evaluate(D: np.ndarray, term, obj: Objective, z: int, C: np.ndarray) -> np.
     if obj.aggregate == "max":
         if z:
             return term(np.take_along_axis(dmin, ranked[..., z : z + 1], axis=-1)[..., 0])
-        if Fraction(obj.exponent).denominator == 1:
+        if type(obj.exponent) is int:
             return term(dmin.max(axis=-1))
         return term(dmin).max(axis=-1)
     terms = term(dmin)  # a new array, so the put below leaves dmin alone
@@ -333,20 +335,27 @@ def brute_force(inst: Instance, obj: Objective, work_cap: int = DEFAULT_WORK_CAP
     return OracleResult(best, best_value, True, None, kept)
 
 
-def _sets_within(inst: Instance, obj: Objective, bound, values=None) -> np.ndarray:
-    """The center sets whose value under ``inst`` is at most ``bound``, in
-    lexicographic order, as one ``(m, k)`` array; every set when ``bound``
-    is None. ``values`` are the values :func:`brute_force` kept for ``inst``
-    and ``obj`` (:attr:`OracleResult.values`); when they are None, each
-    block is evaluated. The sets are held whole: at most C(n, k) * k
-    indices."""
+def _sets_within(inst: Instance, obj: Objective, base: OracleResult) -> np.ndarray:
+    """The center sets that can be optimal under a 2-perturbation of
+    ``inst``, in lexicographic order, as one ``(m, k)`` array; ``base`` is
+    :func:`brute_force` of ``inst`` and ``obj``.
+
+    On an exact instance under an integer exponent e these are the sets of
+    value at most 2**e * ``base.cost`` (the band bound of the module
+    docstring), read from ``base.values`` when it kept them and else
+    evaluated block by block. On a float instance, whose band check has a
+    tolerance, and under a fractional exponent, whose terms are rounded, the
+    bound is not exact and every set is kept. The sets are held whole: at
+    most C(n, k) * k indices."""
     blocks = list(_blocks(inst.n, inst.k))
-    if bound is not None and values is not None:
-        (C,) = blocks
-        blocks = [C[values <= bound]]
-    elif bound is not None:
-        term, _ = term_map(inst, obj)
-        blocks = [C[_evaluate(inst._array, term, obj, inst.z, C) <= bound] for C in blocks]
+    if inst.exact and type(obj.exponent) is int:
+        bound = 2**obj.exponent * base.cost
+        if base.values is not None:
+            (C,) = blocks
+            blocks = [C[base.values <= bound]]
+        else:
+            term, _ = term_map(inst, obj)
+            blocks = [C[_evaluate(inst._array, term, obj, inst.z, C) <= bound] for C in blocks]
     return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
 
 

@@ -16,25 +16,16 @@ Floyd-Warshall; the caps are of the instance's own number type, so the stack
 has its dtype. :func:`apply_perturbation` is the same closure for one spec.
 
 The closed matrices are then solved as ``[P, m, n]`` stacks against only the
-m center sets that a 2-perturbation leaves in play. With d/2 <= d' <= d
-entrywise and exponent e, every set's value under d' is at least
-value_d(C) / 2**e (each nearest distance at least halves), and the optimum
-under d' is at most OPT (no distance grows, so d's optimal set costs at most
-OPT). A set with value_d(C) > 2**e * OPT never wins, so only the others are
-solved; each shape is decided in order on label arrays, and clusterings are
-built only for the shape that moves the optimum. The bound is used on exact
-instances under an integer exponent; on float instances, whose band check has
-a tolerance, and under a fractional exponent, whose terms are rounded, every
-set is solved. The values under d are those the base :func:`brute_force`
-kept (:attr:`oracle.OracleResult.values`) when every center set fits in one
-block, so the unperturbed sets are evaluated once; else they are evaluated
-again, a block at a time.
+m center sets that a 2-perturbation leaves in play, which
+:func:`oracle._sets_within` decides from the base solve (the band bound and
+its proof are in the ``oracle`` module docstring); each shape is decided in
+order on label arrays, and clusterings are built only for the shape that
+moves the optimum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain, islice
 
 import numpy as np
@@ -49,7 +40,7 @@ from .core import (
     _shortest_paths,
     cost,
 )
-from .oracle import OracleResult, brute_force
+from .oracle import brute_force
 
 DIRECTED = "directed"
 UNDIRECTED = "undirected"
@@ -260,24 +251,16 @@ def falsify_resilience(
     different optimum); RESILIENT_UNREFUTED is not a proof of resilience — only
     the proof shapes are searched, not the full perturbation continuum.
 
-    The shapes are taken in order as star keys, at most ``budget`` of them,
-    invalid ones counted and skipped. The valid ones are closed a chunk at a
-    time by :func:`_closures`, at most ``oracle.BLOCK_CELLS`` matrix entries
-    per chunk, and the chunk's stack is decided in order as
-    :func:`brute_force` would decide each matrix, by
-    :func:`oracle._first_alternative`; the next chunk is made only when none
-    of them moved the optimum. A ``PerturbationSpec`` is built only for the
-    witness.
-
-    Only the center sets that can still be optimal are solved. A perturbed
-    d' keeps d/2 <= d' <= d (the band :func:`_closures` checks), so under the
-    exponent e every set's value is at least value_d(C) / 2**e, and the
-    optimum is at most OPT, the value of the optimal set under d. A set with
-    value_d(C) > 2**e * OPT is therefore never optimal under d', and only
-    the others are kept. The bound is exact on exact instances under an
-    integer exponent; on float instances, whose band check has a tolerance,
-    and under a fractional exponent, whose terms are rounded, every set is
-    kept. The values under d come from the base solve when it kept them.
+    The first ``budget`` shapes of :func:`_candidate_specs` are taken as one
+    list of star keys, None for an invalid one; ``exhausted`` says that the
+    stream held one more. The valid ones are closed a chunk at a time by
+    :func:`_closures`, at most ``oracle.BLOCK_CELLS`` matrix entries per
+    chunk, and the chunk's stack is decided in order as :func:`brute_force`
+    would decide each matrix, by :func:`oracle._first_alternative`, over the
+    center sets :func:`oracle._sets_within` leaves in play; the next chunk is
+    made only when none of them moved the optimum. A witness at list
+    position p reports ``tried = p + 1`` and the invalid shapes before it. A
+    ``PerturbationSpec`` is built only for the witness.
     """
     base = brute_force(inst, obj)
     mode = UNDIRECTED if inst.symmetric else DIRECTED
@@ -285,27 +268,14 @@ def falsify_resilience(
         return FalsifierReport(NOT_RESILIENT, (PerturbationSpec((), 0, mode), base.tie_witness))
     lab = np.array(base.best.assignment)
     r_hat = cost(inst, base.best, KCENTER)
-    e = Fraction(obj.exponent)
-    bound = 2**e.numerator * base.cost if inst.exact and e.denominator == 1 else None
-    sets = oracle._sets_within(inst, obj, bound, base.values)
+    sets = oracle._sets_within(inst, obj, base)
     chunk = max(1, oracle.BLOCK_CELLS // inst.n**2)
     stars = _candidate_specs(inst, base.best, r_hat)
-    shapes = islice(stars, budget)
-    tried = invalid = 0
-    while True:
-        # (star, tried, invalid) as the report would give them at that star
-        batch = []
-        for star in shapes:
-            tried += 1
-            if star is None:
-                invalid += 1
-                continue
-            batch.append((star, tried, invalid))
-            if len(batch) == chunk:
-                break
-        if not batch:
-            break
-        us, vss, caps = zip(*(star for star, _, _ in batch))
+    shapes = list(islice(stars, budget))
+    valid = [at for at, star in enumerate(shapes) if star is not None]
+    for lo in range(0, len(valid), chunk):
+        batch = valid[lo : lo + chunk]
+        us, vss, caps = zip(*(shapes[at] for at in batch))
         sizes = list(map(len, vss))
         p = np.repeat(np.arange(len(batch)), sizes)
         v = np.fromiter(chain.from_iterable(vss), np.intp, len(p))
@@ -313,9 +283,11 @@ def falsify_resilience(
         hit = oracle._first_alternative(closed, inst, obj, sets, lab)
         if hit is not None:
             i, alt = hit
-            (u, vs, cap), at, skipped = batch[i]
+            at = batch[i]  # the (lo + i)-th valid shape
+            u, vs, cap = shapes[at]
             spec = PerturbationSpec(tuple((u, w) for w in vs), cap, mode)
-            return FalsifierReport(NOT_RESILIENT, (spec, alt), at, invalid=skipped)
+            return FalsifierReport(NOT_RESILIENT, (spec, alt), at + 1, invalid=at - lo - i)
     # any shape left over, valid (a star) or not (None), means the budget cut
     exhausted = any(True for _ in stars)
-    return FalsifierReport(RESILIENT_UNREFUTED, None, tried, exhausted, invalid)
+    return FalsifierReport(RESILIENT_UNREFUTED, None, len(shapes), exhausted,
+                           len(shapes) - len(valid))

@@ -6,6 +6,7 @@ come down to, and every infeasibility certificate must independently prove
 infeasibility.
 """
 
+import math
 import random
 from dataclasses import fields, replace
 from fractions import Fraction
@@ -101,6 +102,21 @@ def test_threshold_graph_directed():
 def test_threshold_graph_negative_radius(line4):
     with pytest.raises(ValueError):
         build_threshold_graph(line4, -1)
+
+
+@pytest.mark.parametrize("R", [float(2**53), np.float64(2**53), Fraction(2**53)],
+                         ids=["float", "float64", "fraction"])
+def test_threshold_graph_compares_an_int64_matrix_exactly(R):
+    # d = 2**53 + 1 rounds to 2**53 as a float64, so a float comparison
+    # would join the pair at radius 2**53
+    inst = Instance([[0, 2**53 + 1], [2**53 + 1, 0]], 1)
+    assert inst._array.dtype == np.int64
+    assert build_threshold_graph(inst, R).tolist() == [[True, False], [False, True]]
+    outcome = solve_lp(inst, R)
+    assert (outcome.feasible, outcome.bound) == (False, 2)
+    # an infinite radius joins every pair, a NaN one none
+    assert build_threshold_graph(inst, np.float64(math.inf)).all()
+    assert build_threshold_graph(inst, math.nan).tolist() == [[True, False], [False, True]]
 
 
 # ---------------------------------------------------------------------------

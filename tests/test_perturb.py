@@ -26,17 +26,20 @@ from resilient_cluster import (
     Instance,
     InternalCheckFailed,
     InvalidPerturbation,
+    Objective,
     PerturbationSpec,
     apply_perturbation,
     brute_force,
     cost,
     falsify_resilience,
     generate,
+    objective_by_name,
     oracle,
     perturb,
     radius_preserving_check,
     validate_metric,
 )
+from resilient_cluster.core import term_matrix
 
 import scalar_reference as reference
 from conftest import (
@@ -296,15 +299,38 @@ def test_every_budget_cut_matches_the_reference_stream():
     assert cuts > 100 and witnesses > 3
 
 
+@pytest.mark.parametrize("encoding", ["int", "fraction", "float"])
+def test_lp_2_is_the_integer_exponent_2(encoding):
+    # "lp:2" parses to Fraction(2), stored as the int 2: it takes the integer
+    # term map, cost and band bound of an objective built with the int
+    lp2 = objective_by_name("lp:2")
+    assert type(lp2.exponent) is int and lp2.exponent == 2
+    plain = Objective(2, "sum", "lp:2")
+    rng = random.Random(encoding)
+    for _ in range(8):
+        inst = encoded_metric(rng, rng.randint(4, 7), 2, rng.randint(0, 1), encoding,
+                              directed=rng.random() < 0.5)
+        E, exact = term_matrix(inst, lp2)
+        E_plain, exact_plain = term_matrix(inst, plain)
+        assert (E.dtype, exact) == (E_plain.dtype, exact_plain)
+        assert [(type(x), x) for x in E.flat] == [(type(x), x) for x in E_plain.flat]
+        base, base_plain = brute_force(inst, lp2), brute_force(inst, plain)
+        assert base == base_plain and type(base.cost) is type(base_plain.cost)
+        got, want = cost(inst, base.best, lp2), cost(inst, base.best, plain)
+        assert (type(got), got) == (type(want), want)
+        for budget in (3, 512):
+            assert falsify_resilience(inst, lp2, budget) == falsify_resilience(inst, plain, budget)
+
+
 @pytest.mark.parametrize("x, kept", [(6, True), (7, False)])
 def test_a_set_at_the_band_bound_is_kept(x, kept):
     # k-median with one center on the line 0, 1, 2, 3, 4, x: centers 2 and 3
     # cost x + 4, the optimum, and center 5 costs 5x - 10, which is exactly
     # twice the optimum at x = 6 and above it at x = 7
     inst = line_instance([0, 1, 2, 3, 4, x], k=1)
-    opt = brute_force(inst, KMEDIAN).cost
-    assert opt == x + 4 and cost(inst, Clustering((0,) * 6, (5,)), KMEDIAN) == 5 * x - 10
-    sets = oracle._sets_within(inst, KMEDIAN, 2 * opt).tolist()
+    base = brute_force(inst, KMEDIAN)
+    assert base.cost == x + 4 and cost(inst, Clustering((0,) * 6, (5,)), KMEDIAN) == 5 * x - 10
+    sets = oracle._sets_within(inst, KMEDIAN, base).tolist()
     assert sets == [[0], [1], [2], [3], [4]] + [[5]] * kept
 
 
@@ -348,7 +374,49 @@ def test_the_kept_sets_are_those_within_the_band_bound(seed, encoding, obj, z):
     bound = 2**obj.exponent * reference.brute_force(inst, obj).cost
     want = [list(c) for c in combinations(range(n), k)
             if reference._evaluate(inst, obj, c)[0] <= bound]
-    assert oracle._sets_within(inst, obj, bound).tolist() == want
+    assert oracle._sets_within(inst, obj, brute_force(inst, obj)).tolist() == want
+
+
+# (encoding, objective) pairs on which the band bound is not exact: a float
+# instance, or a fractional exponent
+INEXACT_BANDS = [("float", obj) for obj in (KCENTER, KMEDIAN, KMEANS)] + [
+    (encoding, objective_by_name("lp:3/2")) for encoding in ("int", "fraction", "float")]
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10**6), case=st.sampled_from(INEXACT_BANDS), z=st.integers(0, 2))
+def test_sets_within_keeps_every_set_unless_the_bound_is_exact(seed, case, z):
+    # every set stays in play, in lexicographic order
+    encoding, obj = case
+    rng = random.Random(seed)
+    n = rng.randint(3, 8)
+    z = min(z, n - 2)
+    k = rng.randint(1, min(3, n - z))
+    inst = encoded_metric(rng, n, k, z, encoding, directed=rng.random() < 0.5)
+    sets = oracle._sets_within(inst, obj, brute_force(inst, obj)).tolist()
+    assert sets == [list(c) for c in combinations(range(n), k)]
+
+
+@pytest.mark.parametrize("encoding", ["int", "fraction"])
+@pytest.mark.parametrize("obj", [KCENTER, KMEDIAN, KMEANS], ids=lambda o: o.name)
+def test_sets_within_reads_the_kept_values_as_the_blocks_would(monkeypatch, encoding, obj):
+    # the base solve keeps every set's value when all sets fit in one block;
+    # with one set per block it keeps none, and the sets are evaluated block
+    # by block: both give the same sets
+    rng = random.Random(f"{encoding}:{obj.name}")
+    for _ in range(12):
+        n = rng.randint(4, 8)
+        z = rng.randint(0, 1)
+        k = rng.randint(1, min(3, n - z - 1))
+        inst = encoded_metric(rng, n, k, z, encoding, directed=rng.random() < 0.5)
+        base = brute_force(inst, obj)
+        assert base.values is not None
+        kept = oracle._sets_within(inst, obj, base).tolist()
+        monkeypatch.setattr(oracle, "BLOCK_CELLS", n)
+        blockwise = brute_force(inst, obj)
+        assert blockwise.values is None and blockwise == base
+        assert oracle._sets_within(inst, obj, blockwise).tolist() == kept
+        monkeypatch.undo()
 
 
 # ---------------------------------------------------------------------------
