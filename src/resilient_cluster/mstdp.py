@@ -26,13 +26,14 @@ stacked operand, so a pass makes a few numpy calls per batch rather than
 per node, and the batch's temporaries stay a fixed size. The leaves, which
 are real points, are written directly, in one indexed write: each closes its
 own cluster, or is an outlier. A one-child node's missing child is a phantom
-node that costs 0 with nothing in it, so one-child nodes take the two-child
-rule. Reconstruction keeps no backpointers: it walks down from the best root
-state and, at each state it visits, recomputes that state's sides at its one
-center and takes the first split, in (left clusters, left outliers) order,
-that attains the minimum. Ties: a child joins the node's cluster whenever
-joining attains its side; otherwise it closes its own cluster in the state
-its minimum took, the outlier slot first, then the lowest center.
+node that costs 0 with nothing in it, so in both passes one-child nodes take
+the two-child rule. Reconstruction keeps no backpointers: it walks down from
+the best root state and, at each state it visits, recomputes that state's
+sides at its one center and takes the first split, in (left clusters, left
+outliers) order, that attains the minimum. Ties: a child joins the node's
+cluster whenever joining attains its side; otherwise it closes its own
+cluster in the state its minimum took, the outlier slot first, then the
+lowest center.
 
 The table dtype is that of the objective's term matrix (:func:`core.term_map`):
 float64 for float terms, and for integer terms whose n-fold sum stays below
@@ -169,7 +170,8 @@ def binarize(tree, inst: Instance) -> BinaryTree:
                 seen[v] = True
                 children[u].append(v)
                 order.append(v)
-    if len(order) != n:
+    # n - 1 edges (2 (n - 1) list entries) that reach every point form a tree
+    if sum(map(len, adj)) != 2 * (n - 1) or len(order) != n:
         raise ValueError("input edges do not form a spanning tree")
     for u in reversed(range(n)):
         kids = children[u]
@@ -219,22 +221,23 @@ def _side(tab_w: np.ndarray, M_w: np.ndarray, inside_w: np.ndarray) -> np.ndarra
     and ``inside_w`` is False there, so the side is ``M_w``. The forward pass
     passes whole tables, stacked over a node axis before the center axis;
     reconstruction passes one node's columns c and c + 1 (only column c when
-    c is the outlier slot) and reads column 0. The side is the only operand
-    of a split in both passes.
+    c is the outlier slot) and reads column 0. The side, or the phantom's
+    for a missing child, is the only operand of a split in both passes.
     """
     side = np.where(inside_w, INF, M_w)
     np.minimum(side[:-1, ..., :-1], tab_w[1:, ..., :-1], out=side[:-1, ..., :-1])
     return side
 
 
-def _forward(btree: BinaryTree, base, K: int, T: int, combine, dtype) -> tuple:
+def _forward(btree: BinaryTree, own: np.ndarray, K: int, T: int, combine) -> tuple:
     """Fill every node's table bottom-up, one tree level at a time.
 
     Returns ``(tab, M, inside)``: ``tab[:, :, u]`` is node u's ``[K, T,
     n_real + 1]`` table, ``M[:, :, u]`` its ``[K, T, 1]`` minimum over the
     centers in u's subtree and the outlier slot, and ``inside[u, c]`` whether
     the center slot c is a real point of u's subtree (never the outlier slot
-    ``c = n_real``). ``base(u)[c]`` is u's own term under center c.
+    ``c = n_real``). ``own[u, c]`` is u's own term under the real center c
+    (0 for a dummy), and the tables take ``own``'s dtype.
 
     A node's height is 0 for a leaf and one more than its highest child's, so
     the nodes of one height read only tables already filled. The leaves, all
@@ -250,7 +253,7 @@ def _forward(btree: BinaryTree, base, K: int, T: int, combine, dtype) -> tuple:
     the two-child rule unchanged.
     """
     n_real, size = btree.n_real, btree.size
-    OUT, PHANTOM = n_real, size
+    OUT, PHANTOM, dtype = n_real, size, own.dtype
     tab = np.full((K, T, size + 1, n_real + 1), INF, dtype=dtype)
     M = np.full((K, T, size + 1, 1), INF, dtype=dtype)
     M[0, 0, PHANTOM] = 0
@@ -270,7 +273,7 @@ def _forward(btree: BinaryTree, base, K: int, T: int, combine, dtype) -> tuple:
 
     # a leaf is a real point: its own cluster, or an outlier when z >= 1
     L = np.array(levels[0])
-    tab[1, 0, L, :OUT] = np.stack([base(u) for u in L])
+    tab[1, 0, L, :OUT] = own[L]
     inside[L, L] = True
     M[1, 0, L, 0] = tab[1, 0, L, L]
     if T > 1:
@@ -289,7 +292,7 @@ def _forward(btree: BinaryTree, base, K: int, T: int, combine, dtype) -> tuple:
         best = _conv(sides[:, :, :B], sides[:, :, B:], combine)
         cur = np.full(best.shape, INF, dtype=dtype)
         # u's cluster plus i_l + i_r others: j = i_l + i_r + 1
-        combine(np.stack([base(u) for u in U]), best[:-1, :, :, :OUT], out=cur[1:, :, :, :OUT])
+        combine(own[U], best[:-1, :, :, :OUT], out=cur[1:, :, :, :OUT])
         # u as an outlier: both children close their own clusters, and a real
         # u spends one outlier
         cur[:, 1:, real, OUT] = best[:, :-1, real, OUT]
@@ -346,33 +349,35 @@ def solve_btp(inst: Instance, btree: BinaryTree, obj: Objective) -> Clustering:
     Reconstruction uses the same split rule, on the one state it visits at
     each node on the way down from the best root state (the lowest t, then
     the lowest c, on a tie): it takes the children's sides at that state's
-    center c, and the first split (i_l, t_l), in ascending order, whose
-    combined value is the minimum. Each child then joins u's cluster at
-    (i + 1, t) when its joined entry equals its side there, and otherwise
-    closes its own cluster at (i, t), centered by :func:`subtree_center`.
-    The recomputed state, u's own term combined with that minimum, must
-    equal the forward entry bit for bit (the same operations on the same
-    operands), and the clustering must have k centers and cost the DP's
-    optimum (exactly, or for float terms within a relative 1e-9, whatever
-    the scale of the distances); a failed check raises
-    :class:`InternalCheckFailed`.
+    center c (the phantom's for a missing child) and the first split
+    (i_l, t_l), in ascending order, of the cells the forward pass read
+    whose combined value is the minimum. Each child other than the phantom
+    then joins u's cluster at (i + 1, t) when its joined entry equals its
+    side there, and otherwise closes its own cluster at (i, t), centered by
+    :func:`subtree_center`. The recomputed state, u's own term combined
+    with that minimum, must equal the forward entry bit for bit (the same
+    operations on the same operands), and the clustering must have k
+    centers and cost the DP's optimum (exactly, or for float terms within a
+    relative 1e-9, whatever the scale of the distances); a failed check
+    raises :class:`InternalCheckFailed`.
     """
     n = inst.n
     k, z = inst.k, inst.z
     n_real = btree.n_real
+    if n_real != n:
+        raise ValueError(f"the tree is built for {n_real} points, the instance has {n}")
     K, T = k + 1, z + 1
     OUT = n_real  # center axis: 0..n_real-1 real, slot n_real = outlier
-    E, exact = term_matrix(inst, obj)  # E[c, u] = term(d(c, u))
-    zero = np.zeros(n_real, dtype=E.dtype)
+    # own[u, c] = term(d(c, u)), u's own term under the real center c, and 0
+    # for a dummy u; the term matrix is not kept beside it through the pass
+    own, exact = term_matrix(inst, obj)
+    own = np.concatenate([own.T, np.zeros((btree.size - n_real, n_real), dtype=own.dtype)])
     combine = np.add if obj.aggregate == "sum" else np.maximum
-
-    def base(u: int) -> np.ndarray:
-        return E[:, u] if u < n_real else zero
 
     # inf marks a state with no partition, and a float sum past the float
     # range comes out inf as well
     with np.errstate(over="ignore"):
-        tab, M, inside = _forward(btree, base, K, T, combine, E.dtype)
+        tab, M, inside = _forward(btree, own, K, T, combine)
 
     root_cells = tab[k, :, btree.root]  # [t, c], c ascending with OUT last
     flat = int(np.argmin(root_cells))
@@ -389,17 +394,8 @@ def solve_btp(inst: Instance, btree: BinaryTree, obj: Objective) -> Clustering:
             return OUT
         return int(np.flatnonzero(inside[w, :OUT] & (row[:OUT] == val))[0])
 
-    def split(sides: list, j: int, t: int) -> tuple:
-        """(value as a 1-array, child (i, s) pairs): the first split of j
-        clusters and t outliers over the children's [K, T] sides that
-        minimizes combine(side_l[i, s], side_r[j - i, t - s])."""
-        if len(sides) == 1:
-            return sides[0][j, t : t + 1], ((j, t),)
-        a, b = sides
-        cand = combine(a[: j + 1, : t + 1], b[j::-1, t::-1])
-        i, s = divmod(int(np.argmin(cand)), t + 1)
-        return cand[i, s : s + 1], ((i, s), (j - i, t - s))
-
+    phantom = np.full((K, T), INF, dtype=M.dtype)  # a missing child's side
+    phantom[0, 0] = 0
     assignment = [OUTLIER] * n
     t_root, c_root = divmod(flat, n_real + 1)
     stack = [(btree.root, k, t_root, c_root)]
@@ -412,14 +408,17 @@ def solve_btp(inst: Instance, btree: BinaryTree, obj: Objective) -> Clustering:
             continue
         sides = [_side(tab[:, :, w, c : c + 2], M[:, :, w], inside[w, c : c + 2])[..., 0]
                  for w in kids]
-        if c == OUT:  # both children close their own clusters
-            val, parts = split(sides, j, t - (1 if u < n_real else 0))
-        else:  # u's cluster is the + 1 in j
-            val, parts = split(sides, j - 1, t)
-            val = combine(base(u)[[c]], val)
+        a, b = sides if len(sides) == 2 else (sides[0], phantom)
+        # u's cluster is the + 1 in j; as an outlier, a real u is the t-th
+        jj, tt = (j, t - (u < n_real)) if c == OUT else (j - 1, t)
+        cand = combine(a[: jj + 1, : tt + 1], b[jj::-1, tt::-1])
+        i, s = divmod(int(np.argmin(cand)), tt + 1)
+        val = cand[i, s : s + 1]
+        if c != OUT:
+            val = combine(own[u, c : c + 1], val)
         if val[0] != tab[j, t, u, c]:
             raise InternalCheckFailed(f"DP state {(u, j, t, c)} does not recompute to its value")
-        for w, side, (i, s) in zip(kids, sides, parts):
+        for w, side, (i, s) in zip(kids, sides, ((i, s), (jj - i, tt - s))):
             if c != OUT and i + 1 < K and tab[i + 1, s, w, c] == side[i, s]:
                 stack.append((w, i + 1, s, c))
             else:

@@ -132,11 +132,24 @@ def test_binarize_star_six_leaves_layout():
     assert btree.parent == (-1, 7, 7, 8, 8, 9, 9, 10, 10, 0, 0)
 
 
-@pytest.mark.parametrize("tree", [[(0, 1)], [(0, 1), (1, -1)], [(0, 1), (1, 3)]])
+@pytest.mark.parametrize("tree", [
+    [(0, 1)], [(0, 1), (1, -1)], [(0, 1), (1, 3)],
+    # a cycle, a repeated edge and a self-loop each reach all three points,
+    # with one edge more than a tree on them has
+    [(0, 1), (1, 2), (0, 2)], [(0, 1), (0, 1), (1, 2)], [(0, 0), (0, 1), (1, 2)],
+])
 def test_binarize_rejects_an_edge_list_that_does_not_span(tree):
     # -1 would index the last point's list, so it is rejected by its range
     with pytest.raises(ValueError):
         binarize(tree, uniform_instance(3, 1))
+
+
+@pytest.mark.parametrize("tree_n, inst_n", [(3, 4), (4, 3)])
+def test_solve_btp_rejects_a_tree_built_for_another_point_count(tree_n, inst_n):
+    tree_inst = uniform_instance(tree_n, 1)
+    btree = binarize(build_mst(tree_inst), tree_inst)
+    with pytest.raises(ValueError, match=f"built for {tree_n} points, the instance has {inst_n}"):
+        solve_btp(uniform_instance(inst_n, 1), btree, KMEDIAN)
 
 
 def test_binarize_numbers_dummies_from_the_highest_node_down():

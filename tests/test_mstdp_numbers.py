@@ -173,8 +173,8 @@ def test_state_that_does_not_recompute_raises_internal_check_failed():
     real_forward = mstdp._forward
     seen = {}
 
-    def lowered(btree, base, K, T, combine, dtype):
-        tab, M, inside = real_forward(btree, base, K, T, combine, dtype)
+    def lowered(btree, own, K, T, combine):
+        tab, M, inside = real_forward(btree, own, K, T, combine)
         flat = int(np.argmin(tab[K - 1, :, btree.root]))
         t, c = divmod(flat, btree.n_real + 1)
         tab[K - 1, t, btree.root, c] -= 1
@@ -195,8 +195,8 @@ def test_wrong_cluster_count_raises_internal_check_failed():
     inst = line_instance([0, 1, 10], k=2)
     real_forward = mstdp._forward
 
-    def tampered(btree, base, K, T, combine, dtype):
-        tab, M, inside = real_forward(btree, base, K, T, combine, dtype)
+    def tampered(btree, own, K, T, combine):
+        tab, M, inside = real_forward(btree, own, K, T, combine)
         for w in range(btree.n_real):
             if not btree.children(w):
                 row = tab[2, 0, w, : btree.n_real]
@@ -301,13 +301,14 @@ def forward_args(inst, obj):
     """The forward pass's arguments for ``inst``, set up as solve_btp does."""
     btree = mstdp.binarize(mstdp.build_mst(inst), inst)
     E, _ = term_matrix(inst, obj)
-    zero = np.zeros(btree.n_real, dtype=E.dtype)
+    own = np.concatenate([E.T, np.zeros((btree.size - btree.n_real, btree.n_real), dtype=E.dtype)])
     combine = np.add if obj.aggregate == "sum" else np.maximum
+    return btree, own, inst.k + 1, inst.z + 1, combine
 
-    def base(u):
-        return E[:, u] if u < btree.n_real else zero
 
-    return btree, base, inst.k + 1, inst.z + 1, combine, E.dtype
+def reference_forward(btree, own, K, T, combine):
+    """The scalar reference's forward pass, given ``own`` as its ``base``."""
+    return reference.forward_four_cases(btree, own.__getitem__, K, T, combine, own.dtype)
 
 
 def forward_tables(forward, inst, obj):
@@ -349,13 +350,38 @@ def test_folded_forward_pass_matches_the_four_case_reference(seed, case, encodin
         assert got.partition_key() == want.partition_key() == res.best.partition_key()
     # every state of every node, not only the path reconstruction walks
     tab, M, inside = by_node(forward_tables(mstdp._forward, inst, obj))
-    ref_tab, ref_M, ref_inside = forward_tables(reference.forward_four_cases, inst, obj)
+    ref_tab, ref_M, ref_inside = forward_tables(reference_forward, inst, obj)
     assert tab.keys() == ref_tab.keys()
     for u in tab:
         assert tab[u].dtype == ref_tab[u].dtype
         assert np.array_equal(tab[u], ref_tab[u]), u
         assert np.array_equal(M[u], ref_M[u]), u
         assert np.array_equal(inside[u], ref_inside[u]), u
+
+
+# the reconstruction's tie rules decide these draws' clusterings: the first
+# minimal split in (left clusters, left outliers) order, a child joining its
+# parent's cluster whenever that attains its side, and a closed cluster
+# centered in the outlier slot first, then at the lowest center. Taking the
+# last minimal split instead moves five of the six clusterings, closing a
+# child's cluster when that ties with joining moves four, and a real center
+# ahead of the outlier slot moves three.
+TIED_CLUSTERINGS = {
+    (7, 0, KMEDIAN): ((0, -1, 1, -1, 0, 0, 0, -1), (0, 2)),
+    (8, 0, KCENTER): ((0, -1, -1, 1, -1, 2), (0, 3, 5)),
+    (12, 1, KCENTER): ((0, -1, 1, 0, 2, -1, 1, 1, 1, 0), (0, 2, 4)),
+    (27, 1, KMEANS): ((0, 3, 0, -1, 1, 1, 3, -1, 2, 3, -1, 3, 3), (0, 4, 8, 9)),
+    (31, 0, KMEDIAN): ((0, 0, 1), (0, 2)),
+    (35, 1, KCENTER): ((0, 1, 1, 2, 0, 1, 2, 0, 1, 0, 0), (0, 1, 3)),
+}
+
+
+@pytest.mark.parametrize("draw", tuple(TIED_CLUSTERINGS), ids=lambda d: f"{d[0]}-{d[1]}-{d[2].name}")
+def test_reconstruction_breaks_ties_by_its_rules(draw):
+    seed, min_z, obj = draw
+    inst = tied_outlier_instance(random.Random(seed), "int", min_z)
+    got = solve_outlier_clustering(inst, obj)
+    assert (got.assignment, got.centers) == TIED_CLUSTERINGS[draw]
 
 
 # ---------------------------------------------------------------------------
