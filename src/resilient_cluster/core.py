@@ -539,9 +539,14 @@ def validate_metric(inst: Instance) -> list[Violation]:
 
     Exact instances are checked on integers, with no tolerance: ``Fraction``
     entries are scaled by the LCM of their denominators first, which changes
-    no verdict (see :func:`_metric_matrix`). Float instances are checked with
-    the instance's tolerance ``tol``, :data:`FLOAT_TOL` times the largest
-    finite |entry|, so scaling every distance scales the test with it: a
+    no verdict (see :func:`_metric_matrix`). An int64 matrix is then cast to
+    the narrowest of int16, int32 and int64 that holds 2·max|entry|, so that
+    no sum d(u,mid) + d(mid,v) and no difference d(u,v) - d(v,u) wraps: the
+    comparisons, and the list, are those of the int64 matrix, and each of
+    the n triangle sweeps moves a quarter or half of its bytes. Float
+    instances are checked with the instance's tolerance ``tol``,
+    :data:`FLOAT_TOL` times the largest finite |entry|, so scaling every
+    distance scales the test with it: a
     diagonal entry must lie in [-tol, tol], an off-diagonal one above tol,
     the two sides of a symmetric pair within tol, and d(u,v) at most
     d(u,mid) + d(mid,v) + tol. The diagonal and positivity tests are written
@@ -549,6 +554,10 @@ def validate_metric(inst: Instance) -> list[Violation]:
     symmetry and triangle tests, as in scalar Python.
     """
     D = _metric_matrix(inst)
+    if D.dtype == np.int64:  # n sweeps through the narrowest exact width
+        twice = 2 * max(-int(D.min()), int(D.max()))
+        width = next(t for t in (np.int16, np.int32, np.int64) if twice <= np.iinfo(t).max)
+        D = D.astype(width, copy=False)
     n = len(D)
     tol = inst.tol
     out: list[Violation] = []

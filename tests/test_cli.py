@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import scalar_reference as reference
 from resilient_cluster import KMEDIAN, Clustering, Instance, cost
 from resilient_cluster.cli import CliError, load_instance_file, main
-from resilient_cluster.core import MAX_EXPONENT
+from resilient_cluster.core import MAX_EXPONENT, TriangleViolation
 
 
 def run(capsys, *argv):
@@ -236,6 +236,41 @@ def test_non_metric_64_points_same_message(tmp_path, capsys, number):
     code, out, err = run(capsys, "certify", "--input", str(path))
     assert code == 1 and out == ""
     assert err == f"error: {path}: not a valid metric, e.g. {first}\n"
+
+
+def _four_clusters(m, a=10000, b=23000, far=False):
+    # four clusters of m points, a apart within a cluster and b across, with
+    # d(0, 1) = a - 1: a metric. With far, d(0, m) = a + b exceeds
+    # d(0, 1) + d(1, m) = a + b - 1, the only triple it breaks: through any
+    # other point the sum is a + b or 2b
+    n = 4 * m
+    dist = [[0 if u == v else a if u // m == v // m else b for v in range(n)]
+            for u in range(n)]
+    dist[0][1] = dist[1][0] = a - 1
+    if far:
+        dist[0][m] = dist[m][0] = a + b
+    return dist
+
+
+def test_non_metric_400_points_two_hop_sums_past_int16(tmp_path, capsys):
+    # every entry of the good file fits int16 but its two-hop sums, up to
+    # 2b = 46000, pass 2**15: it must certify, which a width chosen by
+    # max|entry| alone would break; both files are checked in int32
+    good = tmp_path / "good400.json"
+    good.write_text(json.dumps({"k": 4, "symmetric": True, "dist": _four_clusters(100)}))
+    code, out, _ = run(capsys, "certify", "--input", str(good))
+    assert code == 0 and json.loads(out)["verdict"] == "OPTIMAL"
+    # the scalar reference on a small copy of the construction finds the one
+    # violated triple (0, 1, m), and the CLI names it first at m = 100
+    assert reference.validate_metric(Instance(_four_clusters(3, far=True), k=4)) == [
+        TriangleViolation(0, 1, 3)
+    ]
+    bad = tmp_path / "bad400.json"
+    bad.write_text(json.dumps({"k": 4, "symmetric": True,
+                               "dist": _four_clusters(100, far=True)}))
+    code, out, err = run(capsys, "certify", "--input", str(bad))
+    assert code == 1 and out == ""
+    assert err == f"error: {bad}: not a valid metric, e.g. {TriangleViolation(0, 1, 100)}\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -298,9 +298,13 @@ def test_equality_and_hash_compare_the_matrix_values():
 # validate_metric against the scalar reference
 
 # offsets of the "big" encoding: every off-diagonal entry is B + a small
-# weight, a metric for any B >= 60; from 2**61 on the instance's matrix holds
-# Python ints, and from 2**63 on it cannot be int64 at all
-BIG_OFFSETS = (2**61 - 100, 2**61, 2**62 - 100, 2**62 - 30, 2**62, 2**63 - 100, 2**63,
+# weight, a metric for any B >= 60. validate_metric checks an int64 matrix in
+# int16 while 2 * max|entry| < 2**15 and in int32 while it is < 2**31, so the
+# offsets near 2**14 and 2**30 put draws on both sides of those bounds; from
+# 2**61 on the instance's matrix holds Python ints, and from 2**63 on it
+# cannot be int64 at all
+BIG_OFFSETS = (2**14 - 100, 2**14 - 30, 2**14, 2**30 - 100, 2**30 - 30, 2**30,
+               2**61 - 100, 2**61, 2**62 - 100, 2**62 - 30, 2**62, 2**63 - 100, 2**63,
                2**64 + 1)
 DENOMINATORS = (1, 2, 3, 7, 12, 10**9 + 7, 2**31 - 1)
 
@@ -413,6 +417,23 @@ def test_validate_metric_sums_do_not_wrap(a):
     assert same_as_reference(Instance(dist, k=1, symmetric=False)) == [
         TriangleViolation(0, 1, 2)
     ]
+
+
+@pytest.mark.parametrize("a", [2**14 - 1, 2**14, 2**15 - 1, 2**30 - 1, 2**30, 2**31 - 1])
+def test_validate_metric_sums_do_not_wrap_at_each_narrow_width(a):
+    # largest entry a: the matrix is checked in int16 up to a = 2**14 - 1 and
+    # in int32 up to 2**30 - 1, and its two-hop sums reach 2a, which a width
+    # chosen by max|entry| alone would wrap
+    dist = ((0, a, 5), (a - 3, 0, a), (5, a - 2, 0))
+    assert same_as_reference(Instance(dist, k=1, symmetric=False)) == []
+    # a true violation with the same largest entry, so in the same width:
+    # d(0, 1) = a > d(0, 2) + d(2, 1) = a - 1
+    dist = ((0, a, 5), (a - 3, 0, a), (5, a - 6, 0))
+    assert same_as_reference(Instance(dist, k=1, symmetric=False)) == [
+        TriangleViolation(0, 2, 1)
+    ]
+    # and a difference d(0, 1) - d(1, 0) = 2a under the symmetric flag
+    assert SymmetryViolation(0, 1) in same_as_reference(Instance(((0, a), (-a, 0)), k=1))
 
 
 def test_validate_metric_fractions_scaled_past_2_pow_62():
