@@ -50,16 +50,17 @@ below decides, and only the search answers NOT_2PR.
 
 :func:`solve_lp` builds the reduced LP at one radius once, solves it in
 float64 (:mod:`.simplex`) and checks the answer exactly: exactness comes from
-checking, never from pivoting in rationals. The float primal and dual are
-rationalized with ``Fraction.limit_denominator`` and must pass
-:func:`_check_lp` as an optimal pair (for KCO the primal is y with
-t_v = min(1, y(N_in(v)))), which proves the exact optimum ``bound``. Failing
-that (an optimum whose denominator exceeds ``SNAP_DENOMINATOR``, say), the
-float solve's final basis B is solved exactly, B x_B = b and B^T y = c_B by
-integer Bareiss elimination, and its vertex and duals must pass instead;
-else :class:`.SolverPrecisionExceeded` names the radius and the reason. The
-LP at a radius reads only the 0/1 matrix G, so this holds for int, Fraction
-and float instances alike.
+checking, never from pivoting in rationals. The float solve hands over its
+final basis B. For d = |det B|, d x_B and d y are integers (Cramer's rule), so
+:func:`_basis_solution` solves B x_B = b and B^T y = c_B in float64 and rounds
+d x_B and d y to integers, which is exact while the float error stays below
+1 / (2d). The vertex and duals over d must pass :func:`_check_lp` as an
+optimal pair (for KCO the primal is y with t_v = min(1, y(N_in(v)))), which
+proves the exact optimum ``bound``. There is no second attempt: a
+determinant below 1/2 or not finite, or a pair the check rejects (a basis
+past that limit, say), raises :class:`.SolverPrecisionExceeded` naming the
+radius and the reason. The LP at a radius reads only the 0/1 matrix G, so
+this holds for int, Fraction and float instances alike.
 
 :func:`min_feasible_radius` is one binary search over the candidate radii,
 and every probe it reads is such a checked outcome. By monotonicity the
@@ -103,11 +104,6 @@ NOT_2PR = "NOT_2PR"
 
 PACKING = "packing"
 SEARCH = "search"
-
-# Float solutions are rationalized to the closest fraction with at most this
-# denominator.
-SNAP_DENOMINATOR = 10**6
-
 
 @dataclass(frozen=True)
 class LpOutcome:
@@ -194,30 +190,26 @@ def _check_formulation(inst: Instance, formulation: str | None) -> str:
 def solve_lp(inst: Instance, R, formulation: str | None = None) -> LpOutcome:
     """Feasibility of the instance's relaxation at radius R, with both LP
     sides, checked exactly whatever the instance's number type, so ``bound``
-    is the LP optimum. The rationalized float primal and dual must pass
-    :func:`_exact_outcome`, or else the float basis solved exactly must;
-    :class:`SolverPrecisionExceeded`, naming the radius, when neither does.
+    is the LP optimum: the vertex and duals of the float solve's final basis
+    (:func:`_basis_solution`) must pass :func:`_exact_outcome`, else
+    :class:`SolverPrecisionExceeded` names the radius and the reason.
     """
     _check_formulation(inst, formulation)
     G = build_threshold_graph(inst, R)
     c, A, b = _reduced_lp(inst, G)
     try:
         res = maximize(c, A, b)
+        if res.status != SIMPLEX_OPTIMAL:
+            # the reduced LPs are bounded by construction: an unbounded float
+            # solve is a rounding failure, as a stall is
+            raise SolverPrecisionExceeded(f"the float solve came back {res.status}, "
+                                          "but the reduced LP is bounded")
+        sides = _lp_sides(inst, *_basis_solution(c, A, b, res.basis))
+        exact = _exact_outcome(inst, G, R, (c, A, b), *sides)
+        if isinstance(exact, str):
+            raise SolverPrecisionExceeded(f"the vertex of the float basis: {exact}")
     except SolverPrecisionExceeded as e:
         raise SolverPrecisionExceeded(f"at radius {R}: {e}") from None
-    if res.status != SIMPLEX_OPTIMAL:
-        # the reduced LPs are bounded by construction: an unbounded float
-        # solve is a rounding failure, as a stall is
-        raise SolverPrecisionExceeded(f"at radius {R}: the float solve came back {res.status}, "
-                                      "but the reduced LP is bounded")
-    sides = _lp_sides(inst, _rationalize(res.x), _rationalize(res.duals))
-    exact = _exact_outcome(inst, G, R, (c, A, b), *sides)
-    if isinstance(exact, str):
-        solved = _basis_solution(c, A, b, res.basis)
-        exact = ("the basis is singular" if solved is None
-                 else _exact_outcome(inst, G, R, (c, A, b), *_lp_sides(inst, *solved)))
-    if isinstance(exact, str):
-        raise SolverPrecisionExceeded(f"at radius {R}: exact solve of the float basis: {exact}")
     return exact
 
 
@@ -320,69 +312,35 @@ def _exact_outcome(inst, G, R, reduced, y, dual) -> LpOutcome | str:
 
 
 # ---------------------------------------------------------------------------
-# rationalizing float solutions
+# the vertex of the float basis, exactly
 
 
-def _rationalize(values) -> list[Fraction]:
-    """The closest fraction with denominator <= SNAP_DENOMINATOR to each
-    value, negatives clipped to 0. A value within 1 / (2 SNAP_DENOMINATOR)
-    of an integer has that integer as its closest such fraction."""
-    out = []
-    for v in values:
-        r = round(v)
-        if abs(v - r) < 0.5 / SNAP_DENOMINATOR:
-            out.append(Fraction(max(r, 0)))
-        else:
-            out.append(Fraction(v).limit_denominator(SNAP_DENOMINATOR) if v > 0 else Fraction(0))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# solving the float basis exactly
-
-
-def _bareiss_solve(M: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, int] | None:
-    """Integers (v, d) with M (v / d) = rhs for a square integer M, or None
-    when M is singular. Fraction-free Gauss-Jordan elimination (Bareiss):
-    after step k every pivoted row's diagonal entry is the k-th leading minor,
-    every division is exact, and the entries stay integers the size of M's
-    minors."""
-    T = np.concatenate([M, rhs[:, None]], axis=1).astype(object)
-    m = len(T)
-    prev = 1
-    for k in range(m):
-        nonzero = np.flatnonzero(T[k:, k])
-        if not len(nonzero):
-            return None
-        p = k + nonzero[0]
-        if p != k:
-            T[[k, p]] = T[[p, k]]
-        piv = T[k, k]
-        rest = np.arange(m) != k
-        T[rest] = (T[rest] * piv - np.outer(T[rest, k], T[k])) // prev
-        prev = piv
-    return T[:, m], prev
-
-
-def _basis_solution(c, A, b, basis) -> tuple[list, list] | None:
+def _basis_solution(c, A, b, basis) -> tuple[list, list]:
     """The vertex of the integer LP max c.x s.t. A x <= b, x >= 0 at a
-    simplex basis, in exact arithmetic: x from B x_B = b and the duals y
-    from B^T y = c_B, where B holds the columns ``basis`` of [A | I]. None
-    when B is singular."""
-    A = np.asarray(A, dtype=np.int64)
+    simplex basis, as Fractions: x from B x_B = b and the duals y from
+    B^T y = c_B, where B holds the columns ``basis`` of [A | I].
+
+    By Cramer's rule d x_B and d y are integers for d = |det B|, so both are
+    solved in float64 and d x_B and d y rounded to the nearest integers. That
+    is exact while the float error stays below 1 / (2d); past it the rounded
+    pair may be wrong, and :func:`_check_lp` decides. A determinant below 1/2
+    or not finite raises :class:`.SolverPrecisionExceeded`."""
+    A = np.asarray(A, dtype=np.float64)
     m, nv = A.shape
-    basis = list(basis)
-    B = np.concatenate([A, np.eye(m, dtype=np.int64)], axis=1)[:, basis]
-    c_B = np.concatenate([np.asarray(c, dtype=np.int64), np.zeros(m, dtype=np.int64)])[basis]
-    primal = _bareiss_solve(B, np.asarray(b, dtype=np.int64))
-    dual = _bareiss_solve(B.T, c_B)
-    if primal is None or dual is None:
-        return None
+    basis = np.asarray(basis)
+    B = np.concatenate([A, np.eye(m)], axis=1)[:, basis]
+    c_B = np.concatenate([np.asarray(c, dtype=np.float64), np.zeros(m)])[basis]
+    det = abs(np.linalg.det(B))
+    if not 0.5 <= det < math.inf:  # a NaN compares false
+        raise SolverPrecisionExceeded(f"the float basis has determinant {det:.6g}")
+    d = round(det)
+    x_B = np.rint(d * np.linalg.solve(B, b))
+    y = np.rint(d * np.linalg.solve(B.T, c_B))
     x = [Fraction(0)] * nv
-    for j, v in zip(basis, primal[0]):
+    for j, v in zip(basis, x_B.tolist()):
         if j < nv:
-            x[j] = Fraction(v, primal[1])
-    return x, [Fraction(v, dual[1]) for v in dual[0]]
+            x[j] = Fraction(int(v), d)
+    return x, [Fraction(int(v), d) for v in y.tolist()]
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,9 @@ cannot cycle in exact arithmetic), and after as many again the solve gives
 up with :class:`SolverPrecisionExceeded`. A solve that converges within the
 first budget takes exactly Dantzig's pivots.
 
-The result is a float solution and its final basis; nothing here is exact.
-The certifier rationalizes the solution, or solves that basis exactly, and
-checks the answer in rational arithmetic (see :mod:`resilient_cluster.lp`).
+The result is the status and the final basis; nothing here is exact. The
+certifier reads the basis's vertex and duals over its determinant and checks
+them in rational arithmetic (see :mod:`resilient_cluster.lp`).
 """
 
 from __future__ import annotations
@@ -31,18 +31,17 @@ FLOAT_PIVOT_TOL = 1e-9
 
 
 class SolverPrecisionExceeded(RuntimeError):
-    """A float solve could not be confirmed exactly: the simplex stalled, or
-    neither its rationalized solution nor its basis passed the exact checks.
-    The message names the radius and the reason."""
+    """A float solve could not be confirmed exactly: the simplex stalled or
+    came back unbounded, its final basis B has a determinant below 1/2 or not
+    finite, or the vertex and duals of B, rounded over d = |det B|, fail the
+    exact check, as they do once the float error reaches 1 / (2d). The
+    message names the radius and the reason."""
 
 
 @dataclass(frozen=True)
 class SimplexResult:
     status: str
-    x: tuple
-    value: float | None
-    duals: tuple  # y >= 0 with y.A >= c componentwise and y.b == value at optimum
-    # the basic variable of each row: j < len(x) is x_j, len(x) + i the slack of row i
+    # the basic variable of each row: j < len(c) is x_j, len(c) + i the slack of row i
     basis: tuple
 
 
@@ -86,7 +85,7 @@ def maximize(c, A, b) -> SimplexResult:
         col = T[:m, enter]
         cand = np.flatnonzero(col > tol)
         if not len(cand):
-            return SimplexResult(UNBOUNDED, (), None, (), ())
+            return SimplexResult(UNBOUNDED, ())
         ratios = rhs_col[cand] / col[cand]
         tied = cand[ratios == ratios.min()]
         leave = tied[np.argmin(basis[tied])]
@@ -103,10 +102,4 @@ def maximize(c, A, b) -> SimplexResult:
         if iters > 2 * max_iters:
             raise SolverPrecisionExceeded(f"no convergence after {iters} pivots")
 
-    x = np.zeros(nv)
-    basic = basis < nv
-    x[basis[basic]] = rhs_col[basic]
-    x = x.tolist()
-    value = sum(cv * xv for cv, xv in zip(c.tolist(), x))
-    duals = tuple((-zrow[nv:]).tolist())
-    return SimplexResult(OPTIMAL, tuple(x), value, duals, tuple(basis.tolist()))
+    return SimplexResult(OPTIMAL, tuple(basis.tolist()))

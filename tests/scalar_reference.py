@@ -8,7 +8,10 @@ generator's distance assembly and its separation checks: one Python loop per
 center set and per matrix entry, the arithmetic of the vectorized code in the
 package done one number at a time (the DP reference one table row at a time,
 and its reconstruction one join/separate case at a time). Tests compare the
-package against them for equality, bit for bit on floats."""
+package against them for equality, bit for bit on floats. The vertex and
+duals of an LP basis come from fraction-free (Bareiss) elimination in
+integers, the exact reference for the package's float solve over the
+basis's determinant."""
 
 from __future__ import annotations
 
@@ -956,3 +959,47 @@ def verify_planted(inst, planted, obj):
                 if 2 * dist[p][c_p] >= dist[p][c_j] - tol:
                     out.append(SeparationViolation("center_dominance", (p, c_j)))
     return out
+
+
+def bareiss_solve(M: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, int] | None:
+    """Integers (v, d) with M (v / d) = rhs for a square integer M, or None
+    when M is singular. Fraction-free Gauss-Jordan elimination (Bareiss):
+    after step k every pivoted row's diagonal entry is the k-th leading minor,
+    every division is exact, and the entries stay integers the size of M's
+    minors."""
+    T = np.concatenate([M, rhs[:, None]], axis=1).astype(object)
+    m = len(T)
+    prev = 1
+    for k in range(m):
+        nonzero = np.flatnonzero(T[k:, k])
+        if not len(nonzero):
+            return None
+        p = k + nonzero[0]
+        if p != k:
+            T[[k, p]] = T[[p, k]]
+        piv = T[k, k]
+        rest = np.arange(m) != k
+        T[rest] = (T[rest] * piv - np.outer(T[rest, k], T[k])) // prev
+        prev = piv
+    return T[:, m], prev
+
+
+def basis_solution(c, A, b, basis) -> tuple[list, list] | None:
+    """The vertex of the integer LP max c.x s.t. A x <= b, x >= 0 at a
+    simplex basis, in exact arithmetic: x from B x_B = b and the duals y
+    from B^T y = c_B, where B holds the columns ``basis`` of [A | I]. None
+    when B is singular."""
+    A = np.asarray(A, dtype=np.int64)
+    m, nv = A.shape
+    basis = list(basis)
+    B = np.concatenate([A, np.eye(m, dtype=np.int64)], axis=1)[:, basis]
+    c_B = np.concatenate([np.asarray(c, dtype=np.int64), np.zeros(m, dtype=np.int64)])[basis]
+    primal = bareiss_solve(B, np.asarray(b, dtype=np.int64))
+    dual = bareiss_solve(B.T, c_B)
+    if primal is None or dual is None:
+        return None
+    x = [Fraction(0)] * nv
+    for j, v in zip(basis, primal[0]):
+        if j < nv:
+            x[j] = Fraction(v, primal[1])
+    return x, [Fraction(v, dual[1]) for v in dual[0]]

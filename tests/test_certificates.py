@@ -3,13 +3,15 @@
 The one check, LP duality on the reduced LP, takes a rational primal, dual,
 or both, and returns a reason, or None when they prove what they claim.
 Corrupting one entry must make it return a reason that names the failed
-side; a probe whose certificate fails must send that radius (and only that
-radius) to the exact basis solve; planted instances must never need it.
+side. Each probe rests on the vertex of one float basis: a corrupted
+numerator or a lying basis raises SolverPrecisionExceeded, naming the
+radius and the failed side.
 """
 
 import dataclasses
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -40,6 +42,7 @@ from resilient_cluster import (
 )
 from resilient_cluster import lp
 from resilient_cluster.core import integer_form
+from resilient_cluster.simplex import SolverPrecisionExceeded
 
 import scalar_reference as reference
 from conftest import encoded_metric, random_directed_metric_instance, random_metric_instance
@@ -170,39 +173,64 @@ def test_check_lp_reads_values_past_int64():
 
 
 # ---------------------------------------------------------------------------
-# a failed check falls back to the exact basis solve once, at that radius only
+# each probe rests on one basis: its vertex is checked once, and a corrupted
+# or lying basis raises SolverPrecisionExceeded naming the radius
 
 
 def count_solves(monkeypatch, corrupt_at=None, corrupt=None):
-    """Wrap lp._exact_outcome to corrupt the first pair checked at one radius
-    (the rationalized float solve), and lp._basis_solution to record the
-    radius of each exact basis solve, as the check before it was given."""
-    real_exact, real_basis = lp._exact_outcome, lp._basis_solution
-    basis_radii, checking, pending = [], [], {corrupt_at}
+    """Wrap lp.solve_lp to note the radius of each probe, and
+    lp._basis_solution to record that radius for each basis solved; at
+    ``corrupt_at`` the solution (x, duals) passes through
+    ``corrupt(x, duals, d)`` first, d the basis's |det| by the Bareiss
+    reference."""
+    real_solve, real_basis = lp.solve_lp, lp._basis_solution
+    basis_radii, probing = [], []
 
-    def exact(inst, G, R, reduced, y, dual):
-        checking[:] = [R]
-        if R in pending:
-            pending.discard(R)
-            y, dual = corrupt(y, dual)
-        return real_exact(inst, G, R, reduced, y, dual)
+    def solve(inst, R, formulation=None):
+        probing[:] = [R]
+        return real_solve(inst, R, formulation)
 
     def basis(c, A, b, basis):
-        basis_radii.extend(checking)
-        return real_basis(c, A, b, basis)
+        basis_radii.extend(probing)
+        x, duals = real_basis(c, A, b, basis)
+        if probing == [corrupt_at]:
+            B = np.concatenate([np.asarray(A), np.eye(len(b), dtype=np.int64)], axis=1)
+            corrupt(x, duals, abs(reference.bareiss_solve(B[:, list(basis)], np.asarray(b))[1]))
+        return x, duals
 
-    monkeypatch.setattr(lp, "_exact_outcome", exact)
+    monkeypatch.setattr(lp, "solve_lp", solve)
     monkeypatch.setattr(lp, "_basis_solution", basis)
     return basis_radii
 
 
-def corruption(inst, formulation, side):
-    """The radius to corrupt and how: at R* a zero cover (the rebuilt optimum
-    fails its check), below R* a zero dual (it proves nothing)."""
-    r_star, below = boundary(inst, formulation)
-    if side == "at R*":
-        return r_star, lambda y, dual: ([Fraction(0)] * len(y), dual)
-    return below, lambda y, dual: (y, [Fraction(0)] * len(dual))
+# (side of the reduced LP, step) -> the start of the check's reason when the
+# largest entry's numerator over d moves by the step
+CORRUPTIONS = {
+    ("primal", 1): "primal row ",
+    ("primal", -1): "value: ",
+    ("dual", 1): "value: ",
+    ("dual", -1): "dual column ",
+}
+
+
+def corrupt_numerator(n, side, step):
+    """Move the numerator over d of the largest entry of the primal x (for
+    KCO its first n entries, the cover, since t is rebuilt from it) or of
+    the duals by ``step``."""
+
+    def corrupt(x, duals, d):
+        v = x if side == "primal" else duals
+        j = max(range(n if side == "primal" else len(v)), key=v.__getitem__)
+        v[j] += Fraction(step, d)
+
+    return corrupt
+
+
+def rejected_at(radius, reason):
+    """pytest.raises for a SolverPrecisionExceeded that names ``radius`` and
+    starts its reason with ``reason``."""
+    return pytest.raises(SolverPrecisionExceeded,
+                         match=rf"^at radius {re.escape(str(radius))}: {re.escape(reason)}")
 
 
 def greedy_misses(monkeypatch):
@@ -211,55 +239,73 @@ def greedy_misses(monkeypatch):
 
 @pytest.mark.parametrize("formulation", [KC, ASYM_KC, KCO])
 @pytest.mark.parametrize("side", ["at R*", "below R*"])
-def test_corrupted_float_certificate_falls_back_once(monkeypatch, formulation, side):
+def test_corrupted_basis_numerator_names_the_radius_and_side(monkeypatch, formulation, side):
+    """One rounded numerator d x_j or d y_i moved by +1 or -1, on the primal
+    and on the dual side, fails the check at that radius, and the search
+    raises naming the radius and the failed side; no radius is solved twice."""
     inst = planted(formulation)
-    expected_radius, expected = min_feasible_radius(inst, formulation)
-    expected_clustering = lp.extract_integral(inst, expected)
-    radius, corrupt = corruption(inst, formulation, side)
-    basis_radii = count_solves(monkeypatch, radius, corrupt)
-    r_star, outcome = lp.min_feasible_radius(inst, formulation)
-    assert basis_radii == [radius]
-    assert expected_clustering is not None
-    assert r_star == expected_radius
-    assert lp.extract_integral(inst, outcome) == expected_clustering
+    r_star, below = boundary(inst, formulation)
+    radius = r_star if side == "at R*" else below
+    for (lp_side, step), reason in CORRUPTIONS.items():
+        with monkeypatch.context() as mp:
+            basis_radii = count_solves(mp, radius, corrupt_numerator(inst.n, lp_side, step))
+            with rejected_at(radius, f"the vertex of the float basis: {reason}"):
+                lp.min_feasible_radius(inst, formulation)
+        assert basis_radii[-1] == radius
+        assert len(set(basis_radii)) == len(basis_radii)
 
 
 @pytest.mark.parametrize("formulation", [KC, ASYM_KC, KCO])
 @pytest.mark.parametrize("corrupted", [False, True])
 def test_each_probe_builds_its_reduced_lp_once(monkeypatch, formulation, corrupted):
-    """solve_lp builds (c, A, b) once and hands it to the float solve and to
-    every check, the one after the exact basis solve included."""
+    """solve_lp builds (c, A, b) once and hands it to the float solve, to the
+    basis solve and to the check, whether the check accepts or rejects."""
     inst = planted(formulation)
-    radius, corrupt = corruption(inst, formulation, "at R*")
+    radius, _ = boundary(inst, formulation)
+    corrupt = corrupt_numerator(inst.n, "primal", 1)
     basis_radii = count_solves(monkeypatch, radius if corrupted else None, corrupt)
     real, built = lp._reduced_lp, []
     monkeypatch.setattr(lp, "_reduced_lp", lambda *args: built.append(args) or real(*args))
-    assert solve_lp(inst, radius, formulation).feasible
+    if corrupted:
+        with rejected_at(radius, "the vertex of the float basis: primal row "):
+            lp.solve_lp(inst, radius, formulation)
+    else:
+        assert lp.solve_lp(inst, radius, formulation).feasible
     assert len(built) == 1
-    assert basis_radii == ([radius] if corrupted else [])
+    assert basis_radii == [radius]
 
 
 def test_certify_falls_back_to_the_search_when_the_greedy_misses(monkeypatch):
+    """With the packing route off the search answers, with the packing
+    route's verdict; its probe at R* rests on its one basis, so a corrupted
+    numerator there raises."""
     inst = planted(KC)
+    packed = certify(inst, KC)
+    assert packed.route == lp.PACKING
     greedy_misses(monkeypatch)
-    expected = certify(inst, KC)
-    assert expected.route == lp.SEARCH and expected.packing is None
-    radius, corrupt = corruption(inst, KC, "at R*")
-    basis_radii = count_solves(monkeypatch, radius, corrupt)
+    basis_radii = count_solves(monkeypatch)
     verdict = lp.certify(inst, KC)
-    assert basis_radii == [radius]
-    assert verdict.kind == expected.kind == OPTIMAL
-    assert verdict.lp_radius == expected.lp_radius
-    assert verdict.clustering == expected.clustering
+    assert verdict.route == lp.SEARCH and verdict.packing is None
+    assert verdict.kind == packed.kind == OPTIMAL
+    assert verdict.lp_radius == packed.lp_radius
+    assert verdict.clustering == packed.clustering
+    assert packed.lp_radius in basis_radii and len(set(basis_radii)) == len(basis_radii)
+    with monkeypatch.context() as mp:
+        count_solves(mp, packed.lp_radius, corrupt_numerator(inst.n, "dual", -1))
+        with rejected_at(packed.lp_radius, "the vertex of the float basis: dual column "):
+            lp.certify(inst, KC)
 
 
 @pytest.mark.parametrize("numbers", ["int", "float"])
 @pytest.mark.parametrize("side", ["at R*", "below R*"])
 def test_float_probe_that_moves_the_boundary_is_overruled(monkeypatch, numbers, side):
-    """A float solve that wrongly puts R* past k (its optimum doubled), or
-    the candidate below within k (halved), fails its exact check there; the
-    basis solve at that radius alone keeps the boundary where it is. A float
-    instance (distances divided by 7) takes the same check."""
+    """A float solve that ends on a basis whose vertex wrongly puts R* past
+    k, or the candidate below within k, fails its exact check there, and
+    the search raises naming that radius rather than move the boundary. At
+    R* the lie is the basis of every column p_v off the planted centers
+    with the centers' slacks (value n - k > k), below R* the all-slack
+    basis (value 0). A float instance (distances divided by 7) takes the
+    same check."""
     inst, planted_clustering = generate(GeneratorConfig(n=16, k=3, seed=1))
     if numbers == "float":
         inst = inst.replace(dist=[[d / 7 for d in row] for row in inst.dist])
@@ -267,8 +313,19 @@ def test_float_probe_that_moves_the_boundary_is_overruled(monkeypatch, numbers, 
     greedy_misses(monkeypatch)
     expected = certify(inst, KC)
     assert expected.lp_radius == (996 if numbers == "int" else 996 / 7)
+    assert expected.clustering.partition_key() == planted_clustering.partition_key()
     r_star, below = boundary(inst, KC)
-    wrong_at, f = (r_star, 2) if side == "at R*" else (below, 0.5)
+    n, centers = inst.n, set(planted_clustering.centers)
+    if side == "at R*":
+        lie = [n + u if u in centers else u for u in range(n)]
+        wrong_at, reason = r_star, "primal row "
+    else:
+        lie = list(range(n, 2 * n))
+        wrong_at, reason = below, "dual column "
+    G = build_threshold_graph(inst, wrong_at)
+    c, A, b = lp._reduced_lp(inst, G)
+    lie_value = sum(reference.basis_solution(c, A, b, lie)[0])
+    assert (lie_value <= inst.k) != (solve_lp(inst, wrong_at, KC).feasible)
     basis_radii = count_solves(monkeypatch)
     real_solve, real_float = lp.solve_lp, lp.maximize
     solving = []
@@ -279,34 +336,28 @@ def test_float_probe_that_moves_the_boundary_is_overruled(monkeypatch, numbers, 
 
     def wrong(c, A, b):
         res = real_float(c, A, b)
-        if solving == [wrong_at]:
-            assert (res.value * f <= inst.k) != (res.value <= inst.k)
-            res = dataclasses.replace(res, x=tuple(v * f for v in res.x), value=res.value * f,
-                                      duals=tuple(v * f for v in res.duals))
-        return res
+        return dataclasses.replace(res, basis=tuple(lie)) if solving == [wrong_at] else res
 
     monkeypatch.setattr(lp, "solve_lp", solve)
     monkeypatch.setattr(lp, "maximize", wrong)
-    verdict = lp.certify(inst, KC)
-    assert basis_radii == [wrong_at]
-    assert verdict.kind == OPTIMAL and verdict.route == lp.SEARCH
-    assert verdict.lp_radius == expected.lp_radius
-    assert verdict.clustering == expected.clustering
-    assert verdict.clustering.partition_key() == planted_clustering.partition_key()
+    with rejected_at(wrong_at, f"the vertex of the float basis: {reason}"):
+        lp.certify(inst, KC)
+    assert basis_radii[-1] == wrong_at and len(set(basis_radii)) == len(basis_radii)
 
 
 @pytest.mark.parametrize("formulation", [KC, ASYM_KC, KCO])
 @pytest.mark.parametrize("n", [16, 32])
 def test_planted_certify_never_pivots_exactly(monkeypatch, formulation, n):
     """With the packing route off, every float solve of the search is
-    confirmed by its rationalized solution: no basis is solved exactly."""
+    confirmed by the vertex of its one basis: each probed radius solves
+    one basis, and nothing is solved again."""
     greedy_misses(monkeypatch)
     basis_radii = count_solves(monkeypatch)
     inst = planted(formulation, n=n, seed=n)
     assert inst.exact
     verdict = certify(inst, formulation)
     assert verdict.kind == OPTIMAL
-    assert basis_radii == []
+    assert basis_radii and len(set(basis_radii)) == len(basis_radii)
 
 
 # ---------------------------------------------------------------------------

@@ -191,7 +191,7 @@ def test_unconfirmed_float_solve_exit_5(tmp_path, capsys, monkeypatch, batch):
 
     path = tmp_path / "gap.json"
     path.write_text(json.dumps(_gap_instance_doc()))
-    # every check fails, on the rationalized float solve and on its basis
+    # every check of a float basis's vertex fails
     monkeypatch.setattr(lp, "_exact_outcome", lambda *args: "injected")
     code, out, err = run(capsys, "certify", "--input", str(tmp_path if batch else path))
     assert code == 5
@@ -418,7 +418,7 @@ def test_unbounded_float_probe_exits_5(tmp_path, capsys, monkeypatch):
 
     path = tmp_path / "gap.json"
     path.write_text(json.dumps(_gap_instance_doc()))
-    monkeypatch.setattr(lp, "maximize", lambda c, A, b: SimplexResult(UNBOUNDED, (), None, (), ()))
+    monkeypatch.setattr(lp, "maximize", lambda c, A, b: SimplexResult(UNBOUNDED, ()))
     code, out, err = run(capsys, "certify", "--input", str(path))
     assert (code, out) == (5, "")
     assert err.startswith("error: the float solve could not be confirmed exactly at radius ")

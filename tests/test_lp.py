@@ -473,72 +473,55 @@ def test_precision_failure_is_a_typed_error_naming_the_radius(monkeypatch, line4
 
 
 def test_unconfirmable_basis_names_the_radius_and_the_reason(monkeypatch, line4):
+    """A final basis with a repeated column (determinant 0), or one whose
+    float determinant is not finite, cannot give a vertex over its
+    determinant: the probe raises naming the radius and the determinant."""
     from resilient_cluster import lp as lp_mod
-    from resilient_cluster.simplex import SolverPrecisionExceeded
+    from resilient_cluster.simplex import OPTIMAL as SIMPLEX_OPTIMAL
+    from resilient_cluster.simplex import SimplexResult, SolverPrecisionExceeded
 
-    monkeypatch.setattr(lp_mod, "_rationalize", lambda values: [Fraction(0)] * len(values))
-    monkeypatch.setattr(lp_mod, "_basis_solution", lambda c, A, b, basis: None)
-    with pytest.raises(SolverPrecisionExceeded, match="at radius 1: .*singular"):
-        solve_lp(line4, 1, KC)
+    with monkeypatch.context() as mp:
+        mp.setattr(lp_mod, "maximize", lambda c, A, b: SimplexResult(SIMPLEX_OPTIMAL, (0, 0, 6, 7)))
+        with pytest.raises(SolverPrecisionExceeded,
+                           match=r"^at radius 1: the float basis has determinant 0$"):
+            solve_lp(line4, 1, KC)
+    for det in (math.inf, math.nan):
+        with monkeypatch.context() as mp:
+            mp.setattr(np.linalg, "det", lambda M: det)
+            with pytest.raises(SolverPrecisionExceeded,
+                               match=rf"^at radius 1: the float basis has determinant {det}$"):
+                solve_lp(line4, 1, KC)
 
 
 # ---------------------------------------------------------------------------
 # d = 1 on the edges of G(n, p), 2 elsewhere, k = the fractional cover at
-# radius 1 rounded up: the search route, with LP optima hard to confirm
+# radius 1 rounded up: the search route, with LP optima of large denominator
 
 
-def count_basis_solves(monkeypatch):
-    """The radius of each exact basis solve, as the lp._exact_outcome whose
-    failed check precedes lp._basis_solution was given."""
-    from resilient_cluster import lp as lp_mod
-
-    real_exact, real_basis = lp_mod._exact_outcome, lp_mod._basis_solution
-    radii, checking = [], []
-
-    def exact(inst, G, R, reduced, y, dual):
-        checking[:] = [R]
-        return real_exact(inst, G, R, reduced, y, dual)
-
-    def counted(c, A, b, basis):
-        radii.extend(checking)
-        return real_basis(c, A, b, basis)
-
-    monkeypatch.setattr(lp_mod, "_exact_outcome", exact)
-    monkeypatch.setattr(lp_mod, "_basis_solution", counted)
-    return radii
-
-
-@pytest.mark.parametrize("seed,k,bound,basis_solves,scale", [
-    # Bland's rule alone cycles in float at radius 1; Dantzig's converges, and
-    # the rationalized optimum checks
-    pytest.param(44, 10, Fraction(1407, 152), 0, 1, id="s44"),
-    # the optimum's denominator exceeds SNAP_DENOMINATOR; the basis is solved
-    pytest.param(83, 4, Fraction(6047901, 1669313), 1, 1, id="s83"),
+@pytest.mark.parametrize("seed,k,bound,scale", [
+    # Bland's rule alone cycles in float at radius 1; Dantzig's converges
+    pytest.param(44, 10, Fraction(1407, 152), 1, id="s44"),
+    # the optimal basis has determinant 1669313, the bound's denominator
+    pytest.param(83, 4, Fraction(6047901, 1669313), 1, id="s83"),
     # the same graphs with every distance halved: float instances
-    pytest.param(44, 10, Fraction(1407, 152), 0, 0.5, id="s44-float"),
-    pytest.param(83, 4, Fraction(6047901, 1669313), 1, 0.5, id="s83-float"),
+    pytest.param(44, 10, Fraction(1407, 152), 0.5, id="s44-float"),
+    pytest.param(83, 4, Fraction(6047901, 1669313), 0.5, id="s83-float"),
 ])
-def test_graph_metric_lp_optimum_is_confirmed_exactly(monkeypatch, seed, k, bound,
-                                                       basis_solves, scale):
+def test_graph_metric_lp_optimum_is_confirmed_exactly(seed, k, bound, scale):
     """The LP at a radius reads only the threshold graph, so halving every
-    distance (a float instance) leaves the exact optimum and the basis
-    solves as they are."""
+    distance (a float instance) leaves the exact optimum as it is."""
     inst = graph_metric_instance(seed, k)
     if scale != 1:
         inst = inst.replace(dist=[[d * scale for d in row] for row in inst.dist])
         assert not inst.exact
     assert inst.n == 50
-    radii = count_basis_solves(monkeypatch)
     r_star, outcome = min_feasible_radius(inst, KC)
     assert r_star == scale and isinstance(outcome.bound, Fraction)
     assert outcome.bound == bound
-    assert radii == [scale] * basis_solves
-    radii.clear()
     verdict = certify(inst, KC)
     assert verdict.kind == NOT_2PR and verdict.lp_radius == scale
     assert isinstance(verdict.fractional_witness.bound, Fraction)
     assert verdict.fractional_witness.bound == bound
-    assert radii == [scale] * basis_solves
 
 
 def search_instances(family):
@@ -562,22 +545,22 @@ def search_instances(family):
 
 @pytest.mark.parametrize("family,wrong", [
     ("s44", None), ("s83", None), ("random", None),
-    # a float solve that lies at R* or just below fails its check there, and
-    # the exact basis solve keeps the boundary where it is
+    # a float solve that ends on the all-slack basis at R* or just below
+    # fails its check there, and the search raises naming that radius
     ("planted", "at R*"), ("planted", "below R*"),
 ])
 def test_search_solves_and_confirms_each_radius_once(monkeypatch, family, wrong):
     """Within one min_feasible_radius call the probe cache holds each radius
     once: no radius is float-solved twice, and none is confirmed twice."""
     from resilient_cluster import lp as lp_mod
+    from resilient_cluster.simplex import SolverPrecisionExceeded
 
-    lie = {}
+    lie = None
     if family == "planted":
         inst = generate(GeneratorConfig(n=16, k=3, seed=1))[0]
         r_star, _ = min_feasible_radius(inst, KC)
         below = max(r for r in inst.distinct_distances() if r < r_star)
-        # twice the float optimum packs past k at R*, half of it within k below
-        lie = {r_star: 2} if wrong == "at R*" else {below: 0.5}
+        lie = r_star if wrong == "at R*" else below
         pairs = [(inst, KC)]
     else:
         pairs = search_instances(family)
@@ -592,20 +575,23 @@ def test_search_solves_and_confirms_each_radius_once(monkeypatch, family, wrong)
         R = confirms[-1]
         floats.append(R)
         res = float_solve(c, A, b)
-        f = lie.get(R, 1)
-        return replace(res, x=tuple(v * f for v in res.x), value=res.value * f,
-                       duals=tuple(v * f for v in res.duals))
+        all_slack = tuple(range(len(c), len(c) + len(b)))
+        return replace(res, basis=all_slack) if R == lie else res
 
     monkeypatch.setattr(lp_mod, "solve_lp", counted_solve)
     monkeypatch.setattr(lp_mod, "maximize", counted_float)
     for inst, formulation in pairs:
         floats.clear()
         confirms.clear()
-        found, _ = lp_mod.min_feasible_radius(inst, formulation)
+        if lie is None:
+            lp_mod.min_feasible_radius(inst, formulation)
+        else:
+            reason = "the vertex of the float basis: dual column "
+            with pytest.raises(SolverPrecisionExceeded, match=rf"^at radius {lie}: {reason}"):
+                lp_mod.min_feasible_radius(inst, formulation)
+            assert confirms[-1] == lie and len(confirms) > 2
         assert len(set(floats)) == len(floats) and len(set(confirms)) == len(confirms)
         assert confirms and set(confirms) <= set(floats)
-        if wrong is not None:
-            assert found == r_star and len(confirms) > 2
 
 
 def highs_value(inst, R, formulation):

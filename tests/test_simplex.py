@@ -1,5 +1,8 @@
 """Tests for the float tableau simplex: hand cases, exact strong duality at
-its final basis, scipy cross-check, and a float cycle it must break."""
+its final basis, scipy cross-check, and a float cycle it must break. The
+simplex returns only its final basis; each value below is that basis's
+vertex, solved exactly by the Bareiss reference or by lp._basis_solution,
+which must agree with the reference entry for entry."""
 
 import random
 from fractions import Fraction
@@ -10,24 +13,32 @@ from scipy.optimize import linprog
 
 from resilient_cluster import lp
 from resilient_cluster.core import integer_form
-from resilient_cluster.simplex import OPTIMAL, UNBOUNDED, SimplexResult, maximize
+from resilient_cluster.simplex import OPTIMAL, UNBOUNDED, maximize
 
+import scalar_reference as reference
 from conftest import graph_metric_instance
+
+
+def solved(c, A, b):
+    """The vertex x of the simplex's final basis on an integer LP and its
+    value c.x, exactly, by the Bareiss reference."""
+    res = maximize(c, A, b)
+    assert res.status == OPTIMAL
+    x, _ = reference.basis_solution(c, A, b, res.basis)
+    return x, sum(cj * v for cj, v in zip(c, x))
 
 
 def test_small_hand_lp():
     # max x + y s.t. x <= 2, y <= 3, x + y <= 4
-    res = maximize([1, 1], [[1, 0], [0, 1], [1, 1]], [2, 3, 4])
-    assert res.status == OPTIMAL
-    assert res.value == 4
-    assert sum(res.x) == 4
+    x, value = solved([1, 1], [[1, 0], [0, 1], [1, 1]], [2, 3, 4])
+    assert value == 4
+    assert sum(x) == 4
 
 
 def test_degenerate_lp_terminates():
     # redundant constraints force degenerate pivots; the solve must exit
-    res = maximize([1], [[1], [1], [1]], [1, 1, 1])
-    assert res.status == OPTIMAL
-    assert res.value == 1
+    _, value = solved([1], [[1], [1], [1]], [1, 1, 1])
+    assert value == 1
 
 
 def test_unbounded_detected():
@@ -44,9 +55,9 @@ def test_fractional_packing_value():
     # fractional matching on a triangle: each edge variable in [0,1], vertex
     # capacities 1; optimum 3/2
     A = [[1, 1, 0], [1, 0, 1], [0, 1, 1]]
-    res = maximize([1, 1, 1], A, [1, 1, 1])
-    assert res.value == Fraction(3, 2)
-    assert all(x == Fraction(1, 2) for x in res.x)
+    x, value = solved([1, 1, 1], A, [1, 1, 1])
+    assert value == Fraction(3, 2)
+    assert all(v == Fraction(1, 2) for v in x)
 
 
 def _random_lp(rng):
@@ -83,7 +94,36 @@ def test_exact_strong_duality(seed):
         assert sum(y[i] * A[i][j] for i in range(len(A))) >= c[j]
     value = sum(cj * v for cj, v in zip(c, x))
     assert sum(v * bi for v, bi in zip(y, b)) == value
-    assert value == pytest.approx(res.value, abs=1e-9)
+    ref = linprog([-v for v in c], A_ub=A, b_ub=b, method="highs")
+    assert value == pytest.approx(-ref.fun, abs=1e-9)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_basis_solution_matches_the_bareiss_reference(seed):
+    """On the general-integer LPs above, the float solve over the basis's
+    determinant gives the exact vertex and duals, entry for entry."""
+    c, A, b = _random_lp(random.Random(seed))
+    res = maximize(c, A, b)
+    assert lp._basis_solution(c, A, b, res.basis) == reference.basis_solution(c, A, b, res.basis)
+
+
+def test_basis_solution_matches_the_bareiss_reference_on_graph_probes(monkeypatch):
+    """Every probe that certify solves on the graph metrics (seeds 0-119,
+    k = 2 and 3), s83's determinant of 1669313 among them, gives the same
+    vertex and duals as the Bareiss reference."""
+    real, probes = lp._basis_solution, []
+
+    def recorded(c, A, b, basis):
+        probes.append((c, A, b, basis, real(c, A, b, basis)))
+        return probes[-1][-1]
+
+    monkeypatch.setattr(lp, "_basis_solution", recorded)
+    for seed in range(120):
+        for k in (2, 3):
+            lp.certify(graph_metric_instance(seed, k))
+    assert len(probes) > 100
+    for c, A, b, basis, got in probes:
+        assert got == reference.basis_solution(c, A, b, basis)
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -94,11 +134,11 @@ def test_bareiss_solve_is_exact(seed):
     m = int(rng.integers(1, 10))
     M = rng.integers(-3, 4, size=(m, m)) * (rng.random((m, m)) < 0.6)
     rhs = rng.integers(-5, 6, size=m)
-    solved = lp._bareiss_solve(M, rhs)
+    solution = reference.bareiss_solve(M, rhs)
     if np.linalg.matrix_rank(M) < m:
-        assert solved is None
+        assert solution is None
         return
-    v, d = solved
+    v, d = solution
     x = [Fraction(a, d) for a in v]
     assert [sum(int(a) * xj for a, xj in zip(row, x)) for row in M] == rhs.tolist()
 
@@ -107,11 +147,10 @@ def test_bareiss_solve_is_exact(seed):
 def test_matches_scipy_linprog(seed):
     rng = random.Random(1000 + seed)
     c, A, b = _random_lp(rng)
-    res = maximize(c, A, b)
-    assert res.status == OPTIMAL
+    _, value = solved(c, A, b)
     ref = linprog([-v for v in c], A_ub=A, b_ub=b, method="highs")
     assert ref.status == 0
-    assert res.value == pytest.approx(-ref.fun, abs=1e-7)
+    assert value == pytest.approx(-ref.fun, abs=1e-7)
 
 
 def test_float_bland_cycle_is_broken():
@@ -132,8 +171,12 @@ def test_float_bland_cycle_is_broken():
 def test_dantzig_cycle_falls_back_to_bland():
     """Beale's LP: Dantzig's rule, ties to the lowest basic index, cycles on
     it for the whole first budget of 2350 pivots; Bland's rule then
-    finishes at the optimum 5/4."""
-    res = maximize([3 / 4, -20, 1 / 2, -6],
-                   [[1 / 4, -8, -1, 9], [1 / 2, -12, -1 / 2, 3], [0, 0, 1, 0]], [0, 0, 1])
+    finishes at the optimum 5/4. Its vertex is read exactly with the rows
+    scaled to integers (by 4, 2 and 1), which leaves x as it is."""
+    c = [Fraction(3, 4), -20, Fraction(1, 2), -6]
+    res = maximize(c, [[1 / 4, -8, -1, 9], [1 / 2, -12, -1 / 2, 3], [0, 0, 1, 0]], [0, 0, 1])
     assert res.status == OPTIMAL
-    assert abs(res.value - 5 / 4) < 1e-9
+    x, _ = reference.basis_solution([3, -80, 2, -24],
+                                    [[1, -32, -4, 36], [1, -24, -1, 6], [0, 0, 1, 0]],
+                                    [0, 0, 1], res.basis)
+    assert sum(cj * v for cj, v in zip(c, x)) == Fraction(5, 4)
