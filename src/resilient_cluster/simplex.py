@@ -13,6 +13,20 @@ cannot cycle in exact arithmetic), and after as many again the solve gives
 up with :class:`SolverPrecisionExceeded`. A solve that converges within the
 first budget takes exactly Dantzig's pivots.
 
+Each pivot is one rank-1 update of the tableau T: the pivot row is
+multiplied by the reciprocal of the pivot, and every other row i then has
+f_i times that row subtracted, f the entering column with the pivot row's
+entry zeroed. The update reads f alone to pick its form: when more than half
+of f is nonzero it runs over all rows at once, else only over f's nonzero
+rows. The two forms differ at most in the sign of a zero entry, which no
+comparison sees, so the form decides no pivot. The entering column, the
+ratio test and its ties, the rule switch and every float operation on the
+tableau are those of the plainer loop that ``tests/scalar_reference.py``
+keeps as ``maximize_reference``, which updates only f's nonzero rows on
+every pivot; the tests hold the two to the same status and basis. Every
+entry of c, A and b must be finite: a NaN would be taken for the largest
+reduced cost.
+
 The result is the status and the final basis; nothing here is exact. The
 certifier reads the basis's vertex and duals over its determinant and checks
 them in rational arithmetic (see :mod:`resilient_cluster.lp`).
@@ -58,6 +72,8 @@ def maximize(c, A, b) -> SimplexResult:
         rows = rows.reshape(0, nv)
     if c.ndim != 1 or rhs.ndim != 1 or rows.shape != (m, nv):
         raise ValueError("inconsistent LP dimensions")
+    if not (np.isfinite(c).all() and np.isfinite(rows).all() and np.isfinite(rhs).all()):
+        raise ValueError("LP entries must be finite")
     tol = FLOAT_PIVOT_TOL
     if (rhs < -tol).any():
         raise ValueError("rhs must be nonnegative (all-slack start)")
@@ -73,33 +89,42 @@ def maximize(c, A, b) -> SimplexResult:
     zrow = T[m, :width]
     rhs_col = T[:m, width]
     basis = np.arange(nv, nv + m)
+    ratios = np.empty(m)
 
     max_iters = 2000 + 50 * (m + nv)
     iters = 0
     while True:
-        positive = np.flatnonzero(zrow > tol)
-        if not len(positive):
-            break
         # Dantzig's rule; past its budget, Bland's rule breaks a cycle
-        enter = positive[np.argmax(zrow[positive])] if iters < max_iters else positive[0]
-        col = T[:m, enter]
-        cand = np.flatnonzero(col > tol)
-        if not len(cand):
-            return SimplexResult(UNBOUNDED, ())
-        ratios = rhs_col[cand] / col[cand]
-        tied = cand[ratios == ratios.min()]
-        leave = tied[np.argmin(basis[tied])]
-        piv = T[leave, enter]
-        inv = 1 / piv
-        piv_row = T[leave] * inv
-        T[leave] = piv_row
+        enter = zrow.argmax()
+        if not zrow[enter] > tol:
+            break
+        if iters >= max_iters:
+            enter = (zrow > tol).argmax()
         f = T[:, enter].copy()
+        col = f[:m]
+        eligible = col > tol
+        ratios.fill(np.inf)
+        np.divide(rhs_col, col, out=ratios, where=eligible)
+        least = ratios[ratios.argmin()]
+        # the inf of a row that is not eligible ties only when no ratio is finite
+        tied = (ratios == least if least < np.inf else eligible).nonzero()[0]
+        if not len(tied):
+            return SimplexResult(UNBOUNDED, ())
+        leave = tied[basis[tied].argmin()]
+        piv_row = T[leave]
+        piv_row *= 1 / f[leave]
         f[leave] = 0
-        hit = np.flatnonzero(f)
-        T[hit] -= f[hit, None] * piv_row
+        touched = _touched_rows(f)
+        T[touched] -= f[touched, None] * piv_row
         basis[leave] = enter
         iters += 1
         if iters > 2 * max_iters:
             raise SolverPrecisionExceeded(f"no convergence after {iters} pivots")
 
     return SimplexResult(OPTIMAL, tuple(basis.tolist()))
+
+
+def _touched_rows(f):
+    """The rows of a pivot's rank-1 update: all of them when more than half
+    of f is nonzero, else f's nonzero rows."""
+    return slice(None) if 2 * np.count_nonzero(f) > len(f) else f.nonzero()[0]

@@ -11,7 +11,9 @@ and its reconstruction one join/separate case at a time). Tests compare the
 package against them for equality, bit for bit on floats. The vertex and
 duals of an LP basis come from fraction-free (Bareiss) elimination in
 integers, the exact reference for the package's float solve over the
-basis's determinant."""
+basis's determinant. The float simplex's reference gathers the rows a pivot
+touches on every pivot, with the same pivot rule and the same arithmetic as
+the package's loop, which picks between that and an update of all rows."""
 
 from __future__ import annotations
 
@@ -56,6 +58,13 @@ from resilient_cluster.generator import (
     _cluster_sizes,
 )
 from resilient_cluster.perturb import DEFAULT_BUDGET
+from resilient_cluster.simplex import (
+    FLOAT_PIVOT_TOL,
+    OPTIMAL,
+    UNBOUNDED,
+    SimplexResult,
+    SolverPrecisionExceeded,
+)
 
 
 def exact_array(values):
@@ -1003,3 +1012,67 @@ def basis_solution(c, A, b, basis) -> tuple[list, list] | None:
         if j < nv:
             x[j] = Fraction(v, primal[1])
     return x, [Fraction(v, dual[1]) for v in dual[0]]
+
+
+def maximize_reference(c, A, b) -> SimplexResult:
+    """The float simplex with a gather of the touched rows on every pivot:
+    Dantzig's rule, ties in the ratio test to the lowest basic index, the
+    pivot row multiplied by the reciprocal of the pivot, Bland's rule past
+    ``max_iters`` pivots."""
+    try:
+        c = np.asarray(c, dtype=np.float64)
+        rows = np.asarray(A, dtype=np.float64)
+        rhs = np.asarray(b, dtype=np.float64)
+    except ValueError as e:
+        raise ValueError(f"inconsistent LP dimensions: {e}") from None
+    m = len(rhs)
+    nv = len(c)
+    if m == 0:
+        rows = rows.reshape(0, nv)
+    if c.ndim != 1 or rhs.ndim != 1 or rows.shape != (m, nv):
+        raise ValueError("inconsistent LP dimensions")
+    tol = FLOAT_PIVOT_TOL
+    if (rhs < -tol).any():
+        raise ValueError("rhs must be nonnegative (all-slack start)")
+
+    # rows 0..m-1 are the constraints, row m the reduced costs; the last
+    # column is the right-hand side
+    width = nv + m
+    T = np.zeros((m + 1, width + 1))
+    T[:m, :nv] = rows
+    T[np.arange(m), nv + np.arange(m)] = 1.0
+    T[:m, width] = np.where(rhs > 0, rhs, 0.0)
+    T[m, :nv] = c
+    zrow = T[m, :width]
+    rhs_col = T[:m, width]
+    basis = np.arange(nv, nv + m)
+
+    max_iters = 2000 + 50 * (m + nv)
+    iters = 0
+    while True:
+        positive = np.flatnonzero(zrow > tol)
+        if not len(positive):
+            break
+        # Dantzig's rule; past its budget, Bland's rule breaks a cycle
+        enter = positive[np.argmax(zrow[positive])] if iters < max_iters else positive[0]
+        col = T[:m, enter]
+        cand = np.flatnonzero(col > tol)
+        if not len(cand):
+            return SimplexResult(UNBOUNDED, ())
+        ratios = rhs_col[cand] / col[cand]
+        tied = cand[ratios == ratios.min()]
+        leave = tied[np.argmin(basis[tied])]
+        piv = T[leave, enter]
+        inv = 1 / piv
+        piv_row = T[leave] * inv
+        T[leave] = piv_row
+        f = T[:, enter].copy()
+        f[leave] = 0
+        hit = np.flatnonzero(f)
+        T[hit] -= f[hit, None] * piv_row
+        basis[leave] = enter
+        iters += 1
+        if iters > 2 * max_iters:
+            raise SolverPrecisionExceeded(f"no convergence after {iters} pivots")
+
+    return SimplexResult(OPTIMAL, tuple(basis.tolist()))

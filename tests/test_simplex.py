@@ -4,6 +4,7 @@ simplex returns only its final basis; each value below is that basis's
 vertex, solved exactly by the Bareiss reference or by lp._basis_solution,
 which must agree with the reference entry for entry."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -11,12 +12,12 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from resilient_cluster import lp
+from resilient_cluster import lp, simplex
 from resilient_cluster.core import integer_form
 from resilient_cluster.simplex import OPTIMAL, UNBOUNDED, maximize
 
 import scalar_reference as reference
-from conftest import graph_metric_instance
+from conftest import graph_metric_instance, unplanted_instance
 
 
 def solved(c, A, b):
@@ -49,6 +50,20 @@ def test_unbounded_detected():
 def test_negative_rhs_rejected():
     with pytest.raises(ValueError):
         maximize([1], [[1]], [-1])
+
+
+@pytest.mark.parametrize("part", ["c", "A", "b"])
+def test_non_finite_entry_rejected(part):
+    """A NaN or infinite entry anywhere in the LP is refused: a NaN reduced
+    cost would otherwise be taken as the largest."""
+    for bad in (math.nan, math.inf, -math.inf):
+        lp_parts = {"c": [1, 1], "A": [[1, 0], [0, 1]], "b": [1, 1]}
+        if part == "A":
+            lp_parts["A"][1][0] = bad
+        else:
+            lp_parts[part][0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            maximize(lp_parts["c"], lp_parts["A"], lp_parts["b"])
 
 
 def test_fractional_packing_value():
@@ -168,15 +183,68 @@ def test_float_bland_cycle_is_broken():
                         integer_form(y, len(y) + 1, None)) is None
 
 
+BEALE = ([Fraction(3, 4), -20, Fraction(1, 2), -6],
+         [[1 / 4, -8, -1, 9], [1 / 2, -12, -1 / 2, 3], [0, 0, 1, 0]], [0, 0, 1])
+
+
 def test_dantzig_cycle_falls_back_to_bland():
     """Beale's LP: Dantzig's rule, ties to the lowest basic index, cycles on
     it for the whole first budget of 2350 pivots; Bland's rule then
     finishes at the optimum 5/4. Its vertex is read exactly with the rows
     scaled to integers (by 4, 2 and 1), which leaves x as it is."""
-    c = [Fraction(3, 4), -20, Fraction(1, 2), -6]
-    res = maximize(c, [[1 / 4, -8, -1, 9], [1 / 2, -12, -1 / 2, 3], [0, 0, 1, 0]], [0, 0, 1])
+    c = BEALE[0]
+    res = maximize(*BEALE)
     assert res.status == OPTIMAL
     x, _ = reference.basis_solution([3, -80, 2, -24],
                                     [[1, -32, -4, 36], [1, -24, -1, 6], [0, 0, 1, 0]],
                                     [0, 0, 1], res.basis)
     assert sum(cj * v for cj, v in zip(c, x)) == Fraction(5, 4)
+
+
+def test_pivots_match_the_reference_loop(monkeypatch):
+    """The tableau loop returns the reference loop's status and basis on the
+    random LPs above, Beale's LP, the seed-44 graph LP and every probe that
+    certify solves on the graph draws (seeds 0-119, k = 2 and 3) and on an
+    unplanted KC and KCO metric; both forms of the rank-1 update run."""
+    lps = [_random_lp(random.Random(seed)) for seed in (*range(30), *range(1000, 1020))]
+    lps.append(BEALE)
+    inst = graph_metric_instance(44, k=10)
+    lps.append(lp._reduced_lp(inst, lp.build_threshold_graph(inst, 1)))
+    real = lp.maximize
+
+    def recorded(c, A, b):
+        lps.append((c, A, b))
+        return real(c, A, b)
+
+    monkeypatch.setattr(lp, "maximize", recorded)
+    for seed in range(120):
+        for k in (2, 3):
+            lp.certify(graph_metric_instance(seed, k))
+    for z in (0, 3):
+        lp.certify(unplanted_instance(0, 60, z))
+    monkeypatch.undo()
+
+    forms = set()
+    touched_rows = simplex._touched_rows
+
+    def spied(f):
+        rows = touched_rows(f)
+        forms.add("all" if isinstance(rows, slice) else "nonzero")
+        return rows
+
+    monkeypatch.setattr(simplex, "_touched_rows", spied)
+    assert len(lps) > 200
+    for c, A, b in lps:
+        assert maximize(c, A, b) == reference.maximize_reference(c, A, b)
+    assert forms == {"all", "nonzero"}
+
+
+def test_overflowing_ratios_tie_as_in_the_reference_loop():
+    """Both eligible ratios overflow to inf, the fill of the ineligible row
+    0: the eligible rows alone tie, and row 1, of the lower basic index,
+    leaves as in the reference loop."""
+    c, A, b = [1], [[0], [2e-9], [3e-9]], [1, 1e300, 1e300]
+    with np.errstate(over="ignore"):
+        res = maximize(c, A, b)
+        assert res == reference.maximize_reference(c, A, b)
+    assert res.basis == (1, 0, 3)
