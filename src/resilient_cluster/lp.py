@@ -32,7 +32,7 @@ How a verdict is proved. :func:`_reduced_lp` writes each relaxation once, as
 max c.x s.t. A x <= b, x >= 0, and one exact duality check,
 :func:`_check_lp`, judges every proof about it: a feasible primal bounds the
 LP optimum from below, a feasible dual from above, and a pair of equal value
-proves it, on integers over one common denominator (:func:`.core.integer_form`).
+proves it, on integers over one common denominator.
 
 :func:`certify` first tries the packing route, which needs no LP. The
 conflict radius c(u, v) is the smallest radius at which u and v share an
@@ -54,12 +54,12 @@ checking, never from pivoting in rationals. The float solve hands over its
 final basis B. For d = |det B|, d x_B and d y are integers (Cramer's rule), so
 :func:`_basis_solution` solves B x_B = b and B^T y = c_B in float64 and rounds
 d x_B and d y to integers, which is exact while the float error stays below
-1 / (2d). The vertex and duals over d must pass :func:`_check_lp` as an
-optimal pair (for KCO the primal is y with t_v = min(1, y(N_in(v)))), which
-proves the exact optimum ``bound``. There is no second attempt: a
-determinant below 1/2 or not finite, or a pair the check rejects (a basis
-past that limit, say), raises :class:`.SolverPrecisionExceeded` naming the
-radius and the reason. The LP at a radius reads only the 0/1 matrix G, so
+1 / (2d). Those integers over d must pass :func:`_check_lp` as an optimal
+pair (for KCO the primal is y with t_v = min(1, y(N_in(v)))), which proves
+the exact optimum ``bound``; no Fraction is built before. There is no second
+attempt: a determinant below 1/2 or not finite, or a pair the check rejects (a
+basis past that limit, say), raises :class:`.SolverPrecisionExceeded` naming
+the radius and the reason. The LP at a radius reads only the 0/1 matrix G, so
 this holds for int, Fraction and float instances alike.
 
 :func:`min_feasible_radius` is one binary search over the candidate radii,
@@ -67,6 +67,10 @@ and every probe it reads is such a checked outcome. By monotonicity the
 exact optimum at R* and the one at the candidate below pin R*. At R*
 :func:`extract_integral` runs the packing route's component recovery first,
 so both routes give the same partition.
+
+An outcome is ``integral`` when it is feasible and y is 0/1, on every
+relaxation: a 0/1 cover is an integral optimum, as each point can be assigned
+to any center within R*. So a NOT_2PR witness is never integral.
 """
 
 from __future__ import annotations
@@ -112,7 +116,8 @@ class LpOutcome:
     ``bound`` is the LP value, compared with k (KC, asym-KC) or n - z (KCO);
     ``y`` is the primal and ``certificate`` the dual solution (see the module
     docstring). Every outcome was checked exactly: its entries are
-    Fractions, ``bound`` is the LP optimum and ``certificate`` proves it.
+    Fractions, ``bound`` is the LP optimum and ``certificate`` proves it;
+    ``integral`` means feasible with a 0/1 y, which no NOT_2PR witness has.
     """
 
     feasible: bool
@@ -204,8 +209,7 @@ def solve_lp(inst: Instance, R, formulation: str | None = None) -> LpOutcome:
             # solve is a rounding failure, as a stall is
             raise SolverPrecisionExceeded(f"the float solve came back {res.status}, "
                                           "but the reduced LP is bounded")
-        sides = _lp_sides(inst, *_basis_solution(c, A, b, res.basis))
-        exact = _exact_outcome(inst, G, R, (c, A, b), *sides)
+        exact = _exact_outcome(inst, G, R, (c, A, b), *_basis_solution(c, A, b, res.basis))
         if isinstance(exact, str):
             raise SolverPrecisionExceeded(f"the vertex of the float basis: {exact}")
     except SolverPrecisionExceeded as e:
@@ -229,19 +233,6 @@ def _reduced_lp(inst: Instance, G: np.ndarray) -> tuple:
     return [0] * n + [1] * n, A, [0] * n + [1] * n + [inst.k]
 
 
-def _lp_sides(inst: Instance, x, duals) -> tuple:
-    """(y, certificate) from the reduced LP's primal x and duals."""
-    return (x[: inst.n], duals) if inst.z else (duals, x)
-
-
-def _is_integral(inst: Instance, G, y) -> bool:
-    """y is 0/1 and, for KCO, so is the witness x: with a 0/1 cover, x_uv is
-    1 / (centers serving v), so no point may have two serving centers."""
-    ones = np.array([v == 1 for v in y])
-    zero_one = all(ones[u] or v == 0 for u, v in enumerate(y))
-    return zero_one and (not inst.z or bool((ones.astype(np.int64) @ G <= 1).all()))
-
-
 # ---------------------------------------------------------------------------
 # the exact check: LP duality on the reduced LP
 
@@ -256,7 +247,7 @@ def _check_lp(c, A, b, x=None, y=None) -> str | None:
     feasible for its dual min b.y s.t. y A >= c, y >= 0, and, with both
     given, c.x = b.y, which proves both optimal; else the reason, naming the
     failed side. x and y are integer numerators over one denominator, as
-    :func:`.integer_form` gives them at terms len + 1. A has entries in
+    :func:`_basis_solution` gives them (terms len + 1). A has entries in
     {-1, 0, 1}, so A x and y A fit wherever x and y do; b and c are put over
     the same denominator at terms 2, in Python ints when den is past int64."""
     if x is not None:
@@ -289,58 +280,56 @@ def _feasible(inst: Instance, value) -> bool:
     return value >= inst.n - inst.z if inst.z else value <= inst.k
 
 
-def _exact_outcome(inst, G, R, reduced, y, dual) -> LpOutcome | str:
-    """The exact outcome at R when :func:`_check_lp` accepts the rational
-    pair (y, dual) as an optimal pair of the reduced LP ``reduced``, the
-    (c, A, b) of :func:`_reduced_lp` at G, else the reason it does not. For
-    KCO the primal is y with t_v = min(1, y(N_in(v)))."""
+def _exact_outcome(inst, G, R, reduced, X, Y, d) -> LpOutcome | str:
+    """The exact outcome at R when :func:`_check_lp` accepts the primal X / d
+    and duals Y / d of :func:`_basis_solution` as an optimal pair of
+    ``reduced``, the (c, A, b) of :func:`_reduced_lp` at G, else the reason
+    it does not. The cover y is the duals, or for KCO the first n primal
+    entries, with t_v = min(1, y(N_in(v))) for the rest; 0/1 is integral."""
     c, A, b = reduced
-    Y, den = integer_form(y, len(y) + 1, None)
-    D = integer_form(dual, len(dual) + 1, None)
     if inst.z:
-        t = np.minimum(Y @ G, integer_form([1] * inst.n, 2, den)[0])
-        primal, reduced_dual = (np.concatenate([Y, t]), den), D
+        y, certificate = X[: inst.n], Y
+        X = np.concatenate([y, np.minimum(y @ G, integer_form([1] * inst.n, 2, d)[0])])
     else:
-        primal, reduced_dual = D, (Y, den)
-    reason = _check_lp(c, A, b, primal, reduced_dual)
+        y, certificate = Y, X
+    reason = _check_lp(c, A, b, (X, d), (Y, d))
     if reason is not None:
         return reason
-    bound = Fraction(_dot(c, primal[0]), primal[1])
+    bound = Fraction(_dot(c, X), d)
     feasible = _feasible(inst, bound)
-    integral = feasible and _is_integral(inst, G, y)
-    return LpOutcome(feasible, tuple(y), integral, R, bound, tuple(dual), G)
+    integral = feasible and bool(((y == 0) | (y == d)).all())
+    return LpOutcome(feasible, tuple(Fraction(v, d) for v in y.tolist()), integral, R, bound,
+                     tuple(Fraction(v, d) for v in certificate.tolist()), G)
 
 
 # ---------------------------------------------------------------------------
 # the vertex of the float basis, exactly
 
 
-def _basis_solution(c, A, b, basis) -> tuple[list, list]:
+def _basis_solution(c, A, b, basis) -> tuple[np.ndarray, np.ndarray, int]:
     """The vertex of the integer LP max c.x s.t. A x <= b, x >= 0 at a
-    simplex basis, as Fractions: x from B x_B = b and the duals y from
-    B^T y = c_B, where B holds the columns ``basis`` of [A | I].
+    simplex basis, as (d x, d y, d): x from B x_B = b and the duals y from
+    B^T y = c_B, where B holds the columns ``basis`` of [A | I], d = |det B|.
 
-    By Cramer's rule d x_B and d y are integers for d = |det B|, so both are
-    solved in float64 and d x_B and d y rounded to the nearest integers. That
-    is exact while the float error stays below 1 / (2d); past it the rounded
-    pair may be wrong, and :func:`_check_lp` decides. A determinant below 1/2
-    or not finite raises :class:`.SolverPrecisionExceeded`."""
+    By Cramer's rule d x_B and d y are integers, so both are solved in
+    float64 and rounded, each held as :func:`.integer_form` gives it at terms
+    len + 1. That is exact while the float error stays below 1 / (2d); past
+    it the rounded pair may be wrong, and :func:`_check_lp` decides. A
+    determinant below 1/2 or not finite raises SolverPrecisionExceeded."""
     A = np.asarray(A, dtype=np.float64)
     m, nv = A.shape
-    basis = np.asarray(basis)
+    basis = list(basis)
     B = np.concatenate([A, np.eye(m)], axis=1)[:, basis]
     c_B = np.concatenate([np.asarray(c, dtype=np.float64), np.zeros(m)])[basis]
     det = abs(np.linalg.det(B))
     if not 0.5 <= det < math.inf:  # a NaN compares false
         raise SolverPrecisionExceeded(f"the float basis has determinant {det:.6g}")
     d = round(det)
-    x_B = np.rint(d * np.linalg.solve(B, b))
-    y = np.rint(d * np.linalg.solve(B.T, c_B))
-    x = [Fraction(0)] * nv
-    for j, v in zip(basis, x_B.tolist()):
-        if j < nv:
-            x[j] = Fraction(int(v), d)
-    return x, [Fraction(int(v), d) for v in y.tolist()]
+    x = np.zeros(nv + m)
+    x[basis] = np.linalg.solve(B, b)
+    X = [int(v) for v in np.rint(d * x[:nv]).tolist()]
+    Y = [int(v) for v in np.rint(d * np.linalg.solve(B.T, c_B)).tolist()]
+    return integer_form(X, nv + 1)[0], integer_form(Y, m + 1)[0], d
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +421,7 @@ def extract_integral(inst: Instance, outcome: LpOutcome) -> Clustering | None:
     threshold graph runs first; in the asymmetric case a component's center
     must reach it along out-edges. The packing route recovers the same way at
     the same R*, so both routes give the same partition. Only when recovery
-    fails is an integral vertex rounded.
+    fails are the centers of an ``integral`` outcome (a 0/1 y) taken.
     """
     if not outcome.feasible:
         return None
@@ -543,8 +532,9 @@ def certify(inst: Instance, formulation: str | None = None) -> CertifierVerdict:
     solution, so a clustering of cost R* is provably optimal; its cost is
     checked against R* before OPTIMAL is returned. NOT_2PR, from the search
     only, proves the exact LP optimum at R* and at the candidate below, and
-    that no clustering was recovered at R*; reading it as non-resilience
-    rests on the paper's integrality theorem, not on a proven gap.
+    that no clustering was recovered at R*, so its witness is not
+    ``integral``; reading it as non-resilience rests on the paper's
+    integrality theorem, not on a proven gap.
     """
     formulation = _check_formulation(inst, formulation)
     verdict = _packing_route(inst)

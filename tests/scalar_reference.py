@@ -993,6 +993,16 @@ def bareiss_solve(M: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, int] | No
     return T[:, m], prev
 
 
+def basis_determinant(A, basis) -> int:
+    """|det B| for B the columns ``basis`` of [A | I], by Bareiss
+    elimination; 0 when B is singular."""
+    A = np.asarray(A, dtype=np.int64)
+    m = len(A)
+    B = np.concatenate([A, np.eye(m, dtype=np.int64)], axis=1)[:, list(basis)]
+    solved = bareiss_solve(B, np.zeros(m, dtype=np.int64))
+    return 0 if solved is None else abs(solved[1])
+
+
 def basis_solution(c, A, b, basis) -> tuple[list, list] | None:
     """The vertex of the integer LP max c.x s.t. A x <= b, x >= 0 at a
     simplex basis, in exact arithmetic: x from B x_B = b and the duals y

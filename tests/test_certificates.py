@@ -9,12 +9,14 @@ radius and the failed side.
 """
 
 import dataclasses
+import math
 import os
 import random
 import re
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 from unittest import mock
 
@@ -75,11 +77,27 @@ def with_entry(values, i, new):
     return values[:i] + [new] + values[i + 1 :]
 
 
+def over_common_denominator(*vectors):
+    """The rationals of each vector as integers over their least common
+    denominator d, at the width _basis_solution gives them, and d."""
+    d = math.lcm(*(Fraction(v).denominator for v in chain(*vectors)))
+    return *(integer_form([int(v * d) for v in vec], len(vec) + 1)[0] for vec in vectors), d
+
+
 def pair_reason(inst, R, y, certificate):
-    """Why the confirmation at R rejects the pair (y, certificate), or None."""
+    """Why the confirmation at R rejects the pair (y, certificate), or None.
+    The pair goes in as the reduced LP's primal and duals over a common
+    denominator: (certificate, y) for KC and asym-KC, and for KCO (y and n
+    zeros for t, which the check rebuilds, certificate). An accepted pair
+    comes back as the outcome's y and certificate."""
     G = build_threshold_graph(inst, R)
-    checked = lp._exact_outcome(inst, G, R, lp._reduced_lp(inst, G), y, certificate)
-    return None if isinstance(checked, lp.LpOutcome) else checked
+    x, duals = (list(y) + [0] * inst.n, certificate) if inst.z else (certificate, y)
+    checked = lp._exact_outcome(inst, G, R, lp._reduced_lp(inst, G),
+                                *over_common_denominator(x, duals))
+    if isinstance(checked, str):
+        return checked
+    assert (checked.y, checked.certificate) == (tuple(y), tuple(certificate))
+    return None
 
 
 @pytest.mark.parametrize("formulation", [KC, ASYM_KC, KCO])
@@ -166,9 +184,10 @@ def test_check_lp_reads_values_past_int64():
     assert lp._check_lp(c, A, b, x=wide).startswith("primal row 0: ")
     inst = Instance(((0, 1), (1, 0)), 1, 1)
     y = [Fraction(1, p), Fraction(1, q)]
-    dual = [Fraction(v) for v in (0, 0, 1, 1, 0)]
+    X, Y, d = over_common_denominator(y + [0, 0], [0, 0, 1, 1, 0])
+    assert d == p * q and X.dtype == np.int64 and Y.dtype == object
     G = np.eye(2, dtype=bool)
-    reason = lp._exact_outcome(inst, G, 0, lp._reduced_lp(inst, G), y, dual)
+    reason = lp._exact_outcome(inst, G, 0, lp._reduced_lp(inst, G), X, Y, d)
     assert reason == f"value: c.x = {sum(y)} differs from b.y = 2"
 
 
@@ -180,9 +199,9 @@ def test_check_lp_reads_values_past_int64():
 def count_solves(monkeypatch, corrupt_at=None, corrupt=None):
     """Wrap lp.solve_lp to note the radius of each probe, and
     lp._basis_solution to record that radius for each basis solved; at
-    ``corrupt_at`` the solution (x, duals) passes through
-    ``corrupt(x, duals, d)`` first, d the basis's |det| by the Bareiss
-    reference."""
+    ``corrupt_at`` the numerators (d x, d duals) pass through
+    ``corrupt(X, Y)`` first, where d must be the basis's |det| by the
+    Bareiss reference."""
     real_solve, real_basis = lp.solve_lp, lp._basis_solution
     basis_radii, probing = [], []
 
@@ -192,11 +211,11 @@ def count_solves(monkeypatch, corrupt_at=None, corrupt=None):
 
     def basis(c, A, b, basis):
         basis_radii.extend(probing)
-        x, duals = real_basis(c, A, b, basis)
+        X, Y, d = real_basis(c, A, b, basis)
         if probing == [corrupt_at]:
-            B = np.concatenate([np.asarray(A), np.eye(len(b), dtype=np.int64)], axis=1)
-            corrupt(x, duals, abs(reference.bareiss_solve(B[:, list(basis)], np.asarray(b))[1]))
-        return x, duals
+            assert d == reference.basis_determinant(A, basis)
+            corrupt(X, Y)
+        return X, Y, d
 
     monkeypatch.setattr(lp, "solve_lp", solve)
     monkeypatch.setattr(lp, "_basis_solution", basis)
@@ -218,10 +237,10 @@ def corrupt_numerator(n, side, step):
     KCO its first n entries, the cover, since t is rebuilt from it) or of
     the duals by ``step``."""
 
-    def corrupt(x, duals, d):
-        v = x if side == "primal" else duals
+    def corrupt(X, Y):
+        v = X if side == "primal" else Y
         j = max(range(n if side == "primal" else len(v)), key=v.__getitem__)
-        v[j] += Fraction(step, d)
+        v[j] += step
 
     return corrupt
 

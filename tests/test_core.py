@@ -486,9 +486,9 @@ WIDTH_RULES = {
     # validate_metric's matrix, terms 2 on the entries times the LCM 3
     "metric-matrix": (lambda top: _metric_matrix(
         Instance(((0, Fraction(top, 3)), (Fraction(top, 3), 0)), 1)).dtype, 2**61),
-    # the LP checker's numerators of three values, terms 3 + 1
-    "lp-numerators": (lambda top: integer_form(
-        [Fraction(top, 5), Fraction(1, 5), Fraction(0)], 4, None)[0].dtype, 2**60),
+    # lp._basis_solution's rounded numerators d x or d y of three values,
+    # terms 3 + 1
+    "lp-numerators": (lambda top: integer_form([top, 1, 0], 4)[0].dtype, 2**60),
     # the LP checker's den * b and den * c, terms 2 on den * max|b|
     "lp-bounds": (lambda top: integer_form([1, 0], 2, top)[0].dtype, 2**61),
     # three coordinates a point, terms 3: 2 * 3 * max|x| below 2**63

@@ -33,6 +33,7 @@ from resilient_cluster import (
     min_feasible_radius,
     solve_lp,
 )
+from resilient_cluster import lp
 from resilient_cluster.lp import formulation_of
 
 from conftest import (
@@ -399,6 +400,59 @@ def test_certify_kco_planted():
     assert verdict.lp_radius == res.cost
     assert verdict.clustering.partition_key() == res.best.partition_key()
     assert verdict.clustering.outliers == res.best.outliers
+
+
+# A KCO instance whose search ends on a 0/1 cover at R* = 4, y = 1 at points
+# 1 and 2, both within 4 of point 0 (draw 820, from 0, of ROADMAP's 3000 draws)
+DOUBLE_SERVICE = Instance(((0, 4, 4, 8, 9, 8), (4, 0, 8, 8, 11, 10), (4, 8, 0, 4, 5, 4),
+                           (8, 8, 4, 0, 8, 7), (9, 11, 5, 8, 0, 1), (8, 10, 4, 7, 1, 0)),
+                          k=2, z=1)
+
+
+def test_kco_zero_one_cover_serving_a_point_twice_is_integral():
+    """A 0/1 cover at R* is an integral optimum even when a point has two
+    centers within R*, since the point can be assigned to either. Component
+    recovery fails here, and the cover's centers 1 and 2, with point 4 an
+    outlier, cost R* = 4, the brute-force optimum."""
+    inst = DOUBLE_SERVICE
+    r_star, outcome = min_feasible_radius(inst)
+    G = build_threshold_graph(inst, r_star)
+    assert r_star == 4 and outcome.y == (0, 1, 1, 0, 0, 0) and outcome.integral
+    assert (np.array(outcome.y) @ G).tolist() == [2, 1, 1, 1, 0, 1]
+    assert lp._component_clustering(inst, G) is None
+    verdict = certify(inst)
+    assert (verdict.kind, verdict.route, verdict.lp_radius) == (OPTIMAL, lp.SEARCH, 4)
+    assert verdict.clustering.centers == (1, 2) and verdict.clustering.outliers == {4}
+    assert brute_force(inst, KCENTER).cost == 4
+
+
+def test_no_not_2pr_witness_is_zero_one():
+    """On 300 KCO draws (n <= 10; int, Fraction and float) and 150 KC and
+    asym-KC draws, no NOT_2PR witness has a 0/1 y, and every OPTIMAL radius
+    is the brute-force optimum. Some OPTIMAL verdicts rest on a 0/1 cover at
+    R* that serves a point twice, where component recovery fails."""
+    rng = random.Random(39)
+    kinds, double = {OPTIMAL: 0, NOT_2PR: 0}, 0
+    for i in range(450):
+        n = rng.randint(4, 10)
+        formulation = KCO if i < 300 else rng.choice([KC, ASYM_KC])
+        z = rng.randint(1, 2) if formulation == KCO else 0
+        k = rng.randint(1, min(n // 3, n - z - 1))
+        numbers = rng.choice(["int", "fraction", "float"])
+        inst = encoded_metric(rng, n, k, z, numbers, formulation == ASYM_KC)
+        verdict = certify(inst)
+        kinds[verdict.kind] += 1
+        if verdict.kind == NOT_2PR:
+            witness = verdict.fractional_witness
+            assert not witness.integral and not set(witness.y) <= {0, 1}
+            continue
+        assert abs(verdict.lp_radius - brute_force(inst, KCENTER).cost) <= inst.tol
+        if verdict.route == lp.SEARCH and z:
+            outcome = solve_lp(inst, verdict.lp_radius)
+            G = build_threshold_graph(inst, verdict.lp_radius)
+            double += (outcome.integral and max(np.array(outcome.y) @ G) >= 2
+                       and lp._component_clustering(inst, G) is None)
+    assert kinds[NOT_2PR] > 0 and double > 0
 
 
 def test_kco_infeasible_below_optimum_with_accounting():

@@ -2,7 +2,8 @@
 its final basis, scipy cross-check, and a float cycle it must break. The
 simplex returns only its final basis; each value below is that basis's
 vertex, solved exactly by the Bareiss reference or by lp._basis_solution,
-which must agree with the reference entry for entry."""
+whose integers over d = |det B| must agree with the reference entry for
+entry."""
 
 import math
 import random
@@ -13,7 +14,6 @@ import pytest
 from scipy.optimize import linprog
 
 from resilient_cluster import lp, simplex
-from resilient_cluster.core import integer_form
 from resilient_cluster.simplex import OPTIMAL, UNBOUNDED, maximize
 
 import scalar_reference as reference
@@ -27,6 +27,19 @@ def solved(c, A, b):
     assert res.status == OPTIMAL
     x, _ = reference.basis_solution(c, A, b, res.basis)
     return x, sum(cj * v for cj, v in zip(c, x))
+
+
+def over_d(c, A, b, basis):
+    """lp._basis_solution's (d x, d y, d) at the basis as (x, y, d), x and y
+    as Fractions over d."""
+    X, Y, d = lp._basis_solution(c, A, b, basis)
+    return [Fraction(v, d) for v in X.tolist()], [Fraction(v, d) for v in Y.tolist()], d
+
+
+def bareiss(c, A, b, basis):
+    """The same (x, y, d) by the Bareiss reference: the exact vertex and
+    duals, and d = |det B|."""
+    return (*reference.basis_solution(c, A, b, basis), reference.basis_determinant(A, basis))
 
 
 def test_small_hand_lp():
@@ -97,8 +110,9 @@ def test_exact_strong_duality(seed):
     c, A, b = _random_lp(rng)
     res = maximize(c, A, b)
     assert res.status == OPTIMAL
-    x, y = lp._basis_solution(c, A, b, res.basis)
-    assert all(type(v) is Fraction for v in x + y)
+    X, Y, d = lp._basis_solution(c, A, b, res.basis)
+    assert type(d) is int and all(type(v) is int for v in X.tolist() + Y.tolist())
+    x, y = ([Fraction(v, d) for v in V.tolist()] for V in (X, Y))
     # primal feasibility
     for row, bi in zip(A, b):
         assert sum(a * v for a, v in zip(row, x)) <= bi
@@ -116,29 +130,31 @@ def test_exact_strong_duality(seed):
 @pytest.mark.parametrize("seed", range(30))
 def test_basis_solution_matches_the_bareiss_reference(seed):
     """On the general-integer LPs above, the float solve over the basis's
-    determinant gives the exact vertex and duals, entry for entry."""
+    determinant gives the exact vertex and duals, entry for entry, over the
+    basis's exact |det|."""
     c, A, b = _random_lp(random.Random(seed))
     res = maximize(c, A, b)
-    assert lp._basis_solution(c, A, b, res.basis) == reference.basis_solution(c, A, b, res.basis)
+    assert over_d(c, A, b, res.basis) == bareiss(c, A, b, res.basis)
 
 
 def test_basis_solution_matches_the_bareiss_reference_on_graph_probes(monkeypatch):
     """Every probe that certify solves on the graph metrics (seeds 0-119,
     k = 2 and 3), s83's determinant of 1669313 among them, gives the same
-    vertex and duals as the Bareiss reference."""
+    vertex, duals and |det| as the Bareiss reference."""
     real, probes = lp._basis_solution, []
 
     def recorded(c, A, b, basis):
-        probes.append((c, A, b, basis, real(c, A, b, basis)))
-        return probes[-1][-1]
+        probes.append((c, A, b, basis))
+        return real(c, A, b, basis)
 
     monkeypatch.setattr(lp, "_basis_solution", recorded)
     for seed in range(120):
         for k in (2, 3):
             lp.certify(graph_metric_instance(seed, k))
+    monkeypatch.undo()
     assert len(probes) > 100
-    for c, A, b, basis, got in probes:
-        assert got == reference.basis_solution(c, A, b, basis)
+    for c, A, b, basis in probes:
+        assert over_d(c, A, b, basis) == bareiss(c, A, b, basis)
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -177,10 +193,9 @@ def test_float_bland_cycle_is_broken():
     c, A, b = lp._reduced_lp(inst, G)
     res = maximize(c, A, b)
     assert res.status == OPTIMAL
-    x, y = lp._basis_solution(c, A, b, res.basis)
-    assert sum(x) == sum(y) == Fraction(1407, 152)
-    assert lp._check_lp(c, A, b, integer_form(x, len(x) + 1, None),
-                        integer_form(y, len(y) + 1, None)) is None
+    X, Y, d = lp._basis_solution(c, A, b, res.basis)
+    assert Fraction(sum(X.tolist()), d) == Fraction(sum(Y.tolist()), d) == Fraction(1407, 152)
+    assert lp._check_lp(c, A, b, (X, d), (Y, d)) is None
 
 
 BEALE = ([Fraction(3, 4), -20, Fraction(1, 2), -6],
