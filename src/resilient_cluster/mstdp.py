@@ -5,7 +5,13 @@ zero-distance dummy vertices, then a subtree-partition dynamic program over
 states (node, clusters used, outliers spent, center of the node's cluster).
 On 2-perturbation-resilient outlier instances the optimal clusters are MST
 subtrees, so the DP recovers the exact optimum; on arbitrary input it returns
-the best subtree-structured solution, which may be suboptimal.
+the best subtree-structured solution, which may be suboptimal. A dummy may
+close a cluster of its own, so on such input the binarization decides which
+siblings a dummy may gather, and the clustering can move with it.
+
+The forward pass makes one round per height of the binary tree, so the
+transform keeps the height least: a node with more than two children pairs
+them lowest height first (:func:`binarize`).
 
 All tables live in one numpy array of shape ``[k+1, z+1, nodes, n_real+1]``
 (clusters, outliers, node, center; the last center slot means "the node is an
@@ -43,6 +49,7 @@ object array of exact Python numbers.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 
@@ -149,10 +156,17 @@ def build_mst(inst: Instance) -> tuple:
 def binarize(tree, inst: Instance) -> BinaryTree:
     """Rooted binary version of a spanning tree (root = lowest index).
 
-    Children are listed in ascending order. From the highest-index node down,
-    while a node has more than two children, its two smallest are moved under
-    a dummy vertex with the next free id, which joins the end of the node's
-    list; so there are sum(max(0, c_u - 2)) dummies for c_u children of u.
+    Nodes are split deepest first (breadth-first order from the root,
+    reversed), so each child's binary height is known before its parent is
+    split. While a node has more than two children, the two of least (height,
+    id) are moved under a dummy vertex with the next free id and one more
+    than the higher one's height, and the dummy joins the node's children.
+    This is the minimax merge of Golumbic ("Combinatorial merging", 1976): a
+    node of two or more children of heights h_i gets the least height H with
+    sum 2**h_i <= 2**H, so the forward pass, one round per height, makes as
+    few rounds as any binarization of the rooted tree. Every child list is
+    ascending, and there are sum(max(0, c_u - 2)) dummies for c_u children
+    of u.
     """
     n = inst.n
     adj = [[] for _ in range(n)]
@@ -173,12 +187,18 @@ def binarize(tree, inst: Instance) -> BinaryTree:
     # n - 1 edges (2 (n - 1) list entries) that reach every point form a tree
     if sum(map(len, adj)) != 2 * (n - 1) or len(order) != n:
         raise ValueError("input edges do not form a spanning tree")
-    for u in reversed(range(n)):
-        kids = children[u]
-        while len(kids) > 2:
-            children.append(kids[:2])
-            del kids[:2]
-            kids.append(len(children) - 1)
+    height = [0] * n
+    for u in reversed(order):
+        heap = [(height[v], v) for v in children[u]]
+        heapq.heapify(heap)
+        while len(heap) > 2:
+            (_, a), (h, b) = heapq.heappop(heap), heapq.heappop(heap)
+            children.append(sorted((a, b)))
+            height.append(h + 1)
+            heapq.heappush(heap, (h + 1, len(children) - 1))
+        # at most two entries left, the higher last
+        children[u] = sorted(v for _, v in heap)
+        height[u] = heap[-1][0] + 1 if heap else 0
     parent = [-1] * len(children)
     for u, kids in enumerate(children):
         for v in kids:

@@ -123,8 +123,8 @@ def test_binarize_star_five_leaves_three_dummies():
 
 
 def test_binarize_star_six_leaves_layout():
-    # each dummy takes the two smallest children, and the node's list stays
-    # ascending with the dummy at its end
+    # all leaves: each dummy takes the two lowest-id children of the lowest
+    # height, and every child list is ascending
     inst = star_instance(6)
     btree = binarize(build_mst(inst), inst)
     assert btree.left == (9, -1, -1, -1, -1, -1, -1, 1, 3, 5, 7)
@@ -152,15 +152,45 @@ def test_solve_btp_rejects_a_tree_built_for_another_point_count(tree_n, inst_n):
         solve_btp(uniform_instance(inst_n, 1), btree, KMEDIAN)
 
 
-def test_binarize_numbers_dummies_from_the_highest_node_down():
-    # 0 has children 1, 2, 3 and 1 has 4, 5, 6: node 1 is split first, so
-    # its dummy is 7 and node 0's is 8
+def test_binarize_pairs_the_lowest_children_first_from_the_deepest_node_up():
+    # 0 has children 1, 2, 3 and 1 has 4, 5, 6: node 1 is deeper, so it is
+    # split first and its dummy is 7, over its lowest-id leaves 4 and 5; node
+    # 1 then has height 2, so node 0 pairs its leaves 2 and 3 under dummy 8
+    # and keeps 1 beside it, for a height of 3 where pairing by id gives 4
     tree = [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (1, 6)]
     btree = binarize(tree, uniform_instance(7, 1))
-    assert btree.left == (3, 6, -1, -1, -1, -1, -1, 4, 1)
-    assert btree.right == (8, 7, -1, -1, -1, -1, -1, 5, 2)
-    assert btree.parent == (-1, 8, 8, 0, 7, 7, 1, 1, 0)
+    assert btree.left == (1, 6, -1, -1, -1, -1, -1, 4, 2)
+    assert btree.right == (8, 7, -1, -1, -1, -1, -1, 5, 3)
+    assert btree.parent == (-1, 0, 8, 8, 7, 7, 1, 1, 0)
     assert btree.is_dummy == (False,) * 7 + (True, True)
+
+
+def test_binarize_gives_every_node_the_least_height():
+    # merging a node's children lowest height first (the minimax merge) puts
+    # m >= 2 children of heights h_i under a node of the least height H with
+    # sum 2**h_i <= 2**H; a leaf has height 0 and a one-child node h + 1
+    rng = random.Random(40)
+    for _ in range(300):
+        n = rng.randint(1, 40)
+        # each point hangs from an earlier one, from a few hubs when star-heavy
+        hubs = rng.choice((1, 2, 3, n))
+        up = [None] + [rng.randrange(min(u, hubs)) for u in range(1, n)]
+        tree = [(u, p) if rng.random() < 0.5 else (p, u) for u, p in enumerate(up) if u]
+        btree = binarize(tree, uniform_instance(n, 1))
+
+        def height(u):
+            return 1 + max((height(w) for w in btree.children(u)), default=-1)
+
+        assert btree.root == 0
+        assert btree.contracted_edges() == {(p, u) for u, p in enumerate(up) if u}
+        assert all(len(btree.children(u)) <= 2 for u in range(btree.size))
+        for u in range(n):
+            hs = [height(v) for v in range(n) if up[v] == u]
+            if len(hs) < 2:
+                want = hs[0] + 1 if hs else 0
+            else:
+                want = (sum(2**h for h in hs) - 1).bit_length()
+            assert height(u) == want, (tree, u)
 
 
 def test_dp_all_singletons():
